@@ -20,7 +20,7 @@ from .linalg import (RationalMatrix, SubspacePresentation,
 from .modules import (ModuleMap, PerfectModule, SemiFreeModule, cone_module,
                       free_module, hom_over_algebra, projective_module,
                       restrict_to_ground, shift_module, tensor_over_algebra)
-from .pairing import (PairingReport, cup, kunneth, pair_scalar, phi_map,
+from .pairing import (PairingReport, cup, kunneth, pair_scalar,
                       verify_kernel_composition, verify_rr)
 from .resolutions import (DiagonalResolution, opposite_resolution,
                           quiver_resolution, separable_resolution,

@@ -33,7 +33,11 @@ class DgAlgebra:
     """Immutable dg algebra on an ordered basis.
 
     `mult[(i, j)]` lists the nonzero coordinates of e_i * e_j; pairs with
-    zero product are absent.  `diff[i]` lists the coordinates of d(e_i).
+    zero product are absent.  `mult` is the basis-product kernel: every
+    product with a basis factor reads it directly.  `diff[i]` lists the
+    coordinates of d(e_i).  Tables derived from `mult` are memoised on the
+    instance on first use: the trace table (`pairing._pair_trace_table`)
+    and HH_0 (`hochschild.hh0_space`).
     """
 
     def __init__(self, labels: Sequence[str], degrees: Sequence[int],
@@ -52,6 +56,8 @@ class DgAlgebra:
                      for i, v in (diff or {}).items()}
         self.diff = {i: v for i, v in self.diff.items() if v}
         self._check_degrees()
+        self._trace_table = None
+        self._hh0 = None
 
     @property
     def dim(self) -> int:
@@ -101,6 +107,10 @@ class DgAlgebra:
                                 out[k] += cab * c
         return tuple(out)
 
+    def coefficient(self, i: int, j: int, k: int) -> Fraction:
+        """The structure constant [e_k](e_i e_j)."""
+        return sum((c for l, c in self.mult.get((i, j), ()) if l == k), ZERO)
+
     def differential(self, a: Coords) -> Coords:
         out = [ZERO] * self.dim
         for i, ca in enumerate(a):
@@ -136,17 +146,6 @@ class DgAlgebra:
                     rows[pos[j][1]][c] += coeff
             diff[d] = RationalMatrix(len(tgt), len(by_degree[d]), rows)
         return Complex(space, diff)
-
-    def flat_to_graded(self):
-        """index i -> (degree, position) in the carrier basis."""
-        by_degree: Dict[int, List[int]] = {}
-        for i, d in enumerate(self.degrees):
-            by_degree.setdefault(d, []).append(i)
-        pos = {}
-        for d, ix in by_degree.items():
-            for r, i in enumerate(ix):
-                pos[i] = (d, r)
-        return pos
 
     def cohomology_dims(self) -> GradedSpace:
         return cohomology_dims(self.carrier())
@@ -206,7 +205,7 @@ class DgAlgebra:
     def __eq__(self, other):
         return isinstance(other, DgAlgebra) and self.same_structure(other)
 
-    __hash__ = object.__hash__  # identity hash; caches key on object identity
+    __hash__ = object.__hash__  # hashable by identity; __eq__ compares structure
 
     def __repr__(self):
         return f"DgAlgebra(dim={self.dim})"

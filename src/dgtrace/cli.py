@@ -57,22 +57,6 @@ def _emit_text(node, prefix: str) -> None:
                 sys.stdout.write(f"{prefix}- {item}\n")
 
 
-def _class_arg(ws: Workspace, alg_name: str, text: str):
-    """Parse a class argument: '[label]' for a basis class, or a comma list
-    of coordinates."""
-    a = ws.algebra(alg_name)
-    space = hh0_space(a)
-    if text.startswith("[") and text.endswith("]"):
-        label = text[1:-1]
-        if label not in a.labels:
-            raise WorkspaceError(f"no basis element labelled {label!r}")
-        return space.class_of(a.by_label(label))
-    coords = [Fraction(t) for t in text.split(",")]
-    if len(coords) != a.dim:
-        raise WorkspaceError(f"expected {a.dim} coordinates")
-    return space.class_of(a.element(coords))
-
-
 def cmd_validate(ws: Workspace, args, seed: int, count: int, jobs: int) -> dict:
     names = args.names or sorted(set(list(ws.algebras) + list(ws.resolutions)))
     results = {}
@@ -295,7 +279,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             ws = default_workspace()
         handler = COMMANDS[args.command]
         report = handler(ws, args, seed, count, jobs)
-    except (WorkspaceError, OSError) as exc:
+    except (WorkspaceError, OSError, UnicodeDecodeError) as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return EXIT_INPUT
     except DgError as exc:

@@ -231,12 +231,6 @@ def shift(c: Complex, n: int) -> Complex:
     return Complex(space, diff, check=False)
 
 
-def shift_map(f: ChainMap, n: int) -> ChainMap:
-    return ChainMap(shift(f.source, n), shift(f.target, n), f.degree,
-                    {p - n: f.block(p) for p in f.source.degrees()
-                     if f.target.dim(p + f.degree)})
-
-
 def _direct_sum_space(a: GradedSpace, b: GradedSpace) -> GradedSpace:
     degs = set(a.dims) | set(b.dims)
     return GradedSpace({p: a.dim(p) + b.dim(p) for p in degs})
@@ -564,15 +558,6 @@ def hom_element_to_map(a: Complex, b: Complex, n: int, coords) -> ChainMap:
                               for p, rows in blocks.items()})
 
 
-def map_to_hom_element(f: ChainMap):
-    """Coordinates of a map in the Hom-complex basis."""
-    basis = _hom_basis(f.source.space, f.target.space, f.degree)
-    out = []
-    for (p, j, i) in basis:
-        out.append(f.block(p).entries[i][j])
-    return tuple(out)
-
-
 def linear_dual(c: Complex) -> Complex:
     """c^* with (c^*)^p = (c^{-p})^* and differential -(-1)^p (d^{-p-1})^T.
 
@@ -637,10 +622,6 @@ def euler_trace(f: ChainMap) -> Fraction:
         t = mat.trace()
         total += t if p % 2 == 0 else -t
     return total
-
-
-def euler_characteristic(c: Complex) -> Fraction:
-    return chain_supertrace(ChainMap.identity(c))
 
 
 def image_complex(e: ChainMap):
@@ -719,13 +700,6 @@ class SplitComplex:
 
     def cohomology_dims(self) -> GradedSpace:
         return cohomology_dims(self.image())
-
-    def euler_trace(self, f: ChainMap) -> Fraction:
-        """Euler trace on the image summand of a closed f commuting with e."""
-        if self.projector is None:
-            return euler_trace(f)
-        img, incl, proj = self._split()
-        return euler_trace(proj.compose(f).compose(incl))
 
     def _split(self):
         if self.projector is None:

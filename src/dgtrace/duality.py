@@ -26,7 +26,7 @@ from .complexes import (ChainMap, Complex, GradedSpace, SplitComplex, cone,
 from .errors import (AlgebraMismatch, DimensionMismatch, NotClosed,
                      NotDegreeZeroConcentrated)
 from .linalg import (ONE, ZERO, RationalMatrix, SubspacePresentation,
-                     quotient_presentation, span_dim)
+                     echelon_basis, quotient_presentation, span_dim)
 from .modules import (ExplicitModule, HomOverAlgebra, ModuleMap, PerfectModule,
                       SemiFreeModule, TensorOverAlgebra, outer_tensor_modules,
                       restrict_to_factor, semifree_map_to_explicit)
@@ -108,6 +108,13 @@ def transport_module(p: PerfectModule, iso: AlgebraIso) -> PerfectModule:
 # Explicit bimodules: the diagonal and the linear dual
 # ---------------------------------------------------------------------------
 
+def _sandwich(a: DgAlgebra, p: int, x: int, q: int):
+    """Terms (l, c) of e_p e_x e_q, read from the structure constants."""
+    for k, c1 in a.mult.get((p, x), ()):
+        for l, c2 in a.mult.get((k, q), ()):
+            yield l, c1 * c2
+
+
 def diagonal_explicit(a: DgAlgebra, env: Optional[DgAlgebra] = None) -> ExplicitModule:
     """A as an explicit module over A^e = A (x) A^op: (p (x) q) . x = p x q."""
     if not a.is_degree_zero():
@@ -123,13 +130,8 @@ def diagonal_explicit(a: DgAlgebra, env: Optional[DgAlgebra] = None) -> Explicit
         for flat, c in enumerate(coords):
             if c:
                 p, q = divmod(flat, n)
-                left = a.multiply(tuple(ONE if t == p else ZERO for t in range(n)),
-                                  tuple(ONE if t == key else ZERO for t in range(n)))
-                full = a.multiply(left,
-                                  tuple(ONE if t == q else ZERO for t in range(n)))
-                for x, cx_ in enumerate(full):
-                    if cx_:
-                        out[x] += c * cx_
+                for x, cx_ in _sandwich(a, p, key, q):
+                    out[x] += c * cx_
         return [(x, c) for x, c in enumerate(out) if c]
 
     return ExplicitModule(env, cx, basis, act)
@@ -147,22 +149,24 @@ class DualBimodule:
         n = a.dim
         self.dim = n
 
+    def basis_action(self, flat: int, x: int) -> List[Fraction]:
+        """(e_p (x) e_q) . phi_x over the dual basis, flat = p*n + q: the
+        coefficient of phi_y is phi_x(e_q e_y e_p)."""
+        p, q = divmod(flat, self.dim)
+        out = [ZERO] * self.dim
+        for y in range(self.dim):
+            for l, c in _sandwich(self.algebra, q, y, p):
+                if l == x:
+                    out[y] += c
+        return out
+
     def env_action(self, env_coords, x: int):
         """(a (x) b) . phi_x expanded over the dual basis."""
-        a = self.algebra
-        n = a.dim
-        out = [ZERO] * n
+        out = [ZERO] * self.dim
         for flat, c in enumerate(env_coords):
             if c:
-                p, q = divmod(flat, n)
-                # coefficient of phi_y is phi_x(e_q e_y e_p)
-                for y in range(n):
-                    prod = a.multiply(a.multiply(
-                        tuple(ONE if t == q else ZERO for t in range(n)),
-                        tuple(ONE if t == y else ZERO for t in range(n))),
-                        tuple(ONE if t == p else ZERO for t in range(n)))
-                    if prod[x]:
-                        out[y] += c * prod[x]
+                for y, cy in enumerate(self.basis_action(flat, x)):
+                    out[y] += c * cy
         return [(y, c) for y, c in enumerate(out) if c]
 
     def as_env_module(self) -> ExplicitModule:
@@ -183,11 +187,7 @@ class DualBimodule:
             for i, c in enumerate(coords):
                 if c:
                     for y in range(n):
-                        prod = a.multiply(
-                            tuple(ONE if t == i else ZERO for t in range(n)),
-                            tuple(ONE if t == y else ZERO for t in range(n)))
-                        if prod[x]:
-                            out[y] += c * prod[x]
+                        out[y] += c * a.coefficient(i, y, x)
             return [(y, c) for y, c in enumerate(out) if c]
 
         return ExplicitModule(aop, cx, {0: list(range(n))}, act)
@@ -196,64 +196,33 @@ class DualBimodule:
         """A^* as a left A-module, (a . phi)(x) = phi(x a)."""
         a = self.algebra
         n = a.dim
-
-        def act(coords, x):
-            out = [ZERO] * n
-            for i, c in enumerate(coords):
-                if c:
-                    for y in range(n):
-                        prod = a.multiply(
-                            tuple(ONE if t == y else ZERO for t in range(n)),
-                            tuple(ONE if t == i else ZERO for t in range(n)))
-                        if prod[x]:
-                            out[y] += c * prod[x]
-            return [(y, c) for y, c in enumerate(out) if c]
-
         cx = Complex(GradedSpace({0: n}), {})
-        return ExplicitModule(a, cx, {0: list(range(n))}, act)
+        return ExplicitModule(a, cx, {0: list(range(n))},
+                              lambda coords, x: _left_act_on_dual(a, coords, x))
 
     def component_dim(self, i: int, j: int) -> int:
         """dim of e_i . A^* . e_j = functionals supported on e_j A e_i."""
-        a = self.algebra
-        n = a.dim
-        vecs = []
-        for x in range(n):
-            coords = [ZERO] * (n * n)
-            ei = tuple(ONE if t == i else ZERO for t in range(n))
-            ej = tuple(ONE if t == j else ZERO for t in range(n))
-            flat = [ZERO] * (n * n)
-            for p, cp in enumerate(ei):
-                if cp:
-                    for q, cq in enumerate(ej):
-                        if cq:
-                            flat[p * n + q] = cp * cq
-            acted = self.env_action(tuple(flat), x)
-            vec = [ZERO] * n
-            for y, c in acted:
-                vec[y] = c
-            vecs.append(tuple(vec))
+        n = self.dim
         # dimension of the image of phi -> e_i phi e_j
-        return span_dim(vecs, n)
+        return span_dim([self.basis_action(i * n + j, x) for x in range(n)], n)
 
     def validate(self):
         """Module axioms over A^e on all basis pairs."""
         env = self.env
         n = self.dim
         for u in range(env.dim):
-            eu = tuple(ONE if t == u else ZERO for t in range(env.dim))
             for v in range(env.dim):
-                ev = tuple(ONE if t == v else ZERO for t in range(env.dim))
-                uv = env.multiply(eu, ev)
                 for x in range(n):
-                    via_v = self.env_action(ev, x)
                     step = [ZERO] * n
-                    for y, c in via_v:
-                        for z, c2 in self.env_action(eu, y):
-                            step[z] += c * c2
+                    for y, c in enumerate(self.basis_action(v, x)):
+                        if c:
+                            for z, c2 in enumerate(self.basis_action(u, y)):
+                                step[z] += c * c2
                     direct = [ZERO] * n
-                    for z, c in self.env_action(uv, x):
-                        direct[z] = c
-                    if tuple(step) != tuple(direct):
+                    for w, c in env.mult.get((u, v), ()):
+                        for z, c2 in enumerate(self.basis_action(w, x)):
+                            direct[z] += c * c2
+                    if step != direct:
                         raise AlgebraMismatch("dual bimodule action not associative")
         return self
 
@@ -451,14 +420,6 @@ def hom_into_serre(x: PerfectModule, serre_data) -> SplitComplex:
     return SplitComplex(h.complex, projector)
 
 
-def serre_hom_dimension(x: PerfectModule, y: PerfectModule, a: DgAlgebra,
-                        dual: Optional[DualBimodule] = None,
-                        degree: int = 0) -> int:
-    """dim H^degree Hom_A(X, S(Y))."""
-    return hom_into_serre(x, serre_module_data(a, y, dual)) \
-        .cohomology_dims().dim(degree)
-
-
 def _left_act_on_dual(a: DgAlgebra, coords, x: int):
     """(a . phi_x)(y) = phi_x(y a)."""
     n = a.dim
@@ -466,10 +427,7 @@ def _left_act_on_dual(a: DgAlgebra, coords, x: int):
     for i, c in enumerate(coords):
         if c:
             for y in range(n):
-                prod = a.multiply(tuple(ONE if t == y else ZERO for t in range(n)),
-                                  tuple(ONE if t == i else ZERO for t in range(n)))
-                if prod[x]:
-                    out[y] += c * prod[x]
+                out[y] += c * a.coefficient(y, i, x)
     return [(y, c) for y, c in enumerate(out) if c]
 
 
@@ -511,29 +469,24 @@ class IntegrationData:
             raise NotDegreeZeroConcentrated("integration defined in degree 0 only")
         self.algebra = a
         n = a.dim
-        env = tensor_algebras(a, opposite(a))
-        dual = DualBimodule(a, env)
-        diag = diagonal_explicit(a, env)
+        dual = DualBimodule(a)
         # relations in A^* (x) A, coordinates phi_x (x) e_y at x*n + y
         relations = []
-        for z in range(env.dim):
-            ez = tuple(ONE if t == z else ZERO for t in range(env.dim))
+        for z in range(n * n):
+            p, q = divmod(z, n)
             for x in range(n):
                 # right action phi.z: (phi (a(x)b))(t) = phi(a t b), which is
                 # the env action of the flip (b (x) a).
-                p, q = divmod(z, n)
-                flipped = [ZERO] * env.dim
-                flipped[q * n + p] = ONE
-                phi_z = dual.env_action(tuple(flipped), x)
+                phi_z = dual.basis_action(q * n + p, x)
                 for y in range(n):
                     vec = [ZERO] * (n * n)
-                    for x2, c in phi_z:
+                    for x2, c in enumerate(phi_z):
                         vec[x2 * n + y] += c
-                    for y2, c in diag.act(ez, y):
+                    for y2, c in _sandwich(a, p, y, q):
                         vec[x * n + y2] -= c
                     if any(vec):
                         relations.append(tuple(vec))
-        sub_basis = _echelon_basis(relations, n * n)
+        sub_basis = echelon_basis(relations, n * n)
         self.relation_dim = len(sub_basis)
         self.proj, self.section = quotient_presentation(
             n * n, SubspacePresentation(n * n, tuple(sub_basis)))
@@ -559,27 +512,6 @@ class IntegrationData:
     @property
     def quotient_dim(self) -> int:
         return self.proj.rows
-
-
-def _echelon_basis(vectors, dim):
-    """Independent spanning subset in echelon form (first-pivot order)."""
-    echelon = []
-    for vec in vectors:
-        row = list(vec)
-        for p, er in echelon:
-            f = row[p]
-            if f:
-                for j in range(p, dim):
-                    if er[j]:
-                        row[j] -= f * er[j]
-        p = next((j for j, x in enumerate(row) if x), -1)
-        if p >= 0:
-            piv = row[p]
-            if piv != 1:
-                row = [x / piv for x in row]
-            echelon.append((p, row))
-            echelon.sort(key=lambda t: t[0])
-    return [tuple(r) for _, r in echelon]
 
 
 def integrate(a: DgAlgebra) -> IntegrationData:
@@ -856,13 +788,8 @@ def _opposite_diagonal_explicit(a: DgAlgebra, env_op: DgAlgebra) -> ExplicitModu
                 # (A^e)^op basis (p, q) acts on A^op diagonally through the
                 # swap transport: the element p (x) q of A^e read backwards,
                 # x -> e_q x e_p.
-                left = a.multiply(tuple(ONE if t == q else ZERO for t in range(n)),
-                                  tuple(ONE if t == key else ZERO for t in range(n)))
-                full = a.multiply(left,
-                                  tuple(ONE if t == p else ZERO for t in range(n)))
-                for x, cx_ in enumerate(full):
-                    if cx_:
-                        out[x] += c * cx_
+                for x, cx_ in _sandwich(a, q, key, p):
+                    out[x] += c * cx_
         return [(x, c) for x, c in enumerate(out) if c]
 
     return ExplicitModule(env_op, cx, {0: list(range(n))}, act)

@@ -18,10 +18,11 @@ from typing import Optional, Tuple
 
 from .algebras import AlgebraElement, DgAlgebra
 from .complexes import GradedSpace, SplitComplex
-from .duality import diagonal_explicit, omega_inverse_module, _echelon_basis
+from .duality import diagonal_explicit, omega_inverse_module
 from .errors import (IdempotentIncompatible, NotClosed,
                      NotDegreeZeroConcentrated, WrongDegree)
-from .linalg import (ONE, ZERO, SubspacePresentation, quotient_presentation)
+from .linalg import (ONE, ZERO, SubspacePresentation, echelon_basis,
+                     quotient_presentation)
 from .modules import HomOverAlgebra, ModuleMap, PerfectModule
 
 
@@ -33,17 +34,18 @@ class HH0Space:
             raise NotDegreeZeroConcentrated("HH_0 computed for degree-0 algebras")
         self.algebra = algebra
         n = algebra.dim
+        mult = algebra.mult
         commutators = []
         for i in range(n):
-            ei = tuple(ONE if t == i else ZERO for t in range(n))
             for j in range(n):
-                ej = tuple(ONE if t == j else ZERO for t in range(n))
-                ab = algebra.multiply(ei, ej)
-                ba = algebra.multiply(ej, ei)
-                vec = tuple(x - y for x, y in zip(ab, ba))
+                vec = [ZERO] * n
+                for k, c in mult.get((i, j), ()):
+                    vec[k] += c
+                for k, c in mult.get((j, i), ()):
+                    vec[k] -= c
                 if any(vec):
-                    commutators.append(vec)
-        basis = _echelon_basis(commutators, n)
+                    commutators.append(tuple(vec))
+        basis = echelon_basis(commutators, n)
         self.commutator_dim = len(basis)
         self.projection, self.section = quotient_presentation(
             n, SubspacePresentation(n, tuple(basis)))
@@ -108,17 +110,11 @@ class HochschildClass:
         return f"HochschildClass({self.coords})"
 
 
-_HH0_CACHE = {}
-
-
 def hh0_space(a: DgAlgebra) -> HH0Space:
-    """A/[A,A]; cached per algebra object."""
-    key = id(a)
-    hit = _HH0_CACHE.get(key)
-    if hit is None or hit[0] is not a:
-        hit = (a, HH0Space(a))
-        _HH0_CACHE[key] = hit
-    return hit[1]
+    """A/[A,A], memoised on the algebra."""
+    if a._hh0 is None:
+        a._hh0 = HH0Space(a)
+    return a._hh0
 
 
 def generalized_supertrace(m: PerfectModule, f: ModuleMap) -> AlgebraElement:

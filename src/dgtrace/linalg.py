@@ -290,10 +290,10 @@ def quotient_presentation(ambient_dim: int, sub: SubspacePresentation):
     return proj, section
 
 
-def span_dim(vectors: Iterable[Sequence[Fraction]], ambient_dim: int) -> int:
-    """Dimension of the span, built incrementally (cheap for sparse input)."""
+def echelon_basis(vectors: Iterable[Sequence[Fraction]], ambient_dim: int) -> list:
+    """Independent spanning subset of the vectors in echelon form, one row
+    per pivot in pivot order, built incrementally (cheap for sparse input)."""
     echelon = []  # list of (pivot index, row) kept reduced
-    dim = 0
     for vec in vectors:
         row = [_frac(x) for x in vec]
         for p, er in echelon:
@@ -309,5 +309,9 @@ def span_dim(vectors: Iterable[Sequence[Fraction]], ambient_dim: int) -> int:
                 row = [x / piv for x in row]
             echelon.append((p, row))
             echelon.sort(key=lambda t: t[0])
-            dim += 1
-    return dim
+    return [tuple(r) for _, r in echelon]
+
+
+def span_dim(vectors: Iterable[Sequence[Fraction]], ambient_dim: int) -> int:
+    """Dimension of the span."""
+    return len(echelon_basis(vectors, ambient_dim))

@@ -181,23 +181,22 @@ class ExplicitModule:
                 for b2, coeff in a.diff.get(b, ()):
                     rows[pos[(i, b2)][1]][c] += coeff
                 sgn = ONE if a.degrees[b] % 2 == 0 else -ONE
-                eb = a.basis_element(b)
                 for j in range(i + 1, n):
-                    entry = m.twist[j][i]
-                    if entry.is_zero():
-                        continue
-                    prod = a.multiply(eb.coords, entry.coords)
-                    for b2, coeff in enumerate(prod):
-                        if coeff:
-                            rows[pos[(j, b2)][1]][c] += sgn * coeff
+                    for t, ct in enumerate(m.twist[j][i].coords):
+                        if ct:
+                            for b2, coeff in a.mult.get((b, t), ()):
+                                rows[pos[(j, b2)][1]][c] += sgn * ct * coeff
             diff[p] = RationalMatrix(len(tgt), len(keys), rows)
         cx = Complex(space, diff, check=False)
 
         def act(coords, key):
             i, b = key
-            prod = a.multiply(coords, tuple(ONE if t == b else ZERO
-                                            for t in range(a.dim)))
-            return [((i, b2), c) for b2, c in enumerate(prod) if c]
+            out: Dict[int, Fraction] = {}
+            for t, ct in enumerate(coords):
+                if ct:
+                    for b2, c in a.mult.get((t, b), ()):
+                        out[b2] = out.get(b2, ZERO) + ct * c
+            return [((i, b2), c) for b2, c in out.items() if c]
 
         return cls(a, cx, basis, act)
 
@@ -339,15 +338,11 @@ class ModuleMap:
             rows = [[ZERO] * len(keys) for _ in tkeys]
             for c, (i, b) in enumerate(keys):
                 sgn = ONE if (n * a.degrees[b]) % 2 == 0 else -ONE
-                eb_coords = tuple(ONE if t == b else ZERO for t in range(a.dim))
                 for j in range(self.target.rank):
-                    e = self.entries[j][i]
-                    if e.is_zero():
-                        continue
-                    prod = a.multiply(eb_coords, e.coords)
-                    for b2, coeff in enumerate(prod):
-                        if coeff:
-                            rows[tgt.pos[(j, b2)][1]][c] += sgn * coeff
+                    for t, ct in enumerate(self.entries[j][i].coords):
+                        if ct:
+                            for b2, coeff in a.mult.get((b, t), ()):
+                                rows[tgt.pos[(j, b2)][1]][c] += sgn * ct * coeff
             blocks[p] = RationalMatrix(len(tkeys), len(keys), rows)
         return ChainMap(src.complex, tgt.complex, n, blocks)
 
@@ -564,19 +559,13 @@ def restrict_to_factor(p: PerfectModule, f1: DgAlgebra, f2: DgAlgebra,
             pa, qb = divmod(flat, n2)
             if side == "first":
                 # (1 (x) b_q)(a_pa (x) b_qb) = a_pa (x) (b_q *f2 b_qb)
-                prod = f2.multiply(tuple(ONE if t == q else ZERO for t in range(n2)),
-                                   tuple(ONE if t == qb else ZERO for t in range(n2)))
-                for u, cu in enumerate(prod):
-                    if cu:
-                        vec = out.setdefault(u, [ZERO] * n1)
-                        vec[pa] += c * cu
+                for u, cu in f2.mult.get((q, qb), ()):
+                    vec = out.setdefault(u, [ZERO] * n1)
+                    vec[pa] += c * cu
             else:
-                prod = f1.multiply(tuple(ONE if t == q else ZERO for t in range(n1)),
-                                   tuple(ONE if t == pa else ZERO for t in range(n1)))
-                for u, cu in enumerate(prod):
-                    if cu:
-                        vec = out.setdefault(u, [ZERO] * n2)
-                        vec[qb] += c * cu
+                for u, cu in f1.mult.get((q, pa), ()):
+                    vec = out.setdefault(u, [ZERO] * n2)
+                    vec[qb] += c * cu
         return out
 
     zero_entry = small.zero()
@@ -617,14 +606,16 @@ def right_multiplication_map(p: PerfectModule, restricted: PerfectModule,
     mod = restricted.module
     zero = small.zero()
     rows = [[zero for _ in range(mod.rank)] for _ in range(mod.rank)]
-    n2 = f2.dim
     for (i, q), col in index.items():
         # Right multiplication is the action of (1 (x) elem); the second slot
         # multiplies in f2 (already the opposite of the user's algebra), so
         # elem *f2 beta_q is genuine right multiplication by elem.
-        prod = f2.multiply(elem.coords,
-                           tuple(ONE if t == q else ZERO for t in range(n2)))
-        for u, cu in enumerate(prod):
+        prod: Dict[int, Fraction] = {}
+        for t, ct in enumerate(elem.coords):
+            if ct:
+                for u, cu in f2.mult.get((t, q), ()):
+                    prod[u] = prod.get(u, ZERO) + ct * cu
+        for u, cu in prod.items():
             if cu:
                 rows[index[(i, u)]][col] = (rows[index[(i, u)]][col]
                                             + small.one().scale(cu))
@@ -997,7 +988,7 @@ def semifree_map_to_explicit(m: SemiFreeModule, target: ExplicitModule,
             terms = values[i]
             if not terms:
                 continue
-            eb = tuple(ONE if t == bidx else ZERO for t in range(a.dim))
+            eb = a.basis_element(bidx).coords
             for key, coeff in terms:
                 for key2, c2 in target.act(eb, key):
                     p2, r2 = target.pos[key2]
@@ -1006,20 +997,6 @@ def semifree_map_to_explicit(m: SemiFreeModule, target: ExplicitModule,
                     rows[r2][c] += coeff * c2
         blocks[p] = RationalMatrix(tdim, len(keys), rows)
     return ChainMap(ex.complex, target.complex, 0, blocks)
-
-    def element_to_map(self, n_deg: int, coords, target_module: SemiFreeModule) -> ModuleMap:
-        """Unpack Hom coordinates into a ModuleMap when the explicit target
-        came from a semi-free module (keys are (j, b) pairs)."""
-        a = self.m.algebra
-        rows = [[a.zero() for _ in range(self.m.rank)]
-                for _ in range(target_module.rank)]
-        for coeff, (i, u) in zip(coords, self.basis.get(n_deg, [])):
-            if coeff:
-                j, b = u
-                vec = [ZERO] * a.dim
-                vec[b] = coeff
-                rows[j][i] = rows[j][i] + a.element(vec)
-        return ModuleMap(self.m, target_module, n_deg, rows)
 
 
 def hom_over_algebra(m: PerfectModule, n: PerfectModule) -> SplitComplex:
@@ -1041,15 +1018,3 @@ def hom_over_algebra(m: PerfectModule, n: PerfectModule) -> SplitComplex:
     sc = SplitComplex(h.complex, projector)
     sc.realization = h
     return sc
-
-
-def closed_map_space(m: PerfectModule, n: PerfectModule, degree: int = 0):
-    """Basis of closed degree-`degree` maps M -> N (chain level, before
-    compression), as ModuleMaps.  Used by the randomized samplers."""
-    from .linalg import rank_kernel_image
-    h = HomOverAlgebra(m.module, n.module.to_explicit())
-    if degree not in h.basis:
-        return h, []
-    d = h.complex.d(degree)
-    _, ker, _ = rank_kernel_image(d)
-    return h, list(ker.basis)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple, Union
 
 from .algebras import AlgebraElement, DgAlgebra, opposite, tensor_algebras
 from .errors import (AlgebraMismatch, NoDiagonalResolutionForB,
@@ -96,14 +96,6 @@ class KernelTransfer:
         return hh_class_via_transfer(self.restricted, rmul, self.space_a)
 
 
-def phi_map(kernel: PerfectModule, a: DgAlgebra, b: DgAlgebra,
-            lam: HochschildClass,
-            space_a: Optional[HH0Space] = None) -> HochschildClass:
-    """H^0 of the transfer along a perfect A (x) B^op kernel:
-    hh_A(K|_A, right multiplication by a representative of lam)."""
-    return KernelTransfer(kernel, a, b, space_a).apply(lam)
-
-
 # ---------------------------------------------------------------------------
 # Scalar pairing
 # ---------------------------------------------------------------------------
@@ -122,14 +114,15 @@ def pair_scalar(lam: HochschildClass, mu: HochschildClass) -> Fraction:
         raise AlgebraMismatch("pairing needs classes over A^op and A")
     if not a.is_degree_zero():
         raise NotDegreeZeroConcentrated("scalar pairing in degree 0 only")
-    b = lam.representative.coords
+    table = _pair_trace_table(a)
     x = mu.representative.coords
-    n = a.dim
     total = ZERO
-    for w in range(n):
-        ew = tuple(ONE if t == w else ZERO for t in range(n))
-        val = a.multiply(a.multiply(b, ew), x)
-        total += val[w]
+    for q, bq in enumerate(lam.representative.coords):
+        if bq:
+            row = table[q]
+            for r, xr in enumerate(x):
+                if xr and row[r]:
+                    total += bq * xr * row[r]
     return total
 
 
@@ -137,28 +130,26 @@ def pair_scalar(lam: HochschildClass, mu: HochschildClass) -> Fraction:
 # Cup: contraction along the middle algebra
 # ---------------------------------------------------------------------------
 
-_TRACE_CACHE: Dict[int, Tuple[DgAlgebra, list]] = {}
-
-
 def _pair_trace_table(b: DgAlgebra) -> list:
-    """tau[q][r] = tr_B(y -> e_q y e_r), cached per algebra object."""
-    hit = _TRACE_CACHE.get(id(b))
-    if hit is not None and hit[0] is b:
-        return hit[1]
-    n = b.dim
-    table = [[ZERO] * n for _ in range(n)]
-    for q in range(n):
-        eq = tuple(ONE if t == q else ZERO for t in range(n))
-        for r in range(n):
-            er = tuple(ONE if t == r else ZERO for t in range(n))
-            total = ZERO
-            for w in range(n):
-                ew = tuple(ONE if t == w else ZERO for t in range(n))
-                val = b.multiply(b.multiply(eq, ew), er)
-                total += val[w]
-            table[q][r] = total
-    _TRACE_CACHE[id(b)] = (b, table)
-    return table
+    """tau[q][r] = tr_B(y -> e_q y e_r) = sum_w [e_w](e_q e_w e_r), memoised
+    on the algebra.  Each structure constant e_q e_w = sum_k c_k e_k adds
+    c_k [e_w](e_k e_r) to tau[q][r], read from the products with left
+    factor e_k."""
+    if b._trace_table is None:
+        n = b.dim
+        by_left = [[] for _ in range(n)]
+        for (k, r), vec in b.mult.items():
+            by_left[k].append((r, vec))
+        table = [[ZERO] * n for _ in range(n)]
+        for (q, w), vec in b.mult.items():
+            row = table[q]
+            for k, ck in vec:
+                for r, vec2 in by_left[k]:
+                    for l, cl in vec2:
+                        if l == w:
+                            row[r] += ck * cl
+        b._trace_table = table
+    return b._trace_table
 
 
 def _cup_kernel(u: AlgebraElement, v: AlgebraElement, b: DgAlgebra,
@@ -195,32 +186,23 @@ def _cup_separable(u: AlgebraElement, v: AlgebraElement, b: DgAlgebra,
             t1, t2 = divmod(flat, nb)
             eterms.append((t1, t2, ce))
 
-    def bvec(i):
-        return tuple(ONE if t == i else ZERO for t in range(nb))
-
     for w1 in range(nb):
         for w2 in range(nb):
             for (t1, t2, ce) in eterms:
-                left = b.multiply(bvec(w1), bvec(t1))
-                right = b.multiply(bvec(t2), bvec(w2))
-                for w1p, c1 in enumerate(left):
-                    if not c1:
-                        continue
-                    for w2p, c2 in enumerate(right):
-                        if not c2:
-                            continue
+                for w1p, c1 in b.mult.get((w1, t1), ()):
+                    for w2p, c2 in b.mult.get((t2, w2), ()):
                         for fu, cu in enumerate(u.coords):
                             if not cu:
                                 continue
                             p, q = divmod(fu, nb)
-                            cb1 = b.multiply(bvec(q), bvec(w1p))[w1]
+                            cb1 = b.coefficient(q, w1p, w1)
                             if not cb1:
                                 continue
                             for fv, cv in enumerate(v.coords):
                                 if not cv:
                                     continue
                                 r, s = divmod(fv, nc)
-                                cb2 = b.multiply(bvec(w2p), bvec(r))[w2]
+                                cb2 = b.coefficient(w2p, r, w2)
                                 if cb2:
                                     out[p * nc + s] += (ce * c1 * c2 * cu * cv
                                                         * cb1 * cb2)
@@ -322,10 +304,11 @@ def pairing_three_ways(a: DgAlgebra, resolution: DiagonalResolution,
 
 @dataclass
 class PairingReport:
-    """Exact comparison of the two sides of a class identity."""
+    """Exact comparison of the two sides of a class identity: rationals,
+    or coordinate tuples of classes."""
 
-    lhs: Fraction
-    rhs: Fraction
+    lhs: Union[Fraction, Tuple[Fraction, ...]]
+    rhs: Union[Fraction, Tuple[Fraction, ...]]
     instance: str
     seed: Optional[int] = None
 
@@ -336,11 +319,17 @@ class PairingReport:
     def to_dict(self):
         return {
             "instance": self.instance,
-            "lhs": f"{self.lhs.numerator}/{self.lhs.denominator}",
-            "rhs": f"{self.rhs.numerator}/{self.rhs.denominator}",
+            "lhs": _rational_text(self.lhs),
+            "rhs": _rational_text(self.rhs),
             "equal": self.equal,
             "seed": self.seed,
         }
+
+
+def _rational_text(x):
+    if isinstance(x, tuple):
+        return [_rational_text(c) for c in x]
+    return f"{x.numerator}/{x.denominator}"
 
 
 def rr_left_side(n: PerfectModule, m: PerfectModule,
@@ -402,9 +391,6 @@ def compose_kernels_separable(k1: PerfectModule, k2: PerfectModule,
     labels = [f"{m1.labels[i]}.{m2.labels[j]}.{w1}.{w2}"
               for (i, j, w1, w2) in gens]
 
-    def bvec(i):
-        return tuple(ONE if t == i else ZERO for t in range(nb))
-
     def expand_left(entry: AlgebraElement, w1: int):
         """(1 (x) b_{w1}) * entry over A (x) B^op: A-coefficients per new
         middle index."""
@@ -412,11 +398,9 @@ def compose_kernels_separable(k1: PerfectModule, k2: PerfectModule,
         for flat, cx in enumerate(entry.coords):
             if cx:
                 p, q = divmod(flat, nb)
-                prod = b.multiply(bvec(q), bvec(w1))  # b_q b_{w1} in B
-                for w1p, cb in enumerate(prod):
-                    if cb:
-                        vec = out.setdefault(w1p, [ZERO] * na)
-                        vec[p] += cx * cb
+                for w1p, cb in b.mult.get((q, w1), ()):  # b_q b_{w1} in B
+                    vec = out.setdefault(w1p, [ZERO] * na)
+                    vec[p] += cx * cb
         return out
 
     def expand_right(entry: AlgebraElement, w2: int):
@@ -426,11 +410,9 @@ def compose_kernels_separable(k1: PerfectModule, k2: PerfectModule,
         for flat, cx in enumerate(entry.coords):
             if cx:
                 r, s = divmod(flat, nc)
-                prod = b.multiply(bvec(w2), bvec(r))
-                for w2p, cb in enumerate(prod):
-                    if cb:
-                        vec = out.setdefault(w2p, [ZERO] * nc)
-                        vec[s] += cx * cb
+                for w2p, cb in b.mult.get((w2, r), ()):
+                    vec = out.setdefault(w2p, [ZERO] * nc)
+                    vec[s] += cx * cb
         return out
 
     def with_unit_c(avec) -> AlgebraElement:
@@ -497,14 +479,8 @@ def compose_kernels_separable(k1: PerfectModule, k2: PerfectModule,
                 for w1m, avec in left.items():
                     for w2m, cvec in right.items():
                         for (t1, t2, ce) in eterms:
-                            lp = b.multiply(bvec(w1m), bvec(t1))
-                            rp = b.multiply(bvec(t2), bvec(w2m))
-                            for w1p, cb1 in enumerate(lp):
-                                if not cb1:
-                                    continue
-                                for w2p, cb2 in enumerate(rp):
-                                    if not cb2:
-                                        continue
+                            for w1p, cb1 in b.mult.get((w1m, t1), ()):
+                                for w2p, cb2 in b.mult.get((t2, w2m), ()):
                                     row = index[(i2, j2, w1p, w2p)]
                                     out = [ZERO] * ac.dim
                                     for p, ca in enumerate(avec):
@@ -524,8 +500,7 @@ def verify_kernel_composition(k1: PerfectModule, k2: PerfectModule,
                               instance: str = "",
                               seed: Optional[int] = None) -> PairingReport:
     """hh(K1 (x)_B K2) against hh(K1) cup_B hh(K2): exact class equality in
-    HH_0(A (x) C^op), encoded through a fixed linear functional so the
-    report stays scalar-valued."""
+    HH_0(A (x) C^op), reported as the two coordinate tuples."""
     composed = compose_kernels_separable(k1, k2, a, b, c, resolution_b)
     ac = composed.algebra
     space = hh0_space(ac)
@@ -534,15 +509,4 @@ def verify_kernel_composition(k1: PerfectModule, k2: PerfectModule,
     bc_space = hh0_space(k2.algebra)
     rhs_class = cup(euler_class(k1, ab_space), euler_class(k2, bc_space),
                     a, b, c, resolution_b, ac=ac, ac_space=space)
-    return PairingReport(_encode(lhs_class.coords), _encode(rhs_class.coords),
-                         instance, seed)
-
-
-def _encode(coords) -> Fraction:
-    total = ZERO
-    base = Fraction(1000003)
-    power = Fraction(1)
-    for c in coords:
-        total += c * power
-        power *= base
-    return total
+    return PairingReport(lhs_class.coords, rhs_class.coords, instance, seed)

@@ -45,13 +45,6 @@ class SplitMix64:
         """Uniform integer in the inclusive range [lo, hi]."""
         return lo + self.below(hi - lo + 1)
 
-    def choice(self, seq):
-        return seq[self.below(len(seq))]
-
-    def spawn(self, index: int) -> "SplitMix64":
-        """Independent stream for a sub-task, derived deterministically."""
-        return SplitMix64(self.next_u64() ^ ((index + 1) * _GAMMA))
-
 
 def stream_for(seed: int, index: int) -> SplitMix64:
     """Stream for instance `index` of a batch seeded with `seed`.

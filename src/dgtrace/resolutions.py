@@ -16,7 +16,7 @@ from .algebras import AlgebraElement, AlgebraIso, DgAlgebra, opposite, tensor_al
 from .complexes import ChainMap, SplitComplex, cone, is_acyclic
 from .duality import diagonal_explicit, transport_module
 from .errors import AugmentationNotQuasiIso, NotDegreeZeroConcentrated
-from .linalg import ONE, ZERO, RationalMatrix
+from .linalg import ZERO, RationalMatrix
 from .modules import ModuleMap, PerfectModule, SemiFreeModule, outer_tensor_modules
 
 Builder = Callable[[], Tuple[PerfectModule, Tuple[AlgebraElement, ...]]]
@@ -81,7 +81,7 @@ class DiagonalResolution:
                 target = self.augmentation[i]
                 if target.is_zero():
                     continue
-                eb = tuple(ONE if t == b else ZERO for t in range(env.dim))
+                eb = env.basis_element(b).coords
                 for x, cx in enumerate(target.coords):
                     if cx:
                         for y, cy in diag.act(eb, x):
@@ -141,17 +141,9 @@ def quiver_resolution(a: DgAlgebra, vertex_idems: Sequence[int],
     env = tensor_algebras(a, opposite(a))
     n = a.dim
 
-    def pair(x_coords, y_coords) -> AlgebraElement:
-        out = [ZERO] * env.dim
-        for p, cp in enumerate(x_coords):
-            if cp:
-                for q, cq in enumerate(y_coords):
-                    if cq:
-                        out[p * n + q] += cp * cq
-        return env.element(out)
-
-    def basis_vec(i):
-        return tuple(ONE if t == i else ZERO for t in range(n))
+    def pair(x: int, y: int) -> AlgebraElement:
+        """e_x (x) e_y in A^e."""
+        return env.basis_element(x * n + y)
 
     def build():
         na, nv = len(arrows), len(vertex_idems)
@@ -161,16 +153,14 @@ def quiver_resolution(a: DgAlgebra, vertex_idems: Sequence[int],
         for t, (x, src, tgt) in enumerate(arrows):
             # d(H_x) = (x (x) e_tgt) G_tgt - (e_src (x) x) G_src, the
             # bimodule map e_src (x) e_tgt -> x (x) e_tgt - e_src (x) x.
-            xv = basis_vec(x)
-            tw[na + tgt][t] = pair(xv, basis_vec(vertex_idems[tgt]))
-            tw[na + src][t] = -pair(basis_vec(vertex_idems[src]), xv)
+            tw[na + tgt][t] = pair(x, vertex_idems[tgt])
+            tw[na + src][t] = -pair(vertex_idems[src], x)
         mod = SemiFreeModule(env, shifts, tw, labels)
         rows = [[env.zero() for _ in range(na + nv)] for _ in range(na + nv)]
         for t, (x, src, tgt) in enumerate(arrows):
-            rows[t][t] = pair(basis_vec(vertex_idems[src]),
-                              basis_vec(vertex_idems[tgt]))
+            rows[t][t] = pair(vertex_idems[src], vertex_idems[tgt])
         for t, v in enumerate(vertex_idems):
-            rows[na + t][na + t] = pair(basis_vec(v), basis_vec(v))
+            rows[na + t][na + t] = pair(v, v)
         idem = ModuleMap(mod, mod, 0, rows)
         aug = tuple([a.zero()] * na
                     + [a.basis_element(v) for v in vertex_idems])

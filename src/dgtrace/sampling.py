@@ -121,11 +121,10 @@ def closed_map_basis(src: SemiFreeModule, tgt: SemiFreeModule,
                     col = coords.get((j, i, w))
                     if col is None:
                         continue
-                    ew = tuple(ONE if t == w else ZERO for t in range(n))
-                    prod = a.multiply(ew, dn.coords)
-                    for x, cx in enumerate(prod):
-                        if cx:
-                            eq[x][col] += cx
+                    for t, ct in enumerate(dn.coords):
+                        if ct:
+                            for x, cx in a.mult.get((w, t), ()):
+                                eq[x][col] += ct * cx
             # - (-1)^degree sum_j deltaM[j][i] * phi[l][j]
             sgn = ONE if degree % 2 == 0 else -ONE
             for j in range(src.rank):
@@ -136,11 +135,10 @@ def closed_map_basis(src: SemiFreeModule, tgt: SemiFreeModule,
                     col = coords.get((l, j, w))
                     if col is None:
                         continue
-                    ew = tuple(ONE if t == w else ZERO for t in range(n))
-                    prod = a.multiply(dm.coords, ew)
-                    for x, cx in enumerate(prod):
-                        if cx:
-                            eq[x][col] -= sgn * cx
+                    for t, ct in enumerate(dm.coords):
+                        if ct:
+                            for x, cx in a.mult.get((t, w), ()):
+                                eq[x][col] -= sgn * ct * cx
             for x in range(n):
                 if any(eq[x]):
                     rows.append(eq[x])
@@ -149,8 +147,7 @@ def closed_map_basis(src: SemiFreeModule, tgt: SemiFreeModule,
         _, ker, _ = rank_kernel_image(mat)
         vectors = list(ker.basis)
     else:
-        vectors = [tuple(ONE if t == c else ZERO for t in range(cols))
-                   for c in range(cols)]
+        vectors = list(RationalMatrix.identity(cols).entries)
     out = []
     for vec in vectors:
         entries = [[a.zero() for _ in range(src.rank)] for _ in range(tgt.rank)]

@@ -102,7 +102,6 @@ def euler_formula_suite(count: int, seed: int,
                 break
             f = sampler.draw(rng)
             chain = f.restrict()
-            sc = None
             if m.idempotent is not None:
                 proj = m.idempotent.restrict()
                 chain = proj.compose(chain).compose(proj)

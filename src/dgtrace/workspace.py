@@ -41,6 +41,17 @@ from .resolutions import DiagonalResolution
 
 FORMAT_VERSION = 1
 
+_KIND_NAMES = {dict: "an object", list: "a list", str: "a string",
+               int: "an integer"}
+
+
+def _expect(value, kind, what: str, where: str):
+    """value when it is a JSON value of the given kind, else a located
+    WorkspaceError (JSON booleans are not integers)."""
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise WorkspaceError(f"{what} must be {_KIND_NAMES[kind]}", where)
+    return value
+
 
 def parse_rational(text, where: str) -> Fraction:
     try:
@@ -92,6 +103,7 @@ class Workspace:
 
 def _parse_algebra(name: str, data: dict) -> DgAlgebra:
     where = f"algebras.{name}"
+    _expect(data, dict, "algebra", where)
     basis = data.get("basis")
     if not isinstance(basis, list) or not basis:
         raise WorkspaceError("algebra needs a nonempty basis list", where)
@@ -101,10 +113,11 @@ def _parse_algebra(name: str, data: dict) -> DgAlgebra:
         if not isinstance(b, dict) or "label" not in b:
             raise WorkspaceError(f"basis[{t}] needs a label", where)
         labels.append(str(b["label"]))
-        degrees.append(int(b.get("degree", 0)))
+        degrees.append(_expect(b.get("degree", 0), int, f"basis[{t}].degree",
+                               where))
     n = len(labels)
     mult: Dict = {}
-    for t, trip in enumerate(data.get("mult", [])):
+    for t, trip in enumerate(_expect(data.get("mult", []), list, "mult", where)):
         if not (isinstance(trip, list) and len(trip) == 4):
             raise WorkspaceError(f"mult[{t}] must be [i, j, k, value]", where)
         i, j, k, val = trip
@@ -123,7 +136,8 @@ def _parse_algebra(name: str, data: dict) -> DgAlgebra:
                              where)
     unit = [parse_rational(u, f"{where}.unit") for u in unit_raw]
     diff: Dict = {}
-    for t, trip in enumerate(data.get("differential", [])):
+    for t, trip in enumerate(_expect(data.get("differential", []), list,
+                                     "differential", where)):
         if not (isinstance(trip, list) and len(trip) == 3):
             raise WorkspaceError(f"differential[{t}] must be [i, j, value]", where)
         i, j, val = trip
@@ -142,7 +156,7 @@ def _parse_algebra(name: str, data: dict) -> DgAlgebra:
 def _parse_entry_matrix(data, rank_rows: int, rank_cols: int, alg: DgAlgebra,
                         where: str):
     rows = [[alg.zero() for _ in range(rank_cols)] for _ in range(rank_rows)]
-    for t, trip in enumerate(data or []):
+    for t, trip in enumerate(_expect(data or [], list, "entries", where)):
         if not (isinstance(trip, list) and len(trip) == 3):
             raise WorkspaceError(f"entry[{t}] must be [row, col, coords]", where)
         j, i, coords = trip
@@ -159,15 +173,19 @@ def _parse_entry_matrix(data, rank_rows: int, rank_cols: int, alg: DgAlgebra,
 
 def _parse_module(name: str, data: dict, ws: Workspace) -> PerfectModule:
     where = f"modules.{name}"
+    _expect(data, dict, "module", where)
     alg_name = data.get("algebra")
-    if alg_name not in ws.algebras:
+    if not isinstance(alg_name, str) or alg_name not in ws.algebras:
         raise WorkspaceError(f"unresolved algebra reference {alg_name!r}", where)
     alg = ws.algebras[alg_name]
     gens = data.get("generators")
     if not isinstance(gens, list) or not gens:
         raise WorkspaceError("module needs a nonempty generator list", where)
+    for t, g in enumerate(gens):
+        _expect(g, dict, f"generators[{t}]", where)
     labels = [str(g.get("label", f"g{t}")) for t, g in enumerate(gens)]
-    shifts = [int(g.get("shift", 0)) for g in gens]
+    shifts = [_expect(g.get("shift", 0), int, f"generators[{t}].shift", where)
+              for t, g in enumerate(gens)]
     rank = len(gens)
     twist = _parse_entry_matrix(data.get("twist"), rank, rank, alg,
                                 f"{where}.twist")
@@ -189,17 +207,17 @@ def _parse_module(name: str, data: dict, ws: Workspace) -> PerfectModule:
 
 def _parse_map(name: str, data: dict, ws: Workspace) -> ModuleMap:
     where = f"maps.{name}"
+    _expect(data, dict, "map", where)
     src = data.get("source")
     tgt = data.get("target")
-    if src not in ws.modules:
-        raise WorkspaceError(f"unresolved module reference {src!r}", where)
-    if tgt not in ws.modules:
-        raise WorkspaceError(f"unresolved module reference {tgt!r}", where)
+    for ref in (src, tgt):
+        if not isinstance(ref, str) or ref not in ws.modules:
+            raise WorkspaceError(f"unresolved module reference {ref!r}", where)
     source = ws.modules[src].module
     target = ws.modules[tgt].module
     if not source.algebra.same_structure(target.algebra):
         raise WorkspaceError("map endpoints live over different algebras", where)
-    degree = int(data.get("degree", 0))
+    degree = _expect(data.get("degree", 0), int, "degree", where)
     entries = _parse_entry_matrix(data.get("entries"), target.rank, source.rank,
                                   source.algebra, f"{where}.entries")
     try:
@@ -213,7 +231,7 @@ def parse_workspace(text: str) -> Workspace:
     with its location."""
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise WorkspaceError(f"syntax error: {exc}")
     if not isinstance(data, dict):
         raise WorkspaceError("workspace must be a JSON object")
@@ -222,7 +240,9 @@ def parse_workspace(text: str) -> Workspace:
         raise WorkspaceError(f"unsupported format {fmt!r}")
     ws = Workspace()
     ws.raw = data
-    for name in data.get("use_catalog", []):
+    for t, name in enumerate(_expect(data.get("use_catalog", []), list,
+                                     "use_catalog", "use_catalog")):
+        _expect(name, str, f"use_catalog[{t}]", "use_catalog")
         try:
             ent = catalog_entry(name)
         except KeyError:
@@ -230,16 +250,19 @@ def parse_workspace(text: str) -> Workspace:
                                  "use_catalog")
         ws.algebras[name] = ent.algebra
         ws.resolutions[name] = ent.resolution
-    for name, adata in (data.get("algebras") or {}).items():
+    sections = {key: _expect(data.get(key) or {}, dict, key, key)
+                for key in ("algebras", "modules", "maps", "resolutions")}
+    for name, adata in sections["algebras"].items():
         ws.algebras[name] = _parse_algebra(name, adata)
-    for name, mdata in (data.get("modules") or {}).items():
+    for name, mdata in sections["modules"].items():
         ws.modules[name] = _parse_module(name, mdata, ws)
         ws.module_algebra[name] = mdata["algebra"]
-    for name, fdata in (data.get("maps") or {}).items():
+    for name, fdata in sections["maps"].items():
         ws.maps[name] = _parse_map(name, fdata, ws)
         ws.map_info[name] = {"source": fdata["source"],
                              "target": fdata["target"]}
-    for name, ref in (data.get("resolutions") or {}).items():
+    for name, ref in sections["resolutions"].items():
+        _expect(ref, str, f"resolution {name!r}", "resolutions")
         try:
             ent = catalog_entry(ref)
         except KeyError:

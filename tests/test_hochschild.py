@@ -186,3 +186,26 @@ def test_dualizing_description_values(cat):
                                  cat["M2"].resolution).dims) == {0: 1}
     assert dict(hh_via_dualizing(cat["A2"].algebra,
                                  cat["A2"].resolution).dims) == {0: 2}
+
+
+def test_hh0_matches_dense_commutators(cat):
+    from dgtrace.algebras import opposite, tensor_algebras
+    from dgtrace.linalg import (SubspacePresentation, echelon_basis,
+                                quotient_presentation)
+    algebras = [ent.algebra for ent in cat.values()]
+    algebras += [tensor_algebras(opposite(a), a) for a in algebras if a.dim <= 4]
+    for a in algebras:
+        n = a.dim
+        basis = [a.basis_element(i).coords for i in range(n)]
+        comms = []
+        for i in range(n):
+            for j in range(n):
+                vec = tuple(x - y for x, y in zip(a.multiply(basis[i], basis[j]),
+                                                  a.multiply(basis[j], basis[i])))
+                if any(vec):
+                    comms.append(vec)
+        sub = echelon_basis(comms, n)
+        proj, section = quotient_presentation(n, SubspacePresentation(n, tuple(sub)))
+        sp = hh0_space(a)
+        assert sp.commutator_dim == len(sub)
+        assert (sp.projection, sp.section) == (proj, section)

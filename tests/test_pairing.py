@@ -1,4 +1,7 @@
+import gc
+import weakref
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -11,7 +14,7 @@ from dgtrace.modules import (ModuleMap, cone_module, free_module,
 from dgtrace.pairing import (KernelTransfer, cup, diagonal_class, kunneth,
                              pair_scalar, pairing_three_ways, unit_algebra,
                              verify_kernel_composition, verify_rr,
-                             _cup_kernel, _cup_separable)
+                             _cup_kernel, _cup_separable, _pair_trace_table)
 from dgtrace.prng import SplitMix64, stream_for
 from dgtrace.sampling import random_module_with_endos, random_perfect
 from dgtrace.suites import adapt_suite, cartan_tables
@@ -447,3 +450,71 @@ def test_kernel_composition_random(cat):
     from dgtrace.suites import kernel_composition_suite
     out = kernel_composition_suite(8, 97)
     assert out["ok"]
+
+
+def test_kernel_composition_compares_coordinates(cat, monkeypatch):
+    # (1000003, 0) and (0, 1) agree under a base-1000003 encoding of the
+    # coordinates; the report must still see two different classes
+    import dgtrace.pairing as pairing
+    kalg = unit_algebra()
+    ent = cat["k"]
+    b = ent.algebra
+    ab = tensor_algebras(kalg, opposite(b))
+    bc = tensor_algebras(b, opposite(kalg))
+    monkeypatch.setattr(pairing, "euler_class",
+                        lambda m, space=None: SimpleNamespace(coords=(F(1000003), F(0))))
+    monkeypatch.setattr(pairing, "cup",
+                        lambda *args, **kw: SimpleNamespace(coords=(F(0), F(1))))
+    rep = verify_kernel_composition(free_module(ab, [0]), free_module(bc, [0]),
+                                    kalg, b, kalg, ent.resolution)
+    assert not rep.equal
+    assert rep.lhs == (F(1000003), F(0)) and rep.rhs == (F(0), F(1))
+    assert rep.to_dict()["lhs"] == ["1000003/1", "0/1"]
+
+
+# -- the structure-constant trace table ------------------------------------
+
+def _small_algebras(cat):
+    """Every catalog algebra plus the enveloping algebras up to dim 36."""
+    out = [ent.algebra for ent in cat.values()]
+    out += [tensor_algebras(opposite(ent.algebra), ent.algebra)
+            for ent in cat.values() if ent.algebra.dim ** 2 <= 36]
+    return out
+
+
+def _brute_trace(a, b, x):
+    """sum_w [e_w](b e_w x) through the dense product."""
+    total = F(0)
+    for w in range(a.dim):
+        ew = a.basis_element(w).coords
+        total += a.multiply(a.multiply(b, ew), x)[w]
+    return total
+
+
+def test_trace_table_and_pairing_match_dense_products(cat):
+    rng = SplitMix64(2024)
+    for a in _small_algebras(cat):
+        n = a.dim
+        basis = [a.basis_element(i).coords for i in range(n)]
+        table = _pair_trace_table(a)
+        assert table == [[_brute_trace(a, basis[q], basis[r]) for r in range(n)]
+                         for q in range(n)]
+        aop = opposite(a)
+        sp, spo = hh0_space(a), hh0_space(aop)
+        for _ in range(3):
+            b = [F(rng.int_in(-2, 2)) for _ in range(n)]
+            x = [F(rng.int_in(-2, 2)) for _ in range(n)]
+            lam = spo.class_of(aop.element(b))
+            mu = sp.class_of(a.element(x))
+            assert pair_scalar(lam, mu) == _brute_trace(a, tuple(b), tuple(x))
+
+
+def test_derived_tables_live_and_die_with_the_algebra(cat):
+    a = cat["A2"].algebra
+    env = tensor_algebras(opposite(a), a)
+    ref = weakref.ref(env)
+    assert hh0_space(env) is hh0_space(env)
+    assert _pair_trace_table(env) is _pair_trace_table(env)
+    del env
+    gc.collect()
+    assert ref() is None

@@ -3,6 +3,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dgtrace.cli import main
 from dgtrace.errors import WorkspaceError
@@ -93,6 +94,12 @@ def test_invalid_algebra_surfaces_validator():
 def test_syntax_error():
     with pytest.raises(WorkspaceError) as err:
         parse_workspace("{not json")
+    assert "syntax" in str(err.value)
+
+
+def test_deeply_nested_json_is_a_syntax_error():
+    with pytest.raises(WorkspaceError) as err:
+        parse_workspace("[" * 100000 + "]" * 100000)
     assert "syntax" in str(err.value)
 
 
@@ -200,3 +207,57 @@ def test_entry_point_runs():
         capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["ok"] is True
+
+
+@pytest.mark.parametrize("bad, where", [
+    ({"format": 1, "algebras": {"X": 5}}, "algebras.X"),
+    ({"format": 1, "algebras": {"X": {"basis": [{"label": "u", "degree": 0.5}],
+                                      "mult": [[0, 0, 0, "1"]],
+                                      "unit": ["1"]}}}, "algebras.X"),
+    ({"format": 1, "use_catalog": ["A2"],
+      "modules": {"m": {"algebra": ["A2"], "generators": []}}}, "modules.m"),
+    ({"format": 1, "resolutions": {"r": ["A2"]}}, "resolutions"),
+])
+def test_cli_malformed_node_exits_with_input_error(bad, where, tmp_path, capsys):
+    path = tmp_path / "ws.json"
+    path.write_text(json.dumps(bad))
+    code = main(["--workspace", str(path), "hh0", "A2"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"input error: {where}")
+
+
+def _node_paths(node, path=()):
+    yield path
+    if isinstance(node, dict):
+        for key, val in node.items():
+            yield from _node_paths(val, path + (key,))
+    elif isinstance(node, list):
+        for t, val in enumerate(node):
+            yield from _node_paths(val, path + (t,))
+
+
+FUZZ_BASE = dict(A2_FULL, use_catalog=["k"])
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3)
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=4),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=4)),
+    max_leaves=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(path=st.sampled_from(list(_node_paths(FUZZ_BASE))), value=JSON_VALUES)
+def test_parse_workspace_raises_only_workspace_errors(path, value):
+    doc = json.loads(json.dumps(FUZZ_BASE))
+    if path:
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    else:
+        doc = value
+    try:
+        parse_workspace(json.dumps(doc))
+    except WorkspaceError:
+        pass
