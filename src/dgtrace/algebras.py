@@ -25,19 +25,40 @@ Coords = Tuple[Fraction, ...]
 SparseVec = Tuple[Tuple[int, Fraction], ...]
 
 
-def _sparse(coords: Sequence[Fraction]) -> SparseVec:
+def sparse(coords: Sequence[Fraction]) -> SparseVec:
+    """The nonzero coordinates of a dense vector, as (index, value) pairs."""
+    if _all_zero(coords):
+        return ()
     return tuple((i, c) for i, c in enumerate(coords) if c)
+
+
+def _all_zero(coords: Sequence[Fraction]) -> bool:
+    # most zeros this package builds are the shared ZERO: the identity test
+    # settles those without a Fraction method call
+    for c in coords:
+        if c is not ZERO and c:
+            return False
+    return True
+
+
+def _merged(vec) -> SparseVec:
+    """Sum repeated indices, drop zero sums, sort by index."""
+    acc: Dict[int, Fraction] = {}
+    for i, c in vec:
+        acc[i] = acc.get(i, ZERO) + Fraction(c)
+    return tuple(sorted((i, c) for i, c in acc.items() if c))
 
 
 class DgAlgebra:
     """Immutable dg algebra on an ordered basis.
 
-    `mult[(i, j)]` lists the nonzero coordinates of e_i * e_j; pairs with
-    zero product are absent.  `mult` is the basis-product kernel: every
-    product with a basis factor reads it directly.  `diff[i]` lists the
-    coordinates of d(e_i).  Tables derived from `mult` are memoised on the
-    instance on first use: the trace table (`pairing._pair_trace_table`)
-    and HH_0 (`hochschild.hh0_space`).
+    `mult[(i, j)]` lists the nonzero coordinates of e_i * e_j in index
+    order (repeated indices of the input are summed); pairs with zero
+    product are absent.  `mult` is the basis-product kernel: every product
+    with a basis factor reads it directly.  `diff[i]` lists the coordinates
+    of d(e_i), normalised the same way.  Tables derived from `mult` are
+    memoised on the instance on first use: the trace table
+    (`pairing._pair_trace_table`) and HH_0 (`hochschild.hh0_space`).
     """
 
     def __init__(self, labels: Sequence[str], degrees: Sequence[int],
@@ -48,13 +69,9 @@ class DgAlgebra:
             raise DimensionMismatch("basis data lengths disagree")
         self.labels = tuple(labels)
         self.degrees = tuple(int(d) for d in degrees)
-        self.mult = {k: tuple((i, Fraction(c)) for i, c in v if c)
-                     for k, v in mult.items()}
-        self.mult = {k: v for k, v in self.mult.items() if v}
+        self.mult = {k: vec for k, v in mult.items() if (vec := _merged(v))}
         self.unit = tuple(Fraction(c) for c in unit)
-        self.diff = {i: tuple((j, Fraction(c)) for j, c in v if c)
-                     for i, v in (diff or {}).items()}
-        self.diff = {i: v for i, v in self.diff.items() if v}
+        self.diff = {i: vec for i, v in (diff or {}).items() if (vec := _merged(v))}
         self._check_degrees()
         self._trace_table = None
         self._hh0 = None
@@ -95,6 +112,8 @@ class DgAlgebra:
         return AlgebraElement(self, (ZERO,) * self.dim)
 
     def multiply(self, a: Coords, b: Coords) -> Coords:
+        """Dense product scan; independent of add_product, so tests and
+        oracles use it as the reference."""
         out = [ZERO] * self.dim
         for i, ca in enumerate(a):
             if ca:
@@ -106,6 +125,18 @@ class DgAlgebra:
                             for k, c in vec:
                                 out[k] += cab * c
         return tuple(out)
+
+    def add_product(self, out: List[Fraction], u: SparseVec, v: SparseVec) -> None:
+        """out += u * v for sparse coordinate vectors u and v: the one
+        product kernel, read straight from `mult`."""
+        mult = self.mult
+        for i, cu in u:
+            for j, cv in v:
+                vec = mult.get((i, j))
+                if vec:
+                    cuv = cu * cv
+                    for k, c in vec:
+                        out[k] += cuv * c
 
     def coefficient(self, i: int, j: int, k: int) -> Fraction:
         """The structure constant [e_k](e_i e_j)."""
@@ -196,11 +227,10 @@ class DgAlgebra:
 
     def same_structure(self, other: "DgAlgebra") -> bool:
         """Structural equality ignoring labels."""
-        return (self.degrees == other.degrees
+        return other is self or (self.degrees == other.degrees
                 and self.unit == other.unit
-                and _normalized(self.mult) == _normalized(other.mult)
-                and {i: tuple(sorted(v)) for i, v in self.diff.items()}
-                    == {i: tuple(sorted(v)) for i, v in other.diff.items()})
+                and self.mult == other.mult
+                and self.diff == other.diff)
 
     def __eq__(self, other):
         return isinstance(other, DgAlgebra) and self.same_structure(other)
@@ -209,10 +239,6 @@ class DgAlgebra:
 
     def __repr__(self):
         return f"DgAlgebra(dim={self.dim})"
-
-
-def _normalized(mult):
-    return {k: tuple(sorted(v)) for k, v in mult.items()}
 
 
 class AlgebraElement:
@@ -249,7 +275,7 @@ class AlgebraElement:
         return AlgebraElement(self.algebra, self.algebra.differential(self.coords))
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+        return _all_zero(self.coords)
 
     def degree(self) -> Optional[int]:
         """Degree when homogeneous, None for 0 or mixed."""
@@ -302,12 +328,7 @@ def tensor_algebras(a: DgAlgebra, b: DgAlgebra,
                 for l, cb in vecb:
                     entries.append((k * nb + l, sgn * ca * cb))
             key = (i * nb + j, ip * nb + jp)
-            if key in mult:
-                entries = list(mult[key]) + entries
-            merged: Dict[int, Fraction] = {}
-            for idx, c in entries:
-                merged[idx] = merged.get(idx, ZERO) + c
-            mult[key] = tuple(sorted((k, c) for k, c in merged.items() if c))
+            mult[key] = mult.get(key, ()) + tuple(entries)
     unit = [ZERO] * (a.dim * nb)
     for i, ca in enumerate(a.unit):
         if ca:

@@ -590,12 +590,16 @@ def linear_dual_map(f: ChainMap) -> ChainMap:
     return ChainMap(src, tgt, f.degree, blocks)
 
 
-def chain_supertrace(f: ChainMap) -> Fraction:
-    """Alternating sum of block traces of a degree-0 endomorphism."""
-    if f.source != f.target:
+def _check_degree_zero_endo(f: ChainMap):
+    if f.source is not f.target and f.source != f.target:
         raise DimensionMismatch("supertrace needs an endomorphism")
     if f.degree != 0:
         raise WrongDegree("supertrace needs degree 0")
+
+
+def chain_supertrace(f: ChainMap) -> Fraction:
+    """Alternating sum of block traces of a degree-0 endomorphism."""
+    _check_degree_zero_endo(f)
     total = ZERO
     for p in f.source.degrees():
         t = f.block(p).trace()
@@ -695,8 +699,29 @@ class SplitComplex:
 
         For a closed exact idempotent e and any f, e.f.e restricted to the
         complement is zero, so the plain supertrace of e.f.e computes it.
+        Since e.e = e, tr(e.f.e) = tr(f.e.e) = tr(f.e) block by block, so
+        the sum sum_p (-1)^p sum_{r,c} f_p[r][c] e_p[c][r] is taken and
+        e.f.e is never formed.
         """
-        return chain_supertrace(self.compress(f))
+        e = self.projector
+        if e is None:
+            return chain_supertrace(f)
+        _check_degree_zero_endo(f)
+        if f.source is not e.source and f.source != e.source:
+            raise DimensionMismatch("supertrace of a map off the carrier")
+        total = ZERO
+        for p in f.source.degrees():
+            fb = f.block(p).entries
+            eb = e.block(p).entries
+            t = ZERO
+            for r, frow in enumerate(fb):
+                for c, x in enumerate(frow):
+                    if x:
+                        y = eb[c][r]
+                        if y:
+                            t += x * y
+            total += t if p % 2 == 0 else -t
+        return total
 
     def cohomology_dims(self) -> GradedSpace:
         return cohomology_dims(self.image())

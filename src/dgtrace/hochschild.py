@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional, Tuple
 
-from .algebras import AlgebraElement, DgAlgebra
+from .algebras import AlgebraElement, DgAlgebra, sparse
 from .complexes import GradedSpace, SplitComplex
 from .duality import diagonal_explicit, omega_inverse_module
 from .errors import (IdempotentIncompatible, NotClosed,
@@ -132,35 +132,37 @@ def generalized_supertrace(m: PerfectModule, f: ModuleMap) -> AlgebraElement:
 
 def compressed_supertrace(m: PerfectModule, f: ModuleMap) -> AlgebraElement:
     """sum_i (-1)^{s_i} (e f e)[i][i] without forming e f e: the diagonal of
-    the double compression is accumulated over the nonzero entries only,
-    (e f e)[i][i] = sum_{j,l} e[j][i] f[l][j] e[i][l] (left-to-right products
-    in the order the maps apply).  Degree-0 entries assumed."""
+    the double compression is accumulated over the nonzero coordinates only,
+    (e f e)[i][i] = sum_l (sum_j e[j][i] f[l][j]) e[i][l] (left-to-right
+    products in the order the maps apply).  Only the entries f[l][j] met
+    that way are read.  Degree-0 entries assumed."""
     a = m.algebra
     if m.idempotent is None:
         return generalized_supertrace(m, f)
-    e = m.idempotent.entries
-    fe = f.entries
-    total = a.zero()
     n = m.rank
+    column = [[] for _ in range(n)]  # column[i]: (j, e[j][i]) nonzero
+    row = [[] for _ in range(n)]  # row[i]: (l, e[i][l]) nonzero
+    for j, erow in enumerate(m.idempotent.entries):
+        for i, x in enumerate(erow):
+            vec = sparse(x.coords)
+            if vec:
+                column[i].append((j, vec))
+                row[j].append((i, vec))
+    total = [ZERO] * a.dim
     for i in range(n):
-        acc = a.zero()
-        for j in range(n):
-            eji = e[j][i]
-            if eji.is_zero():
-                continue
-            for l in range(n):
-                flj = fe[l][j]
-                if flj.is_zero():
-                    continue
-                eil = e[i][l]
-                if eil.is_zero():
-                    continue
-                acc = acc + (eji * flj) * eil
-        if m.shifts[i] % 2 == 0:
-            total = total + acc
-        else:
-            total = total - acc
-    return total
+        if not (column[i] and row[i]):
+            continue
+        acc = [ZERO] * a.dim
+        for l, eil in row[i]:
+            fe_li = [ZERO] * a.dim  # (f . e)[l][i]
+            for j, eji in column[i]:
+                a.add_product(fe_li, eji, sparse(f.entries[l][j].coords))
+            a.add_product(acc, sparse(fe_li), eil)
+        sgn = ONE if m.shifts[i] % 2 == 0 else -ONE
+        for k, c in enumerate(acc):
+            if c:
+                total[k] += sgn * c
+    return a.element(total)
 
 
 def hh_class_via_transfer(m: PerfectModule, f: ModuleMap,

@@ -22,7 +22,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .algebras import AlgebraElement, DgAlgebra, tensor_algebras
+from .algebras import (AlgebraElement, DgAlgebra, SparseVec, sparse,
+                       tensor_algebras)
 from .complexes import (ChainMap, Complex, GradedSpace, SplitComplex)
 from .errors import (AlgebraMismatch, DegreeViolation, DimensionMismatch,
                      DifferentialSquareViolation, IdempotentIncompatible,
@@ -35,6 +36,42 @@ Entry = AlgebraElement
 
 def _zero_entry(a: DgAlgebra) -> Entry:
     return a.zero()
+
+
+def _sparse_entries(a: DgAlgebra, rows: Sequence[Sequence[Entry]],
+                    sign_exponent=None) -> List[List[SparseVec]]:
+    """The nonzero coordinates of each entry of a matrix over A, each entry
+    negated when sign_exponent(its degree) is odd; the degree of a mixed
+    entry counts as 0."""
+    out = []
+    for row in rows:
+        srow = []
+        for e in row:
+            vec = sparse(e.coords)
+            if vec and sign_exponent is not None:
+                degs = {a.degrees[t] for t, _ in vec}
+                if sign_exponent(degs.pop() if len(degs) == 1 else 0) % 2:
+                    vec = tuple((t, -c) for t, c in vec)
+            srow.append(vec)
+        out.append(srow)
+    return out
+
+
+def _nonzero_columns(rows: Sequence[Sequence[Entry]], ncols: int):
+    """Per column i, the nonzero entries of a matrix over A as
+    (j, (coords, degree)); the degree of a mixed entry counts as 0."""
+    return [[(j, (row[i].coords, row[i].degree() or 0))
+             for j, row in enumerate(rows) if not row[i].is_zero()]
+            for i in range(ncols)]
+
+
+def _sum_products(a: DgAlgebra, pairs, start=None) -> Entry:
+    """start + sum of u * v over the pairs (u, v) of sparse vectors."""
+    out = list(start) if start is not None else [ZERO] * a.dim
+    for u, v in pairs:
+        if u and v:
+            a.add_product(out, u, v)
+    return AlgebraElement(a, tuple(out))
 
 
 class SemiFreeModule:
@@ -262,63 +299,40 @@ class ModuleMap:
                          check=False)
 
     def compose(self, other: "ModuleMap") -> "ModuleMap":
-        """self . other, other applied first."""
+        """self . other, other applied first: entry (l, i) is
+        sum_j (-1)^{|self| |other[j][i]|} other[j][i] * self[l][j]."""
         if other.target is not self.source and other.target != self.source:
             raise DimensionMismatch("module map composition mismatch")
         a = self.source.algebra
-        deg = self.degree + other.degree
-        rows = []
-        for l in range(self.target.rank):
-            row = []
-            for i in range(other.source.rank):
-                acc = a.zero()
-                for j in range(other.target.rank):
-                    e1 = other.entries[j][i]
-                    if e1.is_zero():
-                        continue
-                    e2 = self.entries[l][j]
-                    if e2.is_zero():
-                        continue
-                    d1 = e1.degree()
-                    sgn = ONE if (self.degree * (d1 or 0)) % 2 == 0 else -ONE
-                    acc = acc + (e1 * e2).scale(sgn)
-                row.append(acc)
-            rows.append(row)
-        return ModuleMap(other.source, self.target, deg, rows, check=False)
+        first = _sparse_entries(a, other.entries,
+                                (lambda d: d) if self.degree % 2 else None)
+        second = _sparse_entries(a, self.entries)
+        rows = [[_sum_products(a, ((first[j][i], second[l][j])
+                                   for j in range(other.target.rank)))
+                 for i in range(other.source.rank)]
+                for l in range(self.target.rank)]
+        return ModuleMap(other.source, self.target, self.degree + other.degree,
+                         rows, check=False)
 
     def differential(self) -> "ModuleMap":
-        """d(phi) = D_N . phi - (-1)^{|phi|} phi . D_M at the matrix level."""
+        """d(phi) = D_N . phi - (-1)^{|phi|} phi . D_M at the matrix level:
+        entry (l, i) is d(phi[l][i]) + sum_j (-1)^{|phi[j][i]|} phi[j][i] *
+        deltaN[l][j] - sum_j (-1)^{|phi| (|deltaM[j][i]| + 1)} deltaM[j][i] *
+        phi[l][j]."""
         a = self.source.algebra
         n = self.degree
         src, tgt = self.source, self.target
-        rows = []
-        sgn_n = ONE if n % 2 == 0 else -ONE
-        for l in range(tgt.rank):
-            row = []
-            for i in range(src.rank):
-                acc = self.entries[l][i].d()
-                for j in range(tgt.rank):
-                    e = self.entries[j][i]
-                    if e.is_zero():
-                        continue
-                    dlt = tgt.twist[l][j]
-                    if dlt.is_zero():
-                        continue
-                    de = e.degree() or 0
-                    sgn = ONE if de % 2 == 0 else -ONE
-                    acc = acc + (e * dlt).scale(sgn)
-                for j in range(src.rank):
-                    dlt = src.twist[j][i]
-                    if dlt.is_zero():
-                        continue
-                    e = self.entries[l][j]
-                    if e.is_zero():
-                        continue
-                    dd = dlt.degree() or 0
-                    sgn = ONE if (n * dd) % 2 == 0 else -ONE
-                    acc = acc - (dlt * e).scale(sgn * sgn_n)
-                row.append(acc)
-            rows.append(row)
+        phi = _sparse_entries(a, self.entries)
+        phi_signed = _sparse_entries(a, self.entries, lambda d: d)
+        twist_n = _sparse_entries(a, tgt.twist)
+        twist_m = _sparse_entries(a, src.twist, lambda d: n * (d + 1) + 1)
+        rows = [[_sum_products(a, [(phi_signed[j][i], twist_n[l][j])
+                                   for j in range(tgt.rank)]
+                               + [(twist_m[j][i], phi[l][j])
+                                  for j in range(src.rank)],
+                               start=a.differential(self.entries[l][i].coords))
+                 for i in range(src.rank)]
+                for l in range(tgt.rank)]
         return ModuleMap(src, tgt, n + 1, rows, check=False)
 
     def is_closed(self) -> bool:
@@ -745,6 +759,7 @@ class TensorOverAlgebra:
                 self.pos[k] = (p, r)
         space = GradedSpace({p: len(ks) for p, ks in basis.items()})
         diff: Dict[int, RationalMatrix] = {}
+        twist_cols = _nonzero_columns(m.twist, m.rank)
         for p, keys in basis.items():
             tgt = basis.get(p + 1, [])
             if not tgt:
@@ -759,21 +774,21 @@ class TensorOverAlgebra:
                         u2 = left.basis[du + 1][r2]
                         rows[self.pos[(i, u2)][1]][c] += coeff
                 sgn = ONE if du % 2 == 0 else -ONE
-                for j in range(i + 1, m.rank):
-                    entry = m.twist[j][i]
-                    if entry.is_zero():
+                for j, entry in twist_cols[i]:
+                    if j <= i:
                         continue
                     for u2, coeff in self._right_act(entry, u):
                         rows[self.pos[(j, u2)][1]][c] += sgn * coeff
             diff[p] = RationalMatrix(len(tgt), len(keys), rows)
         self.complex = Complex(space, diff, check=False)
 
-    def _right_act(self, entry: Entry, u):
-        """u . entry with the right-module Koszul sign."""
-        du = self.left.pos[u][0]
-        de = entry.degree() or 0
-        sgn = ONE if (du * de) % 2 == 0 else -ONE
-        return [(u2, sgn * c) for u2, c in self.left.act(entry.coords, u)]
+    def _right_act(self, entry: Tuple[Tuple[Fraction, ...], int], u):
+        """u . x with the right-module Koszul sign, for entry = (coords of
+        x, degree of x)."""
+        coords, de = entry
+        if (self.left.pos[u][0] * de) % 2 == 0:
+            return self.left.act(coords, u)
+        return [(u2, -c) for u2, c in self.left.act(coords, u)]
 
     def map_left_into(self, other: "TensorOverAlgebra", g: ChainMap) -> ChainMap:
         """Induced map of tensors from a degree-0 chain map g between the
@@ -801,6 +816,7 @@ class TensorOverAlgebra:
         deg_g = g.degree if g is not None else 0
         deg_f = f.degree if f is not None else 0
         deg = deg_g + deg_f
+        f_cols = _nonzero_columns(f.entries, f.source.rank) if f is not None else None
         blocks = {}
         for p, keys in self.basis.items():
             tgt = self.basis.get(p + deg, [])
@@ -823,10 +839,7 @@ class TensorOverAlgebra:
                     if f is None:
                         rows[self.pos[(i, u2)][1]][c] += sgn * cu
                     else:
-                        for j in range(f.target.rank):
-                            entry = f.entries[j][i]
-                            if entry.is_zero():
-                                continue
+                        for j, entry in f_cols[i]:
                             for u3, ce in self._right_act(entry, u2):
                                 rows[self.pos[(j, u3)][1]][c] += sgn * cu * ce
             blocks[p] = RationalMatrix(len(tgt), len(keys), rows)

@@ -25,6 +25,7 @@ from fractions import Fraction
 from typing import Dict, Optional, Tuple, Union
 
 from .algebras import AlgebraElement, DgAlgebra, opposite, tensor_algebras
+from .complexes import SplitComplex
 from .errors import (AlgebraMismatch, NoDiagonalResolutionForB,
                      NotDegreeZeroConcentrated, NotSeparableB)
 from .hochschild import (HH0Space, HochschildClass, euler_class, hh0_space,
@@ -333,10 +334,12 @@ def _rational_text(x):
 
 
 def rr_left_side(n: PerfectModule, m: PerfectModule,
-                 g: Optional[ModuleMap], f: Optional[ModuleMap]) -> Fraction:
+                 g: Optional[ModuleMap], f: Optional[ModuleMap],
+                 tensor: Optional[SplitComplex] = None) -> Fraction:
     """hh_k(N (x)_A M, g (x) f): supertrace of the induced endomorphism of
-    the balanced tensor, compressed by the induced idempotent."""
-    sc = tensor_over_algebra(n, m)
+    the balanced tensor, compressed by the induced idempotent.  `tensor`
+    is tensor_over_algebra(n, m) when the caller already built it."""
+    sc = tensor if tensor is not None else tensor_over_algebra(n, m)
     t = sc.realization
     gf = t.map_tensor(g.restrict() if g is not None else None, f)
     return sc.supertrace(gf)
@@ -345,10 +348,12 @@ def rr_left_side(n: PerfectModule, m: PerfectModule,
 def verify_rr(m: PerfectModule, f: ModuleMap, n: PerfectModule, g: ModuleMap,
               instance: str = "", seed: Optional[int] = None,
               space_op: Optional[HH0Space] = None,
-              space: Optional[HH0Space] = None) -> PairingReport:
+              space: Optional[HH0Space] = None,
+              tensor: Optional[SplitComplex] = None) -> PairingReport:
     """Main comparison: the k-valued class of g (x) f on N (x)_A M against
-    <hh(N, g), hh(M, f)>, both exact rationals."""
-    lhs = rr_left_side(n, m, g, f)
+    <hh(N, g), hh(M, f)>, both exact rationals; `tensor` as in
+    rr_left_side."""
+    lhs = rr_left_side(n, m, g, f, tensor)
     lam = hh_class(n, g, space_op)
     mu = hh_class(m, f, space)
     rhs = pair_scalar(lam, mu)

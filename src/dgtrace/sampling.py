@@ -10,9 +10,9 @@ entry-level closedness system, so every sample is closed on the nose.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from .algebras import DgAlgebra
+from .algebras import AlgebraElement, DgAlgebra
 from .errors import NotClosed
 from .linalg import ONE, ZERO, RationalMatrix, rank_kernel_image
 from .modules import (ModuleMap, PerfectModule, SemiFreeModule, cone_module,
@@ -82,10 +82,15 @@ def random_perfect(a: DgAlgebra, rng: SplitMix64, idempotents=(),
     return base
 
 
-def closed_map_basis(src: SemiFreeModule, tgt: SemiFreeModule,
-                     degree: int = 0) -> List[ModuleMap]:
-    """Basis of the closed degree-`degree` maps src -> tgt, solved at the
-    entry level (degree-0 algebras)."""
+ColumnMap = Dict[Tuple[int, int, int], int]
+
+
+def closed_map_kernel(src: SemiFreeModule, tgt: SemiFreeModule,
+                      degree: int = 0) -> Tuple[ColumnMap, List[Tuple[Fraction, ...]]]:
+    """The closed degree-`degree` maps src -> tgt in coordinates, solved at
+    the entry level (degree-0 algebras): the column map (j, i, w) -> col of
+    the coordinate of e_w in entry (j, i), and a basis of the kernel of the
+    closedness system as vectors over those columns."""
     a = src.algebra
     n = a.dim
     unknowns = []  # (j, i) pairs with an allowed entry degree
@@ -94,7 +99,7 @@ def closed_map_basis(src: SemiFreeModule, tgt: SemiFreeModule,
             want = degree + tgt.shifts[j] - src.shifts[i]
             if any(d == want for d in a.degrees):
                 unknowns.append((j, i))
-    coords = {}  # (j, i, w) -> column
+    coords: ColumnMap = {}
     cols = 0
     for (j, i) in unknowns:
         want = degree + tgt.shifts[j] - src.shifts[i]
@@ -103,7 +108,7 @@ def closed_map_basis(src: SemiFreeModule, tgt: SemiFreeModule,
                 coords[(j, i, w)] = cols
                 cols += 1
     if cols == 0:
-        return []
+        return coords, []
     # equations: coordinates of d(phi)[l][i] = 0
     rows: List[List[Fraction]] = []
     for l in range(tgt.rank):
@@ -148,42 +153,68 @@ def closed_map_basis(src: SemiFreeModule, tgt: SemiFreeModule,
         vectors = list(ker.basis)
     else:
         vectors = list(RationalMatrix.identity(cols).entries)
-    out = []
-    for vec in vectors:
-        entries = [[a.zero() for _ in range(src.rank)] for _ in range(tgt.rank)]
-        for (j, i, w), col in coords.items():
-            cv = vec[col]
-            if cv:
-                coeffs = [ZERO] * n
-                coeffs[w] = cv
-                entries[j][i] = entries[j][i] + a.element(coeffs)
-        out.append(ModuleMap(src, tgt, degree, entries, check=False))
-    return out
+    return coords, vectors
 
 
-def random_combination(maps: List[ModuleMap], rng: SplitMix64) -> Optional[ModuleMap]:
-    if not maps:
+def _map_from_vector(src: SemiFreeModule, tgt: SemiFreeModule, degree: int,
+                     coords: ColumnMap, vec: Sequence[Fraction]) -> ModuleMap:
+    """The module map whose entry coordinates are vec read through the
+    column map of closed_map_kernel."""
+    a = src.algebra
+    cells = [[None] * src.rank for _ in range(tgt.rank)]
+    for (j, i, w), col in coords.items():
+        cv = vec[col]
+        if cv:
+            if cells[j][i] is None:
+                cells[j][i] = [ZERO] * a.dim
+            cells[j][i][w] = cv
+    zero = a.zero()
+    entries = [[zero if cell is None else AlgebraElement(a, tuple(cell))
+                for cell in row] for row in cells]
+    return ModuleMap(src, tgt, degree, entries, check=False)
+
+
+def closed_map_basis(src: SemiFreeModule, tgt: SemiFreeModule,
+                     degree: int = 0) -> List[ModuleMap]:
+    """Basis of the closed degree-`degree` maps src -> tgt, solved at the
+    entry level (degree-0 algebras)."""
+    coords, vectors = closed_map_kernel(src, tgt, degree)
+    return [_map_from_vector(src, tgt, degree, coords, v) for v in vectors]
+
+
+def random_closed_map(src: SemiFreeModule, tgt: SemiFreeModule, coords: ColumnMap,
+                      vectors: Sequence[Sequence[Fraction]],
+                      rng: SplitMix64) -> Optional[ModuleMap]:
+    """A random closed degree-0 map from a kernel of closed_map_kernel:
+    sum_k c_k v_k with one random_coeff per vector, in order, then unpacked
+    once; a random basis vector when every c_k is 0; None for an empty
+    kernel."""
+    if not vectors:
         return None
     total = None
-    for mp in maps:
+    for vec in vectors:
         c = random_coeff(rng)
         if c:
-            scaled = mp.scale(c)
-            total = scaled if total is None else total + scaled
+            if total is None:
+                total = [ZERO] * len(vec)
+            for col, x in enumerate(vec):
+                if x:
+                    total[col] += c * x
     if total is None:
-        total = maps[rng.below(len(maps))]
-    return total
+        total = vectors[rng.below(len(vectors))]
+    return _map_from_vector(src, tgt, 0, coords, total)
 
 
 class EndoSampler:
-    """Closed endomorphisms of a fixed perfect module, basis solved once."""
+    """Closed endomorphisms of a fixed perfect module, kernel solved once."""
 
     def __init__(self, p: PerfectModule):
         self.module = p
-        self.basis = closed_map_basis(p.module, p.module, 0)
+        self.coords, self.vectors = closed_map_kernel(p.module, p.module, 0)
 
     def draw(self, rng: SplitMix64) -> ModuleMap:
-        f = random_combination(self.basis, rng)
+        f = random_closed_map(self.module.module, self.module.module,
+                              self.coords, self.vectors, rng)
         if f is None:
             raise NotClosed("module admits no closed endomorphisms")
         f = self.module.compress(f)
@@ -205,10 +236,10 @@ def random_closed_pair(a: DgAlgebra, rng: SplitMix64, max_gens: int = 3,
     """(M, N, g: M -> N, h: N -> M), both maps closed degree 0."""
     m = random_semifree(a, rng, max_gens=max_gens, shift_range=shift_range)
     n = random_semifree(a, rng, max_gens=max_gens, shift_range=shift_range)
-    gs = closed_map_basis(m.module, n.module, 0)
-    hs = closed_map_basis(n.module, m.module, 0)
-    g = random_combination(gs, rng)
-    h = random_combination(hs, rng)
+    gs = closed_map_kernel(m.module, n.module, 0)
+    hs = closed_map_kernel(n.module, m.module, 0)
+    g = random_closed_map(m.module, n.module, *gs, rng)
+    h = random_closed_map(n.module, m.module, *hs, rng)
     if g is None:
         g = ModuleMap.zero(m.module, n.module)
     if h is None:

@@ -1,10 +1,13 @@
+import json
 from fractions import Fraction
 
 import pytest
 
-from dgtrace.algebras import (AlgebraIso, enveloping, env_op_iso, opposite,
-                              swap_iso, tensor_algebras, validate_algebra)
+from dgtrace.algebras import (AlgebraIso, DgAlgebra, enveloping, env_op_iso,
+                              opposite, swap_iso, tensor_algebras,
+                              validate_algebra)
 from dgtrace.errors import AssociativityViolation, UnitViolation
+from dgtrace.workspace import parse_workspace
 
 F = Fraction
 ONE = F(1)
@@ -148,3 +151,29 @@ def test_dg_algebra_with_differential():
                          diff)
     assert a.cohomology_dims().dims == {0: 1}
     tensor_algebras(a, a).validate()
+
+
+def test_repeated_basis_indices_merge(a2):
+    mult = dict(a2.mult)
+    mult[(0, 0)] = ((0, F(2)), (0, F(-1)))  # e1 e1 = 2 e1 - e1
+    mult[(0, 2)] = ((2, ONE), (1, F(3)), (1, F(-3)))  # a cancelling pair
+    b = DgAlgebra(a2.labels, a2.degrees, mult, a2.unit)
+    assert b.mult[(0, 0)] == ((0, ONE),)
+    assert b.mult[(0, 2)] == ((2, ONE),)
+    assert b == a2 and a2.same_structure(b)
+    # the differential is merged the same way
+    dg = {(0, 0): ((0, ONE),), (0, 1): ((1, ONE),), (1, 0): ((1, ONE),),
+          (0, 2): ((2, ONE),), (2, 0): ((2, ONE),)}
+    x = validate_algebra(["1", "x", "y"], [0, -1, 0], dg, [ONE, F(0), F(0)],
+                         {1: ((2, ONE),)})
+    y = validate_algebra(["1", "x", "y"], [0, -1, 0], dg, [ONE, F(0), F(0)],
+                         {1: ((2, F(2)), (2, F(-1))), 2: ((0, F(0)),)})
+    assert y.diff == {1: ((2, ONE),)} and x == y
+    # a workspace mult list with two quadruples for one (i, j, k)
+    ws = parse_workspace(json.dumps({"format": 1, "algebras": {"A2": {
+        "basis": [{"label": "e1", "degree": 0}, {"label": "e2", "degree": 0},
+                  {"label": "a", "degree": 0}],
+        "mult": [[0, 0, 0, "2"], [1, 1, 1, "1"], [0, 2, 2, "1"],
+                 [2, 1, 2, "1"], [0, 0, 0, "-1"]],
+        "unit": ["1", "1", "0"]}}}))
+    assert ws.algebras["A2"] == a2
