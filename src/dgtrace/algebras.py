@@ -181,10 +181,6 @@ class DgAlgebra:
     def cohomology_dims(self) -> GradedSpace:
         return cohomology_dims(self.carrier())
 
-    def is_proper(self) -> bool:
-        """Total cohomology finite-dimensional; automatic at this size."""
-        return self.cohomology_dims().total_dim() < float("inf")
-
     def validate(self) -> "DgAlgebra":
         """Exhaustive invariant check; raises on the first offending tuple."""
         n = self.dim

@@ -1,6 +1,6 @@
 """Command-line surface.
 
-    dgtrace [--workspace FILE] [--seed U64] [--random COUNT] [--jobs N]
+    dgtrace [--workspace FILE] [--seed U64] [--random COUNT]
             [--output json|text] COMMAND [ARGS...]
 
 Commands: validate, cohomology, hh0, class, pair, verify-rr, verify-serre,
@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from typing import List, Optional
 
@@ -57,7 +56,7 @@ def _emit_text(node, prefix: str) -> None:
                 sys.stdout.write(f"{prefix}- {item}\n")
 
 
-def cmd_validate(ws: Workspace, args, seed: int, count: int, jobs: int) -> dict:
+def cmd_validate(ws: Workspace, args, seed: int, count: int) -> dict:
     names = args.names or sorted(set(list(ws.algebras) + list(ws.resolutions)))
     results = {}
     ok = True
@@ -89,7 +88,7 @@ def cmd_validate(ws: Workspace, args, seed: int, count: int, jobs: int) -> dict:
     return {"command": "validate", "results": results, "ok": ok}
 
 
-def cmd_cohomology(ws: Workspace, args, seed, count, jobs) -> dict:
+def cmd_cohomology(ws: Workspace, args, seed, count) -> dict:
     m = ws.module(args.module)
     sc = restrict_to_ground(m)
     carrier = {str(p): d for p, d in sc.carrier.space.dims.items()}
@@ -98,7 +97,7 @@ def cmd_cohomology(ws: Workspace, args, seed, count, jobs) -> dict:
             "carrier_dims": carrier, "cohomology_dims": h, "ok": True}
 
 
-def cmd_hh0(ws: Workspace, args, seed, count, jobs) -> dict:
+def cmd_hh0(ws: Workspace, args, seed, count) -> dict:
     a = ws.algebra(args.algebra)
     space = hh0_space(a)
     reps = []
@@ -110,7 +109,7 @@ def cmd_hh0(ws: Workspace, args, seed, count, jobs) -> dict:
             "commutator_dim": space.commutator_dim, "basis": reps, "ok": True}
 
 
-def cmd_class(ws: Workspace, args, seed, count, jobs) -> dict:
+def cmd_class(ws: Workspace, args, seed, count) -> dict:
     m = ws.module(args.module)
     f = ws.map(args.map)
     cls = hh_class(m, f)
@@ -121,7 +120,7 @@ def cmd_class(ws: Workspace, args, seed, count, jobs) -> dict:
             "ok": True}
 
 
-def cmd_pair(ws: Workspace, args, seed, count, jobs) -> dict:
+def cmd_pair(ws: Workspace, args, seed, count) -> dict:
     a = ws.algebra(args.algebra)
     aop = opposite(a)
     spo = hh0_space(aop)
@@ -145,7 +144,7 @@ def cmd_pair(ws: Workspace, args, seed, count, jobs) -> dict:
             "value": format_rational(val), "ok": True}
 
 
-def cmd_verify_rr(ws: Workspace, args, seed: int, count: int, jobs: int) -> dict:
+def cmd_verify_rr(ws: Workspace, args, seed: int, count: int) -> dict:
     from .algebras import opposite
     from .suites import rr_batch_layout, rr_pair_reports
 
@@ -157,21 +156,9 @@ def cmd_verify_rr(ws: Workspace, args, seed: int, count: int, jobs: int) -> dict
         sp = hh0_space(ent.algebra)
         spo = hh0_space(opposite(ent.algebra))
         npairs, draws = rr_batch_layout(count)
-        tasks = [(pi, pi * draws) for pi in range(npairs)]
-        if jobs > 1:
-            # module pairs own independent streams: farm them out and merge
-            # back in pair order, so the report matches the serial one
-            def run(task):
-                pi, first = task
-                return rr_pair_reports(ent, pi, first, draws, count, seed,
-                                       sp, spo)
-
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                parts = list(pool.map(run, tasks))
-        else:
-            parts = [rr_pair_reports(ent, pi, first, draws, count, seed,
-                                     sp, spo) for pi, first in tasks]
-        reports = [r for part in parts for r in part]
+        reports = [r for pi in range(npairs)
+                   for r in rr_pair_reports(ent, pi, pi * draws, draws, count,
+                                            seed, sp, spo)]
         passed = sum(1 for r in reports if r.equal)
         failures = [r.to_dict() for r in reports if not r.equal]
         per[name] = {"checked": len(reports), "passed": passed,
@@ -181,7 +168,7 @@ def cmd_verify_rr(ws: Workspace, args, seed: int, count: int, jobs: int) -> dict
             "per_algebra": per, "ok": ok}
 
 
-def cmd_verify_serre(ws: Workspace, args, seed: int, count: int, jobs: int) -> dict:
+def cmd_verify_serre(ws: Workspace, args, seed: int, count: int) -> dict:
     summary = duality_suite(max(10, count // 4), seed)
     return {"command": "verify-serre", "seed": seed,
             "double_dual_exact": summary["double_dual_exact"],
@@ -190,7 +177,7 @@ def cmd_verify_serre(ws: Workspace, args, seed: int, count: int, jobs: int) -> d
             "serre": summary["serre"], "ok": summary["ok"]}
 
 
-def cmd_verify_suite(ws: Workspace, args, seed: int, count: int, jobs: int) -> dict:
+def cmd_verify_suite(ws: Workspace, args, seed: int, count: int) -> dict:
     summary = full_suite(count, seed)
     summary["command"] = "verify-suite"
     return summary
@@ -218,8 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="seed for randomized suites (default 42)")
     common.add_argument("--random", type=int, metavar="COUNT",
                         help="instances per randomized batch (default 50)")
-    common.add_argument("--jobs", type=int, metavar="N",
-                        help="parallel workers for independent instances")
     common.add_argument("--output", choices=("json", "text"))
 
     parser = argparse.ArgumentParser(
@@ -269,7 +254,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     workspace = getattr(args, "workspace", None)
     seed = getattr(args, "seed", 42)
     count = getattr(args, "random", 50)
-    jobs = max(1, getattr(args, "jobs", 1))
     output = getattr(args, "output", "json") or "json"
     try:
         if workspace:
@@ -278,7 +262,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         else:
             ws = default_workspace()
         handler = COMMANDS[args.command]
-        report = handler(ws, args, seed, count, jobs)
+        report = handler(ws, args, seed, count)
     except (WorkspaceError, OSError, UnicodeDecodeError) as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return EXIT_INPUT

@@ -575,21 +575,6 @@ def linear_dual(c: Complex) -> Complex:
     return Complex(space, diff, check=False)
 
 
-def linear_dual_map(f: ChainMap) -> ChainMap:
-    """f^*: target^* -> source^*, (f^* phi) = (-1)^{|f||phi|} phi . f."""
-    src = linear_dual(f.target)
-    tgt = linear_dual(f.source)
-    blocks = {}
-    for p in src.degrees():
-        # src^p = (target^{-p})^*, lands in (source^{-p-degree})^*
-        if tgt.dim(p + f.degree) == 0:
-            continue
-        m = f.block(-p - f.degree).transpose()
-        sgn = ONE if (f.degree * p) % 2 == 0 else -ONE
-        blocks[p] = m.scale(sgn)
-    return ChainMap(src, tgt, f.degree, blocks)
-
-
 def _check_degree_zero_endo(f: ChainMap):
     if f.source is not f.target and f.source != f.target:
         raise DimensionMismatch("supertrace needs an endomorphism")

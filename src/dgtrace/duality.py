@@ -17,7 +17,7 @@ nose over degree-0 algebras: the eps factors contribute eps(s)eps(-s) =
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional
 
 from .algebras import (AlgebraElement, AlgebraIso, DgAlgebra, env_op_iso,
                        opposite, tensor_algebras)
@@ -233,90 +233,6 @@ def bimodule_linear_dual(a: DgAlgebra) -> DualBimodule:
 
 
 # ---------------------------------------------------------------------------
-# Tensor with the left factor semi-free (N (x)_A X with X explicit)
-# ---------------------------------------------------------------------------
-
-class TensorLeftSemifree:
-    """N (x)_A X for N semi-free over A^op and X explicit with a left A
-    action: basis (N-generator j, X-key u) in degree deg(u) - t_j,
-    d(g_j (x) u) = sum_l g_l (x) (delta_lj . u) + (-1)^{t_j} g_j (x) d_X(u).
-    Degree-0 algebras."""
-
-    def __init__(self, n_mod: SemiFreeModule, right: ExplicitModule):
-        if not n_mod.algebra.is_degree_zero():
-            raise NotDegreeZeroConcentrated("left-expanded tensor in degree 0 only")
-        self.n = n_mod
-        self.right = right
-        basis: Dict[int, List] = {}
-        for j in range(n_mod.rank):
-            for p, keys in right.basis.items():
-                deg = p - n_mod.shifts[j]
-                for u in keys:
-                    basis.setdefault(deg, []).append((j, u))
-        for p in basis:
-            basis[p].sort(key=lambda t: (t[0], right.pos[t[1]][1]))
-        self.basis = basis
-        self.pos = {}
-        for p, ks in basis.items():
-            for r, k in enumerate(ks):
-                self.pos[k] = (p, r)
-        space = GradedSpace({p: len(ks) for p, ks in basis.items()})
-        diff: Dict[int, RationalMatrix] = {}
-        for p, keys in basis.items():
-            tgt = basis.get(p + 1, [])
-            if not tgt:
-                continue
-            rows = [[ZERO] * len(keys) for _ in tgt]
-            for c, (j, u) in enumerate(keys):
-                du, ru = right.pos[u]
-                sgn = ONE if n_mod.shifts[j] % 2 == 0 else -ONE
-                dmat = right.complex.d(du)
-                for r2 in range(right.complex.dim(du + 1)):
-                    coeff = dmat.entries[r2][ru]
-                    if coeff:
-                        u2 = right.basis[du + 1][r2]
-                        rows[self.pos[(j, u2)][1]][c] += sgn * coeff
-                for l in range(j + 1, n_mod.rank):
-                    entry = n_mod.twist[l][j]
-                    if entry.is_zero():
-                        continue
-                    for u2, coeff in right.act(entry.coords, u):
-                        rows[self.pos[(l, u2)][1]][c] += coeff
-            diff[p] = RationalMatrix(len(tgt), len(keys), rows)
-        self.complex = Complex(space, diff, check=False)
-
-    def map_tensor(self, g: Optional[ModuleMap], f: Optional[ChainMap]) -> ChainMap:
-        """g (x) f, g a module map of N (None = id), f a chain map of X
-        commuting with the action (None = id); degree-0 maps."""
-        blocks = {}
-        for p, keys in self.basis.items():
-            rows = [[ZERO] * len(keys) for _ in keys]
-            for c, (j, u) in enumerate(keys):
-                du, ru = self.right.pos[u]
-                images_u: List[Tuple[object, Fraction]] = []
-                if f is None:
-                    images_u.append((u, ONE))
-                else:
-                    fb = f.block(du)
-                    for r2 in range(self.right.complex.dim(du)):
-                        coeff = fb.entries[r2][ru]
-                        if coeff:
-                            images_u.append((self.right.basis[du][r2], coeff))
-                for u2, cu in images_u:
-                    if g is None:
-                        rows[self.pos[(j, u2)][1]][c] += cu
-                    else:
-                        for l in range(g.target.rank):
-                            entry = g.entries[l][j]
-                            if entry.is_zero():
-                                continue
-                            for u3, ce in self.right.act(entry.coords, u2):
-                                rows[self.pos[(l, u3)][1]][c] += cu * ce
-            blocks[p] = RationalMatrix(len(keys), len(keys), rows)
-        return ChainMap(self.complex, self.complex, 0, blocks)
-
-
-# ---------------------------------------------------------------------------
 # Dualizing objects
 # ---------------------------------------------------------------------------
 
@@ -374,13 +290,8 @@ def serre_tensor(a: DgAlgebra, m: PerfectModule,
         raise NotDegreeZeroConcentrated("Serre functor computed in degree 0 only")
     if dual is None:
         dual = DualBimodule(a)
-    t = TensorOverAlgebra(dual.right_module_data(), m.module)
-    projector = None
-    if m.idempotent is not None:
-        projector = t.map_tensor(None, m.idempotent)
-    sc = SplitComplex(t.complex, projector)
-    sc.realization = t
-    return sc
+    return TensorOverAlgebra(dual.right_module_data(), m.module).split(
+        None, m.idempotent)
 
 
 def serre_module_data(a: DgAlgebra, m: PerfectModule,
@@ -389,35 +300,21 @@ def serre_module_data(a: DgAlgebra, m: PerfectModule,
     together with its idempotent chain map (or None)."""
     if dual is None:
         dual = DualBimodule(a)
-    t = TensorOverAlgebra(dual.right_module_data(), m.module)
-    n = a.dim
+    sc = TensorOverAlgebra(dual.right_module_data(), m.module).split(
+        None, m.idempotent)
 
     def act(coords, key):
         i, x = key  # generator of m, dual-basis index
-        out = []
-        for y, c in _left_act_on_dual(a, coords, x):
-            out.append(((i, y), c))
-        return out
+        return [((i, y), c) for y, c in _left_act_on_dual(a, coords, x)]
 
-    ex = ExplicitModule(a, t.complex, t.basis, act)
-    projector = t.map_tensor(None, m.idempotent) if m.idempotent is not None else None
-    return ex, projector
+    return ExplicitModule(a, sc.carrier, sc.realization.basis, act), sc.projector
 
 
 def hom_into_serre(x: PerfectModule, serre_data) -> SplitComplex:
     """Hom_A(X, S(Y)) from serre_module_data output, compressing by both
     idempotents."""
     target, target_proj = serre_data
-    h = HomOverAlgebra(x.module, target)
-    maps = []
-    if x.idempotent is not None:
-        maps.append(h.precompose(x.idempotent))
-    if target_proj is not None:
-        maps.append(h.postcompose(target_proj))
-    projector = None
-    for mp in maps:
-        projector = mp if projector is None else mp.compose(projector)
-    return SplitComplex(h.complex, projector)
+    return HomOverAlgebra(x.module, target).split(x.idempotent, target_proj)
 
 
 def _left_act_on_dual(a: DgAlgebra, coords, x: int):
@@ -437,19 +334,15 @@ def omega_contraction_dims(a: DgAlgebra, omega_inv: PerfectModule,
     omega^{-1} (x)_A A^* (order="omega_first"); both should equal the dims
     of A for a sound dualizing pair."""
     dual = DualBimodule(a)
-    aop = opposite(a)
-    env = omega_inv.module.algebra
+    # omega_first is A^* (x)_{A^op} omega^{-1}: the semi-free factor is
+    # omega^{-1} restricted to A^op, and A^* is a left A = (A^op)^op module
     if order == "dual_first":
-        restricted, _ = restrict_to_factor(omega_inv, a, aop, "first")
-        t = TensorOverAlgebra(dual.right_module_data(), restricted.module)
-        projector = (t.map_tensor(None, restricted.idempotent)
-                     if restricted.idempotent is not None else None)
-        return SplitComplex(t.complex, projector).cohomology_dims()
-    restricted, _ = restrict_to_factor(omega_inv, a, aop, "second")
-    tl = TensorLeftSemifree(restricted.module, dual.left_module_data())
-    projector = (tl.map_tensor(restricted.idempotent, None)
-                 if restricted.idempotent is not None else None)
-    return SplitComplex(tl.complex, projector).cohomology_dims()
+        side, dual_data = "first", dual.right_module_data()
+    else:
+        side, dual_data = "second", dual.left_module_data()
+    restricted, _ = restrict_to_factor(omega_inv, a, opposite(a), side)
+    return TensorOverAlgebra(dual_data, restricted.module).split(
+        None, restricted.idempotent).cohomology_dims()
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +380,6 @@ class IntegrationData:
                     if any(vec):
                         relations.append(tuple(vec))
         sub_basis = echelon_basis(relations, n * n)
-        self.relation_dim = len(sub_basis)
         self.proj, self.section = quotient_presentation(
             n * n, SubspacePresentation(n * n, tuple(sub_basis)))
         func = [ZERO] * (n * n)
@@ -508,10 +400,6 @@ class IntegrationData:
                     if cx:
                         total += cp * cx * self.functional[x * n + y]
         return total
-
-    @property
-    def quotient_dim(self) -> int:
-        return self.proj.rows
 
 
 def integrate(a: DgAlgebra) -> IntegrationData:
@@ -602,7 +490,6 @@ class EvaluationData:
                                for t, c in enumerate(a.unit) if c])
             else:
                 values.append([])
-        self.eps_values = values
         self.eps_chain = semifree_map_to_explicit(x_mod.module, diag, values)
         if not self.eps_chain.is_closed():
             raise NotClosed("evaluation map failed to close")
@@ -645,7 +532,7 @@ class EvaluationData:
             p_breve.module, breve_a,
             [[(t, c) for t, c in enumerate(v.coords) if c]
              for v in self.resolution.augmentation])
-        q = t_cx.map_left_into(t_aug, aug_chain)
+        q = t_cx.map_tensor(aug_chain, None, t_aug)
 
         # identity tensor in degree 0 of t_aug
         t_vec = [ZERO] * t_aug.complex.dim(0)
@@ -722,7 +609,7 @@ class EvaluationData:
         if f is not None:
             fx = _outer_map_first_factor(self.x, f, self.index,
                                          self.dual_storage)
-            carry = self.hom.postcompose(fx.restrict())
+            carry = self.hom.postcompose_into(self.hom, fx.restrict())
             step = carry.block(0).apply(step)
         carry = self.hom.postcompose_into(target_hom, self.eps_chain)
         return target_hom, carry.block(0).apply(step)
@@ -755,16 +642,13 @@ class EvaluationData:
             if p != 0:
                 continue
             if self.omega_inv.module.shifts[kappa] == 0:
-                coords[r] += self.eps_norm(kappa)
+                coords[r] += ONE
         mat = RationalMatrix.from_columns([coords],
                                           nrows=target_hom.complex.dim(0))
         val = coh.project_cycles(0, mat)
         if val.entries[0][0] == 0:
             raise DimensionMismatch("unit class degenerates")
         return val.entries[0][0]
-
-    def eps_norm(self, kappa: int) -> Fraction:
-        return ONE
 
 
 def _reinterpret_over(dm: PerfectModule, a: DgAlgebra) -> PerfectModule:

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Optional, Tuple
 
 from .algebras import AlgebraElement, DgAlgebra, sparse
-from .complexes import GradedSpace, SplitComplex
+from .complexes import GradedSpace
 from .duality import diagonal_explicit, omega_inverse_module
 from .errors import (IdempotentIncompatible, NotClosed,
                      NotDegreeZeroConcentrated, WrongDegree)
@@ -211,8 +211,5 @@ def hh_via_dualizing(a: DgAlgebra, resolution) -> GradedSpace:
     omega_inv = omega_inverse_module(a, resolution.module)
     env = omega_inv.module.algebra
     target = diagonal_explicit(a, env)
-    h = HomOverAlgebra(omega_inv.module, target)
-    projector = None
-    if omega_inv.idempotent is not None:
-        projector = h.precompose(omega_inv.idempotent)
-    return SplitComplex(h.complex, projector).cohomology_dims()
+    return HomOverAlgebra(omega_inv.module, target).split(
+        omega_inv.idempotent, None).cohomology_dims()

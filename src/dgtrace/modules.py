@@ -34,10 +34,6 @@ from .linalg import ONE, ZERO, RationalMatrix
 Entry = AlgebraElement
 
 
-def _zero_entry(a: DgAlgebra) -> Entry:
-    return a.zero()
-
-
 def _sparse_entries(a: DgAlgebra, rows: Sequence[Sequence[Entry]],
                     sign_exponent=None) -> List[List[SparseVec]]:
     """The nonzero coordinates of each entry of a matrix over A, each entry
@@ -65,6 +61,35 @@ def _nonzero_columns(rows: Sequence[Sequence[Entry]], ncols: int):
             for i in range(ncols)]
 
 
+def _key_basis(shifts: Sequence[int], keys: Dict[int, List], sign: int):
+    """Generator x key basis: (i, u) in degree deg(u) + sign * s_i, ordered
+    by generator and then by key position.  Returns (basis, pos, space)."""
+    basis: Dict[int, List] = {}
+    for i, s in enumerate(shifts):
+        for p, ks in keys.items():
+            basis.setdefault(p + sign * s, []).extend((i, u) for u in ks)
+    pos = {k: (p, r) for p, ks in basis.items() for r, k in enumerate(ks)}
+    return basis, pos, GradedSpace({p: len(ks) for p, ks in basis.items()})
+
+
+def _key_columns(block, degree: int, source: Dict[int, List],
+                 target: Dict[int, List]) -> Dict[object, List]:
+    """Sparse columns of a map between keyed bases (block(p) is its matrix
+    out of degree p): each source key -> [(target key, coeff)], every block
+    scanned once."""
+    cols = {}
+    for p, keys in source.items():
+        out = [[] for _ in keys]
+        tkeys = target.get(p + degree)
+        if tkeys:
+            for r, row in enumerate(block(p).entries):
+                for c, x in enumerate(row):
+                    if x:
+                        out[c].append((tkeys[r], x))
+        cols.update(zip(keys, out))
+    return cols
+
+
 def _sum_products(a: DgAlgebra, pairs, start=None) -> Entry:
     """start + sum of u * v over the pairs (u, v) of sparse vectors."""
     out = list(start) if start is not None else [ZERO] * a.dim
@@ -87,7 +112,7 @@ class SemiFreeModule:
         if len(self.labels) != n:
             raise DimensionMismatch("one label per generator")
         if twist is None:
-            twist = [[_zero_entry(algebra) for _ in range(n)] for _ in range(n)]
+            twist = [[algebra.zero() for _ in range(n)] for _ in range(n)]
         self.twist = tuple(tuple(row) for row in twist)
         if len(self.twist) != n or any(len(r) != n for r in self.twist):
             raise DimensionMismatch("twist must be a square generator matrix")
@@ -117,12 +142,6 @@ class SemiFreeModule:
             self.to_explicit().complex.check_d_squared()
         except DifferentialSquareViolation:
             raise DifferentialSquareViolation("module twist does not square to zero")
-
-    def twist_entry(self, j: int, i: int) -> Entry:
-        return self.twist[j][i]
-
-    def generator_degree(self, i: int) -> int:
-        return -self.shifts[i]
 
     def to_explicit(self) -> "ExplicitModule":
         if self._explicit is None:
@@ -163,52 +182,16 @@ class ExplicitModule:
     def act(self, coords, key):
         return self._act(coords, key)
 
-    def key_degree(self, key) -> int:
-        return self.pos[key][0]
-
-    def action_map(self, elem: AlgebraElement, degree: int) -> ChainMap:
-        """Left multiplication by a homogeneous element as a chain map."""
-        blocks = {}
-        for p, keys in self.basis.items():
-            tgt = self.basis.get(p + degree, [])
-            if not tgt:
-                continue
-            rows = [[ZERO] * len(keys) for _ in tgt]
-            for c, k in enumerate(keys):
-                for k2, coeff in self._act(elem.coords, k):
-                    p2, r = self.pos[k2]
-                    if p2 != p + degree:
-                        raise DegreeViolation("action is not degree-homogeneous")
-                    rows[r][c] += coeff
-            blocks[p] = RationalMatrix(len(tgt), len(keys), rows)
-        return ChainMap(self.complex, self.complex, degree, blocks)
-
-    def vector_of(self, terms) -> Dict[int, list]:
-        """Sparse (key, coeff) terms -> per-degree coordinate vectors."""
-        out = {p: [ZERO] * len(ks) for p, ks in self.basis.items()}
-        for key, coeff in terms:
-            p, r = self.pos[key]
-            out[p][r] += coeff
-        return out
-
     @classmethod
     def from_semifree(cls, m: SemiFreeModule) -> "ExplicitModule":
         a = m.algebra
         n = m.rank
-        basis: Dict[int, List] = {}
-        for i in range(n):
-            for b in range(a.dim):
-                deg = a.degrees[b] - m.shifts[i]
-                basis.setdefault(deg, []).append((i, b))
-        for p in basis:
-            basis[p].sort()
-        pos = {}
-        for p, ks in basis.items():
-            for r, k in enumerate(ks):
-                pos[k] = (p, r)
+        by_degree: Dict[int, List] = {}
+        for b in range(a.dim):
+            by_degree.setdefault(a.degrees[b], []).append(b)
+        basis, pos, space = _key_basis(m.shifts, by_degree, -1)
         # differential: D(e_b g_i) = d(e_b) g_i + (-1)^{|e_b|} (e_b delta_ji) g_j
         diff: Dict[int, RationalMatrix] = {}
-        space = GradedSpace({p: len(ks) for p, ks in basis.items()})
         for p, keys in basis.items():
             tgt = basis.get(p + 1, [])
             if not tgt:
@@ -743,37 +726,19 @@ class TensorOverAlgebra:
     def __init__(self, left: ExplicitModule, m: SemiFreeModule):
         self.left = left
         self.m = m
-        a = m.algebra
-        basis: Dict[int, List] = {}
-        for i in range(m.rank):
-            for p, keys in left.basis.items():
-                deg = p - m.shifts[i]
-                for u in keys:
-                    basis.setdefault(deg, []).append((i, u))
-        for p in basis:
-            basis[p].sort(key=lambda t: (t[0], left.pos[t[1]][1]))
-        self.basis = basis
-        self.pos = {}
-        for p, ks in basis.items():
-            for r, k in enumerate(ks):
-                self.pos[k] = (p, r)
-        space = GradedSpace({p: len(ks) for p, ks in basis.items()})
-        diff: Dict[int, RationalMatrix] = {}
+        self.basis, self.pos, space = _key_basis(m.shifts, left.basis, -1)
+        d_left = _key_columns(left.complex.d, 1, left.basis, left.basis)
         twist_cols = _nonzero_columns(m.twist, m.rank)
-        for p, keys in basis.items():
-            tgt = basis.get(p + 1, [])
+        diff: Dict[int, RationalMatrix] = {}
+        for p, keys in self.basis.items():
+            tgt = self.basis.get(p + 1, [])
             if not tgt:
                 continue
             rows = [[ZERO] * len(keys) for _ in tgt]
             for c, (i, u) in enumerate(keys):
-                du, ru = left.pos[u]
-                dmat = left.complex.d(du)
-                for r2 in range(left.complex.dim(du + 1)):
-                    coeff = dmat.entries[r2][ru]
-                    if coeff:
-                        u2 = left.basis[du + 1][r2]
-                        rows[self.pos[(i, u2)][1]][c] += coeff
-                sgn = ONE if du % 2 == 0 else -ONE
+                for u2, coeff in d_left[u]:
+                    rows[self.pos[(i, u2)][1]][c] += coeff
+                sgn = ONE if left.pos[u][0] % 2 == 0 else -ONE
                 for j, entry in twist_cols[i]:
                     if j <= i:
                         continue
@@ -790,67 +755,47 @@ class TensorOverAlgebra:
             return self.left.act(coords, u)
         return [(u2, -c) for u2, c in self.left.act(coords, u)]
 
-    def map_left_into(self, other: "TensorOverAlgebra", g: ChainMap) -> ChainMap:
-        """Induced map of tensors from a degree-0 chain map g between the
-        left realizations (same semi-free right factor)."""
-        blocks = {}
-        for p, keys in self.basis.items():
-            tkeys = other.basis.get(p, [])
-            if not tkeys:
-                continue
-            rows = [[ZERO] * len(keys) for _ in tkeys]
-            for c, (i, u) in enumerate(keys):
-                du, ru = self.left.pos[u]
-                gb = g.block(du)
-                for r2 in range(other.left.complex.dim(du)):
-                    coeff = gb.entries[r2][ru]
-                    if coeff:
-                        u2 = other.left.basis[du][r2]
-                        rows[other.pos[(i, u2)][1]][c] += coeff
-            blocks[p] = RationalMatrix(len(tkeys), len(keys), rows)
-        return ChainMap(self.complex, other.complex, 0, blocks)
-
-    def map_tensor(self, g: Optional[ChainMap], f: Optional[ModuleMap]) -> ChainMap:
-        """g (x) f with g a chain map on the left realization (None = id)
-        and f a module map of M into itself (None = id)."""
+    def map_tensor(self, g: Optional[ChainMap], f: Optional[ModuleMap],
+                   target: Optional["TensorOverAlgebra"] = None) -> ChainMap:
+        """g (x) f into target (default self; same semi-free right factor),
+        with g a chain map from the left realization to target's (None =
+        id) and f a module map of M into itself (None = id)."""
+        if target is None:
+            target = self
         deg_g = g.degree if g is not None else 0
         deg_f = f.degree if f is not None else 0
         deg = deg_g + deg_f
+        g_cols = (_key_columns(g.block, deg_g, self.left.basis, target.left.basis)
+                  if g is not None else None)
         f_cols = _nonzero_columns(f.entries, f.source.rank) if f is not None else None
         blocks = {}
         for p, keys in self.basis.items():
-            tgt = self.basis.get(p + deg, [])
+            tgt = target.basis.get(p + deg, [])
             if not tgt:
                 continue
             rows = [[ZERO] * len(keys) for _ in tgt]
             for c, (i, u) in enumerate(keys):
-                du, ru = self.left.pos[u]
-                images_u: List[Tuple[object, Fraction]] = []
-                if g is None:
-                    images_u.append((u, ONE))
-                else:
-                    gb = g.block(du)
-                    for r2 in range(self.left.complex.dim(du + deg_g)):
-                        coeff = gb.entries[r2][ru]
-                        if coeff:
-                            images_u.append((self.left.basis[du + deg_g][r2], coeff))
-                sgn = ONE if (deg_f * du) % 2 == 0 else -ONE
-                for u2, cu in images_u:
+                sgn = ONE if (deg_f * self.left.pos[u][0]) % 2 == 0 else -ONE
+                for u2, cu in ([(u, ONE)] if g is None else g_cols[u]):
                     if f is None:
-                        rows[self.pos[(i, u2)][1]][c] += sgn * cu
+                        rows[target.pos[(i, u2)][1]][c] += sgn * cu
                     else:
                         for j, entry in f_cols[i]:
-                            for u3, ce in self._right_act(entry, u2):
-                                rows[self.pos[(j, u3)][1]][c] += sgn * cu * ce
+                            for u3, ce in target._right_act(entry, u2):
+                                rows[target.pos[(j, u3)][1]][c] += sgn * cu * ce
             blocks[p] = RationalMatrix(len(tgt), len(keys), rows)
-        return ChainMap(self.complex, self.complex, deg, blocks)
+        return ChainMap(self.complex, target.complex, deg, blocks)
 
-
-def explicit_over_opposite(p: PerfectModule) -> Tuple[ExplicitModule, Optional[ChainMap]]:
-    """Explicit realization of a right module given as a module over A^op."""
-    ex = p.module.to_explicit()
-    e = p.idempotent.restrict() if p.idempotent is not None else None
-    return ex, e
+    def split(self, e_left: Optional[ChainMap],
+              e: Optional[ModuleMap]) -> SplitComplex:
+        """The tensor with the projector e_left (x) e induced by whichever
+        idempotents are given; `realization` points back here."""
+        projector = None
+        if e_left is not None or e is not None:
+            projector = self.map_tensor(e_left, e)
+        sc = SplitComplex(self.complex, projector)
+        sc.realization = self  # downstream map construction
+        return sc
 
 
 def tensor_over_algebra(n: PerfectModule, m: PerfectModule,
@@ -865,14 +810,9 @@ def tensor_over_algebra(n: PerfectModule, m: PerfectModule,
         raise AlgebraMismatch("left factor must live over the opposite algebra")
     if not m.module.algebra.same_structure(a):
         raise AlgebraMismatch("right factor lives over a different algebra")
-    left, e_left = explicit_over_opposite(n)
-    t = TensorOverAlgebra(left, m.module)
-    projector = None
-    if e_left is not None or m.idempotent is not None:
-        projector = t.map_tensor(e_left, m.idempotent)
-    sc = SplitComplex(t.complex, projector)
-    sc.realization = t  # downstream map construction
-    return sc
+    e_left = n.idempotent.restrict() if n.idempotent is not None else None
+    return TensorOverAlgebra(n.module.to_explicit(), m.module).split(
+        e_left, m.idempotent)
 
 
 # ---------------------------------------------------------------------------
@@ -887,44 +827,26 @@ class HomOverAlgebra:
     def __init__(self, m: SemiFreeModule, target: ExplicitModule):
         self.m = m
         self.target = target
-        basis: Dict[int, List] = {}
-        for i in range(m.rank):
-            for p, keys in target.basis.items():
-                deg = p + m.shifts[i]
-                for u in keys:
-                    basis.setdefault(deg, []).append((i, u))
-        for p in basis:
-            basis[p].sort(key=lambda t: (t[0], target.pos[t[1]][1]))
-        self.basis = basis
-        self.pos = {}
-        for p, ks in basis.items():
-            for r, k in enumerate(ks):
-                self.pos[k] = (p, r)
-        space = GradedSpace({p: len(ks) for p, ks in basis.items()})
+        self.basis, self.pos, space = _key_basis(m.shifts, target.basis, 1)
+        d_target = _key_columns(target.complex.d, 1, target.basis, target.basis)
+        # phi = (i, u) sends g_i to u; the twist row entries delta[i][i2]
+        # feed g_{i2} for i2 < i.
+        twist_rows = [[(i2, e.coords, e.degree() or 0)
+                       for i2, e in enumerate(m.twist[i][:i]) if not e.is_zero()]
+                      for i in range(m.rank)]
         diff: Dict[int, RationalMatrix] = {}
-        for n_deg, keys in basis.items():
-            tgt = basis.get(n_deg + 1, [])
+        for n_deg, keys in self.basis.items():
+            tgt = self.basis.get(n_deg + 1, [])
             if not tgt:
                 continue
             rows = [[ZERO] * len(keys) for _ in tgt]
             sgn_n = ONE if n_deg % 2 == 0 else -ONE
             for c, (i, u) in enumerate(keys):
-                du, ru = target.pos[u]
-                dmat = target.complex.d(du)
-                for r2 in range(target.complex.dim(du + 1)):
-                    coeff = dmat.entries[r2][ru]
-                    if coeff:
-                        u2 = target.basis[du + 1][r2]
-                        rows[self.pos[(i, u2)][1]][c] += coeff
-                # phi = (i, u) sends g_i to u; the twist column entries
-                # delta[i][i2] feed g_{i2} for i2 < i.
-                for i2 in range(i):
-                    entry = self.m.twist[i][i2]
-                    if entry.is_zero():
-                        continue
-                    de = entry.degree() or 0
+                for u2, coeff in d_target[u]:
+                    rows[self.pos[(i, u2)][1]][c] += coeff
+                for i2, coords, de in twist_rows[i]:
                     sw = ONE if (n_deg * de) % 2 == 0 else -ONE
-                    for u2, coeff in target.act(entry.coords, u):
+                    for u2, coeff in target.act(coords, u):
                         rows[self.pos[(i2, u2)][1]][c] -= sgn_n * sw * coeff
             diff[n_deg] = RationalMatrix(len(tgt), len(keys), rows)
         self.complex = Complex(space, diff, check=False)
@@ -947,25 +869,10 @@ class HomOverAlgebra:
             blocks[p] = RationalMatrix(len(keys), len(keys), rows)
         return ChainMap(self.complex, self.complex, 0, blocks)
 
-    def postcompose(self, g: ChainMap) -> ChainMap:
-        """phi -> g . phi for a degree-0 chain map g on the target."""
-        blocks = {}
-        for p, keys in self.basis.items():
-            rows = [[ZERO] * len(keys) for _ in keys]
-            for c, (i, u) in enumerate(keys):
-                du, ru = self.target.pos[u]
-                gb = g.block(du)
-                for r2 in range(self.target.complex.dim(du)):
-                    coeff = gb.entries[r2][ru]
-                    if coeff:
-                        u2 = self.target.basis[du][r2]
-                        rows[self.pos[(i, u2)][1]][c] += coeff
-            blocks[p] = RationalMatrix(len(keys), len(keys), rows)
-        return ChainMap(self.complex, self.complex, 0, blocks)
-
     def postcompose_into(self, other: "HomOverAlgebra", g: ChainMap) -> ChainMap:
         """phi -> g . phi for a degree-0 chain map g: self.target ->
-        other.target (same semi-free source)."""
+        other.target (same semi-free source; other may be self)."""
+        g_cols = _key_columns(g.block, 0, self.target.basis, other.target.basis)
         blocks = {}
         for p, keys in self.basis.items():
             tkeys = other.basis.get(p, [])
@@ -973,15 +880,23 @@ class HomOverAlgebra:
                 continue
             rows = [[ZERO] * len(keys) for _ in tkeys]
             for c, (i, u) in enumerate(keys):
-                du, ru = self.target.pos[u]
-                gb = g.block(du)
-                for r2 in range(other.target.complex.dim(du)):
-                    coeff = gb.entries[r2][ru]
-                    if coeff:
-                        u2 = other.target.basis[du][r2]
-                        rows[other.pos[(i, u2)][1]][c] += coeff
+                for u2, coeff in g_cols[u]:
+                    rows[other.pos[(i, u2)][1]][c] += coeff
             blocks[p] = RationalMatrix(len(tkeys), len(keys), rows)
         return ChainMap(self.complex, other.complex, 0, blocks)
+
+    def split(self, e_source: Optional[ModuleMap],
+              e_target: Optional[ChainMap]) -> SplitComplex:
+        """The Hom complex with the compression phi -> e_target . phi .
+        e_source by whichever idempotents are given; `realization` points
+        back here."""
+        projector = self.precompose(e_source) if e_source is not None else None
+        if e_target is not None:
+            post = self.postcompose_into(self, e_target)
+            projector = post if projector is None else post.compose(projector)
+        sc = SplitComplex(self.complex, projector)
+        sc.realization = self
+        return sc
 
 
 def semifree_map_to_explicit(m: SemiFreeModule, target: ExplicitModule,
@@ -1017,17 +932,6 @@ def hom_over_algebra(m: PerfectModule, n: PerfectModule) -> SplitComplex:
     the compression phi -> e_N . phi . e_M."""
     if not m.module.algebra.same_structure(n.module.algebra):
         raise AlgebraMismatch("Hom across different algebras")
-    h = HomOverAlgebra(m.module, n.module.to_explicit())
-    projector = None
-    if m.idempotent is not None or n.idempotent is not None:
-        maps = []
-        if m.idempotent is not None:
-            maps.append(h.precompose(m.idempotent))
-        if n.idempotent is not None:
-            maps.append(h.postcompose(n.idempotent.restrict()))
-        projector = maps[0]
-        for extra in maps[1:]:
-            projector = extra.compose(projector)
-    sc = SplitComplex(h.complex, projector)
-    sc.realization = h
-    return sc
+    e_target = n.idempotent.restrict() if n.idempotent is not None else None
+    return HomOverAlgebra(m.module, n.module.to_explicit()).split(
+        m.idempotent, e_target)

@@ -117,7 +117,6 @@ def test_catalog_all_valid_and_proper(cat):
         ent.algebra.validate()
         dims = ent.algebra.cohomology_dims()
         assert dims.total_dim() == ent.algebra.dim  # degree 0, zero differential
-        assert ent.algebra.is_proper()
 
 
 def test_catalog_resolutions_validate(cat):

@@ -164,7 +164,7 @@ def test_omega_inverse_m2_selfdual(m2, cat):
 
 
 def test_omega_contraction_equals_algebra(cat):
-    for name in ("k", "kxk", "M2", "A2", "A3", "Kronecker"):
+    for name in ("k", "kxk", "M2", "A2", "A3", "Kronecker", "A2xA2"):
         ent = cat[name]
         a = ent.algebra
         oi = omega_inverse_module(a, ent.resolution.module)
@@ -175,7 +175,7 @@ def test_omega_contraction_equals_algebra(cat):
 
 def test_dualizing_pair_validates(cat):
     from dgtrace.duality import DualizingPair
-    for name in ("k", "kxk", "M2", "A2", "Kronecker"):
+    for name in ("k", "kxk", "M2", "A2", "A3", "Kronecker"):
         ent = cat[name]
         DualizingPair.from_resolution(ent.algebra, ent.resolution).validate()
 
