@@ -6,7 +6,7 @@ from .algebras import (AlgebraElement, DgAlgebra, enveloping, opposite,
                        tensor_algebras, validate_algebra)
 from .catalog import catalog, catalog_entry, catalog_names
 from .complexes import (ChainMap, Complex, GradedSpace, SplitComplex,
-                        chain_supertrace, cohomology, cohomology_dims, cone,
+                        chain_supertrace, cohomology_dims, cone,
                         euler_trace, hom_complex, is_acyclic, is_quasi_iso,
                         linear_dual, shift, tensor)
 from .duality import (DualBimodule, DualizingPair, bimodule_linear_dual,

@@ -71,7 +71,6 @@ def cmd_validate(ws: Workspace, args, seed: int, count: int) -> dict:
                 entry["degree_zero"] = a.is_degree_zero()
                 entry["cohomology"] = {str(p): d for p, d
                                        in a.cohomology_dims().dims.items()}
-                entry["proper"] = True
             except DgError as exc:
                 entry["algebra"] = f"INVALID: {exc}"
                 ok = False

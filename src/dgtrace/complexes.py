@@ -89,10 +89,6 @@ class Complex:
             self.check_d_squared()
 
     @classmethod
-    def zero(cls) -> "Complex":
-        return cls(GradedSpace({}), {})
-
-    @classmethod
     def concentrated(cls, degree: int, dim: int) -> "Complex":
         return cls(GradedSpace({degree: dim}), {})
 
@@ -280,46 +276,6 @@ def cone(p: ChainMap):
     return cn, r, q
 
 
-def direct_sum(a: Complex, b: Complex):
-    """a (+) b with inclusion maps; basis a-part first in every degree."""
-    space = _direct_sum_space(a.space, b.space)
-    diff = {}
-    for deg in space.degrees():
-        if space.dim(deg + 1) == 0:
-            continue
-        na, nb = a.dim(deg), b.dim(deg)
-        na1, nb1 = a.dim(deg + 1), b.dim(deg + 1)
-        rows = []
-        da, db = a.d(deg), b.d(deg)
-        for i in range(na1):
-            rows.append(list(da.entries[i]) + [ZERO] * nb)
-        for i in range(nb1):
-            rows.append([ZERO] * na + list(db.entries[i]))
-        diff[deg] = RationalMatrix(na1 + nb1, na + nb, rows)
-    return Complex(space, diff, check=False)
-
-
-def direct_sum_map(f: ChainMap, g: ChainMap) -> ChainMap:
-    if f.degree != g.degree:
-        raise WrongDegree("direct sum of maps of different degrees")
-    src = direct_sum(f.source, g.source)
-    tgt = direct_sum(f.target, g.target)
-    blocks = {}
-    for p in src.degrees():
-        if tgt.dim(p + f.degree) == 0:
-            continue
-        nf, ng = f.source.dim(p), g.source.dim(p)
-        mf, mg = f.target.dim(p + f.degree), g.target.dim(p + f.degree)
-        fb, gb = f.block(p), g.block(p)
-        rows = []
-        for i in range(mf):
-            rows.append(list(fb.entries[i]) + [ZERO] * ng)
-        for i in range(mg):
-            rows.append([ZERO] * nf + list(gb.entries[i]))
-        blocks[p] = RationalMatrix(mf + mg, nf + ng, rows)
-    return ChainMap(src, tgt, f.degree, blocks)
-
-
 class Cohomology:
     """Cohomology of a complex with deterministic chosen representatives.
 
@@ -386,10 +342,6 @@ class Cohomology:
             img = f.block(p) @ reps
             out[p] = tgt.project_cycles(p + f.degree, img)
         return out
-
-
-def cohomology(c: Complex) -> Cohomology:
-    return Cohomology(c)
 
 
 def cohomology_dims(c: Complex) -> GradedSpace:
@@ -666,13 +618,6 @@ class SplitComplex:
         self.projector = projector
         self._image = None
 
-    def image(self) -> Complex:
-        if self.projector is None:
-            return self.carrier
-        if self._image is None:
-            self._image = image_complex(self.projector)
-        return self._image[0]
-
     def compress(self, f: ChainMap) -> ChainMap:
         """e . f . e on the carrier (f itself when there is no idempotent)."""
         if self.projector is None:
@@ -708,12 +653,16 @@ class SplitComplex:
             total += t if p % 2 == 0 else -t
         return total
 
-    def cohomology_dims(self) -> GradedSpace:
-        return cohomology_dims(self.image())
-
-    def _split(self):
+    def split(self):
+        """(image, include, project) of the idempotent, as image_complex
+        returns them; computed once."""
         if self.projector is None:
             raise DimensionMismatch("no idempotent to split")
         if self._image is None:
             self._image = image_complex(self.projector)
         return self._image
+
+    def cohomology_dims(self) -> GradedSpace:
+        if self.projector is None:
+            return cohomology_dims(self.carrier)
+        return cohomology_dims(self.split()[0])

@@ -17,7 +17,7 @@ nose over degree-0 algebras: the eps factors contribute eps(s)eps(-s) =
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from .algebras import (AlgebraElement, AlgebraIso, DgAlgebra, env_op_iso,
                        opposite, tensor_algebras)
@@ -108,11 +108,37 @@ def transport_module(p: PerfectModule, iso: AlgebraIso) -> PerfectModule:
 # Explicit bimodules: the diagonal and the linear dual
 # ---------------------------------------------------------------------------
 
-def _sandwich(a: DgAlgebra, p: int, x: int, q: int):
-    """Terms (l, c) of e_p e_x e_q, read from the structure constants."""
-    for k, c1 in a.mult.get((p, x), ()):
-        for l, c2 in a.mult.get((k, q), ()):
-            yield l, c1 * c2
+def _sandwich_table(a: DgAlgebra, swap: bool = False) -> Dict[Tuple, List]:
+    """Action table of A (x) A on A, flat basis p*n + q: e_p x e_q, or
+    e_q x e_p with swap, read from the structure constants."""
+    n = a.dim
+    right: Dict[int, List] = {}
+    for (k, q), vec in a.mult.items():
+        right.setdefault(k, []).append((q, vec))
+    acc: Dict[Tuple, Dict] = {}
+    for (p, x), vec in a.mult.items():
+        for k, c1 in vec:
+            for q, vec2 in right.get(k, ()):
+                out = acc.setdefault((q * n + p if swap else p * n + q, x), {})
+                for l, c2 in vec2:
+                    out[l] = out.get(l, ZERO) + c1 * c2
+    return {key: terms for key, out in acc.items()
+            if (terms := [(l, c) for l, c in out.items() if c])}
+
+
+def _transposed(table) -> Dict[Tuple, List]:
+    """(t, k) -> [(k2, c)] read backwards: (t, k2) -> [(k, c)]."""
+    out: Dict[Tuple, List] = {}
+    for (t, k), terms in table.items():
+        for k2, c in terms:
+            out.setdefault((t, k2), []).append((k, c))
+    return out
+
+
+def _degree_zero_module(algebra: DgAlgebra, n: int, action) -> ExplicitModule:
+    """The keys 0..n-1 in degree 0 with the given action table."""
+    return ExplicitModule(algebra, Complex(GradedSpace({0: n}), {}),
+                          {0: list(range(n))}, action)
 
 
 def diagonal_explicit(a: DgAlgebra, env: Optional[DgAlgebra] = None) -> ExplicitModule:
@@ -121,20 +147,7 @@ def diagonal_explicit(a: DgAlgebra, env: Optional[DgAlgebra] = None) -> Explicit
         raise NotDegreeZeroConcentrated("diagonal module built in degree 0 only")
     if env is None:
         env = tensor_algebras(a, opposite(a))
-    n = a.dim
-    basis = {0: list(range(n))}
-    cx = Complex(GradedSpace({0: n}), {})
-
-    def act(coords, key):
-        out = [ZERO] * n
-        for flat, c in enumerate(coords):
-            if c:
-                p, q = divmod(flat, n)
-                for x, cx_ in _sandwich(a, p, key, q):
-                    out[x] += c * cx_
-        return [(x, c) for x, c in enumerate(out) if c]
-
-    return ExplicitModule(env, cx, basis, act)
+    return _degree_zero_module(env, a.dim, _sandwich_table(a))
 
 
 class DualBimodule:
@@ -146,59 +159,36 @@ class DualBimodule:
             raise NotDegreeZeroConcentrated("bimodule dual built in degree 0 only")
         self.algebra = a
         self.env = env if env is not None else tensor_algebras(a, opposite(a))
-        n = a.dim
-        self.dim = n
+        self.dim = a.dim
+        # (e_p (x) e_q) . phi_x = sum_y phi_x(e_q e_y e_p) phi_y
+        self.env_data = _degree_zero_module(
+            self.env, a.dim, _transposed(_sandwich_table(a, swap=True)))
 
     def basis_action(self, flat: int, x: int) -> List[Fraction]:
         """(e_p (x) e_q) . phi_x over the dual basis, flat = p*n + q: the
         coefficient of phi_y is phi_x(e_q e_y e_p)."""
-        p, q = divmod(flat, self.dim)
         out = [ZERO] * self.dim
-        for y in range(self.dim):
-            for l, c in _sandwich(self.algebra, q, y, p):
-                if l == x:
-                    out[y] += c
+        for y, c in self.env_data.action.get((flat, x), ()):
+            out[y] += c
         return out
 
     def env_action(self, env_coords, x: int):
         """(a (x) b) . phi_x expanded over the dual basis."""
-        out = [ZERO] * self.dim
-        for flat, c in enumerate(env_coords):
-            if c:
-                for y, cy in enumerate(self.basis_action(flat, x)):
-                    out[y] += c * cy
-        return [(y, c) for y, c in enumerate(out) if c]
-
-    def as_env_module(self) -> ExplicitModule:
-        cx = Complex(GradedSpace({0: self.dim}), {})
-        return ExplicitModule(self.env, cx, {0: list(range(self.dim))},
-                              lambda coords, key: self.env_action(coords, key))
+        return self.env_data.act(env_coords, x)
 
     def right_module_data(self) -> ExplicitModule:
         """A^* as a right A-module, (phi . a)(x) = phi(a x), presented over
-        A^op for the tensor machinery."""
+        A^op for the tensor machinery: e_i . phi_x = sum_y [e_x](e_i e_y)
+        phi_y."""
         a = self.algebra
-        aop = opposite(a)
-        n = a.dim
-        cx = Complex(GradedSpace({0: n}), {})
-
-        def act(coords, x):
-            out = [ZERO] * n
-            for i, c in enumerate(coords):
-                if c:
-                    for y in range(n):
-                        out[y] += c * a.coefficient(i, y, x)
-            return [(y, c) for y, c in enumerate(out) if c]
-
-        return ExplicitModule(aop, cx, {0: list(range(n))}, act)
+        return _degree_zero_module(opposite(a), a.dim, _transposed(a.mult))
 
     def left_module_data(self) -> ExplicitModule:
-        """A^* as a left A-module, (a . phi)(x) = phi(x a)."""
+        """A^* as a left A-module, (a . phi)(x) = phi(x a): e_i . phi_x =
+        sum_y [e_x](e_y e_i) phi_y."""
         a = self.algebra
-        n = a.dim
-        cx = Complex(GradedSpace({0: n}), {})
-        return ExplicitModule(a, cx, {0: list(range(n))},
-                              lambda coords, x: _left_act_on_dual(a, coords, x))
+        return _degree_zero_module(a, a.dim, _transposed(
+            {(i, y): vec for (y, i), vec in a.mult.items()}))
 
     def component_dim(self, i: int, j: int) -> int:
         """dim of e_i . A^* . e_j = functionals supported on e_j A e_i."""
@@ -302,12 +292,11 @@ def serre_module_data(a: DgAlgebra, m: PerfectModule,
         dual = DualBimodule(a)
     sc = TensorOverAlgebra(dual.right_module_data(), m.module).split(
         None, m.idempotent)
-
-    def act(coords, key):
-        i, x = key  # generator of m, dual-basis index
-        return [((i, y), c) for y, c in _left_act_on_dual(a, coords, x)]
-
-    return ExplicitModule(a, sc.carrier, sc.realization.basis, act), sc.projector
+    # keys (generator i of m, dual-basis index x); A acts on the A^* factor
+    action = {(t, (i, x)): [((i, y), c) for y, c in terms]
+              for (t, x), terms in dual.left_module_data().action.items()
+              for i in range(m.rank)}
+    return ExplicitModule(a, sc.carrier, sc.realization.basis, action), sc.projector
 
 
 def hom_into_serre(x: PerfectModule, serre_data) -> SplitComplex:
@@ -315,17 +304,6 @@ def hom_into_serre(x: PerfectModule, serre_data) -> SplitComplex:
     idempotents."""
     target, target_proj = serre_data
     return HomOverAlgebra(x.module, target).split(x.idempotent, target_proj)
-
-
-def _left_act_on_dual(a: DgAlgebra, coords, x: int):
-    """(a . phi_x)(y) = phi_x(y a)."""
-    n = a.dim
-    out = [ZERO] * n
-    for i, c in enumerate(coords):
-        if c:
-            for y in range(n):
-                out[y] += c * a.coefficient(y, i, x)
-    return [(y, c) for y, c in enumerate(out) if c]
 
 
 def omega_contraction_dims(a: DgAlgebra, omega_inv: PerfectModule,
@@ -363,6 +341,7 @@ class IntegrationData:
         self.algebra = a
         n = a.dim
         dual = DualBimodule(a)
+        sandwich = _sandwich_table(a)
         # relations in A^* (x) A, coordinates phi_x (x) e_y at x*n + y
         relations = []
         for z in range(n * n):
@@ -375,7 +354,7 @@ class IntegrationData:
                     vec = [ZERO] * (n * n)
                     for x2, c in enumerate(phi_z):
                         vec[x2 * n + y] += c
-                    for y2, c in _sandwich(a, p, y, q):
+                    for y2, c in sandwich.get((z, y), ()):
                         vec[x * n + y2] -= c
                     if any(vec):
                         relations.append(tuple(vec))
@@ -418,29 +397,13 @@ class DualHomReport:
 
 
 def dual_right_module_data(m: SemiFreeModule) -> ExplicitModule:
-    """M^* as an explicit right A-module (left A^op): (mu.a)(x) = mu(a x)."""
-    a = m.algebra
-    aop = opposite(a)
+    """M^* as an explicit right A-module (left A^op): (mu.a)(x) = mu(a x),
+    so e_t . mu_key = sum_k2 [key](e_t . k2) mu_k2, the transpose of the
+    realization's action table."""
     ex = m.to_explicit()
-    dual_cx = linear_dual(ex.complex)
-    basis = {}
-    for p, keys in ex.basis.items():
-        basis[-p] = list(keys)
-
-    def act(coords, key):
-        # (mu_key . a) has coefficient at mu_k2 equal to mu_key(a . k2)
-        p = -ex.pos[key][0]
-        out = []
-        for k2 in ex.basis.get(-p, []):
-            total = ZERO
-            for k3, c in ex.act(coords, k2):
-                if k3 == key:
-                    total += c
-            if total:
-                out.append((k2, total))
-        return out
-
-    return ExplicitModule(aop, dual_cx, basis, act)
+    basis = {-p: keys for p, keys in ex.basis.items()}
+    return ExplicitModule(opposite(m.algebra), linear_dual(ex.complex), basis,
+                          _transposed(ex.action))
 
 
 # ---------------------------------------------------------------------------
@@ -659,24 +622,9 @@ def _reinterpret_over(dm: PerfectModule, a: DgAlgebra) -> PerfectModule:
 
 
 def _opposite_diagonal_explicit(a: DgAlgebra, env_op: DgAlgebra) -> ExplicitModule:
-    """A^op as an explicit right-A^e module (= left (A^e)^op):
-    the action of (a (x) b)-swapped is x -> b x a read through the swap."""
-    n = a.dim
-    cx = Complex(GradedSpace({0: n}), {})
-
-    def act(coords, key):
-        out = [ZERO] * n
-        for flat, c in enumerate(coords):
-            if c:
-                p, q = divmod(flat, n)
-                # (A^e)^op basis (p, q) acts on A^op diagonally through the
-                # swap transport: the element p (x) q of A^e read backwards,
-                # x -> e_q x e_p.
-                for x, cx_ in _sandwich(a, q, key, p):
-                    out[x] += c * cx_
-        return [(x, c) for x, c in enumerate(out) if c]
-
-    return ExplicitModule(env_op, cx, {0: list(range(n))}, act)
+    """A^op as an explicit right-A^e module (= left (A^e)^op): the element
+    p (x) q of A^e read backwards through the swap, x -> e_q x e_p."""
+    return _degree_zero_module(env_op, a.dim, _sandwich_table(a, swap=True))
 
 
 def _outer_map_first_factor(x: PerfectModule, f: ModuleMap, index,

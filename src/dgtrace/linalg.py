@@ -158,12 +158,6 @@ class SubspacePresentation:
     def dim(self) -> int:
         return len(self.basis)
 
-    def contains(self, vec: Sequence[Fraction]) -> bool:
-        if not self.basis:
-            return all(x == 0 for x in vec)
-        m = RationalMatrix.from_columns(self.basis, nrows=self.ambient_dim)
-        return solve(m, tuple(vec)) is not None
-
 
 def _rref_inplace(rows: list, ncols: int) -> list:
     """Reduced row echelon form, first-nonzero pivoting.  Returns pivot

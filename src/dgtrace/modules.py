@@ -55,10 +55,18 @@ def _sparse_entries(a: DgAlgebra, rows: Sequence[Sequence[Entry]],
 
 def _nonzero_columns(rows: Sequence[Sequence[Entry]], ncols: int):
     """Per column i, the nonzero entries of a matrix over A as
-    (j, (coords, degree)); the degree of a mixed entry counts as 0."""
-    return [[(j, (row[i].coords, row[i].degree() or 0))
+    (j, nonzero coordinates, degree); the degree of a mixed entry counts
+    as 0."""
+    return [[(j, sparse(row[i].coords), row[i].degree() or 0)
              for j, row in enumerate(rows) if not row[i].is_zero()]
             for i in range(ncols)]
+
+
+def _generator_images(rows: Sequence[Sequence[Entry]], ncols: int):
+    """Per generator i, the image sum_j rows[j][i] g_j as (key (j, t),
+    coeff) over the realization keys, one per coordinate t of each entry."""
+    return [[((j, t), c) for j, row in enumerate(rows)
+             for t, c in sparse(row[i].coords)] for i in range(ncols)]
 
 
 def _key_basis(shifts: Sequence[int], keys: Dict[int, List], sign: int):
@@ -163,13 +171,13 @@ class SemiFreeModule:
 class ExplicitModule:
     """k-level realization: a complex whose basis keys carry the action.
 
-    `basis[p]` lists opaque keys in order; `act(coords, key)` returns the
-    sparse left action of an algebra element on a basis key, as a list of
-    (key, coefficient).  The module layer only ever needs this one hook.
+    `basis[p]` lists opaque keys in order; `action[(t, key)]` lists the
+    (key2, c) of e_t . key, and pairs with zero product are absent, the
+    way `DgAlgebra.mult` holds the products of basis elements.
     """
 
-    def __init__(self, algebra: DgAlgebra, complex_: Complex,
-                 basis: Dict[int, List], act):
+    def __init__(self, algebra: DgAlgebra, complex_: Optional[Complex],
+                 basis: Dict[int, List], action: Dict[Tuple, List]):
         self.algebra = algebra
         self.complex = complex_
         self.basis = {p: list(ks) for p, ks in basis.items() if ks}
@@ -177,48 +185,70 @@ class ExplicitModule:
         for p, ks in self.basis.items():
             for r, k in enumerate(ks):
                 self.pos[k] = (p, r)
-        self._act = act
+        self.action = action
 
     def act(self, coords, key):
-        return self._act(coords, key)
+        """The action of the element with dense coordinates `coords` on a
+        basis key, as a list of (key, coefficient)."""
+        out: Dict = {}
+        for t, ct in enumerate(coords):
+            if ct:
+                for k2, c in self.action.get((t, key), ()):
+                    out[k2] = out.get(k2, ZERO) + ct * c
+        return [(k2, c) for k2, c in out.items() if c]
 
     @classmethod
     def from_semifree(cls, m: SemiFreeModule) -> "ExplicitModule":
         a = m.algebra
-        n = m.rank
         by_degree: Dict[int, List] = {}
         for b in range(a.dim):
             by_degree.setdefault(a.degrees[b], []).append(b)
         basis, pos, space = _key_basis(m.shifts, by_degree, -1)
-        # differential: D(e_b g_i) = d(e_b) g_i + (-1)^{|e_b|} (e_b delta_ji) g_j
-        diff: Dict[int, RationalMatrix] = {}
-        for p, keys in basis.items():
-            tgt = basis.get(p + 1, [])
-            if not tgt:
-                continue
-            rows = [[ZERO] * len(keys) for _ in tgt]
-            for c, (i, b) in enumerate(keys):
-                for b2, coeff in a.diff.get(b, ()):
-                    rows[pos[(i, b2)][1]][c] += coeff
-                sgn = ONE if a.degrees[b] % 2 == 0 else -ONE
-                for j in range(i + 1, n):
-                    for t, ct in enumerate(m.twist[j][i].coords):
-                        if ct:
-                            for b2, coeff in a.mult.get((b, t), ()):
-                                rows[pos[(j, b2)][1]][c] += sgn * ct * coeff
-            diff[p] = RationalMatrix(len(tgt), len(keys), rows)
-        cx = Complex(space, diff, check=False)
+        # one key object per (generator, basis index), shared by the table
+        # entries to keep the table small
+        keys = [[(i, b) for b in range(a.dim)] for i in range(m.rank)]
+        action = {(t, ks[b]): [(ks[b2], c) for b2, c in vec]
+                  for ks in keys for (t, b), vec in a.mult.items()}
+        ex = cls(a, None, basis, action)
+        # D(e_b g_i) = (-1)^{|e_b|} (e_b delta_ji) g_j + d(e_b) g_i: the
+        # twist restricted as a degree-1 map, plus d_A on every summand
+        diff = _restrict_images(ex, ex, 1, _generator_images(m.twist, m.rank))
+        if a.diff:
+            for p, block in diff.items():
+                rows = [list(r) for r in block.entries]
+                for c, (i, b) in enumerate(ex.basis[p]):
+                    for b2, coeff in a.diff.get(b, ()):
+                        rows[pos[(i, b2)][1]][c] += coeff
+                diff[p] = RationalMatrix(block.rows, block.cols, rows)
+        ex.complex = Complex(space, diff, check=False)
+        return ex
 
-        def act(coords, key):
-            i, b = key
-            out: Dict[int, Fraction] = {}
-            for t, ct in enumerate(coords):
-                if ct:
-                    for b2, c in a.mult.get((t, b), ()):
-                        out[b2] = out.get(b2, ZERO) + ct * c
-            return [((i, b2), c) for b2, c in out.items() if c]
 
-        return cls(a, cx, basis, act)
+def _restrict_images(source: ExplicitModule, target: ExplicitModule,
+                     degree: int, images) -> Dict[int, RationalMatrix]:
+    """Blocks over k of the degree-n map out of the realization `source` of
+    a semi-free module that sends g_i to images[i], a list of (target key,
+    coeff): e_b g_i -> (-1)^{n|b|} sum coeff e_b . key.  The one
+    restriction kernel; an image term off degree raises DegreeViolation."""
+    degrees = source.algebra.degrees
+    action, tpos = target.action, target.pos
+    blocks = {}
+    for p, keys in source.basis.items():
+        q = p + degree
+        tkeys = target.basis.get(q)
+        if not tkeys:
+            continue
+        rows = [[ZERO] * len(keys) for _ in tkeys]
+        for c, (i, b) in enumerate(keys):
+            odd = (degree * degrees[b]) % 2
+            for key, coeff in images[i]:
+                for key2, c2 in action.get((b, key), ()):
+                    p2, r = tpos[key2]
+                    if p2 != q:
+                        raise DegreeViolation("generator image has wrong degree")
+                    rows[r][c] += -coeff * c2 if odd else coeff * c2
+        blocks[p] = RationalMatrix(len(tkeys), len(keys), rows)
+    return blocks
 
 
 class ModuleMap:
@@ -325,23 +355,9 @@ class ModuleMap:
         """Induced chain map between the explicit realizations."""
         src = self.source.to_explicit()
         tgt = self.target.to_explicit()
-        a = self.source.algebra
-        n = self.degree
-        blocks = {}
-        for p, keys in src.basis.items():
-            tkeys = tgt.basis.get(p + n, [])
-            if not tkeys:
-                continue
-            rows = [[ZERO] * len(keys) for _ in tkeys]
-            for c, (i, b) in enumerate(keys):
-                sgn = ONE if (n * a.degrees[b]) % 2 == 0 else -ONE
-                for j in range(self.target.rank):
-                    for t, ct in enumerate(self.entries[j][i].coords):
-                        if ct:
-                            for b2, coeff in a.mult.get((b, t), ()):
-                                rows[tgt.pos[(j, b2)][1]][c] += sgn * ct * coeff
-            blocks[p] = RationalMatrix(len(tkeys), len(keys), rows)
-        return ChainMap(src.complex, tgt.complex, n, blocks)
+        images = _generator_images(self.entries, self.source.rank)
+        return ChainMap(src.complex, tgt.complex, self.degree,
+                        _restrict_images(src, tgt, self.degree, images))
 
     def __eq__(self, other):
         return (isinstance(other, ModuleMap) and self.degree == other.degree
@@ -383,9 +399,6 @@ class PerfectModule:
     @property
     def shifts(self):
         return self.module.shifts
-
-    def is_plain(self) -> bool:
-        return self.idempotent is None
 
     def identity_map(self) -> ModuleMap:
         """Chain representative of the identity of the summand."""
@@ -739,21 +752,21 @@ class TensorOverAlgebra:
                 for u2, coeff in d_left[u]:
                     rows[self.pos[(i, u2)][1]][c] += coeff
                 sgn = ONE if left.pos[u][0] % 2 == 0 else -ONE
-                for j, entry in twist_cols[i]:
+                for j, vec, de in twist_cols[i]:
                     if j <= i:
                         continue
-                    for u2, coeff in self._right_act(entry, u):
+                    for u2, coeff in self._right_act(vec, de, u):
                         rows[self.pos[(j, u2)][1]][c] += sgn * coeff
             diff[p] = RationalMatrix(len(tgt), len(keys), rows)
         self.complex = Complex(space, diff, check=False)
 
-    def _right_act(self, entry: Tuple[Tuple[Fraction, ...], int], u):
-        """u . x with the right-module Koszul sign, for entry = (coords of
-        x, degree of x)."""
-        coords, de = entry
+    def _right_act(self, vec: SparseVec, de: int, u):
+        """u . x with the right-module Koszul sign (-1)^{|x||u|}, for x of
+        degree de with nonzero coordinates vec; terms are not merged."""
+        action = self.left.action
         if (self.left.pos[u][0] * de) % 2 == 0:
-            return self.left.act(coords, u)
-        return [(u2, -c) for u2, c in self.left.act(coords, u)]
+            return [(u2, ct * c) for t, ct in vec for u2, c in action.get((t, u), ())]
+        return [(u2, -ct * c) for t, ct in vec for u2, c in action.get((t, u), ())]
 
     def map_tensor(self, g: Optional[ChainMap], f: Optional[ModuleMap],
                    target: Optional["TensorOverAlgebra"] = None) -> ChainMap:
@@ -780,8 +793,8 @@ class TensorOverAlgebra:
                     if f is None:
                         rows[target.pos[(i, u2)][1]][c] += sgn * cu
                     else:
-                        for j, entry in f_cols[i]:
-                            for u3, ce in target._right_act(entry, u2):
+                        for j, vec, de in f_cols[i]:
+                            for u3, ce in target._right_act(vec, de, u2):
                                 rows[target.pos[(j, u3)][1]][c] += sgn * cu * ce
             blocks[p] = RationalMatrix(len(tgt), len(keys), rows)
         return ChainMap(self.complex, target.complex, deg, blocks)
@@ -829,11 +842,10 @@ class HomOverAlgebra:
         self.target = target
         self.basis, self.pos, space = _key_basis(m.shifts, target.basis, 1)
         d_target = _key_columns(target.complex.d, 1, target.basis, target.basis)
+        action = target.action
         # phi = (i, u) sends g_i to u; the twist row entries delta[i][i2]
         # feed g_{i2} for i2 < i.
-        twist_rows = [[(i2, e.coords, e.degree() or 0)
-                       for i2, e in enumerate(m.twist[i][:i]) if not e.is_zero()]
-                      for i in range(m.rank)]
+        twist_rows = _nonzero_columns(tuple(zip(*m.twist)), m.rank)
         diff: Dict[int, RationalMatrix] = {}
         for n_deg, keys in self.basis.items():
             tgt = self.basis.get(n_deg + 1, [])
@@ -844,28 +856,28 @@ class HomOverAlgebra:
             for c, (i, u) in enumerate(keys):
                 for u2, coeff in d_target[u]:
                     rows[self.pos[(i, u2)][1]][c] += coeff
-                for i2, coords, de in twist_rows[i]:
-                    sw = ONE if (n_deg * de) % 2 == 0 else -ONE
-                    for u2, coeff in target.act(coords, u):
-                        rows[self.pos[(i2, u2)][1]][c] -= sgn_n * sw * coeff
+                for i2, vec, de in twist_rows[i]:
+                    sw = sgn_n if (n_deg * de) % 2 == 0 else -sgn_n
+                    for t, ct in vec:
+                        for u2, coeff in action.get((t, u), ()):
+                            rows[self.pos[(i2, u2)][1]][c] -= sw * ct * coeff
             diff[n_deg] = RationalMatrix(len(tgt), len(keys), rows)
         self.complex = Complex(space, diff, check=False)
 
     def precompose(self, e: ModuleMap) -> ChainMap:
         """phi -> phi . e for a degree-0 map e of the source; Koszul sign
         (-1)^{n |entry|} with n the Hom degree."""
+        action = self.target.action
+        e_rows = _nonzero_columns(tuple(zip(*e.entries)), self.m.rank)
         blocks = {}
         for p, keys in self.basis.items():
             rows = [[ZERO] * len(keys) for _ in keys]
             for c, (j, u) in enumerate(keys):
-                for i in range(self.m.rank):
-                    entry = e.entries[j][i]
-                    if entry.is_zero():
-                        continue
-                    de = entry.degree() or 0
+                for i, vec, de in e_rows[j]:
                     sw = ONE if (p * de) % 2 == 0 else -ONE
-                    for u2, coeff in self.target.act(entry.coords, u):
-                        rows[self.pos[(i, u2)][1]][c] += sw * coeff
+                    for t, ct in vec:
+                        for u2, coeff in action.get((t, u), ()):
+                            rows[self.pos[(i, u2)][1]][c] += sw * ct * coeff
             blocks[p] = RationalMatrix(len(keys), len(keys), rows)
         return ChainMap(self.complex, self.complex, 0, blocks)
 
@@ -901,30 +913,11 @@ class HomOverAlgebra:
 
 def semifree_map_to_explicit(m: SemiFreeModule, target: ExplicitModule,
                              values) -> ChainMap:
-    """Module map from a semi-free module to an explicit one, given by the
-    images of the generators (sparse (key, coeff) lists); degree 0,
-    degree-0 algebras."""
+    """Degree-0 module map from a semi-free module to an explicit one, given
+    by the images of the generators (sparse (key, coeff) lists)."""
     ex = m.to_explicit()
-    a = m.algebra
-    blocks = {}
-    for p, keys in ex.basis.items():
-        tdim = target.complex.dim(p)
-        if tdim == 0:
-            continue
-        rows = [[ZERO] * len(keys) for _ in range(tdim)]
-        for c, (i, bidx) in enumerate(keys):
-            terms = values[i]
-            if not terms:
-                continue
-            eb = a.basis_element(bidx).coords
-            for key, coeff in terms:
-                for key2, c2 in target.act(eb, key):
-                    p2, r2 = target.pos[key2]
-                    if p2 != p:
-                        raise DegreeViolation("generator image has wrong degree")
-                    rows[r2][c] += coeff * c2
-        blocks[p] = RationalMatrix(tdim, len(keys), rows)
-    return ChainMap(ex.complex, target.complex, 0, blocks)
+    return ChainMap(ex.complex, target.complex, 0,
+                    _restrict_images(ex, target, 0, values))
 
 
 def hom_over_algebra(m: PerfectModule, n: PerfectModule) -> SplitComplex:

@@ -12,12 +12,14 @@ from __future__ import annotations
 
 from typing import Callable, Optional, Sequence, Tuple
 
-from .algebras import AlgebraElement, AlgebraIso, DgAlgebra, opposite, tensor_algebras
+from .algebras import (AlgebraElement, AlgebraIso, DgAlgebra, opposite, sparse,
+                       tensor_algebras)
 from .complexes import ChainMap, SplitComplex, cone, is_acyclic
 from .duality import diagonal_explicit, transport_module
 from .errors import AugmentationNotQuasiIso, NotDegreeZeroConcentrated
-from .linalg import ZERO, RationalMatrix
-from .modules import ModuleMap, PerfectModule, SemiFreeModule, outer_tensor_modules
+from .linalg import ZERO
+from .modules import (ModuleMap, PerfectModule, SemiFreeModule, outer_tensor_modules,
+                      semifree_map_to_explicit)
 
 Builder = Callable[[], Tuple[PerfectModule, Tuple[AlgebraElement, ...]]]
 
@@ -67,27 +69,9 @@ class DiagonalResolution:
 
     def augmentation_chain_map(self) -> ChainMap:
         """The augmentation as a chain map P -> A at the ground level."""
-        a = self.algebra
-        env = self.enveloping_algebra
-        p = self.module
-        ex = p.module.to_explicit()
-        diag = diagonal_explicit(a, env)
-        blocks = {}
-        for deg, keys in ex.basis.items():
-            if diag.complex.dim(deg) == 0:
-                continue
-            rows = [[ZERO] * len(keys) for _ in range(a.dim)]
-            for c, (i, b) in enumerate(keys):
-                target = self.augmentation[i]
-                if target.is_zero():
-                    continue
-                eb = env.basis_element(b).coords
-                for x, cx in enumerate(target.coords):
-                    if cx:
-                        for y, cy in diag.act(eb, x):
-                            rows[y][c] += cx * cy
-            blocks[deg] = RationalMatrix(a.dim, len(keys), rows)
-        return ChainMap(ex.complex, diag.complex, 0, blocks)
+        diag = diagonal_explicit(self.algebra, self.enveloping_algebra)
+        return semifree_map_to_explicit(self.module.module, diag,
+                                        [sparse(x.coords) for x in self.augmentation])
 
     def validate(self) -> "DiagonalResolution":
         """Closedness of the augmentation and acyclicity of its cone, on the
@@ -97,7 +81,7 @@ class DiagonalResolution:
         if p.idempotent is not None:
             sc = SplitComplex(p.module.to_explicit().complex,
                               p.idempotent.restrict())
-            img, incl, _ = sc._split()
+            _, incl, _ = sc.split()
             aug = aug.compose(incl)
         if not aug.is_closed():
             raise AugmentationNotQuasiIso("augmentation is not a chain map")

@@ -4,24 +4,33 @@ Sampling in kernel coordinates against scaling and adding the ModuleMaps of
 closed_map_basis; sparse ModuleMap products and the compressed supertrace
 against entry-by-entry products through AlgebraElement.__mul__ (the dense
 DgAlgebra.multiply scan); the tr(f.e) supertrace of a split complex
-against the supertrace of the formed e.f.e.
+against the supertrace of the formed e.f.e; every explicit module's action
+table against products through the dense DgAlgebra.multiply scan; the one
+restriction kernel (ModuleMap.restrict and the twist part of to_explicit)
+against the dense (-1)^{n|b|} e_b . phi_ji.
 """
 
 from fractions import Fraction
 
 import pytest
 
-from dgtrace.algebras import opposite, validate_algebra
+from dgtrace.algebras import opposite, tensor_algebras, validate_algebra
 from dgtrace.complexes import ChainMap, chain_supertrace
+from dgtrace.duality import (DualBimodule, _opposite_diagonal_explicit,
+                             diagonal_explicit, dual_right_module_data,
+                             serre_module_data)
 from dgtrace.errors import WrongDegree
 from dgtrace.hochschild import compressed_supertrace, generalized_supertrace
 from dgtrace.linalg import RationalMatrix
-from dgtrace.modules import ModuleMap, SemiFreeModule, tensor_over_algebra
+from dgtrace.modules import (ModuleMap, PerfectModule, SemiFreeModule,
+                             tensor_over_algebra)
 from dgtrace.prng import SplitMix64, stream_for
 from dgtrace.sampling import (EndoSampler, closed_map_basis, random_closed_pair,
                               random_coeff, random_element_of_degree,
                               random_module_with_endos, random_perfect,
                               random_semifree)
+
+CATALOG = ("k", "kxk", "M2", "A2", "A3", "Kronecker", "A2xA2")
 
 F = Fraction
 ONE = F(1)
@@ -234,3 +243,161 @@ def test_compressed_supertrace_matches_dense_compression(cat):
             assert compressed_supertrace(p, f) == generalized_supertrace(p, efe)
             checked += 1
     assert checked > 0
+
+
+# -- action tables and the restriction kernel -------------------------------
+
+def unit_vector(a, t):
+    return a.basis_element(t).coords
+
+
+def product(a, *factors):
+    """Dense coordinates of e_f1 e_f2 ... through DgAlgebra.multiply."""
+    out = unit_vector(a, factors[0])
+    for f in factors[1:]:
+        out = a.multiply(out, unit_vector(a, f))
+    return out
+
+
+def nonzero(pairs):
+    return {k: c for k, c in pairs if c}
+
+
+def assert_action(module, dim, reference):
+    """module.act(e_t, key) == reference(t, key) for every basis element t
+    of the acting algebra (dimension dim) and every key."""
+    nonempty = 0
+    for key in module.pos:
+        for t in range(dim):
+            got = module.act(tuple(F(int(s == t)) for s in range(dim)), key)
+            assert len({k for k, _ in got}) == len(got)
+            assert dict(got) == reference(t, key), (t, key)
+            nonempty += bool(got)
+    assert nonempty > 0
+
+
+def homogeneous_module(a, rng):
+    shifts = [rng.int_in(-2, 1) for _ in range(1 + rng.below(3))]
+    n = len(shifts)
+    twist = [[random_element_of_degree(a, 1 + shifts[j] - shifts[i], rng)
+              if j > i else a.zero() for i in range(n)] for j in range(n)]
+    return SemiFreeModule(a, shifts, twist, check=False)
+
+
+def catalog_modules(cat, count=3):
+    for name in CATALOG:
+        ent = cat[name]
+        for index in range(count):
+            rng = stream_for(41, 10 * index + len(name))
+            yield ent.algebra, random_perfect(ent.algebra, rng, ent.idempotents,
+                                              max_gens=3)
+
+
+def dg_modules(count=4):
+    for make in (exterior_algebra, square_zero_dg_algebra):
+        a = make()
+        rng = SplitMix64(len(a.labels))
+        for _ in range(count):
+            yield a, homogeneous_module(a, rng)
+
+
+def test_semifree_and_dual_right_tables_match_dense_products(cat):
+    for a, m in list(catalog_modules(cat)) + [(a, PerfectModule(m, check=False))
+                                                for a, m in dg_modules()]:
+        ex = m.module.to_explicit()
+        # e_t . (i, b) = (i, e_t e_b)
+        assert_action(ex, a.dim, lambda t, key: {
+            (key[0], b2): c for b2, c in nonzero(enumerate(product(a, t, key[1]))).items()})
+        # e_t . mu_key = sum_k2 [key](e_t . k2) mu_k2
+        dual = dual_right_module_data(m.module)
+        assert_action(dual, a.dim, lambda t, key: nonzero(
+            (k2, product(a, t, k2[1])[key[1]]) for k2 in ex.pos if k2[0] == key[0]))
+
+
+@pytest.mark.parametrize("name", CATALOG)
+def test_bimodule_tables_match_dense_products(cat, name):
+    a = cat[name].algebra
+    n = a.dim
+    dual = DualBimodule(a)
+    env = dual.env
+    # (p (x) q) . x = e_p x e_q
+    assert_action(diagonal_explicit(a, env), env.dim, lambda u, x: nonzero(
+        enumerate(product(a, u // n, x, u % n))))
+    # read through the swap: (p (x) q) . x = e_q x e_p
+    env_op = tensor_algebras(opposite(a), a)
+    assert_action(_opposite_diagonal_explicit(a, env_op), env.dim,
+                  lambda u, x: nonzero(enumerate(product(a, u % n, x, u // n))))
+    # (p (x) q) . phi_x = sum_y phi_x(e_q e_y e_p) phi_y
+    assert_action(dual.env_data, env.dim, lambda u, x: nonzero(
+        (y, product(a, u % n, y, u // n)[x]) for y in range(n)))
+    # phi . e_i = sum_y phi_x(e_i e_y) phi_y, over A^op
+    assert_action(dual.right_module_data(), n, lambda i, x: nonzero(
+        (y, product(a, i, y)[x]) for y in range(n)))
+    # e_i . phi_x = sum_y phi_x(e_y e_i) phi_y, also on S(M)'s keys (j, x)
+    def left(i, x):
+        return nonzero((y, product(a, y, i)[x]) for y in range(n))
+
+    assert_action(dual.left_module_data(), n, left)
+    for index in range(2):
+        m = random_perfect(a, stream_for(43, index), cat[name].idempotents,
+                           max_gens=2)
+        data, _ = serre_module_data(a, m, dual)
+        assert_action(data, n, lambda i, key: {
+            (key[0], y): c for y, c in left(i, key[1]).items()})
+
+
+def dense_restriction(src, tgt, degree, images):
+    """Blocks of e_b g_i -> (-1)^{n|b|} sum_j (e_b * images[i][j]) g_j,
+    products through AlgebraElement.__mul__."""
+    a = src.algebra
+    s_ex, t_ex = src.to_explicit(), tgt.to_explicit()
+    blocks = {p: [[F(0)] * len(keys) for _ in t_ex.basis.get(p + degree, ())]
+              for p, keys in s_ex.basis.items()}
+    for (i, b), (p, c) in s_ex.pos.items():
+        sgn = -1 if (degree * a.degrees[b]) % 2 else 1
+        for j, entry in enumerate(images[i]):
+            for b2, coeff in enumerate((a.basis_element(b) * entry).coords):
+                if coeff:
+                    q, r = t_ex.pos[(j, b2)]
+                    assert q == p + degree
+                    blocks[p][r][c] += sgn * coeff
+    return blocks
+
+
+@pytest.mark.parametrize("make", [exterior_algebra, square_zero_dg_algebra])
+def test_restrict_matches_dense_restriction(make):
+    a = make()
+    rng = SplitMix64(53)
+    odd_signs = 0
+    for _ in range(30):
+        m1, m2 = homogeneous_module(a, rng), homogeneous_module(a, rng)
+        for degree in (-1, 0, 1):
+            rows = [[random_element_of_degree(a, degree + m2.shifts[j] - m1.shifts[i], rng)
+                     for i in range(m1.rank)] for j in range(m2.rank)]
+            f = ModuleMap(m1, m2, degree, rows)
+            images = [[rows[j][i] for j in range(m2.rank)] for i in range(m1.rank)]
+            want = dense_restriction(m1, m2, degree, images)
+            got = f.restrict()
+            for p, block in want.items():
+                assert [list(r) for r in got.block(p).entries] == block
+            odd_signs += degree % 2 and any(
+                a.degrees[b] % 2 and not (a.basis_element(b) * e).is_zero()
+                for b in range(a.dim) for row in rows for e in row)
+    assert odd_signs > 0
+
+
+@pytest.mark.parametrize("make", [exterior_algebra, square_zero_dg_algebra])
+def test_realization_differential_is_d_a_plus_restricted_twist(make):
+    a = make()
+    rng = SplitMix64(59)
+    for _ in range(30):
+        m = homogeneous_module(a, rng)
+        ex = m.to_explicit()
+        images = [[m.twist[j][i] for j in range(m.rank)] for i in range(m.rank)]
+        want = dense_restriction(m, m, 1, images)
+        for (i, b), (p, c) in ex.pos.items():
+            for b2, coeff in enumerate(a.basis_element(b).d().coords):
+                if coeff:
+                    want[p][ex.pos[(i, b2)][1]][c] += coeff
+        for p, block in want.items():
+            assert [list(r) for r in ex.complex.d(p).entries] == block

@@ -128,6 +128,7 @@ def test_cli_validate(capsys):
     data = json.loads(out)
     assert data["results"]["A2"]["algebra"] == "valid"
     assert "acyclic" in data["results"]["A2"]["resolution"]
+    assert all("proper" not in entry for entry in data["results"].values())
 
 
 def test_cli_class_with_workspace(tmp_path, capsys):
