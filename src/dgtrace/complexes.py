@@ -20,8 +20,8 @@ from fractions import Fraction
 from typing import Dict, Mapping, Optional
 
 from .errors import DifferentialSquareViolation, DimensionMismatch, NotClosed, WrongDegree
-from .linalg import (ONE, ZERO, RationalMatrix, rank_kernel_image, rank_of, solve,
-                     solve_matrix)
+from .linalg import (ONE, ZERO, RationalMatrix, SubspacePresentation,
+                     quotient_presentation, rank_kernel_image, rank_of, solve_matrix)
 
 
 class GradedSpace:
@@ -286,7 +286,6 @@ class Cohomology:
     """
 
     def __init__(self, c: Complex):
-        from .linalg import SubspacePresentation, quotient_presentation
         self.complex = c
         self._kernel = {}
         self._project = {}
@@ -297,14 +296,13 @@ class Cohomology:
             kmat = RationalMatrix.from_columns(list(ker.basis), nrows=c.dim(p))
             # image of d^{p-1} inside kernel coordinates
             img_cols = []
-            dprev = c.d(p - 1)
             if c.dim(p - 1):
-                _, _, img = rank_kernel_image(dprev)
-                for v in img.basis:
-                    coords = solve(kmat, v)
-                    if coords is None:
-                        raise DifferentialSquareViolation(f"image not in kernel at {p}")
-                    img_cols.append(coords)
+                _, _, img = rank_kernel_image(c.d(p - 1))
+                coords = solve_matrix(
+                    kmat, RationalMatrix.from_columns(img.basis, nrows=c.dim(p)))
+                if coords is None:
+                    raise DifferentialSquareViolation(f"image not in kernel at {p}")
+                img_cols = coords.columns()
             sub = SubspacePresentation(kmat.cols, tuple(img_cols))
             proj, section = quotient_presentation(kmat.cols, sub)
             self._kernel[p] = kmat

@@ -26,7 +26,7 @@ from .complexes import (ChainMap, Complex, GradedSpace, SplitComplex, cone,
 from .errors import (AlgebraMismatch, DimensionMismatch, NotClosed,
                      NotDegreeZeroConcentrated)
 from .linalg import (ONE, ZERO, RationalMatrix, SubspacePresentation,
-                     echelon_basis, quotient_presentation, span_dim)
+                     echelon_basis, quotient_presentation, solve, span_dim)
 from .modules import (ExplicitModule, HomOverAlgebra, ModuleMap, PerfectModule,
                       SemiFreeModule, TensorOverAlgebra, outer_tensor_modules,
                       restrict_to_factor, semifree_map_to_explicit)
@@ -478,7 +478,6 @@ class EvaluationData:
         return self._eta
 
     def _lift_identity(self):
-        from .linalg import RationalMatrix, solve
         a = self.algebra
         m = self.m
         n = m.rank
@@ -531,9 +530,7 @@ class EvaluationData:
             row += [-dm1.entries[r][wcol] for wcol in range(dimm1_aug)]
             rows.append(row)
             rhs.append(t_vec[r])
-        mat = (RationalMatrix.from_rows(rows) if rows
-               else RationalMatrix.zeros(0, dim0 + dimm1_aug))
-        sol = solve(mat, rhs)
+        sol = solve(RationalMatrix(len(rows), dim0 + dimm1_aug, rows), rhs)
         if sol is None:
             raise DimensionMismatch("identity tensor does not lift")
         z = sol[:dim0]

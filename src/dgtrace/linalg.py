@@ -1,9 +1,12 @@
 """Exact linear algebra over arbitrary-precision rationals.
 
 Everything downstream (cohomology, quotients, trace pairings) reduces to
-ranks, kernels, images and solves of dense matrices over Q.  All pivoting is
-first-nonzero-in-column order, so every basis this module produces is
-deterministic and reproducible byte for byte.  No floating point anywhere.
+ranks, kernels, images and solves over Q.  One routine does all the row
+reduction: it takes the rows one at a time, reduces each against the pivot
+rows found so far on its nonzeros only, and keeps the result in reduced row
+echelon form.  That form depends only on the row space, so every basis this
+module produces is deterministic and reproducible byte for byte.  No
+floating point anywhere.
 
 >>> m = RationalMatrix.from_rows([[1, 2], [2, 4]])
 >>> rank_kernel_image(m)[0]
@@ -30,7 +33,9 @@ def _frac(x) -> Fraction:
 
 class RationalMatrix:
     """Dense matrix of rationals.  Immutable by convention: no method mutates
-    `self`, and callers must never write into `entries`."""
+    `self`, and callers must never write into `entries`.  The constructor
+    takes `Fraction` entries as they are; `from_rows` and `from_columns`
+    convert caller data."""
 
     __slots__ = ("rows", "cols", "entries")
 
@@ -39,13 +44,13 @@ class RationalMatrix:
             raise DimensionMismatch(f"expected {rows}x{cols} entries")
         self.rows = rows
         self.cols = cols
-        self.entries = tuple(tuple(_frac(x) for x in r) for r in entries)
+        self.entries = tuple(tuple(r) for r in entries)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> "RationalMatrix":
         r = len(rows)
         c = len(rows[0]) if r else 0
-        return cls(r, c, rows)
+        return cls(r, c, [[_frac(x) for x in row] for row in rows])
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "RationalMatrix":
@@ -57,12 +62,13 @@ class RationalMatrix:
 
     @classmethod
     def from_columns(cls, cols: Sequence[Sequence], nrows: Optional[int] = None) -> "RationalMatrix":
-        if not cols:
-            if nrows is None:
+        if nrows is None:
+            if not cols:
                 raise DimensionMismatch("from_columns with no columns needs nrows")
-            return cls.zeros(nrows, 0)
-        n = len(cols[0])
-        return cls(n, len(cols), [[cols[j][i] for j in range(len(cols))] for i in range(n)])
+            nrows = len(cols[0])
+        if any(len(c) != nrows for c in cols):
+            raise DimensionMismatch(f"every column must have length {nrows}")
+        return cls(nrows, len(cols), [[_frac(c[i]) for c in cols] for i in range(nrows)])
 
     def column(self, j: int) -> tuple:
         return tuple(self.entries[i][j] for i in range(self.rows))
@@ -159,49 +165,60 @@ class SubspacePresentation:
         return len(self.basis)
 
 
-def _rref_inplace(rows: list, ncols: int) -> list:
-    """Reduced row echelon form, first-nonzero pivoting.  Returns pivot
-    column indices; `rows` is mutated and trimmed rows stay in place."""
-    pivots = []
-    r = 0
-    nrows = len(rows)
-    for c in range(ncols):
-        pr = -1
-        for i in range(r, nrows):
-            if rows[i][c]:
-                pr = i
-                break
-        if pr < 0:
+def _echelon(rows: Iterable[Sequence], ncols: int) -> list:
+    """The one elimination routine: the reduced row echelon form of `rows`
+    as a list of (pivot column, row) in pivot order, each row a sparse
+    {column: value} dict with value 1 at its pivot.
+
+    Rows are taken one at a time.  A new row is reduced against the pivot
+    rows found so far, reading only its nonzeros; if something is left, it
+    is normalised at its first nonzero and that column is cleared from the
+    earlier pivot rows.  The RREF depends only on the row space, so the
+    order of the rows cannot change the result."""
+    echelon = {}  # pivot column -> fully reduced row
+    for vec in rows:
+        if len(vec) != ncols:
+            raise DimensionMismatch(f"row of length {len(vec)}, expected {ncols}")
+        row = {j: _frac(x) for j, x in enumerate(vec) if x}
+        for p in [j for j in row if j in echelon]:
+            _axpy(row, -row[p], echelon[p])
+        if not row:
             continue
-        if pr != r:
-            rows[r], rows[pr] = rows[pr], rows[r]
-        piv = rows[r][c]
+        p = min(row)
+        piv = row[p]
         if piv != 1:
-            rr = rows[r]
-            for j in range(c, ncols):
-                if rr[j]:
-                    rr[j] = rr[j] / piv
-        rr = rows[r]
-        for i in range(nrows):
-            if i != r:
-                f = rows[i][c]
-                if f:
-                    ri = rows[i]
-                    for j in range(c, ncols):
-                        if rr[j]:
-                            ri[j] -= f * rr[j]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return pivots
+            row = {j: x / piv for j, x in row.items()}
+        for er in echelon.values():
+            f = er.get(p)
+            if f:
+                _axpy(er, -f, row)
+        echelon[p] = row
+    return sorted(echelon.items())
+
+
+def _axpy(y: dict, c: Fraction, x: dict) -> None:
+    """y += c * x on sparse rows, dropping the entries that cancel."""
+    for j, v in x.items():
+        w = y.get(j, ZERO) + c * v
+        if w:
+            y[j] = w
+        else:
+            del y[j]
+
+
+def _dense(row: dict, ncols: int) -> tuple:
+    out = [ZERO] * ncols
+    for j, x in row.items():
+        out[j] = x
+    return tuple(out)
 
 
 def rref(m: RationalMatrix):
     """(rref matrix, pivot columns) of m."""
-    rows = [list(r) for r in m.entries]
-    pivots = _rref_inplace(rows, m.cols)
-    return RationalMatrix(m.rows, m.cols, rows), pivots
+    red = _echelon(m.entries, m.cols)
+    rows = [_dense(row, m.cols) for _, row in red]
+    rows += [(ZERO,) * m.cols] * (m.rows - len(rows))
+    return RationalMatrix(m.rows, m.cols, rows), [p for p, _ in red]
 
 
 def rank_kernel_image(m: RationalMatrix):
@@ -211,52 +228,52 @@ def rank_kernel_image(m: RationalMatrix):
     vector per free column, deterministic); image basis is the original pivot
     columns, so rank + dim kernel = cols and dim image = rank.
     """
-    red, pivots = rref(m)
-    rank = len(pivots)
+    red = _echelon(m.entries, m.cols)
+    pivots = [p for p, _ in red]
     pivot_set = set(pivots)
-    free_cols = [c for c in range(m.cols) if c not in pivot_set]
     kernel_basis = []
-    for f in free_cols:
+    for f in range(m.cols):
+        if f in pivot_set:
+            continue
         v = [ZERO] * m.cols
         v[f] = ONE
-        for t, p in enumerate(pivots):
-            v[p] = -red.entries[t][f]
+        for p, row in red:
+            v[p] = -row.get(f, ZERO)
         kernel_basis.append(tuple(v))
     image_basis = [m.column(p) for p in pivots]
-    return (rank,
+    return (len(pivots),
             SubspacePresentation(m.cols, tuple(kernel_basis)),
             SubspacePresentation(m.rows, tuple(image_basis)))
 
 
 def rank_of(m: RationalMatrix) -> int:
-    rows = [list(r) for r in m.entries]
-    return len(_rref_inplace(rows, m.cols))
+    return len(_echelon(m.entries, m.cols))
 
 
-def solve(m: RationalMatrix, b: Sequence[Fraction]) -> Optional[tuple]:
+def solve(m: RationalMatrix, b: Sequence) -> Optional[tuple]:
     """One exact solution of m x = b, or None when b is outside the column
     span.  Free variables are set to zero, so the answer is deterministic."""
-    if len(b) != m.rows:
-        raise DimensionMismatch("right-hand side has wrong length")
-    aug = [list(r) + [_frac(b[i])] for i, r in enumerate(m.entries)]
-    pivots = _rref_inplace(aug, m.cols + 1)
-    if pivots and pivots[-1] == m.cols:
-        return None
-    x = [ZERO] * m.cols
-    for t, p in enumerate(pivots):
-        x[p] = aug[t][m.cols]
-    return tuple(x)
+    x = solve_matrix(m, RationalMatrix.from_columns([b], nrows=m.rows))
+    return None if x is None else x.column(0)
 
 
 def solve_matrix(m: RationalMatrix, rhs: RationalMatrix) -> Optional[RationalMatrix]:
-    """Solve m X = rhs column by column; None if any column is inconsistent."""
-    cols = []
-    for j in range(rhs.cols):
-        x = solve(m, rhs.column(j))
-        if x is None:
-            return None
-        cols.append(x)
-    return RationalMatrix.from_columns(cols, nrows=m.cols)
+    """One exact solution X of m X = rhs, or None if any column of rhs is
+    outside the column span of m.  One elimination of [m | rhs]: the system
+    is inconsistent exactly when a pivot lands in the rhs columns, and
+    otherwise X[p] is the rhs part of pivot row p (free variables zero)."""
+    if rhs.rows != m.rows:
+        raise DimensionMismatch("right-hand side has wrong length")
+    n = m.cols
+    red = _echelon([r + s for r, s in zip(m.entries, rhs.entries)], n + rhs.cols)
+    if red and red[-1][0] >= n:
+        return None
+    x = [[ZERO] * rhs.cols for _ in range(n)]
+    for p, row in red:
+        for j, v in row.items():
+            if j >= n:
+                x[p][j - n] = v
+    return RationalMatrix(n, rhs.cols, x)
 
 
 def quotient_presentation(ambient_dim: int, sub: SubspacePresentation):
@@ -270,13 +287,10 @@ def quotient_presentation(ambient_dim: int, sub: SubspacePresentation):
     if sub.ambient_dim != ambient_dim:
         raise DimensionMismatch("subspace lives in a different ambient space")
     if sub.basis:
-        w = RationalMatrix.from_rows([list(v) for v in sub.basis])
-        _, ker, _ = rank_kernel_image(w)
-        proj_rows = [list(v) for v in ker.basis]
+        _, ker, _ = rank_kernel_image(RationalMatrix.from_rows(sub.basis))
+        proj = RationalMatrix(ker.dim, ambient_dim, ker.basis)
     else:
-        proj_rows = [list(r) for r in RationalMatrix.identity(ambient_dim).entries]
-    proj = (RationalMatrix.from_rows(proj_rows) if proj_rows
-            else RationalMatrix.zeros(0, ambient_dim))
+        proj = RationalMatrix.identity(ambient_dim)
     q = proj.rows
     section = solve_matrix(proj, RationalMatrix.identity(q))
     if section is None:  # cannot happen: proj has full row rank
@@ -284,28 +298,12 @@ def quotient_presentation(ambient_dim: int, sub: SubspacePresentation):
     return proj, section
 
 
-def echelon_basis(vectors: Iterable[Sequence[Fraction]], ambient_dim: int) -> list:
-    """Independent spanning subset of the vectors in echelon form, one row
-    per pivot in pivot order, built incrementally (cheap for sparse input)."""
-    echelon = []  # list of (pivot index, row) kept reduced
-    for vec in vectors:
-        row = [_frac(x) for x in vec]
-        for p, er in echelon:
-            f = row[p]
-            if f:
-                for j in range(p, ambient_dim):
-                    if er[j]:
-                        row[j] -= f * er[j]
-        p = next((j for j, x in enumerate(row) if x), -1)
-        if p >= 0:
-            piv = row[p]
-            if piv != 1:
-                row = [x / piv for x in row]
-            echelon.append((p, row))
-            echelon.sort(key=lambda t: t[0])
-    return [tuple(r) for _, r in echelon]
+def echelon_basis(vectors: Iterable[Sequence], ambient_dim: int) -> list:
+    """The nonzero rows of the reduced row echelon form of the vectors, one
+    per pivot in pivot order: a basis of their span."""
+    return [_dense(row, ambient_dim) for _, row in _echelon(vectors, ambient_dim)]
 
 
-def span_dim(vectors: Iterable[Sequence[Fraction]], ambient_dim: int) -> int:
+def span_dim(vectors: Iterable[Sequence], ambient_dim: int) -> int:
     """Dimension of the span."""
-    return len(echelon_basis(vectors, ambient_dim))
+    return len(_echelon(vectors, ambient_dim))

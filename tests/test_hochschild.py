@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from dgtrace.catalog import catalog_entry
-from dgtrace.complexes import chain_supertrace
+from dgtrace.complexes import chain_supertrace, euler_trace
 from dgtrace.errors import (IdempotentIncompatible, NotClosed,
                             NotDegreeZeroConcentrated)
 from dgtrace.hochschild import (euler_class, hh0_space, hh_class,
@@ -101,13 +101,15 @@ def test_hh_class_requires_closed(a2):
     m = cone_module(ModuleMap(free_module(a2, [0]).module,
                               free_module(a2, [0]).module, 0,
                               [[a2.by_label("a")]]))
-    # a generic non-closed endomorphism: the matrix unit moving the cone
-    # generator, not commuting with the twist
-    entries = [[a2.zero(), a2.zero()], [a2.zero(), a2.by_label("e1")]]
+    # a non-closed endomorphism: e2 on the second cone generator does not
+    # commute with the twist a
+    entries = [[a2.zero(), a2.zero()], [a2.zero(), a2.by_label("e2")]]
     f = ModuleMap(m.module, m.module, 0, entries)
-    if not f.is_closed():
-        with pytest.raises(NotClosed):
-            hh_class(m, f)
+    assert not f.is_closed()
+    with pytest.raises(NotClosed):
+        hh_class(m, f)
+    with pytest.raises(NotClosed):
+        euler_trace(f.restrict())
 
 
 def test_hh_class_idempotent_compatibility(a2):

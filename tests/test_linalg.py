@@ -1,11 +1,22 @@
 from fractions import Fraction
 
+import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dgtrace.algebras import opposite
+from dgtrace.complexes import cone
+from dgtrace.errors import DimensionMismatch
 from dgtrace.linalg import (RationalMatrix, SubspacePresentation,
-                            quotient_presentation, rank_kernel_image, rank_of,
-                            solve, span_dim)
+                            echelon_basis, quotient_presentation,
+                            rank_kernel_image, rank_of, rref, solve,
+                            solve_matrix, span_dim)
+from dgtrace.modules import (ExplicitModule, ModuleMap, cone_module,
+                             free_module, hom_over_algebra,
+                             tensor_over_algebra)
+from dgtrace.prng import SplitMix64
+from dgtrace.sampling import random_closed_pair, random_perfect
 
 F = Fraction
 
@@ -113,3 +124,156 @@ def test_quotient_of_kernel_annihilates(rows):
 def test_span_dim_matches_rank():
     rows = [[1, 2, 3], [2, 4, 6], [0, 1, 1]]
     assert span_dim([tuple(F(x) for x in r) for r in rows], 3) == 2
+
+
+def test_from_columns_rejects_malformed_columns():
+    with pytest.raises(DimensionMismatch):
+        RationalMatrix.from_columns([[1, 2], [3, 4, 5]])  # longer later column
+    with pytest.raises(DimensionMismatch):
+        RationalMatrix.from_columns([[1, 2], [3]])  # shorter later column
+    with pytest.raises(DimensionMismatch):
+        RationalMatrix.from_columns([[1, 2], [3, 4]], nrows=3)
+    assert RationalMatrix.from_columns([], nrows=2) == RationalMatrix.zeros(2, 0)
+
+
+def test_echelon_rejects_vectors_of_wrong_length():
+    with pytest.raises(DimensionMismatch):
+        span_dim([[F(0), F(0), F(1)]], 2)
+    with pytest.raises(DimensionMismatch):
+        echelon_basis([[F(1), F(0)], [F(1)]], 2)
+    with pytest.raises(DimensionMismatch):
+        solve(RationalMatrix.identity(2), (F(1),))
+
+
+# -- sympy oracle for the entry points test_linalg_sympy.py does not cover --
+
+SHAPES = [(0, 0), (0, 3), (3, 0), (1, 1), (2, 5), (5, 2), (4, 4), (6, 7),
+          (7, 6)]
+
+
+def random_matrix(rng, rows, cols):
+    """Sparse-ish random rationals: about half the entries are zero."""
+    return RationalMatrix(rows, cols, [
+        [F(rng.int_in(-4, 4), rng.int_in(1, 3)) if rng.below(2) else F(0)
+         for _ in range(cols)] for _ in range(rows)])
+
+
+def cases(rng):
+    """Random matrices of every shape, full rank and rank deficient."""
+    for rows, cols in SHAPES:
+        yield random_matrix(rng, rows, cols)
+        for rank in range(1, min(rows, cols)):
+            yield random_matrix(rng, rows, rank) @ random_matrix(rng, rank, cols)
+
+
+def sym(m: RationalMatrix):
+    return sympy.Matrix(m.rows, m.cols,
+                        [sympy.Rational(x.numerator, x.denominator)
+                         for row in m.entries for x in row])
+
+
+def frac_rows(s):
+    return [tuple(F(int(x.p), int(x.q)) for x in s.row(i)) for i in range(s.rows)]
+
+
+@pytest.mark.parametrize("seed", [4, 5, 6])
+def test_solve_matrix_matches_sympy(seed):
+    """The solution with free variables zero, as sympy's Gauss-Jordan solve
+    gives it with every parameter set to zero."""
+    rng = SplitMix64(seed)
+    for m in cases(rng):
+        rhs = m @ random_matrix(rng, m.cols, 3)
+        x = solve_matrix(m, rhs)
+        if m.rows and m.cols:
+            sol, params = sym(m).gauss_jordan_solve(sym(rhs))
+            want = sol.subs({t: 0 for t in params})
+            assert x == RationalMatrix(m.cols, 3, frac_rows(want))
+        assert m @ x == rhs
+
+
+@pytest.mark.parametrize("seed", [4, 5, 6])
+def test_solve_matrix_inconsistent_last_column(seed):
+    rng = SplitMix64(seed)
+    for m in cases(rng):
+        rank = rank_of(m)
+        if rank == m.rows:
+            continue  # every right-hand side is consistent
+        good = (m @ random_matrix(rng, m.cols, 2)).columns()
+        bad = next(v for v in RationalMatrix.identity(m.rows).columns()
+                   if sym(m).row_join(sympy.Matrix(v)).rank() > rank)
+        rhs = RationalMatrix.from_columns(good + [bad], nrows=m.rows)
+        with pytest.raises(ValueError):
+            sym(m).gauss_jordan_solve(sym(rhs))
+        assert solve_matrix(m, rhs) is None
+        assert solve_matrix(m, RationalMatrix.from_columns(good, nrows=m.rows)) is not None
+
+
+@pytest.mark.parametrize("seed", [4, 5, 6])
+def test_echelon_basis_rank_span_match_sympy(seed):
+    rng = SplitMix64(seed)
+    for m in cases(rng):
+        s = sym(m)
+        s_red, s_pivots = s.rref()
+        nonzero = frac_rows(s_red)[:len(s_pivots)]
+        assert echelon_basis(m.entries, m.cols) == nonzero
+        assert rank_of(m) == s.rank() == len(s_pivots)
+        assert span_dim(list(m.entries), m.cols) == s.rank()
+        assert span_dim(m.columns(), m.rows) == s.rank()
+
+
+def _all_fractions(values):
+    assert all(type(x) is Fraction for x in values)
+
+
+def _entries(m: RationalMatrix):
+    return (x for row in m.entries for x in row)
+
+
+def test_public_values_are_fractions():
+    """Integer input is converted at the boundary; every value the public
+    functions return is a Fraction."""
+    ints = [[1, 2, 0, 3], [2, 4, 0, 6], [0, 1, 1, 0]]
+    m = RationalMatrix.from_rows(ints)
+    _all_fractions(_entries(m))
+    _all_fractions(_entries(RationalMatrix.from_columns(ints)))
+    red, _ = rref(m)
+    _all_fractions(_entries(red))
+    _, ker, img = rank_kernel_image(m)
+    _all_fractions(x for v in ker.basis + img.basis for x in v)
+    _all_fractions(solve(m, (1, 2, 0)))
+    _all_fractions(_entries(solve_matrix(m, RationalMatrix.from_rows([[1], [2], [5]]))))
+    proj, section = quotient_presentation(4, ker)
+    _all_fractions(list(_entries(proj)) + list(_entries(section)))
+    _all_fractions(x for v in echelon_basis(ints, 4) for x in v)
+    _all_fractions(_entries(m.transpose() @ m.scale(3) + m.transpose() @ m))
+
+
+def test_realizations_hold_fractions(cat):
+    """Module realizations build their blocks with the unconverting
+    constructor; every entry must still be a Fraction."""
+    mats = []
+    for ent in cat.values():
+        ex = ExplicitModule.from_semifree(ent.resolution.module.module)
+        mats += ex.complex.diff.values()
+    rng = SplitMix64(8)
+    for name in ("A2", "Kronecker"):
+        ent = cat[name]
+        aop = opposite(ent.algebra)
+        m = random_perfect(ent.algebra, rng, ent.idempotents, max_gens=3)
+        n = random_perfect(aop, rng, ent.idempotents, max_gens=3)
+        for split in (tensor_over_algebra(n, m), hom_over_algebra(m, m)):
+            mats += split.carrier.diff.values()
+            if split.projector is not None:
+                mats += split.projector.blocks.values()
+        _, _, g, _ = random_closed_pair(ent.algebra, rng)
+        cm = cone_module(g)
+        mats += cm.module.to_explicit().complex.diff.values()
+        cx, incl, proj = cone(g.restrict())
+        mats += cx.diff.values()
+        mats += incl.blocks.values()
+        mats += proj.blocks.values()
+    a2 = cat["A2"].algebra
+    mats += ModuleMap.identity(free_module(a2, [0, 1]).module).restrict().blocks.values()
+    assert mats
+    for mat in mats:
+        _all_fractions(_entries(mat))
