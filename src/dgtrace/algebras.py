@@ -325,12 +325,7 @@ def tensor_algebras(a: DgAlgebra, b: DgAlgebra,
                     entries.append((k * nb + l, sgn * ca * cb))
             key = (i * nb + j, ip * nb + jp)
             mult[key] = mult.get(key, ()) + tuple(entries)
-    unit = [ZERO] * (a.dim * nb)
-    for i, ca in enumerate(a.unit):
-        if ca:
-            for j, cb in enumerate(b.unit):
-                if cb:
-                    unit[i * nb + j] = ca * cb
+    unit = pure_tensor(a.unit, b.unit)
     diff: Dict[int, SparseVec] = {}
     for i in range(a.dim):
         for j in range(nb):
@@ -343,6 +338,19 @@ def tensor_algebras(a: DgAlgebra, b: DgAlgebra,
             if entries:
                 diff[i * nb + j] = tuple(entries)
     return DgAlgebra(labels, degrees, mult, unit, diff)
+
+
+def pure_tensor(x: Sequence[Fraction], y: Sequence[Fraction]) -> Coords:
+    """The coordinates of x (x) y in tensor_algebras(a, b), x and y given
+    by their coordinates over a and b: x_i y_j at flat index i*dim(b)+j."""
+    nb = len(y)
+    ys = sparse(y)
+    out = [ZERO] * (len(x) * nb)
+    for i, cx in enumerate(x):
+        if cx:
+            for j, cy in ys:
+                out[i * nb + j] = cx * cy
+    return tuple(out)
 
 
 def enveloping(a: DgAlgebra) -> Tuple[DgAlgebra, DgAlgebra]:

@@ -175,11 +175,10 @@ class ChainMap:
 
     def is_closed(self) -> bool:
         n = self.degree
-        sgn = ONE if n % 2 == 0 else -ONE
         for p in self.source.degrees():
             lhs = self.target.d(p + n) @ self.block(p)
-            rhs = (self.block(p + 1) @ self.source.d(p)).scale(sgn)
-            if lhs != rhs:
+            rhs = self.block(p + 1) @ self.source.d(p)
+            if lhs != (-rhs if n % 2 else rhs):
                 return False
         return True
 

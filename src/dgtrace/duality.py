@@ -28,8 +28,9 @@ from .errors import (AlgebraMismatch, DimensionMismatch, NotClosed,
 from .linalg import (ONE, ZERO, RationalMatrix, SubspacePresentation,
                      echelon_basis, quotient_presentation, solve, span_dim)
 from .modules import (ExplicitModule, HomOverAlgebra, ModuleMap, PerfectModule,
-                      SemiFreeModule, TensorOverAlgebra, outer_tensor_modules,
-                      restrict_to_factor, semifree_map_to_explicit)
+                      SemiFreeModule, TensorOverAlgebra, outer_tensor_entries,
+                      outer_tensor_modules, restrict_to_factor,
+                      semifree_map_to_explicit)
 
 
 def half_sign(s: int) -> Fraction:
@@ -429,7 +430,7 @@ class EvaluationData:
             raise NotDegreeZeroConcentrated("evaluation data in degree 0 only")
         self.algebra = a
         self.m = m
-        dm = dualize(m)
+        self.dual = dm = dualize(m)
         x_mod, env, index = outer_tensor_modules(
             m, _reinterpret_over(dm, a), prod=None)
         # the second factor of the outer tensor must be over A^op; dualize
@@ -567,8 +568,7 @@ class EvaluationData:
         step = self.eta_coords
         target_hom = HomOverAlgebra(self.omega_inv.module, self.diag)
         if f is not None:
-            fx = _outer_map_first_factor(self.x, f, self.index,
-                                         self.dual_storage)
+            fx = _outer_map_first_factor(self.x, f, self.index, self.dual)
             carry = self.hom.postcompose_into(self.hom, fx.restrict())
             step = carry.block(0).apply(step)
         carry = self.hom.postcompose_into(target_hom, self.eps_chain)
@@ -625,28 +625,11 @@ def _opposite_diagonal_explicit(a: DgAlgebra, env_op: DgAlgebra) -> ExplicitModu
 
 
 def _outer_map_first_factor(x: PerfectModule, f: ModuleMap, index,
-                            dual_storage) -> ModuleMap:
+                            dual: PerfectModule) -> ModuleMap:
     """f (x) id on the outer tensor M (x) D_A M (degree-0 entries)."""
-    env = x.module.algebra
-    n_env = env.dim
-    a_dim = f.source.algebra.dim
-    rank = x.module.rank
-    zero = env.zero()
-    rows = [[zero for _ in range(rank)] for _ in range(rank)]
-    for (i, jslot), col in index.items():
-        for i2 in range(f.target.rank):
-            entry = f.entries[i2][i]
-            if entry.is_zero():
-                continue
-            out = [ZERO] * n_env
-            for p, cp in enumerate(entry.coords):
-                if cp:
-                    for q, cq in enumerate(opposite(f.source.algebra).unit):
-                        if cq:
-                            out[p * a_dim + q] += cp * cq
-            row = index[(i2, jslot)]
-            rows[row][col] = rows[row][col] + env.element(out)
-    return ModuleMap(x.module, x.module, 0, rows, check=False)
+    return ModuleMap(x.module, x.module, 0, outer_tensor_entries(
+        x.module.algebra, index, f.entries,
+        ModuleMap.identity(dual.module).entries), check=False)
 
 
 def coevaluation_and_evaluation(m: PerfectModule, resolution) -> EvaluationData:
@@ -687,8 +670,6 @@ def dualhom_check(n: PerfectModule, m: PerfectModule) -> DualHomReport:
             sgn = ONE if ((-p) * gi_deg) % 2 == 0 else -ONE
             rows[t][c] += sgn
         blocks[p] = RationalMatrix(lhs.dim(p), len(keys), rows)
-    comparison = ChainMap(rhs, lhs, 0, blocks)
-    if not comparison.is_closed():
-        raise NotClosed("dualhom comparison map is not a chain map")
-    cn, _, _ = cone(comparison)
+    # cone raises NotClosed when the comparison is not a chain map
+    cn, _, _ = cone(ChainMap(rhs, lhs, 0, blocks))
     return DualHomReport(cohomology_dims(lhs), cohomology_dims(rhs), is_acyclic(cn))

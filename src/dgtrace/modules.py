@@ -22,7 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .algebras import (AlgebraElement, DgAlgebra, SparseVec, sparse,
+from .algebras import (AlgebraElement, DgAlgebra, SparseVec, pure_tensor, sparse,
                        tensor_algebras)
 from .complexes import (ChainMap, Complex, GradedSpace, SplitComplex)
 from .errors import (AlgebraMismatch, DegreeViolation, DimensionMismatch,
@@ -51,6 +51,13 @@ def _sparse_entries(a: DgAlgebra, rows: Sequence[Sequence[Entry]],
             srow.append(vec)
         out.append(srow)
     return out
+
+
+def _sparse_columns(rows: Sequence[Sequence[SparseVec]], ncols: int) -> List[List]:
+    """Per column i of a matrix of sparse vectors, its nonzero entries as
+    (j, vec), j ascending."""
+    return [[(j, row[i]) for j, row in enumerate(rows) if row[i]]
+            for i in range(ncols)]
 
 
 def _nonzero_columns(rows: Sequence[Sequence[Entry]], ncols: int):
@@ -317,11 +324,11 @@ class ModuleMap:
         if other.target is not self.source and other.target != self.source:
             raise DimensionMismatch("module map composition mismatch")
         a = self.source.algebra
-        first = _sparse_entries(a, other.entries,
-                                (lambda d: d) if self.degree % 2 else None)
+        first = _sparse_columns(_sparse_entries(
+            a, other.entries, (lambda d: d) if self.degree % 2 else None),
+            other.source.rank)
         second = _sparse_entries(a, self.entries)
-        rows = [[_sum_products(a, ((first[j][i], second[l][j])
-                                   for j in range(other.target.rank)))
+        rows = [[_sum_products(a, ((u, second[l][j]) for j, u in first[i]))
                  for i in range(other.source.rank)]
                 for l in range(self.target.rank)]
         return ModuleMap(other.source, self.target, self.degree + other.degree,
@@ -336,13 +343,14 @@ class ModuleMap:
         n = self.degree
         src, tgt = self.source, self.target
         phi = _sparse_entries(a, self.entries)
-        phi_signed = _sparse_entries(a, self.entries, lambda d: d)
+        phi_signed = _sparse_columns(_sparse_entries(a, self.entries, lambda d: d),
+                                     src.rank)
         twist_n = _sparse_entries(a, tgt.twist)
-        twist_m = _sparse_entries(a, src.twist, lambda d: n * (d + 1) + 1)
-        rows = [[_sum_products(a, [(phi_signed[j][i], twist_n[l][j])
-                                   for j in range(tgt.rank)]
-                               + [(twist_m[j][i], phi[l][j])
-                                  for j in range(src.rank)],
+        twist_m = _sparse_columns(_sparse_entries(a, src.twist,
+                                                  lambda d: n * (d + 1) + 1),
+                                  src.rank)
+        rows = [[_sum_products(a, [(u, twist_n[l][j]) for j, u in phi_signed[i]]
+                               + [(u, phi[l][j]) for j, u in twist_m[i]],
                                start=a.differential(self.entries[l][i].coords))
                  for i in range(src.rank)]
                 for l in range(tgt.rank)]
@@ -478,45 +486,30 @@ def direct_sum_modules(p1: PerfectModule, p2: PerfectModule) -> PerfectModule:
     a = m1.algebra
     if not a.same_structure(m2.algebra):
         raise AlgebraMismatch("direct sum across different algebras")
-    n1, n2 = m1.rank, m2.rank
     shifts = list(m1.shifts) + list(m2.shifts)
     labels = [f"{l}.1" for l in m1.labels] + [f"{l}.2" for l in m2.labels]
-    tw = [[a.zero() for _ in range(n1 + n2)] for _ in range(n1 + n2)]
-    for j in range(n1):
-        for i in range(n1):
-            tw[j][i] = m1.twist[j][i]
-    for j in range(n2):
-        for i in range(n2):
-            tw[n1 + j][n1 + i] = m2.twist[j][i]
-    mod = SemiFreeModule(a, shifts, tw, labels)
+    psum = PerfectModule(SemiFreeModule(a, shifts, _block_diagonal(
+        a, m1.twist, m2.twist), labels))
     if p1.idempotent is None and p2.idempotent is None:
-        return PerfectModule(mod)
-    e1 = p1.identity_map()
-    e2 = p2.identity_map()
-    rows = [[a.zero() for _ in range(n1 + n2)] for _ in range(n1 + n2)]
-    for j in range(n1):
-        for i in range(n1):
-            rows[j][i] = e1.entries[j][i]
-    for j in range(n2):
-        for i in range(n2):
-            rows[n1 + j][n1 + i] = e2.entries[j][i]
-    return PerfectModule(mod, ModuleMap(mod, mod, 0, rows))
+        return psum
+    idem = direct_sum_maps(p1, p2, psum, p1.identity_map(), p2.identity_map())
+    return PerfectModule(psum.module, idem)
 
 
 def direct_sum_maps(p1: PerfectModule, p2: PerfectModule, psum: PerfectModule,
                     f1: ModuleMap, f2: ModuleMap) -> ModuleMap:
     """f1 (+) f2 as an endomorphism of a direct sum built by
     direct_sum_modules (endomorphism case only)."""
-    a = psum.algebra
-    n1, n2 = p1.rank, p2.rank
-    rows = [[a.zero() for _ in range(n1 + n2)] for _ in range(n1 + n2)]
-    for j in range(n1):
-        for i in range(n1):
-            rows[j][i] = f1.entries[j][i]
-    for j in range(n2):
-        for i in range(n2):
-            rows[n1 + j][n1 + i] = f2.entries[j][i]
-    return ModuleMap(psum.module, psum.module, 0, rows)
+    return ModuleMap(psum.module, psum.module, 0,
+                     _block_diagonal(psum.algebra, f1.entries, f2.entries))
+
+
+def _block_diagonal(a: DgAlgebra, x: Sequence[Sequence[Entry]],
+                    y: Sequence[Sequence[Entry]]) -> List[List[Entry]]:
+    """The square matrix [[x, 0], [0, y]] over A."""
+    zero = a.zero()
+    return ([list(row) + [zero] * len(y) for row in x]
+            + [[zero] * len(x) + list(row) for row in y])
 
 
 def restrict_to_ground(p: PerfectModule) -> SplitComplex:
@@ -636,13 +629,31 @@ def right_multiplication_map(p: PerfectModule, restricted: PerfectModule,
 # Outer tensor of modules over different algebras
 # ---------------------------------------------------------------------------
 
+def outer_tensor_entries(prod: DgAlgebra, index: Dict, x: Sequence[Sequence[Entry]],
+                         y: Sequence[Sequence[Entry]]) -> List[List[Entry]]:
+    """The matrix x (x) y over prod = tensor_algebras(R, S) of square
+    matrices x over R and y over S, on the generators index[(i, j)]: entry
+    (index[(i2, j2)], index[(i, j)]) is x[i2][i] (x) y[j2][j]."""
+    zero = prod.zero()
+    rows = [[zero] * len(index) for _ in index]
+    x_cols, y_cols = ([[(j, row[i].coords) for j, row in enumerate(z)
+                        if not row[i].is_zero()] for i in range(len(z))]
+                      for z in (x, y))
+    for (i, j), col in index.items():
+        for i2, u in x_cols[i]:
+            for j2, v in y_cols[j]:
+                rows[index[(i2, j2)]][col] = AlgebraElement(prod, pure_tensor(u, v))
+    return rows
+
+
 def outer_tensor_modules(p1: PerfectModule, p2: PerfectModule,
                          prod: Optional[DgAlgebra] = None) -> Tuple[PerfectModule, DgAlgebra, Dict]:
     """m1 (x)_k m2 as a module over tensor_algebras(R, S).
 
     Generators (i, j) ordered i-major, shifts add, twist
-    delta1 (x) 1 + (-1)^{s_i} 1 (x) delta2.  Degree-0 algebras only (the sign
-    bookkeeping for graded coefficients is not carried here).
+    delta1 (x) 1 + diag((-1)^{s_i}) (x) delta2, idempotent e1 (x) e2.
+    Degree-0 algebras only (the sign bookkeeping for graded coefficients is
+    not carried here).
     """
     r, s = p1.algebra, p2.algebra
     if not (r.is_degree_zero() and s.is_degree_zero()):
@@ -650,75 +661,21 @@ def outer_tensor_modules(p1: PerfectModule, p2: PerfectModule,
     if prod is None:
         prod = tensor_algebras(r, s)
     m1, m2 = p1.module, p2.module
-    n1, n2 = m1.rank, m2.rank
-    ns = s.dim
-    gens = [(i, j) for i in range(n1) for j in range(n2)]
+    gens = [(i, j) for i in range(m1.rank) for j in range(m2.rank)]
     index = {g: t for t, g in enumerate(gens)}
     shifts = [m1.shifts[i] + m2.shifts[j] for (i, j) in gens]
     labels = [f"{m1.labels[i]}(x){m2.labels[j]}" for (i, j) in gens]
-
-    def embed1(e: Entry):
-        out = [ZERO] * prod.dim
-        for pidx, c in enumerate(e.coords):
-            if c:
-                for qidx, cu in enumerate(s.unit):
-                    if cu:
-                        out[pidx * ns + qidx] += c * cu
-        return prod.element(out)
-
-    def embed2(e: Entry):
-        out = [ZERO] * prod.dim
-        for qidx, c in enumerate(e.coords):
-            if c:
-                for pidx, cu in enumerate(r.unit):
-                    if cu:
-                        out[pidx * ns + qidx] += c * cu
-        return prod.element(out)
-
-    def assemble(rows1, rows2, koszul: bool):
-        rows = [[prod.zero() for _ in gens] for _ in gens]
-        for (i, j) in gens:
-            col = index[(i, j)]
-            for i2 in range(n1):
-                e = rows1[i2][i]
-                if not e.is_zero():
-                    rows[index[(i2, j)]][col] = rows[index[(i2, j)]][col] + embed1(e)
-            sgn = ONE
-            if koszul and m1.shifts[i] % 2 != 0:
-                sgn = -ONE
-            for j2 in range(n2):
-                e = rows2[j2][j]
-                if not e.is_zero():
-                    rows[index[(i, j2)]][col] = (rows[index[(i, j2)]][col]
-                                                 + embed2(e).scale(sgn))
-        return rows
-
-    tw = assemble(m1.twist, m2.twist, koszul=True)
+    signs = [[r.one().scale(-1 if s1 % 2 else 1) if i == i2 else r.zero()
+              for i, s1 in enumerate(m1.shifts)] for i2 in range(m1.rank)]
+    tw = [[u + v for u, v in zip(row1, row2)] for row1, row2 in zip(
+        outer_tensor_entries(prod, index, m1.twist,
+                             ModuleMap.identity(m2).entries),
+        outer_tensor_entries(prod, index, signs, m2.twist))]
     mod = SemiFreeModule(prod, shifts, tw, labels)
     idem = None
     if p1.idempotent is not None or p2.idempotent is not None:
-        e1 = p1.identity_map()
-        e2 = p2.identity_map()
-        rows = [[prod.zero() for _ in gens] for _ in gens]
-        for (i, j) in gens:
-            col = index[(i, j)]
-            for i2 in range(n1):
-                a1 = e1.entries[i2][i]
-                if a1.is_zero():
-                    continue
-                for j2 in range(n2):
-                    a2 = e2.entries[j2][j]
-                    if a2.is_zero():
-                        continue
-                    out = [ZERO] * prod.dim
-                    for pidx, c1 in enumerate(a1.coords):
-                        if c1:
-                            for qidx, c2 in enumerate(a2.coords):
-                                if c2:
-                                    out[pidx * ns + qidx] += c1 * c2
-                    rows[index[(i2, j2)]][col] = (rows[index[(i2, j2)]][col]
-                                                  + prod.element(out))
-        idem = ModuleMap(mod, mod, 0, rows)
+        idem = ModuleMap(mod, mod, 0, outer_tensor_entries(
+            prod, index, p1.identity_map().entries, p2.identity_map().entries))
     return PerfectModule(mod, idem), prod, index
 
 

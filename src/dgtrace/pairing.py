@@ -24,14 +24,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Optional, Tuple, Union
 
-from .algebras import AlgebraElement, DgAlgebra, opposite, tensor_algebras
+from .algebras import (AlgebraElement, DgAlgebra, opposite, pure_tensor,
+                       sparse, tensor_algebras)
 from .complexes import SplitComplex
 from .errors import (AlgebraMismatch, NoDiagonalResolutionForB,
                      NotDegreeZeroConcentrated, NotSeparableB)
 from .hochschild import (HH0Space, HochschildClass, euler_class, hh0_space,
                          hh_class, hh_class_via_transfer)
 from .linalg import ONE, ZERO
-from .modules import (ModuleMap, PerfectModule, SemiFreeModule,
+from .modules import (ModuleMap, PerfectModule, outer_tensor_modules,
                       restrict_to_factor, right_multiplication_map,
                       tensor_over_algebra)
 from .resolutions import DiagonalResolution
@@ -50,14 +51,8 @@ def kunneth(x: HochschildClass, y: HochschildClass,
         product = tensor_algebras(a, b)
     if product_space is None:
         product_space = hh0_space(product)
-    nb = b.dim
-    out = [ZERO] * product.dim
-    for i, cu in enumerate(x.representative.coords):
-        if cu:
-            for j, cv in enumerate(y.representative.coords):
-                if cv:
-                    out[i * nb + j] += cu * cv
-    return product_space.class_of(product.element(out))
+    return product_space.class_of(product.element(
+        pure_tensor(x.representative.coords, y.representative.coords)))
 
 
 # ---------------------------------------------------------------------------
@@ -369,9 +364,13 @@ def compose_kernels_separable(k1: PerfectModule, k2: PerfectModule,
                               resolution_b: DiagonalResolution) -> PerfectModule:
     """K1 (x)_B K2 as a perfect module over A (x) C^op, for separable B.
 
-    Generators (i, j, w1, w2) = ((1 (x) b_{w1}) g_i) (x) ((b_{w2} (x) 1) h_j);
-    the balanced tensor over B is split off the tensor over k by the
-    idempotent inserting the separability element in the middle.
+    K1 restricted to A (generators (i, w1) = (1 (x) b_{w1}) g_i) and K2
+    restricted to C^op (generators (j, w2) = (b_{w2} (x) 1) h_j) give the
+    tensor over k as their outer tensor, on generators (i, w1, j, w2).  The
+    balanced tensor over B is split off it by the idempotent inserting the
+    separability element E = sum_t E_t p_t (x) q_t in the middle,
+    (i, w1, j, w2) -> sum_t E_t (i, w1 p_t, j, q_t w2), after the outer
+    idempotent when there is one.
     """
     if resolution_b is None:
         raise NoDiagonalResolutionForB("kernel composition needs a resolution")
@@ -379,124 +378,36 @@ def compose_kernels_separable(k1: PerfectModule, k2: PerfectModule,
         raise NotSeparableB("kernel composition implemented for separable B")
     bop = opposite(b)
     cop = opposite(c)
-    ab = tensor_algebras(a, bop)
-    bc = tensor_algebras(b, cop)
-    if not k1.algebra.same_structure(ab):
+    if not k1.algebra.same_structure(tensor_algebras(a, bop)):
         raise AlgebraMismatch("first kernel is not over A (x) B^op")
-    if not k2.algebra.same_structure(bc):
+    if not k2.algebra.same_structure(tensor_algebras(b, cop)):
         raise AlgebraMismatch("second kernel is not over B (x) C^op")
-    ac = tensor_algebras(a, cop)
-    na, nb, nc = a.dim, b.dim, c.dim
-    m1, m2 = k1.module, k2.module
-    gens = [(i, j, w1, w2)
-            for i in range(m1.rank) for j in range(m2.rank)
-            for w1 in range(nb) for w2 in range(nb)]
-    index = {g: t for t, g in enumerate(gens)}
-    shifts = [m1.shifts[i] + m2.shifts[j] for (i, j, _, _) in gens]
-    labels = [f"{m1.labels[i]}.{m2.labels[j]}.{w1}.{w2}"
-              for (i, j, w1, w2) in gens]
-
-    def expand_left(entry: AlgebraElement, w1: int):
-        """(1 (x) b_{w1}) * entry over A (x) B^op: A-coefficients per new
-        middle index."""
-        out: Dict[int, list] = {}
-        for flat, cx in enumerate(entry.coords):
-            if cx:
-                p, q = divmod(flat, nb)
-                for w1p, cb in b.mult.get((q, w1), ()):  # b_q b_{w1} in B
-                    vec = out.setdefault(w1p, [ZERO] * na)
-                    vec[p] += cx * cb
-        return out
-
-    def expand_right(entry: AlgebraElement, w2: int):
-        """(b_{w2} (x) 1) * entry over B (x) C^op: C^op-coefficients per new
-        middle index."""
-        out: Dict[int, list] = {}
-        for flat, cx in enumerate(entry.coords):
-            if cx:
-                r, s = divmod(flat, nc)
-                for w2p, cb in b.mult.get((w2, r), ()):
-                    vec = out.setdefault(w2p, [ZERO] * nc)
-                    vec[s] += cx * cb
-        return out
-
-    def with_unit_c(avec) -> AlgebraElement:
-        out = [ZERO] * ac.dim
-        for p, ca in enumerate(avec):
-            if ca:
-                for s, cc in enumerate(c.unit):
-                    if cc:
-                        out[p * nc + s] += ca * cc
-        return ac.element(out)
-
-    def with_unit_a(cvec) -> AlgebraElement:
-        out = [ZERO] * ac.dim
-        for s, cc in enumerate(cvec):
-            if cc:
-                for p, ca in enumerate(a.unit):
-                    if ca:
-                        out[p * nc + s] += ca * cc
-        return ac.element(out)
-
-    zero = ac.zero()
-    tw = [[zero for _ in gens] for _ in gens]
-    for (i, j, w1, w2) in gens:
-        col = index[(i, j, w1, w2)]
-        for i2 in range(m1.rank):
-            entry = m1.twist[i2][i]
-            if entry.is_zero():
-                continue
-            for w1p, avec in expand_left(entry, w1).items():
-                row = index[(i2, j, w1p, w2)]
-                tw[row][col] = tw[row][col] + with_unit_c(avec)
-        sgn = ONE if m1.shifts[i] % 2 == 0 else -ONE
-        for j2 in range(m2.rank):
-            entry = m2.twist[j2][j]
-            if entry.is_zero():
-                continue
-            for w2p, cvec in expand_right(entry, w2).items():
-                row = index[(i, j2, w1, w2p)]
-                tw[row][col] = tw[row][col] + with_unit_a(cvec).scale(sgn)
-    mod = SemiFreeModule(ac, shifts, tw, labels)
-
-    # idempotent: (e1 (x) e2) composed with the separability insertion
-    e1 = k1.identity_map()
-    e2 = k2.identity_map()
-    sep = resolution_b.separability_idempotent()
-    eterms = []
-    for flat, ce in enumerate(sep.coords):
-        if ce:
-            t1, t2 = divmod(flat, nb)
-            eterms.append((t1, t2, ce))
-    rows = [[zero for _ in gens] for _ in gens]
-    for (i, j, w1, w2) in gens:
-        col = index[(i, j, w1, w2)]
-        for i2 in range(m1.rank):
-            a_entry = e1.entries[i2][i]
-            if a_entry.is_zero():
-                continue
-            for j2 in range(m2.rank):
-                c_entry = e2.entries[j2][j]
-                if c_entry.is_zero():
-                    continue
-                left = expand_left(a_entry, w1)
-                right = expand_right(c_entry, w2)
-                for w1m, avec in left.items():
-                    for w2m, cvec in right.items():
-                        for (t1, t2, ce) in eterms:
-                            for w1p, cb1 in b.mult.get((w1m, t1), ()):
-                                for w2p, cb2 in b.mult.get((t2, w2m), ()):
-                                    row = index[(i2, j2, w1p, w2p)]
-                                    out = [ZERO] * ac.dim
-                                    for p, ca in enumerate(avec):
-                                        if ca:
-                                            for s, cc in enumerate(cvec):
-                                                if cc:
-                                                    out[p * nc + s] += (ca * cc * ce
-                                                                        * cb1 * cb2)
-                                    rows[row][col] = rows[row][col] + ac.element(out)
-    idem = ModuleMap(mod, mod, 0, rows)
-    return PerfectModule(mod, idem)
+    r1, index1 = restrict_to_factor(k1, a, bop, "first", check=False)
+    r2, index2 = restrict_to_factor(k2, b, cop, "second", check=False)
+    outer, ac, index = outer_tensor_modules(r1, r2)
+    nb = b.dim
+    # (w1, w2) -> {(w1 p_t, q_t w2): coefficient}, summed over the terms of E
+    moves: Dict[Tuple[int, int], Dict[Tuple[int, int], Fraction]] = {}
+    for flat, ce in sparse(resolution_b.separability_idempotent().coords):
+        t1, t2 = divmod(flat, nb)
+        for w1 in range(nb):
+            for w1p, c1 in b.mult.get((w1, t1), ()):
+                for w2 in range(nb):
+                    for w2p, c2 in b.mult.get((t2, w2), ()):
+                        out = moves.setdefault((w1, w2), {})
+                        out[(w1p, w2p)] = out.get((w1p, w2p), ZERO) + ce * c1 * c2
+    one = ac.one()
+    rows = [[ac.zero()] * len(index) for _ in index]
+    for (i, w1), g1 in index1.items():
+        for (j, w2), g2 in index2.items():
+            col = index[(g1, g2)]
+            for (w1p, w2p), coeff in moves.get((w1, w2), {}).items():
+                row = index[(index1[(i, w1p)], index2[(j, w2p)])]
+                rows[row][col] = one.scale(coeff)
+    insert = ModuleMap(outer.module, outer.module, 0, rows)
+    if outer.idempotent is not None:
+        insert = insert.compose(outer.idempotent)
+    return PerfectModule(outer.module, insert)
 
 
 def verify_kernel_composition(k1: PerfectModule, k2: PerfectModule,

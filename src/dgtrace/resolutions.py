@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from typing import Callable, Optional, Sequence, Tuple
 
-from .algebras import (AlgebraElement, AlgebraIso, DgAlgebra, opposite, sparse,
-                       tensor_algebras)
+from .algebras import (AlgebraElement, AlgebraIso, DgAlgebra, opposite,
+                       pure_tensor, sparse, tensor_algebras)
 from .complexes import ChainMap, SplitComplex, cone, is_acyclic
 from .duality import diagonal_explicit, transport_module
 from .errors import AugmentationNotQuasiIso, NotDegreeZeroConcentrated
@@ -200,56 +200,35 @@ def tensor_resolution(r1: DiagonalResolution, r2: DiagonalResolution,
     a, b = r1.algebra, r2.algebra
     ab = product if product is not None else tensor_algebras(a, b)
 
-    def build():
-        p1, p2 = r1.module, r2.module
-        env1 = p1.module.algebra
-        env2 = p2.module.algebra
-        big, prod_env, index = outer_tensor_modules(p1, p2)
-        # reindex (A^e (x) B^e) -> (A (x) B)^e
-        na, nb = a.dim, b.dim
-        env_ab = tensor_algebras(ab, opposite(ab))
-        perm = [0] * (na * na * nb * nb)
+    def env_perm():
         # flat index in A^e (x) B^e: ((i, j), (k, l)) with i,j over A and
-        # k,l over B; target index in (A(x)B)^e: ((i, k), (j, l))
-        for i in range(na):
-            for j in range(na):
-                for k in range(nb):
-                    for l in range(nb):
-                        src = (i * na + j) * (nb * nb) + (k * nb + l)
-                        dst = (i * nb + k) * (na * nb) + (j * nb + l)
-                        perm[src] = dst
-        iso = AlgebraIso(prod_env, env_ab, perm)
-        inv = iso.inverse()
-        transported = transport_module(big, inv)
-        aug = []
-        for (i, j) in sorted(index, key=lambda t: index[t]):
-            x = r1.augmentation[i]
-            y = r2.augmentation[j]
-            out = [ZERO] * ab.dim
-            for p, cp in enumerate(x.coords):
-                if cp:
-                    for q, cq in enumerate(y.coords):
-                        if cq:
-                            out[p * nb + q] += cp * cq
-            aug.append(ab.element(out))
-        return transported, tuple(aug)
+        # k,l over B; target index in (A(x)B)^e: ((i, k), (j, l)).  Built
+        # on use: the lazy build() would otherwise hold it for the life of
+        # the resolution
+        na, nb = a.dim, b.dim
+        return [(i * nb + k) * (na * nb) + (j * nb + l)
+                for i in range(na) for j in range(na)
+                for k in range(nb) for l in range(nb)]
+
+    def build():
+        big, prod_env, index = outer_tensor_modules(r1.module, r2.module)
+        env_ab = tensor_algebras(ab, opposite(ab))
+        transported = transport_module(
+            big, AlgebraIso(prod_env, env_ab, env_perm()).inverse())
+        aug = tuple(ab.element(pure_tensor(r1.augmentation[i].coords,
+                                           r2.augmentation[j].coords))
+                    for (i, j) in sorted(index, key=index.get))
+        return transported, aug
 
     sep = None
     separable = r1.separable and r2.separable
     if separable:
-        e1 = r1.separability_idempotent()
-        e2 = r2.separability_idempotent()
-        na, nb = a.dim, b.dim
-        env_ab = tensor_algebras(ab, opposite(ab))
-        out = [ZERO] * (na * nb * na * nb)
-        for f1, c1 in enumerate(e1.coords):
-            if c1:
-                i, j = divmod(f1, na)
-                for f2, c2 in enumerate(e2.coords):
-                    if c2:
-                        k, l = divmod(f2, nb)
-                        out[(i * nb + k) * (na * nb) + (j * nb + l)] += c1 * c2
-        sep = env_ab.element(out)
+        pt = pure_tensor(r1.separability_idempotent().coords,
+                         r2.separability_idempotent().coords)
+        out = [ZERO] * len(pt)
+        for src, dst in enumerate(env_perm()):
+            out[dst] = pt[src]
+        sep = tensor_algebras(ab, opposite(ab)).element(out)
     return DiagonalResolution(ab, build, separable=separable,
                               separability_idempotent=sep,
                               name=name or f"{r1.name}(x){r2.name}")

@@ -5,6 +5,7 @@ per criterion.  Every comparison is an equality of rationals or integers;
 nothing is approximate.
 """
 
+import hashlib
 import json
 import sys
 import time
@@ -115,11 +116,22 @@ def test_criterion_8_kernel_composition():
     assert ok
 
 
+# sha256 of the seed-42 reports below; a change to either digest is a
+# change of the reports, which every refactor must leave byte-identical
+FULL_SUITE_SHA256 = "ead6c4be121c79652559d3c92ee101cd7f3c722c293d6cf7c6f150279aa63be4"
+VERIFY_RR_SHA256 = "ede14360516495cb1d60cccb6f3d55f176514ce4c529f33520b4ce8e1686bff6"
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def test_criterion_9_determinism():
-    """Byte-identical reports for repeated seed-42 runs."""
+    """Byte-identical reports for repeated seed-42 runs, equal to the pinned
+    digests."""
     first = json.dumps(full_suite(5, SEED), sort_keys=True, indent=2)
     second = json.dumps(full_suite(5, SEED), sort_keys=True, indent=2)
-    ok = first == second
+    ok = first == second and _sha256(first) == FULL_SUITE_SHA256
     if ok:
         from dgtrace.cli import main as cli_main
         import io
@@ -131,6 +143,7 @@ def test_criterion_9_determinism():
                 code = cli_main(["--random", "4", "--seed", "42",
                                  "verify-rr", "--algebra", "A2"])
             outs.append((code, buf.getvalue()))
-        ok = outs[0] == outs[1] and outs[0][0] == 0
+        ok = (outs[0] == outs[1] and outs[0][0] == 0
+              and _sha256(outs[0][1]) == VERIFY_RR_SHA256)
     _line("criterion 9: determinism at seed 42", ok)
     assert ok

@@ -57,6 +57,27 @@ def test_shift_sign():
     assert shift(c, 1).d(-1) == RationalMatrix.from_rows([[-1]])
 
 
+def test_is_closed_odd_degree_sign():
+    # the identity blocks C[n]^p = C^{p+n} -> C^{p+n} form a degree-n map
+    # C[n] -> C, closed exactly because d_{C[n]} = (-1)^n d_C; with the
+    # source differential negated it is closed only when d_C = 0
+    rng = SplitMix64(83)
+    nonzero = 0
+    for _ in range(6):
+        c = random_complex(rng)
+        flat = all(c.d(p).is_zero() for p in c.degrees())
+        nonzero += not flat
+        for n in (1, 2, -1):
+            shifted = shift(c, n)
+            flipped = Complex(shifted.space, {p: -shifted.d(p)
+                                              for p in shifted.degrees()})
+            ident = {p: RationalMatrix.identity(c.dim(p + n))
+                     for p in shifted.degrees()}
+            assert ChainMap(shifted, c, n, ident).is_closed()
+            assert ChainMap(flipped, c, n, ident).is_closed() == flat
+    assert nonzero > 0
+
+
 def test_cone_of_identity_acyclic():
     c = two_term()
     cn, r, q = cone(ChainMap.identity(c))

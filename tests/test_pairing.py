@@ -452,6 +452,31 @@ def test_kernel_composition_random(cat):
     assert out["ok"]
 
 
+def test_kernel_composition_with_idempotents(cat):
+    # random kernels with projective summands cut out by catalog
+    # idempotents; with A = C = k, e_q sits at flat index q in both
+    # A (x) B^op and B (x) C^op
+    kalg = unit_algebra()
+    carried = nonzero = 0
+    for bname in ("M2", "kxk"):
+        ent = cat[bname]
+        b = ent.algebra
+        ab = tensor_algebras(kalg, opposite(b))
+        bc = tensor_algebras(b, opposite(kalg))
+        for seed in range(4):
+            rng = stream_for(71, 10 * seed + b.dim)
+            k1 = random_perfect(ab, rng, ent.idempotents, max_gens=2,
+                                shift_range=(-1, 1))
+            k2 = random_perfect(bc, rng, ent.idempotents, max_gens=2,
+                                shift_range=(-1, 1))
+            rep = verify_kernel_composition(k1, k2, kalg, b, kalg,
+                                            ent.resolution)
+            assert rep.equal
+            carried += (k1.idempotent is not None) + (k2.idempotent is not None)
+            nonzero += any(rep.lhs)
+    assert carried >= 4 and nonzero >= 4
+
+
 def test_kernel_composition_compares_coordinates(cat, monkeypatch):
     # (1000003, 0) and (0, 1) agree under a base-1000003 encoding of the
     # coordinates; the report must still see two different classes

@@ -7,14 +7,17 @@ DgAlgebra.multiply scan); the tr(f.e) supertrace of a split complex
 against the supertrace of the formed e.f.e; every explicit module's action
 table against products through the dense DgAlgebra.multiply scan; the one
 restriction kernel (ModuleMap.restrict and the twist part of to_explicit)
-against the dense (-1)^{n|b|} e_b . phi_ji.
+against the dense (-1)^{n|b|} e_b . phi_ji; pure tensors, the outer tensor
+of matrices and the twist and idempotent of the outer tensor of modules
+against x (x) y = (x (x) 1)(1 (x) y) through AlgebraElement.__mul__.
 """
 
 from fractions import Fraction
 
 import pytest
 
-from dgtrace.algebras import opposite, tensor_algebras, validate_algebra
+from dgtrace.algebras import (opposite, pure_tensor, tensor_algebras,
+                              validate_algebra)
 from dgtrace.complexes import ChainMap, chain_supertrace
 from dgtrace.duality import (DualBimodule, _opposite_diagonal_explicit,
                              diagonal_explicit, dual_right_module_data,
@@ -23,6 +26,7 @@ from dgtrace.errors import WrongDegree
 from dgtrace.hochschild import compressed_supertrace, generalized_supertrace
 from dgtrace.linalg import RationalMatrix
 from dgtrace.modules import (ModuleMap, PerfectModule, SemiFreeModule,
+                             outer_tensor_entries, outer_tensor_modules,
                              tensor_over_algebra)
 from dgtrace.prng import SplitMix64, stream_for
 from dgtrace.sampling import (EndoSampler, closed_map_basis, random_closed_pair,
@@ -401,3 +405,90 @@ def test_realization_differential_is_d_a_plus_restricted_twist(make):
                     want[p][ex.pos[(i, b2)][1]][c] += coeff
         for p, block in want.items():
             assert [list(r) for r in ex.complex.d(p).entries] == block
+
+
+# -- pure tensors and the outer tensor --------------------------------------
+
+OUTER_PAIRS = (("kxk", "M2"), ("A2", "Kronecker"), ("M2", "A2"), ("A3", "k"))
+
+
+def labelled_tensor(prod, r, s, x, y):
+    """sum x_i y_j (e_i (x) e_j), each e_i (x) e_j looked up in prod by its
+    label."""
+    out = prod.zero()
+    for i, cx in enumerate(x):
+        for j, cy in enumerate(y):
+            if cx and cy:
+                term = prod.by_label(f"{r.labels[i]}(x){s.labels[j]}")
+                out = out + term.scale(cx * cy)
+    return out
+
+
+def tensor_by_products(prod, r, s, x, y):
+    """x (x) y = (x (x) 1)(1 (x) y) through AlgebraElement.__mul__ (degree
+    0, so no Koszul sign)."""
+    return (labelled_tensor(prod, r, s, x, s.unit)
+            * labelled_tensor(prod, r, s, r.unit, y))
+
+
+def random_square(a, n, rng):
+    return [[a.element([random_coeff(rng) for _ in range(a.dim)])
+             if rng.below(3) else a.zero() for _ in range(n)] for _ in range(n)]
+
+
+@pytest.mark.parametrize("rname,sname", OUTER_PAIRS)
+def test_pure_tensor_and_outer_entries_match_products(cat, rname, sname):
+    r, s = cat[rname].algebra, cat[sname].algebra
+    prod = tensor_algebras(r, s)
+    rng = SplitMix64(61)
+    for _ in range(8):
+        x = [random_coeff(rng) for _ in range(r.dim)]
+        y = [random_coeff(rng) for _ in range(s.dim)]
+        assert pure_tensor(x, y) == tensor_by_products(prod, r, s, x, y).coords
+    for _ in range(4):
+        n1, n2 = 1 + rng.below(3), 1 + rng.below(3)
+        x, y = random_square(r, n1, rng), random_square(s, n2, rng)
+        # generators listed j-major, so the index is not the flat i*n2+j
+        gens = [(i, j) for j in range(n2) for i in range(n1)]
+        index = {g: t for t, g in enumerate(gens)}
+        got = outer_tensor_entries(prod, index, x, y)
+        for (i2, j2), row in index.items():
+            for (i, j), col in index.items():
+                want = tensor_by_products(prod, r, s, x[i2][i].coords,
+                                          y[j2][j].coords)
+                assert got[row][col].coords == want.coords
+
+
+def test_outer_tensor_twist_and_idempotent_match_products(cat):
+    """twist delta1 (x) 1 + (-1)^{s_i} 1 (x) delta2 and idempotent
+    e1 (x) e2, entry by entry."""
+    with_idempotent = odd_signs = 0
+    for rname, sname in OUTER_PAIRS:
+        r, s = cat[rname].algebra, cat[sname].algebra
+        for index_ in range(4):
+            rng = stream_for(67, 10 * index_ + len(rname + sname))
+            p1 = random_perfect(r, rng, cat[rname].idempotents, max_gens=3,
+                                shift_range=(-1, 1))
+            p2 = random_perfect(s, rng, cat[sname].idempotents, max_gens=3,
+                                shift_range=(-1, 1))
+            big, prod, index = outer_tensor_modules(p1, p2)
+            m1, m2 = p1.module, p2.module
+            e1, e2 = p1.identity_map(), p2.identity_map()
+            for (i2, j2), row in index.items():
+                for (i, j), col in index.items():
+                    want = prod.zero()
+                    if j2 == j:
+                        want = want + tensor_by_products(
+                            prod, r, s, m1.twist[i2][i].coords, s.unit)
+                    if i2 == i:
+                        sgn = -1 if m1.shifts[i] % 2 else 1
+                        want = want + tensor_by_products(
+                            prod, r, s, r.unit, m2.twist[j2][j].coords).scale(sgn)
+                        odd_signs += sgn < 0 and not m2.twist[j2][j].is_zero()
+                    assert big.module.twist[row][col].coords == want.coords
+                    if big.idempotent is not None:
+                        e = tensor_by_products(prod, r, s, e1.entries[i2][i].coords,
+                                               e2.entries[j2][j].coords)
+                        assert big.idempotent.entries[row][col].coords == e.coords
+            with_idempotent += big.idempotent is not None
+    assert with_idempotent > 0 and odd_signs > 0
