@@ -58,7 +58,8 @@ class DgAlgebra:
     with a basis factor reads it directly.  `diff[i]` lists the coordinates
     of d(e_i), normalised the same way.  Tables derived from `mult` are
     memoised on the instance on first use: the trace table
-    (`pairing._pair_trace_table`) and HH_0 (`hochschild.hh0_space`).
+    (`pairing._pair_trace_table`), HH_0 (`hochschild.hh0_space`) and the
+    opposite algebra (`opposite`).
     """
 
     def __init__(self, labels: Sequence[str], degrees: Sequence[int],
@@ -75,6 +76,7 @@ class DgAlgebra:
         self._check_degrees()
         self._trace_table = None
         self._hh0 = None
+        self._opposite = None
 
     @property
     def dim(self) -> int:
@@ -300,12 +302,15 @@ def validate_algebra(labels, degrees, mult, unit, diff=None) -> DgAlgebra:
 
 
 def opposite(a: DgAlgebra) -> DgAlgebra:
-    """Same carrier, multiplication x .op y = (-1)^{|x||y|} y x."""
-    mult: Dict[Tuple[int, int], SparseVec] = {}
-    for (i, j), vec in a.mult.items():
-        sgn = ONE if (a.degrees[i] * a.degrees[j]) % 2 == 0 else -ONE
-        mult[(j, i)] = tuple((k, sgn * c) for k, c in vec)
-    return DgAlgebra(a.labels, a.degrees, mult, a.unit, dict(a.diff))
+    """Same carrier, multiplication x .op y = (-1)^{|x||y|} y x; memoised
+    on the algebra."""
+    if a._opposite is None:
+        mult: Dict[Tuple[int, int], SparseVec] = {}
+        for (i, j), vec in a.mult.items():
+            sgn = ONE if (a.degrees[i] * a.degrees[j]) % 2 == 0 else -ONE
+            mult[(j, i)] = tuple((k, sgn * c) for k, c in vec)
+        a._opposite = DgAlgebra(a.labels, a.degrees, mult, a.unit, dict(a.diff))
+    return a._opposite
 
 
 def tensor_algebras(a: DgAlgebra, b: DgAlgebra,

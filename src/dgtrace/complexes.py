@@ -192,21 +192,6 @@ class ChainMap:
             blocks[p] = self.block(p + other.degree) @ other.block(p)
         return ChainMap(other.source, self.target, deg, blocks)
 
-    def __add__(self, other: "ChainMap") -> "ChainMap":
-        if self.degree != other.degree:
-            raise WrongDegree("adding maps of different degrees")
-        return ChainMap(self.source, self.target, self.degree,
-                        {p: self.block(p) + other.block(p)
-                         for p in self.source.degrees()
-                         if self.target.dim(p + self.degree)})
-
-    def scale(self, c) -> "ChainMap":
-        return ChainMap(self.source, self.target, self.degree,
-                        {p: m.scale(c) for p, m in self.blocks.items()})
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
     def __eq__(self, other):
         if not isinstance(other, ChainMap):
             return False

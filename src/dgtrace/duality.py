@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .algebras import (AlgebraElement, AlgebraIso, DgAlgebra, env_op_iso,
+from .algebras import (AlgebraIso, DgAlgebra, env_op_iso,
                        opposite, tensor_algebras)
 from .complexes import (ChainMap, Complex, GradedSpace, SplitComplex, cone,
                         cohomology_dims, is_acyclic, linear_dual)
@@ -28,7 +28,7 @@ from .errors import (AlgebraMismatch, DimensionMismatch, NotClosed,
 from .linalg import (ONE, ZERO, RationalMatrix, SubspacePresentation,
                      echelon_basis, quotient_presentation, solve, span_dim)
 from .modules import (ExplicitModule, HomOverAlgebra, ModuleMap, PerfectModule,
-                      SemiFreeModule, TensorOverAlgebra, outer_tensor_entries,
+                      SemiFreeModule, TensorOverAlgebra, outer_tensor_columns,
                       outer_tensor_modules, restrict_to_factor,
                       semifree_map_to_explicit)
 
@@ -51,36 +51,25 @@ def dualize(p: PerfectModule) -> PerfectModule:
     a = m.algebra
     aop = opposite(a)
     n = m.rank
-    # dual generator order is reversed: position t <-> original index n-1-t
-    orig = [n - 1 - t for t in range(n)]
-    shifts = [-m.shifts[i] for i in orig]
-    labels = [_strip_or_add_vee(m.labels[i]) for i in orig]
-    tw = [[aop.zero() for _ in range(n)] for _ in range(n)]
-    for tcol in range(n):          # dual column, from generator ghat_i
-        i = orig[tcol]
-        for trow in range(n):      # dual row, coefficient of ghat_l
-            l = orig[trow]
-            entry = m.twist[i][l]  # transposed indices
-            if entry.is_zero():
-                continue
-            sgn = -ONE if m.shifts[i] % 2 == 0 else ONE
-            sgn = sgn * half_sign(m.shifts[i]) * half_sign(m.shifts[l])
-            tw[trow][tcol] = aop.element(entry.coords).scale(sgn)
-    mod = SemiFreeModule(aop, shifts, tw, labels)
+    # dual generator order is reversed: entry [i][l] lands at [n-1-l][n-1-i],
+    # so walking the original columns l backwards fills dual columns top down
+    shifts = [-m.shifts[n - 1 - t] for t in range(n)]
+    labels = [_strip_or_add_vee(m.labels[n - 1 - t]) for t in range(n)]
+
+    def transposed(columns, sign):
+        out = [[] for _ in range(n)]
+        for l in reversed(range(n)):
+            for i, vec in columns[l]:
+                c = sign(i) * half_sign(m.shifts[i]) * half_sign(m.shifts[l])
+                out[n - 1 - i].append((n - 1 - l, tuple((t, c * x) for t, x in vec)))
+        return out
+
+    mod = SemiFreeModule.from_columns(aop, shifts, transposed(
+        m.twist_columns, lambda i: -ONE if m.shifts[i] % 2 == 0 else ONE), labels)
     idem = None
     if p.idempotent is not None:
-        e = p.idempotent
-        rows = [[aop.zero() for _ in range(n)] for _ in range(n)]
-        for tcol in range(n):
-            i = orig[tcol]
-            for trow in range(n):
-                l = orig[trow]
-                entry = e.entries[i][l]  # transposed
-                if entry.is_zero():
-                    continue
-                sgn = half_sign(m.shifts[i]) * half_sign(m.shifts[l])
-                rows[trow][tcol] = aop.element(entry.coords).scale(sgn)
-        idem = ModuleMap(mod, mod, 0, rows)
+        idem = ModuleMap.from_columns(mod, mod, 0, transposed(
+            p.idempotent.columns, lambda i: ONE))
     return PerfectModule(mod, idem)
 
 
@@ -90,18 +79,17 @@ def transport_module(p: PerfectModule, iso: AlgebraIso) -> PerfectModule:
         raise AlgebraMismatch("transport iso does not land in the module algebra")
     inv = iso.inverse()
     m = p.module
-    src = iso.source
 
-    def pull(entry: AlgebraElement) -> AlgebraElement:
-        return src.element(inv.apply(entry.coords))
+    def pull(columns):
+        return [tuple((j, tuple(sorted((inv.perm[t], c * inv.scalars[t])
+                                       for t, c in vec)))
+                      for j, vec in col) for col in columns]
 
-    tw = [[pull(m.twist[j][i]) for i in range(m.rank)] for j in range(m.rank)]
-    mod = SemiFreeModule(src, m.shifts, tw, m.labels)
+    mod = SemiFreeModule.from_columns(iso.source, m.shifts, pull(m.twist_columns),
+                                      m.labels)
     idem = None
     if p.idempotent is not None:
-        rows = [[pull(p.idempotent.entries[j][i]) for i in range(m.rank)]
-                for j in range(m.rank)]
-        idem = ModuleMap(mod, mod, 0, rows)
+        idem = ModuleMap.from_columns(mod, mod, 0, pull(p.idempotent.columns))
     return PerfectModule(mod, idem)
 
 
@@ -431,8 +419,7 @@ class EvaluationData:
         self.algebra = a
         self.m = m
         self.dual = dm = dualize(m)
-        x_mod, env, index = outer_tensor_modules(
-            m, _reinterpret_over(dm, a), prod=None)
+        x_mod, env, index = outer_tensor_modules(m, _reinterpret_over(dm, a))
         # the second factor of the outer tensor must be over A^op; dualize
         # already produced that, _reinterpret_over is a no-op guard.
         self.x = x_mod
@@ -627,9 +614,9 @@ def _opposite_diagonal_explicit(a: DgAlgebra, env_op: DgAlgebra) -> ExplicitModu
 def _outer_map_first_factor(x: PerfectModule, f: ModuleMap, index,
                             dual: PerfectModule) -> ModuleMap:
     """f (x) id on the outer tensor M (x) D_A M (degree-0 entries)."""
-    return ModuleMap(x.module, x.module, 0, outer_tensor_entries(
-        x.module.algebra, index, f.entries,
-        ModuleMap.identity(dual.module).entries), check=False)
+    return ModuleMap.from_columns(x.module, x.module, 0, outer_tensor_columns(
+        index, f.columns, ModuleMap.identity(dual.module).columns,
+        dual.algebra.dim), check=False)
 
 
 def coevaluation_and_evaluation(m: PerfectModule, resolution) -> EvaluationData:

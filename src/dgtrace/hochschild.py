@@ -23,7 +23,7 @@ from .errors import (IdempotentIncompatible, NotClosed,
                      NotDegreeZeroConcentrated, WrongDegree)
 from .linalg import (ONE, ZERO, SubspacePresentation, echelon_basis,
                      quotient_presentation)
-from .modules import HomOverAlgebra, ModuleMap, PerfectModule
+from .modules import HomOverAlgebra, ModuleMap, PerfectModule, rows_of
 
 
 class HH0Space:
@@ -120,43 +120,36 @@ def hh0_space(a: DgAlgebra) -> HH0Space:
 def generalized_supertrace(m: PerfectModule, f: ModuleMap) -> AlgebraElement:
     """sum_i (-1)^{s_i} f[i][i] in A (no projection)."""
     a = m.algebra
-    total = a.zero()
-    for i in range(m.rank):
-        entry = f.entries[i][i]
-        if m.shifts[i] % 2 == 0:
-            total = total + entry
-        else:
-            total = total - entry
-    return total
+    total = [ZERO] * a.dim
+    for i, col in enumerate(f.columns):
+        for t, c in dict(col).get(i, ()):
+            total[t] += -c if m.shifts[i] % 2 else c
+    return a.element(total)
 
 
 def compressed_supertrace(m: PerfectModule, f: ModuleMap) -> AlgebraElement:
     """sum_i (-1)^{s_i} (e f e)[i][i] without forming e f e: the diagonal of
-    the double compression is accumulated over the nonzero coordinates only,
+    the double compression is accumulated over the stored entries only,
     (e f e)[i][i] = sum_l (sum_j e[j][i] f[l][j]) e[i][l] (left-to-right
     products in the order the maps apply).  Only the entries f[l][j] met
     that way are read.  Degree-0 entries assumed."""
     a = m.algebra
     if m.idempotent is None:
         return generalized_supertrace(m, f)
-    n = m.rank
-    column = [[] for _ in range(n)]  # column[i]: (j, e[j][i]) nonzero
-    row = [[] for _ in range(n)]  # row[i]: (l, e[i][l]) nonzero
-    for j, erow in enumerate(m.idempotent.entries):
-        for i, x in enumerate(erow):
-            vec = sparse(x.coords)
-            if vec:
-                column[i].append((j, vec))
-                row[j].append((i, vec))
+    column = m.idempotent.columns  # column[i]: (j, e[j][i]) nonzero
+    row = rows_of(column, m.rank)  # row[i]: (l, e[i][l]) nonzero
+    f_columns = [dict(col) for col in f.columns]
     total = [ZERO] * a.dim
-    for i in range(n):
+    for i in range(m.rank):
         if not (column[i] and row[i]):
             continue
         acc = [ZERO] * a.dim
         for l, eil in row[i]:
             fe_li = [ZERO] * a.dim  # (f . e)[l][i]
             for j, eji in column[i]:
-                a.add_product(fe_li, eji, sparse(f.entries[l][j].coords))
+                flj = f_columns[j].get(l)
+                if flj:
+                    a.add_product(fe_li, eji, flj)
             a.add_product(acc, sparse(fe_li), eil)
         sgn = ONE if m.shifts[i] % 2 == 0 else -ONE
         for k, c in enumerate(acc):

@@ -12,6 +12,16 @@ phi(g_i) = sum_j phi[j][i] h_j with |phi[j][i]| = deg(phi) + t_j - s_i, and
 compose by (psi . phi)[l][i] = sum_j +- phi[j][i] * psi[l][j] (entries of the
 first-applied map multiply on the left).
 
+Every matrix over A (twists, maps, idempotents) is stored by sparse
+columns: column i lists (j, vec) for the nonzero entries [j][i], j
+ascending, each vec the nonzero coordinates of the entry in index order
+(the `SparseVec` idiom of `DgAlgebra.mult`).  The form is unique, so
+comparisons of columns are exact; the builders emit it and `from_columns`
+takes it unchecked.  Grids of `AlgebraElement`s are taken and given only
+at the API boundary: `SemiFreeModule(..., twist)` and `ModuleMap(...,
+entries)` convert them once; `.twist` / `.entries` are dense views built
+on first use for callers outside the package, which no kernel here reads.
+
 Everything is reduced on demand to explicit complexes of rational matrices
 ("restriction to the ground field"); derived tensor and Hom are computed on
 the given semi-free presentations, no resolution search.
@@ -22,7 +32,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .algebras import (AlgebraElement, DgAlgebra, SparseVec, pure_tensor, sparse,
+from .algebras import (AlgebraElement, DgAlgebra, SparseVec, opposite, sparse,
                        tensor_algebras)
 from .complexes import (ChainMap, Complex, GradedSpace, SplitComplex)
 from .errors import (AlgebraMismatch, DegreeViolation, DimensionMismatch,
@@ -32,48 +42,91 @@ from .errors import (AlgebraMismatch, DegreeViolation, DimensionMismatch,
 from .linalg import ONE, ZERO, RationalMatrix
 
 Entry = AlgebraElement
+# column i of a matrix over A: (j, nonzero coordinates of entry [j][i]), j
+# ascending
+Column = Tuple[Tuple[int, SparseVec], ...]
 
 
-def _sparse_entries(a: DgAlgebra, rows: Sequence[Sequence[Entry]],
-                    sign_exponent=None) -> List[List[SparseVec]]:
-    """The nonzero coordinates of each entry of a matrix over A, each entry
-    negated when sign_exponent(its degree) is odd; the degree of a mixed
-    entry counts as 0."""
+def _grid_columns(rows: Sequence[Sequence[Entry]], nrows: int, ncols: int,
+                  shape: str) -> Tuple[Column, ...]:
+    """The columns of an nrows x ncols matrix over A given as a grid of
+    elements: the one conversion in from the API boundary."""
+    if len(rows) != nrows or any(len(r) != ncols for r in rows):
+        raise DimensionMismatch(shape)
+    return tuple(tuple((j, vec) for j, row in enumerate(rows)
+                       if (vec := sparse(row[i].coords)))
+                 for i in range(ncols))
+
+
+def _dense(a: DgAlgebra, columns: Sequence[Column], nrows: int):
+    """The grid of elements of a matrix stored by columns (boundary view)."""
+    zero = a.zero()
+    rows = [[zero] * len(columns) for _ in range(nrows)]
+    for i, col in enumerate(columns):
+        for j, vec in col:
+            coords = [ZERO] * a.dim
+            for t, c in vec:
+                coords[t] = c
+            rows[j][i] = AlgebraElement(a, tuple(coords))
+    return tuple(tuple(row) for row in rows)
+
+
+def _column(acc: Dict[int, Sequence]) -> Column:
+    """A column from dense accumulators {row: coords}; zero entries dropped."""
+    return tuple((j, vec) for j in sorted(acc) if (vec := sparse(acc[j])))
+
+
+def _add_columns(a: DgAlgebra, x: Sequence[Column],
+                 y: Sequence[Column]) -> List[Column]:
     out = []
-    for row in rows:
-        srow = []
-        for e in row:
-            vec = sparse(e.coords)
-            if vec and sign_exponent is not None:
-                degs = {a.degrees[t] for t, _ in vec}
-                if sign_exponent(degs.pop() if len(degs) == 1 else 0) % 2:
-                    vec = tuple((t, -c) for t, c in vec)
-            srow.append(vec)
-        out.append(srow)
+    for cx, cy in zip(x, y):
+        acc: Dict[int, List] = {}
+        for j, vec in cx + cy:
+            coords = acc.setdefault(j, [ZERO] * a.dim)
+            for t, c in vec:
+                coords[t] += c
+        out.append(_column(acc))
     return out
 
 
-def _sparse_columns(rows: Sequence[Sequence[SparseVec]], ncols: int) -> List[List]:
-    """Per column i of a matrix of sparse vectors, its nonzero entries as
-    (j, vec), j ascending."""
-    return [[(j, row[i]) for j, row in enumerate(rows) if row[i]]
-            for i in range(ncols)]
+def _scale_columns(columns: Sequence[Column], c) -> Tuple[Column, ...]:
+    """Every entry times the nonzero scalar c."""
+    return tuple(tuple((j, tuple((t, c * x) for t, x in vec)) for j, vec in col)
+                 for col in columns)
 
 
-def _nonzero_columns(rows: Sequence[Sequence[Entry]], ncols: int):
-    """Per column i, the nonzero entries of a matrix over A as
-    (j, nonzero coordinates, degree); the degree of a mixed entry counts
-    as 0."""
-    return [[(j, sparse(row[i].coords), row[i].degree() or 0)
-             for j, row in enumerate(rows) if not row[i].is_zero()]
-            for i in range(ncols)]
+def _offset(col: Column, k: int) -> Column:
+    """The column with its rows moved down by k."""
+    return tuple((k + j, vec) for j, vec in col)
 
 
-def _generator_images(rows: Sequence[Sequence[Entry]], ncols: int):
-    """Per generator i, the image sum_j rows[j][i] g_j as (key (j, t),
-    coeff) over the realization keys, one per coordinate t of each entry."""
-    return [[((j, t), c) for j, row in enumerate(rows)
-             for t, c in sparse(row[i].coords)] for i in range(ncols)]
+def rows_of(columns: Sequence[Column], nrows: int) -> List[List]:
+    """Per row j, its nonzero entries as (i, vec), i ascending."""
+    rows: List[List] = [[] for _ in range(nrows)]
+    for i, col in enumerate(columns):
+        for j, vec in col:
+            rows[j].append((i, vec))
+    return rows
+
+
+def _degree(a: DgAlgebra, vec: SparseVec) -> Optional[int]:
+    """The degree of a nonzero vector, None when it is mixed."""
+    d = a.degrees[vec[0][0]]
+    return d if all(a.degrees[t] == d for t, _ in vec) else None
+
+
+def _with_degrees(a: DgAlgebra, lines: Sequence[Sequence]) -> List[List]:
+    """(j, vec) -> (j, vec, degree); a mixed entry counts as degree 0."""
+    return [[(j, vec, _degree(a, vec) or 0) for j, vec in line] for line in lines]
+
+
+def _neg(vec: SparseVec) -> SparseVec:
+    return tuple((t, -c) for t, c in vec)
+
+
+def _images(columns: Sequence[Column]):
+    """Per generator i, its image sum_j phi[j][i] g_j over the keys (j, t)."""
+    return [[((j, t), c) for j, vec in col for t, c in vec] for col in columns]
 
 
 def _key_basis(shifts: Sequence[int], keys: Dict[int, List], sign: int):
@@ -105,32 +158,35 @@ def _key_columns(block, degree: int, source: Dict[int, List],
     return cols
 
 
-def _sum_products(a: DgAlgebra, pairs, start=None) -> Entry:
-    """start + sum of u * v over the pairs (u, v) of sparse vectors."""
-    out = list(start) if start is not None else [ZERO] * a.dim
-    for u, v in pairs:
-        if u and v:
-            a.add_product(out, u, v)
-    return AlgebraElement(a, tuple(out))
-
-
 class SemiFreeModule:
-    """Semi-free left module: shifted free generators plus a strict twist."""
+    """Semi-free left module: shifted free generators plus a strict twist,
+    stored by columns (`twist_columns`)."""
 
     def __init__(self, algebra: DgAlgebra, shifts: Sequence[int],
                  twist: Optional[Sequence[Sequence[Entry]]] = None,
                  labels: Optional[Sequence[str]] = None, check: bool = True):
+        n = len(shifts)
+        columns = ((),) * n if twist is None else _grid_columns(
+            twist, n, n, "twist must be a square generator matrix")
+        self._init(algebra, shifts, columns, labels, check)
+
+    @classmethod
+    def from_columns(cls, algebra: DgAlgebra, shifts: Sequence[int],
+                     columns: Sequence[Column], labels=None,
+                     check=True) -> "SemiFreeModule":
+        m = cls.__new__(cls)
+        m._init(algebra, shifts, columns, labels, check)
+        return m
+
+    def _init(self, algebra, shifts, columns, labels, check):
         self.algebra = algebra
         self.shifts = tuple(int(s) for s in shifts)
         n = len(self.shifts)
         self.labels = tuple(labels) if labels else tuple(f"g{i}" for i in range(n))
         if len(self.labels) != n:
             raise DimensionMismatch("one label per generator")
-        if twist is None:
-            twist = [[algebra.zero() for _ in range(n)] for _ in range(n)]
-        self.twist = tuple(tuple(row) for row in twist)
-        if len(self.twist) != n or any(len(r) != n for r in self.twist):
-            raise DimensionMismatch("twist must be a square generator matrix")
+        self.twist_columns = tuple(map(tuple, columns))
+        self._twist = None
         self._explicit: Optional[ExplicitModule] = None
         if check:
             self._validate()
@@ -139,18 +195,21 @@ class SemiFreeModule:
     def rank(self) -> int:
         return len(self.shifts)
 
+    @property
+    def twist(self):
+        """The twist as a grid of elements (boundary view)."""
+        if self._twist is None:
+            self._twist = _dense(self.algebra, self.twist_columns, self.rank)
+        return self._twist
+
     def _validate(self):
-        n = self.rank
-        for i in range(n):
-            for j in range(n):
-                entry = self.twist[j][i]
-                if entry.is_zero():
-                    continue
+        for i, col in enumerate(self.twist_columns):
+            for j, vec in col:
                 if j <= i:
                     raise TriangularityViolation(
                         f"twist entry at ({j},{i}) breaks the generator filtration")
                 want = 1 + self.shifts[j] - self.shifts[i]
-                if entry.degree() != want:
+                if _degree(self.algebra, vec) != want:
                     raise DegreeViolation(
                         f"twist entry ({j},{i}) must be homogeneous of degree {want}")
         try:
@@ -168,8 +227,7 @@ class SemiFreeModule:
                 and self.algebra.same_structure(other.algebra)
                 and self.shifts == other.shifts
                 and self.labels == other.labels
-                and all(self.twist[j][i].coords == other.twist[j][i].coords
-                        for i in range(self.rank) for j in range(self.rank)))
+                and self.twist_columns == other.twist_columns)
 
     def __repr__(self):
         return f"SemiFreeModule(rank={self.rank}, shifts={self.shifts})"
@@ -219,7 +277,7 @@ class ExplicitModule:
         ex = cls(a, None, basis, action)
         # D(e_b g_i) = (-1)^{|e_b|} (e_b delta_ji) g_j + d(e_b) g_i: the
         # twist restricted as a degree-1 map, plus d_A on every summand
-        diff = _restrict_images(ex, ex, 1, _generator_images(m.twist, m.rank))
+        diff = _restrict_images(ex, ex, 1, _images(m.twist_columns))
         if a.diff:
             for p, block in diff.items():
                 rows = [list(r) for r in block.entries]
@@ -259,64 +317,79 @@ def _restrict_images(source: ExplicitModule, target: ExplicitModule,
 
 
 class ModuleMap:
-    """Matrix of algebra elements realizing a graded map of semi-free modules."""
+    """Matrix over A realizing a graded map of semi-free modules, stored by
+    columns: `columns[i]` holds the entries phi[j][i] of the image of g_i."""
 
     def __init__(self, source: SemiFreeModule, target: SemiFreeModule,
                  degree: int, entries: Sequence[Sequence[Entry]], check: bool = True):
+        self._init(source, target, degree, _grid_columns(
+            entries, target.rank, source.rank,
+            "map matrix must be target-rank x source-rank"), check)
+
+    @classmethod
+    def from_columns(cls, source: SemiFreeModule, target: SemiFreeModule,
+                     degree: int, columns: Sequence[Column],
+                     check: bool = True) -> "ModuleMap":
+        phi = cls.__new__(cls)
+        phi._init(source, target, degree, columns, check)
+        return phi
+
+    def _init(self, source, target, degree, columns, check):
         if not source.algebra.same_structure(target.algebra):
             raise AlgebraMismatch("module map across different algebras")
         self.source = source
         self.target = target
         self.degree = int(degree)
-        self.entries = tuple(tuple(row) for row in entries)
-        if len(self.entries) != target.rank or any(len(r) != source.rank
-                                                   for r in self.entries):
-            raise DimensionMismatch("map matrix must be target-rank x source-rank")
+        self.columns = tuple(map(tuple, columns))
+        self._entries = None
         if check:
-            for j in range(target.rank):
-                for i in range(source.rank):
-                    e = self.entries[j][i]
-                    if e.is_zero():
-                        continue
+            a = source.algebra
+            for i, col in enumerate(self.columns):
+                for j, vec in col:
                     want = self.degree + target.shifts[j] - source.shifts[i]
-                    if e.degree() != want:
+                    if _degree(a, vec) != want:
                         raise DegreeViolation(
                             f"map entry ({j},{i}) must have degree {want}")
 
     @classmethod
     def identity(cls, m: SemiFreeModule) -> "ModuleMap":
-        a = m.algebra
-        rows = [[a.one() if i == j else a.zero() for i in range(m.rank)]
-                for j in range(m.rank)]
-        return cls(m, m, 0, rows, check=False)
+        unit = sparse(m.algebra.unit)
+        return cls.from_columns(m, m, 0, [((i, unit),) for i in range(m.rank)],
+                                check=False)
 
     @classmethod
     def zero(cls, source: SemiFreeModule, target: SemiFreeModule,
              degree: int = 0) -> "ModuleMap":
-        a = source.algebra
-        rows = [[a.zero() for _ in range(source.rank)] for _ in range(target.rank)]
-        return cls(source, target, degree, rows, check=False)
+        return cls.from_columns(source, target, degree, ((),) * source.rank,
+                                check=False)
 
-    def entry(self, j: int, i: int) -> Entry:
-        return self.entries[j][i]
+    @property
+    def entries(self):
+        """The matrix as a grid of elements (boundary view)."""
+        if self._entries is None:
+            self._entries = _dense(self.source.algebra, self.columns,
+                                   self.target.rank)
+        return self._entries
 
     def is_zero(self) -> bool:
-        return all(e.is_zero() for row in self.entries for e in row)
+        return not any(self.columns)
 
     def __add__(self, other: "ModuleMap") -> "ModuleMap":
         if self.degree != other.degree:
             raise WrongDegree("adding module maps of different degrees")
-        return ModuleMap(self.source, self.target, self.degree,
-                         [[a + b for a, b in zip(ra, rb)]
-                          for ra, rb in zip(self.entries, other.entries)], check=False)
+        return ModuleMap.from_columns(
+            self.source, self.target, self.degree,
+            _add_columns(self.source.algebra, self.columns, other.columns),
+            check=False)
 
     def __sub__(self, other):
         return self + other.scale(-1)
 
     def scale(self, c) -> "ModuleMap":
-        return ModuleMap(self.source, self.target, self.degree,
-                         [[e.scale(c) for e in row] for row in self.entries],
-                         check=False)
+        c = Fraction(c)
+        columns = _scale_columns(self.columns, c) if c else ((),) * self.source.rank
+        return ModuleMap.from_columns(self.source, self.target, self.degree,
+                                      columns, check=False)
 
     def compose(self, other: "ModuleMap") -> "ModuleMap":
         """self . other, other applied first: entry (l, i) is
@@ -324,15 +397,19 @@ class ModuleMap:
         if other.target is not self.source and other.target != self.source:
             raise DimensionMismatch("module map composition mismatch")
         a = self.source.algebra
-        first = _sparse_columns(_sparse_entries(
-            a, other.entries, (lambda d: d) if self.degree % 2 else None),
-            other.source.rank)
-        second = _sparse_entries(a, self.entries)
-        rows = [[_sum_products(a, ((u, second[l][j]) for j, u in first[i]))
-                 for i in range(other.source.rank)]
-                for l in range(self.target.rank)]
-        return ModuleMap(other.source, self.target, self.degree + other.degree,
-                         rows, check=False)
+        odd = self.degree % 2
+        columns = []
+        for col in other.columns:
+            acc: Dict[int, List] = {}
+            for j, u in col:
+                if odd and (_degree(a, u) or 0) % 2:
+                    u = _neg(u)
+                for l, v in self.columns[j]:
+                    a.add_product(acc.setdefault(l, [ZERO] * a.dim), u, v)
+            columns.append(_column(acc))
+        return ModuleMap.from_columns(other.source, self.target,
+                                      self.degree + other.degree, columns,
+                                      check=False)
 
     def differential(self) -> "ModuleMap":
         """d(phi) = D_N . phi - (-1)^{|phi|} phi . D_M at the matrix level:
@@ -341,20 +418,27 @@ class ModuleMap:
         phi[l][j]."""
         a = self.source.algebra
         n = self.degree
-        src, tgt = self.source, self.target
-        phi = _sparse_entries(a, self.entries)
-        phi_signed = _sparse_columns(_sparse_entries(a, self.entries, lambda d: d),
-                                     src.rank)
-        twist_n = _sparse_entries(a, tgt.twist)
-        twist_m = _sparse_columns(_sparse_entries(a, src.twist,
-                                                  lambda d: n * (d + 1) + 1),
-                                  src.rank)
-        rows = [[_sum_products(a, [(u, twist_n[l][j]) for j, u in phi_signed[i]]
-                               + [(u, phi[l][j]) for j, u in twist_m[i]],
-                               start=a.differential(self.entries[l][i].coords))
-                 for i in range(src.rank)]
-                for l in range(tgt.rank)]
-        return ModuleMap(src, tgt, n + 1, rows, check=False)
+        twist_n = self.target.twist_columns
+        columns = []
+        for col, twist_col in zip(self.columns, self.source.twist_columns):
+            acc: Dict[int, List] = {}
+            for l, v in col:
+                for t, c in v:
+                    for k, ck in a.diff.get(t, ()):
+                        acc.setdefault(l, [ZERO] * a.dim)[k] += c * ck
+            for j, u in col:
+                if (_degree(a, u) or 0) % 2:
+                    u = _neg(u)
+                for l, w in twist_n[j]:
+                    a.add_product(acc.setdefault(l, [ZERO] * a.dim), u, w)
+            for j, u in twist_col:
+                if (n * ((_degree(a, u) or 0) + 1) + 1) % 2:
+                    u = _neg(u)
+                for l, w in self.columns[j]:
+                    a.add_product(acc.setdefault(l, [ZERO] * a.dim), u, w)
+            columns.append(_column(acc))
+        return ModuleMap.from_columns(self.source, self.target, n + 1, columns,
+                                      check=False)
 
     def is_closed(self) -> bool:
         return self.differential().is_zero()
@@ -363,16 +447,14 @@ class ModuleMap:
         """Induced chain map between the explicit realizations."""
         src = self.source.to_explicit()
         tgt = self.target.to_explicit()
-        images = _generator_images(self.entries, self.source.rank)
         return ChainMap(src.complex, tgt.complex, self.degree,
-                        _restrict_images(src, tgt, self.degree, images))
+                        _restrict_images(src, tgt, self.degree,
+                                         _images(self.columns)))
 
     def __eq__(self, other):
         return (isinstance(other, ModuleMap) and self.degree == other.degree
                 and self.source == other.source and self.target == other.target
-                and all(self.entries[j][i].coords == other.entries[j][i].coords
-                        for j in range(self.target.rank)
-                        for i in range(self.source.rank)))
+                and self.columns == other.columns)
 
     def __repr__(self):
         return f"ModuleMap(degree={self.degree}, {self.source.rank}->{self.target.rank})"
@@ -447,12 +529,12 @@ def projective_module(a: DgAlgebra, idem: AlgebraElement,
 def shift_module(p: PerfectModule, n: int) -> PerfectModule:
     """p[n]: shifts raised by n, twist scaled by (-1)^n."""
     m = p.module
-    sgn = ONE if n % 2 == 0 else -ONE
-    tw = [[m.twist[j][i].scale(sgn) for i in range(m.rank)] for j in range(m.rank)]
-    shifted = SemiFreeModule(m.algebra, [s + n for s in m.shifts], tw, m.labels)
+    tw = m.twist_columns if n % 2 == 0 else _scale_columns(m.twist_columns, -ONE)
+    shifted = SemiFreeModule.from_columns(m.algebra, [s + n for s in m.shifts],
+                                          tw, m.labels)
     e = None
     if p.idempotent is not None:
-        e = ModuleMap(shifted, shifted, 0, p.idempotent.entries)
+        e = ModuleMap.from_columns(shifted, shifted, 0, p.idempotent.columns)
     return PerfectModule(shifted, e)
 
 
@@ -465,20 +547,13 @@ def cone_module(p: ModuleMap) -> PerfectModule:
     if not p.is_closed():
         raise NotClosed("cone needs a closed map")
     L, M = p.source, p.target
-    a = L.algebra
     shifts = [s + 1 for s in L.shifts] + list(M.shifts)
     labels = [f"{l}'" for l in L.labels] + list(M.labels)
-    nl, nm = L.rank, M.rank
-    tw = [[a.zero() for _ in range(nl + nm)] for _ in range(nl + nm)]
-    for j in range(nl):
-        for i in range(nl):
-            tw[j][i] = -L.twist[j][i]
-    for j in range(nm):
-        for i in range(nm):
-            tw[nl + j][nl + i] = M.twist[j][i]
-        for i in range(nl):
-            tw[nl + j][i] = p.entries[j][i]
-    return PerfectModule(SemiFreeModule(a, shifts, tw, labels))
+    nl = L.rank
+    tw = [col + _offset(pcol, nl) for col, pcol in
+          zip(_scale_columns(L.twist_columns, -ONE), p.columns)]
+    tw += [_offset(col, nl) for col in M.twist_columns]
+    return PerfectModule(SemiFreeModule.from_columns(L.algebra, shifts, tw, labels))
 
 
 def direct_sum_modules(p1: PerfectModule, p2: PerfectModule) -> PerfectModule:
@@ -488,8 +563,8 @@ def direct_sum_modules(p1: PerfectModule, p2: PerfectModule) -> PerfectModule:
         raise AlgebraMismatch("direct sum across different algebras")
     shifts = list(m1.shifts) + list(m2.shifts)
     labels = [f"{l}.1" for l in m1.labels] + [f"{l}.2" for l in m2.labels]
-    psum = PerfectModule(SemiFreeModule(a, shifts, _block_diagonal(
-        a, m1.twist, m2.twist), labels))
+    psum = PerfectModule(SemiFreeModule.from_columns(a, shifts, _block_diagonal(
+        m1.twist_columns, m2.twist_columns), labels))
     if p1.idempotent is None and p2.idempotent is None:
         return psum
     idem = direct_sum_maps(p1, p2, psum, p1.identity_map(), p2.identity_map())
@@ -500,16 +575,13 @@ def direct_sum_maps(p1: PerfectModule, p2: PerfectModule, psum: PerfectModule,
                     f1: ModuleMap, f2: ModuleMap) -> ModuleMap:
     """f1 (+) f2 as an endomorphism of a direct sum built by
     direct_sum_modules (endomorphism case only)."""
-    return ModuleMap(psum.module, psum.module, 0,
-                     _block_diagonal(psum.algebra, f1.entries, f2.entries))
+    return ModuleMap.from_columns(psum.module, psum.module, 0,
+                                  _block_diagonal(f1.columns, f2.columns))
 
 
-def _block_diagonal(a: DgAlgebra, x: Sequence[Sequence[Entry]],
-                    y: Sequence[Sequence[Entry]]) -> List[List[Entry]]:
-    """The square matrix [[x, 0], [0, y]] over A."""
-    zero = a.zero()
-    return ([list(row) + [zero] * len(y) for row in x]
-            + [[zero] * len(x) + list(row) for row in y])
+def _block_diagonal(x: Sequence[Column], y: Sequence[Column]) -> List[Column]:
+    """The columns of the square matrix [[x, 0], [0, y]] over A."""
+    return list(x) + [_offset(col, len(x)) for col in y]
 
 
 def restrict_to_ground(p: PerfectModule) -> SplitComplex:
@@ -544,54 +616,37 @@ def restrict_to_factor(p: PerfectModule, f1: DgAlgebra, f2: DgAlgebra,
     m = p.module
     small = f1 if side == "first" else f2
     nother = n2 if side == "first" else n1
-    gens = []
-    for i in range(m.rank):
-        for q in range(nother):
-            gens.append((i, q))
+    gens = [(i, q) for i in range(m.rank) for q in range(nother)]
     index = {g: t for t, g in enumerate(gens)}
     shifts = [m.shifts[i] for (i, q) in gens]
     labels = [f"{m.labels[i]}|{q}" for (i, q) in gens]
 
-    def expand(entry: Entry, q: int):
-        """(1 (x) beta_q) * entry (side first) or (alpha_q (x) 1) * entry
-        (side second), expanded over the small algebra per new generator."""
-        out: Dict[int, List[Fraction]] = {}
-        for flat, c in enumerate(entry.coords):
-            if not c:
-                continue
-            pa, qb = divmod(flat, n2)
-            if side == "first":
-                # (1 (x) b_q)(a_pa (x) b_qb) = a_pa (x) (b_q *f2 b_qb)
-                for u, cu in f2.mult.get((q, qb), ()):
-                    vec = out.setdefault(u, [ZERO] * n1)
-                    vec[pa] += c * cu
-            else:
-                for u, cu in f1.mult.get((q, pa), ()):
-                    vec = out.setdefault(u, [ZERO] * n2)
-                    vec[qb] += c * cu
+    def expand(columns: Sequence[Column]) -> List[Column]:
+        """Column (i, q) holds (1 (x) beta_q) * entry (side first) or
+        (alpha_q (x) 1) * entry (side second) of each entry [j][i],
+        expanded over the small algebra into the rows (j, u)."""
+        out = []
+        for (i, q) in gens:
+            acc: Dict[int, List] = {}
+            for j, vec in columns[i]:
+                for flat, c in vec:
+                    pa, qb = divmod(flat, n2)
+                    if side == "first":
+                        # (1 (x) b_q)(a_pa (x) b_qb) = a_pa (x) (b_q *f2 b_qb)
+                        for u, cu in f2.mult.get((q, qb), ()):
+                            acc.setdefault(index[(j, u)], [ZERO] * n1)[pa] += c * cu
+                    else:
+                        for u, cu in f1.mult.get((q, pa), ()):
+                            acc.setdefault(index[(j, u)], [ZERO] * n2)[qb] += c * cu
+            out.append(_column(acc))
         return out
 
-    zero_entry = small.zero()
-
-    def expand_matrix(rows_src) -> List[List[Entry]]:
-        rows = [[zero_entry for _ in gens] for _ in gens]
-        for (i, q) in gens:
-            col = index[(i, q)]
-            for j in range(m.rank):
-                entry = rows_src[j][i]
-                if entry.is_zero():
-                    continue
-                for u, vec in expand(entry, q).items():
-                    rows[index[(j, u)]][col] = (rows[index[(j, u)]][col]
-                                                + small.element(vec))
-        return rows
-
-    tw = expand_matrix(m.twist)
-    mod = SemiFreeModule(small, shifts, tw, labels, check=check)
+    mod = SemiFreeModule.from_columns(small, shifts, expand(m.twist_columns),
+                                      labels, check=check)
     idem = None
     if p.idempotent is not None:
-        erows = expand_matrix(p.idempotent.entries)
-        idem = ModuleMap(mod, mod, 0, erows, check=check)
+        idem = ModuleMap.from_columns(mod, mod, 0, expand(p.idempotent.columns),
+                                      check=check)
     return PerfectModule(mod, idem, check=check), index
 
 
@@ -605,78 +660,84 @@ def right_multiplication_map(p: PerfectModule, restricted: PerfectModule,
     where the product b_q * elem is taken in f2 (the opposite of the second
     tensor slot), i.e. genuine right multiplication.
     """
-    small = f1
     mod = restricted.module
-    zero = small.zero()
-    rows = [[zero for _ in range(mod.rank)] for _ in range(mod.rank)]
+    unit = sparse(f1.unit)
+    coords = sparse(elem.coords)
+    columns: List[Column] = [()] * mod.rank
     for (i, q), col in index.items():
         # Right multiplication is the action of (1 (x) elem); the second slot
         # multiplies in f2 (already the opposite of the user's algebra), so
         # elem *f2 beta_q is genuine right multiplication by elem.
         prod: Dict[int, Fraction] = {}
-        for t, ct in enumerate(elem.coords):
-            if ct:
-                for u, cu in f2.mult.get((t, q), ()):
-                    prod[u] = prod.get(u, ZERO) + ct * cu
-        for u, cu in prod.items():
-            if cu:
-                rows[index[(i, u)]][col] = (rows[index[(i, u)]][col]
-                                            + small.one().scale(cu))
-    return ModuleMap(mod, mod, 0, rows, check=False)
+        for t, ct in coords:
+            for u, cu in f2.mult.get((t, q), ()):
+                prod[u] = prod.get(u, ZERO) + ct * cu
+        columns[col] = tuple(sorted((index[(i, u)], tuple((k, cu * x) for k, x in unit))
+                                    for u, cu in prod.items() if cu))
+    return ModuleMap.from_columns(mod, mod, 0, columns, check=False)
 
 
 # ---------------------------------------------------------------------------
 # Outer tensor of modules over different algebras
 # ---------------------------------------------------------------------------
 
+def outer_tensor_columns(index: Dict, x: Sequence[Column], y: Sequence[Column],
+                         ns: int) -> List[Column]:
+    """The columns of x (x) y over tensor_algebras(R, S), dim S = ns, on the
+    generators index[(i, j)]: entry (index[(i2, j2)], index[(i, j)]) is
+    x[i2][i] (x) y[j2][j], the coordinate u_p v_q at flat index p*ns + q."""
+    out: List[Column] = [()] * len(index)
+    for (i, j), col in index.items():
+        out[col] = tuple(sorted(
+            (index[(i2, j2)], tuple((p * ns + q, cu * cv) for p, cu in u for q, cv in v))
+            for i2, u in x[i] for j2, v in y[j]))
+    return out
+
+
 def outer_tensor_entries(prod: DgAlgebra, index: Dict, x: Sequence[Sequence[Entry]],
-                         y: Sequence[Sequence[Entry]]) -> List[List[Entry]]:
+                         y: Sequence[Sequence[Entry]]):
     """The matrix x (x) y over prod = tensor_algebras(R, S) of square
     matrices x over R and y over S, on the generators index[(i, j)]: entry
-    (index[(i2, j2)], index[(i, j)]) is x[i2][i] (x) y[j2][j]."""
-    zero = prod.zero()
-    rows = [[zero] * len(index) for _ in index]
-    x_cols, y_cols = ([[(j, row[i].coords) for j, row in enumerate(z)
-                        if not row[i].is_zero()] for i in range(len(z))]
-                      for z in (x, y))
-    for (i, j), col in index.items():
-        for i2, u in x_cols[i]:
-            for j2, v in y_cols[j]:
-                rows[index[(i2, j2)]][col] = AlgebraElement(prod, pure_tensor(u, v))
-    return rows
+    (index[(i2, j2)], index[(i, j)]) is x[i2][i] (x) y[j2][j]; grids in and out."""
+    if not index:
+        return ()
+    ns = y[0][0].algebra.dim
+    x, y = (_grid_columns(z, len(z), len(z), "square matrices only") for z in (x, y))
+    return _dense(prod, outer_tensor_columns(index, x, y, ns), len(index))
 
 
 def outer_tensor_modules(p1: PerfectModule, p2: PerfectModule,
-                         prod: Optional[DgAlgebra] = None) -> Tuple[PerfectModule, DgAlgebra, Dict]:
+                         check: bool = True) -> Tuple[PerfectModule, DgAlgebra, Dict]:
     """m1 (x)_k m2 as a module over tensor_algebras(R, S).
 
     Generators (i, j) ordered i-major, shifts add, twist
     delta1 (x) 1 + diag((-1)^{s_i}) (x) delta2, idempotent e1 (x) e2.
     Degree-0 algebras only (the sign bookkeeping for graded coefficients is
-    not carried here).
+    not carried here).  Pass check=False to skip revalidation (the outer
+    tensor of valid data is valid).
     """
     r, s = p1.algebra, p2.algebra
     if not (r.is_degree_zero() and s.is_degree_zero()):
         raise NotDegreeZeroConcentrated("outer tensor needs degree-0 algebras")
-    if prod is None:
-        prod = tensor_algebras(r, s)
+    prod = tensor_algebras(r, s)
     m1, m2 = p1.module, p2.module
     gens = [(i, j) for i in range(m1.rank) for j in range(m2.rank)]
     index = {g: t for t, g in enumerate(gens)}
     shifts = [m1.shifts[i] + m2.shifts[j] for (i, j) in gens]
     labels = [f"{m1.labels[i]}(x){m2.labels[j]}" for (i, j) in gens]
-    signs = [[r.one().scale(-1 if s1 % 2 else 1) if i == i2 else r.zero()
-              for i, s1 in enumerate(m1.shifts)] for i2 in range(m1.rank)]
-    tw = [[u + v for u, v in zip(row1, row2)] for row1, row2 in zip(
-        outer_tensor_entries(prod, index, m1.twist,
-                             ModuleMap.identity(m2).entries),
-        outer_tensor_entries(prod, index, signs, m2.twist))]
-    mod = SemiFreeModule(prod, shifts, tw, labels)
+    unit = sparse(r.unit)
+    signs = [((i, _neg(unit) if s1 % 2 else unit),) for i, s1 in enumerate(m1.shifts)]
+    tw = _add_columns(
+        prod, outer_tensor_columns(index, m1.twist_columns,
+                                   ModuleMap.identity(m2).columns, s.dim),
+        outer_tensor_columns(index, signs, m2.twist_columns, s.dim))
+    mod = SemiFreeModule.from_columns(prod, shifts, tw, labels, check=check)
     idem = None
     if p1.idempotent is not None or p2.idempotent is not None:
-        idem = ModuleMap(mod, mod, 0, outer_tensor_entries(
-            prod, index, p1.identity_map().entries, p2.identity_map().entries))
-    return PerfectModule(mod, idem), prod, index
+        idem = ModuleMap.from_columns(mod, mod, 0, outer_tensor_columns(
+            index, p1.identity_map().columns, p2.identity_map().columns, s.dim),
+            check=check)
+    return PerfectModule(mod, idem, check=check), prod, index
 
 
 # ---------------------------------------------------------------------------
@@ -698,7 +759,7 @@ class TensorOverAlgebra:
         self.m = m
         self.basis, self.pos, space = _key_basis(m.shifts, left.basis, -1)
         d_left = _key_columns(left.complex.d, 1, left.basis, left.basis)
-        twist_cols = _nonzero_columns(m.twist, m.rank)
+        twist_cols = _with_degrees(m.algebra, m.twist_columns)
         diff: Dict[int, RationalMatrix] = {}
         for p, keys in self.basis.items():
             tgt = self.basis.get(p + 1, [])
@@ -737,7 +798,7 @@ class TensorOverAlgebra:
         deg = deg_g + deg_f
         g_cols = (_key_columns(g.block, deg_g, self.left.basis, target.left.basis)
                   if g is not None else None)
-        f_cols = _nonzero_columns(f.entries, f.source.rank) if f is not None else None
+        f_cols = _with_degrees(f.source.algebra, f.columns) if f is not None else None
         blocks = {}
         for p, keys in self.basis.items():
             tgt = target.basis.get(p + deg, [])
@@ -773,7 +834,6 @@ def tensor_over_algebra(n: PerfectModule, m: PerfectModule,
     """Derived tensor N (x)_A M of a right module (over A^op) and a left
     module (over A), both on semi-free presentations.  Idempotents on either
     side induce a closed idempotent on the result."""
-    from .algebras import opposite
     if a is None:
         a = m.module.algebra
     if not opposite(n.module.algebra).same_structure(a):
@@ -802,7 +862,7 @@ class HomOverAlgebra:
         action = target.action
         # phi = (i, u) sends g_i to u; the twist row entries delta[i][i2]
         # feed g_{i2} for i2 < i.
-        twist_rows = _nonzero_columns(tuple(zip(*m.twist)), m.rank)
+        twist_rows = _with_degrees(m.algebra, rows_of(m.twist_columns, m.rank))
         diff: Dict[int, RationalMatrix] = {}
         for n_deg, keys in self.basis.items():
             tgt = self.basis.get(n_deg + 1, [])
@@ -825,7 +885,7 @@ class HomOverAlgebra:
         """phi -> phi . e for a degree-0 map e of the source; Koszul sign
         (-1)^{n |entry|} with n the Hom degree."""
         action = self.target.action
-        e_rows = _nonzero_columns(tuple(zip(*e.entries)), self.m.rank)
+        e_rows = _with_degrees(self.m.algebra, rows_of(e.columns, self.m.rank))
         blocks = {}
         for p, keys in self.basis.items():
             rows = [[ZERO] * len(keys) for _ in keys]

@@ -384,7 +384,8 @@ def compose_kernels_separable(k1: PerfectModule, k2: PerfectModule,
         raise AlgebraMismatch("second kernel is not over B (x) C^op")
     r1, index1 = restrict_to_factor(k1, a, bop, "first", check=False)
     r2, index2 = restrict_to_factor(k2, b, cop, "second", check=False)
-    outer, ac, index = outer_tensor_modules(r1, r2)
+    # the final PerfectModule checks the composed idempotent
+    outer, ac, index = outer_tensor_modules(r1, r2, check=False)
     nb = b.dim
     # (w1, w2) -> {(w1 p_t, q_t w2): coefficient}, summed over the terms of E
     moves: Dict[Tuple[int, int], Dict[Tuple[int, int], Fraction]] = {}
@@ -396,15 +397,15 @@ def compose_kernels_separable(k1: PerfectModule, k2: PerfectModule,
                     for w2p, c2 in b.mult.get((t2, w2), ()):
                         out = moves.setdefault((w1, w2), {})
                         out[(w1p, w2p)] = out.get((w1p, w2p), ZERO) + ce * c1 * c2
-    one = ac.one()
-    rows = [[ac.zero()] * len(index) for _ in index]
+    unit = sparse(ac.unit)
+    columns = [()] * len(index)
     for (i, w1), g1 in index1.items():
         for (j, w2), g2 in index2.items():
-            col = index[(g1, g2)]
-            for (w1p, w2p), coeff in moves.get((w1, w2), {}).items():
-                row = index[(index1[(i, w1p)], index2[(j, w2p)])]
-                rows[row][col] = one.scale(coeff)
-    insert = ModuleMap(outer.module, outer.module, 0, rows)
+            columns[index[(g1, g2)]] = tuple(sorted(
+                (index[(index1[(i, w1p)], index2[(j, w2p)])],
+                 tuple((t, coeff * c) for t, c in unit))
+                for (w1p, w2p), coeff in moves.get((w1, w2), {}).items() if coeff))
+    insert = ModuleMap.from_columns(outer.module, outer.module, 0, columns)
     if outer.idempotent is not None:
         insert = insert.compose(outer.idempotent)
     return PerfectModule(outer.module, insert)

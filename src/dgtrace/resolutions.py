@@ -12,12 +12,12 @@ from __future__ import annotations
 
 from typing import Callable, Optional, Sequence, Tuple
 
-from .algebras import (AlgebraElement, AlgebraIso, DgAlgebra, opposite,
-                       pure_tensor, sparse, tensor_algebras)
+from .algebras import (AlgebraElement, AlgebraIso, DgAlgebra, SparseVec,
+                       opposite, pure_tensor, sparse, tensor_algebras)
 from .complexes import ChainMap, SplitComplex, cone, is_acyclic
 from .duality import diagonal_explicit, transport_module
 from .errors import AugmentationNotQuasiIso, NotDegreeZeroConcentrated
-from .linalg import ZERO
+from .linalg import ONE, ZERO
 from .modules import (ModuleMap, PerfectModule, SemiFreeModule, outer_tensor_modules,
                       semifree_map_to_explicit)
 
@@ -125,27 +125,24 @@ def quiver_resolution(a: DgAlgebra, vertex_idems: Sequence[int],
     env = tensor_algebras(a, opposite(a))
     n = a.dim
 
-    def pair(x: int, y: int) -> AlgebraElement:
-        """e_x (x) e_y in A^e."""
-        return env.basis_element(x * n + y)
+    def pair(x: int, y: int, c=ONE) -> SparseVec:
+        """c e_x (x) e_y in A^e."""
+        return ((x * n + y, c),)
 
     def build():
         na, nv = len(arrows), len(vertex_idems)
         shifts = [1] * na + [0] * nv
         labels = [f"arr{t}" for t in range(na)] + [f"vtx{t}" for t in range(nv)]
-        tw = [[env.zero() for _ in range(na + nv)] for _ in range(na + nv)]
-        for t, (x, src, tgt) in enumerate(arrows):
-            # d(H_x) = (x (x) e_tgt) G_tgt - (e_src (x) x) G_src, the
-            # bimodule map e_src (x) e_tgt -> x (x) e_tgt - e_src (x) x.
-            tw[na + tgt][t] = pair(x, vertex_idems[tgt])
-            tw[na + src][t] = -pair(vertex_idems[src], x)
-        mod = SemiFreeModule(env, shifts, tw, labels)
-        rows = [[env.zero() for _ in range(na + nv)] for _ in range(na + nv)]
-        for t, (x, src, tgt) in enumerate(arrows):
-            rows[t][t] = pair(vertex_idems[src], vertex_idems[tgt])
-        for t, v in enumerate(vertex_idems):
-            rows[na + t][na + t] = pair(v, v)
-        idem = ModuleMap(mod, mod, 0, rows)
+        # d(H_x) = (x (x) e_tgt) G_tgt - (e_src (x) x) G_src, the bimodule
+        # map e_src (x) e_tgt -> x (x) e_tgt - e_src (x) x.
+        tw = [tuple(sorted([(na + tgt, pair(x, vertex_idems[tgt])),
+                            (na + src, pair(vertex_idems[src], x, -ONE))]))
+              for (x, src, tgt) in arrows] + [()] * nv
+        mod = SemiFreeModule.from_columns(env, shifts, tw, labels)
+        idem = ModuleMap.from_columns(mod, mod, 0, [
+            ((t, pair(vertex_idems[src], vertex_idems[tgt])),)
+            for t, (x, src, tgt) in enumerate(arrows)] + [
+            ((na + t, pair(v, v)),) for t, v in enumerate(vertex_idems)])
         aug = tuple([a.zero()] * na
                     + [a.basis_element(v) for v in vertex_idems])
         return PerfectModule(mod, idem), aug

@@ -12,11 +12,12 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .algebras import AlgebraElement, DgAlgebra
+from .algebras import DgAlgebra, SparseVec
 from .errors import NotClosed
 from .linalg import ONE, ZERO, RationalMatrix, rank_kernel_image
-from .modules import (ModuleMap, PerfectModule, SemiFreeModule, cone_module,
-                      direct_sum_modules, free_module, projective_module)
+from .modules import (ModuleMap, PerfectModule, SemiFreeModule, rows_of,
+                      cone_module, direct_sum_modules, free_module,
+                      projective_module)
 from .prng import SplitMix64
 
 COEFF_POOL = (-2, -1, 0, 0, 1, 1, 2, 3)
@@ -26,11 +27,17 @@ def random_coeff(rng: SplitMix64) -> Fraction:
     return Fraction(COEFF_POOL[rng.below(len(COEFF_POOL))])
 
 
+def _random_coordinates(a: DgAlgebra, degree: int, rng: SplitMix64) -> SparseVec:
+    """The nonzero coordinates of a random element of the given degree: one
+    random_coeff per basis element of that degree, in index order."""
+    return tuple((i, c) for i in range(a.dim)
+                 if a.degrees[i] == degree and (c := random_coeff(rng)))
+
+
 def random_element_of_degree(a: DgAlgebra, degree: int, rng: SplitMix64):
     coords = [ZERO] * a.dim
-    for i in range(a.dim):
-        if a.degrees[i] == degree:
-            coords[i] = random_coeff(rng)
+    for i, c in _random_coordinates(a, degree, rng):
+        coords[i] = c
     return a.element(coords)
 
 
@@ -44,15 +51,13 @@ def random_free(a: DgAlgebra, rng: SplitMix64, max_rank: int = 2,
 def random_map_between_frees(src: PerfectModule, tgt: PerfectModule,
                              rng: SplitMix64) -> ModuleMap:
     """Any degree-compatible matrix between frees is closed."""
-    a = src.algebra
-    rows = []
+    columns = [[] for _ in range(src.rank)]
     for j in range(tgt.rank):
-        row = []
         for i in range(src.rank):
-            want = tgt.shifts[j] - src.shifts[i]
-            row.append(random_element_of_degree(a, want, rng))
-        rows.append(row)
-    return ModuleMap(src.module, tgt.module, 0, rows, check=False)
+            vec = _random_coordinates(src.algebra, tgt.shifts[j] - src.shifts[i], rng)
+            if vec:
+                columns[i].append((j, vec))
+    return ModuleMap.from_columns(src.module, tgt.module, 0, columns, check=False)
 
 
 def random_semifree(a: DgAlgebra, rng: SplitMix64, max_gens: int = 4,
@@ -92,67 +97,38 @@ def closed_map_kernel(src: SemiFreeModule, tgt: SemiFreeModule,
     the coordinate of e_w in entry (j, i), and a basis of the kernel of the
     closedness system as vectors over those columns."""
     a = src.algebra
-    n = a.dim
-    unknowns = []  # (j, i) pairs with an allowed entry degree
+    coords: ColumnMap = {}
     for j in range(tgt.rank):
         for i in range(src.rank):
             want = degree + tgt.shifts[j] - src.shifts[i]
-            if any(d == want for d in a.degrees):
-                unknowns.append((j, i))
-    coords: ColumnMap = {}
-    cols = 0
-    for (j, i) in unknowns:
-        want = degree + tgt.shifts[j] - src.shifts[i]
-        for w in range(n):
-            if a.degrees[w] == want:
-                coords[(j, i, w)] = cols
-                cols += 1
-    if cols == 0:
+            for w in range(a.dim):
+                if a.degrees[w] == want:
+                    coords[(j, i, w)] = len(coords)
+    if not coords:
         return coords, []
-    # equations: coordinates of d(phi)[l][i] = 0
-    rows: List[List[Fraction]] = []
-    for l in range(tgt.rank):
-        for i in range(src.rank):
-            want = degree + 1 + tgt.shifts[l] - src.shifts[i]
-            if not any(d == want for d in a.degrees):
-                continue
-            eq = [[ZERO] * cols for _ in range(n)]
-            # + sum_j phi[j][i] * deltaN[l][j]
-            for j in range(tgt.rank):
-                dn = tgt.twist[l][j]
-                if dn.is_zero():
-                    continue
-                for w in range(n):
-                    col = coords.get((j, i, w))
-                    if col is None:
-                        continue
-                    for t, ct in enumerate(dn.coords):
-                        if ct:
-                            for x, cx in a.mult.get((w, t), ()):
-                                eq[x][col] += ct * cx
-            # - (-1)^degree sum_j deltaM[j][i] * phi[l][j]
-            sgn = ONE if degree % 2 == 0 else -ONE
-            for j in range(src.rank):
-                dm = src.twist[j][i]
-                if dm.is_zero():
-                    continue
-                for w in range(n):
-                    col = coords.get((l, j, w))
-                    if col is None:
-                        continue
-                    for t, ct in enumerate(dm.coords):
-                        if ct:
-                            for x, cx in a.mult.get((t, w), ()):
-                                eq[x][col] -= sgn * ct * cx
-            for x in range(n):
-                if any(eq[x]):
-                    rows.append(eq[x])
+    # equations: the coordinates of d(phi)[l][i] = 0, one column per
+    # unknown coordinate e_w of entry (j, i)
+    sgn = ONE if degree % 2 == 0 else -ONE
+    rows_m = rows_of(src.twist_columns, src.rank)
+    equations: Dict[Tuple[int, int, int], List[Fraction]] = {}
+    for (j, i, w), col in coords.items():
+        # + phi[j][i] * deltaN[l][j], in entry (l, i)
+        for l, dn in tgt.twist_columns[j]:
+            for t, ct in dn:
+                for x, cx in a.mult.get((w, t), ()):
+                    equations.setdefault((l, i, x), [ZERO] * len(coords))[col] += ct * cx
+        # - (-1)^degree deltaM[i][i2] * phi[j][i], in entry (j, i2)
+        for i2, dm in rows_m[i]:
+            for t, ct in dm:
+                for x, cx in a.mult.get((t, w), ()):
+                    equations.setdefault((j, i2, x), [ZERO] * len(coords))[col] -= sgn * ct * cx
+    rows = [equations[k] for k in sorted(equations)]
     if rows:
         mat = RationalMatrix.from_rows(rows)
         _, ker, _ = rank_kernel_image(mat)
         vectors = list(ker.basis)
     else:
-        vectors = list(RationalMatrix.identity(cols).entries)
+        vectors = list(RationalMatrix.identity(len(coords)).entries)
     return coords, vectors
 
 
@@ -160,18 +136,14 @@ def _map_from_vector(src: SemiFreeModule, tgt: SemiFreeModule, degree: int,
                      coords: ColumnMap, vec: Sequence[Fraction]) -> ModuleMap:
     """The module map whose entry coordinates are vec read through the
     column map of closed_map_kernel."""
-    a = src.algebra
-    cells = [[None] * src.rank for _ in range(tgt.rank)]
+    cells: List[Dict[int, List]] = [{} for _ in range(src.rank)]
     for (j, i, w), col in coords.items():
         cv = vec[col]
         if cv:
-            if cells[j][i] is None:
-                cells[j][i] = [ZERO] * a.dim
-            cells[j][i][w] = cv
-    zero = a.zero()
-    entries = [[zero if cell is None else AlgebraElement(a, tuple(cell))
-                for cell in row] for row in cells]
-    return ModuleMap(src, tgt, degree, entries, check=False)
+            cells[i].setdefault(j, []).append((w, cv))
+    columns = [tuple((j, tuple(sorted(cell[j]))) for j in sorted(cell))
+               for cell in cells]
+    return ModuleMap.from_columns(src, tgt, degree, columns, check=False)
 
 
 def closed_map_basis(src: SemiFreeModule, tgt: SemiFreeModule,

@@ -176,3 +176,23 @@ def test_repeated_basis_indices_merge(a2):
                  [2, 1, 2, "1"], [0, 0, 0, "-1"]],
         "unit": ["1", "1", "0"]}}}))
     assert ws.algebras["A2"] == a2
+
+
+def test_opposite_is_memoised(cat):
+    # 1, x, y, z with |x| = |y| = 1 and xy = z: the opposite has
+    # y .op x = -z, so the Koszul sign shows
+    odd = validate_algebra(
+        ["1", "x", "y", "z"], [0, 1, 1, 2],
+        {(0, 0): ((0, ONE),), (0, 1): ((1, ONE),), (1, 0): ((1, ONE),),
+         (0, 2): ((2, ONE),), (2, 0): ((2, ONE),), (0, 3): ((3, ONE),),
+         (3, 0): ((3, ONE),), (1, 2): ((3, ONE),)}, [ONE, F(0), F(0), F(0)])
+    for a in [ent.algebra for ent in cat.values()] + [odd]:
+        op = opposite(a)
+        assert opposite(a) is op
+        # a fresh build from the structure constants
+        mult = {(j, i): tuple((k, (-1) ** (a.degrees[i] * a.degrees[j]) * c)
+                              for k, c in vec) for (i, j), vec in a.mult.items()}
+        fresh = DgAlgebra(a.labels, a.degrees, mult, a.unit, a.diff)
+        assert (op.labels, op.degrees, op.mult, op.unit, op.diff) == (
+            fresh.labels, fresh.degrees, fresh.mult, fresh.unit, fresh.diff)
+    assert opposite(odd).mult[(2, 1)] == ((3, -ONE),)

@@ -7,12 +7,14 @@ import pytest
 
 from dgtrace.algebras import opposite, tensor_algebras
 from dgtrace.catalog import catalog_entry
-from dgtrace.errors import NoDiagonalResolutionForB, NotSeparableB
+from dgtrace.errors import (IdempotentIncompatible, NoDiagonalResolutionForB,
+                            NotSeparableB)
 from dgtrace.hochschild import euler_class, hh0_space
-from dgtrace.modules import (ModuleMap, cone_module, free_module,
-                             projective_module)
-from dgtrace.pairing import (KernelTransfer, cup, diagonal_class, kunneth,
-                             pair_scalar, pairing_three_ways, unit_algebra,
+from dgtrace.modules import (ModuleMap, PerfectModule, cone_module,
+                             free_module, projective_module)
+from dgtrace.pairing import (KernelTransfer, compose_kernels_separable, cup,
+                             diagonal_class, kunneth, pair_scalar,
+                             pairing_three_ways, unit_algebra,
                              verify_kernel_composition, verify_rr,
                              _cup_kernel, _cup_separable, _pair_trace_table)
 from dgtrace.prng import SplitMix64, stream_for
@@ -543,3 +545,17 @@ def test_derived_tables_live_and_die_with_the_algebra(cat):
     del env
     gc.collect()
     assert ref() is None
+
+
+def test_kernel_composition_checks_the_composed_idempotent(cat):
+    # the outer tensor of the restricted kernels is left unchecked, so a
+    # kernel carrying 2e in place of its idempotent e must be caught by the
+    # check on the composed idempotent
+    for name in ("M2", "kxk", "k"):
+        ent = cat[name]
+        b = ent.algebra
+        good = ent.resolution.module
+        bad = PerfectModule(good.module, good.idempotent.scale(2), check=False)
+        for k1, k2 in ((bad, good), (good, bad)):
+            with pytest.raises(IdempotentIncompatible):
+                compose_kernels_separable(k1, k2, b, b, b, ent.resolution)

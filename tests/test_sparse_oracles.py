@@ -9,15 +9,19 @@ table against products through the dense DgAlgebra.multiply scan; the one
 restriction kernel (ModuleMap.restrict and the twist part of to_explicit)
 against the dense (-1)^{n|b|} e_b . phi_ji; pure tensors, the outer tensor
 of matrices and the twist and idempotent of the outer tensor of modules
-against x (x) y = (x (x) 1)(1 (x) y) through AlgebraElement.__mul__.
+against x (x) y = (x (x) 1)(1 (x) y) through AlgebraElement.__mul__; the
+restriction of a bimodule to either factor and right multiplication on it
+against products with 1 (x) beta and alpha (x) 1 through
+AlgebraElement.__mul__; the stored columns of maps and twists against their
+normal form.
 """
 
 from fractions import Fraction
 
 import pytest
 
-from dgtrace.algebras import (opposite, pure_tensor, tensor_algebras,
-                              validate_algebra)
+from dgtrace.algebras import (AlgebraElement, opposite, pure_tensor,
+                              tensor_algebras, validate_algebra)
 from dgtrace.complexes import ChainMap, chain_supertrace
 from dgtrace.duality import (DualBimodule, _opposite_diagonal_explicit,
                              diagonal_explicit, dual_right_module_data,
@@ -27,6 +31,7 @@ from dgtrace.hochschild import compressed_supertrace, generalized_supertrace
 from dgtrace.linalg import RationalMatrix
 from dgtrace.modules import (ModuleMap, PerfectModule, SemiFreeModule,
                              outer_tensor_entries, outer_tensor_modules,
+                             restrict_to_factor, right_multiplication_map,
                              tensor_over_algebra)
 from dgtrace.prng import SplitMix64, stream_for
 from dgtrace.sampling import (EndoSampler, closed_map_basis, random_closed_pair,
@@ -492,3 +497,152 @@ def test_outer_tensor_twist_and_idempotent_match_products(cat):
                         assert big.idempotent.entries[row][col].coords == e.coords
             with_idempotent += big.idempotent is not None
     assert with_idempotent > 0 and odd_signs > 0
+
+
+# -- restriction to a tensor factor and right multiplication ----------------
+
+def factor_kernels(cat):
+    """(kernel, f1, f2): the catalog resolutions over A (x) A^op, and random
+    kernels over A (x) B^op with dim A != dim B, so a swap of the two
+    factors shows; the catalog idempotents e_p (x) e_q cut out summands."""
+    for name in ("k", "kxk", "M2", "A2", "A3", "Kronecker"):
+        a = cat[name].algebra
+        yield cat[name].resolution.module, a, opposite(a)
+    for aname, bname in (("kxk", "M2"), ("A2", "A3"), ("M2", "Kronecker")):
+        a, b = cat[aname].algebra, opposite(cat[bname].algebra)
+        prod = tensor_algebras(a, b)
+        idems = [p * b.dim + q for p in cat[aname].idempotents
+                 for q in cat[bname].idempotents]
+        for index in range(3):
+            rng = stream_for(83, 10 * index + len(aname + bname))
+            yield random_perfect(prod, rng, idems, max_gens=2,
+                                 shift_range=(-1, 1)), a, b
+
+
+def restricted_reference(grid, f1, f2, side):
+    """The restriction of a matrix over f1 (x) f2 as coordinate lists: the
+    entry from generator (i, q) to (j, u) holds the coordinates of
+    alpha (x) beta_u (side first) or alpha_u (x) beta (side second) in
+    (1 (x) beta_q) * grid[j][i] or (alpha_q (x) 1) * grid[j][i]."""
+    prod = tensor_algebras(f1, f2)
+    n1, n2 = f1.dim, f2.dim
+    small, other = (f1, n2) if side == "first" else (f2, n1)
+    gens = [(i, q) for i in range(len(grid)) for q in range(other)]
+    index = {g: t for t, g in enumerate(gens)}
+    rows = [[[F(0)] * small.dim for _ in gens] for _ in gens]
+    for (i, q), col in index.items():
+        if side == "first":
+            factor = labelled_tensor(prod, f1, f2, f1.unit, unit_vector(f2, q))
+        else:
+            factor = labelled_tensor(prod, f1, f2, unit_vector(f1, q), f2.unit)
+        for j, row in enumerate(grid):
+            product = factor * prod.element(row[i].coords)
+            for flat, c in enumerate(product.coords):
+                pa, qb = divmod(flat, n2)
+                if side == "first":
+                    rows[index[(j, qb)]][col][pa] += c
+                else:
+                    rows[index[(j, pa)]][col][qb] += c
+    return rows
+
+
+def coordinate_lists(grid):
+    return [[list(e.coords) for e in row] for row in grid]
+
+
+@pytest.mark.parametrize("side", ["first", "second"])
+def test_restrict_to_factor_matches_products(cat, side):
+    with_twist = with_idempotent = 0
+    for p, f1, f2 in factor_kernels(cat):
+        assert p.algebra.same_structure(tensor_algebras(f1, f2))
+        restricted, index = restrict_to_factor(p, f1, f2, side)
+        assert coordinate_lists(restricted.module.twist) == restricted_reference(
+            p.module.twist, f1, f2, side)
+        with_twist += any(p.module.twist_columns)
+        if p.idempotent is not None:
+            assert coordinate_lists(restricted.idempotent.entries) == \
+                restricted_reference(p.idempotent.entries, f1, f2, side)
+            with_idempotent += 1
+    assert with_twist >= 3 and with_idempotent >= 3
+
+
+def test_right_multiplication_map_matches_products(cat):
+    """(1 (x) elem) (1 (x) beta_q) g_i = (1 (x) elem beta_q) g_i, the product
+    in the product algebra, read over the generators (i, u)."""
+    checked = 0
+    for p, f1, f2 in factor_kernels(cat):
+        prod = tensor_algebras(f1, f2)
+        restricted, index = restrict_to_factor(p, f1, f2, "first")
+        rng = SplitMix64(89 + f2.dim)
+        for _ in range(2):
+            elem = f2.element([random_coeff(rng) for _ in range(f2.dim)])
+            rmul = right_multiplication_map(p, restricted, index, f1, f2, elem)
+            right = labelled_tensor(prod, f1, f2, f1.unit, elem.coords)
+            want = [[[F(0)] * f1.dim for _ in index] for _ in index]
+            for (i, q), col in index.items():
+                product = right * labelled_tensor(prod, f1, f2, f1.unit,
+                                                  unit_vector(f2, q))
+                for flat, c in enumerate(product.coords):
+                    pa, u = divmod(flat, f2.dim)
+                    want[index[(i, u)]][col][pa] += c
+            assert coordinate_lists(rmul.entries) == want
+            checked += 1
+    assert checked >= 10
+
+
+# -- normal form of the stored columns ---------------------------------------
+
+def with_explicit_zeros(e):
+    """The same element with every zero coordinate a fresh Fraction(0)."""
+    return AlgebraElement(e.algebra, tuple(c if c else F(0, 7) for c in e.coords))
+
+
+def assert_normal_form(columns, nrows):
+    """Rows ascending and in range, no empty entry, coordinate indices
+    ascending, every coefficient a nonzero Fraction."""
+    for col in columns:
+        rows = [j for j, _ in col]
+        assert rows == sorted(set(rows)) and all(0 <= j < nrows for j in rows)
+        for _, vec in col:
+            assert vec
+            assert [t for t, _ in vec] == sorted({t for t, _ in vec})
+            assert all(type(c) is F and c != 0 for _, c in vec)
+
+
+@pytest.mark.parametrize("name", ["kxk", "M2", "A2", "Kronecker"])
+def test_stored_columns_are_in_normal_form(cat, name):
+    ent = cat[name]
+    a = ent.algebra
+    seen_idempotent = False
+    for index in range(5):
+        rng = stream_for(97, 10 * index + len(name))
+        p = random_perfect(a, rng, ent.idempotents, max_gens=3)
+        m = p.module
+        f = random_map(m, m, 0, rng)
+        # the same map and twist from grids with a.zero() entries and with
+        # explicit Fraction(0) coordinates give identical columns
+        g = ModuleMap(m, m, 0, [[with_explicit_zeros(e) for e in row]
+                                for row in f.entries], check=False)
+        zeros = ModuleMap(m, m, 0, [[a.zero() if e.is_zero() else e for e in row]
+                                    for row in f.entries], check=False)
+        assert g.columns == zeros.columns == f.columns and g == f
+        twin = SemiFreeModule(a, m.shifts, [[with_explicit_zeros(e) for e in row]
+                                            for row in m.twist], m.labels)
+        assert twin.twist_columns == m.twist_columns and twin == m
+        zero = f + f.scale(-1)
+        assert zero.is_zero() and zero == ModuleMap.zero(m, m)
+        for phi in (f, g, f.compose(f), f.differential(), zero, f.scale(3)):
+            assert_normal_form(phi.columns, m.rank)
+        assert_normal_form(m.twist_columns, m.rank)
+        if p.idempotent is not None:
+            efe = p.compress(f)
+            assert_normal_form(efe.columns, m.rank)
+            assert p.compress(efe) == efe
+            seen_idempotent = True
+        # the dense views are grids of elements with Fraction coordinates
+        for grid in (f.entries, m.twist):
+            assert all(isinstance(e, AlgebraElement) and e.algebra is a
+                       and all(type(c) is F for c in e.coords)
+                       for row in grid for e in row)
+        assert ModuleMap(m, m, 0, f.entries, check=False) == f
+    assert seen_idempotent
