@@ -16,10 +16,11 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .complexes import Complex, GradedSpace, cohomology_dims
+from .complexes import (Complex, GradedSpace, cohomology_dims, keyed_blocks,
+                        positions)
 from .errors import (AssociativityViolation, DegreeViolation, DimensionMismatch,
                      DifferentialSquareViolation, LeibnizViolation, UnitViolation)
-from .linalg import ONE, ZERO, RationalMatrix
+from .linalg import ONE, ZERO
 
 Coords = Tuple[Fraction, ...]
 SparseVec = Tuple[Tuple[int, Fraction], ...]
@@ -164,21 +165,8 @@ class DgAlgebra:
         for i, d in enumerate(self.degrees):
             by_degree.setdefault(d, []).append(i)
         space = GradedSpace({d: len(ix) for d, ix in by_degree.items()})
-        pos = {}
-        for d, ix in by_degree.items():
-            for r, i in enumerate(ix):
-                pos[i] = (d, r)
-        diff = {}
-        for d in sorted(by_degree):
-            tgt = by_degree.get(d + 1)
-            if not tgt:
-                continue
-            rows = [[ZERO] * len(by_degree[d]) for _ in tgt]
-            for c, i in enumerate(by_degree[d]):
-                for j, coeff in self.diff.get(i, ()):
-                    rows[pos[j][1]][c] += coeff
-            diff[d] = RationalMatrix(len(tgt), len(by_degree[d]), rows)
-        return Complex(space, diff)
+        return Complex(space, keyed_blocks(by_degree, by_degree, positions(by_degree),
+                                           1, lambda i: self.diff.get(i, ())))
 
     def cohomology_dims(self) -> GradedSpace:
         return cohomology_dims(self.carrier())

@@ -23,7 +23,7 @@ from .errors import DgError, WorkspaceError
 from .hochschild import hh0_space, hh_class
 from .modules import restrict_to_ground
 from .pairing import pair_scalar
-from .suites import duality_suite, full_suite
+from .suites import duality_suite, full_suite, rr_suite
 from .workspace import (Workspace, default_workspace, format_rational,
                         parse_workspace)
 
@@ -144,20 +144,11 @@ def cmd_pair(ws: Workspace, args, seed, count) -> dict:
 
 
 def cmd_verify_rr(ws: Workspace, args, seed: int, count: int) -> dict:
-    from .algebras import opposite
-    from .suites import rr_batch_layout, rr_pair_reports
-
     names = [args.algebra] if args.algebra else catalog_names()
     per = {}
     ok = True
     for name in names:
-        ent = catalog_entry(name)
-        sp = hh0_space(ent.algebra)
-        spo = hh0_space(opposite(ent.algebra))
-        npairs, draws = rr_batch_layout(count)
-        reports = [r for pi in range(npairs)
-                   for r in rr_pair_reports(ent, pi, pi * draws, draws, count,
-                                            seed, sp, spo)]
+        reports = rr_suite(catalog_entry(name), count, seed)
         passed = sum(1 for r in reports if r.equal)
         failures = [r.to_dict() for r in reports if not r.equal]
         per[name] = {"checked": len(reports), "passed": passed,

@@ -12,14 +12,20 @@ Conventions, fixed once for the whole package:
 
 Basis orders are always lexicographic (degree, then left/source index), so
 every matrix produced here is reproducible byte for byte.
+
+Every k-level map between keyed bases is built by one assembler,
+`keyed_blocks`: a builder names its bases by keys and hands over the sparse
+image of each source key; `key_columns` reads a map back the same way.
+Only `linalg` knows how a matrix is laid out.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Mapping, Optional
+from typing import Dict, List, Mapping, Optional, Sequence
 
-from .errors import DifferentialSquareViolation, DimensionMismatch, NotClosed, WrongDegree
+from .errors import (DegreeViolation, DifferentialSquareViolation, DimensionMismatch,
+                     NotClosed, WrongDegree)
 from .linalg import (ONE, ZERO, RationalMatrix, SubspacePresentation,
                      quotient_presentation, rank_kernel_image, rank_of, solve_matrix)
 
@@ -203,6 +209,68 @@ class ChainMap:
         return f"ChainMap(degree={self.degree})"
 
 
+def keyed_blocks(source: Mapping[int, Sequence], target: Mapping[int, Sequence],
+                 target_pos: Mapping, degree: int, image) -> Dict[int, RationalMatrix]:
+    """The blocks over k, source^p -> target^{p+degree}, of the map sending
+    each source key to the sum of its terms image(key), pairs (target key,
+    coeff).  `source` and `target` list the keys per degree and
+    target_pos[key] is (degree, row).  The one assembler of k-level maps; a
+    term off degree p + degree raises DegreeViolation, also where the target
+    has no keys in p + degree and the block is empty."""
+    blocks = {}
+    for p, keys in source.items():
+        q = p + degree
+        cols = []
+        for key in keys:
+            col = {}
+            for key2, c in image(key):
+                p2, r = target_pos[key2]
+                if p2 != q:
+                    raise DegreeViolation(f"image term in degree {p2}, expected {q}")
+                col[r] = col[r] + c if r in col else c
+            cols.append(col)
+        if target.get(q):
+            blocks[p] = RationalMatrix.from_sparse_columns(len(target[q]), cols)
+    return blocks
+
+
+def key_columns(block, degree: int, source: Mapping[int, Sequence],
+                target: Mapping[int, Sequence]) -> Dict[object, List]:
+    """The inverse of keyed_blocks: each source key -> [(target key,
+    coeff)] of the degree-`degree` map whose matrix out of degree p is
+    block(p), every block read once."""
+    cols = {}
+    for p, keys in source.items():
+        tkeys = target.get(p + degree)
+        if tkeys:
+            cols.update(zip(keys, ([(tkeys[r], x) for r, x in col.items()]
+                                   for col in block(p).sparse_columns())))
+        else:
+            cols.update((k, []) for k in keys)
+    return cols
+
+
+def positions(basis: Mapping[int, Sequence]) -> Dict:
+    """key -> (degree, row) of a keyed basis."""
+    return {k: (p, r) for p, ks in basis.items() for r, k in enumerate(ks)}
+
+
+def graded_keys(c: Complex) -> Dict[int, List]:
+    """The keyed basis of a complex: (p, j) for basis vector j of c^p."""
+    return {p: [(p, j) for j in range(c.dim(p))] for p in c.degrees()}
+
+
+def lower_block(x: RationalMatrix, y: RationalMatrix,
+                z: RationalMatrix) -> RationalMatrix:
+    """The block matrix [[x, 0], [y, z]], the shape of a cone's
+    differential."""
+    n = x.rows
+    cols = [{**cx, **{n + r: v for r, v in cy.items()}}
+            for cx, cy in zip(x.sparse_columns(), y.sparse_columns())]
+    cols += [{n + r: v for r, v in cz.items()} for cz in z.sparse_columns()]
+    return RationalMatrix.from_sparse_columns(n + z.rows, cols)
+
+
 def shift(c: Complex, n: int) -> Complex:
     """c[n]: degree p part is c^{n+p}, differential scaled by (-1)^n."""
     space = c.space.shift(n)
@@ -229,34 +297,18 @@ def cone(p: ChainMap):
     L, M = p.source, p.target
     L1 = shift(L, 1)
     space = _direct_sum_space(L1.space, M.space)
-    diff = {}
-    for deg in space.degrees():
-        if space.dim(deg + 1) == 0:
-            continue
-        nl, nm = L1.dim(deg), M.dim(deg)
-        nl1, nm1 = L1.dim(deg + 1), M.dim(deg + 1)
-        rows = []
-        dl = L1.d(deg)
-        dm = M.d(deg)
-        pm = p.block(deg + 1)  # L^{deg+1} = L1^{deg} -> M^{deg+1}
-        for i in range(nl1):
-            rows.append(list(dl.entries[i]) + [ZERO] * nm)
-        for i in range(nm1):
-            rows.append([pm.entries[i][j] for j in range(nl)] + list(dm.entries[i]))
-        diff[deg] = RationalMatrix(nl1 + nm1, nl + nm, rows)
-    cn = Complex(space, diff, check=False)
-    r = ChainMap(cn, L1, 0,
-                 {deg: RationalMatrix(L1.dim(deg), space.dim(deg),
-                                      [[ONE if j == i else ZERO
-                                        for j in range(space.dim(deg))]
-                                       for i in range(L1.dim(deg))])
-                  for deg in space.degrees() if L1.dim(deg)})
-    q = ChainMap(M, cn, 0,
-                 {deg: RationalMatrix(space.dim(deg), M.dim(deg),
-                                      [[ONE if i == L1.dim(deg) + j else ZERO
-                                        for j in range(M.dim(deg))]
-                                       for i in range(space.dim(deg))])
-                  for deg in M.degrees() if space.dim(deg)})
+    # p.block(deg + 1): L^{deg+1} = L1^{deg} -> M^{deg+1}
+    cn = Complex(space, {deg: lower_block(L1.d(deg), p.block(deg + 1), M.d(deg))
+                         for deg in space.degrees() if space.dim(deg + 1)},
+                 check=False)
+    # keys (deg, 0, j) for L[1]^deg, then (deg, 1, j) for M^deg
+    kl = {deg: [(deg, 0, j) for j in range(L1.dim(deg))] for deg in L1.degrees()}
+    km = {deg: [(deg, 1, j) for j in range(M.dim(deg))] for deg in M.degrees()}
+    basis = {deg: kl.get(deg, []) + km.get(deg, []) for deg in space.degrees()}
+    pos = positions(basis)
+    r = ChainMap(cn, L1, 0, keyed_blocks(basis, kl, pos, 0,
+                                         lambda k: () if k[1] else ((k, ONE),)))
+    q = ChainMap(M, cn, 0, keyed_blocks(km, basis, pos, 0, lambda k: ((k, ONE),)))
     return cn, r, q
 
 
@@ -347,149 +399,88 @@ def is_quasi_iso(f: ChainMap) -> bool:
     return is_acyclic(cn)
 
 
-def _tensor_basis(a: GradedSpace, b: GradedSpace, n: int):
-    """Ordered basis of (a (x) b)^n: (p, i, j) with p ascending, i major."""
-    out = []
-    for p in a.degrees():
-        q = n - p
-        if b.dim(q):
-            for i in range(a.dim(p)):
-                for j in range(b.dim(q)):
-                    out.append((p, i, j))
-    return out
+def _pair_keys(ka: Mapping[int, Sequence], kb: Mapping[int, Sequence],
+               sign: int) -> Dict[int, List]:
+    """Keyed basis (u, w) of a (x) b (sign 1, degree p + q) or Hom(a, b)
+    (sign -1, degree q - p) for u in a^p, w in b^q: p ascending, u major."""
+    basis: Dict[int, List] = {}
+    for p, us in ka.items():
+        for q, ws in kb.items():
+            basis.setdefault(q + sign * p, []).extend((u, w) for u in us for w in ws)
+    return basis
+
+
+def _keyed_complex(basis: Dict[int, List], image) -> Complex:
+    space = GradedSpace({n: len(ks) for n, ks in basis.items()})
+    return Complex(space, keyed_blocks(basis, basis, positions(basis), 1, image),
+                   check=False)
 
 
 def tensor(a: Complex, b: Complex) -> Complex:
     """a (x) b with d(v (x) w) = dv (x) w + (-1)^{|v|} v (x) dw."""
-    dims = {}
-    degs_a, degs_b = a.degrees(), b.degrees()
-    for p in degs_a:
-        for q in degs_b:
-            dims[p + q] = dims.get(p + q, 0) + a.dim(p) * b.dim(q)
-    space = GradedSpace(dims)
-    index = {}
-    bases = {}
-    for n in space.degrees():
-        basis = _tensor_basis(a.space, b.space, n)
-        bases[n] = basis
-        index[n] = {t: i for i, t in enumerate(basis)}
-    diff = {}
-    for n in space.degrees():
-        if space.dim(n + 1) == 0:
-            continue
-        rows = [[ZERO] * space.dim(n) for _ in range(space.dim(n + 1))]
-        tgt = index[n + 1]
-        for col, (p, i, j) in enumerate(bases[n]):
-            q = n - p
-            da = a.d(p)
-            for i2 in range(a.dim(p + 1)):
-                cval = da.entries[i2][i]
-                if cval:
-                    rows[tgt[(p + 1, i2, j)]][col] += cval
-            sgn = ONE if p % 2 == 0 else -ONE
-            db = b.d(q)
-            for j2 in range(b.dim(q + 1)):
-                cval = db.entries[j2][j]
-                if cval:
-                    rows[tgt[(p, i, j2)]][col] += sgn * cval
-        diff[n] = RationalMatrix(space.dim(n + 1), space.dim(n), rows)
-    return Complex(space, diff, check=False)
+    ka, kb = graded_keys(a), graded_keys(b)
+    da, db = key_columns(a.d, 1, ka, ka), key_columns(b.d, 1, kb, kb)
+
+    def image(key):
+        u, w = key
+        sgn = ONE if u[0] % 2 == 0 else -ONE
+        return ([((u2, w), c) for u2, c in da[u]]
+                + [((u, w2), sgn * c) for w2, c in db[w]])
+    return _keyed_complex(_pair_keys(ka, kb, 1), image)
 
 
 def tensor_maps(f: ChainMap, g: ChainMap) -> ChainMap:
     """(f (x) g)(v (x) w) = (-1)^{|g||v|} f(v) (x) g(w)."""
-    src = tensor(f.source, g.source)
-    tgt = tensor(f.target, g.target)
+    kfs, kgs = graded_keys(f.source), graded_keys(g.source)
+    kft, kgt = graded_keys(f.target), graded_keys(g.target)
+    fc = key_columns(f.block, f.degree, kfs, kft)
+    gc = key_columns(g.block, g.degree, kgs, kgt)
+    tgt_basis = _pair_keys(kft, kgt, 1)
+
+    def image(key):
+        u, w = key
+        sgn = ONE if (g.degree * u[0]) % 2 == 0 else -ONE
+        return [((u2, w2), sgn * cf * cg) for u2, cf in fc[u] for w2, cg in gc[w]]
     deg = f.degree + g.degree
-    blocks = {}
-    for n in src.degrees():
-        if tgt.dim(n + deg) == 0:
-            continue
-        src_basis = _tensor_basis(f.source.space, g.source.space, n)
-        tgt_basis = _tensor_basis(f.target.space, g.target.space, n + deg)
-        tidx = {t: i for i, t in enumerate(tgt_basis)}
-        rows = [[ZERO] * len(src_basis) for _ in range(len(tgt_basis))]
-        for col, (p, i, j) in enumerate(src_basis):
-            q = n - p
-            sgn = ONE if (g.degree * p) % 2 == 0 else -ONE
-            fb = f.block(p)
-            gb = g.block(q)
-            for i2 in range(f.target.dim(p + f.degree)):
-                cf = fb.entries[i2][i]
-                if cf:
-                    for j2 in range(g.target.dim(q + g.degree)):
-                        cg = gb.entries[j2][j]
-                        if cg:
-                            rows[tidx[(p + f.degree, i2, j2)]][col] += sgn * cf * cg
-        blocks[n] = RationalMatrix(len(tgt_basis), len(src_basis), rows)
-    return ChainMap(src, tgt, deg, blocks)
-
-
-def _hom_basis(a: GradedSpace, b: GradedSpace, n: int):
-    """Ordered basis of Hom(a, b)^n: (p, j, i) = (source degree, source index,
-    target index), source index major within a block."""
-    out = []
-    for p in a.degrees():
-        if b.dim(p + n):
-            for j in range(a.dim(p)):
-                for i in range(b.dim(p + n)):
-                    out.append((p, j, i))
-    return out
+    return ChainMap(tensor(f.source, g.source), tensor(f.target, g.target), deg,
+                    keyed_blocks(_pair_keys(kfs, kgs, 1), tgt_basis,
+                                 positions(tgt_basis), deg, image))
 
 
 def hom_complex(a: Complex, b: Complex) -> Complex:
     """Hom(a, b) with d(f) = d_b . f - (-1)^{|f|} f . d_a.
 
     Degree-n component is the product over p of Hom(a^p, b^{p+n}); its closed
-    degree-0 elements are exactly the chain maps a -> b.
+    degree-0 elements are exactly the chain maps a -> b.  Basis (u, w): the
+    map sending u to w, source key major.
     """
-    dims = {}
-    for p in a.degrees():
-        for q in b.degrees():
-            n = q - p
-            dims[n] = dims.get(n, 0) + a.dim(p) * b.dim(q)
-    space = GradedSpace(dims)
-    bases = {n: _hom_basis(a.space, b.space, n) for n in space.degrees()}
-    diff = {}
-    for n in space.degrees():
-        if space.dim(n + 1) == 0:
-            continue
-        src_basis = bases[n]
-        tgt_basis = bases[n + 1]
-        tidx = {t: k for k, t in enumerate(tgt_basis)}
-        rows = [[ZERO] * len(src_basis) for _ in range(len(tgt_basis))]
-        sgn = ONE if n % 2 == 0 else -ONE
-        for col, (p, j, i) in enumerate(src_basis):
-            # d_b . f part: lands in Hom(a^p, b^{p+n+1})
-            db = b.d(p + n)
-            for i2 in range(b.dim(p + n + 1)):
-                c = db.entries[i2][i]
-                if c:
-                    rows[tidx[(p, j, i2)]][col] += c
-            # - (-1)^n f . d_a part: lands in Hom(a^{p-1}, b^{p+n})
-            da = a.d(p - 1)
-            for j2 in range(a.dim(p - 1)):
-                c = da.entries[j][j2]
-                if c:
-                    rows[tidx[(p - 1, j2, i)]][col] -= sgn * c
-        diff[n] = RationalMatrix(len(tgt_basis), len(src_basis), rows)
-    return Complex(space, diff, check=False)
+    ka, kb = graded_keys(a), graded_keys(b)
+    db = key_columns(b.d, 1, kb, kb)
+    da_rows: Dict[object, List] = {}  # u -> [(u2, c)]: c = coefficient of u in d_a(u2)
+    for u2, terms in key_columns(a.d, 1, ka, ka).items():
+        for u, c in terms:
+            da_rows.setdefault(u, []).append((u2, c))
+
+    def image(key):
+        u, w = key
+        sgn = ONE if (w[0] - u[0]) % 2 == 0 else -ONE
+        return ([((u, w2), c) for w2, c in db[w]]
+                + [((u2, w), -sgn * c) for u2, c in da_rows.get(u, ())])
+    return _keyed_complex(_pair_keys(ka, kb, -1), image)
 
 
 def hom_element_to_map(a: Complex, b: Complex, n: int, coords) -> ChainMap:
     """Unpack coordinates in Hom(a,b)^n into a (possibly non-closed) map."""
-    basis = _hom_basis(a.space, b.space, n)
+    ka, kb = graded_keys(a), graded_keys(b)
+    basis = _pair_keys(ka, kb, -1).get(n, [])
     if len(coords) != len(basis):
         raise DimensionMismatch("wrong number of Hom coordinates")
-    blocks = {}
-    for p in a.degrees():
-        if b.dim(p + n):
-            blocks[p] = [[ZERO] * a.dim(p) for _ in range(b.dim(p + n))]
-    for c, (p, j, i) in zip(coords, basis):
+    images: Dict[object, List] = {}
+    for c, (u, w) in zip(coords, basis):
         if c:
-            blocks[p][i][j] = c
-    return ChainMap(a, b, n, {p: RationalMatrix(b.dim(p + n), a.dim(p), rows)
-                              for p, rows in blocks.items()})
+            images.setdefault(u, []).append((w, c))
+    return ChainMap(a, b, n, keyed_blocks(ka, kb, positions(kb), n,
+                                          lambda u: images.get(u, ())))
 
 
 def linear_dual(c: Complex) -> Complex:
@@ -612,8 +603,8 @@ class SplitComplex:
         For a closed exact idempotent e and any f, e.f.e restricted to the
         complement is zero, so the plain supertrace of e.f.e computes it.
         Since e.e = e, tr(e.f.e) = tr(f.e.e) = tr(f.e) block by block, so
-        the sum sum_p (-1)^p sum_{r,c} f_p[r][c] e_p[c][r] is taken and
-        e.f.e is never formed.
+        the sum sum_p (-1)^p sum_{r,c} f_p[r][c] e_p[c][r] is taken over the
+        sparse columns of both and e.f.e is never formed.
         """
         e = self.projector
         if e is None:
@@ -623,15 +614,13 @@ class SplitComplex:
             raise DimensionMismatch("supertrace of a map off the carrier")
         total = ZERO
         for p in f.source.degrees():
-            fb = f.block(p).entries
-            eb = e.block(p).entries
+            e_cols = e.block(p).sparse_columns()
             t = ZERO
-            for r, frow in enumerate(fb):
-                for c, x in enumerate(frow):
-                    if x:
-                        y = eb[c][r]
-                        if y:
-                            t += x * y
+            for c, col in enumerate(f.block(p).sparse_columns()):
+                for r, x in col.items():  # x = f_p[r][c], times e_p[c][r]
+                    y = e_cols[r].get(c)
+                    if y:
+                        t += x * y
             total += t if p % 2 == 0 else -t
         return total
 

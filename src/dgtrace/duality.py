@@ -22,7 +22,8 @@ from typing import Dict, List, Optional, Tuple
 from .algebras import (AlgebraIso, DgAlgebra, env_op_iso,
                        opposite, tensor_algebras)
 from .complexes import (ChainMap, Complex, GradedSpace, SplitComplex, cone,
-                        cohomology_dims, is_acyclic, linear_dual)
+                        cohomology_dims, is_acyclic, keyed_blocks, linear_dual,
+                        lower_block)
 from .errors import (AlgebraMismatch, DimensionMismatch, NotClosed,
                      NotDegreeZeroConcentrated)
 from .linalg import (ONE, ZERO, RationalMatrix, SubspacePresentation,
@@ -500,28 +501,13 @@ class EvaluationData:
         if any(x for x in t_aug.complex.d(0).apply(tuple(t_vec))):
             raise NotClosed("identity tensor is not a cycle")
 
-        # solve: d_T z = 0 and q(z) = t_id + d(w)
-        dim0 = t_cx.complex.dim(0)
-        dim1 = t_cx.complex.dim(1)
-        dim0_aug = t_aug.complex.dim(0)
-        dimm1_aug = t_aug.complex.dim(-1)
-        d0 = t_cx.complex.d(0)
-        q0 = q.block(0)
-        dm1 = t_aug.complex.d(-1)
-        rows = []
-        rhs = []
-        for r in range(dim1):
-            rows.append(list(d0.entries[r]) + [ZERO] * dimm1_aug)
-            rhs.append(ZERO)
-        for r in range(dim0_aug):
-            row = list(q0.entries[r])
-            row += [-dm1.entries[r][wcol] for wcol in range(dimm1_aug)]
-            rows.append(row)
-            rhs.append(t_vec[r])
-        sol = solve(RationalMatrix(len(rows), dim0 + dimm1_aug, rows), rhs)
+        # solve: d_T z = 0 and q(z) = t_id + d(w), the system
+        # [[d_T, 0], [q, -d]] (z, w) = (0, t_id)
+        system = lower_block(t_cx.complex.d(0), q.block(0), -t_aug.complex.d(-1))
+        sol = solve(system, [ZERO] * t_cx.complex.dim(1) + t_vec)
         if sol is None:
             raise DimensionMismatch("identity tensor does not lift")
-        z = sol[:dim0]
+        z = sol[:t_cx.complex.dim(0)]
 
         # carry over to Hom(omega^{-1}, X) by the signed basis bijection:
         # T-basis (j, (slot, b)) -> eps(sigma) (-1)^{sigma tau_j} (gen, (j, b))
@@ -577,7 +563,7 @@ class EvaluationData:
         if projected.rows != 1:
             raise DimensionMismatch("H^0 of the target is not a line")
         unit_coords = self._unit_class_coords(target_hom, coh)
-        return projected.entries[0][0] / unit_coords
+        return projected.sparse_columns()[0].get(0, ZERO) / unit_coords
 
     def _unit_class_coords(self, target_hom, coh) -> Fraction:
         """H^0-coordinate of the Hom-class corresponding to 1 in HH_0(k)."""
@@ -592,10 +578,10 @@ class EvaluationData:
                 coords[r] += ONE
         mat = RationalMatrix.from_columns([coords],
                                           nrows=target_hom.complex.dim(0))
-        val = coh.project_cycles(0, mat)
-        if val.entries[0][0] == 0:
+        val = coh.project_cycles(0, mat).sparse_columns()[0].get(0)
+        if not val:
             raise DimensionMismatch("unit class degenerates")
-        return val.entries[0][0]
+        return val
 
 
 def _reinterpret_over(dm: PerfectModule, a: DgAlgebra) -> PerfectModule:
@@ -638,25 +624,20 @@ def dualhom_check(n: PerfectModule, m: PerfectModule) -> DualHomReport:
     lhs = linear_dual(hom.complex)
     right = TensorOverAlgebra(dual_right_module_data(m.module), n.module)
     rhs = right.complex
-    blocks = {}
-    for p, keys in right.basis.items():
-        if lhs.dim(p) == 0:
-            if keys:
-                raise DimensionMismatch("dualhom bases out of line")
-            continue
-        rows = [[ZERO] * len(keys) for _ in range(lhs.dim(p))]
-        # lhs basis in degree p: dual functionals of hom basis in degree -p
-        hom_keys = hom.basis.get(-p, [])
-        hom_index = {k: t for t, k in enumerate(hom_keys)}
-        for c, (i, mu_key) in enumerate(keys):
-            phi_key = (i, mu_key)
-            t = hom_index.get(phi_key)
-            if t is None:
-                raise DimensionMismatch("dualhom comparison misses a basis vector")
-            gi_deg = -n.module.shifts[i]
-            sgn = ONE if ((-p) * gi_deg) % 2 == 0 else -ONE
-            rows[t][c] += sgn
-        blocks[p] = RationalMatrix(lhs.dim(p), len(keys), rows)
+    if any(lhs.dim(p) == 0 for p in right.basis):
+        raise DimensionMismatch("dualhom bases out of line")
+    # lhs basis in degree p: dual functionals of the hom basis in degree -p,
+    # keyed like it: mu (x) g_i -> the functional of phi = (i, mu_key)
+    dual_pos = {k: (-q, r) for k, (q, r) in hom.pos.items()}
+
+    def image(key):
+        p = right.pos[key][0]
+        if dual_pos.get(key, (None,))[0] != p:
+            raise DimensionMismatch("dualhom comparison misses a basis vector")
+        # the sign (-1)^{|phi| |g_i|}, |phi| = -p, |g_i| = -s_i
+        return ((key, ONE if (p * n.module.shifts[key[0]]) % 2 == 0 else -ONE),)
+    blocks = keyed_blocks(right.basis, {-q: ks for q, ks in hom.basis.items()},
+                          dual_pos, 0, image)
     # cone raises NotClosed when the comparison is not a chain map
     cn, _, _ = cone(ChainMap(rhs, lhs, 0, blocks))
     return DualHomReport(cohomology_dims(lhs), cohomology_dims(rhs), is_acyclic(cn))

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import DimensionMismatch
 
@@ -53,6 +53,20 @@ class RationalMatrix:
         return cls(r, c, [[_frac(x) for x in row] for row in rows])
 
     @classmethod
+    def from_sparse_columns(cls, nrows: int,
+                            columns: Sequence[Mapping[int, Fraction]]) -> "RationalMatrix":
+        """The nrows x len(columns) matrix whose column c holds columns[c],
+        a {row: value} map of `Fraction`s taken as they are: the one
+        constructor of the builders, which never see the layout."""
+        rows = [[ZERO] * len(columns) for _ in range(nrows)]
+        for c, col in enumerate(columns):
+            for r, x in col.items():
+                rows[r][c] = x
+        for r in range(nrows):  # one row at a time: never two grids alive
+            rows[r] = tuple(rows[r])
+        return cls(nrows, len(columns), rows)
+
+    @classmethod
     def zeros(cls, rows: int, cols: int) -> "RationalMatrix":
         return cls(rows, cols, [[ZERO] * cols for _ in range(rows)])
 
@@ -75,6 +89,17 @@ class RationalMatrix:
 
     def columns(self) -> list:
         return [self.column(j) for j in range(self.cols)]
+
+    def sparse_columns(self) -> list:
+        """Per column, its nonzero entries as {row: value}, rows ascending:
+        the one reader of the builders, the inverse of
+        `from_sparse_columns`."""
+        cols = [{} for _ in range(self.cols)]
+        for r, row in enumerate(self.entries):
+            for c, x in enumerate(row):
+                if x is not ZERO and x:  # most zeros are the shared ZERO
+                    cols[c][r] = x
+        return cols
 
     def transpose(self) -> "RationalMatrix":
         return RationalMatrix(self.cols, self.rows,
@@ -108,7 +133,7 @@ class RationalMatrix:
     def scale(self, c) -> "RationalMatrix":
         c = _frac(c)
         return RationalMatrix(self.rows, self.cols,
-                              [[c * x for x in row] for row in self.entries])
+                              [[c * x if x else x for x in row] for row in self.entries])
 
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.cols != other.rows:

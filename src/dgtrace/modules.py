@@ -34,12 +34,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebras import (AlgebraElement, DgAlgebra, SparseVec, opposite, sparse,
                        tensor_algebras)
-from .complexes import (ChainMap, Complex, GradedSpace, SplitComplex)
+from .complexes import (ChainMap, Complex, GradedSpace, SplitComplex, key_columns,
+                        keyed_blocks, positions)
 from .errors import (AlgebraMismatch, DegreeViolation, DimensionMismatch,
                      DifferentialSquareViolation, IdempotentIncompatible,
                      NotClosed, NotDegreeZeroConcentrated, TriangularityViolation,
                      WrongDegree)
-from .linalg import ONE, ZERO, RationalMatrix
+from .linalg import ONE, ZERO
 
 Entry = AlgebraElement
 # column i of a matrix over A: (j, nonzero coordinates of entry [j][i]), j
@@ -136,26 +137,7 @@ def _key_basis(shifts: Sequence[int], keys: Dict[int, List], sign: int):
     for i, s in enumerate(shifts):
         for p, ks in keys.items():
             basis.setdefault(p + sign * s, []).extend((i, u) for u in ks)
-    pos = {k: (p, r) for p, ks in basis.items() for r, k in enumerate(ks)}
-    return basis, pos, GradedSpace({p: len(ks) for p, ks in basis.items()})
-
-
-def _key_columns(block, degree: int, source: Dict[int, List],
-                 target: Dict[int, List]) -> Dict[object, List]:
-    """Sparse columns of a map between keyed bases (block(p) is its matrix
-    out of degree p): each source key -> [(target key, coeff)], every block
-    scanned once."""
-    cols = {}
-    for p, keys in source.items():
-        out = [[] for _ in keys]
-        tkeys = target.get(p + degree)
-        if tkeys:
-            for r, row in enumerate(block(p).entries):
-                for c, x in enumerate(row):
-                    if x:
-                        out[c].append((tkeys[r], x))
-        cols.update(zip(keys, out))
-    return cols
+    return basis, positions(basis), GradedSpace({p: len(ks) for p, ks in basis.items()})
 
 
 class SemiFreeModule:
@@ -246,10 +228,7 @@ class ExplicitModule:
         self.algebra = algebra
         self.complex = complex_
         self.basis = {p: list(ks) for p, ks in basis.items() if ks}
-        self.pos = {}
-        for p, ks in self.basis.items():
-            for r, k in enumerate(ks):
-                self.pos[k] = (p, r)
+        self.pos = positions(self.basis)
         self.action = action
 
     def act(self, coords, key):
@@ -277,43 +256,41 @@ class ExplicitModule:
         ex = cls(a, None, basis, action)
         # D(e_b g_i) = (-1)^{|e_b|} (e_b delta_ji) g_j + d(e_b) g_i: the
         # twist restricted as a degree-1 map, plus d_A on every summand
-        diff = _restrict_images(ex, ex, 1, _images(m.twist_columns))
-        if a.diff:
-            for p, block in diff.items():
-                rows = [list(r) for r in block.entries]
-                for c, (i, b) in enumerate(ex.basis[p]):
-                    for b2, coeff in a.diff.get(b, ()):
-                        rows[pos[(i, b2)][1]][c] += coeff
-                diff[p] = RationalMatrix(block.rows, block.cols, rows)
-        ex.complex = Complex(space, diff, check=False)
+        twist = _restriction(a, action, 1, _images(m.twist_columns))
+
+        def image(key):
+            i, b = key
+            return twist(key) + [((i, b2), c) for b2, c in a.diff.get(b, ())]
+        ex.complex = Complex(space, keyed_blocks(basis, basis, pos, 1, image),
+                             check=False)
         return ex
 
 
+def _restriction(a: DgAlgebra, action: Dict, degree: int, images):
+    """The image, for the assembler, of the degree-n map out of the
+    realization of a semi-free module that sends g_i to images[i], a list
+    of (target key, coeff), into a realization with the given action:
+    e_b g_i -> (-1)^{n|b|} sum coeff e_b . key.  The one restriction
+    kernel."""
+    degrees = a.degrees
+
+    def image(key):
+        i, b = key
+        if (degree * degrees[b]) % 2:
+            return [(key2, -coeff * c2) for k, coeff in images[i]
+                    for key2, c2 in action.get((b, k), ())]
+        return [(key2, coeff * c2) for k, coeff in images[i]
+                for key2, c2 in action.get((b, k), ())]
+    return image
+
+
 def _restrict_images(source: ExplicitModule, target: ExplicitModule,
-                     degree: int, images) -> Dict[int, RationalMatrix]:
-    """Blocks over k of the degree-n map out of the realization `source` of
-    a semi-free module that sends g_i to images[i], a list of (target key,
-    coeff): e_b g_i -> (-1)^{n|b|} sum coeff e_b . key.  The one
-    restriction kernel; an image term off degree raises DegreeViolation."""
-    degrees = source.algebra.degrees
-    action, tpos = target.action, target.pos
-    blocks = {}
-    for p, keys in source.basis.items():
-        q = p + degree
-        tkeys = target.basis.get(q)
-        if not tkeys:
-            continue
-        rows = [[ZERO] * len(keys) for _ in tkeys]
-        for c, (i, b) in enumerate(keys):
-            odd = (degree * degrees[b]) % 2
-            for key, coeff in images[i]:
-                for key2, c2 in action.get((b, key), ()):
-                    p2, r = tpos[key2]
-                    if p2 != q:
-                        raise DegreeViolation("generator image has wrong degree")
-                    rows[r][c] += -coeff * c2 if odd else coeff * c2
-        blocks[p] = RationalMatrix(len(tkeys), len(keys), rows)
-    return blocks
+                     degree: int, images):
+    """Blocks over k of the degree-n map from the realization `source` to
+    `target` sending g_i to images[i] (see _restriction); an image term off
+    degree raises DegreeViolation."""
+    return keyed_blocks(source.basis, target.basis, target.pos, degree,
+                        _restriction(source.algebra, target.action, degree, images))
 
 
 class ModuleMap:
@@ -758,25 +735,21 @@ class TensorOverAlgebra:
         self.left = left
         self.m = m
         self.basis, self.pos, space = _key_basis(m.shifts, left.basis, -1)
-        d_left = _key_columns(left.complex.d, 1, left.basis, left.basis)
+        d_left = key_columns(left.complex.d, 1, left.basis, left.basis)
         twist_cols = _with_degrees(m.algebra, m.twist_columns)
-        diff: Dict[int, RationalMatrix] = {}
-        for p, keys in self.basis.items():
-            tgt = self.basis.get(p + 1, [])
-            if not tgt:
-                continue
-            rows = [[ZERO] * len(keys) for _ in tgt]
-            for c, (i, u) in enumerate(keys):
-                for u2, coeff in d_left[u]:
-                    rows[self.pos[(i, u2)][1]][c] += coeff
-                sgn = ONE if left.pos[u][0] % 2 == 0 else -ONE
-                for j, vec, de in twist_cols[i]:
-                    if j <= i:
-                        continue
-                    for u2, coeff in self._right_act(vec, de, u):
-                        rows[self.pos[(j, u2)][1]][c] += sgn * coeff
-            diff[p] = RationalMatrix(len(tgt), len(keys), rows)
-        self.complex = Complex(space, diff, check=False)
+
+        def image(key):
+            i, u = key
+            terms = [((i, u2), c) for u2, c in d_left[u]]
+            odd = left.pos[u][0] % 2
+            for j, vec, de in twist_cols[i]:
+                if j > i:
+                    terms += [((j, u2), -c if odd else c)
+                              for u2, c in self._right_act(vec, de, u)]
+            return terms
+        self.complex = Complex(
+            space, keyed_blocks(self.basis, self.basis, self.pos, 1, image),
+            check=False)
 
     def _right_act(self, vec: SparseVec, de: int, u):
         """u . x with the right-module Koszul sign (-1)^{|x||u|}, for x of
@@ -796,26 +769,24 @@ class TensorOverAlgebra:
         deg_g = g.degree if g is not None else 0
         deg_f = f.degree if f is not None else 0
         deg = deg_g + deg_f
-        g_cols = (_key_columns(g.block, deg_g, self.left.basis, target.left.basis)
+        g_cols = (key_columns(g.block, deg_g, self.left.basis, target.left.basis)
                   if g is not None else None)
         f_cols = _with_degrees(f.source.algebra, f.columns) if f is not None else None
-        blocks = {}
-        for p, keys in self.basis.items():
-            tgt = target.basis.get(p + deg, [])
-            if not tgt:
-                continue
-            rows = [[ZERO] * len(keys) for _ in tgt]
-            for c, (i, u) in enumerate(keys):
-                sgn = ONE if (deg_f * self.left.pos[u][0]) % 2 == 0 else -ONE
-                for u2, cu in ([(u, ONE)] if g is None else g_cols[u]):
-                    if f is None:
-                        rows[target.pos[(i, u2)][1]][c] += sgn * cu
-                    else:
-                        for j, vec, de in f_cols[i]:
-                            for u3, ce in target._right_act(vec, de, u2):
-                                rows[target.pos[(j, u3)][1]][c] += sgn * cu * ce
-            blocks[p] = RationalMatrix(len(tgt), len(keys), rows)
-        return ChainMap(self.complex, target.complex, deg, blocks)
+
+        def image(key):
+            i, u = key
+            sgn = ONE if (deg_f * self.left.pos[u][0]) % 2 == 0 else -ONE
+            terms = []
+            for u2, cu in ([(u, ONE)] if g is None else g_cols[u]):
+                if f is None:
+                    terms.append(((i, u2), sgn * cu))
+                else:
+                    for j, vec, de in f_cols[i]:
+                        terms += [((j, u3), sgn * cu * ce)
+                                  for u3, ce in target._right_act(vec, de, u2)]
+            return terms
+        return ChainMap(self.complex, target.complex, deg,
+                        keyed_blocks(self.basis, target.basis, target.pos, deg, image))
 
     def split(self, e_left: Optional[ChainMap],
               e: Optional[ModuleMap]) -> SplitComplex:
@@ -858,61 +829,51 @@ class HomOverAlgebra:
         self.m = m
         self.target = target
         self.basis, self.pos, space = _key_basis(m.shifts, target.basis, 1)
-        d_target = _key_columns(target.complex.d, 1, target.basis, target.basis)
+        d_target = key_columns(target.complex.d, 1, target.basis, target.basis)
         action = target.action
         # phi = (i, u) sends g_i to u; the twist row entries delta[i][i2]
         # feed g_{i2} for i2 < i.
         twist_rows = _with_degrees(m.algebra, rows_of(m.twist_columns, m.rank))
-        diff: Dict[int, RationalMatrix] = {}
-        for n_deg, keys in self.basis.items():
-            tgt = self.basis.get(n_deg + 1, [])
-            if not tgt:
-                continue
-            rows = [[ZERO] * len(keys) for _ in tgt]
+
+        def image(key):
+            i, u = key
+            n_deg = self.pos[key][0]
             sgn_n = ONE if n_deg % 2 == 0 else -ONE
-            for c, (i, u) in enumerate(keys):
-                for u2, coeff in d_target[u]:
-                    rows[self.pos[(i, u2)][1]][c] += coeff
-                for i2, vec, de in twist_rows[i]:
-                    sw = sgn_n if (n_deg * de) % 2 == 0 else -sgn_n
-                    for t, ct in vec:
-                        for u2, coeff in action.get((t, u), ()):
-                            rows[self.pos[(i2, u2)][1]][c] -= sw * ct * coeff
-            diff[n_deg] = RationalMatrix(len(tgt), len(keys), rows)
-        self.complex = Complex(space, diff, check=False)
+            terms = [((i, u2), c) for u2, c in d_target[u]]
+            for i2, vec, de in twist_rows[i]:
+                sw = sgn_n if (n_deg * de) % 2 == 0 else -sgn_n
+                terms += [((i2, u2), -sw * ct * c) for t, ct in vec
+                          for u2, c in action.get((t, u), ())]
+            return terms
+        self.complex = Complex(
+            space, keyed_blocks(self.basis, self.basis, self.pos, 1, image),
+            check=False)
 
     def precompose(self, e: ModuleMap) -> ChainMap:
         """phi -> phi . e for a degree-0 map e of the source; Koszul sign
         (-1)^{n |entry|} with n the Hom degree."""
         action = self.target.action
         e_rows = _with_degrees(self.m.algebra, rows_of(e.columns, self.m.rank))
-        blocks = {}
-        for p, keys in self.basis.items():
-            rows = [[ZERO] * len(keys) for _ in keys]
-            for c, (j, u) in enumerate(keys):
-                for i, vec, de in e_rows[j]:
-                    sw = ONE if (p * de) % 2 == 0 else -ONE
-                    for t, ct in vec:
-                        for u2, coeff in action.get((t, u), ()):
-                            rows[self.pos[(i, u2)][1]][c] += sw * ct * coeff
-            blocks[p] = RationalMatrix(len(keys), len(keys), rows)
-        return ChainMap(self.complex, self.complex, 0, blocks)
+
+        def image(key):
+            j, u = key
+            p = self.pos[key][0]
+            terms = []
+            for i, vec, de in e_rows[j]:
+                sw = ONE if (p * de) % 2 == 0 else -ONE
+                terms += [((i, u2), sw * ct * c) for t, ct in vec
+                          for u2, c in action.get((t, u), ())]
+            return terms
+        return ChainMap(self.complex, self.complex, 0,
+                        keyed_blocks(self.basis, self.basis, self.pos, 0, image))
 
     def postcompose_into(self, other: "HomOverAlgebra", g: ChainMap) -> ChainMap:
         """phi -> g . phi for a degree-0 chain map g: self.target ->
         other.target (same semi-free source; other may be self)."""
-        g_cols = _key_columns(g.block, 0, self.target.basis, other.target.basis)
-        blocks = {}
-        for p, keys in self.basis.items():
-            tkeys = other.basis.get(p, [])
-            if not tkeys:
-                continue
-            rows = [[ZERO] * len(keys) for _ in tkeys]
-            for c, (i, u) in enumerate(keys):
-                for u2, coeff in g_cols[u]:
-                    rows[other.pos[(i, u2)][1]][c] += coeff
-            blocks[p] = RationalMatrix(len(tkeys), len(keys), rows)
-        return ChainMap(self.complex, other.complex, 0, blocks)
+        g_cols = key_columns(g.block, 0, self.target.basis, other.target.basis)
+        return ChainMap(self.complex, other.complex, 0, keyed_blocks(
+            self.basis, other.basis, other.pos, 0,
+            lambda key: [((key[0], u2), c) for u2, c in g_cols[key[1]]]))
 
     def split(self, e_source: Optional[ModuleMap],
               e_target: Optional[ChainMap]) -> SplitComplex:

@@ -13,6 +13,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebras import DgAlgebra, SparseVec
+from .complexes import keyed_blocks, positions
 from .errors import NotClosed
 from .linalg import ONE, ZERO, RationalMatrix, rank_kernel_image
 from .modules import (ModuleMap, PerfectModule, SemiFreeModule, rows_of,
@@ -106,30 +107,27 @@ def closed_map_kernel(src: SemiFreeModule, tgt: SemiFreeModule,
                     coords[(j, i, w)] = len(coords)
     if not coords:
         return coords, []
-    # equations: the coordinates of d(phi)[l][i] = 0, one column per
-    # unknown coordinate e_w of entry (j, i)
+    # equations: the coordinates (l, i, x) of d(phi)[l][i] = 0, one column
+    # per unknown coordinate e_w of entry (j, i)
     sgn = ONE if degree % 2 == 0 else -ONE
     rows_m = rows_of(src.twist_columns, src.rank)
-    equations: Dict[Tuple[int, int, int], List[Fraction]] = {}
-    for (j, i, w), col in coords.items():
+    terms: Dict[Tuple[int, int, int], List] = {}
+    for (j, i, w) in coords:
+        out = terms[(j, i, w)] = []
         # + phi[j][i] * deltaN[l][j], in entry (l, i)
         for l, dn in tgt.twist_columns[j]:
             for t, ct in dn:
-                for x, cx in a.mult.get((w, t), ()):
-                    equations.setdefault((l, i, x), [ZERO] * len(coords))[col] += ct * cx
+                out += [((l, i, x), ct * cx) for x, cx in a.mult.get((w, t), ())]
         # - (-1)^degree deltaM[i][i2] * phi[j][i], in entry (j, i2)
         for i2, dm in rows_m[i]:
             for t, ct in dm:
-                for x, cx in a.mult.get((t, w), ()):
-                    equations.setdefault((j, i2, x), [ZERO] * len(coords))[col] -= sgn * ct * cx
-    rows = [equations[k] for k in sorted(equations)]
-    if rows:
-        mat = RationalMatrix.from_rows(rows)
-        _, ker, _ = rank_kernel_image(mat)
-        vectors = list(ker.basis)
-    else:
-        vectors = list(RationalMatrix.identity(len(coords)).entries)
-    return coords, vectors
+                out += [((j, i2, x), -sgn * ct * cx) for x, cx in a.mult.get((t, w), ())]
+    equations = sorted({k for ts in terms.values() for k, _ in ts})
+    system = keyed_blocks({0: list(coords)}, {0: equations},
+                          positions({0: equations}), 0, terms.get)
+    # no equations: every coordinate is free
+    _, ker, _ = rank_kernel_image(system.get(0, RationalMatrix.zeros(0, len(coords))))
+    return coords, list(ker.basis)
 
 
 def _map_from_vector(src: SemiFreeModule, tgt: SemiFreeModule, degree: int,

@@ -6,7 +6,7 @@ from dgtrace.complexes import (ChainMap, Complex, GradedSpace, chain_supertrace,
                                cohomology_dims, cone, euler_trace, hom_complex,
                                image_complex, is_acyclic, is_quasi_iso,
                                linear_dual, shift, tensor, tensor_maps)
-from dgtrace.errors import DifferentialSquareViolation
+from dgtrace.errors import DegreeViolation, DifferentialSquareViolation
 from dgtrace.linalg import RationalMatrix
 from dgtrace.prng import SplitMix64
 
@@ -349,3 +349,23 @@ def test_supertrace_multiplicative_under_tensor():
         assert chain_supertrace(fg) == chain_supertrace(f) * chain_supertrace(g)
         assert euler_trace(fg) == euler_trace(f) * euler_trace(g)
         found += 1
+
+
+def test_key_columns_inverts_keyed_blocks():
+    from dgtrace.complexes import graded_keys, key_columns, keyed_blocks, positions
+    rng = SplitMix64(97)
+    for _ in range(6):
+        c = random_complex(rng)
+        keys = graded_keys(c)
+        images = key_columns(c.d, 1, keys, keys)
+        rebuilt = keyed_blocks(keys, keys, positions(keys), 1, images.get)
+        assert Complex(c.space, rebuilt) == c
+        # the same terms handed over twice sum, and a term off degree raises
+        doubled = keyed_blocks(keys, keys, positions(keys), 1,
+                               lambda k: images[k] + images[k])
+        assert all(doubled[p] == c.d(p).scale(2) for p in doubled)
+        top, bottom = max(keys), min(keys)
+        if top != bottom:
+            with pytest.raises(DegreeViolation):
+                keyed_blocks(keys, keys, positions(keys), 0,
+                             lambda k: [(keys[top][0], F(1))])

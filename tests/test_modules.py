@@ -251,3 +251,30 @@ def test_idempotent_must_be_exact(a2):
     from dgtrace.errors import IdempotentIncompatible
     with pytest.raises(IdempotentIncompatible):
         PerfectModule(f.module, bad)
+
+
+def test_off_degree_map_raises_in_every_realization(a2):
+    # g0 -> 1.g1 has degree 0 but its entry should have degree 1: the
+    # restriction, the tensor realization and the Hom realization all
+    # reject it instead of writing the term into a block of another degree
+    from dgtrace.algebras import sparse
+    from dgtrace.pairing import rr_left_side
+    m = free_module(a2, [0, 1])
+    f = ModuleMap.from_columns(m.module, m.module, 0,
+                               [((1, sparse(a2.unit)),), ()], check=False)
+    n = free_module(opposite(a2), [0])
+    with pytest.raises(DegreeViolation):
+        f.restrict()
+    with pytest.raises(DegreeViolation):
+        tensor_over_algebra(n, m).realization.map_tensor(None, f)
+    with pytest.raises(DegreeViolation):
+        rr_left_side(n, m, None, f)
+    with pytest.raises(DegreeViolation):
+        hom_over_algebra(m, m).realization.precompose(f)
+    # also when the degree the term should land in is empty: g0 sits in
+    # degree -5, where the target has no basis, and 1.h0 in degree 0
+    far = free_module(a2, [5])
+    f = ModuleMap.from_columns(far.module, m.module, 0,
+                               [((0, sparse(a2.unit)),)], check=False)
+    with pytest.raises(DegreeViolation):
+        f.restrict()
