@@ -407,7 +407,8 @@ class AlgebraIso:
 
 
 def swap_iso(a: DgAlgebra, b: DgAlgebra, ab: DgAlgebra, ba: DgAlgebra) -> AlgebraIso:
-    """a (x) b -> b (x) a, x (x) y -> (-1)^{|x||y|} y (x) x."""
+    """a (x) b -> b (x) a, x (x) y -> (-1)^{|x||y|} y (x) x: the one swap of
+    tensor factors."""
     nb, na = b.dim, a.dim
     perm = [0] * (na * nb)
     scal = [ONE] * (na * nb)
@@ -420,16 +421,12 @@ def swap_iso(a: DgAlgebra, b: DgAlgebra, ab: DgAlgebra, ba: DgAlgebra) -> Algebr
 
 
 def env_op_iso(a: DgAlgebra) -> AlgebraIso:
-    """A^e -> (A^e)^op, x (x) y -> y (x) x.
+    """A^e -> (A^e)^op, x (x) y -> y (x) x: the factor swap of A (x) A^op.
 
     Both sides share the same underlying basis; the swap is multiplicative
     because (x (x) y)(x' (x) y') in A^e flips to x'x (x) yy' under .op.
-    Degree-0 algebras only (no signs tracked here).
+    Degree-0 algebras only (there every scalar of the swap is +1).
     """
-    ae = tensor_algebras(a, opposite(a))
-    n = a.dim
-    perm = [0] * (n * n)
-    for i in range(n):
-        for j in range(n):
-            perm[i * n + j] = j * n + i
-    return AlgebraIso(ae, opposite(ae), perm)
+    aop = opposite(a)
+    ae = tensor_algebras(a, aop)
+    return swap_iso(a, aop, ae, opposite(ae))

@@ -19,7 +19,7 @@ from typing import Optional, Tuple
 from .algebras import AlgebraElement, DgAlgebra, sparse
 from .complexes import GradedSpace
 from .duality import diagonal_explicit, omega_inverse_module
-from .errors import (IdempotentIncompatible, NotClosed,
+from .errors import (AlgebraMismatch, IdempotentIncompatible, NotClosed,
                      NotDegreeZeroConcentrated, WrongDegree)
 from .linalg import (ONE, ZERO, SubspacePresentation, echelon_basis,
                      quotient_presentation)
@@ -61,6 +61,8 @@ class HH0Space:
         return self.algebra.element(self.section.apply(tuple(coords)))
 
     def class_of(self, elem: AlgebraElement) -> "HochschildClass":
+        if not elem.algebra.same_structure(self.algebra):
+            raise AlgebraMismatch("element lives over another algebra than HH_0")
         return HochschildClass(self, self.project(elem), elem)
 
     def basis_classes(self):

@@ -13,7 +13,8 @@ from __future__ import annotations
 from typing import Callable, Optional, Sequence, Tuple
 
 from .algebras import (AlgebraElement, AlgebraIso, DgAlgebra, SparseVec,
-                       opposite, pure_tensor, sparse, tensor_algebras)
+                       opposite, pure_tensor, sparse, swap_iso,
+                       tensor_algebras)
 from .complexes import ChainMap, SplitComplex, cone, is_acyclic
 from .duality import diagonal_explicit, transport_module
 from .errors import AugmentationNotQuasiIso, NotDegreeZeroConcentrated
@@ -152,36 +153,23 @@ def quiver_resolution(a: DgAlgebra, vertex_idems: Sequence[int],
 
 def opposite_resolution(r: DiagonalResolution,
                         name: str = "") -> DiagonalResolution:
-    """Resolution of A^op from one of A, transported along
-    (A^op)^e = A^op (x) A -> A (x) A^op, x (x) y -> y (x) x."""
+    """Resolution of A^op from one of A, transported along the factor swap
+    (A^op)^e = A^op (x) A -> A (x) A^op = A^e, x (x) y -> y (x) x (degree-0
+    data, so every sign is +1)."""
     a = r.algebra
     aop = opposite(a)
 
     def build():
         p = r.module
-        env = p.module.algebra
-        env_op = tensor_algebras(aop, a)
-        n = a.dim
-        perm = [0] * (n * n)
-        for i in range(n):
-            for j in range(n):
-                perm[i * n + j] = j * n + i
-        iso = AlgebraIso(env_op, env, perm)
-        transported = transport_module(p, iso)
+        iso = swap_iso(aop, a, tensor_algebras(aop, a), p.module.algebra)
         aug = tuple(aop.element(x.coords) for x in r.augmentation)
-        return transported, aug
+        return transport_module(p, iso), aug
 
     sep = None
     if r.separable:
         e = r.separability_idempotent()
-        n = a.dim
-        out = [ZERO] * (n * n)
-        for flat, c in enumerate(e.coords):
-            if c:
-                i, j = divmod(flat, n)
-                out[j * n + i] += c
         env_op = tensor_algebras(aop, a)
-        sep = env_op.element(out)
+        sep = env_op.element(swap_iso(a, aop, e.algebra, env_op).apply(e.coords))
     return DiagonalResolution(aop, build, separable=r.separable,
                               separability_idempotent=sep,
                               name=name or f"op({r.name})")

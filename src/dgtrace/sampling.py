@@ -10,11 +10,11 @@ entry-level closedness system, so every sample is closed on the nose.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .algebras import DgAlgebra, SparseVec
 from .complexes import keyed_blocks, positions
-from .errors import NotClosed
+from .errors import NotClosed, NotDegreeZeroConcentrated
 from .linalg import ONE, ZERO, RationalMatrix, rank_kernel_image
 from .modules import (ModuleMap, PerfectModule, SemiFreeModule, rows_of,
                       cone_module, direct_sum_modules, free_module,
@@ -88,31 +88,27 @@ def random_perfect(a: DgAlgebra, rng: SplitMix64, idempotents=(),
     return base
 
 
-ColumnMap = Dict[Tuple[int, int, int], int]
+Key = Tuple[int, int, int]
+KeyedVector = Tuple[Tuple[Key, Fraction], ...]
 
 
 def closed_map_kernel(src: SemiFreeModule, tgt: SemiFreeModule,
-                      degree: int = 0) -> Tuple[ColumnMap, List[Tuple[Fraction, ...]]]:
-    """The closed degree-`degree` maps src -> tgt in coordinates, solved at
-    the entry level (degree-0 algebras): the column map (j, i, w) -> col of
-    the coordinate of e_w in entry (j, i), and a basis of the kernel of the
-    closedness system as vectors over those columns."""
+                      degree: int = 0) -> List[KeyedVector]:
+    """A basis of the closed degree-`degree` maps src -> tgt, solved at the
+    entry level over a degree-0 algebra: each basis vector as its nonzero
+    ((j, i, w), x) coordinates in key order, x the coordinate of e_w in
+    entry (j, i)."""
     a = src.algebra
-    coords: ColumnMap = {}
-    for j in range(tgt.rank):
-        for i in range(src.rank):
-            want = degree + tgt.shifts[j] - src.shifts[i]
-            for w in range(a.dim):
-                if a.degrees[w] == want:
-                    coords[(j, i, w)] = len(coords)
-    if not coords:
-        return coords, []
+    if not a.is_degree_zero():
+        raise NotDegreeZeroConcentrated("closed maps are solved over degree-0 algebras")
+    keys = [(j, i, w) for j in range(tgt.rank) for i in range(src.rank)
+            if degree + tgt.shifts[j] == src.shifts[i] for w in range(a.dim)]
     # equations: the coordinates (l, i, x) of d(phi)[l][i] = 0, one column
     # per unknown coordinate e_w of entry (j, i)
     sgn = ONE if degree % 2 == 0 else -ONE
     rows_m = rows_of(src.twist_columns, src.rank)
-    terms: Dict[Tuple[int, int, int], List] = {}
-    for (j, i, w) in coords:
+    terms: Dict[Key, List] = {}
+    for (j, i, w) in keys:
         out = terms[(j, i, w)] = []
         # + phi[j][i] * deltaN[l][j], in entry (l, i)
         for l, dn in tgt.twist_columns[j]:
@@ -123,24 +119,24 @@ def closed_map_kernel(src: SemiFreeModule, tgt: SemiFreeModule,
             for t, ct in dm:
                 out += [((j, i2, x), -sgn * ct * cx) for x, cx in a.mult.get((t, w), ())]
     equations = sorted({k for ts in terms.values() for k, _ in ts})
-    system = keyed_blocks({0: list(coords)}, {0: equations},
+    system = keyed_blocks({0: keys}, {0: equations},
                           positions({0: equations}), 0, terms.get)
     # no equations: every coordinate is free
-    _, ker, _ = rank_kernel_image(system.get(0, RationalMatrix.zeros(0, len(coords))))
-    return coords, list(ker.basis)
+    _, ker, _ = rank_kernel_image(system.get(0, RationalMatrix.zeros(0, len(keys))))
+    # most zeros are the shared ZERO
+    return [tuple((k, x) for k, x in zip(keys, v) if x is not ZERO and x)
+            for v in ker.basis]
 
 
 def _map_from_vector(src: SemiFreeModule, tgt: SemiFreeModule, degree: int,
-                     coords: ColumnMap, vec: Sequence[Fraction]) -> ModuleMap:
-    """The module map whose entry coordinates are vec read through the
-    column map of closed_map_kernel."""
+                     vec: Iterable[Tuple[Key, Fraction]]) -> ModuleMap:
+    """The module map whose entry coordinates are the ((j, i, w), x) pairs
+    of vec."""
     cells: List[Dict[int, List]] = [{} for _ in range(src.rank)]
-    for (j, i, w), col in coords.items():
-        cv = vec[col]
-        if cv:
-            cells[i].setdefault(j, []).append((w, cv))
-    columns = [tuple((j, tuple(sorted(cell[j]))) for j in sorted(cell))
-               for cell in cells]
+    for (j, i, w), x in sorted(vec):
+        if x:
+            cells[i].setdefault(j, []).append((w, x))
+    columns = [tuple((j, tuple(ws)) for j, ws in cell.items()) for cell in cells]
     return ModuleMap.from_columns(src, tgt, degree, columns, check=False)
 
 
@@ -148,31 +144,27 @@ def closed_map_basis(src: SemiFreeModule, tgt: SemiFreeModule,
                      degree: int = 0) -> List[ModuleMap]:
     """Basis of the closed degree-`degree` maps src -> tgt, solved at the
     entry level (degree-0 algebras)."""
-    coords, vectors = closed_map_kernel(src, tgt, degree)
-    return [_map_from_vector(src, tgt, degree, coords, v) for v in vectors]
+    return [_map_from_vector(src, tgt, degree, v)
+            for v in closed_map_kernel(src, tgt, degree)]
 
 
-def random_closed_map(src: SemiFreeModule, tgt: SemiFreeModule, coords: ColumnMap,
-                      vectors: Sequence[Sequence[Fraction]],
+def random_closed_map(src: SemiFreeModule, tgt: SemiFreeModule,
+                      vectors: Sequence[KeyedVector],
                       rng: SplitMix64) -> Optional[ModuleMap]:
     """A random closed degree-0 map from a kernel of closed_map_kernel:
-    sum_k c_k v_k with one random_coeff per vector, in order, then unpacked
-    once; a random basis vector when every c_k is 0; None for an empty
-    kernel."""
+    sum_k c_k v_k with one random_coeff per vector, in order; a random
+    basis vector when every c_k is 0; None for an empty kernel."""
     if not vectors:
         return None
-    total = None
+    total: Dict[Key, Fraction] = {}
     for vec in vectors:
         c = random_coeff(rng)
         if c:
-            if total is None:
-                total = [ZERO] * len(vec)
-            for col, x in enumerate(vec):
-                if x:
-                    total[col] += c * x
-    if total is None:
-        total = vectors[rng.below(len(vectors))]
-    return _map_from_vector(src, tgt, 0, coords, total)
+            for key, x in vec:
+                total[key] = total.get(key, ZERO) + c * x
+    if total:
+        return _map_from_vector(src, tgt, 0, total.items())
+    return _map_from_vector(src, tgt, 0, vectors[rng.below(len(vectors))])
 
 
 class EndoSampler:
@@ -180,11 +172,11 @@ class EndoSampler:
 
     def __init__(self, p: PerfectModule):
         self.module = p
-        self.coords, self.vectors = closed_map_kernel(p.module, p.module, 0)
+        self.vectors = closed_map_kernel(p.module, p.module, 0)
 
     def draw(self, rng: SplitMix64) -> ModuleMap:
         f = random_closed_map(self.module.module, self.module.module,
-                              self.coords, self.vectors, rng)
+                              self.vectors, rng)
         if f is None:
             raise NotClosed("module admits no closed endomorphisms")
         return self.module.compress(f)
@@ -203,10 +195,10 @@ def random_closed_pair(a: DgAlgebra, rng: SplitMix64, max_gens: int = 3,
     """(M, N, g: M -> N, h: N -> M), both maps closed degree 0."""
     m = random_semifree(a, rng, max_gens=max_gens, shift_range=shift_range)
     n = random_semifree(a, rng, max_gens=max_gens, shift_range=shift_range)
-    gs = closed_map_kernel(m.module, n.module, 0)
-    hs = closed_map_kernel(n.module, m.module, 0)
-    g = random_closed_map(m.module, n.module, *gs, rng)
-    h = random_closed_map(n.module, m.module, *hs, rng)
+    g = random_closed_map(m.module, n.module,
+                          closed_map_kernel(m.module, n.module, 0), rng)
+    h = random_closed_map(n.module, m.module,
+                          closed_map_kernel(n.module, m.module, 0), rng)
     if g is None:
         g = ModuleMap.zero(m.module, n.module)
     if h is None:

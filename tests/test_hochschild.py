@@ -2,9 +2,10 @@ from fractions import Fraction
 
 import pytest
 
+from dgtrace.algebras import opposite
 from dgtrace.catalog import catalog_entry
 from dgtrace.complexes import chain_supertrace, euler_trace
-from dgtrace.errors import (IdempotentIncompatible, NotClosed,
+from dgtrace.errors import (AlgebraMismatch, IdempotentIncompatible, NotClosed,
                             NotDegreeZeroConcentrated)
 from dgtrace.hochschild import (euler_class, hh0_space, hh_class,
                                 hh_via_dualizing)
@@ -211,3 +212,19 @@ def test_hh0_matches_dense_commutators(cat):
         sp = hh0_space(a)
         assert sp.commutator_dim == len(sub)
         assert (sp.projection, sp.section) == (proj, section)
+
+
+def test_class_of_rejects_another_algebra(m2, kronecker):
+    # M2 and the Kronecker algebra both have dimension 4: without the check
+    # the identity of M2 would project to a class (1, 0) of HH_0(Kronecker)
+    m = free_module(m2, [0])
+    f = m.identity_map()
+    with pytest.raises(AlgebraMismatch):
+        hh_class(m, f, hh0_space(kronecker))
+    with pytest.raises(AlgebraMismatch):
+        euler_class(m, hh0_space(kronecker))
+    with pytest.raises(AlgebraMismatch):
+        hh0_space(kronecker).class_of(m2.one())
+    assert hh_class(m, f, hh0_space(m2)).coords == (F(2),)
+    # a separately built algebra of the same structure is the same algebra
+    assert hh_class(m, f, hh0_space(opposite(opposite(m2)))).coords == (F(2),)

@@ -26,7 +26,7 @@ from dgtrace.complexes import ChainMap, chain_supertrace
 from dgtrace.duality import (DualBimodule, _opposite_diagonal_explicit,
                              diagonal_explicit, dual_right_module_data,
                              serre_module_data)
-from dgtrace.errors import WrongDegree
+from dgtrace.errors import NotDegreeZeroConcentrated, WrongDegree
 from dgtrace.hochschild import compressed_supertrace, generalized_supertrace
 from dgtrace.linalg import RationalMatrix
 from dgtrace.modules import (ModuleMap, PerfectModule, SemiFreeModule,
@@ -34,10 +34,10 @@ from dgtrace.modules import (ModuleMap, PerfectModule, SemiFreeModule,
                              restrict_to_factor, right_multiplication_map,
                              tensor_over_algebra)
 from dgtrace.prng import SplitMix64, stream_for
-from dgtrace.sampling import (EndoSampler, closed_map_basis, random_closed_pair,
-                              random_coeff, random_element_of_degree,
-                              random_module_with_endos, random_perfect,
-                              random_semifree)
+from dgtrace.sampling import (EndoSampler, closed_map_basis, closed_map_kernel,
+                              random_closed_pair, random_coeff,
+                              random_element_of_degree, random_module_with_endos,
+                              random_perfect, random_semifree)
 
 CATALOG = ("k", "kxk", "M2", "A2", "A3", "Kronecker", "A2xA2")
 
@@ -164,6 +164,19 @@ def square_zero_dg_algebra():
             (0, 2): ((2, ONE),), (2, 0): ((2, ONE),)}
     return validate_algebra(["1", "x", "y"], [0, -1, 0], mult,
                             [ONE, F(0), F(0)], {1: ((2, ONE),)})
+
+
+@pytest.mark.parametrize("degree", [-1, 0, 1])
+def test_closed_map_kernel_rejects_graded_algebras(degree):
+    """The entry-level closedness system has neither the d_A term nor the
+    Koszul signs of graded entries: over the square-zero dg algebra it
+    would give maps that are not closed (1 of the 5 degree-0 basis maps of
+    this module, 2 of the 4 in degree -1), so it refuses the algebra."""
+    m = SemiFreeModule(square_zero_dg_algebra(), [0, 1])
+    with pytest.raises(NotDegreeZeroConcentrated):
+        closed_map_kernel(m, m, degree)
+    with pytest.raises(NotDegreeZeroConcentrated):
+        closed_map_basis(m, m, degree)
 
 
 def random_entry(a, degree, rng):
