@@ -16,14 +16,14 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional, Tuple
 
-from .algebras import AlgebraElement, DgAlgebra, sparse
+from .algebras import AlgebraElement, DgAlgebra
 from .complexes import GradedSpace
 from .duality import diagonal_explicit, omega_inverse_module
 from .errors import (AlgebraMismatch, IdempotentIncompatible, NotClosed,
                      NotDegreeZeroConcentrated, WrongDegree)
 from .linalg import (ONE, ZERO, SubspacePresentation, echelon_basis,
                      quotient_presentation)
-from .modules import HomOverAlgebra, ModuleMap, PerfectModule, rows_of
+from .modules import HomOverAlgebra, ModuleMap, PerfectModule
 
 
 class HH0Space:
@@ -119,56 +119,19 @@ def hh0_space(a: DgAlgebra) -> HH0Space:
     return a._hh0
 
 
+def diagonal(f: ModuleMap) -> list:
+    """Per generator i, the nonzero coordinates of the entry f[i][i]."""
+    return [next((vec for j, vec in col if j == i), ())
+            for i, col in enumerate(f.columns)]
+
+
 def generalized_supertrace(m: PerfectModule, f: ModuleMap) -> AlgebraElement:
     """sum_i (-1)^{s_i} f[i][i] in A (no projection)."""
-    a = m.algebra
-    total = [ZERO] * a.dim
-    for i, col in enumerate(f.columns):
-        for t, c in dict(col).get(i, ()):
-            total[t] += -c if m.shifts[i] % 2 else c
-    return a.element(total)
-
-
-def compressed_supertrace(m: PerfectModule, f: ModuleMap) -> AlgebraElement:
-    """sum_i (-1)^{s_i} (e f e)[i][i] without forming e f e: the diagonal of
-    the double compression is accumulated over the stored entries only,
-    (e f e)[i][i] = sum_l (sum_j e[j][i] f[l][j]) e[i][l] (left-to-right
-    products in the order the maps apply).  Only the entries f[l][j] met
-    that way are read.  Degree-0 entries assumed."""
-    a = m.algebra
-    if m.idempotent is None:
-        return generalized_supertrace(m, f)
-    column = m.idempotent.columns  # column[i]: (j, e[j][i]) nonzero
-    row = rows_of(column, m.rank)  # row[i]: (l, e[i][l]) nonzero
-    f_columns = [dict(col) for col in f.columns]
-    total = [ZERO] * a.dim
-    for i in range(m.rank):
-        if not (column[i] and row[i]):
-            continue
-        acc = [ZERO] * a.dim
-        for l, eil in row[i]:
-            fe_li = [ZERO] * a.dim  # (f . e)[l][i]
-            for j, eji in column[i]:
-                flj = f_columns[j].get(l)
-                if flj:
-                    a.add_product(fe_li, eji, flj)
-            a.add_product(acc, sparse(fe_li), eil)
-        sgn = ONE if m.shifts[i] % 2 == 0 else -ONE
-        for k, c in enumerate(acc):
-            if c:
-                total[k] += sgn * c
-    return a.element(total)
-
-
-def hh_class_via_transfer(m: PerfectModule, f: ModuleMap,
-                          space: Optional[HH0Space] = None) -> HochschildClass:
-    """Hochschild class of a map closed by construction (restrictions of
-    algebra-element actions), compressed sparsely against the idempotent.
-    Skips the O(rank^3) closedness and compatibility checks; callers must
-    guarantee them structurally."""
-    if space is None:
-        space = hh0_space(m.algebra)
-    return space.class_of(compressed_supertrace(m, f))
+    total = [ZERO] * m.algebra.dim
+    for s, vec in zip(m.shifts, diagonal(f)):
+        for t, c in vec:
+            total[t] += -c if s % 2 else c
+    return m.algebra.element(total)
 
 
 def hh_class(m: PerfectModule, f: ModuleMap,

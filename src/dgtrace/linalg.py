@@ -246,6 +246,20 @@ def rref(m: RationalMatrix):
     return RationalMatrix(m.rows, m.cols, rows), [p for p, _ in red]
 
 
+def _kernel(red: list, ncols: int) -> list:
+    """Per free column f, the kernel vector read off the reduced rows as
+    (column, value) pairs in column order: -row[f] at each pivot row that
+    holds f (pivots lie left of f), then 1 at f."""
+    pivots = {p for p, _ in red}
+    return [tuple((p, -row[f]) for p, row in red if f in row) + ((f, ONE),)
+            for f in range(ncols) if f not in pivots]
+
+
+def sparse_kernel(m: RationalMatrix) -> list:
+    """The kernel basis of rank_kernel_image as (column, value) pairs."""
+    return _kernel(_echelon(m.entries, m.cols), m.cols)
+
+
 def rank_kernel_image(m: RationalMatrix):
     """Rank, kernel and column-space image of m, all exact.
 
@@ -255,19 +269,10 @@ def rank_kernel_image(m: RationalMatrix):
     """
     red = _echelon(m.entries, m.cols)
     pivots = [p for p, _ in red]
-    pivot_set = set(pivots)
-    kernel_basis = []
-    for f in range(m.cols):
-        if f in pivot_set:
-            continue
-        v = [ZERO] * m.cols
-        v[f] = ONE
-        for p, row in red:
-            v[p] = -row.get(f, ZERO)
-        kernel_basis.append(tuple(v))
+    kernel_basis = tuple(_dense(dict(v), m.cols) for v in _kernel(red, m.cols))
     image_basis = [m.column(p) for p in pivots]
     return (len(pivots),
-            SubspacePresentation(m.cols, tuple(kernel_basis)),
+            SubspacePresentation(m.cols, kernel_basis),
             SubspacePresentation(m.rows, tuple(image_basis)))
 
 

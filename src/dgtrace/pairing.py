@@ -26,15 +26,14 @@ from typing import Dict, Optional, Tuple, Union
 
 from .algebras import (AlgebraElement, DgAlgebra, opposite, pure_tensor,
                        sparse, tensor_algebras)
-from .complexes import SplitComplex
-from .errors import (AlgebraMismatch, NoDiagonalResolutionForB,
-                     NotDegreeZeroConcentrated, NotSeparableB)
-from .hochschild import (HH0Space, HochschildClass, euler_class, hh0_space,
-                         hh_class, hh_class_via_transfer)
+from .errors import (AlgebraMismatch, DimensionMismatch,
+                     NoDiagonalResolutionForB, NotDegreeZeroConcentrated,
+                     NotSeparableB, WrongDegree)
+from .hochschild import (HH0Space, HochschildClass, diagonal, euler_class,
+                         generalized_supertrace, hh0_space, hh_class)
 from .linalg import ONE, ZERO
 from .modules import (ModuleMap, PerfectModule, outer_tensor_modules,
-                      restrict_to_factor, right_multiplication_map,
-                      tensor_over_algebra)
+                      restrict_to_factor, right_multiplication_map)
 from .resolutions import DiagonalResolution
 
 
@@ -63,11 +62,11 @@ class KernelTransfer:
     """Transfer HH_0(B) -> HH_0(A) along a perfect A (x) B^op kernel.
 
     The kernel is restricted to A once; each class is then sent to the
-    Hochschild class of right multiplication by its representative, the
-    supertrace compressed sparsely against the restricted idempotent.
-    Right multiplication by a degree-0 element is a closed module map of the
-    restriction (the middle algebra carries no differential), so no chain
-    checks are repeated per class.
+    Hochschild class of right multiplication by its representative, read
+    as the supertrace of rmul . e, since tr(e rmul e) = tr(rmul e e) modulo
+    commutators.  Right multiplication by a degree-0 element is a closed
+    module map of the restriction (the middle algebra carries no
+    differential), so no chain checks are repeated per class.
     """
 
     def __init__(self, kernel: PerfectModule, a: DgAlgebra, b: DgAlgebra,
@@ -89,7 +88,8 @@ class KernelTransfer:
         rmul = right_multiplication_map(
             self.kernel, self.restricted, self.index, self.a, self.bop,
             self.b.element(lam.representative.coords))
-        return hh_class_via_transfer(self.restricted, rmul, self.space_a)
+        return self.space_a.class_of(generalized_supertrace(
+            self.restricted, _after_idempotent(self.restricted, rmul)))
 
 
 # ---------------------------------------------------------------------------
@@ -328,27 +328,61 @@ def _rational_text(x):
     return f"{x.numerator}/{x.denominator}"
 
 
+def _after_idempotent(p: PerfectModule, phi: Optional[ModuleMap]) -> ModuleMap:
+    """phi . e on p's carrier; a missing map or idempotent is the identity."""
+    if phi is None:
+        return p.identity_map()
+    return phi if p.idempotent is None else phi.compose(p.idempotent)
+
+
 def rr_left_side(n: PerfectModule, m: PerfectModule,
-                 g: Optional[ModuleMap], f: Optional[ModuleMap],
-                 tensor: Optional[SplitComplex] = None) -> Fraction:
-    """hh_k(N (x)_A M, g (x) f): supertrace of the induced endomorphism of
-    the balanced tensor, compressed by the induced idempotent.  `tensor`
-    is tensor_over_algebra(n, m) when the caller already built it."""
-    sc = tensor if tensor is not None else tensor_over_algebra(n, m)
-    t = sc.realization
-    gf = t.map_tensor(g.restrict() if g is not None else None, f)
-    return sc.supertrace(gf)
+                 g: Optional[ModuleMap], f: Optional[ModuleMap]) -> Fraction:
+    """hh_k(N (x)_A M, g (x) f), read off keyed diagonals.
+
+    N (x)_A M is realized on the keys (i, u), i a generator of M and u =
+    (k, b) the key e_b g_k of N's realization, in degree deg u - s_i.  For
+    degree-0 maps (g (x) f)(e_N (x) e_M) = G (x) F with G = g . e_N and
+    F = f . e_M, so the class is sum (-1)^{deg u - s_i} [u] (G(u) . F[i][i]).
+    The action on N's realization keeps the generator k, so only F[i][i]
+    and G[k][k] are read, through N's action table: no tensor complex,
+    projector or matrix is built."""
+    if not opposite(n.algebra).same_structure(m.algebra):
+        raise AlgebraMismatch("left factor must live over the opposite algebra")
+    for p, phi in ((n, g), (m, f)):
+        if phi is None:
+            continue
+        if phi.degree != 0:
+            raise WrongDegree("the trace formula takes degree-0 maps")
+        if not phi.source == p.module == phi.target:
+            raise DimensionMismatch("map is not an endomorphism of the module")
+        # the construction-time check: an off-degree entry raises
+        ModuleMap.from_columns(p.module, p.module, 0, phi.columns)
+    g_diagonal = diagonal(_after_idempotent(n, g))
+    f_diagonal = [(s, x) for s, x in zip(m.shifts, diagonal(_after_idempotent(m, f)))
+                  if x]
+    left = n.module.to_explicit()
+    action = left.action
+    total = ZERO
+    for u, (deg, _) in left.pos.items():
+        k, b = u
+        image: Dict = {}  # G(u) = e_b . G[k][k] g_k, acting over A^op
+        for t, c in g_diagonal[k]:
+            for u2, c2 in action.get((b, (k, t)), ()):
+                image[u2] = image.get(u2, ZERO) + c * c2
+        for s, x in f_diagonal:
+            coeff = sum((c * ct * c3 for u2, c in image.items() for t, ct in x
+                         for u3, c3 in action.get((t, u2), ()) if u3 == u), ZERO)
+            total += -coeff if (deg - s) % 2 else coeff
+    return total
 
 
 def verify_rr(m: PerfectModule, f: ModuleMap, n: PerfectModule, g: ModuleMap,
               instance: str = "", seed: Optional[int] = None,
               space_op: Optional[HH0Space] = None,
-              space: Optional[HH0Space] = None,
-              tensor: Optional[SplitComplex] = None) -> PairingReport:
+              space: Optional[HH0Space] = None) -> PairingReport:
     """Main comparison: the k-valued class of g (x) f on N (x)_A M against
-    <hh(N, g), hh(M, f)>, both exact rationals; `tensor` as in
-    rr_left_side."""
-    lhs = rr_left_side(n, m, g, f, tensor)
+    <hh(N, g), hh(M, f)>, both exact rationals."""
+    lhs = rr_left_side(n, m, g, f)
     lam = hh_class(n, g, space_op)
     mu = hh_class(m, f, space)
     rhs = pair_scalar(lam, mu)

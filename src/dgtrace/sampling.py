@@ -15,7 +15,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from .algebras import DgAlgebra, SparseVec
 from .complexes import keyed_blocks, positions
 from .errors import NotClosed, NotDegreeZeroConcentrated
-from .linalg import ONE, ZERO, RationalMatrix, rank_kernel_image
+from .linalg import ONE, ZERO, RationalMatrix, sparse_kernel
 from .modules import (ModuleMap, PerfectModule, SemiFreeModule, rows_of,
                       cone_module, direct_sum_modules, free_module,
                       projective_module)
@@ -122,10 +122,8 @@ def closed_map_kernel(src: SemiFreeModule, tgt: SemiFreeModule,
     system = keyed_blocks({0: keys}, {0: equations},
                           positions({0: equations}), 0, terms.get)
     # no equations: every coordinate is free
-    _, ker, _ = rank_kernel_image(system.get(0, RationalMatrix.zeros(0, len(keys))))
-    # most zeros are the shared ZERO
-    return [tuple((k, x) for k, x in zip(keys, v) if x is not ZERO and x)
-            for v in ker.basis]
+    return [tuple((keys[c], x) for c, x in v) for v in
+            sparse_kernel(system.get(0, RationalMatrix.zeros(0, len(keys))))]
 
 
 def _map_from_vector(src: SemiFreeModule, tgt: SemiFreeModule, degree: int,

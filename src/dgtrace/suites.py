@@ -18,8 +18,7 @@ from .duality import (DualBimodule, dualize, dualhom_check, hom_into_serre,
                       serre_module_data)
 from .hochschild import euler_class, hh0_space, hh_class, hh_via_dualizing
 from .linalg import ZERO
-from .modules import (PerfectModule, hom_over_algebra, projective_module,
-                      tensor_over_algebra)
+from .modules import PerfectModule, hom_over_algebra, projective_module
 from .pairing import (KernelTransfer, PairingReport, cup, diagonal_class,
                       pair_scalar, pairing_three_ways, unit_algebra,
                       verify_kernel_composition, verify_rr, rr_left_side)
@@ -54,18 +53,14 @@ def rr_pair_reports(entry: CatalogEntry, pi: int, first_idx: int, draws: int,
     n, ns = random_module_with_endos(aop, rng, entry.idempotents,
                                      max_gens=max_gens)
     reports = []
-    tensor = None  # N (x)_A M and its projector, shared by the pair's draws
     idx = first_idx
     for _ in range(draws):
         if idx >= count:
             break
         f = ms.draw(rng)
         g = ns.draw(rng)
-        if tensor is None:
-            tensor = tensor_over_algebra(n, m)
         reports.append(verify_rr(m, f, n, g, instance=f"{entry.name}#{idx}",
-                                 seed=seed, space_op=spo, space=sp,
-                                 tensor=tensor))
+                                 seed=seed, space_op=spo, space=sp))
         idx += 1
     return reports
 

@@ -11,7 +11,7 @@ from dgtrace.errors import DimensionMismatch
 from dgtrace.linalg import (RationalMatrix, SubspacePresentation,
                             echelon_basis, quotient_presentation,
                             rank_kernel_image, rank_of, rref, solve,
-                            solve_matrix, span_dim)
+                            solve_matrix, span_dim, sparse_kernel)
 from dgtrace.modules import (ExplicitModule, ModuleMap, cone_module,
                              free_module, hom_over_algebra,
                              tensor_over_algebra)
@@ -53,6 +53,34 @@ def test_post_conditions_random_shapes():
     assert img.dim == r
     for v in ker.basis:
         assert all(x == 0 for x in m.apply(v))
+
+
+def test_sparse_kernel_matches_the_dense_kernel_basis():
+    """Each sparse kernel vector is the nonzero part of the dense one, and
+    both are the free-column vectors of the RREF: 1 at the free column f,
+    -R[r][f] at the pivot column of each row r."""
+    rng = SplitMix64(29)
+    shapes = [RationalMatrix.zeros(0, 3)]
+    for _ in range(40):
+        rows, cols = 1 + rng.below(5), 1 + rng.below(7)
+        shapes.append(mat([[rng.int_in(-2, 2) * rng.below(2) for _ in range(cols)]
+                           for _ in range(rows)]))
+    vectors = 0
+    for m in shapes:
+        red, pivots = rref(m)
+        reference = []
+        for f in range(m.cols):
+            if f not in pivots:
+                v = [F(0)] * m.cols
+                v[f] = F(1)
+                for r, p in enumerate(pivots):
+                    v[p] = -red.entries[r][f]
+                reference.append(tuple((c, x) for c, x in enumerate(v) if x))
+        dense = rank_kernel_image(m)[1].basis
+        assert sparse_kernel(m) == reference == [
+            tuple((c, x) for c, x in enumerate(v) if x) for v in dense]
+        vectors += len(reference)
+    assert vectors > 40
 
 
 def test_solve_identity():

@@ -1,11 +1,14 @@
 """The coordinate-level main-theorem pipeline against dense references.
 
 Sampling in kernel coordinates against scaling and adding the ModuleMaps of
-closed_map_basis; sparse ModuleMap products and the compressed supertrace
-against entry-by-entry products through AlgebraElement.__mul__ (the dense
-DgAlgebra.multiply scan); the tr(f.e) supertrace of a split complex
-against the supertrace of the formed e.f.e; every explicit module's action
-table against products through the dense DgAlgebra.multiply scan; the one
+closed_map_basis; sparse ModuleMap products against entry-by-entry
+products through AlgebraElement.__mul__ (the dense DgAlgebra.multiply
+scan), and the class of the supertrace of f.e against that of the dense
+e.f.e; the tr(f.e) supertrace of a split complex against the supertrace of
+the formed e.f.e; the keyed-diagonal left side of the trace formula against
+the supertrace on the tensor complex, over the catalog and over dg
+algebras; every explicit module's action table against products through
+the dense DgAlgebra.multiply scan; the one
 restriction kernel (ModuleMap.restrict and the twist part of to_explicit)
 against the dense (-1)^{n|b|} e_b . phi_ji; pure tensors, the outer tensor
 of matrices and the twist and idempotent of the outer tensor of modules
@@ -22,17 +25,19 @@ import pytest
 
 from dgtrace.algebras import (AlgebraElement, opposite, pure_tensor,
                               tensor_algebras, validate_algebra)
-from dgtrace.complexes import ChainMap, chain_supertrace
+from dgtrace.complexes import ChainMap, SplitComplex, chain_supertrace
 from dgtrace.duality import (DualBimodule, _opposite_diagonal_explicit,
                              diagonal_explicit, dual_right_module_data,
                              serre_module_data)
 from dgtrace.errors import NotDegreeZeroConcentrated, WrongDegree
-from dgtrace.hochschild import compressed_supertrace, generalized_supertrace
+from dgtrace.hochschild import generalized_supertrace, hh0_space
 from dgtrace.linalg import RationalMatrix
 from dgtrace.modules import (ModuleMap, PerfectModule, SemiFreeModule,
+                             TensorOverAlgebra, direct_sum_modules,
                              outer_tensor_entries, outer_tensor_modules,
-                             restrict_to_factor, right_multiplication_map,
-                             tensor_over_algebra)
+                             projective_module, restrict_to_factor,
+                             right_multiplication_map, tensor_over_algebra)
+from dgtrace.pairing import rr_left_side
 from dgtrace.prng import SplitMix64, stream_for
 from dgtrace.sampling import (EndoSampler, closed_map_basis, closed_map_kernel,
                               random_closed_pair, random_coeff,
@@ -251,10 +256,15 @@ def test_split_supertrace_matches_compressed_supertrace(cat):
 
 
 def test_compressed_supertrace_matches_dense_compression(cat):
+    """The transfer's supertrace of f . e lies in the class of the trace of
+    the dense e f e: tr(e f e) = tr(f e e) modulo commutators.  The
+    representatives can differ, so classes are compared."""
     checked = 0
+    differ = 0
     for name in ("kxk", "M2", "A2", "A3", "Kronecker", "A2xA2"):
         ent = cat[name]
         a = ent.algebra
+        space = hh0_space(a)
         for index in range(4):
             rng = stream_for(37, 10 * index + len(name))
             p = random_perfect(a, rng, ent.idempotents, max_gens=3)
@@ -262,9 +272,95 @@ def test_compressed_supertrace_matches_dense_compression(cat):
                 continue
             f = random_map(p.module, p.module, 0, rng)
             efe = dense_compose(p.idempotent, dense_compose(f, p.idempotent))
-            assert compressed_supertrace(p, f) == generalized_supertrace(p, efe)
+            fe = generalized_supertrace(p, f.compose(p.idempotent))
+            dense = generalized_supertrace(p, efe)
+            assert space.class_of(fe) == space.class_of(dense)
             checked += 1
-    assert checked > 0
+            differ += fe != dense
+    assert checked > 0 and differ > 0
+
+
+def homogeneous_map(m, rng):
+    """A random degree-0 endomorphism with homogeneous entries, closed or
+    not."""
+    s = m.shifts
+    return ModuleMap(m, m, 0, [[random_element_of_degree(m.algebra, s[j] - s[i], rng)
+                                for i in range(m.rank)] for j in range(m.rank)])
+
+
+def tensor_oracle(n, m, g, f):
+    """The supertrace of the compression of g (x) f on the realized
+    N (x)_A M, through the tensor complex and its projector."""
+    sc = tensor_over_algebra(n, m)
+    gf = sc.realization.map_tensor(g.restrict() if g is not None else None, f)
+    return chain_supertrace(sc.compress(gf))
+
+
+def with_idempotent(a, p, idempotents, shift):
+    """p (+) A e, e the first listed idempotent or else the unit."""
+    e = a.basis_element(idempotents[0]) if idempotents else a.one()
+    return direct_sum_modules(p, projective_module(a, e, shift))
+
+
+@pytest.mark.parametrize("name", CATALOG)
+def test_keyed_left_side_matches_tensor_supertrace(cat, name):
+    """rr_left_side read off the keyed diagonals against the supertrace of
+    the compressed g (x) f on the tensor complex, with and without an
+    idempotent on each side and with each map given or the identity."""
+    ent = cat[name]
+    a = ent.algebra
+    aop = opposite(a)
+    nonzero_pairs = 0
+    for index, (e_n, e_m) in enumerate([(0, 0), (0, 1), (1, 0), (1, 1)]):
+        rng = stream_for(43, 10 * index + len(name))
+        n = random_semifree(aop, rng, max_gens=3)
+        m = random_semifree(a, rng, max_gens=3)
+        if e_n:
+            n = with_idempotent(aop, n, ent.idempotents, rng.int_in(-1, 1))
+        if e_m:
+            m = with_idempotent(a, m, ent.idempotents, rng.int_in(-1, 1))
+        assert (n.idempotent is not None, m.idempotent is not None) == (e_n, e_m)
+        g_draw, f_draw = EndoSampler(n).draw(rng), EndoSampler(m).draw(rng)
+        for g in (None, g_draw):
+            for f in (None, f_draw):
+                lhs = rr_left_side(n, m, g, f)
+                assert lhs == tensor_oracle(n, m, g, f)
+                nonzero_pairs += lhs != 0
+    assert nonzero_pairs > 0
+
+
+def test_keyed_left_side_builds_no_tensor_complex(cat, monkeypatch):
+    ent = cat["A2"]
+    a, aop = ent.algebra, opposite(ent.algebra)
+    rng = stream_for(47, 0)
+    n, m = (with_idempotent(side, random_semifree(side, rng, max_gens=3),
+                            ent.idempotents, 0) for side in (aop, a))
+    g, f = EndoSampler(n).draw(rng), EndoSampler(m).draw(rng)
+    expected = tensor_oracle(n, m, g, f)
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError(f"{type(self).__name__} built by the left side")
+    for cls in (RationalMatrix, SplitComplex, TensorOverAlgebra):
+        monkeypatch.setattr(cls, "__init__", refuse)
+    assert rr_left_side(n, m, g, f) == expected != 0
+
+
+def test_keyed_left_side_matches_tensor_supertrace_over_dg_algebras():
+    """The same oracle over the exterior and square-zero dg algebras, with
+    random homogeneous degree-0 maps that need not be closed."""
+    checked = nonzero = 0
+    for make in (exterior_algebra, square_zero_dg_algebra):
+        a = make()
+        rng = SplitMix64(53 + a.dim)
+        for _ in range(12):
+            n = PerfectModule(homogeneous_module(opposite(a), rng), check=False)
+            m = PerfectModule(homogeneous_module(a, rng), check=False)
+            g, f = homogeneous_map(n.module, rng), homogeneous_map(m.module, rng)
+            lhs = rr_left_side(n, m, g, f)
+            assert lhs == tensor_oracle(n, m, g, f)
+            checked += 1
+            nonzero += lhs != 0
+    assert checked == 24 and nonzero > 0
 
 
 # -- action tables and the restriction kernel -------------------------------
