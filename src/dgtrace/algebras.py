@@ -141,10 +141,6 @@ class DgAlgebra:
                     for k, c in vec:
                         out[k] += cuv * c
 
-    def coefficient(self, i: int, j: int, k: int) -> Fraction:
-        """The structure constant [e_k](e_i e_j)."""
-        return sum((c for l, c in self.mult.get((i, j), ()) if l == k), ZERO)
-
     def differential(self, a: Coords) -> Coords:
         out = [ZERO] * self.dim
         for i, ca in enumerate(a):

@@ -280,8 +280,7 @@ def serre_module_data(a: DgAlgebra, m: PerfectModule,
     together with its idempotent chain map (or None)."""
     if dual is None:
         dual = DualBimodule(a)
-    sc = TensorOverAlgebra(dual.right_module_data(), m.module).split(
-        None, m.idempotent)
+    sc = serre_tensor(a, m, dual)
     # keys (generator i of m, dual-basis index x); A acts on the A^* factor
     action = {(t, (i, x)): [((i, y), c) for y, c in terms]
               for (t, x), terms in dual.left_module_data().action.items()

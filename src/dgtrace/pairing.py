@@ -8,24 +8,24 @@ supertrace is the contraction.  Summed out, that is
 
     [u] cup_B [v] = sum  tr_B(y -> p y q) [a (x) c]
 
-over tensor terms u = a (x) p, v = q (x) c.  For separable B the same
-supertrace is computed through the splitting by the separability idempotent
-instead, which realizes the length-0 resolution contraction.
+over tensor terms u = a (x) p, v = q (x) c, read off the memoised trace
+table tau_B[p][q] = tr_B(y -> p y q) by one contraction, `_contract`.  Every
+middle algebra, separable or not, goes through it.
 
 Specializing A = C = k, B = A gives the scalar pairing
-<lambda, mu> = tr(x -> b x a) with representatives b, a; the trace-formula
-verifier checks it against the supertrace of g (x) f on the balanced tensor
-of the modules themselves.
+<lambda, mu> = tr(x -> b x a) with representatives b, a: `pair_scalar` is
+the same contraction.  The trace-formula verifier checks it against the
+supertrace of g (x) f on the balanced tensor of the modules themselves.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .algebras import (AlgebraElement, DgAlgebra, opposite, pure_tensor,
-                       sparse, tensor_algebras)
+from .algebras import (DgAlgebra, opposite, pure_tensor, sparse,
+                       tensor_algebras)
 from .errors import (AlgebraMismatch, DimensionMismatch,
                      NoDiagonalResolutionForB, NotDegreeZeroConcentrated,
                      NotSeparableB, WrongDegree)
@@ -42,15 +42,11 @@ from .resolutions import DiagonalResolution
 # ---------------------------------------------------------------------------
 
 def kunneth(x: HochschildClass, y: HochschildClass,
-            product: Optional[DgAlgebra] = None,
-            product_space: Optional[HH0Space] = None) -> HochschildClass:
+            product: Optional[DgAlgebra] = None) -> HochschildClass:
     """[u] (x) [v] -> [u (x) v] in HH_0(A (x) B)."""
-    a, b = x.algebra, y.algebra
     if product is None:
-        product = tensor_algebras(a, b)
-    if product_space is None:
-        product_space = hh0_space(product)
-    return product_space.class_of(product.element(
+        product = tensor_algebras(x.algebra, y.algebra)
+    return hh0_space(product).class_of(product.element(
         pure_tensor(x.representative.coords, y.representative.coords)))
 
 
@@ -69,8 +65,7 @@ class KernelTransfer:
     differential), so no chain checks are repeated per class.
     """
 
-    def __init__(self, kernel: PerfectModule, a: DgAlgebra, b: DgAlgebra,
-                 space_a: Optional[HH0Space] = None):
+    def __init__(self, kernel: PerfectModule, a: DgAlgebra, b: DgAlgebra):
         if not (a.is_degree_zero() and b.is_degree_zero()):
             raise NotDegreeZeroConcentrated(
                 "transfer maps live over degree-0 algebras")
@@ -80,7 +75,7 @@ class KernelTransfer:
         self.kernel = kernel
         self.restricted, self.index = restrict_to_factor(
             kernel, a, self.bop, "first", check=False)
-        self.space_a = space_a if space_a is not None else hh0_space(a)
+        self.space_a = hh0_space(a)
 
     def apply(self, lam: HochschildClass) -> HochschildClass:
         if not lam.algebra.same_structure(self.b):
@@ -93,37 +88,7 @@ class KernelTransfer:
 
 
 # ---------------------------------------------------------------------------
-# Scalar pairing
-# ---------------------------------------------------------------------------
-
-def pair_scalar(lam: HochschildClass, mu: HochschildClass) -> Fraction:
-    """<lambda, mu> = tr(x -> b x a) with b, a representatives of classes
-    over A^op and A.
-
-    Closed form of the transfer along the diagonal after the Kunneth map:
-    the right action of b (x) a on A is x -> b x a.  It is independent of
-    the representatives because left and right multiplications commute.
-    """
-    aop = lam.algebra
-    a = mu.algebra
-    if not opposite(a).same_structure(aop):
-        raise AlgebraMismatch("pairing needs classes over A^op and A")
-    if not a.is_degree_zero():
-        raise NotDegreeZeroConcentrated("scalar pairing in degree 0 only")
-    table = _pair_trace_table(a)
-    x = mu.representative.coords
-    total = ZERO
-    for q, bq in enumerate(lam.representative.coords):
-        if bq:
-            row = table[q]
-            for r, xr in enumerate(x):
-                if xr and row[r]:
-                    total += bq * xr * row[r]
-    return total
-
-
-# ---------------------------------------------------------------------------
-# Cup: contraction along the middle algebra
+# The trace-table contraction: cup and the scalar pairing
 # ---------------------------------------------------------------------------
 
 def _pair_trace_table(b: DgAlgebra) -> list:
@@ -148,72 +113,54 @@ def _pair_trace_table(b: DgAlgebra) -> list:
     return b._trace_table
 
 
-def _cup_kernel(u: AlgebraElement, v: AlgebraElement, b: DgAlgebra,
-                c: DgAlgebra, ac: DgAlgebra) -> AlgebraElement:
-    """Supertrace of R_u (x) R_v on the composed free kernels: the trace
-    contraction of the middle slots."""
+def _contract(u: Sequence[Fraction], v: Sequence[Fraction], b: DgAlgebra,
+              nc: int) -> List[Fraction]:
+    """Coordinates over A (x) C^op of the middle contraction of u over
+    A (x) B^op and v over B (x) C^op: each pair of terms cu a_p (x) e_q and
+    cv e_r (x) c_s adds cu cv tau_B[q][r] to slot p nc + s, nc = dim C.
+    This is the supertrace of R_u (x) R_v on the composed free kernels."""
     table = _pair_trace_table(b)
-    nb, nc = b.dim, c.dim
-    out = [ZERO] * ac.dim
-    for fu, cu in enumerate(u.coords):
+    nb = b.dim
+    out = [ZERO] * (len(u) // nb * nc)
+    for fu, cu in enumerate(u):
         if cu:
             p, q = divmod(fu, nb)
-            for fv, cv in enumerate(v.coords):
+            row = table[q]
+            for fv, cv in enumerate(v):
                 if cv:
                     r, s = divmod(fv, nc)
-                    t = table[q][r]
+                    t = row[r]
                     if t:
                         out[p * nc + s] += cu * cv * t
-    return ac.element(out)
+    return out
 
 
-def _cup_separable(u: AlgebraElement, v: AlgebraElement, b: DgAlgebra,
-                   c: DgAlgebra, ac: DgAlgebra,
-                   sep: AlgebraElement) -> AlgebraElement:
-    """Same supertrace computed through the separability-idempotent
-    splitting of the tensor over the ground field (the length-0 resolution
-    contraction): generators (w1, w2), projector inserting E = sum p (x) q
-    via beta_w1 -> beta_w1 p and beta_w2 -> q beta_w2."""
-    nb, nc = b.dim, c.dim
-    out = [ZERO] * ac.dim
-    eterms = []
-    for flat, ce in enumerate(sep.coords):
-        if ce:
-            t1, t2 = divmod(flat, nb)
-            eterms.append((t1, t2, ce))
+def pair_scalar(lam: HochschildClass, mu: HochschildClass) -> Fraction:
+    """<lambda, mu> = tr(x -> b x a) with b, a representatives of classes
+    over A^op and A.
 
-    for w1 in range(nb):
-        for w2 in range(nb):
-            for (t1, t2, ce) in eterms:
-                for w1p, c1 in b.mult.get((w1, t1), ()):
-                    for w2p, c2 in b.mult.get((t2, w2), ()):
-                        for fu, cu in enumerate(u.coords):
-                            if not cu:
-                                continue
-                            p, q = divmod(fu, nb)
-                            cb1 = b.coefficient(q, w1p, w1)
-                            if not cb1:
-                                continue
-                            for fv, cv in enumerate(v.coords):
-                                if not cv:
-                                    continue
-                                r, s = divmod(fv, nc)
-                                cb2 = b.coefficient(w2p, r, w2)
-                                if cb2:
-                                    out[p * nc + s] += (ce * c1 * c2 * cu * cv
-                                                        * cb1 * cb2)
-    return ac.element(out)
+    The contraction of `cup` with A = C = k and middle algebra A: the right
+    action of b (x) a on A is x -> b x a.  It is independent of the
+    representatives because left and right multiplications commute.
+    """
+    aop = lam.algebra
+    a = mu.algebra
+    if not opposite(a).same_structure(aop):
+        raise AlgebraMismatch("pairing needs classes over A^op and A")
+    if not a.is_degree_zero():
+        raise NotDegreeZeroConcentrated("scalar pairing in degree 0 only")
+    return _contract(lam.representative.coords, mu.representative.coords,
+                     a, 1)[0]
 
 
 def cup(x: HochschildClass, y: HochschildClass, a: DgAlgebra, b: DgAlgebra,
         c: DgAlgebra, resolution_b: Optional[DiagonalResolution],
-        ac: Optional[DgAlgebra] = None,
-        ac_space: Optional[HH0Space] = None) -> HochschildClass:
+        ac: Optional[DgAlgebra] = None) -> HochschildClass:
     """[x] cup_B [y]: HH_0(A (x) B^op) x HH_0(B (x) C^op) -> HH_0(A (x) C^op).
 
-    Requires a diagonal resolution of the middle algebra; separable middle
-    algebras contract through their separability idempotent, the rest
-    through the composed-kernel supertrace.
+    Requires a diagonal resolution of the middle algebra, the smoothness
+    hypothesis of the pairing; the value itself is the trace-table
+    contraction `_contract` of the representatives, for every B.
     """
     if resolution_b is None:
         raise NoDiagonalResolutionForB(
@@ -230,22 +177,13 @@ def cup(x: HochschildClass, y: HochschildClass, a: DgAlgebra, b: DgAlgebra,
         raise AlgebraMismatch("second class is not over B (x) C^op")
     if ac is None:
         ac = tensor_algebras(a, opposite(c))
-    if ac_space is None:
-        ac_space = hh0_space(ac)
-    u = x.representative
-    v = y.representative
-    if resolution_b.separable:
-        elem = _cup_separable(u, v, b, c, ac,
-                              resolution_b.separability_idempotent())
-    else:
-        elem = _cup_kernel(u, v, b, c, ac)
-    return ac_space.class_of(elem)
+    return hh0_space(ac).class_of(ac.element(_contract(
+        x.representative.coords, y.representative.coords, b, c.dim)))
 
 
-def diagonal_class(resolution: DiagonalResolution,
-                   space: Optional[HH0Space] = None) -> HochschildClass:
+def diagonal_class(resolution: DiagonalResolution) -> HochschildClass:
     """hh_{A^e}(A): the Euler class of the diagonal resolution."""
-    return euler_class(resolution.module, space)
+    return euler_class(resolution.module)
 
 
 def unit_algebra() -> DgAlgebra:
@@ -273,23 +211,20 @@ def pairing_three_ways(a: DgAlgebra, resolution: DiagonalResolution,
     aop = opposite(a)
     if "ea" not in cache:
         cache["ea"] = tensor_algebras(aop, a)
-        cache["ea_space"] = hh0_space(cache["ea"])
         cache["k"] = unit_algebra()
-        cache["k_space"] = hh0_space(cache["k"])
         cache["kc"] = tensor_algebras(cache["k"], opposite(cache["k"]))
-        cache["kc_space"] = hh0_space(cache["kc"])
         cache["diag"] = diagonal_class(resolution)
         cache["transfer"] = KernelTransfer(resolution.module, cache["k"],
-                                           cache["ea"], cache["k_space"])
+                                           cache["ea"])
     ea = cache["ea"]
     kalg = cache["k"]
-    kclass = kunneth(lam, mu, ea, cache["ea_space"])
+    kclass = kunneth(lam, mu, ea)
 
     phi = cache["transfer"].apply(kclass)
     s2 = phi.coords[0] if phi.coords else ZERO
 
     cup_val = cup(cache["diag"], kclass, kalg, ea, kalg, env_resolution,
-                  ac=cache["kc"], ac_space=cache["kc_space"])
+                  ac=cache["kc"])
     s3 = cup_val.coords[0] if cup_val.coords else ZERO
     return s1, s2, s3
 
@@ -453,11 +388,7 @@ def verify_kernel_composition(k1: PerfectModule, k2: PerfectModule,
     """hh(K1 (x)_B K2) against hh(K1) cup_B hh(K2): exact class equality in
     HH_0(A (x) C^op), reported as the two coordinate tuples."""
     composed = compose_kernels_separable(k1, k2, a, b, c, resolution_b)
-    ac = composed.algebra
-    space = hh0_space(ac)
-    lhs_class = euler_class(composed, space)
-    ab_space = hh0_space(k1.algebra)
-    bc_space = hh0_space(k2.algebra)
-    rhs_class = cup(euler_class(k1, ab_space), euler_class(k2, bc_space),
-                    a, b, c, resolution_b, ac=ac, ac_space=space)
+    lhs_class = euler_class(composed)
+    rhs_class = cup(euler_class(k1), euler_class(k2), a, b, c, resolution_b,
+                    ac=composed.algebra)
     return PairingReport(lhs_class.coords, rhs_class.coords, instance, seed)

@@ -237,8 +237,7 @@ def pairing_coherence_suite(seed: int) -> Dict:
         dclass = diagonal_class(ent.resolution)
         unit_ok = True
         for lam in sp_ak.basis_classes():
-            val = cup(dclass, lam, a, a, kalg, ent.resolution,
-                      ac=ak, ac_space=sp_ak)
+            val = cup(dclass, lam, a, a, kalg, ent.resolution, ac=ak)
             if val != lam:
                 unit_ok = False
         # well-definedness: commutator shifts do not move the pairing
@@ -281,12 +280,11 @@ def pairing_coherence_suite(seed: int) -> Dict:
             bk = tensor_algebras(b, opposite(kalg))
             sp_bk = hh0_space(bk)
             ak2 = tensor_algebras(a2, opposite(kalg))
-            sp_ak2 = hh0_space(ak2)
             for lam_b in hh0_space(b).basis_classes():
                 lam = sp_bk.class_of(bk.element(lam_b.representative.coords))
                 lhs = tr.apply(lam_b)
                 rhs = cup(hh_k_class, lam, a2, b, kalg, ent.resolution,
-                          ac=ak2, ac_space=sp_ak2)
+                          ac=ak2)
                 if lhs.coords != rhs.coords:
                     action_ok = False
     ok = ok and action_ok
@@ -299,14 +297,12 @@ def adapt_suite(seed: int, names: Tuple[str, ...] = ("k", "kxk", "M2", "A2"),
     random perfect modules over the enveloping algebra."""
     kalg = unit_algebra()
     kc = tensor_algebras(kalg, opposite(kalg))
-    kc_space = hh0_space(kc)
     passes = 0
     checked = 0
     for name in names:
         ent = catalog_entry(name)
         a = ent.algebra
         ea = tensor_algebras(opposite(a), a)
-        ea_space = hh0_space(ea)
         env_res = ent.enveloping_resolution()
         dclass = diagonal_class(ent.resolution)
         diag_as_right = ent.resolution.module  # over A^e = opposite(eA)
@@ -316,12 +312,11 @@ def adapt_suite(seed: int, names: Tuple[str, ...] = ("k", "kxk", "M2", "A2"),
                                                   shift_range=(-1, 1))
             f = sampler.draw(rng)
             lhs = rr_left_side(diag_as_right, m, None, f)
-            lam = hh_class(m, f, ea_space)
+            lam = hh_class(m, f)
             bk = tensor_algebras(ea, opposite(kalg))
             lam_bk = hh0_space(bk).class_of(
                 bk.element(lam.representative.coords))
-            rhs_class = cup(dclass, lam_bk, kalg, ea, kalg, env_res,
-                            ac=kc, ac_space=kc_space)
+            rhs_class = cup(dclass, lam_bk, kalg, ea, kalg, env_res, ac=kc)
             rhs = rhs_class.coords[0] if rhs_class.coords else ZERO
             checked += 1
             if lhs == rhs:

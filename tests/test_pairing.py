@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from dgtrace.algebras import opposite, tensor_algebras
+from dgtrace.algebras import opposite, pure_tensor, tensor_algebras
 from dgtrace.catalog import catalog_entry
 from dgtrace.errors import (IdempotentIncompatible, NoDiagonalResolutionForB,
                             NotSeparableB)
@@ -16,7 +16,7 @@ from dgtrace.pairing import (KernelTransfer, compose_kernels_separable, cup,
                              diagonal_class, kunneth, pair_scalar,
                              pairing_three_ways, unit_algebra,
                              verify_kernel_composition, verify_rr,
-                             _cup_kernel, _cup_separable, _pair_trace_table)
+                             _pair_trace_table)
 from dgtrace.prng import SplitMix64, stream_for
 from dgtrace.sampling import random_module_with_endos, random_perfect
 from dgtrace.suites import adapt_suite, cartan_tables
@@ -147,21 +147,40 @@ def test_cup_over_ground_is_kunneth(a2, kfield):
     assert out.coords == out.space.project(prod.element(expected_rep))
 
 
-def test_cup_routes_agree_on_separable(m2, kfield):
-    # the separability contraction equals the kernel-trace contraction
-    ent = catalog_entry("M2")
-    kalg = unit_algebra()
-    ab = tensor_algebras(kalg, opposite(m2))
-    bc = tensor_algebras(m2, opposite(kalg))
-    ac = tensor_algebras(kalg, opposite(kalg))
+def test_cup_matches_dense_trace_oracle(cat):
+    # [u] cup_B [v] = [sum cu cv tr_B(y -> e_q y e_r) a_p (x) c_s] over the
+    # terms cu a_p (x) e_q of u and cv e_r (x) c_s of v, the middle trace
+    # taken through the dense product; separable (M2, kxk) and non-separable
+    # (A2, Kronecker) middle algebras, with dim A = 3 and dim C = 2 so that
+    # both outer slots matter
+    a, c = cat["A2"].algebra, cat["kxk"].algebra
+    cop = opposite(c)
+    ac = tensor_algebras(a, cop)
+    sp_ac = hh0_space(ac)
     rng = SplitMix64(83)
-    for _ in range(6):
-        u = ab.element([F(rng.int_in(-2, 2)) for _ in range(ab.dim)])
-        v = bc.element([F(rng.int_in(-2, 2)) for _ in range(bc.dim)])
-        lhs = _cup_separable(u, v, m2, kalg, ac,
-                             ent.resolution.separability_idempotent())
-        rhs = _cup_kernel(u, v, m2, kalg, ac)
-        assert lhs.coords == rhs.coords
+    for name in ("M2", "kxk", "A2", "Kronecker"):
+        ent = cat[name]
+        b = ent.algebra
+        ab = tensor_algebras(a, opposite(b))
+        bc = tensor_algebras(b, cop)
+        nb, nc = b.dim, c.dim
+        basis = [b.basis_element(i).coords for i in range(nb)]
+        for _ in range(3):
+            u = [F(rng.int_in(-2, 2)) for _ in range(ab.dim)]
+            v = [F(rng.int_in(-2, 2)) for _ in range(bc.dim)]
+            want = [F(0)] * ac.dim
+            for fu, cu in enumerate(u):
+                p, q = divmod(fu, nb)
+                for fv, cv in enumerate(v):
+                    r, s = divmod(fv, nc)
+                    t = cu * cv * _brute_trace(b, basis[q], basis[r])
+                    term = pure_tensor(a.basis_element(p).coords,
+                                       cop.basis_element(s).coords)
+                    want = [w + t * x for w, x in zip(want, term)]
+            out = cup(hh0_space(ab).class_of(ab.element(u)),
+                      hh0_space(bc).class_of(bc.element(v)),
+                      a, b, c, ent.resolution)
+            assert out.coords == sp_ac.class_of(ac.element(want)).coords, name
 
 
 def test_unit_law_all_catalog(cat):
@@ -172,8 +191,7 @@ def test_unit_law_all_catalog(cat):
         sp_ak = hh0_space(ak)
         dclass = diagonal_class(ent.resolution)
         for lam in sp_ak.basis_classes():
-            out = cup(dclass, lam, a, a, kalg, ent.resolution,
-                      ac=ak, ac_space=sp_ak)
+            out = cup(dclass, lam, a, a, kalg, ent.resolution, ac=ak)
             assert out == lam, name
 
 
@@ -188,8 +206,7 @@ def test_right_unit_law(cat):
         sp_kb = hh0_space(kb)
         dclass = diagonal_class(ent.resolution)
         for lam in sp_kb.basis_classes():
-            out = cup(lam, dclass, kalg, b, b, ent.resolution,
-                      ac=kb, ac_space=sp_kb)
+            out = cup(lam, dclass, kalg, b, b, ent.resolution, ac=kb)
             assert out.coords == lam.coords, name
 
 
@@ -204,18 +221,13 @@ def test_associativity_style_law(cat):
     ak = tensor_algebras(a, opposite(kalg))
     sp_ka, sp_ab, sp_ak = hh0_space(ka), hh0_space(ab), hh0_space(ak)
     kk = tensor_algebras(kalg, opposite(kalg))
-    sp_kk = hh0_space(kk)
     for lam in sp_ka.basis_classes():
         for mu in sp_ab.basis_classes():
             for nu in sp_ak.basis_classes():
-                left = cup(cup(lam, mu, kalg, a, a, ent.resolution,
-                               ac=ka, ac_space=sp_ka),
-                           nu, kalg, a, kalg, ent.resolution,
-                           ac=kk, ac_space=sp_kk)
-                right = cup(lam, cup(mu, nu, a, a, kalg, ent.resolution,
-                                     ac=ak, ac_space=sp_ak),
-                            kalg, a, kalg, ent.resolution,
-                            ac=kk, ac_space=sp_kk)
+                left = cup(cup(lam, mu, kalg, a, a, ent.resolution, ac=ka),
+                           nu, kalg, a, kalg, ent.resolution, ac=kk)
+                right = cup(lam, cup(mu, nu, a, a, kalg, ent.resolution, ac=ak),
+                            kalg, a, kalg, ent.resolution, ac=kk)
                 assert left.coords == right.coords
 
 
@@ -226,10 +238,8 @@ def test_phi_of_diagonal_is_identity(cat):
         ent = cat[name]
         a = ent.algebra
         sp = hh0_space(a)
-        tr = KernelTransfer(ent.resolution.module, a, opposite(a)
-                            if False else a, sp) if False else None
         # K = A as the A-A bimodule: Phi_A is the identity on classes
-        transfer = KernelTransfer(ent.resolution.module, a, a, sp)
+        transfer = KernelTransfer(ent.resolution.module, a, a)
         for lam in sp.basis_classes():
             assert transfer.apply(lam).coords == lam.coords, name
 
@@ -240,9 +250,8 @@ def test_phi_of_free_kernel_traces_the_middle(a2, kfield):
     a = kfield
     ab = tensor_algebras(a, opposite(b))
     K = free_module(ab, [0])
-    sp_a = hh0_space(a)
     sp_b = hh0_space(b)
-    transfer = KernelTransfer(K, a, b, sp_a)
+    transfer = KernelTransfer(K, a, b)
     for label in ("e1", "e2", "a"):
         lam = sp_b.class_of(b.by_label(label))
         out = transfer.apply(lam)
@@ -267,7 +276,6 @@ def test_phi_matches_cup_on_random_kernels(cat):
         bk = tensor_algebras(b, opposite(kalg))
         sp_bk = hh0_space(bk)
         ak = tensor_algebras(a, opposite(kalg))
-        sp_ak = hh0_space(ak)
         for _ in range(2):
             K = random_perfect(ab, rng, idempotents=(), max_gens=3,
                                shift_range=(-1, 1))
@@ -276,8 +284,7 @@ def test_phi_matches_cup_on_random_kernels(cat):
             for lam_b in sp_b.basis_classes():
                 lam = sp_bk.class_of(bk.element(lam_b.representative.coords))
                 lhs = transfer.apply(lam_b)
-                rhs = cup(hhk, lam, a, b, kalg, ent.resolution,
-                          ac=ak, ac_space=sp_ak)
+                rhs = cup(hhk, lam, a, b, kalg, ent.resolution, ac=ak)
                 assert lhs.coords == rhs.coords, name
 
 
@@ -288,12 +295,11 @@ def test_phi_of_rank_one_projective_kernel(a2, cat):
     K = projective_module(ab, ab.element(
         [F(1) if t == 0 else F(0) for t in range(ab.dim)]))  # e1 (x) e1
     sp = hh0_space(a2)
-    transfer = KernelTransfer(K, a2, a2, sp)
+    transfer = KernelTransfer(K, a2, a2)
     e1_class = sp.project(a2.by_label("e1"))
     dims = {"e1": 1, "e2": 1}  # dim e1 A e_j over A2
     kalg = unit_algebra()
     ak = tensor_algebras(a2, opposite(kalg))
-    sp_ak = hh0_space(ak)
     bk = tensor_algebras(a2, opposite(kalg))
     hhk = euler_class(K)
     for label, d in dims.items():
@@ -302,8 +308,7 @@ def test_phi_of_rank_one_projective_kernel(a2, cat):
         assert out.coords == tuple(F(d) * c for c in e1_class)
         # verified against the contraction route
         lam_bk = hh0_space(bk).class_of(bk.element(lam.representative.coords))
-        via_cup = cup(hhk, lam_bk, a2, a2, kalg, cat["A2"].resolution,
-                      ac=ak, ac_space=sp_ak)
+        via_cup = cup(hhk, lam_bk, a2, a2, kalg, cat["A2"].resolution, ac=ak)
         assert via_cup.coords == out.coords
 
 
@@ -311,7 +316,7 @@ def test_phi_representative_independent(a2):
     ent = catalog_entry("A2")
     a = a2
     sp = hh0_space(a)
-    transfer = KernelTransfer(ent.resolution.module, a, a, sp)
+    transfer = KernelTransfer(ent.resolution.module, a, a)
     mu = sp.class_of(a.by_label("e1"))
     shifted = sp.class_of(a.by_label("e1") + a.by_label("a"))  # [e1,a] = a
     assert transfer.apply(mu).coords == transfer.apply(shifted).coords
