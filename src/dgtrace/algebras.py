@@ -13,13 +13,15 @@ algebras multiply with the Koszul sign (a (x) b)(a' (x) b') =
 
 from __future__ import annotations
 
+import weakref
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .complexes import (Complex, GradedSpace, cohomology_dims, keyed_blocks,
                         positions)
-from .errors import (AssociativityViolation, DegreeViolation, DimensionMismatch,
-                     DifferentialSquareViolation, LeibnizViolation, UnitViolation)
+from .errors import (AlgebraMismatch, AssociativityViolation, DegreeViolation,
+                     DimensionMismatch, DifferentialSquareViolation,
+                     LeibnizViolation, UnitViolation)
 from .linalg import ONE, ZERO
 
 Coords = Tuple[Fraction, ...]
@@ -59,8 +61,9 @@ class DgAlgebra:
     with a basis factor reads it directly.  `diff[i]` lists the coordinates
     of d(e_i), normalised the same way.  Tables derived from `mult` are
     memoised on the instance on first use: the trace table
-    (`pairing._pair_trace_table`), HH_0 (`hochschild.hh0_space`) and the
-    opposite algebra (`opposite`).
+    (`pairing._pair_trace_table`), HH_0 (`hochschild.hh0_space`), the
+    opposite algebra (`opposite`) and the tensor products with this algebra
+    as first factor (`tensor_algebras`).
     """
 
     def __init__(self, labels: Sequence[str], degrees: Sequence[int],
@@ -78,6 +81,7 @@ class DgAlgebra:
         self._trace_table = None
         self._hh0 = None
         self._opposite = None
+        self._products = None
 
     @property
     def dim(self) -> int:
@@ -234,11 +238,17 @@ class AlgebraElement:
         self.algebra = algebra
         self.coords = tuple(coords)
 
+    def _same_algebra(self, other: "AlgebraElement") -> None:
+        if not other.algebra.same_structure(self.algebra):
+            raise AlgebraMismatch("elements of different algebras")
+
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
+        self._same_algebra(other)
         return AlgebraElement(self.algebra,
                               tuple(a + b for a, b in zip(self.coords, other.coords)))
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
+        self._same_algebra(other)
         return AlgebraElement(self.algebra,
                               tuple(a - b for a, b in zip(self.coords, other.coords)))
 
@@ -250,6 +260,7 @@ class AlgebraElement:
         return AlgebraElement(self.algebra, tuple(c * x for x in self.coords))
 
     def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
+        self._same_algebra(other)
         return AlgebraElement(self.algebra,
                               self.algebra.multiply(self.coords, other.coords))
 
@@ -287,22 +298,35 @@ def validate_algebra(labels, degrees, mult, unit, diff=None) -> DgAlgebra:
 
 def opposite(a: DgAlgebra) -> DgAlgebra:
     """Same carrier, multiplication x .op y = (-1)^{|x||y|} y x; memoised
-    on the algebra."""
+    on the algebra, and an involution on instances: opposite(opposite(a))
+    is a."""
     if a._opposite is None:
         mult: Dict[Tuple[int, int], SparseVec] = {}
         for (i, j), vec in a.mult.items():
             sgn = ONE if (a.degrees[i] * a.degrees[j]) % 2 == 0 else -ONE
             mult[(j, i)] = tuple((k, sgn * c) for k, c in vec)
         a._opposite = DgAlgebra(a.labels, a.degrees, mult, a.unit, dict(a.diff))
+        a._opposite._opposite = a
     return a._opposite
 
 
-def tensor_algebras(a: DgAlgebra, b: DgAlgebra,
-                    label_sep: str = "(x)") -> DgAlgebra:
+def tensor_algebras(a: DgAlgebra, b: DgAlgebra) -> DgAlgebra:
     """a (x) b with basis (i, j) at flat index i*dim(b)+j and Koszul sign
-    (x (x) y)(x' (x) y') = (-1)^{|y||x'|} xx' (x) yy'."""
+    (x (x) y)(x' (x) y') = (-1)^{|y||x'|} xx' (x) yy'.
+
+    Memoised on a, weakly keyed by b: one instance per live pair of
+    factors, which lives while both factors do."""
+    if a._products is None:
+        a._products = weakref.WeakKeyDictionary()
+    ab = a._products.get(b)
+    if ab is None:
+        ab = a._products[b] = _tensor(a, b)
+    return ab
+
+
+def _tensor(a: DgAlgebra, b: DgAlgebra) -> DgAlgebra:
     nb = b.dim
-    labels = [f"{la}{label_sep}{lb}" for la in a.labels for lb in b.labels]
+    labels = [f"{la}(x){lb}" for la in a.labels for lb in b.labels]
     degrees = [da + db for da in a.degrees for db in b.degrees]
     mult: Dict[Tuple[int, int], SparseVec] = {}
     for (i, ip), veca in a.mult.items():

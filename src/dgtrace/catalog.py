@@ -173,10 +173,9 @@ def catalog() -> Dict[str, CatalogEntry]:
     entries["Kronecker"] = CatalogEntry("Kronecker", kr, rkr, [0, 1],
                                         "path algebra of the Kronecker quiver")
 
-    a2a2 = tensor_algebras(a2, a2)
-    ra2a2 = tensor_resolution(ra2, ra2, product=a2a2, name="A2xA2")
+    ra2a2 = tensor_resolution(ra2, ra2, name="A2xA2")
     # orthogonal idempotents e_i (x) e_j at flat index i*3 + j
-    entries["A2xA2"] = CatalogEntry("A2xA2", a2a2, ra2a2, [0, 1, 3, 4],
+    entries["A2xA2"] = CatalogEntry("A2xA2", ra2a2.algebra, ra2a2, [0, 1, 3, 4],
                                     "tensor square of the two-vertex path algebra")
 
     _CATALOG = entries

@@ -21,9 +21,9 @@ from typing import Dict, List, Optional, Tuple
 
 from .algebras import (AlgebraIso, DgAlgebra, env_op_iso,
                        opposite, tensor_algebras)
-from .complexes import (ChainMap, Complex, GradedSpace, SplitComplex, cone,
-                        cohomology_dims, is_acyclic, keyed_blocks, linear_dual,
-                        lower_block)
+from .complexes import (ChainMap, Cohomology, Complex, GradedSpace,
+                        SplitComplex, cone, cohomology_dims, is_acyclic,
+                        keyed_blocks, linear_dual, lower_block)
 from .errors import (AlgebraMismatch, DimensionMismatch, NotClosed,
                      NotDegreeZeroConcentrated)
 from .linalg import (ONE, ZERO, RationalMatrix, SubspacePresentation,
@@ -131,24 +131,23 @@ def _degree_zero_module(algebra: DgAlgebra, n: int, action) -> ExplicitModule:
                           {0: list(range(n))}, action)
 
 
-def diagonal_explicit(a: DgAlgebra, env: Optional[DgAlgebra] = None) -> ExplicitModule:
+def diagonal_explicit(a: DgAlgebra) -> ExplicitModule:
     """A as an explicit module over A^e = A (x) A^op: (p (x) q) . x = p x q."""
     if not a.is_degree_zero():
         raise NotDegreeZeroConcentrated("diagonal module built in degree 0 only")
-    if env is None:
-        env = tensor_algebras(a, opposite(a))
-    return _degree_zero_module(env, a.dim, _sandwich_table(a))
+    return _degree_zero_module(tensor_algebras(a, opposite(a)), a.dim,
+                               _sandwich_table(a))
 
 
 class DualBimodule:
     """A^* with its two-sided structure over a degree-0 algebra:
     (a (x) b) . phi = (x -> phi(b x a)), i.e. (a phi b)(x) = phi(b x a)."""
 
-    def __init__(self, a: DgAlgebra, env: Optional[DgAlgebra] = None):
+    def __init__(self, a: DgAlgebra):
         if not a.is_degree_zero():
             raise NotDegreeZeroConcentrated("bimodule dual built in degree 0 only")
         self.algebra = a
-        self.env = env if env is not None else tensor_algebras(a, opposite(a))
+        self.env = tensor_algebras(a, opposite(a))
         self.dim = a.dim
         # (e_p (x) e_q) . phi_x = sum_y phi_x(e_q e_y e_p) phi_y
         self.env_data = _degree_zero_module(
@@ -238,11 +237,10 @@ class DualizingPair:
     dualizing module itself over degree-0 algebras); validation checks that
     the contraction of the two has the cohomology of the algebra."""
 
-    def __init__(self, a: DgAlgebra, omega_inv: PerfectModule,
-                 omega: Optional[DualBimodule] = None):
+    def __init__(self, a: DgAlgebra, omega_inv: PerfectModule):
         self.algebra = a
         self.omega_inv = omega_inv
-        self.omega = omega if omega is not None else DualBimodule(a)
+        self.omega = DualBimodule(a)
 
     @classmethod
     def from_resolution(cls, a: DgAlgebra, resolution) -> "DualizingPair":
@@ -419,17 +417,16 @@ class EvaluationData:
         self.algebra = a
         self.m = m
         self.dual = dm = dualize(m)
-        x_mod, env, index = outer_tensor_modules(m, _reinterpret_over(dm, a))
+        x_mod, _, index = outer_tensor_modules(m, _reinterpret_over(dm, a))
         # the second factor of the outer tensor must be over A^op; dualize
         # already produced that, _reinterpret_over is a no-op guard.
         self.x = x_mod
-        self.env = x_mod.algebra
         self.index = index
         n = m.rank
         self.dual_storage = {k: n - 1 - k for k in range(n)}  # gen -> slot
 
         # epsilon
-        diag = diagonal_explicit(a, self.env)
+        diag = diagonal_explicit(a)
         self.diag = diag
         values = []
         for (i, jslot) in sorted(index, key=lambda t: index[t]):
@@ -551,12 +548,10 @@ class EvaluationData:
         if self.algebra.dim != 1:
             raise DimensionMismatch("scalar composite defined over the ground field")
         target_hom, coords = self.eta_evaluated(f)
-        from .complexes import Cohomology
         coh = Cohomology(target_hom.complex)
         mat = RationalMatrix.from_columns([list(coords)],
                                           nrows=target_hom.complex.dim(0))
         projected = coh.project_cycles(0, mat)
-        reps = coh.representatives(0)
         # express the unit class: representative of H^0 must be spanned by
         # the augmentation-induced generator; normalize against it.
         if projected.rows != 1:

@@ -19,8 +19,8 @@ from typing import Optional, Tuple
 from .algebras import AlgebraElement, DgAlgebra
 from .complexes import GradedSpace
 from .duality import diagonal_explicit, omega_inverse_module
-from .errors import (AlgebraMismatch, IdempotentIncompatible, NotClosed,
-                     NotDegreeZeroConcentrated, WrongDegree)
+from .errors import (AlgebraMismatch, DimensionMismatch, IdempotentIncompatible,
+                     NotClosed, NotDegreeZeroConcentrated, WrongDegree)
 from .linalg import (ONE, ZERO, SubspacePresentation, echelon_basis,
                      quotient_presentation)
 from .modules import HomOverAlgebra, ModuleMap, PerfectModule
@@ -89,6 +89,8 @@ class HochschildClass:
         return self.space.algebra
 
     def __add__(self, other: "HochschildClass") -> "HochschildClass":
+        if not other.algebra.same_structure(self.algebra):
+            raise AlgebraMismatch("classes over different algebras")
         return HochschildClass(self.space,
                                tuple(a + b for a, b in zip(self.coords, other.coords)),
                                self.representative + other.representative)
@@ -143,8 +145,8 @@ def hh_class(m: PerfectModule, f: ModuleMap,
         raise NotDegreeZeroConcentrated("Hochschild classes need a degree-0 algebra")
     if f.degree != 0:
         raise WrongDegree("Hochschild class of a degree-0 map only")
-    if f.source is not m.module and f.source != m.module:
-        raise WrongDegree("map is not an endomorphism of the module")
+    if not f.source == m.module == f.target:
+        raise DimensionMismatch("map is not an endomorphism of the module")
     if not f.is_closed():
         raise NotClosed("Hochschild class of a closed map only")
     if m.idempotent is not None:
@@ -167,7 +169,5 @@ def hh_via_dualizing(a: DgAlgebra, resolution) -> GradedSpace:
     (HH_n in cohomological degree -n)."""
     resolution.validate()
     omega_inv = omega_inverse_module(a, resolution.module)
-    env = omega_inv.module.algebra
-    target = diagonal_explicit(a, env)
-    return HomOverAlgebra(omega_inv.module, target).split(
+    return HomOverAlgebra(omega_inv.module, diagonal_explicit(a)).split(
         omega_inv.idempotent, None).cohomology_dims()

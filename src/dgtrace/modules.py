@@ -488,10 +488,9 @@ class PerfectModule:
         return f"PerfectModule(rank={self.rank}{tag})"
 
 
-def free_module(a: DgAlgebra, shifts: Sequence[int],
-                labels: Optional[Sequence[str]] = None) -> PerfectModule:
+def free_module(a: DgAlgebra, shifts: Sequence[int]) -> PerfectModule:
     """Direct sum of shifted copies of A, zero twist."""
-    return PerfectModule(SemiFreeModule(a, shifts, labels=labels))
+    return PerfectModule(SemiFreeModule(a, shifts))
 
 
 def projective_module(a: DgAlgebra, idem: AlgebraElement,
@@ -800,17 +799,12 @@ class TensorOverAlgebra:
         return sc
 
 
-def tensor_over_algebra(n: PerfectModule, m: PerfectModule,
-                        a: Optional[DgAlgebra] = None) -> SplitComplex:
+def tensor_over_algebra(n: PerfectModule, m: PerfectModule) -> SplitComplex:
     """Derived tensor N (x)_A M of a right module (over A^op) and a left
     module (over A), both on semi-free presentations.  Idempotents on either
     side induce a closed idempotent on the result."""
-    if a is None:
-        a = m.module.algebra
-    if not opposite(n.module.algebra).same_structure(a):
+    if not opposite(n.module.algebra).same_structure(m.module.algebra):
         raise AlgebraMismatch("left factor must live over the opposite algebra")
-    if not m.module.algebra.same_structure(a):
-        raise AlgebraMismatch("right factor lives over a different algebra")
     e_left = n.idempotent.restrict() if n.idempotent is not None else None
     return TensorOverAlgebra(n.module.to_explicit(), m.module).split(
         e_left, m.idempotent)

@@ -41,11 +41,9 @@ from .resolutions import DiagonalResolution
 # Kunneth
 # ---------------------------------------------------------------------------
 
-def kunneth(x: HochschildClass, y: HochschildClass,
-            product: Optional[DgAlgebra] = None) -> HochschildClass:
+def kunneth(x: HochschildClass, y: HochschildClass) -> HochschildClass:
     """[u] (x) [v] -> [u (x) v] in HH_0(A (x) B)."""
-    if product is None:
-        product = tensor_algebras(x.algebra, y.algebra)
+    product = tensor_algebras(x.algebra, y.algebra)
     return hh0_space(product).class_of(product.element(
         pure_tensor(x.representative.coords, y.representative.coords)))
 
@@ -154,8 +152,7 @@ def pair_scalar(lam: HochschildClass, mu: HochschildClass) -> Fraction:
 
 
 def cup(x: HochschildClass, y: HochschildClass, a: DgAlgebra, b: DgAlgebra,
-        c: DgAlgebra, resolution_b: Optional[DiagonalResolution],
-        ac: Optional[DgAlgebra] = None) -> HochschildClass:
+        c: DgAlgebra, resolution_b: Optional[DiagonalResolution]) -> HochschildClass:
     """[x] cup_B [y]: HH_0(A (x) B^op) x HH_0(B (x) C^op) -> HH_0(A (x) C^op).
 
     Requires a diagonal resolution of the middle algebra, the smoothness
@@ -169,14 +166,11 @@ def cup(x: HochschildClass, y: HochschildClass, a: DgAlgebra, b: DgAlgebra,
         raise NoDiagonalResolutionForB("resolution is for a different algebra")
     if not (a.is_degree_zero() and b.is_degree_zero() and c.is_degree_zero()):
         raise NotDegreeZeroConcentrated("cup contracted over degree-0 algebras")
-    ab = tensor_algebras(a, opposite(b))
-    bc = tensor_algebras(b, opposite(c))
-    if not x.algebra.same_structure(ab):
+    if not x.algebra.same_structure(tensor_algebras(a, opposite(b))):
         raise AlgebraMismatch("first class is not over A (x) B^op")
-    if not y.algebra.same_structure(bc):
+    if not y.algebra.same_structure(tensor_algebras(b, opposite(c))):
         raise AlgebraMismatch("second class is not over B (x) C^op")
-    if ac is None:
-        ac = tensor_algebras(a, opposite(c))
+    ac = tensor_algebras(a, opposite(c))
     return hh0_space(ac).class_of(ac.element(_contract(
         x.representative.coords, y.representative.coords, b, c.dim)))
 
@@ -208,23 +202,18 @@ def pairing_three_ways(a: DgAlgebra, resolution: DiagonalResolution,
         cache = {}
     s1 = pair_scalar(lam, mu)
 
-    aop = opposite(a)
-    if "ea" not in cache:
-        cache["ea"] = tensor_algebras(aop, a)
+    ea = tensor_algebras(opposite(a), a)
+    if "k" not in cache:
         cache["k"] = unit_algebra()
-        cache["kc"] = tensor_algebras(cache["k"], opposite(cache["k"]))
         cache["diag"] = diagonal_class(resolution)
-        cache["transfer"] = KernelTransfer(resolution.module, cache["k"],
-                                           cache["ea"])
-    ea = cache["ea"]
+        cache["transfer"] = KernelTransfer(resolution.module, cache["k"], ea)
     kalg = cache["k"]
-    kclass = kunneth(lam, mu, ea)
+    kclass = kunneth(lam, mu)
 
     phi = cache["transfer"].apply(kclass)
     s2 = phi.coords[0] if phi.coords else ZERO
 
-    cup_val = cup(cache["diag"], kclass, kalg, ea, kalg, env_resolution,
-                  ac=cache["kc"])
+    cup_val = cup(cache["diag"], kclass, kalg, ea, kalg, env_resolution)
     s3 = cup_val.coords[0] if cup_val.coords else ZERO
     return s1, s2, s3
 
@@ -389,6 +378,5 @@ def verify_kernel_composition(k1: PerfectModule, k2: PerfectModule,
     HH_0(A (x) C^op), reported as the two coordinate tuples."""
     composed = compose_kernels_separable(k1, k2, a, b, c, resolution_b)
     lhs_class = euler_class(composed)
-    rhs_class = cup(euler_class(k1), euler_class(k2), a, b, c, resolution_b,
-                    ac=composed.algebra)
+    rhs_class = cup(euler_class(k1), euler_class(k2), a, b, c, resolution_b)
     return PairingReport(lhs_class.coords, rhs_class.coords, instance, seed)

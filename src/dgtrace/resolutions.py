@@ -59,10 +59,6 @@ class DiagonalResolution:
             self._module, self._augmentation = self._builder()
         return self._augmentation
 
-    @property
-    def enveloping_algebra(self) -> DgAlgebra:
-        return self.module.module.algebra
-
     def separability_idempotent(self) -> AlgebraElement:
         if not self.separable or self._sep_idem is None:
             raise AugmentationNotQuasiIso("no separability idempotent available")
@@ -70,8 +66,8 @@ class DiagonalResolution:
 
     def augmentation_chain_map(self) -> ChainMap:
         """The augmentation as a chain map P -> A at the ground level."""
-        diag = diagonal_explicit(self.algebra, self.enveloping_algebra)
-        return semifree_map_to_explicit(self.module.module, diag,
+        return semifree_map_to_explicit(self.module.module,
+                                        diagonal_explicit(self.algebra),
                                         [sparse(x.coords) for x in self.augmentation])
 
     def validate(self) -> "DiagonalResolution":
@@ -151,8 +147,7 @@ def quiver_resolution(a: DgAlgebra, vertex_idems: Sequence[int],
     return DiagonalResolution(a, build, name=name)
 
 
-def opposite_resolution(r: DiagonalResolution,
-                        name: str = "") -> DiagonalResolution:
+def opposite_resolution(r: DiagonalResolution) -> DiagonalResolution:
     """Resolution of A^op from one of A, transported along the factor swap
     (A^op)^e = A^op (x) A -> A (x) A^op = A^e, x (x) y -> y (x) x (degree-0
     data, so every sign is +1)."""
@@ -172,18 +167,17 @@ def opposite_resolution(r: DiagonalResolution,
         sep = env_op.element(swap_iso(a, aop, e.algebra, env_op).apply(e.coords))
     return DiagonalResolution(aop, build, separable=r.separable,
                               separability_idempotent=sep,
-                              name=name or f"op({r.name})")
+                              name=f"op({r.name})")
 
 
 def tensor_resolution(r1: DiagonalResolution, r2: DiagonalResolution,
-                      product: Optional[DgAlgebra] = None,
                       name: str = "") -> DiagonalResolution:
     """Resolution of A (x) B from resolutions of A and B: the outer tensor
     of the modules, transported along
     (A (x) B)^e  =  A^e (x) B^e,
     (a (x) b) (x) (a' (x) b')  ->  (a (x) a') (x) (b (x) b')."""
     a, b = r1.algebra, r2.algebra
-    ab = product if product is not None else tensor_algebras(a, b)
+    ab = tensor_algebras(a, b)
 
     def env_perm():
         # flat index in A^e (x) B^e: ((i, j), (k, l)) with i,j over A and
@@ -219,14 +213,6 @@ def tensor_resolution(r1: DiagonalResolution, r2: DiagonalResolution,
                               name=name or f"{r1.name}(x){r2.name}")
 
 
-def enveloping_resolution(r: DiagonalResolution,
-                          env: Optional[DgAlgebra] = None,
-                          which: str = "eA") -> DiagonalResolution:
-    """Resolution of ^eA = A^op (x) A (which="eA") or A^e = A (x) A^op
-    (which="Ae") from a resolution of A."""
-    rop = opposite_resolution(r)
-    if which == "eA":
-        return tensor_resolution(rop, r, product=env,
-                                 name=f"env({r.name})")
-    return tensor_resolution(r, rop, product=env,
-                             name=f"env'({r.name})")
+def enveloping_resolution(r: DiagonalResolution) -> DiagonalResolution:
+    """Resolution of ^eA = A^op (x) A from a resolution of A."""
+    return tensor_resolution(opposite_resolution(r), r, name=f"env({r.name})")

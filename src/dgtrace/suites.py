@@ -8,7 +8,7 @@ around these functions.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .algebras import opposite, tensor_algebras
 from .catalog import CatalogEntry, catalog, catalog_entry
@@ -31,10 +31,9 @@ def _algebra_tag(name: str) -> int:
     return sum(ord(c) * 31 ** i for i, c in enumerate(name)) % 100003
 
 
-def rr_batch_layout(count: int, pairs: Optional[int] = None):
+def rr_batch_layout(count: int):
     """(number of module pairs, draws per pair) for a batch of `count`."""
-    if pairs is None:
-        pairs = max(1, min(20, count // 8))
+    pairs = max(1, min(20, count // 8))
     draws = (count + pairs - 1) // pairs
     return pairs, draws
 
@@ -65,8 +64,7 @@ def rr_pair_reports(entry: CatalogEntry, pi: int, first_idx: int, draws: int,
     return reports
 
 
-def rr_suite(entry: CatalogEntry, count: int, seed: int,
-             pairs: Optional[int] = None) -> List[PairingReport]:
+def rr_suite(entry: CatalogEntry, count: int, seed: int) -> List[PairingReport]:
     """Randomized main-theorem batch over one catalog algebra.
 
     Module pairs are drawn first (each with its solved space of closed
@@ -75,7 +73,7 @@ def rr_suite(entry: CatalogEntry, count: int, seed: int,
     a = entry.algebra
     aop = opposite(a)
     sp, spo = hh0_space(a), hh0_space(aop)
-    npairs, draws = rr_batch_layout(count, pairs)
+    npairs, draws = rr_batch_layout(count)
     reports: List[PairingReport] = []
     for pi in range(npairs):
         reports.extend(rr_pair_reports(entry, pi, pi * draws, draws,
@@ -83,13 +81,12 @@ def rr_suite(entry: CatalogEntry, count: int, seed: int,
     return reports
 
 
-def euler_formula_suite(count: int, seed: int,
-                        names: Tuple[str, ...] = ("k", "kxk", "A2")) -> Dict:
+def euler_formula_suite(count: int, seed: int) -> Dict:
     """chain supertrace == euler trace for random closed endomorphisms of
     random complexes (restrictions of random semi-free modules)."""
     passes = 0
     checked = 0
-    entries = [catalog_entry(n) for n in names]
+    entries = [catalog_entry(n) for n in ("k", "kxk", "A2")]
     idx = 0
     while checked < count:
         ent = entries[idx % len(entries)]
@@ -114,10 +111,9 @@ def euler_formula_suite(count: int, seed: int,
     return {"checked": checked, "passed": passes, "ok": passes == checked}
 
 
-def conjugation_suite(count: int, seed: int,
-                      names: Tuple[str, ...] = ("k", "kxk", "M2", "A2",
-                                                "A3", "Kronecker")) -> Dict:
+def conjugation_suite(count: int, seed: int) -> Dict:
     """hh(g . h) == hh(h . g) for random closed pairs."""
+    names = ("k", "kxk", "M2", "A2", "A3", "Kronecker")
     passes = 0
     checked = 0
     idx = 0
@@ -232,12 +228,11 @@ def pairing_coherence_suite(seed: int) -> Dict:
                 if not (s1 == s2 == s3):
                     three_ok = False
         # unit law: hh(A) cup_A lam = lam over A (x) k^op
-        ak = tensor_algebras(a, opposite(kalg))
-        sp_ak = hh0_space(ak)
+        sp_ak = hh0_space(tensor_algebras(a, opposite(kalg)))
         dclass = diagonal_class(ent.resolution)
         unit_ok = True
         for lam in sp_ak.basis_classes():
-            val = cup(dclass, lam, a, a, kalg, ent.resolution, ac=ak)
+            val = cup(dclass, lam, a, a, kalg, ent.resolution)
             if val != lam:
                 unit_ok = False
         # well-definedness: commutator shifts do not move the pairing
@@ -279,12 +274,10 @@ def pairing_coherence_suite(seed: int) -> Dict:
             hh_k_class = euler_class(kern)
             bk = tensor_algebras(b, opposite(kalg))
             sp_bk = hh0_space(bk)
-            ak2 = tensor_algebras(a2, opposite(kalg))
             for lam_b in hh0_space(b).basis_classes():
                 lam = sp_bk.class_of(bk.element(lam_b.representative.coords))
                 lhs = tr.apply(lam_b)
-                rhs = cup(hh_k_class, lam, a2, b, kalg, ent.resolution,
-                          ac=ak2)
+                rhs = cup(hh_k_class, lam, a2, b, kalg, ent.resolution)
                 if lhs.coords != rhs.coords:
                     action_ok = False
     ok = ok and action_ok
@@ -296,7 +289,6 @@ def adapt_suite(seed: int, names: Tuple[str, ...] = ("k", "kxk", "M2", "A2"),
     """hh_k(A (x)_{eA} M, id (x) f) = hh_{A^e}(A) cup hh_{eA}(M, f) for
     random perfect modules over the enveloping algebra."""
     kalg = unit_algebra()
-    kc = tensor_algebras(kalg, opposite(kalg))
     passes = 0
     checked = 0
     for name in names:
@@ -316,7 +308,7 @@ def adapt_suite(seed: int, names: Tuple[str, ...] = ("k", "kxk", "M2", "A2"),
             bk = tensor_algebras(ea, opposite(kalg))
             lam_bk = hh0_space(bk).class_of(
                 bk.element(lam.representative.coords))
-            rhs_class = cup(dclass, lam_bk, kalg, ea, kalg, env_res, ac=kc)
+            rhs_class = cup(dclass, lam_bk, kalg, ea, kalg, env_res)
             rhs = rhs_class.coords[0] if rhs_class.coords else ZERO
             checked += 1
             if lhs == rhs:

@@ -6,7 +6,8 @@ import pytest
 from dgtrace.algebras import (AlgebraIso, DgAlgebra, enveloping, env_op_iso,
                               opposite, swap_iso, tensor_algebras,
                               validate_algebra)
-from dgtrace.errors import AssociativityViolation, UnitViolation
+from dgtrace.errors import (AlgebraMismatch, AssociativityViolation,
+                            UnitViolation)
 from dgtrace.workspace import parse_workspace
 
 F = Fraction
@@ -53,7 +54,30 @@ def test_leibniz_violation_reported():
 
 def test_opposite_involution(a2, m2, a3):
     for a in (a2, m2, a3):
-        assert opposite(opposite(a)).same_structure(a)
+        assert opposite(opposite(a)) is a
+
+
+def test_tensor_algebras_is_memoised(cat):
+    algebras = [ent.algebra for ent in cat.values()]
+    for x in algebras:
+        for y in (x, opposite(x), algebras[0]):
+            assert tensor_algebras(x, y) is tensor_algebras(x, y)
+    a2 = cat["A2"].algebra
+    # keyed by instance: a structurally equal copy gets its own product
+    copy = DgAlgebra(a2.labels, a2.degrees, a2.mult, a2.unit)
+    assert tensor_algebras(a2, copy) is not tensor_algebras(a2, a2)
+    assert tensor_algebras(a2, copy) == tensor_algebras(a2, a2)
+
+
+def test_arithmetic_across_algebras_raises(cat):
+    a2, a3 = cat["A2"].algebra, cat["A3"].algebra
+    x, y = a2.by_label("e1"), a3.by_label("e1")
+    for op in (lambda u, v: u + v, lambda u, v: u - v, lambda u, v: u * v):
+        with pytest.raises(AlgebraMismatch):
+            op(x, y)
+    # a structurally equal algebra is the same algebra
+    copy = DgAlgebra(a2.labels, a2.degrees, a2.mult, a2.unit)
+    assert x + copy.by_label("e2") == a2.one()
 
 
 def test_opposite_k_is_k(kfield):

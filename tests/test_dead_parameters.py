@@ -1,0 +1,79 @@
+"""Every defaulted parameter of a function in the package is set by some
+call in the package, its tests, the benchmark or the demos, so a parameter
+whose every caller takes the default is replaced by that value.  Calls are
+matched to functions by name alone (a class call counts for its
+`__init__`), so a call of a namesake can hide a dead parameter; a function
+only ever called through a reference would be reported."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "dgtrace"
+CALLERS = ("src", "tests", "perfbench", "demos")
+
+
+def _defaulted(fn: ast.FunctionDef, offset: int):
+    """(name, positional index after the bound first argument or None) of
+    every parameter with a default."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    for i, arg in enumerate(positional[first:], first):
+        yield arg.arg, i - offset
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield arg.arg, None
+
+
+def _functions(tree: ast.Module):
+    """(call name, offset of the bound first argument, function) of every
+    function; a method goes by the name it is called by, `__init__` by its
+    class's."""
+    methods = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                                 for d in item.decorator_list)
+                    methods[item] = (node.name if item.name == "__init__"
+                                     else item.name, 0 if static else 1)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef):
+            yield methods.get(node, (node.name, 0)) + (node,)
+
+
+def _calls():
+    """Call name -> list of (positional count, keyword names, unpacks)."""
+    out = {}
+    for top in CALLERS:
+        for path in (ROOT / top).rglob("*.py"):
+            tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+            for node in ast.walk(tree):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                name = (func.id if isinstance(func, ast.Name)
+                        else func.attr if isinstance(func, ast.Attribute) else None)
+                if name is None:
+                    continue
+                unpacks = (any(isinstance(a, ast.Starred) for a in node.args)
+                           or any(k.arg is None for k in node.keywords))
+                out.setdefault(name, []).append(
+                    (len(node.args), {k.arg for k in node.keywords}, unpacks))
+    return out
+
+
+def test_every_defaulted_parameter_is_set_by_some_call():
+    calls = _calls()
+    dead = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for name, offset, fn in _functions(tree):
+            for param, index in _defaulted(fn, offset):
+                if not any(unpacks or param in keywords
+                           or (index is not None and count > index)
+                           for count, keywords, unpacks in calls.get(name, ())):
+                    dead.append(f"{path.name}: {name}({param})")
+    assert not dead, dead

@@ -100,7 +100,8 @@ def test_dual_bimodule_m2_selfdual(m2):
     n = m2.dim
     from dgtrace.duality import diagonal_explicit
     from dgtrace.linalg import RationalMatrix, rank_of
-    diag = diagonal_explicit(m2, env)
+    diag = diagonal_explicit(m2)
+    assert diag.algebra is env
 
     def trace_functional(x):
         """Coordinates of phi(y) = tr(e_x y) in the dual basis."""

@@ -2,10 +2,11 @@ from fractions import Fraction
 
 import pytest
 
-from dgtrace.algebras import opposite
+from dgtrace.algebras import DgAlgebra, opposite
 from dgtrace.catalog import catalog_entry
 from dgtrace.complexes import chain_supertrace, euler_trace
-from dgtrace.errors import (AlgebraMismatch, IdempotentIncompatible, NotClosed,
+from dgtrace.errors import (AlgebraMismatch, DimensionMismatch,
+                            IdempotentIncompatible, NotClosed,
                             NotDegreeZeroConcentrated)
 from dgtrace.hochschild import (euler_class, hh0_space, hh_class,
                                 hh_via_dualizing)
@@ -227,4 +228,26 @@ def test_class_of_rejects_another_algebra(m2, kronecker):
         hh0_space(kronecker).class_of(m2.one())
     assert hh_class(m, f, hh0_space(m2)).coords == (F(2),)
     # a separately built algebra of the same structure is the same algebra
-    assert hh_class(m, f, hh0_space(opposite(opposite(m2)))).coords == (F(2),)
+    copy = DgAlgebra(m2.labels, m2.degrees, m2.mult, m2.unit)
+    assert hh_class(m, f, hh0_space(copy)).coords == (F(2),)
+
+
+def test_hh_class_rejects_a_map_into_another_module(a2):
+    # e1 into the first generator: a closed degree-0 map M -> N whose
+    # source is M, which used to get the class (1, 0)
+    m, n = free_module(a2, [0]), free_module(a2, [0, 1])
+    f = ModuleMap(m.module, n.module, 0, [[a2.by_label("e1")], [a2.zero()]])
+    assert f.is_closed()
+    with pytest.raises(DimensionMismatch):
+        hh_class(m, f)
+
+
+def test_classes_over_different_algebras_do_not_add(a2):
+    aop = opposite(a2)
+    lam = hh0_space(a2).class_of(a2.by_label("e1"))
+    mu = hh0_space(aop).class_of(aop.by_label("e2"))
+    with pytest.raises(AlgebraMismatch):
+        lam + mu
+    with pytest.raises(AlgebraMismatch):
+        lam - mu
+    assert (lam + lam).coords == lam.scale(2).coords

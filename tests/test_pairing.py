@@ -5,8 +5,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from dgtrace.algebras import opposite, pure_tensor, tensor_algebras
-from dgtrace.catalog import catalog_entry
+from dgtrace.algebras import DgAlgebra, opposite, pure_tensor, tensor_algebras
+from dgtrace.catalog import catalog_entry, path_algebra_a2
 from dgtrace.errors import (IdempotentIncompatible, NoDiagonalResolutionForB,
                             NotSeparableB)
 from dgtrace.hochschild import euler_class, hh0_space
@@ -29,9 +29,9 @@ F = Fraction
 def test_kunneth_unit(kfield):
     sp = hh0_space(kfield)
     one = sp.class_of(kfield.one())
-    prod = tensor_algebras(kfield, kfield)
-    out = kunneth(one, one, prod)
+    out = kunneth(one, one)
     assert out.coords == (F(1),)
+    assert out.algebra is tensor_algebras(kfield, kfield)
 
 
 def test_kunneth_basis_class(a2, kfield):
@@ -191,7 +191,7 @@ def test_unit_law_all_catalog(cat):
         sp_ak = hh0_space(ak)
         dclass = diagonal_class(ent.resolution)
         for lam in sp_ak.basis_classes():
-            out = cup(dclass, lam, a, a, kalg, ent.resolution, ac=ak)
+            out = cup(dclass, lam, a, a, kalg, ent.resolution)
             assert out == lam, name
 
 
@@ -206,7 +206,7 @@ def test_right_unit_law(cat):
         sp_kb = hh0_space(kb)
         dclass = diagonal_class(ent.resolution)
         for lam in sp_kb.basis_classes():
-            out = cup(lam, dclass, kalg, b, b, ent.resolution, ac=kb)
+            out = cup(lam, dclass, kalg, b, b, ent.resolution)
             assert out.coords == lam.coords, name
 
 
@@ -220,14 +220,13 @@ def test_associativity_style_law(cat):
     ab = tensor_algebras(a, opposite(a))
     ak = tensor_algebras(a, opposite(kalg))
     sp_ka, sp_ab, sp_ak = hh0_space(ka), hh0_space(ab), hh0_space(ak)
-    kk = tensor_algebras(kalg, opposite(kalg))
     for lam in sp_ka.basis_classes():
         for mu in sp_ab.basis_classes():
             for nu in sp_ak.basis_classes():
-                left = cup(cup(lam, mu, kalg, a, a, ent.resolution, ac=ka),
-                           nu, kalg, a, kalg, ent.resolution, ac=kk)
-                right = cup(lam, cup(mu, nu, a, a, kalg, ent.resolution, ac=ak),
-                            kalg, a, kalg, ent.resolution, ac=kk)
+                left = cup(cup(lam, mu, kalg, a, a, ent.resolution),
+                           nu, kalg, a, kalg, ent.resolution)
+                right = cup(lam, cup(mu, nu, a, a, kalg, ent.resolution),
+                            kalg, a, kalg, ent.resolution)
                 assert left.coords == right.coords
 
 
@@ -275,7 +274,6 @@ def test_phi_matches_cup_on_random_kernels(cat):
         sp_b = hh0_space(b)
         bk = tensor_algebras(b, opposite(kalg))
         sp_bk = hh0_space(bk)
-        ak = tensor_algebras(a, opposite(kalg))
         for _ in range(2):
             K = random_perfect(ab, rng, idempotents=(), max_gens=3,
                                shift_range=(-1, 1))
@@ -284,7 +282,7 @@ def test_phi_matches_cup_on_random_kernels(cat):
             for lam_b in sp_b.basis_classes():
                 lam = sp_bk.class_of(bk.element(lam_b.representative.coords))
                 lhs = transfer.apply(lam_b)
-                rhs = cup(hhk, lam, a, b, kalg, ent.resolution, ac=ak)
+                rhs = cup(hhk, lam, a, b, kalg, ent.resolution)
                 assert lhs.coords == rhs.coords, name
 
 
@@ -299,7 +297,6 @@ def test_phi_of_rank_one_projective_kernel(a2, cat):
     e1_class = sp.project(a2.by_label("e1"))
     dims = {"e1": 1, "e2": 1}  # dim e1 A e_j over A2
     kalg = unit_algebra()
-    ak = tensor_algebras(a2, opposite(kalg))
     bk = tensor_algebras(a2, opposite(kalg))
     hhk = euler_class(K)
     for label, d in dims.items():
@@ -308,7 +305,7 @@ def test_phi_of_rank_one_projective_kernel(a2, cat):
         assert out.coords == tuple(F(d) * c for c in e1_class)
         # verified against the contraction route
         lam_bk = hh0_space(bk).class_of(bk.element(lam.representative.coords))
-        via_cup = cup(hhk, lam_bk, a2, a2, kalg, cat["A2"].resolution, ac=ak)
+        via_cup = cup(hhk, lam_bk, a2, a2, kalg, cat["A2"].resolution)
         assert via_cup.coords == out.coords
 
 
@@ -541,15 +538,40 @@ def test_trace_table_and_pairing_match_dense_products(cat):
             assert pair_scalar(lam, mu) == _brute_trace(a, tuple(b), tuple(x))
 
 
-def test_derived_tables_live_and_die_with_the_algebra(cat):
-    a = cat["A2"].algebra
+def test_derived_tables_live_and_die_with_the_algebra():
+    # on a fresh copy of A2: the catalog's algebras live for the process
+    a = path_algebra_a2()
     env = tensor_algebras(opposite(a), a)
-    ref = weakref.ref(env)
     assert hh0_space(env) is hh0_space(env)
     assert _pair_trace_table(env) is _pair_trace_table(env)
-    del env
+    refs = [weakref.ref(x) for x in (a, opposite(a), env)]
+    del a, env
+    gc.collect()
+    assert [r() for r in refs] == [None] * 3
+
+
+def test_product_dies_with_its_second_factor(cat):
+    k = unit_algebra()
+    product = tensor_algebras(cat["A2"].algebra, k)
+    assert hh0_space(product) is hh0_space(product)
+    ref = weakref.ref(product)
+    del k, product
     gc.collect()
     assert ref() is None
+
+
+def test_cup_on_warm_factors_builds_no_algebra(cat, monkeypatch):
+    ent = cat["A2"]
+    a = ent.algebra
+    kalg = unit_algebra()
+    lam = hh0_space(tensor_algebras(a, opposite(a))).basis_classes()[0]
+    mu = hh0_space(tensor_algebras(a, opposite(kalg))).basis_classes()[0]
+    expected = cup(lam, mu, a, a, kalg, ent.resolution)
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("cup built an algebra")
+    monkeypatch.setattr(DgAlgebra, "__init__", refuse)
+    assert cup(lam, mu, a, a, kalg, ent.resolution) == expected
 
 
 def test_kernel_composition_checks_the_composed_idempotent(cat):

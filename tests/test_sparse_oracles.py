@@ -16,20 +16,22 @@ against x (x) y = (x (x) 1)(1 (x) y) through AlgebraElement.__mul__; the
 restriction of a bimodule to either factor and right multiplication on it
 against products with 1 (x) beta and alpha (x) 1 through
 AlgebraElement.__mul__; the stored columns of maps and twists against their
-normal form.
+normal form; the factor swap and d^2 = 0 on N (x)_A M over dg algebras,
+where the Koszul signs show.
 """
 
 from fractions import Fraction
 
 import pytest
 
-from dgtrace.algebras import (AlgebraElement, opposite, pure_tensor,
+from dgtrace.algebras import (AlgebraElement, opposite, pure_tensor, swap_iso,
                               tensor_algebras, validate_algebra)
 from dgtrace.complexes import ChainMap, SplitComplex, chain_supertrace
 from dgtrace.duality import (DualBimodule, _opposite_diagonal_explicit,
                              diagonal_explicit, dual_right_module_data,
                              serre_module_data)
-from dgtrace.errors import NotDegreeZeroConcentrated, WrongDegree
+from dgtrace.errors import (DifferentialSquareViolation,
+                            NotDegreeZeroConcentrated, WrongDegree)
 from dgtrace.hochschild import generalized_supertrace, hh0_space
 from dgtrace.linalg import RationalMatrix
 from dgtrace.modules import (ModuleMap, PerfectModule, SemiFreeModule,
@@ -439,7 +441,7 @@ def test_bimodule_tables_match_dense_products(cat, name):
     dual = DualBimodule(a)
     env = dual.env
     # (p (x) q) . x = e_p x e_q
-    assert_action(diagonal_explicit(a, env), env.dim, lambda u, x: nonzero(
+    assert_action(diagonal_explicit(a), env.dim, lambda u, x: nonzero(
         enumerate(product(a, u // n, x, u % n))))
     # read through the swap: (p (x) q) . x = e_q x e_p
     env_op = tensor_algebras(opposite(a), a)
@@ -519,6 +521,37 @@ def test_realization_differential_is_d_a_plus_restricted_twist(make):
                     want[p][ex.pos[(i, b2)][1]][c] += coeff
         for p, block in want.items():
             assert [list(r) for r in ex.complex.d(p).entries] == block
+
+
+def test_swap_iso_is_multiplicative_over_dg_algebras():
+    """x (x) y -> (-1)^{|x||y|} y (x) x is an algebra map only with its
+    Koszul sign once both factors have odd elements."""
+    algebras = (exterior_algebra(), square_zero_dg_algebra())
+    for a in algebras:
+        for b in algebras:
+            swap_iso(a, b, tensor_algebras(a, b), tensor_algebras(b, a)).check()
+
+
+def valid_module(a, rng):
+    """A homogeneous twisted module whose twist squares to zero."""
+    while True:
+        m = homogeneous_module(a, rng)
+        try:
+            m.to_explicit().complex.check_d_squared()
+            return m
+        except DifferentialSquareViolation:
+            pass
+
+
+@pytest.mark.parametrize("make", [exterior_algebra, square_zero_dg_algebra])
+def test_tensor_over_dg_algebra_squares_to_zero(make):
+    """N (x)_A M of valid twisted modules is a complex: the balanced right
+    action u . x carries the sign (-1)^{|x||u|}."""
+    a = make()
+    rng = SplitMix64(61)
+    for _ in range(300):
+        n, m = valid_module(opposite(a), rng), valid_module(a, rng)
+        TensorOverAlgebra(n.to_explicit(), m).complex.check_d_squared()
 
 
 # -- pure tensors and the outer tensor --------------------------------------
