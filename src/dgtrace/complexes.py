@@ -67,6 +67,24 @@ class GradedSpace:
         return f"GradedSpace({self.dims})"
 
 
+def _checked_blocks(source: GradedSpace, target: GradedSpace, degree: int,
+                    given: Mapping[int, RationalMatrix],
+                    name: str) -> Dict[int, RationalMatrix]:
+    """The blocks source^p -> target^{p+degree} for every p with a nonzero
+    target, missing ones zero; a block of the wrong shape raises."""
+    clean: Dict[int, RationalMatrix] = {}
+    for p in sorted(source.dims):
+        np_, nq = source.dim(p), target.dim(p + degree)
+        if nq:
+            m = given.get(p)
+            if m is None:
+                m = RationalMatrix.zeros(nq, np_)
+            if (m.rows, m.cols) != (nq, np_):
+                raise DimensionMismatch(f"{name}{p} must be {nq}x{np_}")
+            clean[p] = m
+    return clean
+
+
 class Complex:
     """Cochain complex: graded space plus degree +1 differential.
 
@@ -79,18 +97,7 @@ class Complex:
     def __init__(self, space: GradedSpace, diff: Mapping[int, RationalMatrix],
                  check: bool = True):
         self.space = space
-        clean: Dict[int, RationalMatrix] = {}
-        for p in sorted(space.dims):
-            np_, nq = space.dim(p), space.dim(p + 1)
-            if nq == 0:
-                continue
-            m = diff.get(p)
-            if m is None:
-                m = RationalMatrix.zeros(nq, np_)
-            if (m.rows, m.cols) != (nq, np_):
-                raise DimensionMismatch(f"d^{p} must be {nq}x{np_}")
-            clean[p] = m
-        self.diff = clean
+        self.diff = _checked_blocks(space, space, 1, diff, "d^")
         if check:
             self.check_d_squared()
 
@@ -150,18 +157,7 @@ class ChainMap:
         self.source = source
         self.target = target
         self.degree = degree
-        clean: Dict[int, RationalMatrix] = {}
-        for p in sorted(source.space.dims):
-            np_, nq = source.dim(p), target.dim(p + degree)
-            if nq == 0:
-                continue
-            m = blocks.get(p)
-            if m is None:
-                m = RationalMatrix.zeros(nq, np_)
-            if (m.rows, m.cols) != (nq, np_):
-                raise DimensionMismatch(f"block {p} must be {nq}x{np_}")
-            clean[p] = m
-        self.blocks = clean
+        self.blocks = _checked_blocks(source.space, target.space, degree, blocks, "block ")
 
     @classmethod
     def identity(cls, c: Complex) -> "ChainMap":
@@ -488,15 +484,9 @@ def linear_dual(c: Complex) -> Complex:
 
     This is Hom(c, unit) on the nose, including basis order.
     """
-    dims = {-p: d for p, d in c.space.dims.items()}
-    space = GradedSpace(dims)
-    diff = {}
-    for p in space.degrees():
-        if space.dim(p + 1) == 0:
-            continue
-        m = c.d(-p - 1).transpose()
-        sgn = -ONE if p % 2 == 0 else ONE
-        diff[p] = m.scale(sgn)
+    space = GradedSpace({-p: d for p, d in c.space.dims.items()})
+    diff = {p: c.d(-p - 1).transpose().scale(ONE if p % 2 else -ONE)
+            for p in space.degrees() if space.dim(p + 1)}
     return Complex(space, diff, check=False)
 
 
@@ -602,27 +592,10 @@ class SplitComplex:
 
         For a closed exact idempotent e and any f, e.f.e restricted to the
         complement is zero, so the plain supertrace of e.f.e computes it.
-        Since e.e = e, tr(e.f.e) = tr(f.e.e) = tr(f.e) block by block, so
-        the sum sum_p (-1)^p sum_{r,c} f_p[r][c] e_p[c][r] is taken over the
-        sparse columns of both and e.f.e is never formed.
+        Since e.e = e, tr(e.f.e) = tr(f.e.e) = tr(f.e) block by block.
         """
         e = self.projector
-        if e is None:
-            return chain_supertrace(f)
-        _check_degree_zero_endo(f)
-        if f.source is not e.source and f.source != e.source:
-            raise DimensionMismatch("supertrace of a map off the carrier")
-        total = ZERO
-        for p in f.source.degrees():
-            e_cols = e.block(p).sparse_columns()
-            t = ZERO
-            for c, col in enumerate(f.block(p).sparse_columns()):
-                for r, x in col.items():  # x = f_p[r][c], times e_p[c][r]
-                    y = e_cols[r].get(c)
-                    if y:
-                        t += x * y
-            total += t if p % 2 == 0 else -t
-        return total
+        return chain_supertrace(f if e is None else f.compose(e))
 
     def split(self):
         """(image, include, project) of the idempotent, as image_complex

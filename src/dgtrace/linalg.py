@@ -1,8 +1,9 @@
 """Exact linear algebra over arbitrary-precision rationals.
 
 Everything downstream (cohomology, quotients, trace pairings) reduces to
-ranks, kernels, images and solves over Q.  One routine does all the row
-reduction: it takes the rows one at a time, reduces each against the pivot
+ranks, kernels, images and solves over Q.  A matrix is stored as sparse
+rows, and one routine does all the row reduction on them as they are
+stored: it takes the rows one at a time, reduces each against the pivot
 rows found so far on its nonzeros only, and keeps the result in reduced row
 echelon form.  That form depends only on the row space, so every basis this
 module produces is deterministic and reproducible byte for byte.  No
@@ -32,47 +33,54 @@ def _frac(x) -> Fraction:
 
 
 class RationalMatrix:
-    """Dense matrix of rationals.  Immutable by convention: no method mutates
-    `self`, and callers must never write into `entries`.  The constructor
-    takes `Fraction` entries as they are; `from_rows` and `from_columns`
-    convert caller data."""
+    """Matrix of rationals stored as sparse rows: `_rows[i]` holds the
+    nonzero entries of row i as {column: value}, and no zero is ever
+    stored, so equal matrices have equal rows however they were built.
+    Immutable by convention: no method mutates `self` or a stored row.
+    The constructor takes a dense grid and `from_sparse_columns` the
+    builders' columns; `entries` is a dense view for tests and printing."""
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "_rows")
 
-    def __init__(self, rows: int, cols: int, entries: Sequence[Sequence[Fraction]]):
-        if len(entries) != rows or any(len(r) != cols for r in entries):
+    def __init__(self, rows: int, cols: int, entries: Sequence[Sequence]):
+        if len(entries) != rows:
             raise DimensionMismatch(f"expected {rows}x{cols} entries")
-        self.rows = rows
-        self.cols = cols
-        self.entries = tuple(tuple(r) for r in entries)
+        self.rows, self.cols = rows, cols
+        self._rows = tuple(_sparse(r, cols) for r in entries)
+
+    @classmethod
+    def _of(cls, rows: int, cols: int, sparse_rows: Sequence[dict]) -> "RationalMatrix":
+        """The matrix with these rows, {column: nonzero Fraction} dicts that
+        it takes over."""
+        m = object.__new__(cls)
+        m.rows, m.cols, m._rows = rows, cols, tuple(sparse_rows)
+        return m
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> "RationalMatrix":
-        r = len(rows)
-        c = len(rows[0]) if r else 0
-        return cls(r, c, [[_frac(x) for x in row] for row in rows])
+        return cls(len(rows), len(rows[0]) if rows else 0, rows)
 
     @classmethod
     def from_sparse_columns(cls, nrows: int,
                             columns: Sequence[Mapping[int, Fraction]]) -> "RationalMatrix":
         """The nrows x len(columns) matrix whose column c holds columns[c],
-        a {row: value} map of `Fraction`s taken as they are: the one
-        constructor of the builders, which never see the layout."""
-        rows = [[ZERO] * len(columns) for _ in range(nrows)]
+        a {row: value} map of `Fraction`s taken as they are (zeros
+        dropped): the one constructor of the builders, which never see the
+        layout."""
+        rows = [{} for _ in range(nrows)]
         for c, col in enumerate(columns):
             for r, x in col.items():
-                rows[r][c] = x
-        for r in range(nrows):  # one row at a time: never two grids alive
-            rows[r] = tuple(rows[r])
-        return cls(nrows, len(columns), rows)
+                if x:
+                    rows[r][c] = x
+        return cls._of(nrows, len(columns), rows)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "RationalMatrix":
-        return cls(rows, cols, [[ZERO] * cols for _ in range(rows)])
+        return cls._of(rows, cols, [{} for _ in range(rows)])
 
     @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
-        return cls(n, n, [[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
+        return cls._of(n, n, [{i: ONE} for i in range(n)])
 
     @classmethod
     def from_columns(cls, cols: Sequence[Sequence], nrows: Optional[int] = None) -> "RationalMatrix":
@@ -80,49 +88,51 @@ class RationalMatrix:
             if not cols:
                 raise DimensionMismatch("from_columns with no columns needs nrows")
             nrows = len(cols[0])
-        if any(len(c) != nrows for c in cols):
-            raise DimensionMismatch(f"every column must have length {nrows}")
-        return cls(nrows, len(cols), [[_frac(c[i]) for c in cols] for i in range(nrows)])
+        return cls.from_sparse_columns(nrows, [_sparse(c, nrows) for c in cols])
+
+    @property
+    def entries(self) -> tuple:
+        """The dense grid, built on each use."""
+        return tuple(_dense(row, self.cols) for row in self._rows)
 
     def column(self, j: int) -> tuple:
-        return tuple(self.entries[i][j] for i in range(self.rows))
+        return tuple(row.get(j, ZERO) for row in self._rows)
 
     def columns(self) -> list:
-        return [self.column(j) for j in range(self.cols)]
+        return [_dense(col, self.rows) for col in self.sparse_columns()]
 
     def sparse_columns(self) -> list:
         """Per column, its nonzero entries as {row: value}, rows ascending:
         the one reader of the builders, the inverse of
         `from_sparse_columns`."""
         cols = [{} for _ in range(self.cols)]
-        for r, row in enumerate(self.entries):
-            for c, x in enumerate(row):
-                if x is not ZERO and x:  # most zeros are the shared ZERO
-                    cols[c][r] = x
+        for r, row in enumerate(self._rows):
+            for c, x in row.items():
+                cols[c][r] = x
         return cols
 
     def transpose(self) -> "RationalMatrix":
-        return RationalMatrix(self.cols, self.rows,
-                              [[self.entries[i][j] for i in range(self.rows)]
-                               for j in range(self.cols)])
+        return RationalMatrix._of(self.cols, self.rows, self.sparse_columns())
 
     def is_zero(self) -> bool:
-        return all(x == 0 for row in self.entries for x in row)
+        return not any(self._rows)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, RationalMatrix)
                 and self.rows == other.rows and self.cols == other.cols
-                and self.entries == other.entries)
+                and self._rows == other._rows)
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self.entries))
+        return hash((self.rows, self.cols,
+                     tuple(frozenset(row.items()) for row in self._rows)))
 
     def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionMismatch("matrix addition shape mismatch")
-        return RationalMatrix(self.rows, self.cols,
-                              [[a + b for a, b in zip(ra, rb)]
-                               for ra, rb in zip(self.entries, other.entries)])
+        out = [dict(row) for row in self._rows]
+        for row, rb in zip(out, other._rows):
+            _axpy(row, ONE, rb)
+        return RationalMatrix._of(self.rows, self.cols, out)
 
     def __sub__(self, other: "RationalMatrix") -> "RationalMatrix":
         return self + (-other)
@@ -132,42 +142,34 @@ class RationalMatrix:
 
     def scale(self, c) -> "RationalMatrix":
         c = _frac(c)
-        return RationalMatrix(self.rows, self.cols,
-                              [[c * x if x else x for x in row] for row in self.entries])
+        if not c:
+            return RationalMatrix.zeros(self.rows, self.cols)
+        return RationalMatrix._of(self.rows, self.cols,
+                                  [{j: c * x for j, x in row.items()} for row in self._rows])
 
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.cols != other.rows:
             raise DimensionMismatch(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        out = [[ZERO] * other.cols for _ in range(self.rows)]
-        for i in range(self.rows):
-            srow = self.entries[i]
-            orow = out[i]
-            for k in range(self.cols):
-                a = srow[k]
-                if a:
-                    brow = other.entries[k]
-                    for j in range(other.cols):
-                        if brow[j]:
-                            orow[j] += a * brow[j]
-        return RationalMatrix(self.rows, other.cols, out)
+        orows = other._rows
+        out = []
+        for srow in self._rows:
+            row = {}
+            for k, a in srow.items():
+                _axpy(row, a, orows[k])
+            out.append(row)
+        return RationalMatrix._of(self.rows, other.cols, out)
 
     def apply(self, vec: Sequence[Fraction]) -> tuple:
         if len(vec) != self.cols:
             raise DimensionMismatch("vector length does not match column count")
-        out = [ZERO] * self.rows
-        for j, v in enumerate(vec):
-            if v:
-                for i in range(self.rows):
-                    e = self.entries[i][j]
-                    if e:
-                        out[i] += e * v
-        return tuple(out)
+        return tuple(sum((x * vec[j] for j, x in row.items() if vec[j]), ZERO)
+                     for row in self._rows)
 
     def trace(self) -> Fraction:
         if self.rows != self.cols:
             raise DimensionMismatch("trace of a non-square matrix")
-        return sum((self.entries[i][i] for i in range(self.rows)), ZERO)
+        return sum((row.get(i, ZERO) for i, row in enumerate(self._rows)), ZERO)
 
     def __repr__(self):
         return f"RationalMatrix({self.rows}x{self.cols})"
@@ -190,21 +192,19 @@ class SubspacePresentation:
         return len(self.basis)
 
 
-def _echelon(rows: Iterable[Sequence], ncols: int) -> list:
+def _echelon(rows: Iterable[dict]) -> list:
     """The one elimination routine: the reduced row echelon form of `rows`
     as a list of (pivot column, row) in pivot order, each row a sparse
     {column: value} dict with value 1 at its pivot.
 
-    Rows are taken one at a time.  A new row is reduced against the pivot
-    rows found so far, reading only its nonzeros; if something is left, it
-    is normalised at its first nonzero and that column is cleared from the
-    earlier pivot rows.  The RREF depends only on the row space, so the
-    order of the rows cannot change the result."""
+    Rows are sparse {column: nonzero Fraction} dicts, taken one at a time
+    and consumed.  A new row is reduced against the pivot rows found so
+    far, reading only its nonzeros; if something is left, it is normalised
+    at its first nonzero and that column is cleared from the earlier pivot
+    rows.  The RREF depends only on the row space, so neither the order of
+    the rows nor the order of a row's keys can change the result."""
     echelon = {}  # pivot column -> fully reduced row
-    for vec in rows:
-        if len(vec) != ncols:
-            raise DimensionMismatch(f"row of length {len(vec)}, expected {ncols}")
-        row = {j: _frac(x) for j, x in enumerate(vec) if x}
+    for row in rows:
         for p in [j for j in row if j in echelon]:
             _axpy(row, -row[p], echelon[p])
         if not row:
@@ -231,8 +231,15 @@ def _axpy(y: dict, c: Fraction, x: dict) -> None:
             del y[j]
 
 
-def _dense(row: dict, ncols: int) -> tuple:
-    out = [ZERO] * ncols
+def _sparse(vec: Sequence, n: int) -> dict:
+    """The nonzeros of a dense caller vector of length n, as Fractions."""
+    if len(vec) != n:
+        raise DimensionMismatch(f"vector of length {len(vec)}, expected {n}")
+    return {j: _frac(x) for j, x in enumerate(vec) if x}
+
+
+def _dense(row: Mapping[int, Fraction], n: int) -> tuple:
+    out = [ZERO] * n
     for j, x in row.items():
         out[j] = x
     return tuple(out)
@@ -240,10 +247,9 @@ def _dense(row: dict, ncols: int) -> tuple:
 
 def rref(m: RationalMatrix):
     """(rref matrix, pivot columns) of m."""
-    red = _echelon(m.entries, m.cols)
-    rows = [_dense(row, m.cols) for _, row in red]
-    rows += [(ZERO,) * m.cols] * (m.rows - len(rows))
-    return RationalMatrix(m.rows, m.cols, rows), [p for p, _ in red]
+    red = _echelon(map(dict, m._rows))
+    rows = [row for _, row in red] + [{} for _ in range(m.rows - len(red))]
+    return RationalMatrix._of(m.rows, m.cols, rows), [p for p, _ in red]
 
 
 def _kernel(red: list, ncols: int) -> list:
@@ -257,7 +263,7 @@ def _kernel(red: list, ncols: int) -> list:
 
 def sparse_kernel(m: RationalMatrix) -> list:
     """The kernel basis of rank_kernel_image as (column, value) pairs."""
-    return _kernel(_echelon(m.entries, m.cols), m.cols)
+    return _kernel(_echelon(map(dict, m._rows)), m.cols)
 
 
 def rank_kernel_image(m: RationalMatrix):
@@ -267,7 +273,7 @@ def rank_kernel_image(m: RationalMatrix):
     vector per free column, deterministic); image basis is the original pivot
     columns, so rank + dim kernel = cols and dim image = rank.
     """
-    red = _echelon(m.entries, m.cols)
+    red = _echelon(map(dict, m._rows))
     pivots = [p for p, _ in red]
     kernel_basis = tuple(_dense(dict(v), m.cols) for v in _kernel(red, m.cols))
     image_basis = [m.column(p) for p in pivots]
@@ -277,7 +283,7 @@ def rank_kernel_image(m: RationalMatrix):
 
 
 def rank_of(m: RationalMatrix) -> int:
-    return len(_echelon(m.entries, m.cols))
+    return len(_echelon(map(dict, m._rows)))
 
 
 def solve(m: RationalMatrix, b: Sequence) -> Optional[tuple]:
@@ -295,15 +301,14 @@ def solve_matrix(m: RationalMatrix, rhs: RationalMatrix) -> Optional[RationalMat
     if rhs.rows != m.rows:
         raise DimensionMismatch("right-hand side has wrong length")
     n = m.cols
-    red = _echelon([r + s for r, s in zip(m.entries, rhs.entries)], n + rhs.cols)
+    red = _echelon({**r, **{n + j: x for j, x in s.items()}}
+                   for r, s in zip(m._rows, rhs._rows))
     if red and red[-1][0] >= n:
         return None
-    x = [[ZERO] * rhs.cols for _ in range(n)]
+    x = [{} for _ in range(n)]
     for p, row in red:
-        for j, v in row.items():
-            if j >= n:
-                x[p][j - n] = v
-    return RationalMatrix(n, rhs.cols, x)
+        x[p] = {j - n: v for j, v in row.items() if j >= n}
+    return RationalMatrix._of(n, rhs.cols, x)
 
 
 def quotient_presentation(ambient_dim: int, sub: SubspacePresentation):
@@ -317,8 +322,8 @@ def quotient_presentation(ambient_dim: int, sub: SubspacePresentation):
     if sub.ambient_dim != ambient_dim:
         raise DimensionMismatch("subspace lives in a different ambient space")
     if sub.basis:
-        _, ker, _ = rank_kernel_image(RationalMatrix.from_rows(sub.basis))
-        proj = RationalMatrix(ker.dim, ambient_dim, ker.basis)
+        ker = _kernel(_echelon(_sparse(v, ambient_dim) for v in sub.basis), ambient_dim)
+        proj = RationalMatrix._of(len(ker), ambient_dim, map(dict, ker))
     else:
         proj = RationalMatrix.identity(ambient_dim)
     q = proj.rows
@@ -331,9 +336,10 @@ def quotient_presentation(ambient_dim: int, sub: SubspacePresentation):
 def echelon_basis(vectors: Iterable[Sequence], ambient_dim: int) -> list:
     """The nonzero rows of the reduced row echelon form of the vectors, one
     per pivot in pivot order: a basis of their span."""
-    return [_dense(row, ambient_dim) for _, row in _echelon(vectors, ambient_dim)]
+    return [_dense(row, ambient_dim)
+            for _, row in _echelon(_sparse(v, ambient_dim) for v in vectors)]
 
 
 def span_dim(vectors: Iterable[Sequence], ambient_dim: int) -> int:
     """Dimension of the span."""
-    return len(_echelon(vectors, ambient_dim))
+    return len(_echelon(_sparse(v, ambient_dim) for v in vectors))

@@ -259,6 +259,25 @@ def _after_idempotent(p: PerfectModule, phi: Optional[ModuleMap]) -> ModuleMap:
     return phi if p.idempotent is None else phi.compose(p.idempotent)
 
 
+def _diagonal_after_idempotent(p: PerfectModule, phi: Optional[ModuleMap]) -> list:
+    """diagonal(_after_idempotent(p, phi)) without the rest of phi . e: per
+    generator i, (phi . e)[i][i] = sum_j e[j][i] * phi[i][j], the terms
+    `compose` sums for that entry, in its order."""
+    if phi is None or p.idempotent is None:
+        return diagonal(_after_idempotent(p, phi))
+    a = p.algebra
+    entry = {(i, j): v for j, col in enumerate(phi.columns) for i, v in col}
+    out = []
+    for i, col in enumerate(p.idempotent.columns):
+        acc = [ZERO] * a.dim
+        for j, u in col:
+            v = entry.get((i, j))
+            if v:
+                a.add_product(acc, u, v)
+        out.append(sparse(acc))
+    return out
+
+
 def rr_left_side(n: PerfectModule, m: PerfectModule,
                  g: Optional[ModuleMap], f: Optional[ModuleMap]) -> Fraction:
     """hh_k(N (x)_A M, g (x) f), read off keyed diagonals.
@@ -281,8 +300,8 @@ def rr_left_side(n: PerfectModule, m: PerfectModule,
             raise DimensionMismatch("map is not an endomorphism of the module")
         # the construction-time check: an off-degree entry raises
         ModuleMap.from_columns(p.module, p.module, 0, phi.columns)
-    g_diagonal = diagonal(_after_idempotent(n, g))
-    f_diagonal = [(s, x) for s, x in zip(m.shifts, diagonal(_after_idempotent(m, f)))
+    g_diagonal = _diagonal_after_idempotent(n, g)
+    f_diagonal = [(s, x) for s, x in zip(m.shifts, _diagonal_after_idempotent(m, f))
                   if x]
     left = n.module.to_explicit()
     action = left.action

@@ -164,6 +164,38 @@ def test_from_columns_rejects_malformed_columns():
     assert RationalMatrix.from_columns([], nrows=2) == RationalMatrix.zeros(2, 0)
 
 
+def test_equal_matrices_compare_and_hash_equal_however_built():
+    """Equality and hashing see the values, not how a matrix was built: a
+    dense grid with explicit zeros, sparse columns, a product with the
+    identity, and every way of reaching the zero matrix."""
+    grid = [[F(0), F(2), F(0)], [F(-1), F(0), F(1, 3)]]
+    m = RationalMatrix(2, 3, grid)
+    same = [RationalMatrix.from_rows([[0, 2, 0], [-1, 0, F(1, 3)]]),
+            RationalMatrix.from_sparse_columns(2, [{1: F(-1)}, {0: F(2)}, {1: F(1, 3)}]),
+            RationalMatrix.from_sparse_columns(2, [{0: F(0), 1: F(-1)}, {0: F(2)},
+                                                   {1: F(1, 3)}]),
+            RationalMatrix.from_columns([[0, -1], [2, 0], [0, F(1, 3)]]),
+            m @ RationalMatrix.identity(3),
+            RationalMatrix.identity(2) @ m,
+            m.transpose().transpose(),
+            m.scale(1)]
+    zero = RationalMatrix.zeros(2, 3)
+    zeros = [RationalMatrix(2, 3, [[F(0)] * 3, [F(0)] * 3]),
+             RationalMatrix.from_sparse_columns(2, [{0: F(0)}, {}, {1: F(0)}]),
+             m + (-m), m - m, m.scale(0), m.scale(-1) + m,
+             RationalMatrix.zeros(2, 2) @ m]
+    for x in same:
+        assert x == m and hash(x) == hash(m) and not x.is_zero()
+    for x in zeros:
+        assert x == zero and hash(x) == hash(zero) and x.is_zero()
+    assert len(set(same) | {m}) == 1 and len(set(zeros) | {zero}) == 1
+    assert m != zero and zero != RationalMatrix.zeros(3, 2)
+    assert m != RationalMatrix.from_rows([[0, 2, 0], [-1, 0, F(1, 2)]])
+    for x in same + zeros + [m.scale(3), m.transpose() @ m]:
+        assert all(v for column in x.sparse_columns() for v in column.values())
+        assert RationalMatrix(x.rows, x.cols, x.entries) == x
+
+
 def test_echelon_rejects_vectors_of_wrong_length():
     with pytest.raises(DimensionMismatch):
         span_dim([[F(0), F(0), F(1)]], 2)
@@ -274,6 +306,14 @@ def test_public_values_are_fractions():
     _all_fractions(list(_entries(proj)) + list(_entries(section)))
     _all_fractions(x for v in echelon_basis(ints, 4) for x in v)
     _all_fractions(_entries(m.transpose() @ m.scale(3) + m.transpose() @ m))
+    # zeros read off the stored rows with a default must be Fractions too
+    _all_fractions(m.column(2) + m.column(3))
+    _all_fractions(x for v in m.columns() for x in v)
+    _all_fractions(m.apply((1, 0, 2, 0)) + m.apply((0, 0, 0, 0)))
+    _all_fractions([(m.transpose() @ m).trace(), RationalMatrix.zeros(3, 3).trace(),
+                    RationalMatrix.zeros(0, 0).trace()])
+    _all_fractions(_entries(RationalMatrix.identity(3)))
+    _all_fractions(_entries(RationalMatrix.zeros(2, 3)))
 
 
 def test_realizations_hold_fractions(cat):

@@ -125,3 +125,80 @@ def test_quotient_presentation_matches_sympy(seed):
                 assert len(kernel) == sub.dim
                 vecs = [tuple(Fraction(int(x.p), int(x.q)) for x in v) for v in kernel]
                 assert span_rank(vecs + list(sub.basis), n) == sub.dim
+
+
+# -- matrix arithmetic: every operation on the stored rows against sympy --
+
+def mostly_zero(rng, rows, cols):
+    """About one entry in four is drawn (and may still be zero); the rest
+    are explicit zeros of the dense grid."""
+    return RationalMatrix(rows, cols, [
+        [random_fraction(rng) if rng.below(4) == 0 else Fraction(0)
+         for _ in range(cols)] for _ in range(rows)])
+
+
+def rational(x: Fraction):
+    return sympy.Rational(x.numerator, x.denominator)
+
+
+def assert_no_stored_zero(m: RationalMatrix):
+    assert all(x for column in m.sparse_columns() for x in column.values())
+
+
+@pytest.mark.parametrize("seed", [8, 9, 10])
+def test_matrix_arithmetic_matches_sympy(seed):
+    rng = SplitMix64(seed)
+    for rows, cols in SHAPES:
+        for _ in range(3):
+            a, b = mostly_zero(rng, rows, cols), mostly_zero(rng, rows, cols)
+            c = mostly_zero(rng, cols, 1 + rng.below(5))
+            sa, sb, sc = sym(a), sym(b), sym(c)
+            results = [a @ c, a + b, a - b, -a, a.transpose()]
+            assert [sym(m) for m in results] == [sa * sc, sa + sb, sa - sb, -sa, sa.T]
+            for k in (Fraction(0), Fraction(-1), Fraction(3, 2)):
+                results.append(a.scale(k))
+                assert sym(results[-1]) == sa * rational(k)
+            for m in results:
+                assert_no_stored_zero(m)
+            v = tuple(random_fraction(rng) if rng.below(2) else Fraction(0)
+                      for _ in range(cols))
+            assert col(a.apply(v)) == sa * col(v)
+            if rows == cols:
+                assert rational(a.trace()) == sa.trace()
+            assert a.is_zero() == sa.is_zero_matrix
+            assert [col(a.column(j)) for j in range(cols)] == [sa[:, j] for j in range(cols)]
+            assert [col(v) for v in a.columns()] == [sa[:, j] for j in range(cols)]
+            sparse = a.sparse_columns()
+            assert sparse == [{i: Fraction(int(sa[i, j].p), int(sa[i, j].q))
+                               for i in range(rows) if sa[i, j]} for j in range(cols)]
+            assert all(list(column) == sorted(column) for column in sparse)
+            assert RationalMatrix.from_sparse_columns(rows, sparse) == a
+
+
+@pytest.mark.parametrize("seed", [8, 9, 10])
+def test_products_and_sums_that_cancel(seed):
+    """Results whose entries cancel to zero hold no zero and equal the zero
+    matrix: a + (-a), a - a, a times its kernel, and l r - l r."""
+    rng = SplitMix64(seed)
+    kernels = 0
+    for rows, cols in SHAPES:
+        a = mostly_zero(rng, rows, cols)
+        zero = RationalMatrix.zeros(rows, cols)
+        for m in (a + (-a), a - a, a + a.scale(-1), a.scale(0)):
+            assert m == zero and m.is_zero() and hash(m) == hash(zero)
+            assert m.sparse_columns() == [{} for _ in range(cols)]
+        _, ker, _ = rank_kernel_image(a)
+        if ker.dim:
+            kernels += 1
+            k = RationalMatrix.from_columns(list(ker.basis), nrows=cols)
+            assert sym(a) * sym(k) == sympy.zeros(rows, ker.dim)
+            assert (a @ k).is_zero() and a @ k == RationalMatrix.zeros(rows, ker.dim)
+        inner = 1 + rng.below(3)
+        left, right = mostly_zero(rng, rows, inner), mostly_zero(rng, inner, cols)
+        assert (left @ right + left.scale(-1) @ right).is_zero()
+    assert kernels >= 3
+    # partial cancellation: row 0 of the product cancels, row 1 keeps one entry
+    m = (RationalMatrix.from_rows([[1, 1, 0], [0, 2, -1]])
+         @ RationalMatrix.from_rows([[1, 0], [-1, 0], [-2, 1]]))
+    assert sym(m) == sympy.Matrix([[0, 0], [0, -1]])
+    assert m.sparse_columns() == [{}, {1: Fraction(-1)}]
