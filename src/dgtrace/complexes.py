@@ -484,9 +484,15 @@ def linear_dual(c: Complex) -> Complex:
 
     This is Hom(c, unit) on the nose, including basis order.
     """
-    space = GradedSpace({-p: d for p, d in c.space.dims.items()})
-    diff = {p: c.d(-p - 1).transpose().scale(ONE if p % 2 else -ONE)
-            for p in space.degrees() if space.dim(p + 1)}
+    dims = {-p: d for p, d in c.space.dims.items()}
+    space = GradedSpace(dims)
+    diff = {}
+    for p in space.degrees():
+        if space.dim(p + 1) == 0:
+            continue
+        m = c.d(-p - 1).transpose()
+        sgn = -ONE if p % 2 == 0 else ONE
+        diff[p] = m.scale(sgn)
     return Complex(space, diff, check=False)
 
 

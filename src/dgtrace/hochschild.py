@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional, Tuple
 
-from .algebras import AlgebraElement, DgAlgebra
+from .algebras import AlgebraElement, DgAlgebra, sparse
 from .complexes import GradedSpace
 from .duality import diagonal_explicit, omega_inverse_module
 from .errors import (AlgebraMismatch, DimensionMismatch, IdempotentIncompatible,
@@ -121,16 +121,33 @@ def hh0_space(a: DgAlgebra) -> HH0Space:
     return a._hh0
 
 
-def diagonal(f: ModuleMap) -> list:
-    """Per generator i, the nonzero coordinates of the entry f[i][i]."""
-    return [next((vec for j, vec in col if j == i), ())
-            for i, col in enumerate(f.columns)]
+def diagonal(f: ModuleMap, e: Optional[ModuleMap] = None) -> list:
+    """Per generator i, the nonzero coordinates of the entry f[i][i], or of
+    (f . e)[i][i] = sum_j e[j][i] * f[i][j] for degree-0 f and e: the terms
+    `ModuleMap.compose` sums for that entry, in its order, without the rest
+    of f . e."""
+    if e is None:
+        return [next((vec for j, vec in col if j == i), ())
+                for i, col in enumerate(f.columns)]
+    a = f.source.algebra
+    entry = {(i, j): v for j, col in enumerate(f.columns) for i, v in col}
+    out = []
+    for i, col in enumerate(e.columns):
+        acc = [ZERO] * a.dim
+        for j, u in col:
+            v = entry.get((i, j))
+            if v:
+                a.add_product(acc, u, v)
+        out.append(sparse(acc))
+    return out
 
 
-def generalized_supertrace(m: PerfectModule, f: ModuleMap) -> AlgebraElement:
-    """sum_i (-1)^{s_i} f[i][i] in A (no projection)."""
+def generalized_supertrace(m: PerfectModule, f: ModuleMap,
+                           e: Optional[ModuleMap] = None) -> AlgebraElement:
+    """sum_i (-1)^{s_i} f[i][i] in A (no projection), or the same sum over
+    (f . e)[i][i] when an idempotent e is given."""
     total = [ZERO] * m.algebra.dim
-    for s, vec in zip(m.shifts, diagonal(f)):
+    for s, vec in zip(m.shifts, diagonal(f, e)):
         for t, c in vec:
             total[t] += -c if s % 2 else c
     return m.algebra.element(total)

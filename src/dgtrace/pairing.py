@@ -82,7 +82,7 @@ class KernelTransfer:
             self.kernel, self.restricted, self.index, self.a, self.bop,
             self.b.element(lam.representative.coords))
         return self.space_a.class_of(generalized_supertrace(
-            self.restricted, _after_idempotent(self.restricted, rmul)))
+            self.restricted, rmul, self.restricted.idempotent))
 
 
 # ---------------------------------------------------------------------------
@@ -252,32 +252,6 @@ def _rational_text(x):
     return f"{x.numerator}/{x.denominator}"
 
 
-def _after_idempotent(p: PerfectModule, phi: Optional[ModuleMap]) -> ModuleMap:
-    """phi . e on p's carrier; a missing map or idempotent is the identity."""
-    if phi is None:
-        return p.identity_map()
-    return phi if p.idempotent is None else phi.compose(p.idempotent)
-
-
-def _diagonal_after_idempotent(p: PerfectModule, phi: Optional[ModuleMap]) -> list:
-    """diagonal(_after_idempotent(p, phi)) without the rest of phi . e: per
-    generator i, (phi . e)[i][i] = sum_j e[j][i] * phi[i][j], the terms
-    `compose` sums for that entry, in its order."""
-    if phi is None or p.idempotent is None:
-        return diagonal(_after_idempotent(p, phi))
-    a = p.algebra
-    entry = {(i, j): v for j, col in enumerate(phi.columns) for i, v in col}
-    out = []
-    for i, col in enumerate(p.idempotent.columns):
-        acc = [ZERO] * a.dim
-        for j, u in col:
-            v = entry.get((i, j))
-            if v:
-                a.add_product(acc, u, v)
-        out.append(sparse(acc))
-    return out
-
-
 def rr_left_side(n: PerfectModule, m: PerfectModule,
                  g: Optional[ModuleMap], f: Optional[ModuleMap]) -> Fraction:
     """hh_k(N (x)_A M, g (x) f), read off keyed diagonals.
@@ -291,8 +265,10 @@ def rr_left_side(n: PerfectModule, m: PerfectModule,
     projector or matrix is built."""
     if not opposite(n.algebra).same_structure(m.algebra):
         raise AlgebraMismatch("left factor must live over the opposite algebra")
+    diagonals = []  # of phi . e; a missing map or idempotent is the identity
     for p, phi in ((n, g), (m, f)):
         if phi is None:
+            diagonals.append(diagonal(p.identity_map()))
             continue
         if phi.degree != 0:
             raise WrongDegree("the trace formula takes degree-0 maps")
@@ -300,9 +276,9 @@ def rr_left_side(n: PerfectModule, m: PerfectModule,
             raise DimensionMismatch("map is not an endomorphism of the module")
         # the construction-time check: an off-degree entry raises
         ModuleMap.from_columns(p.module, p.module, 0, phi.columns)
-    g_diagonal = _diagonal_after_idempotent(n, g)
-    f_diagonal = [(s, x) for s, x in zip(m.shifts, _diagonal_after_idempotent(m, f))
-                  if x]
+        diagonals.append(diagonal(phi, p.idempotent))
+    g_diagonal, f_diagonal = diagonals
+    f_diagonal = [(s, x) for s, x in zip(m.shifts, f_diagonal) if x]
     left = n.module.to_explicit()
     action = left.action
     total = ZERO

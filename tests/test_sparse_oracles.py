@@ -4,7 +4,8 @@ Sampling in kernel coordinates against scaling and adding the ModuleMaps of
 closed_map_basis; sparse ModuleMap products against entry-by-entry
 products through AlgebraElement.__mul__ (the dense DgAlgebra.multiply
 scan), and the class of the supertrace of f.e against that of the dense
-e.f.e; the tr(f.e) supertrace of a split complex against the supertrace of
+e.f.e, and the diagonal of f.g read without forming it against that of the
+dense f.g; the tr(f.e) supertrace of a split complex against the supertrace of
 the formed e.f.e; the keyed-diagonal left side of the trace formula against
 the supertrace on the tensor complex, over the catalog and over dg
 algebras; every explicit module's action table against products through
@@ -32,7 +33,7 @@ from dgtrace.duality import (DualBimodule, _opposite_diagonal_explicit,
                              serre_module_data)
 from dgtrace.errors import (DifferentialSquareViolation,
                             NotDegreeZeroConcentrated, WrongDegree)
-from dgtrace.hochschild import generalized_supertrace, hh0_space
+from dgtrace.hochschild import diagonal, generalized_supertrace, hh0_space
 from dgtrace.linalg import RationalMatrix
 from dgtrace.modules import (ModuleMap, PerfectModule, SemiFreeModule,
                              TensorOverAlgebra, direct_sum_modules,
@@ -280,6 +281,27 @@ def test_compressed_supertrace_matches_dense_compression(cat):
             checked += 1
             differ += fe != dense
     assert checked > 0 and differ > 0
+
+
+def test_diagonal_of_composite_matches_dense_composite(cat):
+    """diagonal(f, g) is the diagonal of the dense f . g entry by entry for
+    any degree-0 g (the sampled idempotents are often diagonal, which would
+    hide a transposed read), and the supertrace over it with g = e is that
+    of f . e."""
+    with_e = 0
+    for name in ("kxk", "M2", "A2", "A3", "Kronecker", "A2xA2"):
+        ent = cat[name]
+        for index in range(4):
+            rng = stream_for(41, 10 * index + len(name))
+            p = random_perfect(ent.algebra, rng, ent.idempotents, max_gens=3)
+            f = random_map(p.module, p.module, 0, rng)
+            g = random_map(p.module, p.module, 0, rng)
+            assert diagonal(f, g) == diagonal(dense_compose(f, g))
+            if p.idempotent is not None:
+                assert (generalized_supertrace(p, f, p.idempotent)
+                        == generalized_supertrace(p, dense_compose(f, p.idempotent)))
+                with_e += 1
+    assert with_e > 0
 
 
 def homogeneous_map(m, rng):
