@@ -57,20 +57,20 @@ def dualize(p: PerfectModule) -> PerfectModule:
     shifts = [-m.shifts[n - 1 - t] for t in range(n)]
     labels = [_strip_or_add_vee(m.labels[n - 1 - t]) for t in range(n)]
 
-    def transposed(columns, sign):
+    def transposed(columns, signs):
         out = [[] for _ in range(n)]
         for l in reversed(range(n)):
             for i, vec in columns[l]:
-                c = sign(i) * half_sign(m.shifts[i]) * half_sign(m.shifts[l])
+                c = signs[i] * half_sign(m.shifts[i]) * half_sign(m.shifts[l])
                 out[n - 1 - i].append((n - 1 - l, tuple((t, c * x) for t, x in vec)))
         return out
 
     mod = SemiFreeModule.from_columns(aop, shifts, transposed(
-        m.twist_columns, lambda i: -ONE if m.shifts[i] % 2 == 0 else ONE), labels)
+        m.twist_columns, [-ONE if s % 2 == 0 else ONE for s in m.shifts]), labels)
     idem = None
     if p.idempotent is not None:
         idem = ModuleMap.from_columns(mod, mod, 0, transposed(
-            p.idempotent.columns, lambda i: ONE))
+            p.idempotent.columns, [ONE] * n))
     return PerfectModule(mod, idem)
 
 
@@ -125,10 +125,10 @@ def _transposed(table) -> Dict[Tuple, List]:
     return out
 
 
-def _degree_zero_module(algebra: DgAlgebra, n: int, action) -> ExplicitModule:
-    """The keys 0..n-1 in degree 0 with the given action table."""
+def _degree_zero_module(algebra: DgAlgebra, n: int, table) -> ExplicitModule:
+    """Rank 1 in degree 0: the keys (0, x), x < n, over the given table."""
     return ExplicitModule(algebra, Complex(GradedSpace({0: n}), {}),
-                          {0: list(range(n))}, action)
+                          {0: [(0, x) for x in range(n)]}, table)
 
 
 def diagonal_explicit(a: DgAlgebra) -> ExplicitModule:
@@ -157,13 +157,9 @@ class DualBimodule:
         """(e_p (x) e_q) . phi_x over the dual basis, flat = p*n + q: the
         coefficient of phi_y is phi_x(e_q e_y e_p)."""
         out = [ZERO] * self.dim
-        for y, c in self.env_data.action.get((flat, x), ()):
+        for (_, y), c in self.env_data.act(((flat, ONE),), (0, x)):
             out[y] += c
         return out
-
-    def env_action(self, env_coords, x: int):
-        """(a (x) b) . phi_x expanded over the dual basis."""
-        return self.env_data.act(env_coords, x)
 
     def right_module_data(self) -> ExplicitModule:
         """A^* as a right A-module, (phi . a)(x) = phi(a x), presented over
@@ -176,8 +172,7 @@ class DualBimodule:
         """A^* as a left A-module, (a . phi)(x) = phi(x a): e_i . phi_x =
         sum_y [e_x](e_y e_i) phi_y."""
         a = self.algebra
-        return _degree_zero_module(a, a.dim, _transposed(
-            {(i, y): vec for (y, i), vec in a.mult.items()}))
+        return _degree_zero_module(a, a.dim, _left_dual_table(a))
 
     def component_dim(self, i: int, j: int) -> int:
         """dim of e_i . A^* . e_j = functionals supported on e_j A e_i."""
@@ -204,6 +199,11 @@ class DualBimodule:
                     if step != direct:
                         raise AlgebraMismatch("dual bimodule action not associative")
         return self
+
+
+def _left_dual_table(a: DgAlgebra) -> Dict[Tuple, List]:
+    """The table of A^* as a left A-module: (i, x) -> the (y, [e_x](e_y e_i))."""
+    return _transposed({(i, y): vec for (y, i), vec in a.mult.items()})
 
 
 def bimodule_linear_dual(a: DgAlgebra) -> DualBimodule:
@@ -279,11 +279,11 @@ def serre_module_data(a: DgAlgebra, m: PerfectModule,
     if dual is None:
         dual = DualBimodule(a)
     sc = serre_tensor(a, m, dual)
-    # keys (generator i of m, dual-basis index x); A acts on the A^* factor
-    action = {(t, (i, x)): [((i, y), c) for y, c in terms]
-              for (t, x), terms in dual.left_module_data().action.items()
-              for i in range(m.rank)}
-    return ExplicitModule(a, sc.carrier, sc.realization.basis, action), sc.projector
+    # the tensor's keys (i, (0, x)) read as (generator i of m, dual-basis
+    # index x); A acts on the A^* factor
+    basis = {p: [(i, x) for i, (_, x) in keys]
+             for p, keys in sc.realization.basis.items()}
+    return ExplicitModule(a, sc.carrier, basis, _left_dual_table(a)), sc.projector
 
 
 def hom_into_serre(x: PerfectModule, serre_data) -> SplitComplex:
@@ -328,7 +328,7 @@ class IntegrationData:
         self.algebra = a
         n = a.dim
         dual = DualBimodule(a)
-        sandwich = _sandwich_table(a)
+        diag = diagonal_explicit(a)
         # relations in A^* (x) A, coordinates phi_x (x) e_y at x*n + y
         relations = []
         for z in range(n * n):
@@ -341,7 +341,7 @@ class IntegrationData:
                     vec = [ZERO] * (n * n)
                     for x2, c in enumerate(phi_z):
                         vec[x2 * n + y] += c
-                    for y2, c in sandwich.get((z, y), ()):
+                    for (_, y2), c in diag.act(((z, ONE),), (0, y)):
                         vec[x * n + y2] -= c
                     if any(vec):
                         relations.append(tuple(vec))
@@ -385,12 +385,12 @@ class DualHomReport:
 
 def dual_right_module_data(m: SemiFreeModule) -> ExplicitModule:
     """M^* as an explicit right A-module (left A^op): (mu.a)(x) = mu(a x),
-    so e_t . mu_key = sum_k2 [key](e_t . k2) mu_k2, the transpose of the
-    realization's action table."""
+    so e_t . mu_(i, b) = sum_b2 [e_b](e_t e_b2) mu_(i, b2), over the
+    transpose of `mult`."""
     ex = m.to_explicit()
     basis = {-p: keys for p, keys in ex.basis.items()}
     return ExplicitModule(opposite(m.algebra), linear_dual(ex.complex), basis,
-                          _transposed(ex.action))
+                          _transposed(m.algebra.mult))
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +434,7 @@ class EvaluationData:
             if i == j:
                 s = m.module.shifts[i]
                 sgn = half_sign(s) * (ONE if s % 2 == 0 else -ONE)
-                values.append([(t, sgn * c)
+                values.append([((0, t), sgn * c)
                                for t, c in enumerate(a.unit) if c])
             else:
                 values.append([])
@@ -477,7 +477,7 @@ class EvaluationData:
         t_aug = TensorOverAlgebra(breve_a, self.x.module)
         aug_chain = semifree_map_to_explicit(
             p_breve.module, breve_a,
-            [[(t, c) for t, c in enumerate(v.coords) if c]
+            [[((0, t), c) for t, c in enumerate(v.coords) if c]
              for v in self.resolution.augmentation])
         q = t_cx.map_tensor(aug_chain, None, t_aug)
 
@@ -489,7 +489,7 @@ class EvaluationData:
             sgn = half_sign(m.module.shifts[k])
             for bidx, cu in enumerate(a.unit):
                 if cu:
-                    pos = t_aug.pos[(gen, bidx)]
+                    pos = t_aug.pos[(gen, (0, bidx))]
                     if pos[0] != 0:
                         raise DimensionMismatch("identity tensor off degree 0")
                     t_vec[pos[1]] += sgn * cu

@@ -22,9 +22,14 @@ at the API boundary: `SemiFreeModule(..., twist)` and `ModuleMap(...,
 entries)` convert them once; `.twist` / `.entries` are dense views built
 on first use for callers outside the package, which no kernel here reads.
 
-Everything is reduced on demand to explicit complexes of rational matrices
-("restriction to the ground field"); derived tensor and Hom are computed on
-the given semi-free presentations, no resolution search.
+Everything that is really done over k (Hom, tensor, cohomology) is
+reduced on demand to explicit complexes of rational matrices ("restriction
+to the ground field"); derived tensor and Hom are computed on the given
+semi-free presentations, no resolution search.  An explicit module is a set
+of generators over one shared base table: its keys are (i, u), and
+e_t . (i, u) = sum c (i, u2) over table[(t, u)], so a realization of a
+semi-free module keeps `mult` itself, whatever its rank.  `ExplicitModule.act`
+is the one reader of a table.  The twist's d^2 = 0 is checked over A.
 """
 
 from __future__ import annotations
@@ -194,10 +199,12 @@ class SemiFreeModule:
                 if _degree(self.algebra, vec) != want:
                     raise DegreeViolation(
                         f"twist entry ({j},{i}) must be homogeneous of degree {want}")
-        try:
-            self.to_explicit().complex.check_d_squared()
-        except DifferentialSquareViolation:
-            raise DifferentialSquareViolation("module twist does not square to zero")
+        # D^2(g_i) = sum_l (d(delta_li) + sum_j (-1)^{|delta_ji|} delta_ji
+        # delta_lj) g_l, which is d(delta) - delta . delta for the twist as a
+        # degree-1 map
+        delta = ModuleMap.from_columns(self, self, 1, self.twist_columns, check=False)
+        if not (delta.differential() - delta.compose(delta)).is_zero():
+            raise DifferentialSquareViolation("in the module twist")
 
     def to_explicit(self) -> "ExplicitModule":
         if self._explicit is None:
@@ -216,30 +223,31 @@ class SemiFreeModule:
 
 
 class ExplicitModule:
-    """k-level realization: a complex whose basis keys carry the action.
+    """k-level realization: a complex on keys (i, u), a generator i over a
+    key u of one base table shared by every generator.
 
-    `basis[p]` lists opaque keys in order; `action[(t, key)]` lists the
-    (key2, c) of e_t . key, and pairs with zero product are absent, the
-    way `DgAlgebra.mult` holds the products of basis elements.
+    `basis[p]` lists the keys of degree p in order; e_t . (i, u) is the sum
+    of c (i, u2) over the (u2, c) of `table[(t, u)]`, and pairs with zero
+    product are absent, the way `DgAlgebra.mult` holds the products of
+    basis elements (a realization of a semi-free module keeps `mult`
+    itself).
     """
 
     def __init__(self, algebra: DgAlgebra, complex_: Optional[Complex],
-                 basis: Dict[int, List], action: Dict[Tuple, List]):
+                 basis: Dict[int, List], table: Dict[Tuple, Sequence]):
         self.algebra = algebra
         self.complex = complex_
         self.basis = {p: list(ks) for p, ks in basis.items() if ks}
         self.pos = positions(self.basis)
-        self.action = action
+        self.table = table
 
-    def act(self, coords, key):
-        """The action of the element with dense coordinates `coords` on a
-        basis key, as a list of (key, coefficient)."""
-        out: Dict = {}
-        for t, ct in enumerate(coords):
-            if ct:
-                for k2, c in self.action.get((t, key), ()):
-                    out[k2] = out.get(k2, ZERO) + ct * c
-        return [(k2, c) for k2, c in out.items() if c]
+    def act(self, vec: SparseVec, key) -> List:
+        """x . key for the element x with nonzero coordinates vec, as a list
+        of (key, coefficient); terms are not merged.  The one reader of the
+        table."""
+        i, u = key
+        table = self.table
+        return [((i, u2), ct * c) for t, ct in vec for u2, c in table.get((t, u), ())]
 
     @classmethod
     def from_semifree(cls, m: SemiFreeModule) -> "ExplicitModule":
@@ -248,15 +256,10 @@ class ExplicitModule:
         for b in range(a.dim):
             by_degree.setdefault(a.degrees[b], []).append(b)
         basis, pos, space = _key_basis(m.shifts, by_degree, -1)
-        # one key object per (generator, basis index), shared by the table
-        # entries to keep the table small
-        keys = [[(i, b) for b in range(a.dim)] for i in range(m.rank)]
-        action = {(t, ks[b]): [(ks[b2], c) for b2, c in vec]
-                  for ks in keys for (t, b), vec in a.mult.items()}
-        ex = cls(a, None, basis, action)
+        ex = cls(a, None, basis, a.mult)
         # D(e_b g_i) = (-1)^{|e_b|} (e_b delta_ji) g_j + d(e_b) g_i: the
         # twist restricted as a degree-1 map, plus d_A on every summand
-        twist = _restriction(a, action, 1, _images(m.twist_columns))
+        twist = _restriction(ex, 1, _images(m.twist_columns))
 
         def image(key):
             i, b = key
@@ -266,21 +269,20 @@ class ExplicitModule:
         return ex
 
 
-def _restriction(a: DgAlgebra, action: Dict, degree: int, images):
+def _restriction(target: ExplicitModule, degree: int, images):
     """The image, for the assembler, of the degree-n map out of the
     realization of a semi-free module that sends g_i to images[i], a list
-    of (target key, coeff), into a realization with the given action:
+    of (target key, coeff), into the realization `target`:
     e_b g_i -> (-1)^{n|b|} sum coeff e_b . key.  The one restriction
     kernel."""
-    degrees = a.degrees
+    degrees = target.algebra.degrees
+    act = target.act
 
     def image(key):
         i, b = key
-        if (degree * degrees[b]) % 2:
-            return [(key2, -coeff * c2) for k, coeff in images[i]
-                    for key2, c2 in action.get((b, k), ())]
-        return [(key2, coeff * c2) for k, coeff in images[i]
-                for key2, c2 in action.get((b, k), ())]
+        odd = (degree * degrees[b]) % 2
+        return [term for k, coeff in images[i]
+                for term in act(((b, -coeff if odd else coeff),), k)]
     return image
 
 
@@ -290,7 +292,7 @@ def _restrict_images(source: ExplicitModule, target: ExplicitModule,
     `target` sending g_i to images[i] (see _restriction); an image term off
     degree raises DegreeViolation."""
     return keyed_blocks(source.basis, target.basis, target.pos, degree,
-                        _restriction(source.algebra, target.action, degree, images))
+                        _restriction(target, degree, images))
 
 
 class ModuleMap:
@@ -543,12 +545,12 @@ def direct_sum_modules(p1: PerfectModule, p2: PerfectModule) -> PerfectModule:
         m1.twist_columns, m2.twist_columns), labels))
     if p1.idempotent is None and p2.idempotent is None:
         return psum
-    idem = direct_sum_maps(p1, p2, psum, p1.identity_map(), p2.identity_map())
+    idem = direct_sum_maps(psum, p1.identity_map(), p2.identity_map())
     return PerfectModule(psum.module, idem)
 
 
-def direct_sum_maps(p1: PerfectModule, p2: PerfectModule, psum: PerfectModule,
-                    f1: ModuleMap, f2: ModuleMap) -> ModuleMap:
+def direct_sum_maps(psum: PerfectModule, f1: ModuleMap,
+                    f2: ModuleMap) -> ModuleMap:
     """f1 (+) f2 as an endomorphism of a direct sum built by
     direct_sum_modules (endomorphism case only)."""
     return ModuleMap.from_columns(psum.module, psum.module, 0,
@@ -626,7 +628,7 @@ def restrict_to_factor(p: PerfectModule, f1: DgAlgebra, f2: DgAlgebra,
     return PerfectModule(mod, idem, check=check), index
 
 
-def right_multiplication_map(p: PerfectModule, restricted: PerfectModule,
+def right_multiplication_map(restricted: PerfectModule,
                              index: Dict, f1: DgAlgebra, f2: DgAlgebra,
                              elem: AlgebraElement) -> ModuleMap:
     """Right multiplication by elem of f2 on a module over f1 (x) f2^\\op,
@@ -743,8 +745,8 @@ class TensorOverAlgebra:
             odd = left.pos[u][0] % 2
             for j, vec, de in twist_cols[i]:
                 if j > i:
-                    terms += [((j, u2), -c if odd else c)
-                              for u2, c in self._right_act(vec, de, u)]
+                    terms += [((j, u2), c) for u2, c in
+                              self._right_act(_neg(vec) if odd else vec, de, u)]
             return terms
         self.complex = Complex(
             space, keyed_blocks(self.basis, self.basis, self.pos, 1, image),
@@ -753,10 +755,9 @@ class TensorOverAlgebra:
     def _right_act(self, vec: SparseVec, de: int, u):
         """u . x with the right-module Koszul sign (-1)^{|x||u|}, for x of
         degree de with nonzero coordinates vec; terms are not merged."""
-        action = self.left.action
-        if (self.left.pos[u][0] * de) % 2 == 0:
-            return [(u2, ct * c) for t, ct in vec for u2, c in action.get((t, u), ())]
-        return [(u2, -ct * c) for t, ct in vec for u2, c in action.get((t, u), ())]
+        if (self.left.pos[u][0] * de) % 2:
+            vec = _neg(vec)
+        return self.left.act(vec, u)
 
     def map_tensor(self, g: Optional[ChainMap], f: Optional[ModuleMap],
                    target: Optional["TensorOverAlgebra"] = None) -> ChainMap:
@@ -824,7 +825,6 @@ class HomOverAlgebra:
         self.target = target
         self.basis, self.pos, space = _key_basis(m.shifts, target.basis, 1)
         d_target = key_columns(target.complex.d, 1, target.basis, target.basis)
-        action = target.action
         # phi = (i, u) sends g_i to u; the twist row entries delta[i][i2]
         # feed g_{i2} for i2 < i.
         twist_rows = _with_degrees(m.algebra, rows_of(m.twist_columns, m.rank))
@@ -832,12 +832,12 @@ class HomOverAlgebra:
         def image(key):
             i, u = key
             n_deg = self.pos[key][0]
-            sgn_n = ONE if n_deg % 2 == 0 else -ONE
             terms = [((i, u2), c) for u2, c in d_target[u]]
             for i2, vec, de in twist_rows[i]:
-                sw = sgn_n if (n_deg * de) % 2 == 0 else -sgn_n
-                terms += [((i2, u2), -sw * ct * c) for t, ct in vec
-                          for u2, c in action.get((t, u), ())]
+                # the sign -(-1)^{n + n |delta|} folded into the entry
+                if (n_deg * (1 + de)) % 2 == 0:
+                    vec = _neg(vec)
+                terms += [((i2, u2), c) for u2, c in target.act(vec, u)]
             return terms
         self.complex = Complex(
             space, keyed_blocks(self.basis, self.basis, self.pos, 1, image),
@@ -846,7 +846,7 @@ class HomOverAlgebra:
     def precompose(self, e: ModuleMap) -> ChainMap:
         """phi -> phi . e for a degree-0 map e of the source; Koszul sign
         (-1)^{n |entry|} with n the Hom degree."""
-        action = self.target.action
+        act = self.target.act
         e_rows = _with_degrees(self.m.algebra, rows_of(e.columns, self.m.rank))
 
         def image(key):
@@ -854,9 +854,8 @@ class HomOverAlgebra:
             p = self.pos[key][0]
             terms = []
             for i, vec, de in e_rows[j]:
-                sw = ONE if (p * de) % 2 == 0 else -ONE
-                terms += [((i, u2), sw * ct * c) for t, ct in vec
-                          for u2, c in action.get((t, u), ())]
+                terms += [((i, u2), c)
+                          for u2, c in act(_neg(vec) if (p * de) % 2 else vec, u)]
             return terms
         return ChainMap(self.complex, self.complex, 0,
                         keyed_blocks(self.basis, self.basis, self.pos, 0, image))

@@ -70,7 +70,6 @@ class KernelTransfer:
         self.a = a
         self.b = b
         self.bop = opposite(b)
-        self.kernel = kernel
         self.restricted, self.index = restrict_to_factor(
             kernel, a, self.bop, "first", check=False)
         self.space_a = hh0_space(a)
@@ -79,7 +78,7 @@ class KernelTransfer:
         if not lam.algebra.same_structure(self.b):
             raise AlgebraMismatch("class does not live over the middle algebra")
         rmul = right_multiplication_map(
-            self.kernel, self.restricted, self.index, self.a, self.bop,
+            self.restricted, self.index, self.a, self.bop,
             self.b.element(lam.representative.coords))
         return self.space_a.class_of(generalized_supertrace(
             self.restricted, rmul, self.restricted.idempotent))
@@ -257,12 +256,12 @@ def rr_left_side(n: PerfectModule, m: PerfectModule,
     """hh_k(N (x)_A M, g (x) f), read off keyed diagonals.
 
     N (x)_A M is realized on the keys (i, u), i a generator of M and u =
-    (k, b) the key e_b g_k of N's realization, in degree deg u - s_i.  For
+    (k, b) the key e_b g_k of N over A^op, in degree |b| - s_k - s_i.  For
     degree-0 maps (g (x) f)(e_N (x) e_M) = G (x) F with G = g . e_N and
     F = f . e_M, so the class is sum (-1)^{deg u - s_i} [u] (G(u) . F[i][i]).
-    The action on N's realization keeps the generator k, so only F[i][i]
-    and G[k][k] are read, through N's action table: no tensor complex,
-    projector or matrix is built."""
+    The action on e_b g_k keeps the generator k, so only F[i][i] and
+    G[k][k] are read, and the products are read off A^op's `mult`: no
+    realization, tensor complex, projector or matrix is built."""
     if not opposite(n.algebra).same_structure(m.algebra):
         raise AlgebraMismatch("left factor must live over the opposite algebra")
     diagonals = []  # of phi . e; a missing map or idempotent is the identity
@@ -279,19 +278,19 @@ def rr_left_side(n: PerfectModule, m: PerfectModule,
         diagonals.append(diagonal(phi, p.idempotent))
     g_diagonal, f_diagonal = diagonals
     f_diagonal = [(s, x) for s, x in zip(m.shifts, f_diagonal) if x]
-    left = n.module.to_explicit()
-    action = left.action
+    aop = n.algebra
+    mult = aop.mult
     total = ZERO
-    for u, (deg, _) in left.pos.items():
-        k, b = u
-        image: Dict = {}  # G(u) = e_b . G[k][k] g_k, acting over A^op
-        for t, c in g_diagonal[k]:
-            for u2, c2 in action.get((b, (k, t)), ()):
-                image[u2] = image.get(u2, ZERO) + c * c2
-        for s, x in f_diagonal:
-            coeff = sum((c * ct * c3 for u2, c in image.items() for t, ct in x
-                         for u3, c3 in action.get((t, u2), ()) if u3 == u), ZERO)
-            total += -coeff if (deg - s) % 2 else coeff
+    for k, shift in enumerate(n.shifts):
+        for b, degree in enumerate(aop.degrees):
+            image: Dict = {}  # G(e_b g_k) = e_b G[k][k] g_k, over A^op
+            for t, c in g_diagonal[k]:
+                for b2, c2 in mult.get((b, t), ()):
+                    image[b2] = image.get(b2, ZERO) + c * c2
+            for s, x in f_diagonal:
+                coeff = sum((c * ct * c3 for b2, c in image.items() for t, ct in x
+                             for b3, c3 in mult.get((t, b2), ()) if b3 == b), ZERO)
+                total += -coeff if (degree - shift - s) % 2 else coeff
     return total
 
 

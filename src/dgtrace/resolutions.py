@@ -68,7 +68,8 @@ class DiagonalResolution:
         """The augmentation as a chain map P -> A at the ground level."""
         return semifree_map_to_explicit(self.module.module,
                                         diagonal_explicit(self.algebra),
-                                        [sparse(x.coords) for x in self.augmentation])
+                                        [[((0, t), c) for t, c in sparse(x.coords)]
+                                         for x in self.augmentation])
 
     def validate(self) -> "DiagonalResolution":
         """Closedness of the augmentation and acyclicity of its cone, on the

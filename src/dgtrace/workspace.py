@@ -74,9 +74,7 @@ class Workspace:
     def __init__(self):
         self.algebras: Dict[str, DgAlgebra] = {}
         self.modules: Dict[str, PerfectModule] = {}
-        self.module_algebra: Dict[str, str] = {}
         self.maps: Dict[str, ModuleMap] = {}
-        self.map_info: Dict[str, dict] = {}
         self.resolutions: Dict[str, DiagonalResolution] = {}
         self.raw: dict = {"format": FORMAT_VERSION}
 
@@ -94,11 +92,6 @@ class Workspace:
         if name not in self.maps:
             raise WorkspaceError(f"unknown map {name!r}")
         return self.maps[name]
-
-    def resolution(self, name: str) -> DiagonalResolution:
-        if name not in self.resolutions:
-            raise WorkspaceError(f"unknown resolution {name!r}")
-        return self.resolutions[name]
 
 
 def _parse_algebra(name: str, data: dict) -> DgAlgebra:
@@ -256,11 +249,8 @@ def parse_workspace(text: str) -> Workspace:
         ws.algebras[name] = _parse_algebra(name, adata)
     for name, mdata in sections["modules"].items():
         ws.modules[name] = _parse_module(name, mdata, ws)
-        ws.module_algebra[name] = mdata["algebra"]
     for name, fdata in sections["maps"].items():
         ws.maps[name] = _parse_map(name, fdata, ws)
-        ws.map_info[name] = {"source": fdata["source"],
-                             "target": fdata["target"]}
     for name, ref in sections["resolutions"].items():
         _expect(ref, str, f"resolution {name!r}", "resolutions")
         try:

@@ -19,6 +19,7 @@ sys.path.insert(0, PERFBENCH)
 
 import worker  # noqa: E402
 import workloads  # noqa: E402
+from dgtrace.modules import ExplicitModule  # noqa: E402
 
 SEED = 42
 OPS = range(7)  # on main_theorem, one op per catalog algebra
@@ -34,3 +35,20 @@ def test_first_ops_match_references(name):
         ok, canonical = work.run(i)
         assert ok, (name, i, work.specs[i], canonical)
         assert worker.op_digest(canonical) == want[i], (name, i, work.specs[i])
+
+
+def test_main_theorem_builds_no_realization(monkeypatch):
+    """Both sides of the trace formula are read off matrices over A, and
+    sampled twists are checked over A, so no op builds a k-level
+    realization of a module."""
+    built = []
+    original = ExplicitModule.from_semifree.__func__
+
+    def counted(cls, m):
+        built.append(m)
+        return original(cls, m)
+    monkeypatch.setattr(ExplicitModule, "from_semifree", classmethod(counted))
+    work = workloads.Workload("main_theorem", SEED)
+    for i in OPS:
+        assert work.run(i)[0]
+    assert not built

@@ -1,9 +1,10 @@
-"""Every defaulted parameter of a function in the package is set by some
-call in the package, its tests, the benchmark or the demos, so a parameter
-whose every caller takes the default is replaced by that value.  Calls are
-matched to functions by name alone (a class call counts for its
-`__init__`), so a call of a namesake can hide a dead parameter; a function
-only ever called through a reference would be reported."""
+"""Every parameter of a function in the package is read by the function's
+body, and every defaulted one is set by some call in the package, its
+tests, the benchmark or the demos, so a parameter whose every caller takes
+the default is replaced by that value.  Calls are matched to functions by
+name alone (a class call counts for its `__init__`), so a call of a
+namesake can hide a dead parameter; a function only ever called through a
+reference would be reported."""
 
 import ast
 from pathlib import Path
@@ -77,3 +78,35 @@ def test_every_defaulted_parameter_is_set_by_some_call():
                            for count, keywords, unpacks in calls.get(name, ())):
                     dead.append(f"{path.name}: {name}({param})")
     assert not dead, dead
+
+
+def _unread(fn):
+    """The parameters of a function or lambda that its body never loads; a
+    zero-argument super() call reads the first one."""
+    args = fn.args
+    params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+    params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+    nodes = [n for stmt in (fn.body if isinstance(fn.body, list) else [fn.body])
+             for n in ast.walk(stmt)]
+    read = {n.id for n in nodes if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    if params and any(isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+                      and n.func.id == "super" and not n.args for n in nodes):
+        read.add(params[0])
+    return [p for p in params if p not in read]
+
+
+def test_every_parameter_is_read_by_its_body():
+    """The `cli.cmd_*` handlers share the one call signature of `COMMANDS`
+    and are exempt."""
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            name = getattr(node, "name", "<lambda>")
+            if path.name == "cli.py" and name.startswith("cmd_"):
+                continue
+            unread += [f"{path.name}:{node.lineno}: {name}({param})"
+                       for param in _unread(node)]
+    assert not unread, unread

@@ -115,18 +115,17 @@ def test_dual_bimodule_m2_selfdual(m2):
     tmat = [trace_functional(x) for x in range(n)]
     assert rank_of(RationalMatrix.from_rows(tmat)) == n  # nondegenerate
     for u in range(env.dim):
-        eu = tuple(F(1) if t == u else F(0) for t in range(env.dim))
         for x in range(n):
             # phi_{a x b}
             rhs = [F(0)] * n
-            for x2, c in diag.act(eu, x):
+            for (_, x2), c in diag.act(((u, 1),), (0, x)):
                 for y, cy in enumerate(tmat[x2]):
                     rhs[y] += c * cy
             # (a (x) b) . phi_x
             lhs = [F(0)] * n
             for x2, c in enumerate(tmat[x]):
                 if c:
-                    for y, cy in dual.env_action(eu, x2):
+                    for y, cy in enumerate(dual.basis_action(u, x2)):
                         lhs[y] += c * cy
             assert lhs == rhs
 

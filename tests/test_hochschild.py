@@ -130,7 +130,7 @@ def test_additivity(a2):
     f1 = s1.draw(rng)
     f2 = s2.draw(rng)
     msum = direct_sum_modules(m1, m2_)
-    fsum = direct_sum_maps(m1, m2_, msum, f1, f2)
+    fsum = direct_sum_maps(msum, f1, f2)
     total = hh_class(msum, fsum, sp)
     assert total.coords == tuple(
         x + y for x, y in zip(hh_class(m1, f1, sp).coords,
@@ -145,7 +145,7 @@ def test_stability_under_contractible_summand(a2):
     f = sampler.draw(rng)
     pad = cone_module(ModuleMap.identity(free_module(a2, [0]).module))
     msum = direct_sum_modules(m, pad)
-    fsum = direct_sum_maps(m, pad, msum, f, PerfectModule(
+    fsum = direct_sum_maps(msum, f, PerfectModule(
         pad.module).identity_map())
     assert hh_class(msum, fsum, sp).coords == hh_class(m, f, sp).coords
 

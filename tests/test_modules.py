@@ -4,10 +4,11 @@ import pytest
 
 from dgtrace.algebras import opposite, tensor_algebras
 from dgtrace.complexes import is_acyclic
-from dgtrace.errors import (DegreeViolation, TriangularityViolation,
-                            WrongDegree)
-from dgtrace.modules import (ModuleMap, PerfectModule, SemiFreeModule,
-                             cone_module, direct_sum_modules, free_module,
+from dgtrace.errors import (DegreeViolation, DifferentialSquareViolation,
+                            TriangularityViolation, WrongDegree)
+from dgtrace.modules import (ExplicitModule, ModuleMap, PerfectModule,
+                             SemiFreeModule, cone_module, direct_sum_modules,
+                             free_module,
                              hom_over_algebra, outer_tensor_modules,
                              projective_module, restrict_to_factor,
                              restrict_to_ground, shift_module,
@@ -30,6 +31,28 @@ def test_twist_triangularity_enforced(a2):
     z = a2.zero()
     with pytest.raises(TriangularityViolation):
         SemiFreeModule(a2, [1, 0], [[z, e1], [z, z]])  # entry above filtration
+
+
+def test_twist_must_square_to_zero(a2):
+    """Shifts [2, 1, 0] with delta_10 = e1: delta_21 = a gives
+    D^2(g_0) = e1 a g_2 = a g_2, and delta_21 = e2 gives e1 e2 = 0."""
+    z = a2.zero()
+
+    def twist(d21):
+        return [[z, z, z], [a2.by_label("e1"), z, z], [z, d21, z]]
+    with pytest.raises(DifferentialSquareViolation) as err:
+        SemiFreeModule(a2, [2, 1, 0], twist(a2.by_label("a")))
+    assert str(err.value) == "differential does not square to zero in the module twist"
+    m = SemiFreeModule(a2, [2, 1, 0], twist(a2.by_label("e2")))
+    m.to_explicit().complex.check_d_squared()
+
+
+def test_realizations_share_the_algebra_table(a2):
+    """Every generator of a realization acts through `mult` itself."""
+    arrow = a2.by_label("a")
+    z = a2.zero()
+    for m in (SemiFreeModule(a2, [0]), SemiFreeModule(a2, [1, 0], [[z, z], [arrow, z]])):
+        assert ExplicitModule.from_semifree(m).table is a2.mult
 
 
 def test_twist_degree_enforced(a2):

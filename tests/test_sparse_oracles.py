@@ -18,7 +18,8 @@ restriction of a bimodule to either factor and right multiplication on it
 against products with 1 (x) beta and alpha (x) 1 through
 AlgebraElement.__mul__; the stored columns of maps and twists against their
 normal form; the factor swap and d^2 = 0 on N (x)_A M over dg algebras,
-where the Koszul signs show.
+where the Koszul signs show; the twist check D^2 = 0 over A against d^2 = 0
+on the explicit realization.
 """
 
 from fractions import Fraction
@@ -411,7 +412,7 @@ def assert_action(module, dim, reference):
     nonempty = 0
     for key in module.pos:
         for t in range(dim):
-            got = module.act(tuple(F(int(s == t)) for s in range(dim)), key)
+            got = module.act(((t, 1),), key)
             assert len({k for k, _ in got}) == len(got)
             assert dict(got) == reference(t, key), (t, key)
             nonempty += bool(got)
@@ -456,6 +457,12 @@ def test_semifree_and_dual_right_tables_match_dense_products(cat):
             (k2, product(a, t, k2[1])[key[1]]) for k2 in ex.pos if k2[0] == key[0]))
 
 
+def rank_one(reference):
+    """reference(t, x) -> {y: c} read on the keys (0, x) of a rank-1
+    module."""
+    return lambda t, key: {(0, y): c for y, c in reference(t, key[1]).items()}
+
+
 @pytest.mark.parametrize("name", CATALOG)
 def test_bimodule_tables_match_dense_products(cat, name):
     a = cat[name].algebra
@@ -463,23 +470,23 @@ def test_bimodule_tables_match_dense_products(cat, name):
     dual = DualBimodule(a)
     env = dual.env
     # (p (x) q) . x = e_p x e_q
-    assert_action(diagonal_explicit(a), env.dim, lambda u, x: nonzero(
-        enumerate(product(a, u // n, x, u % n))))
+    assert_action(diagonal_explicit(a), env.dim, rank_one(lambda u, x: nonzero(
+        enumerate(product(a, u // n, x, u % n)))))
     # read through the swap: (p (x) q) . x = e_q x e_p
     env_op = tensor_algebras(opposite(a), a)
-    assert_action(_opposite_diagonal_explicit(a, env_op), env.dim,
-                  lambda u, x: nonzero(enumerate(product(a, u % n, x, u // n))))
+    assert_action(_opposite_diagonal_explicit(a, env_op), env.dim, rank_one(
+        lambda u, x: nonzero(enumerate(product(a, u % n, x, u // n)))))
     # (p (x) q) . phi_x = sum_y phi_x(e_q e_y e_p) phi_y
-    assert_action(dual.env_data, env.dim, lambda u, x: nonzero(
-        (y, product(a, u % n, y, u // n)[x]) for y in range(n)))
+    assert_action(dual.env_data, env.dim, rank_one(lambda u, x: nonzero(
+        (y, product(a, u % n, y, u // n)[x]) for y in range(n))))
     # phi . e_i = sum_y phi_x(e_i e_y) phi_y, over A^op
-    assert_action(dual.right_module_data(), n, lambda i, x: nonzero(
-        (y, product(a, i, y)[x]) for y in range(n)))
+    assert_action(dual.right_module_data(), n, rank_one(lambda i, x: nonzero(
+        (y, product(a, i, y)[x]) for y in range(n))))
     # e_i . phi_x = sum_y phi_x(e_y e_i) phi_y, also on S(M)'s keys (j, x)
     def left(i, x):
         return nonzero((y, product(a, y, i)[x]) for y in range(n))
 
-    assert_action(dual.left_module_data(), n, left)
+    assert_action(dual.left_module_data(), n, rank_one(left))
     for index in range(2):
         m = random_perfect(a, stream_for(43, index), cat[name].idempotents,
                            max_gens=2)
@@ -563,6 +570,45 @@ def valid_module(a, rng):
             return m
         except DifferentialSquareViolation:
             pass
+
+
+def random_twisted_module(a, rng):
+    """A homogeneous strictly triangular twist, unchecked, on shifts that
+    mostly step down by one, so that degree-0 algebras get entries too."""
+    shifts = [rng.int_in(-1, 1)]
+    for _ in range(1 + rng.below(3)):
+        shifts.append(shifts[-1] - (1 if rng.below(3) else 2 * rng.below(2)))
+    n = len(shifts)
+    twist = [[random_element_of_degree(a, 1 + shifts[j] - shifts[i], rng)
+              if j > i else a.zero() for i in range(n)] for j in range(n)]
+    return SemiFreeModule(a, shifts, twist, check=False)
+
+
+def accepted(check):
+    try:
+        check()
+        return True
+    except DifferentialSquareViolation:
+        return False
+
+
+def test_twist_check_over_a_agrees_with_the_realization(cat):
+    """SemiFreeModule checks D^2 = 0 over A; it refuses a twist exactly
+    when the differential of the explicit realization does not square to
+    zero, over the exterior and square-zero dg algebras, their opposites
+    and the catalog, with both verdicts on each algebra."""
+    dg = [exterior_algebra(), square_zero_dg_algebra()]
+    algebras = dg + [opposite(a) for a in dg] + [cat[name].algebra for name in CATALOG]
+    for index, a in enumerate(algebras):
+        rng = SplitMix64(97 + index)
+        verdicts = set()
+        for _ in range(200):
+            m = random_twisted_module(a, rng)
+            got = accepted(lambda: SemiFreeModule.from_columns(
+                a, m.shifts, m.twist_columns))
+            assert got == accepted(m.to_explicit().complex.check_d_squared)
+            verdicts.add(got)
+        assert verdicts == {True, False}, a.labels
 
 
 @pytest.mark.parametrize("make", [exterior_algebra, square_zero_dg_algebra])
@@ -740,7 +786,7 @@ def test_right_multiplication_map_matches_products(cat):
         rng = SplitMix64(89 + f2.dim)
         for _ in range(2):
             elem = f2.element([random_coeff(rng) for _ in range(f2.dim)])
-            rmul = right_multiplication_map(p, restricted, index, f1, f2, elem)
+            rmul = right_multiplication_map(restricted, index, f1, f2, elem)
             right = labelled_tensor(prod, f1, f2, f1.unit, elem.coords)
             want = [[[F(0)] * f1.dim for _ in index] for _ in index]
             for (i, q), col in index.items():

@@ -220,6 +220,23 @@ def test_cli_malformed_node_exits_with_input_error(bad, where, tmp_path, capsys)
     assert err.startswith(f"input error: {where}")
 
 
+def test_cli_twist_not_squaring_to_zero_exits_with_input_error(tmp_path, capsys):
+    """Over A2 with shifts [2, 1, 0], delta_10 = e1 and delta_21 = a give
+    D^2(g_0) = a g_2."""
+    ws = {"format": 1, "use_catalog": ["A2"],
+          "modules": {"M": {"algebra": "A2",
+                            "generators": [{"shift": 2}, {"shift": 1}, {"shift": 0}],
+                            "twist": [[1, 0, ["1", "0", "0"]],
+                                      [2, 1, ["0", "0", "1"]]]}}}
+    path = tmp_path / "ws.json"
+    path.write_text(json.dumps(ws))
+    code = main(["--workspace", str(path), "validate"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "input error: modules.M: module invalid: differential does not square "
+        "to zero in the module twist\n")
+
+
 def _node_paths(node, path=()):
     yield path
     if isinstance(node, dict):
