@@ -9,7 +9,7 @@ from .complexes import (ChainMap, Complex, GradedSpace, SplitComplex,
                         chain_supertrace, cohomology_dims, cone,
                         euler_trace, hom_complex, is_acyclic, is_quasi_iso,
                         linear_dual, shift, tensor)
-from .duality import (DualBimodule, DualizingPair, bimodule_linear_dual,
+from .duality import (DualBimodule, bimodule_linear_dual,
                       coevaluation_and_evaluation, dualhom_check, dualize,
                       integrate, omega_inverse, omega_inverse_module,
                       serre_tensor)

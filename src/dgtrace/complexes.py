@@ -280,11 +280,10 @@ def _direct_sum_space(a: GradedSpace, b: GradedSpace) -> GradedSpace:
     return GradedSpace({p: a.dim(p) + b.dim(p) for p in degs})
 
 
-def cone(p: ChainMap):
-    """Mapping cone of a closed degree-0 map p: L -> M.
-
-    Returns (cone complex, r, q) where r: cone -> L[1] is the projection and
-    q: M -> cone the inclusion.  Basis in each degree: L[1]-part then M-part.
+def cone(p: ChainMap) -> Complex:
+    """Mapping cone of a closed degree-0 map p: L -> M, the complex
+    L[1] (+) M with differential [[d_{L[1]}, 0], [p, d_M]].  Basis in each
+    degree: L[1]-part then M-part.
     """
     if p.degree != 0:
         raise WrongDegree("cone needs a degree-0 map")
@@ -294,18 +293,9 @@ def cone(p: ChainMap):
     L1 = shift(L, 1)
     space = _direct_sum_space(L1.space, M.space)
     # p.block(deg + 1): L^{deg+1} = L1^{deg} -> M^{deg+1}
-    cn = Complex(space, {deg: lower_block(L1.d(deg), p.block(deg + 1), M.d(deg))
-                         for deg in space.degrees() if space.dim(deg + 1)},
-                 check=False)
-    # keys (deg, 0, j) for L[1]^deg, then (deg, 1, j) for M^deg
-    kl = {deg: [(deg, 0, j) for j in range(L1.dim(deg))] for deg in L1.degrees()}
-    km = {deg: [(deg, 1, j) for j in range(M.dim(deg))] for deg in M.degrees()}
-    basis = {deg: kl.get(deg, []) + km.get(deg, []) for deg in space.degrees()}
-    pos = positions(basis)
-    r = ChainMap(cn, L1, 0, keyed_blocks(basis, kl, pos, 0,
-                                         lambda k: () if k[1] else ((k, ONE),)))
-    q = ChainMap(M, cn, 0, keyed_blocks(km, basis, pos, 0, lambda k: ((k, ONE),)))
-    return cn, r, q
+    return Complex(space, {deg: lower_block(L1.d(deg), p.block(deg + 1), M.d(deg))
+                           for deg in space.degrees() if space.dim(deg + 1)},
+                   check=False)
 
 
 class Cohomology:
@@ -391,8 +381,7 @@ def is_acyclic(c: Complex) -> bool:
 
 def is_quasi_iso(f: ChainMap) -> bool:
     """Quasi-isomorphism test by acyclicity of the cone (degree 0 closed f)."""
-    cn, _, _ = cone(f)
-    return is_acyclic(cn)
+    return is_acyclic(cone(f))
 
 
 def _pair_keys(ka: Mapping[int, Sequence], kb: Mapping[int, Sequence],

@@ -199,6 +199,8 @@ class SemiFreeModule:
                 if _degree(self.algebra, vec) != want:
                     raise DegreeViolation(
                         f"twist entry ({j},{i}) must be homogeneous of degree {want}")
+        if not any(self.twist_columns):
+            return  # delta = 0 squares to zero
         # D^2(g_i) = sum_l (d(delta_li) + sum_j (-1)^{|delta_ji|} delta_ji
         # delta_lj) g_l, which is d(delta) - delta . delta for the twist as a
         # degree-1 map

@@ -15,7 +15,7 @@ from typing import Callable, Optional, Sequence, Tuple
 from .algebras import (AlgebraElement, AlgebraIso, DgAlgebra, SparseVec,
                        opposite, pure_tensor, sparse, swap_iso,
                        tensor_algebras)
-from .complexes import ChainMap, SplitComplex, cone, is_acyclic
+from .complexes import ChainMap, SplitComplex, is_quasi_iso
 from .duality import diagonal_explicit, transport_module
 from .errors import AugmentationNotQuasiIso, NotDegreeZeroConcentrated
 from .linalg import ONE, ZERO
@@ -83,8 +83,7 @@ class DiagonalResolution:
             aug = aug.compose(incl)
         if not aug.is_closed():
             raise AugmentationNotQuasiIso("augmentation is not a chain map")
-        cn, _, _ = cone(aug)
-        if not is_acyclic(cn):
+        if not is_quasi_iso(aug):
             raise AugmentationNotQuasiIso("augmentation cone has cohomology")
         return self
 

@@ -1,13 +1,21 @@
 from fractions import Fraction
 
+import pytest
+
+from dgtrace import duality
 from dgtrace.algebras import opposite
+from dgtrace.complexes import (ChainMap, Complex, GradedSpace, is_quasi_iso,
+                               linear_dual)
 from dgtrace.duality import (DualBimodule, bimodule_linear_dual,
                              coevaluation_and_evaluation, dualhom_check,
                              dualize, integrate, omega_contraction_dims,
                              omega_inverse_module, serre_module_data,
                              serre_tensor)
-from dgtrace.modules import (PerfectModule, free_module, hom_over_algebra,
-                             projective_module, restrict_to_ground)
+from dgtrace.errors import DimensionMismatch, NotClosed
+from dgtrace.linalg import RationalMatrix
+from dgtrace.modules import (HomOverAlgebra, PerfectModule, free_module,
+                             hom_over_algebra, projective_module,
+                             restrict_to_ground)
 from dgtrace.prng import SplitMix64
 from dgtrace.sampling import random_perfect, random_semifree
 
@@ -173,13 +181,6 @@ def test_omega_contraction_equals_algebra(cat):
             assert dims == a.cohomology_dims(), (name, order)
 
 
-def test_dualizing_pair_validates(cat):
-    from dgtrace.duality import DualizingPair
-    for name in ("k", "kxk", "M2", "A2", "A3", "Kronecker"):
-        ent = cat[name]
-        DualizingPair.from_resolution(ent.algebra, ent.resolution).validate()
-
-
 # -- Serre ------------------------------------------------------------------
 
 def test_serre_identity_on_ground(kfield, cat):
@@ -264,6 +265,105 @@ def test_dualhom_random_pairs(cat):
         m = random_semifree(a, rng, max_gens=3, shift_range=(-1, 1))
         rep = dualhom_check(PerfectModule(n.module), PerfectModule(m.module))
         assert rep.quasi_iso
+
+
+def _plain_pairs(cat, per_algebra=4):
+    rng = SplitMix64(53)
+    for name, ent in cat.items():
+        a = ent.algebra
+        if not a.is_degree_zero():
+            continue
+        for _ in range(per_algebra):
+            n = random_semifree(a, rng, max_gens=3, shift_range=(-1, 1))
+            m = random_semifree(a, rng, max_gens=3, shift_range=(-1, 1))
+            yield name, PerfectModule(n.module), PerfectModule(m.module)
+
+
+def _outcome(run):
+    """The value of run(), or the class of the refusal it raises."""
+    try:
+        return run()
+    except (DimensionMismatch, NotClosed) as exc:
+        return type(exc)
+
+
+def _both_routes(monkeypatch, n, m, tamper=lambda source, blocks: blocks):
+    """The keyed verdict of dualhom_check, and is_quasi_iso on the very
+    comparison map it builds (its blocks first passed through tamper)."""
+    built = []
+
+    def capture(source, target, degree, blocks):
+        built.append(ChainMap(source, target, degree, tamper(source, blocks)))
+        return built[-1]
+    monkeypatch.setattr(duality, "ChainMap", capture)
+    keyed = _outcome(lambda: dualhom_check(n, m).quasi_iso)
+    monkeypatch.undo()
+    assert built
+    return keyed, _outcome(lambda: is_quasi_iso(built[-1]))
+
+
+def _meets_differential(c: Complex):
+    """(p, j) of the first basis vector with a nonzero differential in or
+    out, or None when every differential is zero."""
+    for p in c.degrees():
+        into = set().union(*c.d(p - 1).sparse_columns())
+        for j, col in enumerate(c.d(p).sparse_columns()):
+            if col or j in into:
+                return p, j
+    return None
+
+
+def test_keyed_verdict_matches_the_cone(cat, monkeypatch):
+    seen = set()
+    for name, n, m in _plain_pairs(cat):
+        keyed, by_cone = _both_routes(monkeypatch, n, m)
+        assert keyed == by_cone, name
+        seen.add(keyed)
+    assert seen == {True}
+
+
+def test_flipped_comparison_sign_is_refused_on_both_routes(cat, monkeypatch):
+    flipped = 0
+    for name, n, m in _plain_pairs(cat):
+        def flip(source, blocks):
+            nonlocal flipped
+            hit = _meets_differential(source)
+            if hit is None:
+                return blocks
+            flipped += 1
+            p, j = hit
+            cols = blocks[p].sparse_columns()
+            cols[j] = {r: -v for r, v in cols[j].items()}
+            return {**blocks, p: RationalMatrix.from_sparse_columns(blocks[p].rows, cols)}
+        before = flipped
+        routes = _both_routes(monkeypatch, n, m, flip)
+        if flipped > before:
+            assert routes == (NotClosed, NotClosed), name
+    assert flipped
+
+
+def test_extra_left_vector_is_no_quasi_iso_on_either_route(cat, monkeypatch):
+    def padded(c):
+        # one more basis vector two degrees above the support, where neither
+        # side has keys; its differentials are zero
+        dual = linear_dual(c)
+        top = max(dual.degrees(), default=0) + 2
+        return Complex(GradedSpace({**dual.space.dims, top: 1}), dual.diff)
+    for name, n, m in _plain_pairs(cat):
+        monkeypatch.setattr(duality, "linear_dual", padded)
+        assert _both_routes(monkeypatch, n, m) == (False, False), name
+
+
+def test_dropped_hom_key_is_refused(cat, monkeypatch):
+    def dropping(source, target):
+        hom = HomOverAlgebra(source, target)
+        del hom.pos[hom.basis[min(hom.basis)][0]]
+        return hom
+    for name, n, m in _plain_pairs(cat):
+        monkeypatch.setattr(duality, "HomOverAlgebra", dropping)
+        with pytest.raises(DimensionMismatch):
+            dualhom_check(n, m)
+        monkeypatch.undo()
 
 
 # -- evaluation / coevaluation ----------------------------------------------

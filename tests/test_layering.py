@@ -5,7 +5,8 @@ stays inside `linalg.py`.  This keeps the layout behind `linalg` the way
 test_traced_names keeps the traced names resolvable.  In the same way the
 action layout of an explicit module (generators over one shared base table)
 is known to `modules.py` alone: `ExplicitModule.act` is the one reader of
-its table."""
+its table.  And `complexes.is_quasi_iso` is the one caller of `cone`, so a
+quasi-isomorphism is tested through a cone in one place."""
 
 import ast
 from pathlib import Path
@@ -17,17 +18,22 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "dgtrace"
 LAYOUT_ATTRIBUTES = {"entries", "twist"}
 
 
+def _called_name(node):
+    """The name a call node calls (a plain or attribute name), else None."""
+    if not isinstance(node, ast.Call):
+        return None
+    func = node.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
 def _leaks(path: Path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     for node in ast.walk(tree):
         if (isinstance(node, ast.Attribute) and node.attr in LAYOUT_ATTRIBUTES
                 and isinstance(node.ctx, ast.Load)):
             yield f"{path.name}:{node.lineno}: reads .{node.attr}"
-        if isinstance(node, ast.Call):
-            func = node.func
-            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-            if name == "RationalMatrix":
-                yield f"{path.name}:{node.lineno}: calls RationalMatrix(...)"
+        if _called_name(node) == "RationalMatrix":
+            yield f"{path.name}:{node.lineno}: calls RationalMatrix(...)"
 
 
 def test_only_linalg_knows_the_matrix_layout():
@@ -37,8 +43,9 @@ def test_only_linalg_knows_the_matrix_layout():
     assert not leaks, leaks
 
 
-def _table_reads(path: Path):
-    """(file, innermost enclosing function, line) of every load of `.table`."""
+def _owned(path: Path, wanted):
+    """(file, innermost enclosing function, line) of every node that
+    wanted(node) accepts."""
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     owner = {}
     for fn in ast.walk(tree):  # breadth first: inner functions overwrite
@@ -46,14 +53,32 @@ def _table_reads(path: Path):
             for node in ast.walk(fn):
                 owner[node] = fn.name
     for node in ast.walk(tree):
-        if (isinstance(node, ast.Attribute) and node.attr == "table"
-                and isinstance(node.ctx, ast.Load)):
+        if wanted(node):
             yield path.name, owner.get(node), node.lineno
 
 
+def _reads_table(node) -> bool:
+    return (isinstance(node, ast.Attribute) and node.attr == "table"
+            and isinstance(node.ctx, ast.Load))
+
+
+def _calls_cone(node) -> bool:
+    return _called_name(node) == "cone"
+
+
+def _only_in(wanted, allowed):
+    """The finds of wanted in src/ outside the one (file, function) allowed;
+    fails when there is no find at all."""
+    found = [hit for path in sorted(SRC.glob("*.py")) for hit in _owned(path, wanted)]
+    assert found
+    return [f"{name}:{line}: {fn}" for name, fn, line in found if (name, fn) != allowed]
+
+
 def test_only_act_reads_an_action_table():
-    reads = [read for path in sorted(SRC.glob("*.py")) for read in _table_reads(path)]
-    assert reads
-    leaks = [f"{name}:{line}: {fn} reads .table" for name, fn, line in reads
-             if (name, fn) != ("modules.py", "act")]
+    leaks = _only_in(_reads_table, ("modules.py", "act"))
+    assert not leaks, leaks
+
+
+def test_only_is_quasi_iso_takes_a_cone():
+    leaks = _only_in(_calls_cone, ("complexes.py", "is_quasi_iso"))
     assert not leaks, leaks
