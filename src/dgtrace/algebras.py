@@ -9,6 +9,10 @@ two-sided unit, degree additivity, the Leibniz rule d(ab) = d(a)b +
 The opposite algebra multiplies by a .op b = (-1)^{|a||b|} b a; tensor
 algebras multiply with the Koszul sign (a (x) b)(a' (x) b') =
 (-1)^{|b||a'|} aa' (x) bb'.
+
+Structure constants, units and differentials are stored scalars in the
+`linalg` sense: an `int` when integral, otherwise a `Fraction`.
+`AlgebraElement.coords` are always `Fraction`s.
 """
 
 from __future__ import annotations
@@ -22,34 +26,24 @@ from .complexes import (Complex, GradedSpace, cohomology_dims, keyed_blocks,
 from .errors import (AlgebraMismatch, AssociativityViolation, DegreeViolation,
                      DimensionMismatch, DifferentialSquareViolation,
                      LeibnizViolation, UnitViolation)
-from .linalg import ONE, ZERO
+from .linalg import ONE, ZERO, _canon
 
 Coords = Tuple[Fraction, ...]
 SparseVec = Tuple[Tuple[int, Fraction], ...]
 
 
 def sparse(coords: Sequence[Fraction]) -> SparseVec:
-    """The nonzero coordinates of a dense vector, as (index, value) pairs."""
-    if _all_zero(coords):
-        return ()
-    return tuple((i, c) for i, c in enumerate(coords) if c)
-
-
-def _all_zero(coords: Sequence[Fraction]) -> bool:
-    # most zeros this package builds are the shared ZERO: the identity test
-    # settles those without a Fraction method call
-    for c in coords:
-        if c is not ZERO and c:
-            return False
-    return True
+    """The nonzero coordinates of a dense vector, as (index, stored value)
+    pairs."""
+    return tuple((i, _canon(c)) for i, c in enumerate(coords) if c)
 
 
 def _merged(vec) -> SparseVec:
     """Sum repeated indices, drop zero sums, sort by index."""
     acc: Dict[int, Fraction] = {}
     for i, c in vec:
-        acc[i] = acc.get(i, ZERO) + Fraction(c)
-    return tuple(sorted((i, c) for i, c in acc.items() if c))
+        acc[i] = acc.get(i, 0) + _canon(c)
+    return tuple(sorted((i, _canon(c)) for i, c in acc.items() if c))
 
 
 class DgAlgebra:
@@ -59,7 +53,10 @@ class DgAlgebra:
     order (repeated indices of the input are summed); pairs with zero
     product are absent.  `mult` is the basis-product kernel: every product
     with a basis factor reads it directly.  `diff[i]` lists the coordinates
-    of d(e_i), normalised the same way.  Tables derived from `mult` are
+    of d(e_i), normalised the same way.  Every coefficient of `mult`,
+    `diff` and `unit` is a stored scalar (an int when integral, else a
+    Fraction), so products of integers stay integers; the readers
+    (`AlgebraElement.coords`) give Fractions.  Tables derived from `mult` are
     memoised on the instance on first use: the trace table
     (`pairing._pair_trace_table`), HH_0 (`hochschild.hh0_space`), the
     opposite algebra (`opposite`) and the tensor products with this algebra
@@ -75,7 +72,7 @@ class DgAlgebra:
         self.labels = tuple(labels)
         self.degrees = tuple(int(d) for d in degrees)
         self.mult = {k: vec for k, v in mult.items() if (vec := _merged(v))}
-        self.unit = tuple(Fraction(c) for c in unit)
+        self.unit = tuple(_canon(c) for c in unit)
         self.diff = {i: vec for i, v in (diff or {}).items() if (vec := _merged(v))}
         self._check_degrees()
         self._trace_table = None
@@ -102,7 +99,7 @@ class DgAlgebra:
     # -- elements ---------------------------------------------------------
 
     def element(self, coords: Sequence[Fraction]) -> "AlgebraElement":
-        return AlgebraElement(self, tuple(Fraction(c) for c in coords))
+        return AlgebraElement(self, coords)
 
     def basis_element(self, i: int) -> "AlgebraElement":
         coords = [ZERO] * self.dim
@@ -228,7 +225,8 @@ class DgAlgebra:
 
 
 class AlgebraElement:
-    """Element of a DgAlgebra as a coordinate vector over the basis."""
+    """Element of a DgAlgebra as a coordinate vector over the basis, of
+    Fractions whatever the input."""
 
     __slots__ = ("algebra", "coords")
 
@@ -236,7 +234,7 @@ class AlgebraElement:
         if len(coords) != algebra.dim:
             raise DimensionMismatch("coordinate vector of wrong length")
         self.algebra = algebra
-        self.coords = tuple(coords)
+        self.coords = tuple(c if type(c) is Fraction else Fraction(c) for c in coords)
 
     def _same_algebra(self, other: "AlgebraElement") -> None:
         if not other.algebra.same_structure(self.algebra):
@@ -268,7 +266,7 @@ class AlgebraElement:
         return AlgebraElement(self.algebra, self.algebra.differential(self.coords))
 
     def is_zero(self) -> bool:
-        return _all_zero(self.coords)
+        return not any(self.coords)
 
     def degree(self) -> Optional[int]:
         """Degree when homogeneous, None for 0 or mixed."""
@@ -303,7 +301,7 @@ def opposite(a: DgAlgebra) -> DgAlgebra:
     if a._opposite is None:
         mult: Dict[Tuple[int, int], SparseVec] = {}
         for (i, j), vec in a.mult.items():
-            sgn = ONE if (a.degrees[i] * a.degrees[j]) % 2 == 0 else -ONE
+            sgn = -1 if (a.degrees[i] * a.degrees[j]) % 2 else 1
             mult[(j, i)] = tuple((k, sgn * c) for k, c in vec)
         a._opposite = DgAlgebra(a.labels, a.degrees, mult, a.unit, dict(a.diff))
         a._opposite._opposite = a
@@ -331,7 +329,7 @@ def _tensor(a: DgAlgebra, b: DgAlgebra) -> DgAlgebra:
     mult: Dict[Tuple[int, int], SparseVec] = {}
     for (i, ip), veca in a.mult.items():
         for (j, jp), vecb in b.mult.items():
-            sgn = ONE if (b.degrees[j] * a.degrees[ip]) % 2 == 0 else -ONE
+            sgn = -1 if (b.degrees[j] * a.degrees[ip]) % 2 else 1
             entries = []
             for k, ca in veca:
                 for l, cb in vecb:
@@ -345,7 +343,7 @@ def _tensor(a: DgAlgebra, b: DgAlgebra) -> DgAlgebra:
             entries = []
             for k, c in a.diff.get(i, ()):
                 entries.append((k * nb + j, c))
-            sgn = ONE if a.degrees[i] % 2 == 0 else -ONE
+            sgn = -1 if a.degrees[i] % 2 else 1
             for l, c in b.diff.get(j, ()):
                 entries.append((i * nb + l, sgn * c))
             if entries:
@@ -390,7 +388,7 @@ class AlgebraIso:
         self.source = source
         self.target = target
         self.perm = tuple(perm)
-        self.scalars = tuple(scalars) if scalars else (ONE,) * source.dim
+        self.scalars = tuple(map(_canon, scalars)) if scalars else (1,) * source.dim
 
     def apply(self, coords: Coords) -> Coords:
         out = [ZERO] * len(coords)
@@ -431,12 +429,12 @@ def swap_iso(a: DgAlgebra, b: DgAlgebra, ab: DgAlgebra, ba: DgAlgebra) -> Algebr
     tensor factors."""
     nb, na = b.dim, a.dim
     perm = [0] * (na * nb)
-    scal = [ONE] * (na * nb)
+    scal = [1] * (na * nb)
     for i in range(na):
         for j in range(nb):
             perm[i * nb + j] = j * na + i
             if (a.degrees[i] * b.degrees[j]) % 2:
-                scal[i * nb + j] = -ONE
+                scal[i * nb + j] = -1
     return AlgebraIso(ab, ba, perm, scal)
 
 

@@ -26,7 +26,7 @@ from typing import Dict, List, Mapping, Optional, Sequence
 
 from .errors import (DegreeViolation, DifferentialSquareViolation, DimensionMismatch,
                      NotClosed, WrongDegree)
-from .linalg import (ONE, ZERO, RationalMatrix, SubspacePresentation,
+from .linalg import (ZERO, RationalMatrix, SubspacePresentation,
                      quotient_presentation, rank_kernel_image, rank_of, solve_matrix)
 
 
@@ -270,7 +270,7 @@ def lower_block(x: RationalMatrix, y: RationalMatrix,
 def shift(c: Complex, n: int) -> Complex:
     """c[n]: degree p part is c^{n+p}, differential scaled by (-1)^n."""
     space = c.space.shift(n)
-    sgn = ONE if n % 2 == 0 else -ONE
+    sgn = -1 if n % 2 else 1
     diff = {p - n: c.d(p).scale(sgn) for p in c.space.degrees() if c.dim(p + 1)}
     return Complex(space, diff, check=False)
 
@@ -350,20 +350,6 @@ class Cohomology:
             raise NotClosed("asked to project a non-cycle")
         return self._project[p] @ coords
 
-    def induced_map(self, f: ChainMap) -> Dict[int, RationalMatrix]:
-        """H^p(f) for a closed map f (degree n allowed): H^p(src) -> H^{p+n}(tgt)."""
-        tgt = Cohomology(f.target) if f.target is not self.complex else self
-        out = {}
-        for p in self.complex.degrees():
-            h = self.dim(p)
-            if h == 0:
-                continue
-            reps = self.representatives(p)
-            img = f.block(p) @ reps
-            out[p] = tgt.project_cycles(p + f.degree, img)
-        return out
-
-
 def cohomology_dims(c: Complex) -> GradedSpace:
     """dim H^p = dim ker d^p - rank d^{p-1}, computed by ranks only."""
     ranks = {p: rank_of(c.d(p)) for p in c.degrees()}
@@ -408,28 +394,10 @@ def tensor(a: Complex, b: Complex) -> Complex:
 
     def image(key):
         u, w = key
-        sgn = ONE if u[0] % 2 == 0 else -ONE
+        sgn = -1 if u[0] % 2 else 1
         return ([((u2, w), c) for u2, c in da[u]]
                 + [((u, w2), sgn * c) for w2, c in db[w]])
     return _keyed_complex(_pair_keys(ka, kb, 1), image)
-
-
-def tensor_maps(f: ChainMap, g: ChainMap) -> ChainMap:
-    """(f (x) g)(v (x) w) = (-1)^{|g||v|} f(v) (x) g(w)."""
-    kfs, kgs = graded_keys(f.source), graded_keys(g.source)
-    kft, kgt = graded_keys(f.target), graded_keys(g.target)
-    fc = key_columns(f.block, f.degree, kfs, kft)
-    gc = key_columns(g.block, g.degree, kgs, kgt)
-    tgt_basis = _pair_keys(kft, kgt, 1)
-
-    def image(key):
-        u, w = key
-        sgn = ONE if (g.degree * u[0]) % 2 == 0 else -ONE
-        return [((u2, w2), sgn * cf * cg) for u2, cf in fc[u] for w2, cg in gc[w]]
-    deg = f.degree + g.degree
-    return ChainMap(tensor(f.source, g.source), tensor(f.target, g.target), deg,
-                    keyed_blocks(_pair_keys(kfs, kgs, 1), tgt_basis,
-                                 positions(tgt_basis), deg, image))
 
 
 def hom_complex(a: Complex, b: Complex) -> Complex:
@@ -448,24 +416,10 @@ def hom_complex(a: Complex, b: Complex) -> Complex:
 
     def image(key):
         u, w = key
-        sgn = ONE if (w[0] - u[0]) % 2 == 0 else -ONE
+        sgn = -1 if (w[0] - u[0]) % 2 else 1
         return ([((u, w2), c) for w2, c in db[w]]
                 + [((u2, w), -sgn * c) for u2, c in da_rows.get(u, ())])
     return _keyed_complex(_pair_keys(ka, kb, -1), image)
-
-
-def hom_element_to_map(a: Complex, b: Complex, n: int, coords) -> ChainMap:
-    """Unpack coordinates in Hom(a,b)^n into a (possibly non-closed) map."""
-    ka, kb = graded_keys(a), graded_keys(b)
-    basis = _pair_keys(ka, kb, -1).get(n, [])
-    if len(coords) != len(basis):
-        raise DimensionMismatch("wrong number of Hom coordinates")
-    images: Dict[object, List] = {}
-    for c, (u, w) in zip(coords, basis):
-        if c:
-            images.setdefault(u, []).append((w, c))
-    return ChainMap(a, b, n, keyed_blocks(ka, kb, positions(kb), n,
-                                          lambda u: images.get(u, ())))
 
 
 def linear_dual(c: Complex) -> Complex:
@@ -480,7 +434,7 @@ def linear_dual(c: Complex) -> Complex:
         if space.dim(p + 1) == 0:
             continue
         m = c.d(-p - 1).transpose()
-        sgn = -ONE if p % 2 == 0 else ONE
+        sgn = 1 if p % 2 else -1
         diff[p] = m.scale(sgn)
     return Complex(space, diff, check=False)
 

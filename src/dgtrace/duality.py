@@ -26,17 +26,17 @@ from .complexes import (ChainMap, Cohomology, Complex, GradedSpace,
                         linear_dual, lower_block)
 from .errors import (AlgebraMismatch, DimensionMismatch, NotClosed,
                      NotDegreeZeroConcentrated)
-from .linalg import (ONE, ZERO, RationalMatrix, SubspacePresentation,
-                     echelon_basis, quotient_presentation, solve, span_dim)
+from .linalg import (ONE, ZERO, RationalMatrix, SubspacePresentation, _canon,
+                     echelon_basis, quotient_presentation, solve)
 from .modules import (ExplicitModule, HomOverAlgebra, ModuleMap, PerfectModule,
                       SemiFreeModule, TensorOverAlgebra, outer_tensor_columns,
                       outer_tensor_modules, restrict_to_factor,
                       semifree_map_to_explicit)
 
 
-def half_sign(s: int) -> Fraction:
+def half_sign(s: int) -> int:
     """eps(s) = (-1)^{s(s+1)/2}."""
-    return ONE if (s * (s + 1) // 2) % 2 == 0 else -ONE
+    return -1 if (s * (s + 1) // 2) % 2 else 1
 
 
 def _strip_or_add_vee(label: str) -> str:
@@ -66,11 +66,11 @@ def dualize(p: PerfectModule) -> PerfectModule:
         return out
 
     mod = SemiFreeModule.from_columns(aop, shifts, transposed(
-        m.twist_columns, [-ONE if s % 2 == 0 else ONE for s in m.shifts]), labels)
+        m.twist_columns, [1 if s % 2 else -1 for s in m.shifts]), labels)
     idem = None
     if p.idempotent is not None:
         idem = ModuleMap.from_columns(mod, mod, 0, transposed(
-            p.idempotent.columns, [ONE] * n))
+            p.idempotent.columns, [1] * n))
     return PerfectModule(mod, idem)
 
 
@@ -82,7 +82,7 @@ def transport_module(p: PerfectModule, iso: AlgebraIso) -> PerfectModule:
     m = p.module
 
     def pull(columns):
-        return [tuple((j, tuple(sorted((inv.perm[t], c * inv.scalars[t])
+        return [tuple((j, tuple(sorted((inv.perm[t], _canon(c * inv.scalars[t]))
                                        for t, c in vec)))
                       for j, vec in col) for col in columns]
 
@@ -111,7 +111,7 @@ def _sandwich_table(a: DgAlgebra, swap: bool = False) -> Dict[Tuple, List]:
             for q, vec2 in right.get(k, ()):
                 out = acc.setdefault((q * n + p if swap else p * n + q, x), {})
                 for l, c2 in vec2:
-                    out[l] = out.get(l, ZERO) + c1 * c2
+                    out[l] = out.get(l, 0) + c1 * c2
     return {key: terms for key, out in acc.items()
             if (terms := [(l, c) for l, c in out.items() if c])}
 
@@ -173,12 +173,6 @@ class DualBimodule:
         sum_y [e_x](e_y e_i) phi_y."""
         a = self.algebra
         return _degree_zero_module(a, a.dim, _left_dual_table(a))
-
-    def component_dim(self, i: int, j: int) -> int:
-        """dim of e_i . A^* . e_j = functionals supported on e_j A e_i."""
-        n = self.dim
-        # dimension of the image of phi -> e_i phi e_j
-        return span_dim([self.basis_action(i * n + j, x) for x in range(n)], n)
 
     def validate(self):
         """Module axioms over A^e on all basis pairs."""
@@ -405,7 +399,7 @@ class EvaluationData:
             j = n - 1 - jslot
             if i == j:
                 s = m.module.shifts[i]
-                sgn = half_sign(s) * (ONE if s % 2 == 0 else -ONE)
+                sgn = half_sign(s) * (-1 if s % 2 else 1)
                 values.append([((0, t), sgn * c)
                                for t, c in enumerate(a.unit) if c])
             else:
@@ -529,7 +523,7 @@ class EvaluationData:
         if projected.rows != 1:
             raise DimensionMismatch("H^0 of the target is not a line")
         unit_coords = self._unit_class_coords(target_hom, coh)
-        return projected.sparse_columns()[0].get(0, ZERO) / unit_coords
+        return Fraction(projected.sparse_columns()[0].get(0, 0), unit_coords)
 
     def _unit_class_coords(self, target_hom, coh) -> Fraction:
         """H^0-coordinate of the Hom-class corresponding to 1 in HH_0(k)."""
@@ -608,7 +602,7 @@ def dualhom_check(n: PerfectModule, m: PerfectModule) -> DualHomReport:
         if dual_pos.get(key, (None,))[0] != p:
             raise DimensionMismatch("dualhom comparison misses a basis vector")
         # the sign (-1)^{|phi| |g_i|}, |phi| = -p, |g_i| = -s_i
-        return ((key, ONE if (p * n.module.shifts[key[0]]) % 2 == 0 else -ONE),)
+        return ((key, -1 if (p * n.module.shifts[key[0]]) % 2 else 1),)
     blocks = keyed_blocks(right.basis, {-q: ks for q, ks in hom.basis.items()},
                           dual_pos, 0, image)
     if not ChainMap(rhs, lhs, 0, blocks).is_closed():

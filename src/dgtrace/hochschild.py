@@ -38,7 +38,7 @@ class HH0Space:
         commutators = []
         for i in range(n):
             for j in range(n):
-                vec = [ZERO] * n
+                vec = [0] * n
                 for k, c in mult.get((i, j), ()):
                     vec[k] += c
                 for k, c in mult.get((j, i), ()):
@@ -63,6 +63,8 @@ class HH0Space:
     def class_of(self, elem: AlgebraElement) -> "HochschildClass":
         if not elem.algebra.same_structure(self.algebra):
             raise AlgebraMismatch("element lives over another algebra than HH_0")
+        if elem.algebra is not self.algebra:  # equal structure: move it over
+            elem = AlgebraElement(self.algebra, elem.coords)
         return HochschildClass(self, self.project(elem), elem)
 
     def basis_classes(self):
@@ -133,7 +135,7 @@ def diagonal(f: ModuleMap, e: Optional[ModuleMap] = None) -> list:
     entry = {(i, j): v for j, col in enumerate(f.columns) for i, v in col}
     out = []
     for i, col in enumerate(e.columns):
-        acc = [ZERO] * a.dim
+        acc = [0] * a.dim
         for j, u in col:
             v = entry.get((i, j))
             if v:
@@ -146,7 +148,7 @@ def generalized_supertrace(m: PerfectModule, f: ModuleMap,
                            e: Optional[ModuleMap] = None) -> AlgebraElement:
     """sum_i (-1)^{s_i} f[i][i] in A (no projection), or the same sum over
     (f . e)[i][i] when an idempotent e is given."""
-    total = [ZERO] * m.algebra.dim
+    total = [0] * m.algebra.dim
     for s, vec in zip(m.shifts, diagonal(f, e)):
         for t, c in vec:
             total[t] += -c if s % 2 else c

@@ -6,8 +6,13 @@ rows, and one routine does all the row reduction on them as they are
 stored: it takes the rows one at a time, reduces each against the pivot
 rows found so far on its nonzeros only, and keeps the result in reduced row
 echelon form.  That form depends only on the row space, so every basis this
-module produces is deterministic and reproducible byte for byte.  No
-floating point anywhere.
+module produces is deterministic and reproducible byte for byte.
+
+Scalars have one stored form: an `int` when integral and a `Fraction` with
+denominator > 1 otherwise (`_canon`), so integer arithmetic takes Python's
+fast path by itself.  Every public reader (`entries`, `column`, `columns`,
+`apply`, `trace` and the bases built from them) gives `Fraction`s, and
+every true division divides a `Fraction`.  No floating point anywhere.
 
 >>> m = RationalMatrix.from_rows([[1, 2], [2, 4]])
 >>> rank_kernel_image(m)[0]
@@ -28,8 +33,14 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def _frac(x) -> Fraction:
-    return x if type(x) is Fraction else Fraction(x)
+def _canon(x):
+    """The stored form of a rational: an int when integral, else a
+    Fraction."""
+    if type(x) is int:
+        return x
+    if type(x) is not Fraction:
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
 
 
 class RationalMatrix:
@@ -50,8 +61,8 @@ class RationalMatrix:
 
     @classmethod
     def _of(cls, rows: int, cols: int, sparse_rows: Sequence[dict]) -> "RationalMatrix":
-        """The matrix with these rows, {column: nonzero Fraction} dicts that
-        it takes over."""
+        """The matrix with these rows, {column: nonzero stored scalar} dicts
+        that it takes over."""
         m = object.__new__(cls)
         m.rows, m.cols, m._rows = rows, cols, tuple(sparse_rows)
         return m
@@ -64,14 +75,13 @@ class RationalMatrix:
     def from_sparse_columns(cls, nrows: int,
                             columns: Sequence[Mapping[int, Fraction]]) -> "RationalMatrix":
         """The nrows x len(columns) matrix whose column c holds columns[c],
-        a {row: value} map of `Fraction`s taken as they are (zeros
-        dropped): the one constructor of the builders, which never see the
-        layout."""
+        a {row: value} map of rationals (zeros dropped): the one constructor
+        of the builders, which never see the layout."""
         rows = [{} for _ in range(nrows)]
         for c, col in enumerate(columns):
             for r, x in col.items():
                 if x:
-                    rows[r][c] = x
+                    rows[r][c] = _canon(x)
         return cls._of(nrows, len(columns), rows)
 
     @classmethod
@@ -80,7 +90,7 @@ class RationalMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
-        return cls._of(n, n, [{i: ONE} for i in range(n)])
+        return cls._of(n, n, [{i: 1} for i in range(n)])
 
     @classmethod
     def from_columns(cls, cols: Sequence[Sequence], nrows: Optional[int] = None) -> "RationalMatrix":
@@ -96,7 +106,7 @@ class RationalMatrix:
         return tuple(_dense(row, self.cols) for row in self._rows)
 
     def column(self, j: int) -> tuple:
-        return tuple(row.get(j, ZERO) for row in self._rows)
+        return tuple(Fraction(row[j]) if j in row else ZERO for row in self._rows)
 
     def columns(self) -> list:
         return [_dense(col, self.rows) for col in self.sparse_columns()]
@@ -104,7 +114,7 @@ class RationalMatrix:
     def sparse_columns(self) -> list:
         """Per column, its nonzero entries as {row: value}, rows ascending:
         the one reader of the builders, the inverse of
-        `from_sparse_columns`."""
+        `from_sparse_columns`; the values are in stored form."""
         cols = [{} for _ in range(self.cols)]
         for r, row in enumerate(self._rows):
             for c, x in row.items():
@@ -131,21 +141,21 @@ class RationalMatrix:
             raise DimensionMismatch("matrix addition shape mismatch")
         out = [dict(row) for row in self._rows]
         for row, rb in zip(out, other._rows):
-            _axpy(row, ONE, rb)
+            _axpy(row, 1, rb)
         return RationalMatrix._of(self.rows, self.cols, out)
 
     def __sub__(self, other: "RationalMatrix") -> "RationalMatrix":
         return self + (-other)
 
     def __neg__(self) -> "RationalMatrix":
-        return self.scale(Fraction(-1))
+        return self.scale(-1)
 
     def scale(self, c) -> "RationalMatrix":
-        c = _frac(c)
+        c = _canon(c)
         if not c:
             return RationalMatrix.zeros(self.rows, self.cols)
-        return RationalMatrix._of(self.rows, self.cols,
-                                  [{j: c * x for j, x in row.items()} for row in self._rows])
+        return RationalMatrix._of(self.rows, self.cols, [
+            {j: _canon(c * x) for j, x in row.items()} for row in self._rows])
 
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.cols != other.rows:
@@ -163,13 +173,13 @@ class RationalMatrix:
     def apply(self, vec: Sequence[Fraction]) -> tuple:
         if len(vec) != self.cols:
             raise DimensionMismatch("vector length does not match column count")
-        return tuple(sum((x * vec[j] for j, x in row.items() if vec[j]), ZERO)
+        return tuple(Fraction(sum(x * vec[j] for j, x in row.items() if vec[j]))
                      for row in self._rows)
 
     def trace(self) -> Fraction:
         if self.rows != self.cols:
             raise DimensionMismatch("trace of a non-square matrix")
-        return sum((row.get(i, ZERO) for i, row in enumerate(self._rows)), ZERO)
+        return Fraction(sum(row.get(i, 0) for i, row in enumerate(self._rows)))
 
     def __repr__(self):
         return f"RationalMatrix({self.rows}x{self.cols})"
@@ -197,7 +207,7 @@ def _echelon(rows: Iterable[dict]) -> list:
     as a list of (pivot column, row) in pivot order, each row a sparse
     {column: value} dict with value 1 at its pivot.
 
-    Rows are sparse {column: nonzero Fraction} dicts, taken one at a time
+    Rows are sparse {column: nonzero stored scalar} dicts, taken one at a time
     and consumed.  A new row is reduced against the pivot rows found so
     far, reading only its nonzeros; if something is left, it is normalised
     at its first nonzero and that column is cleared from the earlier pivot
@@ -212,7 +222,7 @@ def _echelon(rows: Iterable[dict]) -> list:
         p = min(row)
         piv = row[p]
         if piv != 1:
-            row = {j: x / piv for j, x in row.items()}
+            row = {j: _canon(Fraction(x, piv)) for j, x in row.items()}
         for er in echelon.values():
             f = er.get(p)
             if f:
@@ -221,27 +231,28 @@ def _echelon(rows: Iterable[dict]) -> list:
     return sorted(echelon.items())
 
 
-def _axpy(y: dict, c: Fraction, x: dict) -> None:
+def _axpy(y: dict, c, x: dict) -> None:
     """y += c * x on sparse rows, dropping the entries that cancel."""
     for j, v in x.items():
-        w = y.get(j, ZERO) + c * v
+        w = y.get(j, 0) + c * v
         if w:
-            y[j] = w
+            y[j] = _canon(w)
         else:
             del y[j]
 
 
 def _sparse(vec: Sequence, n: int) -> dict:
-    """The nonzeros of a dense caller vector of length n, as Fractions."""
+    """The nonzeros of a dense caller vector of length n, in stored form."""
     if len(vec) != n:
         raise DimensionMismatch(f"vector of length {len(vec)}, expected {n}")
-    return {j: _frac(x) for j, x in enumerate(vec) if x}
+    return {j: _canon(x) for j, x in enumerate(vec) if x}
 
 
-def _dense(row: Mapping[int, Fraction], n: int) -> tuple:
+def _dense(row: Mapping, n: int) -> tuple:
+    """The dense reader view of a stored row: Fractions throughout."""
     out = [ZERO] * n
     for j, x in row.items():
-        out[j] = x
+        out[j] = Fraction(x)
     return tuple(out)
 
 
@@ -257,7 +268,7 @@ def _kernel(red: list, ncols: int) -> list:
     (column, value) pairs in column order: -row[f] at each pivot row that
     holds f (pivots lie left of f), then 1 at f."""
     pivots = {p for p, _ in red}
-    return [tuple((p, -row[f]) for p, row in red if f in row) + ((f, ONE),)
+    return [tuple((p, -row[f]) for p, row in red if f in row) + ((f, 1),)
             for f in range(ncols) if f not in pivots]
 
 

@@ -15,12 +15,14 @@ first-applied map multiply on the left).
 Every matrix over A (twists, maps, idempotents) is stored by sparse
 columns: column i lists (j, vec) for the nonzero entries [j][i], j
 ascending, each vec the nonzero coordinates of the entry in index order
-(the `SparseVec` idiom of `DgAlgebra.mult`).  The form is unique, so
+(the `SparseVec` idiom of `DgAlgebra.mult`), each coordinate a stored
+scalar: an int when integral, else a Fraction.  The form is unique, so
 comparisons of columns are exact; the builders emit it and `from_columns`
 takes it unchecked.  Grids of `AlgebraElement`s are taken and given only
 at the API boundary: `SemiFreeModule(..., twist)` and `ModuleMap(...,
-entries)` convert them once; `.twist` / `.entries` are dense views built
-on first use for callers outside the package, which no kernel here reads.
+entries)` convert them once; `.twist` / `.entries` are dense views of
+Fraction coordinates, built on first use for callers outside the package,
+which no kernel here reads.
 
 Everything that is really done over k (Hom, tensor, cohomology) is
 reduced on demand to explicit complexes of rational matrices ("restriction
@@ -45,7 +47,7 @@ from .errors import (AlgebraMismatch, DegreeViolation, DimensionMismatch,
                      DifferentialSquareViolation, IdempotentIncompatible,
                      NotClosed, NotDegreeZeroConcentrated, TriangularityViolation,
                      WrongDegree)
-from .linalg import ONE, ZERO
+from .linalg import ZERO, _canon
 
 Entry = AlgebraElement
 # column i of a matrix over A: (j, nonzero coordinates of entry [j][i]), j
@@ -88,7 +90,7 @@ def _add_columns(a: DgAlgebra, x: Sequence[Column],
     for cx, cy in zip(x, y):
         acc: Dict[int, List] = {}
         for j, vec in cx + cy:
-            coords = acc.setdefault(j, [ZERO] * a.dim)
+            coords = acc.setdefault(j, [0] * a.dim)
             for t, c in vec:
                 coords[t] += c
         out.append(_column(acc))
@@ -97,7 +99,7 @@ def _add_columns(a: DgAlgebra, x: Sequence[Column],
 
 def _scale_columns(columns: Sequence[Column], c) -> Tuple[Column, ...]:
     """Every entry times the nonzero scalar c."""
-    return tuple(tuple((j, tuple((t, c * x) for t, x in vec)) for j, vec in col)
+    return tuple(tuple((j, tuple((t, _canon(c * x)) for t, x in vec)) for j, vec in col)
                  for col in columns)
 
 
@@ -367,7 +369,7 @@ class ModuleMap:
         return self + other.scale(-1)
 
     def scale(self, c) -> "ModuleMap":
-        c = Fraction(c)
+        c = _canon(c)
         columns = _scale_columns(self.columns, c) if c else ((),) * self.source.rank
         return ModuleMap.from_columns(self.source, self.target, self.degree,
                                       columns, check=False)
@@ -386,7 +388,7 @@ class ModuleMap:
                 if odd and (_degree(a, u) or 0) % 2:
                     u = _neg(u)
                 for l, v in self.columns[j]:
-                    a.add_product(acc.setdefault(l, [ZERO] * a.dim), u, v)
+                    a.add_product(acc.setdefault(l, [0] * a.dim), u, v)
             columns.append(_column(acc))
         return ModuleMap.from_columns(other.source, self.target,
                                       self.degree + other.degree, columns,
@@ -406,17 +408,17 @@ class ModuleMap:
             for l, v in col:
                 for t, c in v:
                     for k, ck in a.diff.get(t, ()):
-                        acc.setdefault(l, [ZERO] * a.dim)[k] += c * ck
+                        acc.setdefault(l, [0] * a.dim)[k] += c * ck
             for j, u in col:
                 if (_degree(a, u) or 0) % 2:
                     u = _neg(u)
                 for l, w in twist_n[j]:
-                    a.add_product(acc.setdefault(l, [ZERO] * a.dim), u, w)
+                    a.add_product(acc.setdefault(l, [0] * a.dim), u, w)
             for j, u in twist_col:
                 if (n * ((_degree(a, u) or 0) + 1) + 1) % 2:
                     u = _neg(u)
                 for l, w in self.columns[j]:
-                    a.add_product(acc.setdefault(l, [ZERO] * a.dim), u, w)
+                    a.add_product(acc.setdefault(l, [0] * a.dim), u, w)
             columns.append(_column(acc))
         return ModuleMap.from_columns(self.source, self.target, n + 1, columns,
                                       check=False)
@@ -509,7 +511,7 @@ def projective_module(a: DgAlgebra, idem: AlgebraElement,
 def shift_module(p: PerfectModule, n: int) -> PerfectModule:
     """p[n]: shifts raised by n, twist scaled by (-1)^n."""
     m = p.module
-    tw = m.twist_columns if n % 2 == 0 else _scale_columns(m.twist_columns, -ONE)
+    tw = m.twist_columns if n % 2 == 0 else _scale_columns(m.twist_columns, -1)
     shifted = SemiFreeModule.from_columns(m.algebra, [s + n for s in m.shifts],
                                           tw, m.labels)
     e = None
@@ -531,7 +533,7 @@ def cone_module(p: ModuleMap) -> PerfectModule:
     labels = [f"{l}'" for l in L.labels] + list(M.labels)
     nl = L.rank
     tw = [col + _offset(pcol, nl) for col, pcol in
-          zip(_scale_columns(L.twist_columns, -ONE), p.columns)]
+          zip(_scale_columns(L.twist_columns, -1), p.columns)]
     tw += [_offset(col, nl) for col in M.twist_columns]
     return PerfectModule(SemiFreeModule.from_columns(L.algebra, shifts, tw, labels))
 
@@ -614,10 +616,10 @@ def restrict_to_factor(p: PerfectModule, f1: DgAlgebra, f2: DgAlgebra,
                     if side == "first":
                         # (1 (x) b_q)(a_pa (x) b_qb) = a_pa (x) (b_q *f2 b_qb)
                         for u, cu in f2.mult.get((q, qb), ()):
-                            acc.setdefault(index[(j, u)], [ZERO] * n1)[pa] += c * cu
+                            acc.setdefault(index[(j, u)], [0] * n1)[pa] += c * cu
                     else:
                         for u, cu in f1.mult.get((q, pa), ()):
-                            acc.setdefault(index[(j, u)], [ZERO] * n2)[qb] += c * cu
+                            acc.setdefault(index[(j, u)], [0] * n2)[qb] += c * cu
             out.append(_column(acc))
         return out
 
@@ -651,8 +653,9 @@ def right_multiplication_map(restricted: PerfectModule,
         prod: Dict[int, Fraction] = {}
         for t, ct in coords:
             for u, cu in f2.mult.get((t, q), ()):
-                prod[u] = prod.get(u, ZERO) + ct * cu
-        columns[col] = tuple(sorted((index[(i, u)], tuple((k, cu * x) for k, x in unit))
+                prod[u] = prod.get(u, 0) + ct * cu
+        columns[col] = tuple(sorted((index[(i, u)],
+                                     tuple((k, _canon(cu * x)) for k, x in unit))
                                     for u, cu in prod.items() if cu))
     return ModuleMap.from_columns(mod, mod, 0, columns, check=False)
 
@@ -669,21 +672,10 @@ def outer_tensor_columns(index: Dict, x: Sequence[Column], y: Sequence[Column],
     out: List[Column] = [()] * len(index)
     for (i, j), col in index.items():
         out[col] = tuple(sorted(
-            (index[(i2, j2)], tuple((p * ns + q, cu * cv) for p, cu in u for q, cv in v))
+            (index[(i2, j2)], tuple((p * ns + q, _canon(cu * cv))
+                                    for p, cu in u for q, cv in v))
             for i2, u in x[i] for j2, v in y[j]))
     return out
-
-
-def outer_tensor_entries(prod: DgAlgebra, index: Dict, x: Sequence[Sequence[Entry]],
-                         y: Sequence[Sequence[Entry]]):
-    """The matrix x (x) y over prod = tensor_algebras(R, S) of square
-    matrices x over R and y over S, on the generators index[(i, j)]: entry
-    (index[(i2, j2)], index[(i, j)]) is x[i2][i] (x) y[j2][j]; grids in and out."""
-    if not index:
-        return ()
-    ns = y[0][0].algebra.dim
-    x, y = (_grid_columns(z, len(z), len(z), "square matrices only") for z in (x, y))
-    return _dense(prod, outer_tensor_columns(index, x, y, ns), len(index))
 
 
 def outer_tensor_modules(p1: PerfectModule, p2: PerfectModule,
@@ -777,9 +769,9 @@ class TensorOverAlgebra:
 
         def image(key):
             i, u = key
-            sgn = ONE if (deg_f * self.left.pos[u][0]) % 2 == 0 else -ONE
+            sgn = -1 if (deg_f * self.left.pos[u][0]) % 2 else 1
             terms = []
-            for u2, cu in ([(u, ONE)] if g is None else g_cols[u]):
+            for u2, cu in ([(u, 1)] if g is None else g_cols[u]):
                 if f is None:
                     terms.append(((i, u2), sgn * cu))
                 else:

@@ -31,7 +31,7 @@ from .errors import (AlgebraMismatch, DimensionMismatch,
                      NotSeparableB, WrongDegree)
 from .hochschild import (HH0Space, HochschildClass, diagonal, euler_class,
                          generalized_supertrace, hh0_space, hh_class)
-from .linalg import ONE, ZERO
+from .linalg import ONE, ZERO, _canon
 from .modules import (ModuleMap, PerfectModule, outer_tensor_modules,
                       restrict_to_factor, right_multiplication_map)
 from .resolutions import DiagonalResolution
@@ -98,7 +98,7 @@ def _pair_trace_table(b: DgAlgebra) -> list:
         by_left = [[] for _ in range(n)]
         for (k, r), vec in b.mult.items():
             by_left[k].append((r, vec))
-        table = [[ZERO] * n for _ in range(n)]
+        table = [[0] * n for _ in range(n)]
         for (q, w), vec in b.mult.items():
             row = table[q]
             for k, ck in vec:
@@ -118,7 +118,7 @@ def _contract(u: Sequence[Fraction], v: Sequence[Fraction], b: DgAlgebra,
     This is the supertrace of R_u (x) R_v on the composed free kernels."""
     table = _pair_trace_table(b)
     nb = b.dim
-    out = [ZERO] * (len(u) // nb * nc)
+    out = [0] * (len(u) // nb * nc)
     for fu, cu in enumerate(u):
         if cu:
             p, q = divmod(fu, nb)
@@ -146,8 +146,8 @@ def pair_scalar(lam: HochschildClass, mu: HochschildClass) -> Fraction:
         raise AlgebraMismatch("pairing needs classes over A^op and A")
     if not a.is_degree_zero():
         raise NotDegreeZeroConcentrated("scalar pairing in degree 0 only")
-    return _contract(lam.representative.coords, mu.representative.coords,
-                     a, 1)[0]
+    return Fraction(_contract(lam.representative.coords,
+                              mu.representative.coords, a, 1)[0])
 
 
 def cup(x: HochschildClass, y: HochschildClass, a: DgAlgebra, b: DgAlgebra,
@@ -203,11 +203,17 @@ def pairing_three_ways(a: DgAlgebra, resolution: DiagonalResolution,
 
     ea = tensor_algebras(opposite(a), a)
     if "k" not in cache:
-        cache["k"] = unit_algebra()
-        cache["diag"] = diagonal_class(resolution)
-        cache["transfer"] = KernelTransfer(resolution.module, cache["k"], ea)
-    kalg = cache["k"]
-    kclass = kunneth(lam, mu)
+        # the classes live on the instances that cup checks them against,
+        # ^eA (x) k^op and k (x) (^eA)^op, so each check is an identity test
+        kalg = cache["k"] = unit_algebra()
+        cache["right"] = tensor_algebras(ea, opposite(kalg))
+        cache["diag"] = euler_class(
+            resolution.module, hh0_space(tensor_algebras(kalg, opposite(ea))))
+        cache["transfer"] = KernelTransfer(resolution.module, kalg, cache["right"])
+    kalg, right = cache["k"], cache["right"]
+    # the Kunneth class of lam (x) mu (x) 1 over ^eA (x) k^op
+    kclass = hh0_space(right).class_of(right.element(
+        pure_tensor(lam.representative.coords, mu.representative.coords)))
 
     phi = cache["transfer"].apply(kclass)
     s2 = phi.coords[0] if phi.coords else ZERO
@@ -280,18 +286,18 @@ def rr_left_side(n: PerfectModule, m: PerfectModule,
     f_diagonal = [(s, x) for s, x in zip(m.shifts, f_diagonal) if x]
     aop = n.algebra
     mult = aop.mult
-    total = ZERO
+    total = 0
     for k, shift in enumerate(n.shifts):
         for b, degree in enumerate(aop.degrees):
             image: Dict = {}  # G(e_b g_k) = e_b G[k][k] g_k, over A^op
             for t, c in g_diagonal[k]:
                 for b2, c2 in mult.get((b, t), ()):
-                    image[b2] = image.get(b2, ZERO) + c * c2
+                    image[b2] = image.get(b2, 0) + c * c2
             for s, x in f_diagonal:
                 coeff = sum((c * ct * c3 for b2, c in image.items() for t, ct in x
-                             for b3, c3 in mult.get((t, b2), ()) if b3 == b), ZERO)
+                             for b3, c3 in mult.get((t, b2), ()) if b3 == b), 0)
                 total += -coeff if (degree - shift - s) % 2 else coeff
-    return total
+    return Fraction(total)
 
 
 def verify_rr(m: PerfectModule, f: ModuleMap, n: PerfectModule, g: ModuleMap,
@@ -348,14 +354,14 @@ def compose_kernels_separable(k1: PerfectModule, k2: PerfectModule,
                 for w2 in range(nb):
                     for w2p, c2 in b.mult.get((t2, w2), ()):
                         out = moves.setdefault((w1, w2), {})
-                        out[(w1p, w2p)] = out.get((w1p, w2p), ZERO) + ce * c1 * c2
+                        out[(w1p, w2p)] = out.get((w1p, w2p), 0) + ce * c1 * c2
     unit = sparse(ac.unit)
     columns = [()] * len(index)
     for (i, w1), g1 in index1.items():
         for (j, w2), g2 in index2.items():
             columns[index[(g1, g2)]] = tuple(sorted(
                 (index[(index1[(i, w1p)], index2[(j, w2p)])],
-                 tuple((t, coeff * c) for t, c in unit))
+                 tuple((t, _canon(coeff * c)) for t, c in unit))
                 for (w1p, w2p), coeff in moves.get((w1, w2), {}).items() if coeff))
     insert = ModuleMap.from_columns(outer.module, outer.module, 0, columns)
     if outer.idempotent is not None:

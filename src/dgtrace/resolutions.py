@@ -18,7 +18,7 @@ from .algebras import (AlgebraElement, AlgebraIso, DgAlgebra, SparseVec,
 from .complexes import ChainMap, SplitComplex, is_quasi_iso
 from .duality import diagonal_explicit, transport_module
 from .errors import AugmentationNotQuasiIso, NotDegreeZeroConcentrated
-from .linalg import ONE, ZERO
+from .linalg import ZERO
 from .modules import (ModuleMap, PerfectModule, SemiFreeModule, outer_tensor_modules,
                       semifree_map_to_explicit)
 
@@ -122,7 +122,7 @@ def quiver_resolution(a: DgAlgebra, vertex_idems: Sequence[int],
     env = tensor_algebras(a, opposite(a))
     n = a.dim
 
-    def pair(x: int, y: int, c=ONE) -> SparseVec:
+    def pair(x: int, y: int, c=1) -> SparseVec:
         """c e_x (x) e_y in A^e."""
         return ((x * n + y, c),)
 
@@ -133,7 +133,7 @@ def quiver_resolution(a: DgAlgebra, vertex_idems: Sequence[int],
         # d(H_x) = (x (x) e_tgt) G_tgt - (e_src (x) x) G_src, the bimodule
         # map e_src (x) e_tgt -> x (x) e_tgt - e_src (x) x.
         tw = [tuple(sorted([(na + tgt, pair(x, vertex_idems[tgt])),
-                            (na + src, pair(vertex_idems[src], x, -ONE))]))
+                            (na + src, pair(vertex_idems[src], x, -1))]))
               for (x, src, tgt) in arrows] + [()] * nv
         mod = SemiFreeModule.from_columns(env, shifts, tw, labels)
         idem = ModuleMap.from_columns(mod, mod, 0, [

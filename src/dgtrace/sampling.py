@@ -15,7 +15,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from .algebras import DgAlgebra, SparseVec
 from .complexes import keyed_blocks, positions
 from .errors import NotClosed, NotDegreeZeroConcentrated
-from .linalg import ONE, ZERO, RationalMatrix, sparse_kernel
+from .linalg import RationalMatrix, _canon, sparse_kernel
 from .modules import (ModuleMap, PerfectModule, SemiFreeModule, rows_of,
                       cone_module, direct_sum_modules, free_module,
                       projective_module)
@@ -24,22 +24,19 @@ from .prng import SplitMix64
 COEFF_POOL = (-2, -1, 0, 0, 1, 1, 2, 3)
 
 
+def _coeff(rng: SplitMix64) -> int:
+    return COEFF_POOL[rng.below(len(COEFF_POOL))]
+
+
 def random_coeff(rng: SplitMix64) -> Fraction:
-    return Fraction(COEFF_POOL[rng.below(len(COEFF_POOL))])
+    return Fraction(_coeff(rng))
 
 
 def _random_coordinates(a: DgAlgebra, degree: int, rng: SplitMix64) -> SparseVec:
     """The nonzero coordinates of a random element of the given degree: one
-    random_coeff per basis element of that degree, in index order."""
+    random coefficient per basis element of that degree, in index order."""
     return tuple((i, c) for i in range(a.dim)
-                 if a.degrees[i] == degree and (c := random_coeff(rng)))
-
-
-def random_element_of_degree(a: DgAlgebra, degree: int, rng: SplitMix64):
-    coords = [ZERO] * a.dim
-    for i, c in _random_coordinates(a, degree, rng):
-        coords[i] = c
-    return a.element(coords)
+                 if a.degrees[i] == degree and (c := _coeff(rng)))
 
 
 def random_free(a: DgAlgebra, rng: SplitMix64, max_rank: int = 2,
@@ -105,7 +102,7 @@ def closed_map_kernel(src: SemiFreeModule, tgt: SemiFreeModule,
             if degree + tgt.shifts[j] == src.shifts[i] for w in range(a.dim)]
     # equations: the coordinates (l, i, x) of d(phi)[l][i] = 0, one column
     # per unknown coordinate e_w of entry (j, i)
-    sgn = ONE if degree % 2 == 0 else -ONE
+    sgn = -1 if degree % 2 else 1
     rows_m = rows_of(src.twist_columns, src.rank)
     terms: Dict[Key, List] = {}
     for (j, i, w) in keys:
@@ -133,7 +130,7 @@ def _map_from_vector(src: SemiFreeModule, tgt: SemiFreeModule, degree: int,
     cells: List[Dict[int, List]] = [{} for _ in range(src.rank)]
     for (j, i, w), x in sorted(vec):
         if x:
-            cells[i].setdefault(j, []).append((w, x))
+            cells[i].setdefault(j, []).append((w, _canon(x)))
     columns = [tuple((j, tuple(ws)) for j, ws in cell.items()) for cell in cells]
     return ModuleMap.from_columns(src, tgt, degree, columns, check=False)
 
@@ -150,16 +147,16 @@ def random_closed_map(src: SemiFreeModule, tgt: SemiFreeModule,
                       vectors: Sequence[KeyedVector],
                       rng: SplitMix64) -> Optional[ModuleMap]:
     """A random closed degree-0 map from a kernel of closed_map_kernel:
-    sum_k c_k v_k with one random_coeff per vector, in order; a random
+    sum_k c_k v_k with one random coefficient per vector, in order; a random
     basis vector when every c_k is 0; None for an empty kernel."""
     if not vectors:
         return None
     total: Dict[Key, Fraction] = {}
     for vec in vectors:
-        c = random_coeff(rng)
+        c = _coeff(rng)
         if c:
             for key, x in vec:
-                total[key] = total.get(key, ZERO) + c * x
+                total[key] = total.get(key, 0) + c * x
     if total:
         return _map_from_vector(src, tgt, 0, total.items())
     return _map_from_vector(src, tgt, 0, vectors[rng.below(len(vectors))])

@@ -9,16 +9,16 @@ from dgtrace.algebras import DgAlgebra, opposite, pure_tensor, tensor_algebras
 from dgtrace.catalog import catalog_entry, path_algebra_a2
 from dgtrace.errors import (IdempotentIncompatible, NoDiagonalResolutionForB,
                             NotSeparableB)
-from dgtrace.hochschild import euler_class, hh0_space
+from dgtrace.hochschild import euler_class, hh0_space, hh_class
 from dgtrace.modules import (ModuleMap, PerfectModule, cone_module,
                              free_module, projective_module)
 from dgtrace.pairing import (KernelTransfer, compose_kernels_separable, cup,
                              diagonal_class, kunneth, pair_scalar,
                              pairing_three_ways, unit_algebra,
-                             verify_kernel_composition, verify_rr,
-                             _pair_trace_table)
+                             rr_left_side, verify_kernel_composition,
+                             verify_rr, _pair_trace_table)
 from dgtrace.prng import SplitMix64, stream_for
-from dgtrace.sampling import random_module_with_endos, random_perfect
+from dgtrace.sampling import random_coeff, random_module_with_endos, random_perfect
 from dgtrace.suites import adapt_suite, cartan_tables
 
 F = Fraction
@@ -334,6 +334,71 @@ def test_three_pairings_small(cat):
                 s1, s2, s3 = pairing_three_ways(a, ent.resolution, lam, mu,
                                                 env_res, cache)
                 assert s1 == s2 == s3, name
+
+
+def _assert_fractions(values):
+    values = list(values)
+    assert values and all(type(x) is F for x in values), values
+
+
+def test_public_scalars_are_fractions(cat):
+    """The kernels keep integral scalars as ints; every value handed out is
+    a Fraction, zeros and integers included."""
+    values = []
+    for name in ("k", "A2", "M2", "Kronecker"):
+        ent = cat[name]
+        a, aop = ent.algebra, opposite(ent.algebra)
+        rng = stream_for(5, len(name))
+        m, ms = random_module_with_endos(a, rng, ent.idempotents, max_gens=3)
+        n, ns = random_module_with_endos(aop, rng, ent.idempotents, max_gens=3)
+        f, g = ms.draw(rng), ns.draw(rng)
+        zero_n = ModuleMap.zero(n.module, n.module)
+        values += [rr_left_side(n, m, g, f), rr_left_side(n, m, None, None)]
+        if n.idempotent is None:
+            values.append(rr_left_side(n, m, zero_n, f))
+        rep = verify_rr(m, f, n, g)
+        values += [rep.lhs, rep.rhs]
+        lam, mu = hh_class(n, g), hh_class(m, f)
+        values += lam.coords + mu.coords
+        zero = hh0_space(aop).class_of(aop.zero())
+        values += [pair_scalar(lam, mu), pair_scalar(zero, mu)]
+        env_res, cache = ent.enveloping_resolution(), {}
+        values += pairing_three_ways(a, ent.resolution, lam, mu, env_res, cache)
+        values += pairing_three_ways(a, ent.resolution, zero, mu, env_res, cache)
+        x, y = a.basis_element(a.dim - 1), a.one()
+        values += a.multiply(x.coords, y.coords) + a.multiply(y.coords, y.coords)
+        values += (x * y).coords + (y * y).coords + x.coords + y.coords
+        values += a.zero().coords + a.element([0] * a.dim).coords
+        values += [random_coeff(rng) for _ in range(20)]
+    _assert_fractions(values)
+
+
+def test_three_pairings_compare_algebras_by_identity(cat, monkeypatch):
+    """pairing_three_ways builds its classes on the very instances that cup
+    and the transfer check them against: once its cache is warm, no
+    algebra check walks the structure tables."""
+    walked = []
+    same = DgAlgebra.same_structure
+
+    def counting(self, other):
+        if other is not self:
+            walked.append((self, other))
+        return same(self, other)
+    for name in ("kxk", "A2", "Kronecker"):
+        ent = cat[name]
+        a, aop = ent.algebra, opposite(ent.algebra)
+        sp, spo = hh0_space(a), hh0_space(aop)
+        env_res, cache = ent.enveloping_resolution(), {}
+        lam0, mu0 = spo.basis_classes()[0], sp.basis_classes()[0]
+        pairing_three_ways(a, ent.resolution, lam0, mu0, env_res, cache)
+        monkeypatch.setattr(DgAlgebra, "same_structure", counting)
+        for lam in spo.basis_classes():
+            for mu in sp.basis_classes():
+                s1, s2, s3 = pairing_three_ways(a, ent.resolution, lam, mu,
+                                                env_res, cache)
+                assert s1 == s2 == s3
+        monkeypatch.setattr(DgAlgebra, "same_structure", same)
+    assert not walked
 
 
 def test_rr_ground_identity(kfield):

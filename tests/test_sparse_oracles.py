@@ -26,8 +26,9 @@ from fractions import Fraction
 
 import pytest
 
-from dgtrace.algebras import (AlgebraElement, opposite, pure_tensor, swap_iso,
-                              tensor_algebras, validate_algebra)
+from dgtrace.algebras import (AlgebraElement, DgAlgebra, enveloping, opposite,
+                              pure_tensor, sparse, swap_iso, tensor_algebras,
+                              validate_algebra)
 from dgtrace.complexes import ChainMap, SplitComplex, chain_supertrace
 from dgtrace.duality import (DualBimodule, _opposite_diagonal_explicit,
                              diagonal_explicit, dual_right_module_data,
@@ -35,23 +36,44 @@ from dgtrace.duality import (DualBimodule, _opposite_diagonal_explicit,
 from dgtrace.errors import (DifferentialSquareViolation,
                             NotDegreeZeroConcentrated, WrongDegree)
 from dgtrace.hochschild import diagonal, generalized_supertrace, hh0_space
-from dgtrace.linalg import RationalMatrix
+from dgtrace.linalg import RationalMatrix, sparse_kernel
 from dgtrace.modules import (ModuleMap, PerfectModule, SemiFreeModule,
-                             TensorOverAlgebra, direct_sum_modules,
-                             outer_tensor_entries, outer_tensor_modules,
-                             projective_module, restrict_to_factor,
-                             right_multiplication_map, tensor_over_algebra)
+                             TensorOverAlgebra, _dense, _grid_columns,
+                             direct_sum_modules, outer_tensor_columns,
+                             outer_tensor_modules, projective_module,
+                             restrict_to_factor, right_multiplication_map,
+                             tensor_over_algebra)
 from dgtrace.pairing import rr_left_side
 from dgtrace.prng import SplitMix64, stream_for
-from dgtrace.sampling import (EndoSampler, closed_map_basis, closed_map_kernel,
-                              random_closed_pair, random_coeff,
-                              random_element_of_degree, random_module_with_endos,
-                              random_perfect, random_semifree)
+from dgtrace.sampling import (EndoSampler, _random_coordinates, closed_map_basis,
+                              closed_map_kernel, random_closed_pair, random_coeff,
+                              random_module_with_endos, random_perfect,
+                              random_semifree)
 
 CATALOG = ("k", "kxk", "M2", "A2", "A3", "Kronecker", "A2xA2")
 
 F = Fraction
 ONE = F(1)
+
+
+def random_element_of_degree(a, degree, rng):
+    """A random element of the given degree, drawn as the samplers draw
+    their coordinates."""
+    coords = [0] * a.dim
+    for i, c in _random_coordinates(a, degree, rng):
+        coords[i] = c
+    return a.element(coords)
+
+
+def outer_tensor_entries(prod, index, x, y):
+    """The matrix x (x) y over prod = tensor_algebras(R, S) of square
+    matrices x over R and y over S, on the generators index[(i, j)]: entry
+    (index[(i2, j2)], index[(i, j)]) is x[i2][i] (x) y[j2][j]; grids in and out."""
+    if not index:
+        return ()
+    ns = y[0][0].algebra.dim
+    x, y = (_grid_columns(z, len(z), len(z), "square matrices only") for z in (x, y))
+    return _dense(prod, outer_tensor_columns(index, x, y, ns), len(index))
 
 
 def dense_compose(psi, phi):
@@ -807,16 +829,118 @@ def with_explicit_zeros(e):
     return AlgebraElement(e.algebra, tuple(c if c else F(0, 7) for c in e.coords))
 
 
+def is_stored_scalar(c):
+    """The one stored form of a nonzero rational: a nonzero int, or a
+    Fraction that is not an integer."""
+    return (type(c) is int and c != 0) or (type(c) is F and c.denominator != 1)
+
+
 def assert_normal_form(columns, nrows):
     """Rows ascending and in range, no empty entry, coordinate indices
-    ascending, every coefficient a nonzero Fraction."""
+    ascending, every coefficient a stored scalar."""
     for col in columns:
         rows = [j for j, _ in col]
         assert rows == sorted(set(rows)) and all(0 <= j < nrows for j in rows)
         for _, vec in col:
             assert vec
             assert [t for t, _ in vec] == sorted({t for t, _ in vec})
-            assert all(type(c) is F and c != 0 for _, c in vec)
+            assert all(is_stored_scalar(c) for _, c in vec)
+
+
+@pytest.mark.parametrize("name", CATALOG)
+def test_structure_constants_are_stored_scalars(cat, name):
+    """mult, diff and unit of every catalog algebra, its opposite and its
+    two enveloping algebras hold each coefficient in its one stored form."""
+    a = cat[name].algebra
+    for alg in (a, opposite(a)) + enveloping(a):
+        for vec in list(alg.mult.values()) + list(alg.diff.values()):
+            assert vec and all(is_stored_scalar(c) for _, c in vec)
+        assert all(c == 0 and type(c) is int or is_stored_scalar(c) for c in alg.unit)
+
+
+def half_idempotent_algebra():
+    """1, u with u^2 = u/2 (u is half an idempotent): a structure constant
+    that is not an integer."""
+    mult = {(0, 0): ((0, 1),), (0, 1): ((1, 1),), (1, 0): ((1, 1),),
+            (1, 1): ((1, F(1, 2)),)}
+    return validate_algebra(["1", "u"], [0, 0], mult, [1, 0])
+
+
+def as_fractions(vec):
+    return tuple((t, F(c)) for t, c in vec)
+
+
+def fraction_columns(columns):
+    return tuple(tuple((j, as_fractions(vec)) for j, vec in col) for col in columns)
+
+
+def fraction_twin(a):
+    """The algebra a with every stored coefficient a Fraction, integers
+    included: the all-Fraction form the kernels must agree with."""
+    twin = DgAlgebra(a.labels, a.degrees, {}, a.unit)
+    twin.mult = {k: as_fractions(v) for k, v in a.mult.items()}
+    twin.diff = {k: as_fractions(v) for k, v in a.diff.items()}
+    twin.unit = tuple(map(F, a.unit))
+    return twin
+
+
+def mixed_vector(a, rng):
+    """Stored coordinates of a random element plus a third of another:
+    ints and non-integral Fractions side by side."""
+    x = random_entry(a, 0, rng) + random_entry(a, 0, rng).scale(F(1, 3))
+    return sparse(x.coords)
+
+
+@pytest.mark.parametrize("make", [exterior_algebra, square_zero_dg_algebra,
+                                  half_idempotent_algebra])
+def test_stored_ints_compute_what_all_fractions_compute(make):
+    """add_product, ModuleMap.compose and ModuleMap.differential on stored
+    scalars (ints where integral) against the same inputs held as Fractions
+    throughout: equal values, both in stored form, never a float."""
+    a = make()
+    twin = fraction_twin(a)
+    assert any(type(c) is int for v in a.mult.values() for _, c in v)
+    rng = SplitMix64(19)
+    for _ in range(25):
+        u, v = mixed_vector(a, rng), mixed_vector(a, rng)
+        out, out_twin = [0] * a.dim, [F(0)] * a.dim
+        a.add_product(out, u, v)
+        twin.add_product(out_twin, as_fractions(u), as_fractions(v))
+        assert out == out_twin and not any(type(x) is float for x in out)
+        m1, m2, m3 = (random_module(a, rng) for _ in range(3))
+        d1, d2 = rng.int_in(-1, 1), rng.int_in(-1, 1)
+        phi = random_map(m1, m2, d1, rng) + random_map(m1, m2, d1, rng).scale(F(1, 3))
+        psi = random_map(m2, m3, d2, rng).scale(F(-3, 2))
+        twins = {id(m): SemiFreeModule.from_columns(
+            twin, m.shifts, fraction_columns(m.twist_columns), check=False)
+            for m in (m1, m2, m3)}
+
+        def fraction_map(f):
+            return ModuleMap.from_columns(twins[id(f.source)], twins[id(f.target)],
+                                          f.degree, fraction_columns(f.columns),
+                                          check=False)
+        for got, want in ((psi.compose(phi), fraction_map(psi).compose(fraction_map(phi))),
+                          (phi.differential(), fraction_map(phi).differential()),
+                          (psi.differential(), fraction_map(psi).differential())):
+            assert got.columns == want.columns
+            assert_normal_form(got.columns, got.target.rank)
+            assert_normal_form(want.columns, want.target.rank)
+
+
+def test_sparse_kernel_on_stored_ints_matches_all_fractions():
+    """Integer pivots 2 and -1 are divided as Fractions: the kernel of the
+    stored matrix equals the kernel of the all-Fraction one, in stored
+    form, with no float."""
+    rows = [[2, 4, -1, 3, 0, 1], [0, -1, 1, 2, 1, 0], [4, 7, -1, 8, 1, 2],
+            [0, 0, 0, -1, F(1, 2), 3]]
+    m = RationalMatrix.from_rows(rows)
+    twin = RationalMatrix._of(4, 6, [{j: F(x) for j, x in enumerate(r) if x}
+                                     for r in rows])
+    got, want = sparse_kernel(m), sparse_kernel(twin)
+    assert got == want and len(got) == 3
+    assert all(is_stored_scalar(x) for vec in got for _, x in vec)
+    assert any(type(x) is F for vec in got for _, x in vec)
+    assert not any(type(x) is float for vec in want for _, x in vec)
 
 
 @pytest.mark.parametrize("name", ["kxk", "M2", "A2", "Kronecker"])
