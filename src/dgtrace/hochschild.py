@@ -65,26 +65,22 @@ class HH0Space:
             raise AlgebraMismatch("element lives over another algebra than HH_0")
         if elem.algebra is not self.algebra:  # equal structure: move it over
             elem = AlgebraElement(self.algebra, elem.coords)
-        return HochschildClass(self, self.project(elem), elem)
+        return HochschildClass(self, elem)
 
     def basis_classes(self):
         """Classes of the chosen coset representatives."""
-        out = []
-        for t in range(self.dim):
-            coords = tuple(ONE if r == t else ZERO for r in range(self.dim))
-            out.append(HochschildClass(self, coords, self.representative(coords)))
-        return out
+        return [HochschildClass(self, self.representative(
+            ONE if r == t else ZERO for r in range(self.dim))) for t in range(self.dim)]
 
 
 class HochschildClass:
-    """Element of HH_0(A): coordinates plus a chosen representative."""
+    """Element of HH_0(A): a chosen representative and its coordinates,
+    projected once here."""
 
-    def __init__(self, space: HH0Space, coords, representative: AlgebraElement):
+    def __init__(self, space: HH0Space, representative: AlgebraElement):
         self.space = space
-        self.coords = tuple(coords)
         self.representative = representative
-        if space.project(representative) != self.coords:
-            raise IdempotentIncompatible("representative does not match coordinates")
+        self.coords = space.project(representative)
 
     @property
     def algebra(self) -> DgAlgebra:
@@ -93,16 +89,13 @@ class HochschildClass:
     def __add__(self, other: "HochschildClass") -> "HochschildClass":
         if not other.algebra.same_structure(self.algebra):
             raise AlgebraMismatch("classes over different algebras")
-        return HochschildClass(self.space,
-                               tuple(a + b for a, b in zip(self.coords, other.coords)),
-                               self.representative + other.representative)
+        return HochschildClass(self.space, self.representative + other.representative)
 
     def __sub__(self, other):
         return self + other.scale(-1)
 
     def scale(self, c) -> "HochschildClass":
-        return HochschildClass(self.space, tuple(Fraction(c) * x for x in self.coords),
-                               self.representative.scale(c))
+        return HochschildClass(self.space, self.representative.scale(c))
 
     def __eq__(self, other):
         return (isinstance(other, HochschildClass)

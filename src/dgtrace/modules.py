@@ -36,7 +36,6 @@ is the one reader of a table.  The twist's d^2 = 0 is checked over A.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebras import (AlgebraElement, DgAlgebra, SparseVec, opposite, sparse,
@@ -634,30 +633,21 @@ def restrict_to_factor(p: PerfectModule, f1: DgAlgebra, f2: DgAlgebra,
 
 def right_multiplication_map(restricted: PerfectModule,
                              index: Dict, f1: DgAlgebra, f2: DgAlgebra,
-                             elem: AlgebraElement) -> ModuleMap:
-    """Right multiplication by elem of f2 on a module over f1 (x) f2^\\op,
-    restricted to f1 (side="first" restriction).
+                             t: int) -> ModuleMap:
+    """Right multiplication by the basis element b_t of f2 on a module over
+    f1 (x) f2^\\op, restricted to f1 (side="first" restriction).
 
-    The action of (1 (x) elem) sends (1 (x) b_q) g_i to (1 (x) b_q elem) g_i
-    where the product b_q * elem is taken in f2 (the opposite of the second
-    tensor slot), i.e. genuine right multiplication.
+    The action of (1 (x) b_t) sends (1 (x) b_q) g_i to (1 (x) b_t b_q) g_i,
+    the product taken in f2 (already the opposite of the second tensor
+    slot), i.e. genuine right multiplication by b_t.
     """
-    mod = restricted.module
     unit = sparse(f1.unit)
-    coords = sparse(elem.coords)
-    columns: List[Column] = [()] * mod.rank
+    columns: List[Column] = [()] * restricted.module.rank
     for (i, q), col in index.items():
-        # Right multiplication is the action of (1 (x) elem); the second slot
-        # multiplies in f2 (already the opposite of the user's algebra), so
-        # elem *f2 beta_q is genuine right multiplication by elem.
-        prod: Dict[int, Fraction] = {}
-        for t, ct in coords:
-            for u, cu in f2.mult.get((t, q), ()):
-                prod[u] = prod.get(u, 0) + ct * cu
-        columns[col] = tuple(sorted((index[(i, u)],
-                                     tuple((k, _canon(cu * x)) for k, x in unit))
-                                    for u, cu in prod.items() if cu))
-    return ModuleMap.from_columns(mod, mod, 0, columns, check=False)
+        columns[col] = tuple((index[(i, u)], tuple((k, _canon(cu * x)) for k, x in unit))
+                             for u, cu in f2.mult.get((t, q), ()))
+    return ModuleMap.from_columns(restricted.module, restricted.module, 0,
+                                  columns, check=False)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .algebras import (DgAlgebra, opposite, pure_tensor, sparse,
+from .algebras import (DgAlgebra, SparseVec, opposite, pure_tensor, sparse,
                        tensor_algebras)
 from .errors import (AlgebraMismatch, DimensionMismatch,
                      NoDiagonalResolutionForB, NotDegreeZeroConcentrated,
@@ -55,12 +55,14 @@ def kunneth(x: HochschildClass, y: HochschildClass) -> HochschildClass:
 class KernelTransfer:
     """Transfer HH_0(B) -> HH_0(A) along a perfect A (x) B^op kernel.
 
-    The kernel is restricted to A once; each class is then sent to the
-    Hochschild class of right multiplication by its representative, read
-    as the supertrace of rmul . e, since tr(e rmul e) = tr(rmul e e) modulo
-    commutators.  Right multiplication by a degree-0 element is a closed
-    module map of the restriction (the middle algebra carries no
-    differential), so no chain checks are repeated per class.
+    The kernel is restricted to A once; a class [x] is then sent to the
+    Hochschild class of right multiplication by x, read as the supertrace
+    of rmul . e, since tr(e rmul e) = tr(rmul e e) modulo commutators.
+    That supertrace is linear in x, so it is the sum of x_t T[t] over the
+    support of x, T[t] the supertrace for the basis element b_t, memoised
+    in `traces` on first use.  Right multiplication by a degree-0 element
+    is a closed module map of the restriction (the middle algebra carries
+    no differential), so no chain checks are repeated.
     """
 
     def __init__(self, kernel: PerfectModule, a: DgAlgebra, b: DgAlgebra):
@@ -73,15 +75,21 @@ class KernelTransfer:
         self.restricted, self.index = restrict_to_factor(
             kernel, a, self.bop, "first", check=False)
         self.space_a = hh0_space(a)
+        self.traces: Dict[int, SparseVec] = {}
 
     def apply(self, lam: HochschildClass) -> HochschildClass:
         if not lam.algebra.same_structure(self.b):
             raise AlgebraMismatch("class does not live over the middle algebra")
-        rmul = right_multiplication_map(
-            self.restricted, self.index, self.a, self.bop,
-            self.b.element(lam.representative.coords))
-        return self.space_a.class_of(generalized_supertrace(
-            self.restricted, rmul, self.restricted.idempotent))
+        total = [0] * self.a.dim
+        for t, x in sparse(lam.representative.coords):
+            if t not in self.traces:
+                rmul = right_multiplication_map(self.restricted, self.index,
+                                                self.a, self.bop, t)
+                self.traces[t] = sparse(generalized_supertrace(
+                    self.restricted, rmul, self.restricted.idempotent).coords)
+            for k, c in self.traces[t]:
+                total[k] += x * c
+        return self.space_a.class_of(self.a.element(total))
 
 
 # ---------------------------------------------------------------------------
@@ -115,20 +123,20 @@ def _contract(u: Sequence[Fraction], v: Sequence[Fraction], b: DgAlgebra,
     """Coordinates over A (x) C^op of the middle contraction of u over
     A (x) B^op and v over B (x) C^op: each pair of terms cu a_p (x) e_q and
     cv e_r (x) c_s adds cu cv tau_B[q][r] to slot p nc + s, nc = dim C.
-    This is the supertrace of R_u (x) R_v on the composed free kernels."""
+    This is the supertrace of R_u (x) R_v on the composed free kernels.
+    Only the nonzero terms are read, in stored form, so integral
+    coefficients multiply as ints."""
     table = _pair_trace_table(b)
     nb = b.dim
     out = [0] * (len(u) // nb * nc)
-    for fu, cu in enumerate(u):
-        if cu:
-            p, q = divmod(fu, nb)
-            row = table[q]
-            for fv, cv in enumerate(v):
-                if cv:
-                    r, s = divmod(fv, nc)
-                    t = row[r]
-                    if t:
-                        out[p * nc + s] += cu * cv * t
+    terms = [divmod(fv, nc) + (cv,) for fv, cv in sparse(v)]
+    for fu, cu in sparse(u):
+        p, q = divmod(fu, nb)
+        row = table[q]
+        for r, s, cv in terms:
+            t = row[r]
+            if t:
+                out[p * nc + s] += cu * cv * t
     return out
 
 

@@ -13,8 +13,9 @@ from dgtrace.hochschild import (euler_class, hh0_space, hh_class,
 from dgtrace.modules import (ModuleMap, PerfectModule, cone_module,
                              direct_sum_maps, direct_sum_modules, free_module,
                              projective_module, shift_module)
-from dgtrace.prng import SplitMix64
-from dgtrace.sampling import random_closed_pair, random_module_with_endos
+from dgtrace.prng import SplitMix64, stream_for
+from dgtrace.sampling import (random_closed_pair, random_coeff,
+                              random_module_with_endos)
 
 F = Fraction
 
@@ -251,3 +252,27 @@ def test_classes_over_different_algebras_do_not_add(a2):
     with pytest.raises(AlgebraMismatch):
         lam - mu
     assert (lam + lam).coords == lam.scale(2).coords
+
+
+@pytest.mark.parametrize("name", ("k", "kxk", "M2", "A2", "A3", "Kronecker",
+                                  "A2xA2"))
+def test_class_coordinates_are_linear(cat, name):
+    """A class's coordinates are the projection of its representative, so
+    they add and scale with it, and the coset representatives project to
+    the unit vectors."""
+    a = cat[name].algebra
+    sp = hh0_space(a)
+    rng = stream_for(101, len(name))
+
+    def draw():
+        return sp.class_of(a.element([random_coeff(rng) if rng.below(3) else F(0)
+                                      for _ in range(a.dim)]))
+
+    for _ in range(6):
+        x, y = draw(), draw()
+        c = random_coeff(rng)
+        assert (x + y).coords == tuple(p + q for p, q in zip(x.coords, y.coords))
+        assert (x - y).coords == tuple(p - q for p, q in zip(x.coords, y.coords))
+        assert x.scale(c).coords == tuple(c * p for p in x.coords)
+    assert [lam.coords for lam in sp.basis_classes()] == [
+        tuple(F(int(r == t)) for r in range(sp.dim)) for t in range(sp.dim)]

@@ -9,9 +9,11 @@ from dgtrace.algebras import DgAlgebra, opposite, pure_tensor, tensor_algebras
 from dgtrace.catalog import catalog_entry, path_algebra_a2
 from dgtrace.errors import (IdempotentIncompatible, NoDiagonalResolutionForB,
                             NotSeparableB)
-from dgtrace.hochschild import euler_class, hh0_space, hh_class
+from dgtrace.hochschild import (euler_class, generalized_supertrace, hh0_space,
+                                hh_class)
 from dgtrace.modules import (ModuleMap, PerfectModule, cone_module,
-                             free_module, projective_module)
+                             free_module, projective_module,
+                             right_multiplication_map)
 from dgtrace.pairing import (KernelTransfer, compose_kernels_separable, cup,
                              diagonal_class, kunneth, pair_scalar,
                              pairing_three_ways, unit_algebra,
@@ -317,6 +319,51 @@ def test_phi_representative_independent(a2):
     mu = sp.class_of(a.by_label("e1"))
     shifted = sp.class_of(a.by_label("e1") + a.by_label("a"))  # [e1,a] = a
     assert transfer.apply(mu).coords == transfer.apply(shifted).coords
+
+
+def sparse_random_element(b, rng):
+    """A random element of b with about a third of its coordinates zero."""
+    return b.element([random_coeff(rng) if rng.below(3) else F(0)
+                      for _ in range(b.dim)])
+
+
+@pytest.mark.parametrize("name", ("k", "kxk", "M2", "A2", "A3", "Kronecker",
+                                  "A2xA2"))
+def test_phi_table_matches_summed_right_multiplication(cat, name):
+    """The memoised table route of the transfer against the class of the
+    supertrace of sum_t x_t R_{b_t}, the right multiplications summed as
+    module maps; the memo holds exactly the indices of the supports seen."""
+    b = cat[name].algebra
+    a = cat["kxk"].algebra
+    ab = tensor_algebras(a, opposite(b))
+    idems = [p * b.dim + q for p in cat["kxk"].idempotents
+             for q in cat[name].idempotents]
+    rng = stream_for(97, len(name))
+    kernels = [(random_perfect(ab, rng, idems, max_gens=2, shift_range=(-1, 1)), a)
+               for _ in range(3)]
+    kernels.append((projective_module(ab, ab.basis_element(idems[-1])), a))
+    if b.dim <= 4:
+        kernels.append((cat[name].resolution.module, b))
+    with_idempotent = 0
+    for kernel, left in kernels:
+        transfer = KernelTransfer(kernel, left, b)
+        restricted, e = transfer.restricted, transfer.restricted.idempotent
+        with_idempotent += e is not None
+        seen = set()
+        for _ in range(4):
+            x = sparse_random_element(b, rng)
+            direct = ModuleMap.zero(restricted.module, restricted.module, 0)
+            for t, c in enumerate(x.coords):
+                direct = direct + right_multiplication_map(
+                    restricted, transfer.index, left, transfer.bop, t).scale(c)
+            want = hh0_space(left).class_of(
+                generalized_supertrace(restricted, direct, e))
+            got = transfer.apply(hh0_space(b).class_of(x))
+            assert got.representative.coords == want.representative.coords
+            assert got.coords == want.coords
+            seen |= {t for t, c in enumerate(x.coords) if c}
+            assert set(transfer.traces) == seen
+    assert with_idempotent >= 1
 
 
 # -- three pairings and the main theorem --------------------------------------

@@ -799,17 +799,16 @@ def test_restrict_to_factor_matches_products(cat, side):
 
 
 def test_right_multiplication_map_matches_products(cat):
-    """(1 (x) elem) (1 (x) beta_q) g_i = (1 (x) elem beta_q) g_i, the product
-    in the product algebra, read over the generators (i, u)."""
+    """(1 (x) b_t) (1 (x) beta_q) g_i = (1 (x) b_t beta_q) g_i, the product
+    in the product algebra, read over the generators (i, u), for every
+    basis index t of f2."""
     checked = 0
     for p, f1, f2 in factor_kernels(cat):
         prod = tensor_algebras(f1, f2)
         restricted, index = restrict_to_factor(p, f1, f2, "first")
-        rng = SplitMix64(89 + f2.dim)
-        for _ in range(2):
-            elem = f2.element([random_coeff(rng) for _ in range(f2.dim)])
-            rmul = right_multiplication_map(restricted, index, f1, f2, elem)
-            right = labelled_tensor(prod, f1, f2, f1.unit, elem.coords)
+        for t in range(f2.dim):
+            rmul = right_multiplication_map(restricted, index, f1, f2, t)
+            right = labelled_tensor(prod, f1, f2, f1.unit, unit_vector(f2, t))
             want = [[[F(0)] * f1.dim for _ in index] for _ in index]
             for (i, q), col in index.items():
                 product = right * labelled_tensor(prod, f1, f2, f1.unit,
@@ -818,8 +817,9 @@ def test_right_multiplication_map_matches_products(cat):
                     pa, u = divmod(flat, f2.dim)
                     want[index[(i, u)]][col][pa] += c
             assert coordinate_lists(rmul.entries) == want
+            assert_normal_form(rmul.columns, len(index))
             checked += 1
-    assert checked >= 10
+    assert checked >= 40
 
 
 # -- normal form of the stored columns ---------------------------------------
