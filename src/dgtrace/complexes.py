@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence
 
 from .errors import (DegreeViolation, DifferentialSquareViolation, DimensionMismatch,
-                     NotClosed, WrongDegree)
+                     IdempotentIncompatible, NotClosed, WrongDegree)
 from .linalg import (ZERO, RationalMatrix, SubspacePresentation,
                      quotient_presentation, rank_kernel_image, rank_of, solve_matrix)
 
@@ -350,24 +350,48 @@ class Cohomology:
             raise NotClosed("asked to project a non-cycle")
         return self._project[p] @ coords
 
-def cohomology_dims(c: Complex) -> GradedSpace:
-    """dim H^p = dim ker d^p - rank d^{p-1}, computed by ranks only."""
-    ranks = {p: rank_of(c.d(p)) for p in c.degrees()}
-    dims = {}
-    for p in c.degrees():
-        h = c.dim(p) - ranks.get(p, 0) - ranks.get(p - 1, 0)
-        if h:
-            dims[p] = h
-    return GradedSpace(dims)
+def _check_idempotent(c: Complex, e: ChainMap):
+    """The guards of a summand: e is a degree-0 endomorphism of c with
+    e . e = e on the nose, and closed."""
+    if e.degree != 0 or any(x is not c and x != c for x in (e.source, e.target)):
+        raise WrongDegree("idempotent must be a degree-0 endomorphism of the complex")
+    if e.compose(e) != e:
+        raise IdempotentIncompatible("e . e != e")
+    if not e.is_closed():
+        raise NotClosed("idempotent must be closed")
+
+
+def cohomology_dims(c: Complex, e: Optional[ChainMap] = None) -> GradedSpace:
+    """dim H^p = dim ker d^p - rank d^{p-1}, computed by ranks only; with a
+    closed exact idempotent e, the cohomology of its image eC, on which d
+    restricts: dim H^p(eC) = rank e_p - rank(d_p e_p) - rank(d_{p-1} e_{p-1})."""
+    if e is None:
+        sizes = {p: c.dim(p) for p in c.degrees()}
+        ranks = {p: rank_of(c.d(p)) for p in c.degrees()}
+    else:
+        _check_idempotent(c, e)
+        sizes = {p: rank_of(e.block(p)) for p in c.degrees()}
+        ranks = {p: rank_of(c.d(p) @ e.block(p)) for p in c.degrees()}
+    return GradedSpace({p: n - ranks.get(p, 0) - ranks.get(p - 1, 0)
+                        for p, n in sizes.items()})
 
 
 def is_acyclic(c: Complex) -> bool:
     return cohomology_dims(c).total_dim() == 0
 
 
-def is_quasi_iso(f: ChainMap) -> bool:
-    """Quasi-isomorphism test by acyclicity of the cone (degree 0 closed f)."""
-    return is_acyclic(cone(f))
+def is_quasi_iso(f: ChainMap, e: Optional[ChainMap] = None) -> bool:
+    """Whether a closed degree-0 f: C -> D is a quasi-isomorphism, or its
+    restriction to the image of a closed exact idempotent e of C is.
+
+    The cone of f . e is cone(f|eC) (+) (1-e)C[1], so the restriction is one
+    exactly when H^p of that cone is H^{p+1}(C) - H^{p+1}(eC) for every p.
+    """
+    if e is None:
+        return is_acyclic(cone(f))
+    whole, summand = cohomology_dims(f.source), cohomology_dims(f.source, e)
+    rest = GradedSpace({p: h - summand.dim(p) for p, h in whole.dims.items()})
+    return cohomology_dims(cone(f.compose(e))) == rest.shift(1)
 
 
 def _pair_keys(ka: Mapping[int, Sequence], kb: Mapping[int, Sequence],
@@ -477,58 +501,13 @@ def euler_trace(f: ChainMap) -> Fraction:
     return total
 
 
-def image_complex(e: ChainMap):
-    """Split a closed exact idempotent: the image of e as a complex.
-
-    Returns (image, include, project) with project . include = id and
-    include . project = e.  Exactness (e . e = e on the nose) makes the
-    image a direct summand over the ground field.
-    """
-    if e.source != e.target or e.degree != 0:
-        raise WrongDegree("idempotent must be a degree-0 endomorphism")
-    if e.compose(e) != e:
-        raise IdempotentNotExact("e . e != e")
-    if not e.is_closed():
-        raise NotClosed("idempotent must be closed")
-    c = e.source
-    incl_cols = {}
-    dims = {}
-    for p in c.degrees():
-        _, _, img = rank_kernel_image(e.block(p))
-        cols = list(img.basis)
-        incl_cols[p] = RationalMatrix.from_columns(cols, nrows=c.dim(p))
-        if cols:
-            dims[p] = len(cols)
-    # projection: coordinates of e(x) in the image basis
-    proj = {}
-    for p in dims:
-        sol = solve_matrix(incl_cols[p], e.block(p))
-        if sol is None:
-            raise IdempotentNotExact("image basis does not span e")
-        proj[p] = sol
-    diff = {}
-    for p in dims:
-        if dims.get(p + 1, 0) == 0:
-            continue
-        diff[p] = proj[p + 1] @ (c.d(p) @ incl_cols[p])
-    img = Complex(GradedSpace(dims), diff, check=False)
-    include = ChainMap(img, c, 0, {p: incl_cols[p] for p in dims})
-    project = ChainMap(c, img, 0, proj)
-    return img, include, project
-
-
-class IdempotentNotExact(DimensionMismatch):
-    pass
-
-
 class SplitComplex:
     """A complex together with an optional closed exact idempotent; models
-    the image summand without always materializing it."""
+    the image summand without materializing it."""
 
     def __init__(self, carrier: Complex, projector: Optional[ChainMap] = None):
         self.carrier = carrier
         self.projector = projector
-        self._image = None
 
     def compress(self, f: ChainMap) -> ChainMap:
         """e . f . e on the carrier (f itself when there is no idempotent)."""
@@ -546,16 +525,5 @@ class SplitComplex:
         e = self.projector
         return chain_supertrace(f if e is None else f.compose(e))
 
-    def split(self):
-        """(image, include, project) of the idempotent, as image_complex
-        returns them; computed once."""
-        if self.projector is None:
-            raise DimensionMismatch("no idempotent to split")
-        if self._image is None:
-            self._image = image_complex(self.projector)
-        return self._image
-
     def cohomology_dims(self) -> GradedSpace:
-        if self.projector is None:
-            return cohomology_dims(self.carrier)
-        return cohomology_dims(self.split()[0])
+        return cohomology_dims(self.carrier, self.projector)

@@ -26,8 +26,7 @@ from .complexes import (ChainMap, Cohomology, Complex, GradedSpace,
                         linear_dual, lower_block)
 from .errors import (AlgebraMismatch, DimensionMismatch, NotClosed,
                      NotDegreeZeroConcentrated)
-from .linalg import (ONE, ZERO, RationalMatrix, SubspacePresentation, _canon,
-                     echelon_basis, quotient_presentation, solve)
+from .linalg import ONE, ZERO, RationalMatrix, _canon, solve
 from .modules import (ExplicitModule, HomOverAlgebra, ModuleMap, PerfectModule,
                       SemiFreeModule, TensorOverAlgebra, outer_tensor_columns,
                       outer_tensor_modules, restrict_to_factor,
@@ -283,9 +282,8 @@ def omega_contraction_dims(a: DgAlgebra, omega_inv: PerfectModule,
 class IntegrationData:
     """The balanced pairing A^* (x)_{A^e} A -> k, phi (x) x -> phi(x).
 
-    The quotient by the balancing relations phi.z (x) x - phi (x) z.x is
-    presented explicitly; the functional is checked to vanish on every
-    relation before being pushed to the quotient.
+    The functional is checked to vanish on every balancing relation
+    phi.z (x) x - phi (x) z.x, so it factors through the quotient.
     """
 
     def __init__(self, a: DgAlgebra):
@@ -295,8 +293,11 @@ class IntegrationData:
         n = a.dim
         dual = DualBimodule(a)
         diag = diagonal_explicit(a)
-        # relations in A^* (x) A, coordinates phi_x (x) e_y at x*n + y
-        relations = []
+        # coordinates phi_x (x) e_y at x*n + y; the functional sends
+        # phi_x (x) e_x to 1 and every other basis tensor to 0
+        func = [ZERO] * (n * n)
+        for x in range(n):
+            func[x * n + x] = ONE
         for z in range(n * n):
             p, q = divmod(z, n)
             for x in range(n):
@@ -304,23 +305,10 @@ class IntegrationData:
                 # the env action of the flip (b (x) a).
                 phi_z = dual.basis_action(q * n + p, x)
                 for y in range(n):
-                    vec = [ZERO] * (n * n)
-                    for x2, c in enumerate(phi_z):
-                        vec[x2 * n + y] += c
-                    for (_, y2), c in diag.act(((z, ONE),), (0, y)):
-                        vec[x * n + y2] -= c
-                    if any(vec):
-                        relations.append(tuple(vec))
-        sub_basis = echelon_basis(relations, n * n)
-        self.proj, self.section = quotient_presentation(
-            n * n, SubspacePresentation(n * n, tuple(sub_basis)))
-        func = [ZERO] * (n * n)
-        for x in range(n):
-            func[x * n + x] = ONE  # phi_x (x) e_x -> 1
-        for rel in sub_basis:
-            val = sum((func[t] * rel[t] for t in range(n * n)), ZERO)
-            if val != 0:
-                raise DimensionMismatch("integration does not balance")
+                    # the functional on phi_x.z (x) e_y - phi_x (x) z.e_y
+                    z_y = diag.act(((z, ONE),), (0, y))
+                    if phi_z[y] != sum((c for (_, y2), c in z_y if y2 == x), ZERO):
+                        raise DimensionMismatch("integration does not balance")
         self.functional = tuple(func)
 
     def evaluate(self, phi_coords, x_coords) -> Fraction:

@@ -21,7 +21,7 @@ from .complexes import GradedSpace
 from .duality import diagonal_explicit, omega_inverse_module
 from .errors import (AlgebraMismatch, DimensionMismatch, IdempotentIncompatible,
                      NotClosed, NotDegreeZeroConcentrated, WrongDegree)
-from .linalg import (ONE, ZERO, SubspacePresentation, echelon_basis,
+from .linalg import (ONE, ZERO, SubspacePresentation, _canon, echelon_basis,
                      quotient_presentation)
 from .modules import HomOverAlgebra, ModuleMap, PerfectModule
 
@@ -49,13 +49,14 @@ class HH0Space:
         self.commutator_dim = len(basis)
         self.projection, self.section = quotient_presentation(
             n, SubspacePresentation(n, tuple(basis)))
+        self._basis_classes: Optional[Tuple["HochschildClass", ...]] = None
 
     @property
     def dim(self) -> int:
         return self.projection.rows
 
     def project(self, elem: AlgebraElement) -> Tuple[Fraction, ...]:
-        return self.projection.apply(elem.coords)
+        return self.projection.apply([_canon(c) for c in elem.coords])
 
     def representative(self, coords) -> AlgebraElement:
         return self.algebra.element(self.section.apply(tuple(coords)))
@@ -67,10 +68,12 @@ class HH0Space:
             elem = AlgebraElement(self.algebra, elem.coords)
         return HochschildClass(self, elem)
 
-    def basis_classes(self):
-        """Classes of the chosen coset representatives."""
-        return [HochschildClass(self, self.representative(
-            ONE if r == t else ZERO for r in range(self.dim))) for t in range(self.dim)]
+    def basis_classes(self) -> Tuple["HochschildClass", ...]:
+        """Classes of the chosen coset representatives, built once."""
+        if self._basis_classes is None:
+            self._basis_classes = tuple(HochschildClass(self, self.representative(
+                ONE if r == t else ZERO for r in range(self.dim))) for t in range(self.dim))
+        return self._basis_classes
 
 
 class HochschildClass:

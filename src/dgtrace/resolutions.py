@@ -15,7 +15,7 @@ from typing import Callable, Optional, Sequence, Tuple
 from .algebras import (AlgebraElement, AlgebraIso, DgAlgebra, SparseVec,
                        opposite, pure_tensor, sparse, swap_iso,
                        tensor_algebras)
-from .complexes import ChainMap, SplitComplex, is_quasi_iso
+from .complexes import ChainMap, is_quasi_iso
 from .duality import diagonal_explicit, transport_module
 from .errors import AugmentationNotQuasiIso, NotDegreeZeroConcentrated
 from .linalg import ZERO
@@ -34,33 +34,36 @@ class DiagonalResolution:
     """
 
     def __init__(self, algebra: DgAlgebra, builder: Builder,
-                 separable: bool = False,
                  separability_idempotent: Optional[AlgebraElement] = None,
                  name: str = ""):
         if not algebra.is_degree_zero():
             raise NotDegreeZeroConcentrated("resolutions are degree-0 data")
         self.algebra = algebra
         self.name = name
-        self.separable = separable
         self._sep_idem = separability_idempotent
         self._builder = builder
-        self._module: Optional[PerfectModule] = None
-        self._augmentation: Optional[Tuple[AlgebraElement, ...]] = None
+        self._built: Optional[Tuple[PerfectModule, Tuple[AlgebraElement, ...]]] = None
+
+    @property
+    def separable(self) -> bool:
+        """Whether a separability idempotent is shipped."""
+        return self._sep_idem is not None
+
+    def _build(self):
+        if self._built is None:
+            self._built = self._builder()
+        return self._built
 
     @property
     def module(self) -> PerfectModule:
-        if self._module is None:
-            self._module, self._augmentation = self._builder()
-        return self._module
+        return self._build()[0]
 
     @property
     def augmentation(self) -> Tuple[AlgebraElement, ...]:
-        if self._augmentation is None:
-            self._module, self._augmentation = self._builder()
-        return self._augmentation
+        return self._build()[1]
 
     def separability_idempotent(self) -> AlgebraElement:
-        if not self.separable or self._sep_idem is None:
+        if self._sep_idem is None:
             raise AugmentationNotQuasiIso("no separability idempotent available")
         return self._sep_idem
 
@@ -75,15 +78,11 @@ class DiagonalResolution:
         """Closedness of the augmentation and acyclicity of its cone, on the
         idempotent image when one is present."""
         aug = self.augmentation_chain_map()
-        p = self.module
-        if p.idempotent is not None:
-            sc = SplitComplex(p.module.to_explicit().complex,
-                              p.idempotent.restrict())
-            _, incl, _ = sc.split()
-            aug = aug.compose(incl)
-        if not aug.is_closed():
+        e = self.module.idempotent
+        e = None if e is None else e.restrict()
+        if not (aug if e is None else aug.compose(e)).is_closed():
             raise AugmentationNotQuasiIso("augmentation is not a chain map")
-        if not is_quasi_iso(aug):
+        if not is_quasi_iso(aug, e):
             raise AugmentationNotQuasiIso("augmentation cone has cohomology")
         return self
 
@@ -101,8 +100,7 @@ def separable_resolution(a: DgAlgebra, sep_idem: AlgebraElement,
         idem = ModuleMap(mod, mod, 0, [[e_env]])
         return PerfectModule(mod, idem), (a.one(),)
 
-    return DiagonalResolution(a, build, separable=True,
-                              separability_idempotent=e_env, name=name)
+    return DiagonalResolution(a, build, separability_idempotent=e_env, name=name)
 
 
 def quiver_resolution(a: DgAlgebra, vertex_idems: Sequence[int],
@@ -165,8 +163,7 @@ def opposite_resolution(r: DiagonalResolution) -> DiagonalResolution:
         e = r.separability_idempotent()
         env_op = tensor_algebras(aop, a)
         sep = env_op.element(swap_iso(a, aop, e.algebra, env_op).apply(e.coords))
-    return DiagonalResolution(aop, build, separable=r.separable,
-                              separability_idempotent=sep,
+    return DiagonalResolution(aop, build, separability_idempotent=sep,
                               name=f"op({r.name})")
 
 
@@ -200,16 +197,14 @@ def tensor_resolution(r1: DiagonalResolution, r2: DiagonalResolution,
         return transported, aug
 
     sep = None
-    separable = r1.separable and r2.separable
-    if separable:
+    if r1.separable and r2.separable:
         pt = pure_tensor(r1.separability_idempotent().coords,
                          r2.separability_idempotent().coords)
         out = [ZERO] * len(pt)
         for src, dst in enumerate(env_perm()):
             out[dst] = pt[src]
         sep = tensor_algebras(ab, opposite(ab)).element(out)
-    return DiagonalResolution(ab, build, separable=separable,
-                              separability_idempotent=sep,
+    return DiagonalResolution(ab, build, separability_idempotent=sep,
                               name=name or f"{r1.name}(x){r2.name}")
 
 

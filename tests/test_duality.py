@@ -162,12 +162,11 @@ def test_omega_inverse_validates_augmentation(cat):
 def test_omega_inverse_rejects_bad_augmentation(a2):
     from dgtrace.duality import omega_inverse
     from dgtrace.errors import AugmentationNotQuasiIso
-    from dgtrace.resolutions import quiver_resolution
+    from dgtrace.resolutions import DiagonalResolution, quiver_resolution
     # break the augmentation: send every vertex generator to zero
-    bad = quiver_resolution(a2, [0, 1], [(2, 0, 1)], name="broken")
-    module, _ = bad._builder()
-    bad._module = module
-    bad._augmentation = tuple(a2.zero() for _ in range(module.rank))
+    module = quiver_resolution(a2, [0, 1], [(2, 0, 1)]).module
+    zeros = tuple(a2.zero() for _ in range(module.rank))
+    bad = DiagonalResolution(a2, lambda: (module, zeros), name="broken")
     import pytest
     with pytest.raises(AugmentationNotQuasiIso):
         omega_inverse(bad)

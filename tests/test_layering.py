@@ -6,10 +6,16 @@ test_traced_names keeps the traced names resolvable.  In the same way the
 action layout of an explicit module (generators over one shared base table)
 is known to `modules.py` alone: `ExplicitModule.act` is the one reader of
 its table.  And `complexes.is_quasi_iso` is the one caller of `cone`, so a
-quasi-isomorphism is tested through a cone in one place."""
+quasi-isomorphism is tested through a cone in one place.  Every error type
+of the package is defined in `errors.py`."""
 
 import ast
+import importlib
+import pkgutil
 from pathlib import Path
+
+import dgtrace
+from dgtrace.errors import DgError
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "dgtrace"
 
@@ -82,3 +88,19 @@ def test_only_act_reads_an_action_table():
 def test_only_is_quasi_iso_takes_a_cone():
     leaks = _only_in(_calls_cone, ("complexes.py", "is_quasi_iso"))
     assert not leaks, leaks
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_every_error_is_defined_in_errors():
+    for info in pkgutil.iter_modules(dgtrace.__path__):
+        importlib.import_module(f"dgtrace.{info.name}")
+    found = {f"{cls.__module__}.{cls.__qualname__}" for cls in _subclasses(DgError)
+             if cls.__module__.startswith("dgtrace.")}
+    assert len(found) > 10
+    strays = sorted(name for name in found if not name.startswith("dgtrace.errors."))
+    assert not strays, strays
