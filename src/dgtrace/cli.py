@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from typing import List, Optional
 
 from .algebras import opposite
@@ -25,7 +24,7 @@ from .modules import restrict_to_ground
 from .pairing import pair_scalar
 from .suites import duality_suite, full_suite, rr_suite
 from .workspace import (Workspace, default_workspace, format_rational,
-                        parse_workspace)
+                        parse_rational, parse_workspace)
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -126,17 +125,19 @@ def cmd_pair(ws: Workspace, args, seed, count) -> dict:
     sp = hh0_space(a)
     lam_text, mu_text = args.left, args.right
 
-    def parse_side(space, alg, text):
+    def parse_side(space, alg, text, where):
         if text.startswith("[") and text.endswith("]"):
             label = text[1:-1]
             if label not in alg.labels:
-                raise WorkspaceError(f"no basis element labelled {label!r}")
+                raise WorkspaceError(f"no basis element labelled {label!r}", where)
             return space.class_of(alg.by_label(label))
-        coords = [Fraction(t) for t in text.split(",")]
+        coords = [parse_rational(t, where) for t in text.split(",")]
+        if len(coords) != alg.dim:
+            raise WorkspaceError(f"expected {alg.dim} coordinates", where)
         return space.class_of(alg.element(coords))
 
-    lam = parse_side(spo, aop, lam_text)
-    mu = parse_side(sp, a, mu_text)
+    lam = parse_side(spo, aop, lam_text, "pair.left")
+    mu = parse_side(sp, a, mu_text, "pair.right")
     val = pair_scalar(lam, mu)
     return {"command": "pair", "algebra": args.algebra,
             "left": lam_text, "right": mu_text,
@@ -144,6 +145,9 @@ def cmd_pair(ws: Workspace, args, seed, count) -> dict:
 
 
 def cmd_verify_rr(ws: Workspace, args, seed: int, count: int) -> dict:
+    if args.algebra and args.algebra not in catalog_names():
+        raise WorkspaceError(f"no catalog algebra named {args.algebra!r}",
+                             "--algebra")
     names = [args.algebra] if args.algebra else catalog_names()
     per = {}
     ok = True
@@ -185,15 +189,29 @@ COMMANDS = {
 }
 
 
+def _int_in(low: int, high: float, span: str):
+    """argparse type: an integer n with low <= n < high."""
+    def parse(text):
+        try:
+            if low <= int(text) < high:
+                return int(text)
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"not an integer {span}: {text!r}")
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     # SUPPRESS keeps a flag parsed before the subcommand from being
     # clobbered by the subparser's default for the same destination
     common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
     common.add_argument("--workspace", metavar="FILE",
                         help="JSON workspace file (default: built-in catalog)")
-    common.add_argument("--seed", type=int, metavar="U64",
-                        help="seed for randomized suites (default 42)")
-    common.add_argument("--random", type=int, metavar="COUNT",
+    common.add_argument("--seed", type=_int_in(0, 2 ** 64, "in [0, 2^64)"),
+                        metavar="U64",
+                        help="seed for randomized suites, < 2^64 (default 42)")
+    common.add_argument("--random", type=_int_in(1, float("inf"), ">= 1"),
+                        metavar="COUNT",
                         help="instances per randomized batch (default 50)")
     common.add_argument("--output", choices=("json", "text"))
 

@@ -74,22 +74,22 @@ def dualize(p: PerfectModule) -> PerfectModule:
 
 
 def transport_module(p: PerfectModule, iso: AlgebraIso) -> PerfectModule:
-    """Pull a module over iso.target back to iso.source (r acts as iso(r))."""
-    if not iso.target.same_structure(p.module.algebra):
-        raise AlgebraMismatch("transport iso does not land in the module algebra")
-    inv = iso.inverse()
+    """Carry a module over iso.source to iso.target, sending every twist and
+    idempotent coefficient through iso."""
+    if not iso.source.same_structure(p.module.algebra):
+        raise AlgebraMismatch("transport iso does not start at the module algebra")
     m = p.module
 
-    def pull(columns):
-        return [tuple((j, tuple(sorted((inv.perm[t], _canon(c * inv.scalars[t]))
+    def push(columns):
+        return [tuple((j, tuple(sorted((iso.perm[t], _canon(c * iso.scalars[t]))
                                        for t, c in vec)))
                       for j, vec in col) for col in columns]
 
-    mod = SemiFreeModule.from_columns(iso.source, m.shifts, pull(m.twist_columns),
+    mod = SemiFreeModule.from_columns(iso.target, m.shifts, push(m.twist_columns),
                                       m.labels)
     idem = None
     if p.idempotent is not None:
-        idem = ModuleMap.from_columns(mod, mod, 0, pull(p.idempotent.columns))
+        idem = ModuleMap.from_columns(mod, mod, 0, push(p.idempotent.columns))
     return PerfectModule(mod, idem)
 
 
@@ -210,12 +210,8 @@ def bimodule_linear_dual(a: DgAlgebra) -> DualBimodule:
 
 def omega_inverse_module(a: DgAlgebra, resolution: PerfectModule) -> PerfectModule:
     """Hom_{A^e}(P, A^e) for a diagonal resolution P, transported back to a
-    left A^e-module along A^e = (A^e)^op, x (x) y -> y (x) x."""
-    dual = dualize(resolution)
-    iso = env_op_iso(a)
-    if not iso.target.same_structure(dual.module.algebra):
-        raise AlgebraMismatch("dual does not live over the expected opposite")
-    return transport_module(dual, iso)
+    left A^e-module along (A^e)^op = A^e, y (x) x -> x (x) y."""
+    return transport_module(dualize(resolution), env_op_iso(a).inverse())
 
 
 def omega_inverse(resolution) -> PerfectModule:
@@ -322,10 +318,6 @@ class IntegrationData:
         return total
 
 
-def integrate(a: DgAlgebra) -> IntegrationData:
-    return IntegrationData(a)
-
-
 # ---------------------------------------------------------------------------
 # Dual-Hom comparison
 # ---------------------------------------------------------------------------
@@ -371,19 +363,16 @@ class EvaluationData:
         self.algebra = a
         self.m = m
         self.dual = dm = dualize(m)
-        x_mod, _, index = outer_tensor_modules(m, _reinterpret_over(dm, a))
-        # the second factor of the outer tensor must be over A^op; dualize
-        # already produced that, _reinterpret_over is a no-op guard.
+        x_mod, _, index = outer_tensor_modules(m, dm)
         self.x = x_mod
         self.index = index
         n = m.rank
-        self.dual_storage = {k: n - 1 - k for k in range(n)}  # gen -> slot
 
         # epsilon
         diag = diagonal_explicit(a)
         self.diag = diag
         values = []
-        for (i, jslot) in sorted(index, key=lambda t: index[t]):
+        for (i, jslot) in index:
             j = n - 1 - jslot
             if i == j:
                 s = m.module.shifts[i]
@@ -420,8 +409,7 @@ class EvaluationData:
         a = self.algebra
         m = self.m
         n = m.rank
-        p_breve = transport_module(self.resolution.module,
-                                   env_op_iso(a).inverse())
+        p_breve = transport_module(self.resolution.module, env_op_iso(a))
         dual_check = dualize(self.omega_inv)
         if dual_check.module != p_breve.module:
             raise DimensionMismatch("resolution transport out of line")
@@ -438,8 +426,7 @@ class EvaluationData:
         # identity tensor in degree 0 of t_aug
         t_vec = [ZERO] * t_aug.complex.dim(0)
         for k in range(n):
-            slot = self.dual_storage[k]
-            gen = self.index[(k, slot)]
+            gen = self.index[(k, n - 1 - k)]
             sgn = half_sign(m.module.shifts[k])
             for bidx, cu in enumerate(a.unit):
                 if cu:
@@ -532,13 +519,6 @@ class EvaluationData:
         return val
 
 
-def _reinterpret_over(dm: PerfectModule, a: DgAlgebra) -> PerfectModule:
-    """Guard: the dual must live over A^op."""
-    if not dm.module.algebra.same_structure(opposite(a)):
-        raise AlgebraMismatch("dual module is not over the opposite algebra")
-    return dm
-
-
 def _opposite_diagonal_explicit(a: DgAlgebra, env_op: DgAlgebra) -> ExplicitModule:
     """A^op as an explicit right-A^e module (= left (A^e)^op): the element
     p (x) q of A^e read backwards through the swap, x -> e_q x e_p."""
@@ -551,12 +531,6 @@ def _outer_map_first_factor(x: PerfectModule, f: ModuleMap, index,
     return ModuleMap.from_columns(x.module, x.module, 0, outer_tensor_columns(
         index, f.columns, ModuleMap.identity(dual.module).columns,
         dual.algebra.dim), check=False)
-
-
-def coevaluation_and_evaluation(m: PerfectModule, resolution) -> EvaluationData:
-    """The contraction pairing and the lifted identity tensor on
-    M (x) D_A M; see EvaluationData."""
-    return EvaluationData(m, resolution)
 
 
 def dualhom_check(n: PerfectModule, m: PerfectModule) -> DualHomReport:

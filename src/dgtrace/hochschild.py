@@ -18,7 +18,7 @@ from typing import Optional, Tuple
 
 from .algebras import AlgebraElement, DgAlgebra, sparse
 from .complexes import GradedSpace
-from .duality import diagonal_explicit, omega_inverse_module
+from .duality import diagonal_explicit, omega_inverse
 from .errors import (AlgebraMismatch, DimensionMismatch, IdempotentIncompatible,
                      NotClosed, NotDegreeZeroConcentrated, WrongDegree)
 from .linalg import (ONE, ZERO, SubspacePresentation, _canon, echelon_basis,
@@ -36,8 +36,9 @@ class HH0Space:
         n = algebra.dim
         mult = algebra.mult
         commutators = []
+        # [e_j, e_i] = -[e_i, e_j] and [e_i, e_i] = 0 add nothing to the span
         for i in range(n):
-            for j in range(n):
+            for j in range(i + 1, n):
                 vec = [0] * n
                 for k, c in mult.get((i, j), ()):
                     vec[k] += c
@@ -182,7 +183,8 @@ def hh_via_dualizing(a: DgAlgebra, resolution) -> GradedSpace:
     """Cohomology dims of Hom_{A^e}(omega^{-1}, A); degree 0 must equal
     dim HH_0 and the whole table is the Hochschild homology of A
     (HH_n in cohomological degree -n)."""
-    resolution.validate()
-    omega_inv = omega_inverse_module(a, resolution.module)
+    if not a.same_structure(resolution.algebra):
+        raise AlgebraMismatch("resolution of another algebra")
+    omega_inv = omega_inverse(resolution)
     return HomOverAlgebra(omega_inv.module, diagonal_explicit(a)).split(
         omega_inv.idempotent, None).cohomology_dims()

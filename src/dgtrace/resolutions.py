@@ -147,22 +147,19 @@ def quiver_resolution(a: DgAlgebra, vertex_idems: Sequence[int],
 
 def opposite_resolution(r: DiagonalResolution) -> DiagonalResolution:
     """Resolution of A^op from one of A, transported along the factor swap
-    (A^op)^e = A^op (x) A -> A (x) A^op = A^e, x (x) y -> y (x) x (degree-0
+    A^e = A (x) A^op -> A^op (x) A = (A^op)^e, x (x) y -> y (x) x (degree-0
     data, so every sign is +1)."""
     a = r.algebra
     aop = opposite(a)
+    iso = swap_iso(a, aop, tensor_algebras(a, aop), tensor_algebras(aop, a))
 
     def build():
-        p = r.module
-        iso = swap_iso(aop, a, tensor_algebras(aop, a), p.module.algebra)
         aug = tuple(aop.element(x.coords) for x in r.augmentation)
-        return transport_module(p, iso), aug
+        return transport_module(r.module, iso), aug
 
     sep = None
     if r.separable:
-        e = r.separability_idempotent()
-        env_op = tensor_algebras(aop, a)
-        sep = env_op.element(swap_iso(a, aop, e.algebra, env_op).apply(e.coords))
+        sep = iso.target.element(iso.apply(r.separability_idempotent().coords))
     return DiagonalResolution(aop, build, separability_idempotent=sep,
                               name=f"op({r.name})")
 
@@ -190,10 +187,10 @@ def tensor_resolution(r1: DiagonalResolution, r2: DiagonalResolution,
         big, prod_env, index = outer_tensor_modules(r1.module, r2.module)
         env_ab = tensor_algebras(ab, opposite(ab))
         transported = transport_module(
-            big, AlgebraIso(prod_env, env_ab, env_perm()).inverse())
+            big, AlgebraIso(prod_env, env_ab, env_perm()))
         aug = tuple(ab.element(pure_tensor(r1.augmentation[i].coords,
                                            r2.augmentation[j].coords))
-                    for (i, j) in sorted(index, key=index.get))
+                    for (i, j) in index)
         return transported, aug
 
     sep = None

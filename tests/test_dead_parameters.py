@@ -4,7 +4,8 @@ tests, the benchmark or the demos, so a parameter whose every caller takes
 the default is replaced by that value.  Calls are matched to functions by
 name alone (a class call counts for its `__init__`), so a call of a
 namesake can hide a dead parameter; a function only ever called through a
-reference would be reported."""
+reference would be reported.  No module-level function only hands its own
+parameters on to another callable."""
 
 import ast
 from pathlib import Path
@@ -110,3 +111,31 @@ def test_every_parameter_is_read_by_its_body():
             unread += [f"{path.name}:{node.lineno}: {name}({param})"
                        for param in _unread(node)]
     assert not unread, unread
+
+
+def _forwards(fn: ast.FunctionDef) -> bool:
+    """Whether the body is a docstring at most and `return f(p1, ..., pn)`
+    passing the function's own parameters, in order, as they came."""
+    body = fn.body
+    if (body and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant)
+            and isinstance(body[0].value.value, str)):
+        body = body[1:]
+    if len(body) != 1 or not isinstance(body[0], ast.Return):
+        return False
+    call = body[0].value
+    args = fn.args
+    params = [a.arg for a in args.posonlyargs + args.args]
+    return (isinstance(call, ast.Call) and not call.keywords
+            and not (args.vararg or args.kwarg or args.kwonlyargs)
+            and [getattr(a, "id", None) for a in call.args] == params)
+
+
+def test_no_module_function_only_forwards_its_parameters():
+    """A module-level function that only hands its parameters on to another
+    callable is a second name for it: callers should call it directly."""
+    wrappers = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        wrappers += [f"{path.name}:{node.lineno}: {node.name}" for node in tree.body
+                     if isinstance(node, ast.FunctionDef) and _forwards(node)]
+    assert not wrappers, wrappers

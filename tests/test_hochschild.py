@@ -193,6 +193,12 @@ def test_dualizing_description_values(cat):
                                  cat["A2"].resolution).dims) == {0: 2}
 
 
+@pytest.mark.parametrize("name, other", [("kxk", "A2"), ("A2", "A3"), ("M2", "k")])
+def test_dualizing_description_rejects_another_algebras_resolution(cat, name, other):
+    with pytest.raises(AlgebraMismatch):
+        hh_via_dualizing(cat[name].algebra, cat[other].resolution)
+
+
 def test_hh0_matches_dense_commutators(cat):
     from dgtrace.algebras import opposite, tensor_algebras
     from dgtrace.linalg import (SubspacePresentation, echelon_basis,

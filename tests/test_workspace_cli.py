@@ -271,3 +271,40 @@ def test_parse_workspace_raises_only_workspace_errors(path, value):
         parse_workspace(json.dumps(doc))
     except WorkspaceError:
         pass
+
+
+def _exit_and_stderr(args, capsys):
+    """Exit status and stderr of one CLI run, argument-parsing exits included."""
+    try:
+        code = main(args)
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args, where", [
+    (["pair", "A2", "x", "[e1]"], "input error: pair.left: not an exact rational"),
+    (["pair", "A2", "1/0,1,1", "[e1]"], "input error: pair.left: not an exact rational"),
+    (["pair", "A2", "[e1]", "1,y,1"], "input error: pair.right: not an exact rational"),
+    (["pair", "A2", "[zz]", "[e1]"], "input error: pair.left: no basis element"),
+    (["pair", "A2", "[e1]", "1,2"], "input error: pair.right: expected 3 coordinates"),
+    (["verify-rr", "--algebra", "NOPE"], "input error: --algebra: no catalog algebra"),
+    (["--random", "-3", "verify-rr"], "argument --random"),
+    (["--random", "0", "verify-rr"], "argument --random"),
+    (["--random", "0", "verify-suite"], "argument --random"),
+    (["verify-rr", "--random", "0", "--algebra", "k"], "argument --random"),
+    (["--seed", "-1", "hh0", "A2"], "argument --seed"),
+    (["--seed", str(2 ** 64), "hh0", "A2"], "argument --seed"),
+])
+def test_cli_malformed_argument_exits_with_input_error(args, where, capsys):
+    code, err = _exit_and_stderr(args, capsys)
+    assert code == 2
+    assert where in err
+    assert "Traceback" not in err
+
+
+def test_cli_seed_takes_the_whole_u64_range(capsys):
+    code, out = run_cli(["--seed", str(2 ** 64 - 1), "--random", "1",
+                         "verify-rr", "--algebra", "k"], capsys)
+    assert code == 0
+    assert json.loads(out)["seed"] == 2 ** 64 - 1
