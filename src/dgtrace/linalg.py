@@ -272,9 +272,11 @@ def _kernel(red: list, ncols: int) -> list:
             for f in range(ncols) if f not in pivots]
 
 
-def sparse_kernel(m: RationalMatrix) -> list:
-    """The kernel basis of rank_kernel_image as (column, value) pairs."""
-    return _kernel(_echelon(map(dict, m._rows)), m.cols)
+def sparse_kernel(rows: Iterable[dict], ncols: int) -> list:
+    """The kernel basis of rank_kernel_image, as (column, value) pairs, of
+    the matrix with ncols columns and these rows: sparse {column: nonzero
+    stored scalar} dicts, which it consumes."""
+    return _kernel(_echelon(rows), ncols)
 
 
 def rank_kernel_image(m: RationalMatrix):

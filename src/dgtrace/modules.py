@@ -397,10 +397,12 @@ class ModuleMap:
         """d(phi) = D_N . phi - (-1)^{|phi|} phi . D_M at the matrix level:
         entry (l, i) is d(phi[l][i]) + sum_j (-1)^{|phi[j][i]|} phi[j][i] *
         deltaN[l][j] - sum_j (-1)^{|phi| (|deltaM[j][i]| + 1)} deltaM[j][i] *
-        phi[l][j]."""
+        phi[l][j].  With d_A = 0 and no twist on either side it is zero."""
         a = self.source.algebra
         n = self.degree
         twist_n = self.target.twist_columns
+        if not a.diff and not any(twist_n) and not any(self.source.twist_columns):
+            return ModuleMap.zero(self.source, self.target, n + 1)
         columns = []
         for col, twist_col in zip(self.columns, self.source.twist_columns):
             acc: Dict[int, List] = {}
@@ -717,6 +719,8 @@ class TensorOverAlgebra:
     """
 
     def __init__(self, left: ExplicitModule, m: SemiFreeModule):
+        if not opposite(left.algebra).same_structure(m.algebra):
+            raise AlgebraMismatch("left factor must live over the opposite algebra")
         self.left = left
         self.m = m
         self.basis, self.pos, space = _key_basis(m.shifts, left.basis, -1)
@@ -788,8 +792,6 @@ def tensor_over_algebra(n: PerfectModule, m: PerfectModule) -> SplitComplex:
     """Derived tensor N (x)_A M of a right module (over A^op) and a left
     module (over A), both on semi-free presentations.  Idempotents on either
     side induce a closed idempotent on the result."""
-    if not opposite(n.module.algebra).same_structure(m.module.algebra):
-        raise AlgebraMismatch("left factor must live over the opposite algebra")
     e_left = n.idempotent.restrict() if n.idempotent is not None else None
     return TensorOverAlgebra(n.module.to_explicit(), m.module).split(
         e_left, m.idempotent)
@@ -805,6 +807,8 @@ class HomOverAlgebra:
     d(phi)(g_i) = D_X(phi(g_i)) - (-1)^n sum_j +- delta_ji . phi(g_j)."""
 
     def __init__(self, m: SemiFreeModule, target: ExplicitModule):
+        if not m.algebra.same_structure(target.algebra):
+            raise AlgebraMismatch("Hom across different algebras")
         self.m = m
         self.target = target
         self.basis, self.pos, space = _key_basis(m.shifts, target.basis, 1)
@@ -878,8 +882,6 @@ def semifree_map_to_explicit(m: SemiFreeModule, target: ExplicitModule,
 def hom_over_algebra(m: PerfectModule, n: PerfectModule) -> SplitComplex:
     """Hom_A(M, N) as an explicit complex; idempotents on either side induce
     the compression phi -> e_N . phi . e_M."""
-    if not m.module.algebra.same_structure(n.module.algebra):
-        raise AlgebraMismatch("Hom across different algebras")
     e_target = n.idempotent.restrict() if n.idempotent is not None else None
     return HomOverAlgebra(m.module, n.module.to_explicit()).split(
         m.idempotent, e_target)

@@ -9,13 +9,13 @@ entry-level closedness system, so every sample is closed on the nose.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .algebras import DgAlgebra, SparseVec
-from .complexes import keyed_blocks, positions
 from .errors import NotClosed, NotDegreeZeroConcentrated
-from .linalg import RationalMatrix, _canon, sparse_kernel
+from .linalg import _canon, sparse_kernel
 from .modules import (ModuleMap, PerfectModule, SemiFreeModule, rows_of,
                       cone_module, direct_sum_modules, free_module,
                       projective_module)
@@ -86,7 +86,9 @@ def random_perfect(a: DgAlgebra, rng: SplitMix64, idempotents=(),
 
 
 Key = Tuple[int, int, int]
-KeyedVector = Tuple[Tuple[Key, Fraction], ...]
+# values in stored form (`linalg._canon`): an int when integral, else a Fraction
+Scalar = Union[int, Fraction]
+KeyedVector = Tuple[Tuple[Key, Scalar], ...]
 
 
 def closed_map_kernel(src: SemiFreeModule, tgt: SemiFreeModule,
@@ -94,33 +96,37 @@ def closed_map_kernel(src: SemiFreeModule, tgt: SemiFreeModule,
     """A basis of the closed degree-`degree` maps src -> tgt, solved at the
     entry level over a degree-0 algebra: each basis vector as its nonzero
     ((j, i, w), x) coordinates in key order, x the coordinate of e_w in
-    entry (j, i)."""
+    entry (j, i).  Between twist-free modules every map is closed, and the
+    basis is the unit vectors in key order."""
     a = src.algebra
     if not a.is_degree_zero():
         raise NotDegreeZeroConcentrated("closed maps are solved over degree-0 algebras")
     keys = [(j, i, w) for j in range(tgt.rank) for i in range(src.rank)
             if degree + tgt.shifts[j] == src.shifts[i] for w in range(a.dim)]
-    # equations: the coordinates (l, i, x) of d(phi)[l][i] = 0, one column
-    # per unknown coordinate e_w of entry (j, i)
+    if not any(src.twist_columns) and not any(tgt.twist_columns):
+        # no equation: every coordinate is free
+        return [((key, 1),) for key in keys]
+    # equations: the coordinates (l, i, x) of d(phi)[l][i] = 0, each a row
+    # {column: coeff} over the unknown coordinates e_w of entries (j, i)
     sgn = -1 if degree % 2 else 1
     rows_m = rows_of(src.twist_columns, src.rank)
-    terms: Dict[Key, List] = {}
-    for (j, i, w) in keys:
-        out = terms[(j, i, w)] = []
+    rows: Dict[Key, Dict[int, Scalar]] = defaultdict(dict)
+    for col, (j, i, w) in enumerate(keys):
         # + phi[j][i] * deltaN[l][j], in entry (l, i)
         for l, dn in tgt.twist_columns[j]:
             for t, ct in dn:
-                out += [((l, i, x), ct * cx) for x, cx in a.mult.get((w, t), ())]
+                for x, cx in a.mult.get((w, t), ()):
+                    row = rows[(l, i, x)]
+                    row[col] = row.get(col, 0) + ct * cx
         # - (-1)^degree deltaM[i][i2] * phi[j][i], in entry (j, i2)
         for i2, dm in rows_m[i]:
             for t, ct in dm:
-                out += [((j, i2, x), -sgn * ct * cx) for x, cx in a.mult.get((t, w), ())]
-    equations = sorted({k for ts in terms.values() for k, _ in ts})
-    system = keyed_blocks({0: keys}, {0: equations},
-                          positions({0: equations}), 0, terms.get)
-    # no equations: every coordinate is free
-    return [tuple((keys[c], x) for c, x in v) for v in
-            sparse_kernel(system.get(0, RationalMatrix.zeros(0, len(keys))))]
+                for x, cx in a.mult.get((t, w), ()):
+                    row = rows[(j, i2, x)]
+                    row[col] = row.get(col, 0) - sgn * ct * cx
+    return [tuple((keys[c], x) for c, x in v) for v in sparse_kernel(
+        ({c: _canon(x) for c, x in row.items() if x} for row in rows.values()),
+        len(keys))]
 
 
 def _map_from_vector(src: SemiFreeModule, tgt: SemiFreeModule, degree: int,

@@ -23,12 +23,22 @@ from .pairing import (KernelTransfer, PairingReport, cup, diagonal_class,
                       pair_scalar, pairing_three_ways, unit_algebra,
                       verify_kernel_composition, verify_rr, rr_left_side)
 from .prng import stream_for
-from .sampling import (random_closed_pair, random_module_with_endos,
-                       random_perfect, random_semifree)
+from .sampling import (random_closed_pair, random_coeff,
+                       random_module_with_endos, random_perfect,
+                       random_semifree)
 
 
 def _algebra_tag(name: str) -> int:
     return sum(ord(c) * 31 ** i for i, c in enumerate(name)) % 100003
+
+
+def _seeded_class(space, rng):
+    """A seeded combination of the basis classes of an HH_0 space, each
+    coefficient a nonzero rational, so a check on it sees coefficients that
+    a basis class (all 1) would not."""
+    return space.class_of(space.representative(
+        Fraction(random_coeff(rng) or 1, 1 + rng.below(3))
+        for _ in range(space.dim)))
 
 
 def rr_batch_layout(count: int):
@@ -208,25 +218,29 @@ def duality_suite(count: int, seed: int) -> Dict:
 
 
 def pairing_coherence_suite(seed: int) -> Dict:
-    """Three pairing constructions on a full basis of HH_0(A^op) x HH_0(A),
-    the unit law of the contraction, the transfer-vs-cup identity on random
-    kernels, and well-definedness of the scalar pairing."""
+    """Three pairing constructions on a full basis of HH_0(A^op) x HH_0(A)
+    and on seeded combinations, the unit law of the contraction, the
+    transfer-vs-cup identity on random kernels, and well-definedness of the
+    scalar pairing."""
     results = {}
     ok = True
     kalg = unit_algebra()
-    for name, ent in catalog().items():
+    for idx, (name, ent) in enumerate(catalog().items()):
         a = ent.algebra
         aop = opposite(a)
         sp, spo = hh0_space(a), hh0_space(aop)
         env_res = ent.enveloping_resolution()
         cache: Dict = {}
         three_ok = True
-        for lam in spo.basis_classes():
-            for mu in sp.basis_classes():
-                s1, s2, s3 = pairing_three_ways(a, ent.resolution, lam, mu,
-                                                env_res, cache)
-                if not (s1 == s2 == s3):
-                    three_ok = False
+        coeffs = stream_for(seed, 16000 + idx)
+        combos = [(_seeded_class(spo, coeffs), _seeded_class(sp, coeffs))
+                  for _ in range(2)]
+        for lam, mu in [(lam, mu) for lam in spo.basis_classes()
+                        for mu in sp.basis_classes()] + combos:
+            s1, s2, s3 = pairing_three_ways(a, ent.resolution, lam, mu,
+                                            env_res, cache)
+            if not (s1 == s2 == s3):
+                three_ok = False
         # unit law: hh(A) cup_A lam = lam over A (x) k^op
         sp_ak = hh0_space(tensor_algebras(a, opposite(kalg)))
         dclass = diagonal_class(ent.resolution)
@@ -267,6 +281,7 @@ def pairing_coherence_suite(seed: int) -> Dict:
         a2 = catalog_entry("A2").algebra
         ab = tensor_algebras(a2, opposite(b))
         rng = stream_for(seed, 15000 + i)
+        coeffs = stream_for(seed, 16500 + i)
         for _ in range(2):
             kern = random_perfect(ab, rng, idempotents=(), max_gens=3,
                                   shift_range=(-1, 1))
@@ -274,7 +289,8 @@ def pairing_coherence_suite(seed: int) -> Dict:
             hh_k_class = euler_class(kern)
             bk = tensor_algebras(b, opposite(kalg))
             sp_bk = hh0_space(bk)
-            for lam_b in hh0_space(b).basis_classes():
+            sp_b = hh0_space(b)
+            for lam_b in sp_b.basis_classes() + (_seeded_class(sp_b, coeffs),):
                 lam = sp_bk.class_of(bk.element(lam_b.representative.coords))
                 lhs = tr.apply(lam_b)
                 rhs = cup(hh_k_class, lam, a2, b, kalg, ent.resolution)

@@ -4,17 +4,21 @@ import pytest
 
 from dgtrace.algebras import opposite, tensor_algebras
 from dgtrace.complexes import is_acyclic
-from dgtrace.errors import (DegreeViolation, DifferentialSquareViolation,
+from dgtrace.duality import diagonal_explicit, omega_inverse
+from dgtrace.errors import (AlgebraMismatch, DegreeViolation,
+                            DifferentialSquareViolation,
                             TriangularityViolation, WrongDegree)
-from dgtrace.modules import (ExplicitModule, ModuleMap, PerfectModule,
-                             SemiFreeModule, cone_module, direct_sum_modules,
-                             free_module,
+from dgtrace.linalg import rank_kernel_image
+from dgtrace.modules import (ExplicitModule, HomOverAlgebra, ModuleMap,
+                             PerfectModule, SemiFreeModule, TensorOverAlgebra,
+                             cone_module, direct_sum_modules, free_module,
                              hom_over_algebra, outer_tensor_modules,
                              projective_module, restrict_to_factor,
                              restrict_to_ground, shift_module,
                              tensor_over_algebra)
 from dgtrace.prng import SplitMix64
-from dgtrace.sampling import random_semifree, closed_map_basis
+from dgtrace.sampling import (closed_map_basis, closed_map_kernel,
+                              random_perfect, random_semifree)
 
 F = Fraction
 
@@ -239,22 +243,64 @@ def test_outer_tensor_modules(a2, kfield):
     restrict_to_ground(big).carrier.check_d_squared()
 
 
-def test_closed_map_basis_matches_hom_h0_counts(a2):
-    # dim of closed degree-0 maps equals the kernel dimension of the Hom
-    # complex differential in degree 0
-    rng = SplitMix64(19)
-    m = random_semifree(a2, rng, max_gens=3, shift_range=(-1, 1))
-    n = random_semifree(a2, rng, max_gens=3, shift_range=(-1, 1))
-    basis = closed_map_basis(m.module, n.module, 0)
-    from dgtrace.modules import HomOverAlgebra
-    from dgtrace.linalg import rank_kernel_image
-    h = HomOverAlgebra(m.module, n.module.to_explicit())
-    if 0 in h.basis:
-        _, ker, _ = rank_kernel_image(h.complex.d(0))
-        assert len(basis) == ker.dim
-    for f in basis[:4]:
-        assert f.is_closed()
-        assert f.restrict().is_closed()
+def test_closed_map_basis_matches_hom_h0_counts(cat):
+    """Over every catalog algebra, on twisted, twist-free and idempotent-
+    carrier pairs, in degrees -1, 0 and 1: the kernel has as many vectors as
+    the Hom complex has cycles in that degree, each vector's map is closed,
+    and between twist-free modules the vectors are the unit vectors in key
+    order."""
+    seen = {"both twisted": 0, "twist-free": 0, "idempotent": 0}
+    for index, ent in enumerate(cat.values()):
+        a = ent.algebra
+        rng = SplitMix64(19 + index)
+        mods = [random_perfect(a, rng, ent.idempotents, max_gens=3,
+                               shift_range=(-1, 1)) for _ in range(4)]
+        mods += [free_module(a, [0, 1]), cone_module(ModuleMap(
+            free_module(a, [0]).module, free_module(a, [0]).module, 0,
+            [[a.one()]]))]
+        for src in mods:
+            for tgt in mods:
+                s, t = src.module, tgt.module
+                twisted = [any(s.twist_columns), any(t.twist_columns)]
+                seen["both twisted"] += all(twisted)
+                seen["twist-free"] += not any(twisted)
+                seen["idempotent"] += (src.idempotent is not None
+                                       or tgt.idempotent is not None)
+                h = HomOverAlgebra(s, t.to_explicit())
+                for degree in (-1, 0, 1):
+                    vectors = closed_map_kernel(s, t, degree)
+                    cycles = rank_kernel_image(h.complex.d(degree))[1]
+                    assert len(vectors) == cycles.dim
+                    for f in closed_map_basis(s, t, degree):
+                        assert f.degree == degree and f.is_closed()
+                    if not any(twisted):
+                        keys = [(j, i, w) for j in range(t.rank)
+                                for i in range(s.rank)
+                                if degree + t.shifts[j] == s.shifts[i]
+                                for w in range(a.dim)]
+                        assert vectors == [((key, 1),) for key in keys]
+    assert min(seen.values()) >= 5, seen
+
+
+def test_realizations_refuse_modules_over_other_algebras(cat):
+    """The Hom and tensor realizations check their algebras themselves, not
+    only through hom_over_algebra and tensor_over_algebra: unchecked, the
+    Hom from omega^{-1} of A2's resolution into the diagonal of kxk had
+    cohomology {-1: 1, 0: 1}, and from k's into M2's diagonal {0: 1}."""
+    for res_of, diag_of in (("A2", "kxk"), ("k", "M2")):
+        omega = omega_inverse(cat[res_of].resolution)
+        with pytest.raises(AlgebraMismatch):
+            HomOverAlgebra(omega.module, diagonal_explicit(cat[diag_of].algebra))
+    a2 = cat["A2"].algebra
+    m = free_module(a2, [0])
+    with pytest.raises(AlgebraMismatch):
+        TensorOverAlgebra(m.module.to_explicit(), m.module)
+    with pytest.raises(AlgebraMismatch):
+        HomOverAlgebra(m.module, free_module(cat["Kronecker"].algebra, [0])
+                       .module.to_explicit())
+    left = free_module(opposite(a2), [0]).module.to_explicit()
+    assert TensorOverAlgebra(left, m.module).complex.space.dims == {0: 3}
+    assert HomOverAlgebra(m.module, m.module.to_explicit()).complex.space.dims == {0: 3}
 
 
 def test_module_map_compose_matches_restriction(a2):

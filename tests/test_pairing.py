@@ -5,7 +5,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from dgtrace.algebras import DgAlgebra, opposite, pure_tensor, tensor_algebras
+from dgtrace.algebras import (DgAlgebra, opposite, pure_tensor, sparse,
+                              tensor_algebras)
 from dgtrace.catalog import catalog_entry, path_algebra_a2
 from dgtrace.errors import (IdempotentIncompatible, NoDiagonalResolutionForB,
                             NotSeparableB)
@@ -21,7 +22,7 @@ from dgtrace.pairing import (KernelTransfer, compose_kernels_separable, cup,
                              verify_rr, _pair_trace_table)
 from dgtrace.prng import SplitMix64, stream_for
 from dgtrace.sampling import random_coeff, random_module_with_endos, random_perfect
-from dgtrace.suites import adapt_suite, cartan_tables
+from dgtrace.suites import adapt_suite, cartan_tables, pairing_coherence_suite
 
 F = Fraction
 
@@ -698,3 +699,20 @@ def test_kernel_composition_checks_the_composed_idempotent(cat):
         for k1, k2 in ((bad, good), (good, bad)):
             with pytest.raises(IdempotentIncompatible):
                 compose_kernels_separable(k1, k2, b, b, b, ent.resolution)
+
+
+def test_pairing_coherence_sees_the_class_coefficients(monkeypatch):
+    """A transfer that adds each per-basis trace once, whatever the class's
+    coefficient, agrees with cup on every basis class, whose coefficients
+    are all 1; the suite's seeded combinations must catch it."""
+    apply = KernelTransfer.apply
+
+    def ignoring_coefficients(self, lam):
+        ones = [0] * lam.algebra.dim
+        for t, _ in sparse(lam.representative.coords):
+            ones[t] = 1
+        return apply(self, lam.space.class_of(lam.algebra.element(ones)))
+    monkeypatch.setattr(KernelTransfer, "apply", ignoring_coefficients)
+    out = pairing_coherence_suite(42)
+    assert not out["ok"]
+    assert not out["transfer_vs_cup"]
