@@ -272,11 +272,12 @@ def _kernel(red: list, ncols: int) -> list:
             for f in range(ncols) if f not in pivots]
 
 
-def sparse_kernel(rows: Iterable[dict], ncols: int) -> list:
+def sparse_kernel(rows: Iterable[Mapping], ncols: int) -> list:
     """The kernel basis of rank_kernel_image, as (column, value) pairs, of
-    the matrix with ncols columns and these rows: sparse {column: nonzero
-    stored scalar} dicts, which it consumes."""
-    return _kernel(_echelon(rows), ncols)
+    the matrix with ncols columns and these rows, each a {column: rational}
+    mapping; zero values are dropped and the rest put in stored form."""
+    return _kernel(_echelon({j: _canon(x) for j, x in row.items() if x}
+                            for row in rows), ncols)
 
 
 def rank_kernel_image(m: RationalMatrix):

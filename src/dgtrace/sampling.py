@@ -104,7 +104,8 @@ def closed_map_kernel(src: SemiFreeModule, tgt: SemiFreeModule,
     keys = [(j, i, w) for j in range(tgt.rank) for i in range(src.rank)
             if degree + tgt.shifts[j] == src.shifts[i] for w in range(a.dim)]
     if not any(src.twist_columns) and not any(tgt.twist_columns):
-        # no equation: every coordinate is free
+        # no equation: every coordinate is free.  The rows below would give
+        # the same unit vectors; this skips their loop over the keys.
         return [((key, 1),) for key in keys]
     # equations: the coordinates (l, i, x) of d(phi)[l][i] = 0, each a row
     # {column: coeff} over the unknown coordinates e_w of entries (j, i)
@@ -124,9 +125,8 @@ def closed_map_kernel(src: SemiFreeModule, tgt: SemiFreeModule,
                 for x, cx in a.mult.get((t, w), ()):
                     row = rows[(j, i2, x)]
                     row[col] = row.get(col, 0) - sgn * ct * cx
-    return [tuple((keys[c], x) for c, x in v) for v in sparse_kernel(
-        ({c: _canon(x) for c, x in row.items() if x} for row in rows.values()),
-        len(keys))]
+    return [tuple((keys[c], x) for c, x in v)
+            for v in sparse_kernel(rows.values(), len(keys))]
 
 
 def _map_from_vector(src: SemiFreeModule, tgt: SemiFreeModule, degree: int,

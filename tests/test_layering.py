@@ -1,7 +1,9 @@
 """The matrix layout is known to `linalg` alone: every other module builds
 k-level maps through the keyed assembler (`complexes.keyed_blocks`) and
-reads them through `RationalMatrix.sparse_columns`, so a change of storage
-stays inside `linalg.py`.  This keeps the layout behind `linalg` the way
+reads them through `RationalMatrix.sparse_columns`, and the one other entry
+point, `sparse_kernel(rows, ncols)`, takes plain {column: rational} rows
+and puts them in stored form itself, so a change of storage stays inside
+`linalg.py`.  This keeps the layout behind `linalg` the way
 test_traced_names keeps the traced names resolvable.  In the same way the
 action layout of an explicit module (generators over one shared base table)
 is known to `modules.py` alone: `ExplicitModule.act` is the one reader of

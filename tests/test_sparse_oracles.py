@@ -952,15 +952,13 @@ def test_stored_ints_compute_what_all_fractions_compute(make):
 
 def test_sparse_kernel_on_stored_ints_matches_all_fractions():
     """Integer pivots 2 and -1 are divided as Fractions: the kernel of the
-    stored matrix equals the kernel of the all-Fraction one, in stored
-    form, with no float."""
+    integer rows (zeros included) equals the kernel of the all-Fraction
+    ones, in stored form, with no float."""
     rows = [[2, 4, -1, 3, 0, 1], [0, -1, 1, 2, 1, 0], [4, 7, -1, 8, 1, 2],
             [0, 0, 0, -1, F(1, 2), 3]]
-    m = RationalMatrix.from_rows(rows)
-    twin = RationalMatrix._of(4, 6, [{j: F(x) for j, x in enumerate(r) if x}
-                                     for r in rows])
-    got, want = (sparse_kernel(x.transpose().sparse_columns(), 6)
-                 for x in (m, twin))
+    got = sparse_kernel([dict(enumerate(r)) for r in rows], 6)
+    want = sparse_kernel([{j: F(x) for j, x in enumerate(r) if x}
+                          for r in rows], 6)
     assert got == want and len(got) == 3
     assert all(is_stored_scalar(x) for vec in got for _, x in vec)
     assert any(type(x) is F for vec in got for _, x in vec)
