@@ -59,6 +59,7 @@ class DgAlgebra:
     (`AlgebraElement.coords`) give Fractions.  Tables derived from `mult` are
     memoised on the instance on first use: the trace table
     (`pairing._pair_trace_table`), HH_0 (`hochschild.hh0_space`), the
+    tables of A^* as a one-sided module (`duality._dual_tables`), the
     opposite algebra (`opposite`) and the tensor products with this algebra
     as first factor (`tensor_algebras`).
     """
@@ -77,6 +78,7 @@ class DgAlgebra:
         self._check_degrees()
         self._trace_table = None
         self._hh0 = None
+        self._dual_tables = None
         self._opposite = None
         self._products = None
 

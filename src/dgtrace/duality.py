@@ -16,17 +16,16 @@ nose over degree-0 algebras: the eps factors contribute eps(s)eps(-s) =
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .algebras import (AlgebraIso, DgAlgebra, env_op_iso,
-                       opposite, tensor_algebras)
-from .complexes import (ChainMap, Cohomology, Complex, GradedSpace,
-                        SplitComplex, cohomology_dims, keyed_blocks,
-                        linear_dual, lower_block)
+from .algebras import (AlgebraIso, DgAlgebra, env_op_iso, opposite, sparse,
+                       tensor_algebras)
+from .complexes import (ChainMap, Complex, GradedSpace, SplitComplex,
+                        cohomology_dims, keyed_blocks, linear_dual, lower_block)
 from .errors import (AlgebraMismatch, DimensionMismatch, NotClosed,
                      NotDegreeZeroConcentrated)
-from .linalg import ONE, ZERO, RationalMatrix, _canon, solve
+from .hochschild import HochschildClass, hh0_space
+from .linalg import ZERO, _canon, solve
 from .modules import (ExplicitModule, HomOverAlgebra, ModuleMap, PerfectModule,
                       SemiFreeModule, TensorOverAlgebra, outer_tensor_columns,
                       outer_tensor_modules, restrict_to_factor,
@@ -152,51 +151,63 @@ class DualBimodule:
         self.env_data = _degree_zero_module(
             self.env, a.dim, _transposed(_sandwich_table(a, swap=True)))
 
-    def basis_action(self, flat: int, x: int) -> List[Fraction]:
-        """(e_p (x) e_q) . phi_x over the dual basis, flat = p*n + q: the
-        coefficient of phi_y is phi_x(e_q e_y e_p)."""
-        out = [ZERO] * self.dim
-        for (_, y), c in self.env_data.act(((flat, ONE),), (0, x)):
-            out[y] += c
-        return out
-
     def right_module_data(self) -> ExplicitModule:
         """A^* as a right A-module, (phi . a)(x) = phi(a x), presented over
         A^op for the tensor machinery: e_i . phi_x = sum_y [e_x](e_i e_y)
         phi_y."""
         a = self.algebra
-        return _degree_zero_module(opposite(a), a.dim, _transposed(a.mult))
+        return _degree_zero_module(opposite(a), a.dim, _dual_tables(a)[1])
 
     def left_module_data(self) -> ExplicitModule:
         """A^* as a left A-module, (a . phi)(x) = phi(x a): e_i . phi_x =
         sum_y [e_x](e_y e_i) phi_y."""
         a = self.algebra
-        return _degree_zero_module(a, a.dim, _left_dual_table(a))
+        return _degree_zero_module(a, a.dim, _dual_tables(a)[0])
 
     def validate(self):
         """Module axioms over A^e on all basis pairs."""
-        env = self.env
-        n = self.dim
-        for u in range(env.dim):
-            for v in range(env.dim):
-                for x in range(n):
-                    step = [ZERO] * n
-                    for y, c in enumerate(self.basis_action(v, x)):
-                        if c:
-                            for z, c2 in enumerate(self.basis_action(u, y)):
-                                step[z] += c * c2
-                    direct = [ZERO] * n
-                    for w, c in env.mult.get((u, v), ()):
-                        for z, c2 in enumerate(self.basis_action(w, x)):
-                            direct[z] += c * c2
-                    if step != direct:
-                        raise AlgebraMismatch("dual bimodule action not associative")
+        _check_module_axiom(self.env_data)
         return self
+
+
+def _check_module_axiom(module: ExplicitModule) -> None:
+    """e_s . (e_t . x) = (e_s e_t) . x for all basis elements s, t of the
+    module's algebra and every key x, else AlgebraMismatch."""
+    alg = module.algebra
+    act = module.act
+
+    def merged(terms):
+        out: Dict = {}
+        for key, c in terms:
+            out[key] = out.get(key, 0) + c
+        return {key: c for key, c in out.items() if c}
+
+    for x in (key for keys in module.basis.values() for key in keys):
+        once = [act(((t, 1),), x) for t in range(alg.dim)]
+        for s in range(alg.dim):
+            for t, terms in enumerate(once):
+                twice = [term for y, c in terms for term in act(((s, c),), y)]
+                if merged(twice) != merged(act(alg.mult.get((s, t), ()), x)):
+                    raise AlgebraMismatch(
+                        "action table fails e_s . (e_t . x) = (e_s e_t) . x at "
+                        f"s = {alg.labels[s]}, t = {alg.labels[t]}, x = {x}")
 
 
 def _left_dual_table(a: DgAlgebra) -> Dict[Tuple, List]:
     """The table of A^* as a left A-module: (i, x) -> the (y, [e_x](e_y e_i))."""
     return _transposed({(i, y): vec for (y, i), vec in a.mult.items()})
+
+
+def _dual_tables(a: DgAlgebra) -> Tuple[Dict, Dict]:
+    """The tables of A^* as a left A-module and as a left A^op-module (the
+    transpose of `mult`), memoised on the algebra; each is checked against
+    the module axiom once, when built."""
+    if a._dual_tables is None:
+        left, right = _left_dual_table(a), _transposed(a.mult)
+        _check_module_axiom(_degree_zero_module(a, a.dim, left))
+        _check_module_axiom(_degree_zero_module(opposite(a), a.dim, right))
+        a._dual_tables = (left, right)
+    return a._dual_tables
 
 
 def bimodule_linear_dual(a: DgAlgebra) -> DualBimodule:
@@ -244,7 +255,7 @@ def serre_module_data(a: DgAlgebra, m: PerfectModule,
     # index x); A acts on the A^* factor
     basis = {p: [(i, x) for i, (_, x) in keys]
              for p, keys in sc.realization.basis.items()}
-    return ExplicitModule(a, sc.carrier, basis, _left_dual_table(a)), sc.projector
+    return ExplicitModule(a, sc.carrier, basis, _dual_tables(a)[0]), sc.projector
 
 
 def hom_into_serre(x: PerfectModule, serre_data) -> SplitComplex:
@@ -272,53 +283,6 @@ def omega_contraction_dims(a: DgAlgebra, omega_inv: PerfectModule,
 
 
 # ---------------------------------------------------------------------------
-# Integration
-# ---------------------------------------------------------------------------
-
-class IntegrationData:
-    """The balanced pairing A^* (x)_{A^e} A -> k, phi (x) x -> phi(x).
-
-    The functional is checked to vanish on every balancing relation
-    phi.z (x) x - phi (x) z.x, so it factors through the quotient.
-    """
-
-    def __init__(self, a: DgAlgebra):
-        if not a.is_degree_zero():
-            raise NotDegreeZeroConcentrated("integration defined in degree 0 only")
-        self.algebra = a
-        n = a.dim
-        dual = DualBimodule(a)
-        diag = diagonal_explicit(a)
-        # coordinates phi_x (x) e_y at x*n + y; the functional sends
-        # phi_x (x) e_x to 1 and every other basis tensor to 0
-        func = [ZERO] * (n * n)
-        for x in range(n):
-            func[x * n + x] = ONE
-        for z in range(n * n):
-            p, q = divmod(z, n)
-            for x in range(n):
-                # right action phi.z: (phi (a(x)b))(t) = phi(a t b), which is
-                # the env action of the flip (b (x) a).
-                phi_z = dual.basis_action(q * n + p, x)
-                for y in range(n):
-                    # the functional on phi_x.z (x) e_y - phi_x (x) z.e_y
-                    z_y = diag.act(((z, ONE),), (0, y))
-                    if phi_z[y] != sum((c for (_, y2), c in z_y if y2 == x), ZERO):
-                        raise DimensionMismatch("integration does not balance")
-        self.functional = tuple(func)
-
-    def evaluate(self, phi_coords, x_coords) -> Fraction:
-        n = self.algebra.dim
-        total = ZERO
-        for x, cp in enumerate(phi_coords):
-            if cp:
-                for y, cx in enumerate(x_coords):
-                    if cx:
-                        total += cp * cx * self.functional[x * n + y]
-        return total
-
-
-# ---------------------------------------------------------------------------
 # Dual-Hom comparison
 # ---------------------------------------------------------------------------
 
@@ -336,7 +300,7 @@ def dual_right_module_data(m: SemiFreeModule) -> ExplicitModule:
     ex = m.to_explicit()
     basis = {-p: keys for p, keys in ex.basis.items()}
     return ExplicitModule(opposite(m.algebra), linear_dual(ex.complex), basis,
-                          _transposed(m.algebra.mult))
+                          _dual_tables(m.algebra)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -397,9 +361,7 @@ class EvaluationData:
             if self.m.idempotent is not None:
                 raise DimensionMismatch(
                     "coevaluation is lifted for plain semi-free modules")
-            self.resolution.validate()
-            self.omega_inv = omega_inverse_module(self.algebra,
-                                                  self.resolution.module)
+            self.omega_inv = omega_inverse(self.resolution)
             self.hom = HomOverAlgebra(self.omega_inv.module,
                                       self.x.module.to_explicit())
             self._eta = self._lift_identity()
@@ -478,59 +440,37 @@ class EvaluationData:
         step = self.eta_coords
         target_hom = HomOverAlgebra(self.omega_inv.module, self.diag)
         if f is not None:
-            fx = _outer_map_first_factor(self.x, f, self.index, self.dual)
+            # f (x) id on the outer tensor M (x) D_A M
+            x = self.x.module
+            fx = ModuleMap.from_columns(x, x, 0, outer_tensor_columns(
+                self.index, f.columns, ModuleMap.identity(self.dual.module).columns,
+                self.algebra.dim), check=False)
             carry = self.hom.postcompose_into(self.hom, fx.restrict())
             step = carry.block(0).apply(step)
         carry = self.hom.postcompose_into(target_hom, self.eps_chain)
         return target_hom, carry.block(0).apply(step)
 
-    def scalar_composite(self, f: Optional[ModuleMap] = None) -> Fraction:
-        """For A = k: the composite class is a rational number."""
-        if self.algebra.dim != 1:
-            raise DimensionMismatch("scalar composite defined over the ground field")
+    def composite_class(self, f: Optional[ModuleMap] = None) -> HochschildClass:
+        """The class in HH_0(A) of the cocycle eps . (f (x) id) . eta of
+        Hom_{A^e}(omega^{-1}, A) (f = None for the identity), read along
+        P (x)_{A^e} A -> A (x)_{A^e} A = A/[A,A]: the Hom key (kappa, (0, x))
+        with coefficient c adds c aug(g) e_x, g the resolution generator that
+        the dual generator kappa is dual to (`dualize` reverses the order).
+        A boundary adds nothing, since aug . d = 0."""
         target_hom, coords = self.eta_evaluated(f)
-        coh = Cohomology(target_hom.complex)
-        mat = RationalMatrix.from_columns([list(coords)],
-                                          nrows=target_hom.complex.dim(0))
-        projected = coh.project_cycles(0, mat)
-        # express the unit class: representative of H^0 must be spanned by
-        # the augmentation-induced generator; normalize against it.
-        if projected.rows != 1:
-            raise DimensionMismatch("H^0 of the target is not a line")
-        unit_coords = self._unit_class_coords(target_hom, coh)
-        return Fraction(projected.sparse_columns()[0].get(0, 0), unit_coords)
-
-    def _unit_class_coords(self, target_hom, coh) -> Fraction:
-        """H^0-coordinate of the Hom-class corresponding to 1 in HH_0(k)."""
-        # over k the resolution generator of shift 0 maps to 1; the class of
-        # the map omega^{-1} -> k sending the shift-0 dual generator to 1 is
-        # the unit.  Build it directly.
-        coords = [ZERO] * target_hom.complex.dim(0)
-        for (kappa, key), (p, r) in target_hom.pos.items():
-            if p != 0:
-                continue
-            if self.omega_inv.module.shifts[kappa] == 0:
-                coords[r] += ONE
-        mat = RationalMatrix.from_columns([coords],
-                                          nrows=target_hom.complex.dim(0))
-        val = coh.project_cycles(0, mat).sparse_columns()[0].get(0)
-        if not val:
-            raise DimensionMismatch("unit class degenerates")
-        return val
+        a = self.algebra
+        aug = self.resolution.augmentation
+        total = [ZERO] * a.dim
+        for (kappa, (_, x)), c in zip(target_hom.basis.get(0, ()), coords):
+            if c:
+                a.add_product(total, sparse(aug[-1 - kappa].coords), ((x, c),))
+        return hh0_space(a).class_of(a.element(total))
 
 
 def _opposite_diagonal_explicit(a: DgAlgebra, env_op: DgAlgebra) -> ExplicitModule:
     """A^op as an explicit right-A^e module (= left (A^e)^op): the element
     p (x) q of A^e read backwards through the swap, x -> e_q x e_p."""
     return _degree_zero_module(env_op, a.dim, _sandwich_table(a, swap=True))
-
-
-def _outer_map_first_factor(x: PerfectModule, f: ModuleMap, index,
-                            dual: PerfectModule) -> ModuleMap:
-    """f (x) id on the outer tensor M (x) D_A M (degree-0 entries)."""
-    return ModuleMap.from_columns(x.module, x.module, 0, outer_tensor_columns(
-        index, f.columns, ModuleMap.identity(dual.module).columns,
-        dual.algebra.dim), check=False)
 
 
 def dualhom_check(n: PerfectModule, m: PerfectModule) -> DualHomReport:

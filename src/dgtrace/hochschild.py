@@ -8,7 +8,9 @@ the generalized supertrace
 
 with e the module's idempotent (identity when absent).  The dual description
 via Hom over the enveloping algebra out of the inverse dualizing module is
-computed independently and compared by dimensions.
+computed independently and compared by dimensions; the class itself is
+compared too, as eps . (f (x) 1) . eta read in HH_0
+(`duality.EvaluationData.composite_class`).
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ from fractions import Fraction
 from typing import Optional, Tuple
 
 from .algebras import AlgebraElement, DgAlgebra, sparse
+from . import duality
 from .complexes import GradedSpace
-from .duality import diagonal_explicit, omega_inverse
 from .errors import (AlgebraMismatch, DimensionMismatch, IdempotentIncompatible,
                      NotClosed, NotDegreeZeroConcentrated, WrongDegree)
 from .linalg import (ONE, ZERO, SubspacePresentation, _canon, echelon_basis,
@@ -185,6 +187,6 @@ def hh_via_dualizing(a: DgAlgebra, resolution) -> GradedSpace:
     (HH_n in cohomological degree -n)."""
     if not a.same_structure(resolution.algebra):
         raise AlgebraMismatch("resolution of another algebra")
-    omega_inv = omega_inverse(resolution)
-    return HomOverAlgebra(omega_inv.module, diagonal_explicit(a)).split(
+    omega_inv = duality.omega_inverse(resolution)
+    return HomOverAlgebra(omega_inv.module, duality.diagonal_explicit(a)).split(
         omega_inv.idempotent, None).cohomology_dims()

@@ -3,22 +3,25 @@ from fractions import Fraction
 import pytest
 
 from dgtrace import duality
-from dgtrace.algebras import AlgebraIso, opposite
+from dgtrace.algebras import AlgebraIso, opposite, tensor_algebras
+from dgtrace.catalog import (ground_field, kronecker_algebra, matrix_2x2,
+                             path_algebra_a2, path_algebra_a3, split_pair)
+from dgtrace.cli import main
 from dgtrace.complexes import (ChainMap, Complex, GradedSpace, is_quasi_iso,
                                linear_dual)
-from dgtrace.duality import (DualBimodule, EvaluationData, IntegrationData,
+from dgtrace.duality import (DualBimodule, EvaluationData,
                              bimodule_linear_dual, dualhom_check, dualize,
                              omega_contraction_dims, omega_inverse_module,
                              serre_module_data, serre_tensor)
-from dgtrace.errors import DimensionMismatch, NotClosed
-from dgtrace.hochschild import hh0_space, hh_via_dualizing
+from dgtrace.errors import AlgebraMismatch, DimensionMismatch, NotClosed
+from dgtrace.hochschild import hh0_space, hh_class, hh_via_dualizing
 from dgtrace.linalg import RationalMatrix, span_dim
 from dgtrace.modules import (HomOverAlgebra, PerfectModule, free_module,
                              hom_over_algebra, projective_module,
                              restrict_to_ground)
 from dgtrace.prng import SplitMix64
 from dgtrace.resolutions import tensor_resolution
-from dgtrace.sampling import random_perfect, random_semifree
+from dgtrace.sampling import EndoSampler, random_perfect, random_semifree
 
 F = Fraction
 
@@ -27,7 +30,11 @@ def component_dim(dual: DualBimodule, i: int, j: int) -> int:
     """dim of e_i . A^* . e_j = functionals supported on e_j A e_i: the
     dimension of the image of phi -> e_i phi e_j."""
     n = dual.dim
-    return span_dim([dual.basis_action(i * n + j, x) for x in range(n)], n)
+    rows = [[F(0)] * n for _ in range(n)]
+    for x, row in enumerate(rows):
+        for (_, y), c in dual.env_data.act(((i * n + j, 1),), (0, x)):
+            row[y] += c
+    return span_dim(rows, n)
 
 
 # -- dualize ----------------------------------------------------------------
@@ -140,9 +147,8 @@ def test_dual_bimodule_m2_selfdual(m2):
             # (a (x) b) . phi_x
             lhs = [F(0)] * n
             for x2, c in enumerate(tmat[x]):
-                if c:
-                    for y, cy in enumerate(dual.basis_action(u, x2)):
-                        lhs[y] += c * cy
+                for (_, y), cy in dual.env_data.act(((u, c),), (0, x2)):
+                    lhs[y] += cy
             assert lhs == rhs
 
 
@@ -219,32 +225,53 @@ def test_serre_duality_dimension_identity(cat):
                 assert lhs == rhs, (name, lhs, rhs)
 
 
-# -- integrate --------------------------------------------------------------
-
-def test_integrate_ground(kfield):
-    I = IntegrationData(kfield)
-    assert I.evaluate([F(1)], [F(1)]) == 1
-
-
-def test_integrate_a2(a2):
-    I = IntegrationData(a2)
-    e1 = [F(1), F(0), F(0)]
-    e2 = [F(0), F(1), F(0)]
-    assert I.evaluate(e1, e1) == 1
-    assert I.evaluate(e1, e2) == 0
+def _right_action_as_left(a):
+    """`_left_dual_table` without its transpose: A^* read as a right
+    A-module where a left one is wanted."""
+    return {(i, y): vec for (y, i), vec in a.mult.items()}
 
 
-def test_integrate_m2(m2):
-    I = IntegrationData(m2)
-    e11 = [F(1), F(0), F(0), F(0)]
-    assert I.evaluate(e11, e11) == 1
+def _fresh_algebras():
+    """Catalog algebras built anew, so no table is memoised on them yet."""
+    a2 = path_algebra_a2()
+    return {"k": ground_field(), "kxk": split_pair(), "M2": matrix_2x2(),
+            "A2": a2, "A3": path_algebra_a3(), "Kronecker": kronecker_algebra(),
+            "A2xA2": tensor_algebras(a2, a2)}
 
 
-def test_integrate_balances(a2, m2, kfield):
-    # vanishing on balancing relations is asserted inside the constructor;
-    # reaching here means the exhaustive check passed
-    for a in (kfield, a2, m2):
-        IntegrationData(a)
+def test_dual_tables_refuse_a_right_action_as_a_left_one(monkeypatch):
+    monkeypatch.setattr(duality, "_left_dual_table", _right_action_as_left)
+    fresh = _fresh_algebras()
+    for name in ("M2", "A2", "A3", "Kronecker", "A2xA2"):
+        with pytest.raises(AlgebraMismatch):
+            DualBimodule(fresh[name]).left_module_data()
+    # over a commutative algebra a right action is a left one
+    for name in ("k", "kxk"):
+        DualBimodule(fresh[name]).left_module_data()
+
+
+def test_dual_tables_are_checked_once_per_algebra(monkeypatch):
+    checked = []
+    check = duality._check_module_axiom
+
+    def counting(module):
+        checked.append(module.algebra)
+        check(module)
+    monkeypatch.setattr(duality, "_check_module_axiom", counting)
+    a = path_algebra_a2()
+    m = free_module(a, [0, 1])
+    for _ in range(3):
+        duality.dual_right_module_data(m.module)
+        serre_module_data(a, m)
+    assert checked == [a, opposite(a)]
+
+
+def test_verify_serre_fails_on_a_right_action(cat, monkeypatch, capsys):
+    monkeypatch.setattr(duality, "_left_dual_table", _right_action_as_left)
+    for ent in cat.values():  # drop the memoised tables for this test
+        monkeypatch.setattr(ent.algebra, "_dual_tables", None)
+    assert main(["--seed", "42", "verify-serre"]) != 0
+    assert "(e_s e_t) . x" in capsys.readouterr().out
 
 
 # -- dualhom ----------------------------------------------------------------
@@ -378,19 +405,19 @@ def test_dropped_hom_key_is_refused(cat, monkeypatch):
 def test_evaluation_ground_unit(kfield, cat):
     m = free_module(kfield, [0])
     ev = EvaluationData(m, cat["k"].resolution)
-    assert ev.scalar_composite() == 1
+    assert ev.composite_class().coords == (1,)
 
 
 def test_evaluation_rank_two(kfield, cat):
     m = free_module(kfield, [0, 0])
     ev = EvaluationData(m, cat["k"].resolution)
-    assert ev.scalar_composite() == 2
+    assert ev.composite_class().coords == (2,)
 
 
 def test_evaluation_shifted_cancellation(kfield, cat):
     m = free_module(kfield, [0, 1])
     ev = EvaluationData(m, cat["k"].resolution)
-    assert ev.scalar_composite() == 0
+    assert ev.composite_class().coords == (0,)
 
 
 def test_composite_equals_euler_trace(kfield, cat):
@@ -405,7 +432,25 @@ def test_composite_equals_euler_trace(kfield, cat):
             continue
         ev = EvaluationData(m, cat["k"].resolution)
         f = sampler.draw(rng)
-        assert ev.scalar_composite(f) == chain_supertrace(f.restrict())
+        assert ev.composite_class(f).coords == (chain_supertrace(f.restrict()),)
+
+
+def test_composite_class_equals_hh_class(cat):
+    """The paper's definition, eps . (f (x) 1) . eta read in HH_0(A),
+    against the generalized supertrace over every catalog algebra, on plain
+    modules (eta is lifted for those only), twisted ones included."""
+    for index, (name, ent) in enumerate(cat.items()):
+        rng = SplitMix64(60 + index)
+        twisted = 0
+        for _ in range(2 if name == "A2xA2" else 6):
+            m = random_semifree(ent.algebra, rng, max_gens=3, shift_range=(-1, 1))
+            twisted += any(m.module.twist_columns)
+            ev = EvaluationData(m, ent.resolution)
+            assert ev.composite_class() == hh_class(m, m.identity_map()), name
+            sampler = EndoSampler(m)
+            for f in (sampler.draw(rng), sampler.draw(rng)):
+                assert ev.composite_class(f) == hh_class(m, f), name
+        assert twisted, name
 
 
 def test_evaluation_image_of_projective(a2, cat):
