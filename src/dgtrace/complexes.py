@@ -502,10 +502,12 @@ def euler_trace(f: ChainMap) -> Fraction:
 
 
 class SplitComplex:
-    """A complex together with an optional closed exact idempotent; models
-    the image summand without materializing it."""
+    """A complex together with a closed exact idempotent or None; models
+    the image summand without materializing it.  The base of every keyed
+    realization of a module (explicit, tensor and Hom), so a summand always
+    carries its keys along with its carrier and projector."""
 
-    def __init__(self, carrier: Complex, projector: Optional[ChainMap] = None):
+    def __init__(self, carrier: Complex, projector: Optional[ChainMap]):
         self.carrier = carrier
         self.projector = projector
 

@@ -20,8 +20,8 @@ from typing import Dict, List, Optional, Tuple
 
 from .algebras import (AlgebraIso, DgAlgebra, env_op_iso, opposite, sparse,
                        tensor_algebras)
-from .complexes import (ChainMap, Complex, GradedSpace, SplitComplex,
-                        cohomology_dims, keyed_blocks, linear_dual, lower_block)
+from .complexes import (ChainMap, Complex, GradedSpace, cohomology_dims,
+                        keyed_blocks, linear_dual, lower_block)
 from .errors import (AlgebraMismatch, DimensionMismatch, NotClosed,
                      NotDegreeZeroConcentrated)
 from .hochschild import HochschildClass, hh0_space
@@ -233,36 +233,33 @@ def omega_inverse(resolution) -> PerfectModule:
 
 
 def serre_tensor(a: DgAlgebra, m: PerfectModule,
-                 dual: Optional[DualBimodule] = None) -> SplitComplex:
+                 dual: Optional[DualBimodule] = None) -> TensorOverAlgebra:
     """S(M) = A^* (x)_A M as an explicit complex (right A-structure of A^*
     contracted against the semi-free presentation of M)."""
     if not a.is_degree_zero():
         raise NotDegreeZeroConcentrated("Serre functor computed in degree 0 only")
     if dual is None:
         dual = DualBimodule(a)
-    return TensorOverAlgebra(dual.right_module_data(), m.module).split(
-        None, m.idempotent)
+    return TensorOverAlgebra(dual.right_module_data(), m.module, m.idempotent)
 
 
 def serre_module_data(a: DgAlgebra, m: PerfectModule,
-                      dual: Optional[DualBimodule] = None):
-    """S(M) as an explicit left A-module (for Hom into the Serre image),
-    together with its idempotent chain map (or None)."""
+                      dual: Optional[DualBimodule] = None) -> ExplicitModule:
+    """S(M) as an explicit left A-module carrying the projector of S(M),
+    the target of Hom into the Serre image."""
     if dual is None:
         dual = DualBimodule(a)
     sc = serre_tensor(a, m, dual)
     # the tensor's keys (i, (0, x)) read as (generator i of m, dual-basis
     # index x); A acts on the A^* factor
-    basis = {p: [(i, x) for i, (_, x) in keys]
-             for p, keys in sc.realization.basis.items()}
-    return ExplicitModule(a, sc.carrier, basis, _dual_tables(a)[0]), sc.projector
+    basis = {p: [(i, x) for i, (_, x) in keys] for p, keys in sc.basis.items()}
+    return ExplicitModule(a, sc.carrier, basis, _dual_tables(a)[0], sc.projector)
 
 
-def hom_into_serre(x: PerfectModule, serre_data) -> SplitComplex:
+def hom_into_serre(x: PerfectModule, serre_data: ExplicitModule) -> HomOverAlgebra:
     """Hom_A(X, S(Y)) from serre_module_data output, compressing by both
     idempotents."""
-    target, target_proj = serre_data
-    return HomOverAlgebra(x.module, target).split(x.idempotent, target_proj)
+    return HomOverAlgebra(x.module, serre_data, x.idempotent)
 
 
 def omega_contraction_dims(a: DgAlgebra, omega_inv: PerfectModule,
@@ -278,8 +275,8 @@ def omega_contraction_dims(a: DgAlgebra, omega_inv: PerfectModule,
     else:
         side, dual_data = "second", dual.left_module_data()
     restricted, _ = restrict_to_factor(omega_inv, a, opposite(a), side)
-    return TensorOverAlgebra(dual_data, restricted.module).split(
-        None, restricted.idempotent).cohomology_dims()
+    return TensorOverAlgebra(dual_data, restricted.module,
+                             restricted.idempotent).cohomology_dims()
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +296,7 @@ def dual_right_module_data(m: SemiFreeModule) -> ExplicitModule:
     transpose of `mult`."""
     ex = m.to_explicit()
     basis = {-p: keys for p, keys in ex.basis.items()}
-    return ExplicitModule(opposite(m.algebra), linear_dual(ex.complex), basis,
+    return ExplicitModule(opposite(m.algebra), linear_dual(ex.carrier), basis,
                           _dual_tables(m.algebra)[1])
 
 
@@ -386,7 +383,7 @@ class EvaluationData:
         q = t_cx.map_tensor(aug_chain, None, t_aug)
 
         # identity tensor in degree 0 of t_aug
-        t_vec = [ZERO] * t_aug.complex.dim(0)
+        t_vec = [ZERO] * t_aug.carrier.dim(0)
         for k in range(n):
             gen = self.index[(k, n - 1 - k)]
             sgn = half_sign(m.module.shifts[k])
@@ -397,20 +394,20 @@ class EvaluationData:
                         raise DimensionMismatch("identity tensor off degree 0")
                     t_vec[pos[1]] += sgn * cu
         # check it is a cycle in the augmented tensor
-        if any(x for x in t_aug.complex.d(0).apply(tuple(t_vec))):
+        if any(x for x in t_aug.carrier.d(0).apply(tuple(t_vec))):
             raise NotClosed("identity tensor is not a cycle")
 
         # solve: d_T z = 0 and q(z) = t_id + d(w), the system
         # [[d_T, 0], [q, -d]] (z, w) = (0, t_id)
-        system = lower_block(t_cx.complex.d(0), q.block(0), -t_aug.complex.d(-1))
-        sol = solve(system, [ZERO] * t_cx.complex.dim(1) + t_vec)
+        system = lower_block(t_cx.carrier.d(0), q.block(0), -t_aug.carrier.d(-1))
+        sol = solve(system, [ZERO] * t_cx.carrier.dim(1) + t_vec)
         if sol is None:
             raise DimensionMismatch("identity tensor does not lift")
-        z = sol[:t_cx.complex.dim(0)]
+        z = sol[:t_cx.carrier.dim(0)]
 
         # carry over to Hom(omega^{-1}, X) by the signed basis bijection:
         # T-basis (j, (slot, b)) -> eps(sigma) (-1)^{sigma tau_j} (gen, (j, b))
-        eta = [ZERO] * self.hom.complex.dim(0)
+        eta = [ZERO] * self.hom.carrier.dim(0)
         rank_w = self.omega_inv.rank
         for col, coeff in enumerate(z):
             if not coeff:
@@ -429,7 +426,7 @@ class EvaluationData:
                 raise DimensionMismatch("basis bijection off degree 0")
             eta[hr] += sgn * coeff
         eta = tuple(eta)
-        dh = self.hom.complex.d(0)
+        dh = self.hom.carrier.d(0)
         if any(x for x in dh.apply(eta)):
             raise NotClosed("coevaluation failed to close")
         return eta
@@ -485,14 +482,17 @@ def dualhom_check(n: PerfectModule, m: PerfectModule) -> DualHomReport:
     "closed (NotClosed otherwise) and equal counts".  Both bases are built
     on the same keys, so unequal counts mean a wrong construction and are
     reported as no quasi-isomorphism.  The report records both cohomology
-    tables and the verdict.
+    tables and the verdict.  Degree-0 algebras only: the sign above and the
+    table of M^* over A^op carry no Koszul sign of a graded coefficient.
     """
+    if not n.algebra.is_degree_zero():
+        raise NotDegreeZeroConcentrated("dual-Hom comparison in degree 0 only")
     if n.idempotent is not None or m.idempotent is not None:
         raise DimensionMismatch("dualhom comparison expects plain semi-free modules")
     hom = HomOverAlgebra(n.module, m.module.to_explicit())
-    lhs = linear_dual(hom.complex)
+    lhs = linear_dual(hom.carrier)
     right = TensorOverAlgebra(dual_right_module_data(m.module), n.module)
-    rhs = right.complex
+    rhs = right.carrier
     if any(lhs.dim(p) == 0 for p in right.basis):
         raise DimensionMismatch("dualhom bases out of line")
     # lhs basis in degree p: dual functionals of the hom basis in degree -p,

@@ -188,5 +188,5 @@ def hh_via_dualizing(a: DgAlgebra, resolution) -> GradedSpace:
     if not a.same_structure(resolution.algebra):
         raise AlgebraMismatch("resolution of another algebra")
     omega_inv = duality.omega_inverse(resolution)
-    return HomOverAlgebra(omega_inv.module, duality.diagonal_explicit(a)).split(
-        omega_inv.idempotent, None).cohomology_dims()
+    return HomOverAlgebra(omega_inv.module, duality.diagonal_explicit(a),
+                          omega_inv.idempotent).cohomology_dims()

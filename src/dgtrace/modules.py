@@ -32,10 +32,16 @@ of generators over one shared base table: its keys are (i, u), and
 e_t . (i, u) = sum c (i, u2) over table[(t, u)], so a realization of a
 semi-free module keeps `mult` itself, whatever its rank.  `ExplicitModule.act`
 is the one reader of a table.  The twist's d^2 = 0 is checked over A.
+
+Every realization (`ExplicitModule`, `TensorOverAlgebra`, `HomOverAlgebra`)
+is a `SplitComplex`: its keys, its carrier complex and the projector that
+cuts out the summand of a perfect module (None for a plain one), built
+from the idempotents given to the constructor.
 """
 
 from __future__ import annotations
 
+import copy
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebras import (AlgebraElement, DgAlgebra, SparseVec, opposite, sparse,
@@ -225,9 +231,10 @@ class SemiFreeModule:
         return f"SemiFreeModule(rank={self.rank}, shifts={self.shifts})"
 
 
-class ExplicitModule:
+class ExplicitModule(SplitComplex):
     """k-level realization: a complex on keys (i, u), a generator i over a
-    key u of one base table shared by every generator.
+    key u of one base table shared by every generator, and the projector of
+    a summand (None for the whole module).
 
     `basis[p]` lists the keys of degree p in order; e_t . (i, u) is the sum
     of c (i, u2) over the (u2, c) of `table[(t, u)]`, and pairs with zero
@@ -236,10 +243,11 @@ class ExplicitModule:
     itself).
     """
 
-    def __init__(self, algebra: DgAlgebra, complex_: Optional[Complex],
-                 basis: Dict[int, List], table: Dict[Tuple, Sequence]):
+    def __init__(self, algebra: DgAlgebra, carrier: Optional[Complex],
+                 basis: Dict[int, List], table: Dict[Tuple, Sequence],
+                 projector: Optional[ChainMap] = None):
+        super().__init__(carrier, projector)
         self.algebra = algebra
-        self.complex = complex_
         self.basis = {p: list(ks) for p, ks in basis.items() if ks}
         self.pos = positions(self.basis)
         self.table = table
@@ -267,7 +275,7 @@ class ExplicitModule:
         def image(key):
             i, b = key
             return twist(key) + [((i, b2), c) for b2, c in a.diff.get(b, ())]
-        ex.complex = Complex(space, keyed_blocks(basis, basis, pos, 1, image),
+        ex.carrier = Complex(space, keyed_blocks(basis, basis, pos, 1, image),
                              check=False)
         return ex
 
@@ -431,7 +439,7 @@ class ModuleMap:
         """Induced chain map between the explicit realizations."""
         src = self.source.to_explicit()
         tgt = self.target.to_explicit()
-        return ChainMap(src.complex, tgt.complex, self.degree,
+        return ChainMap(src.carrier, tgt.carrier, self.degree,
                         _restrict_images(src, tgt, self.degree,
                                          _images(self.columns)))
 
@@ -567,12 +575,16 @@ def _block_diagonal(x: Sequence[Column], y: Sequence[Column]) -> List[Column]:
     return list(x) + [_offset(col, len(x)) for col in y]
 
 
-def restrict_to_ground(p: PerfectModule) -> SplitComplex:
-    """Underlying complex of k-spaces, idempotent restricted alongside."""
-    carrier = p.module.to_explicit().complex
+def restrict_to_ground(p: PerfectModule) -> ExplicitModule:
+    """The realization of p's semi-free module, carrying the restricted
+    idempotent as its projector: the memoised realization itself when
+    there is none, else a copy sharing its keys, table and complex."""
+    ex = p.module.to_explicit()
     if p.idempotent is None:
-        return SplitComplex(carrier, None)
-    return SplitComplex(carrier, p.idempotent.restrict())
+        return ex
+    summand = copy.copy(ex)
+    summand.projector = p.idempotent.restrict()
+    return summand
 
 
 # ---------------------------------------------------------------------------
@@ -708,23 +720,25 @@ def outer_tensor_modules(p1: PerfectModule, p2: PerfectModule,
 # Tensor over the algebra
 # ---------------------------------------------------------------------------
 
-class TensorOverAlgebra:
+class TensorOverAlgebra(SplitComplex):
     """N (x)_A M realized by expanding the semi-free right factor M:
     basis (M-generator i, N-basis key u) in degree deg(u) - s_i.
 
     N enters through its explicit realization over A^op; the right action
     used for the balanced relation is u.a = (-1)^{|a||u|} (a acting in the
     A^op structure), which is genuine right multiplication on restrictions
-    of right modules.
+    of right modules.  The projector is e_N (x) e, from the projector e_N
+    of the left realization and an idempotent e of M, whichever are given.
     """
 
-    def __init__(self, left: ExplicitModule, m: SemiFreeModule):
+    def __init__(self, left: ExplicitModule, m: SemiFreeModule,
+                 e: Optional[ModuleMap] = None):
         if not opposite(left.algebra).same_structure(m.algebra):
             raise AlgebraMismatch("left factor must live over the opposite algebra")
         self.left = left
         self.m = m
         self.basis, self.pos, space = _key_basis(m.shifts, left.basis, -1)
-        d_left = key_columns(left.complex.d, 1, left.basis, left.basis)
+        d_left = key_columns(left.carrier.d, 1, left.basis, left.basis)
         twist_cols = _with_degrees(m.algebra, m.twist_columns)
 
         def image(key):
@@ -736,9 +750,11 @@ class TensorOverAlgebra:
                     terms += [((j, u2), c) for u2, c in
                               self._right_act(_neg(vec) if odd else vec, de, u)]
             return terms
-        self.complex = Complex(
+        super().__init__(Complex(
             space, keyed_blocks(self.basis, self.basis, self.pos, 1, image),
-            check=False)
+            check=False), None)
+        if left.projector is not None or e is not None:
+            self.projector = self.map_tensor(left.projector, e)
 
     def _right_act(self, vec: SparseVec, de: int, u):
         """u . x with the right-module Koszul sign (-1)^{|x||u|}, for x of
@@ -773,46 +789,36 @@ class TensorOverAlgebra:
                         terms += [((j, u3), sgn * cu * ce)
                                   for u3, ce in target._right_act(vec, de, u2)]
             return terms
-        return ChainMap(self.complex, target.complex, deg,
+        return ChainMap(self.carrier, target.carrier, deg,
                         keyed_blocks(self.basis, target.basis, target.pos, deg, image))
 
-    def split(self, e_left: Optional[ChainMap],
-              e: Optional[ModuleMap]) -> SplitComplex:
-        """The tensor with the projector e_left (x) e induced by whichever
-        idempotents are given; `realization` points back here."""
-        projector = None
-        if e_left is not None or e is not None:
-            projector = self.map_tensor(e_left, e)
-        sc = SplitComplex(self.complex, projector)
-        sc.realization = self  # downstream map construction
-        return sc
 
-
-def tensor_over_algebra(n: PerfectModule, m: PerfectModule) -> SplitComplex:
+def tensor_over_algebra(n: PerfectModule, m: PerfectModule) -> TensorOverAlgebra:
     """Derived tensor N (x)_A M of a right module (over A^op) and a left
     module (over A), both on semi-free presentations.  Idempotents on either
     side induce a closed idempotent on the result."""
-    e_left = n.idempotent.restrict() if n.idempotent is not None else None
-    return TensorOverAlgebra(n.module.to_explicit(), m.module).split(
-        e_left, m.idempotent)
+    return TensorOverAlgebra(restrict_to_ground(n), m.module, m.idempotent)
 
 
 # ---------------------------------------------------------------------------
 # Hom over the algebra
 # ---------------------------------------------------------------------------
 
-class HomOverAlgebra:
+class HomOverAlgebra(SplitComplex):
     """Hom_A(M, X) for semi-free M and explicit X: basis (generator i, key u)
     with deg = deg(u) + s_i, differential
-    d(phi)(g_i) = D_X(phi(g_i)) - (-1)^n sum_j +- delta_ji . phi(g_j)."""
+    d(phi)(g_i) = D_X(phi(g_i)) - (-1)^n sum_j +- delta_ji . phi(g_j).
+    The projector is the compression phi -> e_X . phi . e, from the
+    projector e_X of X and an idempotent e of M, whichever are given."""
 
-    def __init__(self, m: SemiFreeModule, target: ExplicitModule):
+    def __init__(self, m: SemiFreeModule, target: ExplicitModule,
+                 e: Optional[ModuleMap] = None):
         if not m.algebra.same_structure(target.algebra):
             raise AlgebraMismatch("Hom across different algebras")
         self.m = m
         self.target = target
         self.basis, self.pos, space = _key_basis(m.shifts, target.basis, 1)
-        d_target = key_columns(target.complex.d, 1, target.basis, target.basis)
+        d_target = key_columns(target.carrier.d, 1, target.basis, target.basis)
         # phi = (i, u) sends g_i to u; the twist row entries delta[i][i2]
         # feed g_{i2} for i2 < i.
         twist_rows = _with_degrees(m.algebra, rows_of(m.twist_columns, m.rank))
@@ -827,9 +833,14 @@ class HomOverAlgebra:
                     vec = _neg(vec)
                 terms += [((i2, u2), c) for u2, c in target.act(vec, u)]
             return terms
-        self.complex = Complex(
+        super().__init__(Complex(
             space, keyed_blocks(self.basis, self.basis, self.pos, 1, image),
-            check=False)
+            check=False), None)
+        if e is not None:
+            self.projector = self.precompose(e)
+        if target.projector is not None:
+            post = self.postcompose_into(self, target.projector)
+            self.projector = post if e is None else post.compose(self.projector)
 
     def precompose(self, e: ModuleMap) -> ChainMap:
         """phi -> phi . e for a degree-0 map e of the source; Koszul sign
@@ -845,29 +856,16 @@ class HomOverAlgebra:
                 terms += [((i, u2), c)
                           for u2, c in act(_neg(vec) if (p * de) % 2 else vec, u)]
             return terms
-        return ChainMap(self.complex, self.complex, 0,
+        return ChainMap(self.carrier, self.carrier, 0,
                         keyed_blocks(self.basis, self.basis, self.pos, 0, image))
 
     def postcompose_into(self, other: "HomOverAlgebra", g: ChainMap) -> ChainMap:
         """phi -> g . phi for a degree-0 chain map g: self.target ->
         other.target (same semi-free source; other may be self)."""
         g_cols = key_columns(g.block, 0, self.target.basis, other.target.basis)
-        return ChainMap(self.complex, other.complex, 0, keyed_blocks(
+        return ChainMap(self.carrier, other.carrier, 0, keyed_blocks(
             self.basis, other.basis, other.pos, 0,
             lambda key: [((key[0], u2), c) for u2, c in g_cols[key[1]]]))
-
-    def split(self, e_source: Optional[ModuleMap],
-              e_target: Optional[ChainMap]) -> SplitComplex:
-        """The Hom complex with the compression phi -> e_target . phi .
-        e_source by whichever idempotents are given; `realization` points
-        back here."""
-        projector = self.precompose(e_source) if e_source is not None else None
-        if e_target is not None:
-            post = self.postcompose_into(self, e_target)
-            projector = post if projector is None else post.compose(projector)
-        sc = SplitComplex(self.complex, projector)
-        sc.realization = self
-        return sc
 
 
 def semifree_map_to_explicit(m: SemiFreeModule, target: ExplicitModule,
@@ -875,13 +873,11 @@ def semifree_map_to_explicit(m: SemiFreeModule, target: ExplicitModule,
     """Degree-0 module map from a semi-free module to an explicit one, given
     by the images of the generators (sparse (key, coeff) lists)."""
     ex = m.to_explicit()
-    return ChainMap(ex.complex, target.complex, 0,
+    return ChainMap(ex.carrier, target.carrier, 0,
                     _restrict_images(ex, target, 0, values))
 
 
-def hom_over_algebra(m: PerfectModule, n: PerfectModule) -> SplitComplex:
+def hom_over_algebra(m: PerfectModule, n: PerfectModule) -> HomOverAlgebra:
     """Hom_A(M, N) as an explicit complex; idempotents on either side induce
     the compression phi -> e_N . phi . e_M."""
-    e_target = n.idempotent.restrict() if n.idempotent is not None else None
-    return HomOverAlgebra(m.module, n.module.to_explicit()).split(
-        m.idempotent, e_target)
+    return HomOverAlgebra(m.module, restrict_to_ground(n), m.idempotent)

@@ -20,7 +20,7 @@ from .duality import diagonal_explicit, transport_module
 from .errors import AugmentationNotQuasiIso, NotDegreeZeroConcentrated
 from .linalg import ZERO
 from .modules import (ModuleMap, PerfectModule, SemiFreeModule, outer_tensor_modules,
-                      semifree_map_to_explicit)
+                      restrict_to_ground, semifree_map_to_explicit)
 
 Builder = Callable[[], Tuple[PerfectModule, Tuple[AlgebraElement, ...]]]
 
@@ -78,8 +78,7 @@ class DiagonalResolution:
         """Closedness of the augmentation and acyclicity of its cone, on the
         idempotent image when one is present."""
         aug = self.augmentation_chain_map()
-        e = self.module.idempotent
-        e = None if e is None else e.restrict()
+        e = restrict_to_ground(self.module).projector
         if not (aug if e is None else aug.compose(e)).is_closed():
             raise AugmentationNotQuasiIso("augmentation is not a chain map")
         if not is_quasi_iso(aug, e):

@@ -116,10 +116,11 @@ def test_criterion_8_kernel_composition():
     assert ok
 
 
-# sha256 of the seed-42 reports below; a change to either digest is a
-# change of the reports, which every refactor must leave byte-identical
+# sha256 of the seed-42 reports below; a change to any digest is a change
+# of the reports, which every refactor must leave byte-identical
 FULL_SUITE_SHA256 = "ead6c4be121c79652559d3c92ee101cd7f3c722c293d6cf7c6f150279aa63be4"
 VERIFY_RR_SHA256 = "ede14360516495cb1d60cccb6f3d55f176514ce4c529f33520b4ce8e1686bff6"
+VERIFY_SERRE_SHA256 = "0343ad11b5acec13b65deb42f62b7bfbe42c9fbffeb009388e1eba65750b8b52"
 
 
 def _sha256(text: str) -> str:
@@ -136,14 +137,17 @@ def test_criterion_9_determinism():
         from dgtrace.cli import main as cli_main
         import io
         import contextlib
-        outs = []
-        for _ in range(2):
+
+        def run(argv):
             buf = io.StringIO()
             with contextlib.redirect_stdout(buf):
-                code = cli_main(["--random", "4", "--seed", "42",
-                                 "verify-rr", "--algebra", "A2"])
-            outs.append((code, buf.getvalue()))
+                code = cli_main(argv)
+            return code, buf.getvalue()
+        outs = [run(["--random", "4", "--seed", "42", "verify-rr", "--algebra", "A2"])
+                for _ in range(2)]
+        serre = run(["--seed", "42", "verify-serre"])
         ok = (outs[0] == outs[1] and outs[0][0] == 0
-              and _sha256(outs[0][1]) == VERIFY_RR_SHA256)
+              and _sha256(outs[0][1]) == VERIFY_RR_SHA256
+              and serre[0] == 0 and _sha256(serre[1]) == VERIFY_SERRE_SHA256)
     _line("criterion 9: determinism at seed 42", ok)
     assert ok

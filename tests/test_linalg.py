@@ -322,7 +322,7 @@ def test_realizations_hold_fractions(cat):
     mats = []
     for ent in cat.values():
         ex = ExplicitModule.from_semifree(ent.resolution.module.module)
-        mats += ex.complex.diff.values()
+        mats += ex.carrier.diff.values()
     rng = SplitMix64(8)
     for name in ("A2", "Kronecker"):
         ent = cat[name]
@@ -335,7 +335,7 @@ def test_realizations_hold_fractions(cat):
                 mats += split.projector.blocks.values()
         _, _, g, _ = random_closed_pair(ent.algebra, rng)
         cm = cone_module(g)
-        mats += cm.module.to_explicit().complex.diff.values()
+        mats += cm.module.to_explicit().carrier.diff.values()
         mats += cone(g.restrict()).diff.values()
     a2 = cat["A2"].algebra
     mats += ModuleMap.identity(free_module(a2, [0, 1]).module).restrict().blocks.values()

@@ -48,7 +48,7 @@ def test_twist_must_square_to_zero(a2):
         SemiFreeModule(a2, [2, 1, 0], twist(a2.by_label("a")))
     assert str(err.value) == "differential does not square to zero in the module twist"
     m = SemiFreeModule(a2, [2, 1, 0], twist(a2.by_label("e2")))
-    m.to_explicit().complex.check_d_squared()
+    m.to_explicit().carrier.check_d_squared()
 
 
 def test_realizations_share_the_algebra_table(a2):
@@ -270,7 +270,7 @@ def test_closed_map_basis_matches_hom_h0_counts(cat):
                 h = HomOverAlgebra(s, t.to_explicit())
                 for degree in (-1, 0, 1):
                     vectors = closed_map_kernel(s, t, degree)
-                    cycles = rank_kernel_image(h.complex.d(degree))[1]
+                    cycles = rank_kernel_image(h.carrier.d(degree))[1]
                     assert len(vectors) == cycles.dim
                     for f in closed_map_basis(s, t, degree):
                         assert f.degree == degree and f.is_closed()
@@ -301,8 +301,8 @@ def test_realizations_refuse_modules_over_other_algebras(cat):
         HomOverAlgebra(m.module, free_module(cat["Kronecker"].algebra, [0])
                        .module.to_explicit())
     left = free_module(opposite(a2), [0]).module.to_explicit()
-    assert TensorOverAlgebra(left, m.module).complex.space.dims == {0: 3}
-    assert HomOverAlgebra(m.module, m.module.to_explicit()).complex.space.dims == {0: 3}
+    assert TensorOverAlgebra(left, m.module).carrier.space.dims == {0: 3}
+    assert HomOverAlgebra(m.module, m.module.to_explicit()).carrier.space.dims == {0: 3}
 
 
 def test_module_map_compose_matches_restriction(a2):
@@ -336,11 +336,11 @@ def test_off_degree_map_raises_in_every_realization(a2):
     with pytest.raises(DegreeViolation):
         f.restrict()
     with pytest.raises(DegreeViolation):
-        tensor_over_algebra(n, m).realization.map_tensor(None, f)
+        tensor_over_algebra(n, m).map_tensor(None, f)
     with pytest.raises(DegreeViolation):
         rr_left_side(n, m, None, f)
     with pytest.raises(DegreeViolation):
-        hom_over_algebra(m, m).realization.precompose(f)
+        hom_over_algebra(m, m).precompose(f)
     # also when the degree the term should land in is empty: g0 sits in
     # degree -5, where the target has no basis, and 1.h0 in degree 0
     far = free_module(a2, [5])

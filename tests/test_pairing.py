@@ -12,16 +12,17 @@ from dgtrace.errors import (IdempotentIncompatible, NoDiagonalResolutionForB,
                             NotSeparableB)
 from dgtrace.hochschild import (euler_class, generalized_supertrace, hh0_space,
                                 hh_class)
-from dgtrace.modules import (ModuleMap, PerfectModule, cone_module,
-                             free_module, projective_module,
-                             right_multiplication_map)
+from dgtrace.modules import (ModuleMap, PerfectModule, SemiFreeModule,
+                             cone_module, direct_sum_modules, free_module,
+                             projective_module, right_multiplication_map)
 from dgtrace.pairing import (KernelTransfer, compose_kernels_separable, cup,
                              diagonal_class, kunneth, pair_scalar,
                              pairing_three_ways, unit_algebra,
                              rr_left_side, verify_kernel_composition,
                              verify_rr, _pair_trace_table)
 from dgtrace.prng import SplitMix64, stream_for
-from dgtrace.sampling import random_coeff, random_module_with_endos, random_perfect
+from dgtrace.sampling import (EndoSampler, random_coeff, random_module_with_endos,
+                              random_perfect)
 from dgtrace.suites import adapt_suite, cartan_tables, pairing_coherence_suite
 
 F = Fraction
@@ -483,7 +484,31 @@ def test_rr_scaled_cone(a2):
     assert scaled.lhs == 3 * base.lhs
 
 
+def random_degree_zero_element(a, rng):
+    return a.element([random_coeff(rng) for _ in range(a.dim)])
+
+
+def twisted_cone(a, rng, idempotents, summand):
+    """The cone of A[s] -> A[s] (+) A[t] over a degree-0 algebra, whose
+    entry into A[s] is nonzero, so the twist is nonzero; with summand, plus
+    A e for one of the listed idempotents e."""
+    s, t = rng.int_in(-1, 1), rng.int_in(-1, 1)
+    into_s = random_degree_zero_element(a, rng)
+    if into_s.is_zero():
+        into_s = a.one()
+    into_t = random_degree_zero_element(a, rng) if t == s else a.zero()
+    src, tgt = SemiFreeModule(a, [s]), SemiFreeModule(a, [s, t])
+    m = cone_module(ModuleMap(src, tgt, 0, [[into_s], [into_t]]))
+    if summand:
+        e = a.basis_element(idempotents[rng.below(len(idempotents))])
+        m = direct_sum_modules(m, projective_module(a, e, rng.int_in(-1, 1)))
+    return m
+
+
 def test_rr_randomized_small_batch(cat):
+    """The trace formula on sampled modules, and on twisted cones on both
+    sides over every catalog algebra, half of them with a projective
+    summand: the sampler gives a module with no twist most of the time."""
     for name in ("A2", "M2", "Kronecker"):
         ent = cat[name]
         a = ent.algebra
@@ -499,6 +524,23 @@ def test_rr_randomized_small_batch(cat):
                 r = verify_rr(m, ms.draw(rng), n, ns.draw(rng),
                               space_op=spo, space=sp)
                 assert r.equal
+    for name, ent in cat.items():
+        a = ent.algebra
+        aop = opposite(a)
+        sp, spo = hh0_space(a), hh0_space(aop)
+        twisted = nonzero = 0
+        for index, (e_n, e_m) in enumerate([(0, 0), (0, 1), (1, 0), (1, 1)]):
+            rng = stream_for(71, 10 * index + len(name))
+            m = twisted_cone(a, rng, ent.idempotents, e_m)
+            n = twisted_cone(aop, rng, ent.idempotents, e_n)
+            twisted += any(m.module.twist_columns) + any(n.module.twist_columns)
+            ms, ns = EndoSampler(m), EndoSampler(n)
+            for _ in range(2):
+                r = verify_rr(m, ms.draw(rng), n, ns.draw(rng),
+                              space_op=spo, space=sp)
+                assert r.equal, (name, index, r.lhs, r.rhs)
+                nonzero += r.lhs != 0
+        assert twisted == 8 and nonzero, name
 
 
 def test_adapt_identity():
