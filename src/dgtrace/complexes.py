@@ -13,16 +13,21 @@ Conventions, fixed once for the whole package:
 Basis orders are always lexicographic (degree, then left/source index), so
 every matrix produced here is reproducible byte for byte.
 
-Every k-level map between keyed bases is built by one assembler,
-`keyed_blocks`: a builder names its bases by keys and hands over the sparse
-image of each source key; `key_columns` reads a map back the same way.
-Only `linalg` knows how a matrix is laid out.
+Every k-level map between keyed bases is built in two steps: a builder
+names its bases by keys and hands over the sparse image of each source key
+to `keyed_columns`, which gives its keyed columns, and `column_blocks`, the
+one assembler, turns keyed columns into matrices (`keyed_blocks` does
+both); `key_columns` reads a matrix map back.  A realization keeps its
+differential as keyed columns and assembles its matrices only when a rank
+or a chain map needs them (`SplitComplex.carrier`); the linear dual is a
+keyed transpose (`keyed_dual`).  Only `linalg` knows how a matrix is laid
+out.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import (DegreeViolation, DifferentialSquareViolation, DimensionMismatch,
                      IdempotentIncompatible, NotClosed, WrongDegree)
@@ -205,29 +210,71 @@ class ChainMap:
         return f"ChainMap(degree={self.degree})"
 
 
-def keyed_blocks(source: Mapping[int, Sequence], target: Mapping[int, Sequence],
-                 target_pos: Mapping, degree: int, image) -> Dict[int, RationalMatrix]:
-    """The blocks over k, source^p -> target^{p+degree}, of the map sending
-    each source key to the sum of its terms image(key), pairs (target key,
-    coeff).  `source` and `target` list the keys per degree and
-    target_pos[key] is (degree, row).  The one assembler of k-level maps; a
-    term off degree p + degree raises DegreeViolation, also where the target
-    has no keys in p + degree and the block is empty."""
-    blocks = {}
+def keyed_columns(source: Mapping[int, Sequence], target_pos: Mapping, degree: int,
+                  image) -> Dict[object, Dict]:
+    """The keyed columns of the map sending each source key to the sum of
+    its terms image(key), pairs (target key, coeff): key -> {target key:
+    coeff}, terms merged and zeros dropped.
+    `source` lists the keys per degree and target_pos[key] is (degree, row);
+    a term off degree p + degree raises DegreeViolation."""
+    cols = {}
     for p, keys in source.items():
         q = p + degree
-        cols = []
         for key in keys:
             col = {}
             for key2, c in image(key):
-                p2, r = target_pos[key2]
-                if p2 != q:
-                    raise DegreeViolation(f"image term in degree {p2}, expected {q}")
-                col[r] = col[r] + c if r in col else c
-            cols.append(col)
-        if target.get(q):
-            blocks[p] = RationalMatrix.from_sparse_columns(len(target[q]), cols)
+                if target_pos[key2][0] != q:
+                    raise DegreeViolation(
+                        f"image term in degree {target_pos[key2][0]}, expected {q}")
+                col[key2] = col[key2] + c if key2 in col else c
+            cols[key] = col if all(col.values()) else {k: c for k, c in col.items() if c}
+    return cols
+
+
+def column_blocks(columns: Mapping[object, Mapping], source: Mapping[int, Sequence],
+                  target: Mapping[int, Sequence], target_pos: Mapping,
+                  degree: int) -> Dict[int, RationalMatrix]:
+    """The blocks over k, source^p -> target^{p+degree}, of the map with
+    keyed columns `columns`: the one assembler of k-level matrices."""
+    blocks = {}
+    for p, keys in source.items():
+        tkeys = target.get(p + degree)
+        if tkeys:
+            blocks[p] = RationalMatrix.from_sparse_columns(len(tkeys), [
+                {target_pos[k2][1]: c for k2, c in columns[key].items()}
+                for key in keys])
     return blocks
+
+
+def keyed_blocks(source: Mapping[int, Sequence], target: Mapping[int, Sequence],
+                 target_pos: Mapping, degree: int, image) -> Dict[int, RationalMatrix]:
+    """keyed_columns then column_blocks: the blocks of the map sending each
+    source key to its terms image(key); an off-degree term raises, also
+    where the target has no keys in p + degree and the block is empty."""
+    return column_blocks(keyed_columns(source, target_pos, degree, image),
+                         source, target, target_pos, degree)
+
+
+def keyed_dual(basis: Mapping[int, Sequence],
+               d_columns: Mapping[object, Mapping]) -> Tuple[Dict[int, List], Dict]:
+    """The linear dual of a keyed complex, on the same keys: key k of
+    degree p stands for its dual functional, of degree -p, and the
+    differential is -(-1)^q (d^{-q-1})^T in degree q, so the coefficient of
+    k2 in d^*(k) is (-1)^{|k2|} times that of k in d(k2).  The one place
+    of the dual sign.  Returns (basis, keyed columns)."""
+    cols: Dict[object, Dict] = {k: {} for keys in basis.values() for k in keys}
+    for p, keys in basis.items():
+        for k2 in keys:
+            for k, c in d_columns[k2].items():
+                cols[k][k2] = -c if p % 2 else c
+    return {-p: list(keys) for p, keys in basis.items()}, cols
+
+
+def keyed_complex(basis: Mapping[int, Sequence], pos: Mapping,
+                  d_columns: Mapping[object, Mapping]) -> Complex:
+    """The matrix complex of a keyed differential (unchecked)."""
+    space = GradedSpace({p: len(ks) for p, ks in basis.items()})
+    return Complex(space, column_blocks(d_columns, basis, basis, pos, 1), check=False)
 
 
 def key_columns(block, degree: int, source: Mapping[int, Sequence],
@@ -406,9 +453,8 @@ def _pair_keys(ka: Mapping[int, Sequence], kb: Mapping[int, Sequence],
 
 
 def _keyed_complex(basis: Dict[int, List], image) -> Complex:
-    space = GradedSpace({n: len(ks) for n, ks in basis.items()})
-    return Complex(space, keyed_blocks(basis, basis, positions(basis), 1, image),
-                   check=False)
+    pos = positions(basis)
+    return keyed_complex(basis, pos, keyed_columns(basis, pos, 1, image))
 
 
 def tensor(a: Complex, b: Complex) -> Complex:
@@ -447,20 +493,15 @@ def hom_complex(a: Complex, b: Complex) -> Complex:
 
 
 def linear_dual(c: Complex) -> Complex:
-    """c^* with (c^*)^p = (c^{-p})^* and differential -(-1)^p (d^{-p-1})^T.
+    """c^* with (c^*)^p = (c^{-p})^* and differential -(-1)^p (d^{-p-1})^T,
+    the keyed transpose of `keyed_dual` on the graded keys of c.
 
     This is Hom(c, unit) on the nose, including basis order.
     """
-    dims = {-p: d for p, d in c.space.dims.items()}
-    space = GradedSpace(dims)
-    diff = {}
-    for p in space.degrees():
-        if space.dim(p + 1) == 0:
-            continue
-        m = c.d(-p - 1).transpose()
-        sgn = 1 if p % 2 else -1
-        diff[p] = m.scale(sgn)
-    return Complex(space, diff, check=False)
+    keys = graded_keys(c)
+    basis, cols = keyed_dual(keys, {k: dict(terms) for k, terms in
+                                    key_columns(c.d, 1, keys, keys).items()})
+    return keyed_complex(basis, positions(basis), cols)
 
 
 def _check_degree_zero_endo(f: ChainMap):
@@ -502,14 +543,31 @@ def euler_trace(f: ChainMap) -> Fraction:
 
 
 class SplitComplex:
-    """A complex together with a closed exact idempotent or None; models
-    the image summand without materializing it.  The base of every keyed
-    realization of a module (explicit, tensor and Hom), so a summand always
-    carries its keys along with its carrier and projector."""
+    """A keyed complex together with a closed exact idempotent or None;
+    models the image summand without materializing it.  The base of every
+    keyed realization of a module (explicit, tensor and Hom), so a summand
+    always carries its keys along with its differential and projector.
 
-    def __init__(self, carrier: Complex, projector: Optional[ChainMap]):
-        self.carrier = carrier
+    `basis[p]` lists the keys of degree p in order and `pos[key]` is
+    (p, row).  The differential is kept as keyed columns, `d_columns[key]`
+    = {key2: coeff} (set by the subclass), which is all that a realization
+    built on top of this one reads.  The matrix complex `carrier` is
+    assembled from them once, on first read, for ranks and chain maps; a
+    shallow copy shares it, whichever of the two reads it first.
+    """
+
+    def __init__(self, basis: Mapping[int, Sequence], projector: Optional[ChainMap]):
+        self.basis = {p: list(ks) for p, ks in basis.items() if ks}
+        self.pos = positions(self.basis)
         self.projector = projector
+        self.d_columns: Optional[Dict[object, Dict]] = None
+        self._carrier: List[Complex] = []  # one cell, shared by copies
+
+    @property
+    def carrier(self) -> Complex:
+        if not self._carrier:
+            self._carrier.append(keyed_complex(self.basis, self.pos, self.d_columns))
+        return self._carrier[0]
 
     def compress(self, f: ChainMap) -> ChainMap:
         """e . f . e on the carrier (f itself when there is no idempotent)."""

@@ -20,8 +20,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .algebras import (AlgebraIso, DgAlgebra, env_op_iso, opposite, sparse,
                        tensor_algebras)
-from .complexes import (ChainMap, Complex, GradedSpace, cohomology_dims,
-                        keyed_blocks, linear_dual, lower_block)
+from .complexes import GradedSpace, keyed_dual, lower_block
 from .errors import (AlgebraMismatch, DimensionMismatch, NotClosed,
                      NotDegreeZeroConcentrated)
 from .hochschild import HochschildClass, hh0_space
@@ -125,8 +124,8 @@ def _transposed(table) -> Dict[Tuple, List]:
 
 def _degree_zero_module(algebra: DgAlgebra, n: int, table) -> ExplicitModule:
     """Rank 1 in degree 0: the keys (0, x), x < n, over the given table."""
-    return ExplicitModule(algebra, Complex(GradedSpace({0: n}), {}),
-                          {0: [(0, x) for x in range(n)]}, table)
+    keys = [(0, x) for x in range(n)]
+    return ExplicitModule(algebra, {0: keys}, {k: {} for k in keys}, table)
 
 
 def diagonal_explicit(a: DgAlgebra) -> ExplicitModule:
@@ -253,7 +252,9 @@ def serre_module_data(a: DgAlgebra, m: PerfectModule,
     # the tensor's keys (i, (0, x)) read as (generator i of m, dual-basis
     # index x); A acts on the A^* factor
     basis = {p: [(i, x) for i, (_, x) in keys] for p, keys in sc.basis.items()}
-    return ExplicitModule(a, sc.carrier, basis, _dual_tables(a)[0], sc.projector)
+    d_columns = {(i, x): {(j, y): c for (j, (_, y)), c in col.items()}
+                 for (i, (_, x)), col in sc.d_columns.items()}
+    return ExplicitModule(a, basis, d_columns, _dual_tables(a)[0], sc.projector)
 
 
 def hom_into_serre(x: PerfectModule, serre_data: ExplicitModule) -> HomOverAlgebra:
@@ -293,10 +294,12 @@ class DualHomReport:
 def dual_right_module_data(m: SemiFreeModule) -> ExplicitModule:
     """M^* as an explicit right A-module (left A^op): (mu.a)(x) = mu(a x),
     so e_t . mu_(i, b) = sum_b2 [e_b](e_t e_b2) mu_(i, b2), over the
-    transpose of `mult`."""
+    transpose of `mult`.  The functional mu_key keeps the key of M's
+    realization, and the differential is its keyed transpose
+    (`keyed_dual`), -(-1)^p (d^{-p-1})^T in degree p."""
     ex = m.to_explicit()
-    basis = {-p: keys for p, keys in ex.basis.items()}
-    return ExplicitModule(opposite(m.algebra), linear_dual(ex.carrier), basis,
+    basis, d_columns = keyed_dual(ex.basis, ex.d_columns)
+    return ExplicitModule(opposite(m.algebra), basis, d_columns,
                           _dual_tables(m.algebra)[1])
 
 
@@ -475,39 +478,50 @@ def dualhom_check(n: PerfectModule, m: PerfectModule) -> DualHomReport:
     mu (x) g_i -> (phi -> (-1)^{|phi| |g_i|} mu(phi(g_i))).
 
     The comparison sends each key of M^* (x)_A N to the same key of the
-    dual Hom with a sign, and refuses a key missing there or in another
+    dual Hom with a sign s, and refuses a key missing there or in another
     degree, so it is injective on bases; it is bijective exactly when the
-    two keyed bases have equal counts in every degree.  A closed map that
-    is bijective on bases is an isomorphism of complexes, so the verdict is
-    "closed (NotClosed otherwise) and equal counts".  Both bases are built
-    on the same keys, so unequal counts mean a wrong construction and are
-    reported as no quasi-isomorphism.  The report records both cohomology
-    tables and the verdict.  Degree-0 algebras only: the sign above and the
-    table of M^* over A^op carry no Koszul sign of a graded coefficient.
+    two keyed bases have equal counts in every degree.  It is a chain map
+    exactly when s(k) d_lhs[k2][k] = s(k2) d_rhs[k2][k] for every key k of
+    the tensor and every key k2 of either side, d_lhs read off the keyed
+    transpose of the Hom's differential (NotClosed otherwise), so no
+    matrix of either dual is formed.  A closed map that is bijective on
+    bases is an isomorphism of complexes, so the verdict is "closed and
+    equal counts".  Both bases are built on the same keys, so unequal
+    counts mean a wrong construction and are reported as no
+    quasi-isomorphism.  The report records both cohomology tables and the
+    verdict: lhs_dims is H(Hom) with degrees negated (a transpose keeps
+    every rank), and rhs_dims follows from the verified isomorphism, read
+    off the tensor's own complex only when the comparison is not one.
+    Degree-0 algebras only: the sign above and the table of M^* over A^op
+    carry no Koszul sign of a graded coefficient.
     """
     if not n.algebra.is_degree_zero():
         raise NotDegreeZeroConcentrated("dual-Hom comparison in degree 0 only")
     if n.idempotent is not None or m.idempotent is not None:
         raise DimensionMismatch("dualhom comparison expects plain semi-free modules")
     hom = HomOverAlgebra(n.module, m.module.to_explicit())
-    lhs = linear_dual(hom.carrier)
     right = TensorOverAlgebra(dual_right_module_data(m.module), n.module)
-    rhs = right.carrier
-    if any(lhs.dim(p) == 0 for p in right.basis):
+    if any(not hom.basis.get(-p) for p in right.basis):
         raise DimensionMismatch("dualhom bases out of line")
-    # lhs basis in degree p: dual functionals of the hom basis in degree -p,
-    # keyed like it: mu (x) g_i -> the functional of phi = (i, mu_key)
-    dual_pos = {k: (-q, r) for k, (q, r) in hom.pos.items()}
-
-    def image(key):
-        p = right.pos[key][0]
-        if dual_pos.get(key, (None,))[0] != p:
+    # the tensor key mu (x) g_i of degree p is the functional of the Hom
+    # key phi = (i, mu_key), of Hom degree -p
+    for p, keys in right.basis.items():
+        if any(hom.pos.get(key, (None,))[0] != -p for key in keys):
             raise DimensionMismatch("dualhom comparison misses a basis vector")
-        # the sign (-1)^{|phi| |g_i|}, |phi| = -p, |g_i| = -s_i
-        return ((key, -1 if (p * n.module.shifts[key[0]]) % 2 else 1),)
-    blocks = keyed_blocks(right.basis, {-q: ks for q, ks in hom.basis.items()},
-                          dual_pos, 0, image)
-    if not ChainMap(rhs, lhs, 0, blocks).is_closed():
-        raise NotClosed("dualhom comparison is not a chain map")
-    return DualHomReport(cohomology_dims(lhs), cohomology_dims(rhs),
-                         lhs.space == rhs.space)
+    shifts = n.module.shifts
+
+    def sign(key, p):
+        # (-1)^{|phi| |g_i|}, |phi| = -p, |g_i| = -s_i
+        return -1 if (p * shifts[key[0]]) % 2 else 1
+    _, d_lhs = keyed_dual(hom.basis, hom.d_columns)
+    for p, keys in right.basis.items():
+        for key in keys:
+            lhs, rhs, s = d_lhs[key], right.d_columns[key], sign(key, p)
+            if lhs.keys() != rhs.keys() or any(
+                    s * c != sign(k2, p + 1) * rhs[k2] for k2, c in lhs.items()):
+                raise NotClosed("dualhom comparison is not a chain map")
+    lhs_dims = GradedSpace({-q: h for q, h in hom.cohomology_dims().dims.items()})
+    bijective = (GradedSpace({p: len(ks) for p, ks in right.basis.items()})
+                 == GradedSpace({-q: len(ks) for q, ks in hom.basis.items()}))
+    return DualHomReport(lhs_dims, lhs_dims if bijective else right.cohomology_dims(),
+                         bijective)

@@ -34,9 +34,11 @@ semi-free module keeps `mult` itself, whatever its rank.  `ExplicitModule.act`
 is the one reader of a table.  The twist's d^2 = 0 is checked over A.
 
 Every realization (`ExplicitModule`, `TensorOverAlgebra`, `HomOverAlgebra`)
-is a `SplitComplex`: its keys, its carrier complex and the projector that
-cuts out the summand of a perfect module (None for a plain one), built
-from the idempotents given to the constructor.
+is a `SplitComplex`: its keys, its differential by keyed columns
+(`d_columns`) and the projector that cuts out the summand of a perfect
+module (None for a plain one), built from the idempotents given to the
+constructor.  A tensor or Hom reads the keyed columns of the realization
+it is built on; the matrix complex `carrier` is assembled on first read.
 """
 
 from __future__ import annotations
@@ -46,8 +48,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebras import (AlgebraElement, DgAlgebra, SparseVec, opposite, sparse,
                        tensor_algebras)
-from .complexes import (ChainMap, Complex, GradedSpace, SplitComplex, key_columns,
-                        keyed_blocks, positions)
+from .complexes import (ChainMap, SplitComplex, key_columns, keyed_blocks,
+                        keyed_columns)
 from .errors import (AlgebraMismatch, DegreeViolation, DimensionMismatch,
                      DifferentialSquareViolation, IdempotentIncompatible,
                      NotClosed, NotDegreeZeroConcentrated, TriangularityViolation,
@@ -144,12 +146,12 @@ def _images(columns: Sequence[Column]):
 
 def _key_basis(shifts: Sequence[int], keys: Dict[int, List], sign: int):
     """Generator x key basis: (i, u) in degree deg(u) + sign * s_i, ordered
-    by generator and then by key position.  Returns (basis, pos, space)."""
+    by generator and then by key position."""
     basis: Dict[int, List] = {}
     for i, s in enumerate(shifts):
         for p, ks in keys.items():
             basis.setdefault(p + sign * s, []).extend((i, u) for u in ks)
-    return basis, positions(basis), GradedSpace({p: len(ks) for p, ks in basis.items()})
+    return basis
 
 
 class SemiFreeModule:
@@ -236,20 +238,19 @@ class ExplicitModule(SplitComplex):
     key u of one base table shared by every generator, and the projector of
     a summand (None for the whole module).
 
-    `basis[p]` lists the keys of degree p in order; e_t . (i, u) is the sum
-    of c (i, u2) over the (u2, c) of `table[(t, u)]`, and pairs with zero
-    product are absent, the way `DgAlgebra.mult` holds the products of
-    basis elements (a realization of a semi-free module keeps `mult`
-    itself).
+    `basis[p]` lists the keys of degree p in order and `d_columns` holds
+    the differential by keyed columns; e_t . (i, u) is the sum of c (i, u2)
+    over the (u2, c) of `table[(t, u)]`, and pairs with zero product are
+    absent, the way `DgAlgebra.mult` holds the products of basis elements
+    (a realization of a semi-free module keeps `mult` itself).
     """
 
-    def __init__(self, algebra: DgAlgebra, carrier: Optional[Complex],
-                 basis: Dict[int, List], table: Dict[Tuple, Sequence],
+    def __init__(self, algebra: DgAlgebra, basis: Dict[int, List],
+                 d_columns: Optional[Dict], table: Dict[Tuple, Sequence],
                  projector: Optional[ChainMap] = None):
-        super().__init__(carrier, projector)
+        super().__init__(basis, projector)
         self.algebra = algebra
-        self.basis = {p: list(ks) for p, ks in basis.items() if ks}
-        self.pos = positions(self.basis)
+        self.d_columns = d_columns
         self.table = table
 
     def act(self, vec: SparseVec, key) -> List:
@@ -266,8 +267,7 @@ class ExplicitModule(SplitComplex):
         by_degree: Dict[int, List] = {}
         for b in range(a.dim):
             by_degree.setdefault(a.degrees[b], []).append(b)
-        basis, pos, space = _key_basis(m.shifts, by_degree, -1)
-        ex = cls(a, None, basis, a.mult)
+        ex = cls(a, _key_basis(m.shifts, by_degree, -1), None, a.mult)
         # D(e_b g_i) = (-1)^{|e_b|} (e_b delta_ji) g_j + d(e_b) g_i: the
         # twist restricted as a degree-1 map, plus d_A on every summand
         twist = _restriction(ex, 1, _images(m.twist_columns))
@@ -275,8 +275,7 @@ class ExplicitModule(SplitComplex):
         def image(key):
             i, b = key
             return twist(key) + [((i, b2), c) for b2, c in a.diff.get(b, ())]
-        ex.carrier = Complex(space, keyed_blocks(basis, basis, pos, 1, image),
-                             check=False)
+        ex.d_columns = keyed_columns(ex.basis, ex.pos, 1, image)
         return ex
 
 
@@ -735,24 +734,22 @@ class TensorOverAlgebra(SplitComplex):
                  e: Optional[ModuleMap] = None):
         if not opposite(left.algebra).same_structure(m.algebra):
             raise AlgebraMismatch("left factor must live over the opposite algebra")
+        super().__init__(_key_basis(m.shifts, left.basis, -1), None)
         self.left = left
         self.m = m
-        self.basis, self.pos, space = _key_basis(m.shifts, left.basis, -1)
-        d_left = key_columns(left.carrier.d, 1, left.basis, left.basis)
+        d_left = left.d_columns
         twist_cols = _with_degrees(m.algebra, m.twist_columns)
 
         def image(key):
             i, u = key
-            terms = [((i, u2), c) for u2, c in d_left[u]]
+            terms = [((i, u2), c) for u2, c in d_left[u].items()]
             odd = left.pos[u][0] % 2
             for j, vec, de in twist_cols[i]:
                 if j > i:
                     terms += [((j, u2), c) for u2, c in
                               self._right_act(_neg(vec) if odd else vec, de, u)]
             return terms
-        super().__init__(Complex(
-            space, keyed_blocks(self.basis, self.basis, self.pos, 1, image),
-            check=False), None)
+        self.d_columns = keyed_columns(self.basis, self.pos, 1, image)
         if left.projector is not None or e is not None:
             self.projector = self.map_tensor(left.projector, e)
 
@@ -815,10 +812,10 @@ class HomOverAlgebra(SplitComplex):
                  e: Optional[ModuleMap] = None):
         if not m.algebra.same_structure(target.algebra):
             raise AlgebraMismatch("Hom across different algebras")
+        super().__init__(_key_basis(m.shifts, target.basis, 1), None)
         self.m = m
         self.target = target
-        self.basis, self.pos, space = _key_basis(m.shifts, target.basis, 1)
-        d_target = key_columns(target.carrier.d, 1, target.basis, target.basis)
+        d_target = target.d_columns
         # phi = (i, u) sends g_i to u; the twist row entries delta[i][i2]
         # feed g_{i2} for i2 < i.
         twist_rows = _with_degrees(m.algebra, rows_of(m.twist_columns, m.rank))
@@ -826,16 +823,14 @@ class HomOverAlgebra(SplitComplex):
         def image(key):
             i, u = key
             n_deg = self.pos[key][0]
-            terms = [((i, u2), c) for u2, c in d_target[u]]
+            terms = [((i, u2), c) for u2, c in d_target[u].items()]
             for i2, vec, de in twist_rows[i]:
                 # the sign -(-1)^{n + n |delta|} folded into the entry
                 if (n_deg * (1 + de)) % 2 == 0:
                     vec = _neg(vec)
                 terms += [((i2, u2), c) for u2, c in target.act(vec, u)]
             return terms
-        super().__init__(Complex(
-            space, keyed_blocks(self.basis, self.basis, self.pos, 1, image),
-            check=False), None)
+        self.d_columns = keyed_columns(self.basis, self.pos, 1, image)
         if e is not None:
             self.projector = self.precompose(e)
         if target.projector is not None:

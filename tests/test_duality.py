@@ -2,22 +2,23 @@ from fractions import Fraction
 
 import pytest
 
-from dgtrace import duality
+from dgtrace import complexes, duality
 from dgtrace.algebras import AlgebraIso, opposite, tensor_algebras
 from dgtrace.catalog import (ground_field, kronecker_algebra, matrix_2x2,
                              path_algebra_a2, path_algebra_a3, split_pair)
 from dgtrace.cli import main
-from dgtrace.complexes import (ChainMap, Complex, GradedSpace, is_quasi_iso,
-                               linear_dual)
+from dgtrace.complexes import (ChainMap, cohomology_dims, column_blocks,
+                               is_quasi_iso, keyed_blocks, linear_dual)
 from dgtrace.duality import (DualBimodule, EvaluationData,
-                             bimodule_linear_dual, dualhom_check, dualize,
-                             omega_contraction_dims, omega_inverse_module,
-                             serre_module_data, serre_tensor)
+                             bimodule_linear_dual, dual_right_module_data,
+                             dualhom_check, dualize, omega_contraction_dims,
+                             omega_inverse_module, serre_module_data,
+                             serre_tensor)
 from dgtrace.errors import AlgebraMismatch, DimensionMismatch, NotClosed
 from dgtrace.hochschild import hh0_space, hh_class, hh_via_dualizing
-from dgtrace.linalg import RationalMatrix, span_dim
-from dgtrace.modules import (HomOverAlgebra, PerfectModule, free_module,
-                             hom_over_algebra, projective_module,
+from dgtrace.linalg import span_dim
+from dgtrace.modules import (HomOverAlgebra, PerfectModule, TensorOverAlgebra,
+                             free_module, hom_over_algebra, projective_module,
                              restrict_to_ground)
 from dgtrace.prng import SplitMix64
 from dgtrace.resolutions import tensor_resolution
@@ -86,7 +87,6 @@ def test_dual_matches_hom_into_algebra(cat):
 
 def test_serre_matches_dual_of_hom(cat):
     # S(M) = A^* (x)_A M has the cohomology of (Hom_A(M, A))^*
-    from dgtrace.complexes import cohomology_dims, linear_dual
     rng = SplitMix64(103)
     for name in ("A2", "M2", "Kronecker"):
         a = cat[name].algebra
@@ -321,30 +321,50 @@ def _outcome(run):
         return type(exc)
 
 
-def _both_routes(monkeypatch, n, m, tamper=lambda source, blocks: blocks):
-    """The keyed verdict of dualhom_check, and is_quasi_iso on the very
-    comparison map it builds (its blocks first passed through tamper)."""
-    built = []
+def signed_identity(hom, right, shifts) -> ChainMap:
+    """The comparison on matrices, built here: linear_dual(hom.carrier) ->
+    right.carrier sending the functional of each Hom key of degree -p to
+    (-1)^{p s_i} times the same tensor key, and to 0 where the tensor has
+    no such key."""
+    dual_basis = {-q: ks for q, ks in hom.basis.items()}
 
-    def capture(source, target, degree, blocks):
-        built.append(ChainMap(source, target, degree, tamper(source, blocks)))
-        return built[-1]
-    monkeypatch.setattr(duality, "ChainMap", capture)
+    def image(key):
+        if key not in right.pos:
+            return ()
+        p = right.pos[key][0]
+        return ((key, -1 if (p * shifts[key[0]]) % 2 else 1),)
+    return ChainMap(linear_dual(hom.carrier), right.carrier, 0,
+                    keyed_blocks(dual_basis, right.basis, right.pos, 0, image))
+
+
+def _both_routes(monkeypatch, n, m, tamper_hom=None, tamper_right=None):
+    """The keyed verdict of dualhom_check, and is_quasi_iso on the signed
+    identity between the very Hom and tensor it reads (each first passed
+    through its tamper, before either complex is assembled)."""
+    built = {}
+
+    def recording(cls, name, tamper):
+        def build(*args):
+            built[name] = cls(*args)
+            if tamper is not None:
+                tamper(built[name])
+            return built[name]
+        return build
+    monkeypatch.setattr(duality, "HomOverAlgebra",
+                        recording(HomOverAlgebra, "hom", tamper_hom))
+    monkeypatch.setattr(duality, "TensorOverAlgebra",
+                        recording(TensorOverAlgebra, "right", tamper_right))
     keyed = _outcome(lambda: dualhom_check(n, m).quasi_iso)
     monkeypatch.undo()
-    assert built
-    return keyed, _outcome(lambda: is_quasi_iso(built[-1]))
+    return keyed, _outcome(lambda: is_quasi_iso(
+        signed_identity(built["hom"], built["right"], n.module.shifts)))
 
 
-def _meets_differential(c: Complex):
-    """(p, j) of the first basis vector with a nonzero differential in or
-    out, or None when every differential is zero."""
-    for p in c.degrees():
-        into = set().union(*c.d(p - 1).sparse_columns())
-        for j, col in enumerate(c.d(p).sparse_columns()):
-            if col or j in into:
-                return p, j
-    return None
+def _first_differential(split):
+    """The first key, in degree order, with a nonzero differential, or
+    None when every differential is zero."""
+    return next((key for p in sorted(split.basis) for key in split.basis[p]
+                 if split.d_columns[key]), None)
 
 
 def test_keyed_verdict_matches_the_cone(cat, monkeypatch):
@@ -358,34 +378,55 @@ def test_keyed_verdict_matches_the_cone(cat, monkeypatch):
 
 def test_flipped_comparison_sign_is_refused_on_both_routes(cat, monkeypatch):
     flipped = 0
-    for name, n, m in _plain_pairs(cat):
-        def flip(source, blocks):
-            nonlocal flipped
-            hit = _meets_differential(source)
-            if hit is None:
-                return blocks
+
+    def flip(right):
+        # one entry of the tensor's differential negated: against the
+        # untouched Hom, the comparison's sign fails there
+        nonlocal flipped
+        key = _first_differential(right)
+        if key is not None:
             flipped += 1
-            p, j = hit
-            cols = blocks[p].sparse_columns()
-            cols[j] = {r: -v for r, v in cols[j].items()}
-            return {**blocks, p: RationalMatrix.from_sparse_columns(blocks[p].rows, cols)}
+            col = right.d_columns[key]
+            k2 = next(iter(col))
+            right.d_columns[key] = {**col, k2: -col[k2]}
+    for name, n, m in _plain_pairs(cat):
         before = flipped
-        routes = _both_routes(monkeypatch, n, m, flip)
+        routes = _both_routes(monkeypatch, n, m, tamper_right=flip)
         if flipped > before:
             assert routes == (NotClosed, NotClosed), name
     assert flipped
 
 
-def test_extra_left_vector_is_no_quasi_iso_on_either_route(cat, monkeypatch):
-    def padded(c):
-        # one more basis vector two degrees above the support, where neither
-        # side has keys; its differentials are zero
-        dual = linear_dual(c)
-        top = max(dual.degrees(), default=0) + 2
-        return Complex(GradedSpace({**dual.space.dims, top: 1}), dual.diff)
+def test_unreached_hom_key_is_refused_on_both_routes(cat, monkeypatch):
+    """A Hom key that some Hom differential reaches is taken out of every
+    Hom differential: the dual's column there becomes zero while the
+    tensor's stays nonzero, so every key of the tensor is compared, not
+    only those with a nonzero dual column."""
+    unreached = 0
+
+    def unreach(hom):
+        nonlocal unreached
+        key = next((k for col in hom.d_columns.values() for k in col), None)
+        if key is not None:
+            unreached += 1
+            for col in hom.d_columns.values():
+                col.pop(key, None)
     for name, n, m in _plain_pairs(cat):
-        monkeypatch.setattr(duality, "linear_dual", padded)
-        assert _both_routes(monkeypatch, n, m) == (False, False), name
+        before = unreached
+        routes = _both_routes(monkeypatch, n, m, tamper_hom=unreach)
+        if unreached > before:
+            assert routes == (NotClosed, NotClosed), name
+    assert unreached
+
+
+def test_extra_left_vector_is_no_quasi_iso_on_either_route(cat, monkeypatch):
+    def padded(hom):
+        # one more Hom key two degrees below the support, so its functional
+        # sits where neither side has keys; its differentials are zero
+        q, key = min(hom.basis) - 2, (-1, "pad")
+        hom.basis[q], hom.pos[key], hom.d_columns[key] = [key], (q, 0), {}
+    for name, n, m in _plain_pairs(cat):
+        assert _both_routes(monkeypatch, n, m, tamper_hom=padded) == (False, False), name
 
 
 def test_dropped_hom_key_is_refused(cat, monkeypatch):
@@ -398,6 +439,41 @@ def test_dropped_hom_key_is_refused(cat, monkeypatch):
         with pytest.raises(DimensionMismatch):
             dualhom_check(n, m)
         monkeypatch.undo()
+
+
+def test_report_tables_are_the_dual_complexes_cohomology(cat):
+    """lhs_dims is H(Hom) with degrees negated, and rhs_dims follows from
+    the verified isomorphism: both against the cohomology of the matrix
+    complexes, linear_dual(Hom) and the tensor, built here."""
+    for name, n, m in _plain_pairs(cat):
+        rep = dualhom_check(n, m)
+        hom = HomOverAlgebra(n.module, m.module.to_explicit())
+        right = TensorOverAlgebra(dual_right_module_data(m.module), n.module)
+        assert rep.lhs_dims == cohomology_dims(linear_dual(hom.carrier)), name
+        assert rep.rhs_dims == cohomology_dims(right.carrier), name
+
+
+def test_dualhom_check_assembles_the_hom_alone(cat, monkeypatch):
+    """Every realization keeps its differential by keyed columns; the one
+    matrix complex a bijective comparison needs is the Hom's, for ranks."""
+    assembled, homs = [], []
+
+    def counting(columns, *args):
+        assembled.append(columns)
+        return column_blocks(columns, *args)
+
+    def recording(*args):
+        homs.append(HomOverAlgebra(*args))
+        return homs[-1]
+    monkeypatch.setattr(complexes, "column_blocks", counting)
+    monkeypatch.setattr(duality, "HomOverAlgebra", recording)
+    checked = 0
+    for name, n, m in _plain_pairs(cat, per_algebra=2):
+        assembled.clear()
+        assert dualhom_check(n, m).quasi_iso, name
+        assert len(assembled) == 1 and assembled[0] is homs[-1].d_columns, name
+        checked += 1
+    assert checked >= 10
 
 
 # -- evaluation / coevaluation ----------------------------------------------

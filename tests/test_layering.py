@@ -1,6 +1,7 @@
 """The matrix layout is known to `linalg` alone: every other module builds
-k-level maps through the keyed assembler (`complexes.keyed_blocks`) and
-reads them through `RationalMatrix.sparse_columns`, and the one other entry
+k-level maps through the keyed assembler (`complexes.column_blocks`, by way
+of `keyed_blocks` or a realization's `carrier`) and reads them through
+`RationalMatrix.sparse_columns`, and the one other entry
 point, `sparse_kernel(rows, ncols)`, takes plain {column: rational} rows
 and puts them in stored form itself, so a change of storage stays inside
 `linalg.py`.  This keeps the layout behind `linalg` the way

@@ -1,9 +1,11 @@
+import copy
 from fractions import Fraction
 
 import pytest
 
+from dgtrace import complexes
 from dgtrace.algebras import opposite, tensor_algebras
-from dgtrace.complexes import is_acyclic
+from dgtrace.complexes import is_acyclic, keyed_complex
 from dgtrace.duality import diagonal_explicit, omega_inverse
 from dgtrace.errors import (AlgebraMismatch, DegreeViolation,
                             DifferentialSquareViolation,
@@ -348,3 +350,39 @@ def test_off_degree_map_raises_in_every_realization(a2):
                                [((0, sparse(a2.unit)),)], check=False)
     with pytest.raises(DegreeViolation):
         f.restrict()
+
+
+def test_carrier_is_assembled_once_and_shared_by_copies(cat, monkeypatch):
+    """A realization assembles its matrix complex on first read, once; a
+    shallow copy reads the same complex whichever of the two reads it
+    first, and so does the summand copy that restrict_to_ground makes."""
+    built = []
+
+    def counting(basis, pos, d_columns):
+        built.append(d_columns)
+        return keyed_complex(basis, pos, d_columns)
+    monkeypatch.setattr(complexes, "keyed_complex", counting)
+    ent = cat["A2"]
+    rng = SplitMix64(29)
+
+    def fresh(p):  # the same module with an empty realization memo
+        return SemiFreeModule.from_columns(ent.algebra, p.shifts, p.module.twist_columns)
+    summands = 0
+    for copy_first in (True, False, True, False):
+        p = random_perfect(ent.algebra, rng, ent.idempotents, max_gens=3)
+        m = fresh(p)
+        for split in (m.to_explicit(), HomOverAlgebra(m, m.to_explicit())):
+            twin = copy.copy(split)
+            built.clear()
+            first, second = (twin, split) if copy_first else (split, twin)
+            assert first.carrier is second.carrier
+            assert built == [split.d_columns]
+        if p.idempotent is not None:
+            m = fresh(p)
+            built.clear()
+            summand = restrict_to_ground(
+                PerfectModule(m, ModuleMap.from_columns(m, m, 0, p.idempotent.columns)))
+            assert summand.carrier is m.to_explicit().carrier is summand.projector.source
+            assert built == [summand.d_columns]
+            summands += 1
+    assert summands

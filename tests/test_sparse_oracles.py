@@ -532,6 +532,26 @@ def test_semifree_and_dual_right_tables_match_dense_products(cat):
             (k2, product(a, t, k2[1])[key[1]]) for k2 in ex.pos if k2[0] == key[0]))
 
 
+def test_keyed_dual_is_the_signed_transpose(cat):
+    """M^* of dual_right_module_data, a keyed transpose, assembles to the
+    blocks -(-1)^p (d^{-p-1})^T of M's realization, block by block, over
+    the catalog and over the exterior and square-zero dg algebras, with
+    nonzero blocks in odd and in even degrees on both."""
+    families = ([p.module for _, p in catalog_modules(cat)],
+                [m for _, m in dg_modules()])
+    for family in families:
+        parities = set()
+        for m in family:
+            d = m.to_explicit().carrier.d
+            dual = dual_right_module_data(m).carrier
+            for p in dual.degrees():
+                block = dual.d(p)
+                assert block == d(-p - 1).transpose().scale(1 if p % 2 else -1), p
+                if not block.is_zero():
+                    parities.add(p % 2)
+        assert parities == {0, 1}
+
+
 def rank_one(reference):
     """reference(t, x) -> {y: c} read on the keys (0, x) of a rank-1
     module."""
