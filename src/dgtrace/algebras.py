@@ -51,13 +51,14 @@ class DgAlgebra:
 
     `mult[(i, j)]` lists the nonzero coordinates of e_i * e_j in index
     order (repeated indices of the input are summed); pairs with zero
-    product are absent.  `mult` is the basis-product kernel: every product
-    with a basis factor reads it directly.  `diff[i]` lists the coordinates
-    of d(e_i), normalised the same way.  Every coefficient of `mult`,
-    `diff` and `unit` is a stored scalar (an int when integral, else a
-    Fraction), so products of integers stay integers; the readers
-    (`AlgebraElement.coords`) give Fractions.  Tables derived from `mult` are
-    memoised on the instance on first use: the trace table
+    product are absent.  `mult` is the basis-product kernel: every loop over
+    basis products reads it through `rows`, the same table indexed by left
+    factor; the dense reference `multiply` reads `mult` itself.
+    `diff[i]` lists the coordinates of d(e_i), normalised the same way.  Every coefficient of `mult`, `diff` and `unit` is a stored
+    scalar (an int when integral, else a Fraction), so products of integers
+    stay integers; the readers (`AlgebraElement.coords`) give Fractions.
+    Tables derived from `mult` are memoised on the instance on first use,
+    never in the constructor: `rows`, the trace table
     (`pairing._pair_trace_table`), HH_0 (`hochschild.hh0_space`), the
     tables of A^* as a one-sided module (`duality._dual_tables`), the
     opposite algebra (`opposite`) and the tensor products with this algebra
@@ -76,6 +77,7 @@ class DgAlgebra:
         self.unit = tuple(_canon(c) for c in unit)
         self.diff = {i: vec for i, v in (diff or {}).items() if (vec := _merged(v))}
         self._check_degrees()
+        self._rows = None
         self._trace_table = None
         self._hh0 = None
         self._dual_tables = None
@@ -85,6 +87,18 @@ class DgAlgebra:
     @property
     def dim(self) -> int:
         return len(self.labels)
+
+    @property
+    def rows(self) -> List[Dict[int, SparseVec]]:
+        """rows[i] = {j: mult[(i, j)]}, the products with left factor e_i:
+        the layout every basis-product loop reads, so a lookup is one
+        list index and one int-keyed dict probe."""
+        if self._rows is None:
+            rows: List[Dict[int, SparseVec]] = [{} for _ in range(self.dim)]
+            for (i, j), vec in self.mult.items():
+                rows[i][j] = vec
+            self._rows = rows
+        return self._rows
 
     def _check_degrees(self):
         for (i, j), vec in self.mult.items():
@@ -118,8 +132,8 @@ class DgAlgebra:
         return AlgebraElement(self, (ZERO,) * self.dim)
 
     def multiply(self, a: Coords, b: Coords) -> Coords:
-        """Dense product scan; independent of add_product, so tests and
-        oracles use it as the reference."""
+        """Dense product scan over `mult`; independent of `rows` and
+        add_product, so tests and oracles use it as the reference."""
         out = [ZERO] * self.dim
         for i, ca in enumerate(a):
             if ca:
@@ -134,11 +148,12 @@ class DgAlgebra:
 
     def add_product(self, out: List[Fraction], u: SparseVec, v: SparseVec) -> None:
         """out += u * v for sparse coordinate vectors u and v: the one
-        product kernel, read straight from `mult`."""
-        mult = self.mult
+        product kernel, read from `rows`."""
+        rows = self.rows
         for i, cu in u:
+            row = rows[i]
             for j, cv in v:
-                vec = mult.get((i, j))
+                vec = row.get(j)
                 if vec:
                     cuv = cu * cv
                     for k, c in vec:

@@ -99,13 +99,11 @@ def _sandwich_table(a: DgAlgebra, swap: bool = False) -> Dict[Tuple, List]:
     """Action table of A (x) A on A, flat basis p*n + q: e_p x e_q, or
     e_q x e_p with swap, read from the structure constants."""
     n = a.dim
-    right: Dict[int, List] = {}
-    for (k, q), vec in a.mult.items():
-        right.setdefault(k, []).append((q, vec))
+    rows = a.rows
     acc: Dict[Tuple, Dict] = {}
     for (p, x), vec in a.mult.items():
         for k, c1 in vec:
-            for q, vec2 in right.get(k, ()):
+            for q, vec2 in rows[k].items():
                 out = acc.setdefault((q * n + p if swap else p * n + q, x), {})
                 for l, c2 in vec2:
                     out[l] = out.get(l, 0) + c1 * c2

@@ -36,15 +36,15 @@ class HH0Space:
             raise NotDegreeZeroConcentrated("HH_0 computed for degree-0 algebras")
         self.algebra = algebra
         n = algebra.dim
-        mult = algebra.mult
+        rows = algebra.rows
         commutators = []
         # [e_j, e_i] = -[e_i, e_j] and [e_i, e_i] = 0 add nothing to the span
         for i in range(n):
             for j in range(i + 1, n):
                 vec = [0] * n
-                for k, c in mult.get((i, j), ()):
+                for k, c in rows[i].get(j, ()):
                     vec[k] += c
-                for k, c in mult.get((j, i), ()):
+                for k, c in rows[j].get(i, ()):
                     vec[k] -= c
                 if any(vec):
                     commutators.append(tuple(vec))

@@ -86,6 +86,15 @@ def _dense(a: DgAlgebra, columns: Sequence[Column], nrows: int):
     return tuple(tuple(row) for row in rows)
 
 
+def _coords(acc: Dict[int, List], j: int, n: int) -> List:
+    """The accumulator of row j, a zero list of length n made only when
+    the row is first touched."""
+    coords = acc.get(j)
+    if coords is None:
+        coords = acc[j] = [0] * n
+    return coords
+
+
 def _column(acc: Dict[int, Sequence]) -> Column:
     """A column from dense accumulators {row: coords}; zero entries dropped."""
     return tuple((j, vec) for j in sorted(acc) if (vec := sparse(acc[j])))
@@ -394,7 +403,7 @@ class ModuleMap:
                 if odd and (_degree(a, u) or 0) % 2:
                     u = _neg(u)
                 for l, v in self.columns[j]:
-                    a.add_product(acc.setdefault(l, [0] * a.dim), u, v)
+                    a.add_product(_coords(acc, l, a.dim), u, v)
             columns.append(_column(acc))
         return ModuleMap.from_columns(other.source, self.target,
                                       self.degree + other.degree, columns,
@@ -416,17 +425,17 @@ class ModuleMap:
             for l, v in col:
                 for t, c in v:
                     for k, ck in a.diff.get(t, ()):
-                        acc.setdefault(l, [0] * a.dim)[k] += c * ck
+                        _coords(acc, l, a.dim)[k] += c * ck
             for j, u in col:
                 if (_degree(a, u) or 0) % 2:
                     u = _neg(u)
                 for l, w in twist_n[j]:
-                    a.add_product(acc.setdefault(l, [0] * a.dim), u, w)
+                    a.add_product(_coords(acc, l, a.dim), u, w)
             for j, u in twist_col:
                 if (n * ((_degree(a, u) or 0) + 1) + 1) % 2:
                     u = _neg(u)
                 for l, w in self.columns[j]:
-                    a.add_product(acc.setdefault(l, [0] * a.dim), u, w)
+                    a.add_product(_coords(acc, l, a.dim), u, w)
             columns.append(_column(acc))
         return ModuleMap.from_columns(self.source, self.target, n + 1, columns,
                                       check=False)
@@ -608,9 +617,8 @@ def restrict_to_factor(p: PerfectModule, f1: DgAlgebra, f2: DgAlgebra,
     if n1 * n2 != big.dim:
         raise AlgebraMismatch("factor dimensions do not multiply up")
     m = p.module
-    small = f1 if side == "first" else f2
-    nother = n2 if side == "first" else n1
-    gens = [(i, q) for i in range(m.rank) for q in range(nother)]
+    small, other = (f1, f2) if side == "first" else (f2, f1)
+    gens = [(i, q) for i in range(m.rank) for q in range(other.dim)]
     index = {g: t for t, g in enumerate(gens)}
     shifts = [m.shifts[i] for (i, q) in gens]
     labels = [f"{m.labels[i]}|{q}" for (i, q) in gens]
@@ -621,16 +629,17 @@ def restrict_to_factor(p: PerfectModule, f1: DgAlgebra, f2: DgAlgebra,
         expanded over the small algebra into the rows (j, u)."""
         out = []
         for (i, q) in gens:
+            row_q = other.rows[q]
             acc: Dict[int, List] = {}
             for j, vec in columns[i]:
                 for flat, c in vec:
                     pa, qb = divmod(flat, n2)
                     if side == "first":
                         # (1 (x) b_q)(a_pa (x) b_qb) = a_pa (x) (b_q *f2 b_qb)
-                        for u, cu in f2.mult.get((q, qb), ()):
+                        for u, cu in row_q.get(qb, ()):
                             acc.setdefault(index[(j, u)], [0] * n1)[pa] += c * cu
                     else:
-                        for u, cu in f1.mult.get((q, pa), ()):
+                        for u, cu in row_q.get(pa, ()):
                             acc.setdefault(index[(j, u)], [0] * n2)[qb] += c * cu
             out.append(_column(acc))
         return out
@@ -656,9 +665,10 @@ def right_multiplication_map(restricted: PerfectModule,
     """
     unit = sparse(f1.unit)
     columns: List[Column] = [()] * restricted.module.rank
+    row_t = f2.rows[t]
     for (i, q), col in index.items():
         columns[col] = tuple((index[(i, u)], tuple((k, _canon(cu * x)) for k, x in unit))
-                             for u, cu in f2.mult.get((t, q), ()))
+                             for u, cu in row_t.get(q, ()))
     return ModuleMap.from_columns(restricted.module, restricted.module, 0,
                                   columns, check=False)
 

@@ -99,21 +99,19 @@ class KernelTransfer:
 def _pair_trace_table(b: DgAlgebra) -> list:
     """tau[q][r] = tr_B(y -> e_q y e_r) = sum_w [e_w](e_q e_w e_r), memoised
     on the algebra.  Each structure constant e_q e_w = sum_k c_k e_k adds
-    c_k [e_w](e_k e_r) to tau[q][r], read from the products with left
-    factor e_k."""
+    c_k [e_w](e_k e_r) to tau[q][r], read from the row of e_k."""
     if b._trace_table is None:
         n = b.dim
-        by_left = [[] for _ in range(n)]
-        for (k, r), vec in b.mult.items():
-            by_left[k].append((r, vec))
+        rows = b.rows
         table = [[0] * n for _ in range(n)]
-        for (q, w), vec in b.mult.items():
-            row = table[q]
-            for k, ck in vec:
-                for r, vec2 in by_left[k]:
-                    for l, cl in vec2:
-                        if l == w:
-                            row[r] += ck * cl
+        for q, products in enumerate(rows):
+            tau_q = table[q]
+            for w, vec in products.items():
+                for k, ck in vec:
+                    for r, vec2 in rows[k].items():
+                        for l, cl in vec2:
+                            if l == w:
+                                tau_q[r] += ck * cl
         b._trace_table = table
     return b._trace_table
 
@@ -274,8 +272,12 @@ def rr_left_side(n: PerfectModule, m: PerfectModule,
     degree-0 maps (g (x) f)(e_N (x) e_M) = G (x) F with G = g . e_N and
     F = f . e_M, so the class is sum (-1)^{deg u - s_i} [u] (G(u) . F[i][i]).
     The action on e_b g_k keeps the generator k, so only F[i][i] and
-    G[k][k] are read, and the products are read off A^op's `mult`: no
-    realization, tensor complex, projector or matrix is built."""
+    G[k][k] are read.  The coefficient is linear in F[i][i], so M is summed
+    out first, X = sum_i (-1)^{s_i} F[i][i], its right action is tabled
+    once, and each key u = (k, b) of N adds (-1)^{|b| - s_k} [u] (G(u) . X).
+    The products are read off A^op's `rows`, and the left side stays
+    independent of the trace table the right side reads: no realization,
+    tensor complex, projector or matrix is built."""
     if not opposite(n.algebra).same_structure(m.algebra):
         raise AlgebraMismatch("left factor must live over the opposite algebra")
     diagonals = []  # of phi . e; a missing map or idempotent is the identity
@@ -291,20 +293,30 @@ def rr_left_side(n: PerfectModule, m: PerfectModule,
         ModuleMap.from_columns(p.module, p.module, 0, phi.columns)
         diagonals.append(diagonal(phi, p.idempotent))
     g_diagonal, f_diagonal = diagonals
-    f_diagonal = [(s, x) for s, x in zip(m.shifts, f_diagonal) if x]
+    x: Dict = {}  # X = sum_i (-1)^{s_i} F[i][i], over A
+    for s, vec in zip(m.shifts, f_diagonal):
+        for t, c in vec:
+            x[t] = x.get(t, 0) + (-c if s % 2 else c)
     aop = n.algebra
-    mult = aop.mult
+    rows = aop.rows
+    # times_x[b][b2] = [e_b](e_t .op e_b2) summed over the terms x_t e_t of X
+    times_x: List[Dict] = [{} for _ in rows]
+    for t, ct in x.items():
+        for b2, vec in rows[t].items():
+            for b, c in vec:
+                times_x[b][b2] = times_x[b].get(b2, 0) + ct * c
     total = 0
     for k, shift in enumerate(n.shifts):
         for b, degree in enumerate(aop.degrees):
-            image: Dict = {}  # G(e_b g_k) = e_b G[k][k] g_k, over A^op
+            # [u] (G(u) . X) for u = e_b g_k, G(u) = e_b G[k][k] g_k over A^op
+            row_b, x_b = rows[b], times_x[b]
+            coeff = 0
             for t, c in g_diagonal[k]:
-                for b2, c2 in mult.get((b, t), ()):
-                    image[b2] = image.get(b2, 0) + c * c2
-            for s, x in f_diagonal:
-                coeff = sum((c * ct * c3 for b2, c in image.items() for t, ct in x
-                             for b3, c3 in mult.get((t, b2), ()) if b3 == b), 0)
-                total += -coeff if (degree - shift - s) % 2 else coeff
+                for b2, c2 in row_b.get(t, ()):
+                    w = x_b.get(b2)
+                    if w:
+                        coeff += c * c2 * w
+            total += -coeff if (degree - shift) % 2 else coeff
     return Fraction(total)
 
 
@@ -355,12 +367,13 @@ def compose_kernels_separable(k1: PerfectModule, k2: PerfectModule,
     nb = b.dim
     # (w1, w2) -> {(w1 p_t, q_t w2): coefficient}, summed over the terms of E
     moves: Dict[Tuple[int, int], Dict[Tuple[int, int], Fraction]] = {}
+    rows = b.rows
     for flat, ce in sparse(resolution_b.separability_idempotent().coords):
         t1, t2 = divmod(flat, nb)
         for w1 in range(nb):
-            for w1p, c1 in b.mult.get((w1, t1), ()):
-                for w2 in range(nb):
-                    for w2p, c2 in b.mult.get((t2, w2), ()):
+            for w1p, c1 in rows[w1].get(t1, ()):
+                for w2, vec in rows[t2].items():
+                    for w2p, c2 in vec:
                         out = moves.setdefault((w1, w2), {})
                         out[(w1p, w2p)] = out.get((w1p, w2p), 0) + ce * c1 * c2
     unit = sparse(ac.unit)

@@ -111,18 +111,20 @@ def closed_map_kernel(src: SemiFreeModule, tgt: SemiFreeModule,
     # {column: coeff} over the unknown coordinates e_w of entries (j, i)
     sgn = -1 if degree % 2 else 1
     rows_m = rows_of(src.twist_columns, src.rank)
+    products = a.rows
     rows: Dict[Key, Dict[int, Scalar]] = defaultdict(dict)
     for col, (j, i, w) in enumerate(keys):
         # + phi[j][i] * deltaN[l][j], in entry (l, i)
+        row_w = products[w]
         for l, dn in tgt.twist_columns[j]:
             for t, ct in dn:
-                for x, cx in a.mult.get((w, t), ()):
+                for x, cx in row_w.get(t, ()):
                     row = rows[(l, i, x)]
                     row[col] = row.get(col, 0) + ct * cx
         # - (-1)^degree deltaM[i][i2] * phi[j][i], in entry (j, i2)
         for i2, dm in rows_m[i]:
             for t, ct in dm:
-                for x, cx in a.mult.get((t, w), ()):
+                for x, cx in products[t].get(w, ()):
                     row = rows[(j, i2, x)]
                     row[col] = row.get(col, 0) - sgn * ct * cx
     return [tuple((keys[c], x) for c, x in v)

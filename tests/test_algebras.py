@@ -69,6 +69,30 @@ def test_tensor_algebras_is_memoised(cat):
     assert tensor_algebras(a2, copy) == tensor_algebras(a2, a2)
 
 
+def test_rows_reindex_mult(cat):
+    """rows[i][j] is mult[(i, j)], every product with left factor e_i in
+    rows[i] and no other, on each catalog algebra, its opposite, and its
+    square and enveloping algebras."""
+    for ent in cat.values():
+        a = ent.algebra
+        for b in (a, opposite(a), tensor_algebras(a, a), *enveloping(a)):
+            assert len(b.rows) == b.dim
+            assert {(i, j): vec for i, row in enumerate(b.rows)
+                    for j, vec in row.items()} == b.mult
+
+
+def test_rows_built_on_first_product(a2):
+    """A fresh algebra holds no row table; its first product builds it
+    once, and later reads get the same table."""
+    fresh = DgAlgebra(a2.labels, a2.degrees, a2.mult, a2.unit)
+    assert fresh._rows is None
+    out = [0] * fresh.dim
+    fresh.add_product(out, ((0, 1),), ((2, 1),))
+    assert out == [0, 0, 1]  # e1 * a = a
+    rows = fresh._rows
+    assert rows is not None and fresh.rows is rows
+
+
 def test_arithmetic_across_algebras_raises(cat):
     a2, a3 = cat["A2"].algebra, cat["A3"].algebra
     x, y = a2.by_label("e1"), a3.by_label("e1")

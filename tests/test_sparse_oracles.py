@@ -30,7 +30,8 @@ from dgtrace.algebras import (AlgebraElement, DgAlgebra, enveloping, opposite,
                               pure_tensor, sparse, swap_iso, tensor_algebras,
                               validate_algebra)
 from dgtrace import duality
-from dgtrace.complexes import ChainMap, SplitComplex, chain_supertrace
+from dgtrace.complexes import (ChainMap, SplitComplex, chain_supertrace,
+                               key_columns)
 from dgtrace.duality import (DualBimodule, _opposite_diagonal_explicit,
                              diagonal_explicit, dual_right_module_data,
                              dualhom_check, serre_module_data)
@@ -38,8 +39,8 @@ from dgtrace.errors import (DifferentialSquareViolation,
                             NotDegreeZeroConcentrated, WrongDegree)
 from dgtrace.hochschild import diagonal, generalized_supertrace, hh0_space
 from dgtrace.linalg import RationalMatrix, sparse_kernel
-from dgtrace.modules import (ModuleMap, PerfectModule, SemiFreeModule,
-                             TensorOverAlgebra, _dense, _grid_columns,
+from dgtrace.modules import (HomOverAlgebra, ModuleMap, PerfectModule,
+                             SemiFreeModule, TensorOverAlgebra, _dense, _grid_columns,
                              direct_sum_modules, outer_tensor_columns,
                              outer_tensor_modules, projective_module,
                              restrict_to_factor, right_multiplication_map,
@@ -736,6 +737,35 @@ def test_tensor_differential_is_a_sum_of_map_tensors(make):
             assert t.carrier.d(p) == d_left.block(p) + delta.block(p), p
             blocks += 1
     assert blocks > 40
+
+
+def test_precompose_is_compose_key_by_key():
+    """HomOverAlgebra.precompose(e) sends each Hom key, the map phi: g_j ->
+    e_b h_k of degree n, to phi . e as ModuleMap.compose gives it, the
+    Koszul sign (-1)^{n |e_ji|} included: over the exterior algebra, with
+    generators of both parities on each side, odd entries of e meet keys
+    of odd degree."""
+    a = exterior_algebra()
+    m, n = SemiFreeModule(a, [0, 1]), SemiFreeModule(a, [0, -1])
+    hom = HomOverAlgebra(m, n.to_explicit())
+    rng = SplitMix64(29)
+    keys = odd_signs = 0
+    for _ in range(10):
+        e = homogeneous_map(m, rng)
+        images = key_columns(hom.precompose(e).block, 0, hom.basis, hom.basis)
+        for p, basis in hom.basis.items():
+            for j, (k, b) in basis:
+                phi = ModuleMap.from_columns(
+                    m, n, p, [((k, ((b, 1),)),) if i == j else ()
+                              for i in range(m.rank)])
+                want = {(i, (l, b2)): c for i, col in enumerate(phi.compose(e).columns)
+                        for l, vec in col for b2, c in vec}
+                assert dict(images[(j, (k, b))]) == want
+                keys += 1
+                odd_signs += p % 2 and any(
+                    l == j and a.degrees[vec[0][0]] % 2
+                    for col in e.columns for l, vec in col)
+    assert keys == 80 and odd_signs > 0
 
 
 # -- pure tensors and the outer tensor --------------------------------------
