@@ -54,15 +54,15 @@ class DgAlgebra:
     product are absent.  `mult` is the basis-product kernel: every loop over
     basis products reads it through `rows`, the same table indexed by left
     factor; the dense reference `multiply` reads `mult` itself.
-    `diff[i]` lists the coordinates of d(e_i), normalised the same way.  Every coefficient of `mult`, `diff` and `unit` is a stored
-    scalar (an int when integral, else a Fraction), so products of integers
-    stay integers; the readers (`AlgebraElement.coords`) give Fractions.
-    Tables derived from `mult` are memoised on the instance on first use,
-    never in the constructor: `rows`, the trace table
-    (`pairing._pair_trace_table`), HH_0 (`hochschild.hh0_space`), the
-    tables of A^* as a one-sided module (`duality._dual_tables`), the
-    opposite algebra (`opposite`) and the tensor products with this algebra
-    as first factor (`tensor_algebras`).
+    `diff[i]` lists the coordinates of d(e_i), normalised the same way.
+    Every coefficient of `mult`, `diff` and `unit` is a stored scalar (an
+    int when integral, else a Fraction), so products of integers stay
+    integers; the readers (`AlgebraElement.coords`) give Fractions.  Tables
+    derived from `mult` are memoised on the instance on first use, never in
+    the constructor: `rows`, the trace table (`pairing._pair_trace_table`),
+    HH_0 (`hochschild.hh0_space`), the tables of A^* as a one-sided module
+    (`duality._dual_tables`), the opposite algebra (`opposite`) and the
+    tensor products with this algebra as first factor (`tensor_algebras`).
     """
 
     def __init__(self, labels: Sequence[str], degrees: Sequence[int],

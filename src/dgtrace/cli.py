@@ -22,7 +22,7 @@ from .errors import DgError, WorkspaceError
 from .hochschild import hh0_space, hh_class
 from .modules import restrict_to_ground
 from .pairing import pair_scalar
-from .suites import duality_suite, full_suite, rr_suite
+from .suites import duality_suite, full_suite, rr_tally
 from .workspace import (Workspace, default_workspace, format_rational,
                         parse_rational, parse_workspace)
 
@@ -152,12 +152,8 @@ def cmd_verify_rr(ws: Workspace, args, seed: int, count: int) -> dict:
     per = {}
     ok = True
     for name in names:
-        reports = rr_suite(catalog_entry(name), count, seed)
-        passed = sum(1 for r in reports if r.equal)
-        failures = [r.to_dict() for r in reports if not r.equal]
-        per[name] = {"checked": len(reports), "passed": passed,
-                     "failures": failures}
-        ok = ok and passed == len(reports)
+        per[name] = rr_tally(catalog_entry(name), count, seed)
+        ok = ok and not per[name]["failures"]
     return {"command": "verify-rr", "seed": seed, "count": count,
             "per_algebra": per, "ok": ok}
 

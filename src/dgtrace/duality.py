@@ -68,7 +68,7 @@ def dualize(p: PerfectModule) -> PerfectModule:
     if p.idempotent is not None:
         idem = ModuleMap.from_columns(mod, mod, 0, transposed(
             p.idempotent.columns, [1] * n))
-    return PerfectModule(mod, idem)
+    return PerfectModule(mod, idem, check=False)
 
 
 def transport_module(p: PerfectModule, iso: AlgebraIso) -> PerfectModule:
@@ -88,7 +88,7 @@ def transport_module(p: PerfectModule, iso: AlgebraIso) -> PerfectModule:
     idem = None
     if p.idempotent is not None:
         idem = ModuleMap.from_columns(mod, mod, 0, push(p.idempotent.columns))
-    return PerfectModule(mod, idem)
+    return PerfectModule(mod, idem, check=False)
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +442,7 @@ class EvaluationData:
             x = self.x.module
             fx = ModuleMap.from_columns(x, x, 0, outer_tensor_columns(
                 self.index, f.columns, ModuleMap.identity(self.dual.module).columns,
-                self.algebra.dim), check=False)
+                self.algebra.dim))
             carry = self.hom.postcompose_into(self.hom, fx.restrict())
             step = carry.block(0).apply(step)
         carry = self.hom.postcompose_into(target_hom, self.eps_chain)

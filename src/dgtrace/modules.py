@@ -17,12 +17,17 @@ columns: column i lists (j, vec) for the nonzero entries [j][i], j
 ascending, each vec the nonzero coordinates of the entry in index order
 (the `SparseVec` idiom of `DgAlgebra.mult`), each coordinate a stored
 scalar: an int when integral, else a Fraction.  The form is unique, so
-comparisons of columns are exact; the builders emit it and `from_columns`
-takes it unchecked.  Grids of `AlgebraElement`s are taken and given only
-at the API boundary: `SemiFreeModule(..., twist)` and `ModuleMap(...,
-entries)` convert them once; `.twist` / `.entries` are dense views of
-Fraction coordinates, built on first use for callers outside the package,
-which no kernel here reads.
+comparisons of columns are exact.  Grids of `AlgebraElement`s are taken and
+given only at the API boundary: `SemiFreeModule(..., twist)` and
+`ModuleMap(..., entries)` convert them once; `.twist` / `.entries` are dense
+views of Fraction coordinates, built on first use for callers outside the
+package, which no kernel here reads.
+
+Each invariant is checked once, where data enters: `SemiFreeModule.validate`
+(triangularity, entry degrees, D^2 = 0 over A) and `ModuleMap.validate`
+(entry degrees) own them and the grid constructors call them.
+`from_columns` trusts its caller: the builders make modules out of checked
+ones and pass `PerfectModule(..., check=False)`.
 
 Everything that is really done over k (Hom, tensor, cohomology) is
 reduced on demand to explicit complexes of rational matrices ("restriction
@@ -31,7 +36,7 @@ semi-free presentations, no resolution search.  An explicit module is a set
 of generators over one shared base table: its keys are (i, u), and
 e_t . (i, u) = sum c (i, u2) over table[(t, u)], so a realization of a
 semi-free module keeps `mult` itself, whatever its rank.  `ExplicitModule.act`
-is the one reader of a table.  The twist's d^2 = 0 is checked over A.
+is the one reader of a table.
 
 Every realization (`ExplicitModule`, `TensorOverAlgebra`, `HomOverAlgebra`)
 is a `SplitComplex`: its keys, its differential by keyed columns
@@ -173,17 +178,18 @@ class SemiFreeModule:
         n = len(shifts)
         columns = ((),) * n if twist is None else _grid_columns(
             twist, n, n, "twist must be a square generator matrix")
-        self._init(algebra, shifts, columns, labels, check)
+        self._init(algebra, shifts, columns, labels)
+        if check:
+            self.validate()
 
     @classmethod
     def from_columns(cls, algebra: DgAlgebra, shifts: Sequence[int],
-                     columns: Sequence[Column], labels=None,
-                     check=True) -> "SemiFreeModule":
+                     columns: Sequence[Column], labels=None) -> "SemiFreeModule":
         m = cls.__new__(cls)
-        m._init(algebra, shifts, columns, labels, check)
+        m._init(algebra, shifts, columns, labels)
         return m
 
-    def _init(self, algebra, shifts, columns, labels, check):
+    def _init(self, algebra, shifts, columns, labels):
         self.algebra = algebra
         self.shifts = tuple(int(s) for s in shifts)
         n = len(self.shifts)
@@ -193,8 +199,6 @@ class SemiFreeModule:
         self.twist_columns = tuple(map(tuple, columns))
         self._twist = None
         self._explicit: Optional[ExplicitModule] = None
-        if check:
-            self._validate()
 
     @property
     def rank(self) -> int:
@@ -207,7 +211,8 @@ class SemiFreeModule:
             self._twist = _dense(self.algebra, self.twist_columns, self.rank)
         return self._twist
 
-    def _validate(self):
+    def validate(self) -> "SemiFreeModule":
+        """Strict triangularity, entry degrees and D^2 = 0 of the twist."""
         for i, col in enumerate(self.twist_columns):
             for j, vec in col:
                 if j <= i:
@@ -218,13 +223,14 @@ class SemiFreeModule:
                     raise DegreeViolation(
                         f"twist entry ({j},{i}) must be homogeneous of degree {want}")
         if not any(self.twist_columns):
-            return  # delta = 0 squares to zero
+            return self  # delta = 0 squares to zero
         # D^2(g_i) = sum_l (d(delta_li) + sum_j (-1)^{|delta_ji|} delta_ji
         # delta_lj) g_l, which is d(delta) - delta . delta for the twist as a
         # degree-1 map
-        delta = ModuleMap.from_columns(self, self, 1, self.twist_columns, check=False)
+        delta = ModuleMap.from_columns(self, self, 1, self.twist_columns)
         if not (delta.differential() - delta.compose(delta)).is_zero():
             raise DifferentialSquareViolation("in the module twist")
+        return self
 
     def to_explicit(self) -> "ExplicitModule":
         if self._explicit is None:
@@ -322,17 +328,18 @@ class ModuleMap:
                  degree: int, entries: Sequence[Sequence[Entry]], check: bool = True):
         self._init(source, target, degree, _grid_columns(
             entries, target.rank, source.rank,
-            "map matrix must be target-rank x source-rank"), check)
+            "map matrix must be target-rank x source-rank"))
+        if check:
+            self.validate()
 
     @classmethod
     def from_columns(cls, source: SemiFreeModule, target: SemiFreeModule,
-                     degree: int, columns: Sequence[Column],
-                     check: bool = True) -> "ModuleMap":
+                     degree: int, columns: Sequence[Column]) -> "ModuleMap":
         phi = cls.__new__(cls)
-        phi._init(source, target, degree, columns, check)
+        phi._init(source, target, degree, columns)
         return phi
 
-    def _init(self, source, target, degree, columns, check):
+    def _init(self, source, target, degree, columns):
         if not source.algebra.same_structure(target.algebra):
             raise AlgebraMismatch("module map across different algebras")
         self.source = source
@@ -340,26 +347,27 @@ class ModuleMap:
         self.degree = int(degree)
         self.columns = tuple(map(tuple, columns))
         self._entries = None
-        if check:
-            a = source.algebra
-            for i, col in enumerate(self.columns):
-                for j, vec in col:
-                    want = self.degree + target.shifts[j] - source.shifts[i]
-                    if _degree(a, vec) != want:
-                        raise DegreeViolation(
-                            f"map entry ({j},{i}) must have degree {want}")
+
+    def validate(self) -> "ModuleMap":
+        """Every entry [j][i] homogeneous of degree deg + t_j - s_i."""
+        a = self.source.algebra
+        for i, col in enumerate(self.columns):
+            for j, vec in col:
+                want = self.degree + self.target.shifts[j] - self.source.shifts[i]
+                if _degree(a, vec) != want:
+                    raise DegreeViolation(
+                        f"map entry ({j},{i}) must have degree {want}")
+        return self
 
     @classmethod
     def identity(cls, m: SemiFreeModule) -> "ModuleMap":
         unit = sparse(m.algebra.unit)
-        return cls.from_columns(m, m, 0, [((i, unit),) for i in range(m.rank)],
-                                check=False)
+        return cls.from_columns(m, m, 0, [((i, unit),) for i in range(m.rank)])
 
     @classmethod
     def zero(cls, source: SemiFreeModule, target: SemiFreeModule,
              degree: int = 0) -> "ModuleMap":
-        return cls.from_columns(source, target, degree, ((),) * source.rank,
-                                check=False)
+        return cls.from_columns(source, target, degree, ((),) * source.rank)
 
     @property
     def entries(self):
@@ -377,8 +385,7 @@ class ModuleMap:
             raise WrongDegree("adding module maps of different degrees")
         return ModuleMap.from_columns(
             self.source, self.target, self.degree,
-            _add_columns(self.source.algebra, self.columns, other.columns),
-            check=False)
+            _add_columns(self.source.algebra, self.columns, other.columns))
 
     def __sub__(self, other):
         return self + other.scale(-1)
@@ -387,7 +394,7 @@ class ModuleMap:
         c = _canon(c)
         columns = _scale_columns(self.columns, c) if c else ((),) * self.source.rank
         return ModuleMap.from_columns(self.source, self.target, self.degree,
-                                      columns, check=False)
+                                      columns)
 
     def compose(self, other: "ModuleMap") -> "ModuleMap":
         """self . other, other applied first: entry (l, i) is
@@ -406,8 +413,7 @@ class ModuleMap:
                     a.add_product(_coords(acc, l, a.dim), u, v)
             columns.append(_column(acc))
         return ModuleMap.from_columns(other.source, self.target,
-                                      self.degree + other.degree, columns,
-                                      check=False)
+                                      self.degree + other.degree, columns)
 
     def differential(self) -> "ModuleMap":
         """d(phi) = D_N . phi - (-1)^{|phi|} phi . D_M at the matrix level:
@@ -437,8 +443,7 @@ class ModuleMap:
                 for l, w in self.columns[j]:
                     a.add_product(_coords(acc, l, a.dim), u, w)
             columns.append(_column(acc))
-        return ModuleMap.from_columns(self.source, self.target, n + 1, columns,
-                                      check=False)
+        return ModuleMap.from_columns(self.source, self.target, n + 1, columns)
 
     def is_closed(self) -> bool:
         return self.differential().is_zero()
@@ -461,16 +466,16 @@ class ModuleMap:
 
 
 class PerfectModule:
-    """Semi-free carrier plus an optional exact chain-level idempotent."""
+    """Semi-free carrier plus an optional exact chain-level idempotent,
+    checked unless check=False (a builder's, made from checked ones)."""
 
     def __init__(self, module: SemiFreeModule, idempotent: Optional[ModuleMap] = None,
                  check: bool = True):
         self.module = module
         self.idempotent = idempotent
         if idempotent is not None and check:
-            if idempotent.source is not module or idempotent.target is not module:
-                if idempotent.source != module or idempotent.target != module:
-                    raise DimensionMismatch("idempotent must be an endomorphism")
+            if not idempotent.source == module == idempotent.target:
+                raise DimensionMismatch("idempotent must be an endomorphism")
             if idempotent.degree != 0:
                 raise WrongDegree("idempotent must have degree 0")
             if not idempotent.is_closed():
@@ -534,7 +539,7 @@ def shift_module(p: PerfectModule, n: int) -> PerfectModule:
     e = None
     if p.idempotent is not None:
         e = ModuleMap.from_columns(shifted, shifted, 0, p.idempotent.columns)
-    return PerfectModule(shifted, e)
+    return PerfectModule(shifted, e, check=False)
 
 
 def cone_module(p: ModuleMap) -> PerfectModule:
@@ -567,13 +572,15 @@ def direct_sum_modules(p1: PerfectModule, p2: PerfectModule) -> PerfectModule:
     if p1.idempotent is None and p2.idempotent is None:
         return psum
     idem = direct_sum_maps(psum, p1.identity_map(), p2.identity_map())
-    return PerfectModule(psum.module, idem)
+    return PerfectModule(psum.module, idem, check=False)
 
 
 def direct_sum_maps(psum: PerfectModule, f1: ModuleMap,
                     f2: ModuleMap) -> ModuleMap:
     """f1 (+) f2 as an endomorphism of a direct sum built by
-    direct_sum_modules (endomorphism case only)."""
+    direct_sum_modules (degree-0 endomorphisms of the summands only)."""
+    if f1.degree or f2.degree:
+        raise WrongDegree("direct sum of maps of degree 0 only")
     return ModuleMap.from_columns(psum.module, psum.module, 0,
                                   _block_diagonal(f1.columns, f2.columns))
 
@@ -600,15 +607,13 @@ def restrict_to_ground(p: PerfectModule) -> ExplicitModule:
 # ---------------------------------------------------------------------------
 
 def restrict_to_factor(p: PerfectModule, f1: DgAlgebra, f2: DgAlgebra,
-                       side: str, check: bool = True) -> Tuple[PerfectModule, Dict]:
+                       side: str) -> Tuple[PerfectModule, Dict]:
     """View a module over f1 (x) f2 as a semi-free module over one factor.
 
     side="first": generators (i, q) = (1 (x) beta_q) g_i over f1;
     side="second": generators (i, p) = (alpha_p (x) 1) g_i over f2.
     Product algebras concentrated in degree 0 only.  Returns the restricted
-    module and the new-generator index map {(i, q): new index}.  Pass
-    check=False to skip revalidation (the restriction of valid data is
-    valid; at large ranks the O(rank^3) idempotent checks dominate).
+    module and the new-generator index map {(i, q): new index}.
     """
     big = p.module.algebra
     if not big.is_degree_zero():
@@ -645,12 +650,11 @@ def restrict_to_factor(p: PerfectModule, f1: DgAlgebra, f2: DgAlgebra,
         return out
 
     mod = SemiFreeModule.from_columns(small, shifts, expand(m.twist_columns),
-                                      labels, check=check)
+                                      labels)
     idem = None
     if p.idempotent is not None:
-        idem = ModuleMap.from_columns(mod, mod, 0, expand(p.idempotent.columns),
-                                      check=check)
-    return PerfectModule(mod, idem, check=check), index
+        idem = ModuleMap.from_columns(mod, mod, 0, expand(p.idempotent.columns))
+    return PerfectModule(mod, idem, check=False), index
 
 
 def right_multiplication_map(restricted: PerfectModule,
@@ -670,7 +674,7 @@ def right_multiplication_map(restricted: PerfectModule,
         columns[col] = tuple((index[(i, u)], tuple((k, _canon(cu * x)) for k, x in unit))
                              for u, cu in row_t.get(q, ()))
     return ModuleMap.from_columns(restricted.module, restricted.module, 0,
-                                  columns, check=False)
+                                  columns)
 
 
 # ---------------------------------------------------------------------------
@@ -691,15 +695,14 @@ def outer_tensor_columns(index: Dict, x: Sequence[Column], y: Sequence[Column],
     return out
 
 
-def outer_tensor_modules(p1: PerfectModule, p2: PerfectModule,
-                         check: bool = True) -> Tuple[PerfectModule, DgAlgebra, Dict]:
+def outer_tensor_modules(p1: PerfectModule,
+                         p2: PerfectModule) -> Tuple[PerfectModule, DgAlgebra, Dict]:
     """m1 (x)_k m2 as a module over tensor_algebras(R, S).
 
     Generators (i, j) ordered i-major, shifts add, twist
     delta1 (x) 1 + diag((-1)^{s_i}) (x) delta2, idempotent e1 (x) e2.
     Degree-0 algebras only (the sign bookkeeping for graded coefficients is
-    not carried here).  Pass check=False to skip revalidation (the outer
-    tensor of valid data is valid).
+    not carried here).
     """
     r, s = p1.algebra, p2.algebra
     if not (r.is_degree_zero() and s.is_degree_zero()):
@@ -716,13 +719,12 @@ def outer_tensor_modules(p1: PerfectModule, p2: PerfectModule,
         prod, outer_tensor_columns(index, m1.twist_columns,
                                    ModuleMap.identity(m2).columns, s.dim),
         outer_tensor_columns(index, signs, m2.twist_columns, s.dim))
-    mod = SemiFreeModule.from_columns(prod, shifts, tw, labels, check=check)
+    mod = SemiFreeModule.from_columns(prod, shifts, tw, labels)
     idem = None
     if p1.idempotent is not None or p2.idempotent is not None:
         idem = ModuleMap.from_columns(mod, mod, 0, outer_tensor_columns(
-            index, p1.identity_map().columns, p2.identity_map().columns, s.dim),
-            check=check)
-    return PerfectModule(mod, idem, check=check), prod, index
+            index, p1.identity_map().columns, p2.identity_map().columns, s.dim))
+    return PerfectModule(mod, idem, check=False), prod, index
 
 
 # ---------------------------------------------------------------------------

@@ -73,7 +73,7 @@ class KernelTransfer:
         self.b = b
         self.bop = opposite(b)
         self.restricted, self.index = restrict_to_factor(
-            kernel, a, self.bop, "first", check=False)
+            kernel, a, self.bop, "first")
         self.space_a = hh0_space(a)
         self.traces: Dict[int, SparseVec] = {}
 
@@ -280,28 +280,24 @@ def rr_left_side(n: PerfectModule, m: PerfectModule,
     tensor complex, projector or matrix is built."""
     if not opposite(n.algebra).same_structure(m.algebra):
         raise AlgebraMismatch("left factor must live over the opposite algebra")
-    diagonals = []  # of phi . e; a missing map or idempotent is the identity
+    traced = []  # (phi, e) for phi . e; a missing map or idempotent is the identity
     for p, phi in ((n, g), (m, f)):
         if phi is None:
-            diagonals.append(diagonal(p.identity_map()))
+            traced.append((p.identity_map(), None))
             continue
         if phi.degree != 0:
             raise WrongDegree("the trace formula takes degree-0 maps")
         if not phi.source == p.module == phi.target:
             raise DimensionMismatch("map is not an endomorphism of the module")
-        # the construction-time check: an off-degree entry raises
-        ModuleMap.from_columns(p.module, p.module, 0, phi.columns)
-        diagonals.append(diagonal(phi, p.idempotent))
-    g_diagonal, f_diagonal = diagonals
-    x: Dict = {}  # X = sum_i (-1)^{s_i} F[i][i], over A
-    for s, vec in zip(m.shifts, f_diagonal):
-        for t, c in vec:
-            x[t] = x.get(t, 0) + (-c if s % 2 else c)
+        traced.append((phi.validate(), p.idempotent))
+    g_diagonal = diagonal(*traced[0])
+    # X = sum_i (-1)^{s_i} F[i][i] over A, in stored form
+    x = sparse(generalized_supertrace(m, *traced[1]).coords)
     aop = n.algebra
     rows = aop.rows
     # times_x[b][b2] = [e_b](e_t .op e_b2) summed over the terms x_t e_t of X
     times_x: List[Dict] = [{} for _ in rows]
-    for t, ct in x.items():
+    for t, ct in x:
         for b2, vec in rows[t].items():
             for b, c in vec:
                 times_x[b][b2] = times_x[b].get(b2, 0) + ct * c
@@ -360,10 +356,10 @@ def compose_kernels_separable(k1: PerfectModule, k2: PerfectModule,
         raise AlgebraMismatch("first kernel is not over A (x) B^op")
     if not k2.algebra.same_structure(tensor_algebras(b, cop)):
         raise AlgebraMismatch("second kernel is not over B (x) C^op")
-    r1, index1 = restrict_to_factor(k1, a, bop, "first", check=False)
-    r2, index2 = restrict_to_factor(k2, b, cop, "second", check=False)
+    r1, index1 = restrict_to_factor(k1, a, bop, "first")
+    r2, index2 = restrict_to_factor(k2, b, cop, "second")
     # the final PerfectModule checks the composed idempotent
-    outer, ac, index = outer_tensor_modules(r1, r2, check=False)
+    outer, ac, index = outer_tensor_modules(r1, r2)
     nb = b.dim
     # (w1, w2) -> {(w1 p_t, q_t w2): coefficient}, summed over the terms of E
     moves: Dict[Tuple[int, int], Dict[Tuple[int, int], Fraction]] = {}

@@ -75,8 +75,12 @@ class DiagonalResolution:
                                          for x in self.augmentation])
 
     def validate(self) -> "DiagonalResolution":
-        """Closedness of the augmentation and acyclicity of its cone, on the
-        idempotent image when one is present."""
+        """The module's twist and idempotent, closedness of the augmentation
+        and acyclicity of its cone, on the idempotent image when present."""
+        p = self.module
+        p.module.validate()
+        if p.idempotent is not None:
+            p.idempotent.validate()
         aug = self.augmentation_chain_map()
         e = restrict_to_ground(self.module).projector
         if not (aug if e is None else aug.compose(e)).is_closed():

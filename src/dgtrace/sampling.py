@@ -55,7 +55,7 @@ def random_map_between_frees(src: PerfectModule, tgt: PerfectModule,
             vec = _random_coordinates(src.algebra, tgt.shifts[j] - src.shifts[i], rng)
             if vec:
                 columns[i].append((j, vec))
-    return ModuleMap.from_columns(src.module, tgt.module, 0, columns, check=False)
+    return ModuleMap.from_columns(src.module, tgt.module, 0, columns)
 
 
 def random_semifree(a: DgAlgebra, rng: SplitMix64, max_gens: int = 4,
@@ -140,7 +140,7 @@ def _map_from_vector(src: SemiFreeModule, tgt: SemiFreeModule, degree: int,
         if x:
             cells[i].setdefault(j, []).append((w, _canon(x)))
     columns = [tuple((j, tuple(ws)) for j, ws in cell.items()) for cell in cells]
-    return ModuleMap.from_columns(src, tgt, degree, columns, check=False)
+    return ModuleMap.from_columns(src, tgt, degree, columns)
 
 
 def closed_map_basis(src: SemiFreeModule, tgt: SemiFreeModule,

@@ -32,7 +32,7 @@ def test_criterion_1_main_theorem_suite():
     passed = 0
     per = {}
     for name, ent in catalog().items():
-        reports = rr_suite(ent, 200, SEED)
+        reports = list(rr_suite(ent, 200, SEED))
         good = sum(1 for r in reports if r.equal)
         per[name] = f"{good}/{len(reports)}"
         total += len(reports)

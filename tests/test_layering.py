@@ -10,7 +10,8 @@ action layout of an explicit module (generators over one shared base table)
 is known to `modules.py` alone: `ExplicitModule.act` is the one reader of
 its table.  And `complexes.is_quasi_iso` is the one caller of `cone`, so a
 quasi-isomorphism is tested through a cone in one place.  Every error type
-of the package is defined in `errors.py`."""
+of the package is defined in `errors.py`.  And only the constructors that
+take data from callers have a `check` option: builders take none."""
 
 import ast
 import importlib
@@ -107,3 +108,31 @@ def test_every_error_is_defined_in_errors():
     assert len(found) > 10
     strays = sorted(name for name in found if not name.startswith("dgtrace.errors."))
     assert not strays, strays
+
+
+# the grid constructors and the complex check what callers hand in; a
+# builder makes its output from checked pieces and takes no check option
+CHECKED_BOUNDARY = {"SemiFreeModule.__init__", "ModuleMap.__init__",
+                    "PerfectModule.__init__", "Complex.__init__"}
+
+
+def _takes_check(path: Path):
+    """The qualified names of the functions of a file that take a `check`
+    parameter."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    scopes = [(node, "") for node in tree.body]
+    while scopes:
+        node, prefix = scopes.pop()
+        if isinstance(node, ast.ClassDef):
+            scopes += [(child, f"{prefix}{node.name}.") for child in node.body]
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            if any(a.arg == "check" for a in
+                   args.posonlyargs + args.args + args.kwonlyargs):
+                yield f"{prefix}{node.name}"
+            scopes += [(child, f"{prefix}{node.name}.") for child in node.body]
+
+
+def test_only_the_boundary_constructors_take_check():
+    found = {name for path in SRC.glob("*.py") for name in _takes_check(path)}
+    assert found == CHECKED_BOUNDARY, sorted(found ^ CHECKED_BOUNDARY)

@@ -13,7 +13,8 @@ from dgtrace.errors import (AlgebraMismatch, DegreeViolation,
 from dgtrace.linalg import rank_kernel_image
 from dgtrace.modules import (ExplicitModule, HomOverAlgebra, ModuleMap,
                              PerfectModule, SemiFreeModule, TensorOverAlgebra,
-                             cone_module, direct_sum_modules, free_module,
+                             cone_module, direct_sum_maps, direct_sum_modules,
+                             free_module,
                              hom_over_algebra, outer_tensor_modules,
                              projective_module, restrict_to_factor,
                              restrict_to_ground, shift_module,
@@ -325,6 +326,16 @@ def test_idempotent_must_be_exact(a2):
         PerfectModule(f.module, bad)
 
 
+def test_direct_sum_maps_refuses_a_map_of_nonzero_degree(a2):
+    # g1 -> e1 g0 is a valid degree-1 map; the block-diagonal sum is taken
+    # in degree 0 only
+    p = free_module(a2, [0, 1])
+    up = ModuleMap(p.module, p.module, 1, [[a2.zero(), a2.by_label("e1")],
+                                           [a2.zero(), a2.zero()]])
+    with pytest.raises(WrongDegree):
+        direct_sum_maps(direct_sum_modules(p, p), up, p.identity_map())
+
+
 def test_off_degree_map_raises_in_every_realization(a2):
     # g0 -> 1.g1 has degree 0 but its entry should have degree 1: the
     # restriction, the tensor realization and the Hom realization all
@@ -333,7 +344,7 @@ def test_off_degree_map_raises_in_every_realization(a2):
     from dgtrace.pairing import rr_left_side
     m = free_module(a2, [0, 1])
     f = ModuleMap.from_columns(m.module, m.module, 0,
-                               [((1, sparse(a2.unit)),), ()], check=False)
+                               [((1, sparse(a2.unit)),), ()])
     n = free_module(opposite(a2), [0])
     with pytest.raises(DegreeViolation):
         f.restrict()
@@ -347,7 +358,7 @@ def test_off_degree_map_raises_in_every_realization(a2):
     # degree -5, where the target has no basis, and 1.h0 in degree 0
     far = free_module(a2, [5])
     f = ModuleMap.from_columns(far.module, m.module, 0,
-                               [((0, sparse(a2.unit)),)], check=False)
+                               [((0, sparse(a2.unit)),)])
     with pytest.raises(DegreeViolation):
         f.restrict()
 

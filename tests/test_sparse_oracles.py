@@ -701,7 +701,7 @@ def test_twist_check_over_a_agrees_with_the_realization(cat):
         for _ in range(200):
             m = random_twisted_module(a, rng)
             got = accepted(lambda: SemiFreeModule.from_columns(
-                a, m.shifts, m.twist_columns))
+                a, m.shifts, m.twist_columns).validate())
             assert got == accepted(m.to_explicit().carrier.check_d_squared)
             verdicts.add(got)
         assert verdicts == {True, False}, a.labels
@@ -731,8 +731,7 @@ def test_tensor_differential_is_a_sum_of_map_tensors(make):
         t = TensorOverAlgebra(n.to_explicit(), m)
         left = t.left.carrier
         d_left = t.map_tensor(ChainMap(left, left, 1, left.diff), None)
-        delta = t.map_tensor(None, ModuleMap.from_columns(m, m, 1, m.twist_columns,
-                                                          check=False))
+        delta = t.map_tensor(None, ModuleMap.from_columns(m, m, 1, m.twist_columns))
         for p in t.carrier.degrees():
             assert t.carrier.d(p) == d_left.block(p) + delta.block(p), p
             blocks += 1
@@ -1036,13 +1035,12 @@ def test_stored_ints_compute_what_all_fractions_compute(make):
         phi = random_map(m1, m2, d1, rng) + random_map(m1, m2, d1, rng).scale(F(1, 3))
         psi = random_map(m2, m3, d2, rng).scale(F(-3, 2))
         twins = {id(m): SemiFreeModule.from_columns(
-            twin, m.shifts, fraction_columns(m.twist_columns), check=False)
+            twin, m.shifts, fraction_columns(m.twist_columns))
             for m in (m1, m2, m3)}
 
         def fraction_map(f):
             return ModuleMap.from_columns(twins[id(f.source)], twins[id(f.target)],
-                                          f.degree, fraction_columns(f.columns),
-                                          check=False)
+                                          f.degree, fraction_columns(f.columns))
         for got, want in ((psi.compose(phi), fraction_map(psi).compose(fraction_map(phi))),
                           (phi.differential(), fraction_map(phi).differential()),
                           (psi.differential(), fraction_map(psi).differential())):

@@ -1,12 +1,15 @@
 import json
 import subprocess
 import sys
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dgtrace import suites
 from dgtrace.cli import main
 from dgtrace.errors import WorkspaceError
+from dgtrace.pairing import verify_rr
 from dgtrace.workspace import parse_workspace, serialize_workspace
 
 
@@ -308,3 +311,58 @@ def test_cli_seed_takes_the_whole_u64_range(capsys):
                          "verify-rr", "--algebra", "k"], capsys)
     assert code == 0
     assert json.loads(out)["seed"] == 2 ** 64 - 1
+
+
+def test_verify_rr_holds_one_report_at_a_time(monkeypatch, capsys):
+    """verify-rr counts each report as it is made and keeps only the failing
+    ones, so the reports alive at once stay at one or two however large
+    --random is: the batch's memory does not grow with its count."""
+    made = []
+    alive = []
+
+    def tracked(*args, **kwargs):
+        report = verify_rr(*args, **kwargs)
+        made.append(weakref.ref(report))
+        alive.append(sum(ref() is not None for ref in made))
+        return report
+    monkeypatch.setattr(suites, "verify_rr", tracked)
+    for count in (16, 200):
+        made.clear()
+        alive.clear()
+        code, out = run_cli(["--random", str(count), "verify-rr", "--algebra", "k"],
+                            capsys)
+        assert code == 0 and json.loads(out)["per_algebra"]["k"]["passed"] == count
+        assert len(alive) == count and max(alive) <= 2
+
+
+FREE_A2 = {"algebra": "A2", "generators": [{"shift": 0}]}
+
+
+@pytest.mark.parametrize("section, name, node, message", [
+    # strict triangularity: the entry [0][1] sits above the diagonal
+    ("modules", "T", {"algebra": "A2", "generators": [{"shift": 0}, {"shift": 0}],
+                      "twist": [[0, 1, ["0", "0", "1"]]]},
+     "module invalid: twist entry at (0,1) breaks the generator filtration"),
+    # a degree-1 map over A2, concentrated in degree 0
+    ("maps", "up", {"source": "F", "target": "F", "degree": 1,
+                    "entries": [[0, 0, ["1", "0", "0"]]]},
+     "map invalid: map entry (0,0) must have degree 1"),
+    # e = diag(e1, 0) against the twist delta_10 = a: d(e)_10 = e1 a = a
+    ("modules", "C", {"algebra": "A2", "generators": [{"shift": 1}, {"shift": 0}],
+                      "twist": [[1, 0, ["0", "0", "1"]]],
+                      "idempotent": [[0, 0, ["1", "0", "0"]]]},
+     "idempotent invalid: idempotent must be closed"),
+    ("modules", "P", dict(FREE_A2, idempotent=[[0, 0, ["2", "0", "0"]]]),
+     "idempotent invalid: idempotent is not exact (e.e != e)"),
+])
+def test_cli_refuses_each_module_invariant_with_its_location(section, name, node,
+                                                             message, tmp_path, capsys):
+    """Builders' outputs go unchecked, so every invariant of caller data is
+    refused where it enters: exit 2 and the workspace node in the message."""
+    ws = {"format": 1, "use_catalog": ["A2"], "modules": {"F": FREE_A2}}
+    ws.setdefault(section, {})[name] = node
+    path = tmp_path / "ws.json"
+    path.write_text(json.dumps(ws))
+    code = main(["--workspace", str(path), "validate"])
+    assert code == 2
+    assert capsys.readouterr().err == f"input error: {section}.{name}: {message}\n"
