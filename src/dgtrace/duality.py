@@ -16,6 +16,7 @@ nose over degree-0 algebras: the eps factors contribute eps(s)eps(-s) =
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 from .algebras import (AlgebraIso, DgAlgebra, env_op_iso, opposite, sparse,
@@ -26,9 +27,9 @@ from .errors import (AlgebraMismatch, DimensionMismatch, NotClosed,
 from .hochschild import HochschildClass, hh0_space
 from .linalg import ZERO, _canon, solve
 from .modules import (ExplicitModule, HomOverAlgebra, ModuleMap, PerfectModule,
-                      SemiFreeModule, TensorOverAlgebra, outer_tensor_columns,
-                      outer_tensor_modules, restrict_to_factor,
-                      semifree_map_to_explicit)
+                      SemiFreeModule, TensorOverAlgebra, built_module,
+                      outer_tensor_columns, outer_tensor_modules,
+                      restrict_to_factor, semifree_map_to_explicit)
 
 
 def half_sign(s: int) -> int:
@@ -62,13 +63,11 @@ def dualize(p: PerfectModule) -> PerfectModule:
                 out[n - 1 - i].append((n - 1 - l, tuple((t, c * x) for t, x in vec)))
         return out
 
-    mod = SemiFreeModule.from_columns(aop, shifts, transposed(
-        m.twist_columns, [1 if s % 2 else -1 for s in m.shifts]), labels)
     idem = None
     if p.idempotent is not None:
-        idem = ModuleMap.from_columns(mod, mod, 0, transposed(
-            p.idempotent.columns, [1] * n))
-    return PerfectModule(mod, idem, check=False)
+        idem = transposed(p.idempotent.columns, [1] * n)
+    return built_module(aop, shifts, transposed(
+        m.twist_columns, [1 if s % 2 else -1 for s in m.shifts]), labels, idem)
 
 
 def transport_module(p: PerfectModule, iso: AlgebraIso) -> PerfectModule:
@@ -83,12 +82,8 @@ def transport_module(p: PerfectModule, iso: AlgebraIso) -> PerfectModule:
                                        for t, c in vec)))
                       for j, vec in col) for col in columns]
 
-    mod = SemiFreeModule.from_columns(iso.target, m.shifts, push(m.twist_columns),
-                                      m.labels)
-    idem = None
-    if p.idempotent is not None:
-        idem = ModuleMap.from_columns(mod, mod, 0, push(p.idempotent.columns))
-    return PerfectModule(mod, idem, check=False)
+    return built_module(iso.target, m.shifts, push(m.twist_columns), m.labels,
+                        None if p.idempotent is None else push(p.idempotent.columns))
 
 
 # ---------------------------------------------------------------------------
@@ -144,9 +139,13 @@ class DualBimodule:
         self.algebra = a
         self.env = tensor_algebras(a, opposite(a))
         self.dim = a.dim
-        # (e_p (x) e_q) . phi_x = sum_y phi_x(e_q e_y e_p) phi_y
-        self.env_data = _degree_zero_module(
-            self.env, a.dim, _transposed(_sandwich_table(a, swap=True)))
+
+    @cached_property
+    def env_data(self) -> ExplicitModule:
+        """A^* over A^e, built on first read:
+        (e_p (x) e_q) . phi_x = sum_y phi_x(e_q e_y e_p) phi_y."""
+        return _degree_zero_module(
+            self.env, self.dim, _transposed(_sandwich_table(self.algebra, swap=True)))
 
     def right_module_data(self) -> ExplicitModule:
         """A^* as a right A-module, (phi . a)(x) = phi(a x), presented over
@@ -343,7 +342,7 @@ class EvaluationData:
                                for t, c in enumerate(a.unit) if c])
             else:
                 values.append([])
-        self.eps_chain = semifree_map_to_explicit(x_mod.module, diag, values)
+        self.eps_chain = semifree_map_to_explicit(x_mod.module, diag, 0, values)
         if not self.eps_chain.is_closed():
             raise NotClosed("evaluation map failed to close")
 
@@ -378,7 +377,7 @@ class EvaluationData:
         breve_a = _opposite_diagonal_explicit(a, p_breve.module.algebra)
         t_aug = TensorOverAlgebra(breve_a, self.x.module)
         aug_chain = semifree_map_to_explicit(
-            p_breve.module, breve_a,
+            p_breve.module, breve_a, 0,
             [[((0, t), c) for t, c in enumerate(v.coords) if c]
              for v in self.resolution.augmentation])
         q = t_cx.map_tensor(aug_chain, None, t_aug)

@@ -25,9 +25,12 @@ package, which no kernel here reads.
 
 Each invariant is checked once, where data enters: `SemiFreeModule.validate`
 (triangularity, entry degrees, D^2 = 0 over A) and `ModuleMap.validate`
-(entry degrees) own them and the grid constructors call them.
-`from_columns` trusts its caller: the builders make modules out of checked
-ones and pass `PerfectModule(..., check=False)`.
+(entry degrees) own them and the grid constructors always call them.
+`from_columns` trusts its caller, and the builders make their output out of
+checked pieces through the one unchecked constructor, `built_module`.  So
+every entry is homogeneous of the degree its shifts fix, and every Koszul
+sign reads an entry's degree from the shifts, not from its coordinates:
+|phi[j][i]| = deg(phi) + t_j - s_i, and |delta[j][i]| = 1 + s_j - s_i.
 
 Everything that is really done over k (Hom, tensor, cohomology) is
 reduced on demand to explicit complexes of rational matrices ("restriction
@@ -144,11 +147,6 @@ def _degree(a: DgAlgebra, vec: SparseVec) -> Optional[int]:
     return d if all(a.degrees[t] == d for t, _ in vec) else None
 
 
-def _with_degrees(a: DgAlgebra, lines: Sequence[Sequence]) -> List[List]:
-    """(j, vec) -> (j, vec, degree); a mixed entry counts as degree 0."""
-    return [[(j, vec, _degree(a, vec) or 0) for j, vec in line] for line in lines]
-
-
 def _neg(vec: SparseVec) -> SparseVec:
     return tuple((t, -c) for t, c in vec)
 
@@ -174,13 +172,12 @@ class SemiFreeModule:
 
     def __init__(self, algebra: DgAlgebra, shifts: Sequence[int],
                  twist: Optional[Sequence[Sequence[Entry]]] = None,
-                 labels: Optional[Sequence[str]] = None, check: bool = True):
+                 labels: Optional[Sequence[str]] = None):
         n = len(shifts)
         columns = ((),) * n if twist is None else _grid_columns(
             twist, n, n, "twist must be a square generator matrix")
         self._init(algebra, shifts, columns, labels)
-        if check:
-            self.validate()
+        self.validate()
 
     @classmethod
     def from_columns(cls, algebra: DgAlgebra, shifts: Sequence[int],
@@ -311,26 +308,16 @@ def _restriction(target: ExplicitModule, degree: int, images):
     return image
 
 
-def _restrict_images(source: ExplicitModule, target: ExplicitModule,
-                     degree: int, images):
-    """Blocks over k of the degree-n map from the realization `source` to
-    `target` sending g_i to images[i] (see _restriction); an image term off
-    degree raises DegreeViolation."""
-    return keyed_blocks(source.basis, target.basis, target.pos, degree,
-                        _restriction(target, degree, images))
-
-
 class ModuleMap:
     """Matrix over A realizing a graded map of semi-free modules, stored by
     columns: `columns[i]` holds the entries phi[j][i] of the image of g_i."""
 
     def __init__(self, source: SemiFreeModule, target: SemiFreeModule,
-                 degree: int, entries: Sequence[Sequence[Entry]], check: bool = True):
+                 degree: int, entries: Sequence[Sequence[Entry]]):
         self._init(source, target, degree, _grid_columns(
             entries, target.rank, source.rank,
             "map matrix must be target-rank x source-rank"))
-        if check:
-            self.validate()
+        self.validate()
 
     @classmethod
     def from_columns(cls, source: SemiFreeModule, target: SemiFreeModule,
@@ -403,11 +390,12 @@ class ModuleMap:
             raise DimensionMismatch("module map composition mismatch")
         a = self.source.algebra
         odd = self.degree % 2
+        ts, ss = other.target.shifts, other.source.shifts
         columns = []
-        for col in other.columns:
+        for i, col in enumerate(other.columns):
             acc: Dict[int, List] = {}
             for j, u in col:
-                if odd and (_degree(a, u) or 0) % 2:
+                if odd and (other.degree + ts[j] - ss[i]) % 2:
                     u = _neg(u)
                 for l, v in self.columns[j]:
                     a.add_product(_coords(acc, l, a.dim), u, v)
@@ -419,26 +407,30 @@ class ModuleMap:
         """d(phi) = D_N . phi - (-1)^{|phi|} phi . D_M at the matrix level:
         entry (l, i) is d(phi[l][i]) + sum_j (-1)^{|phi[j][i]|} phi[j][i] *
         deltaN[l][j] - sum_j (-1)^{|phi| (|deltaM[j][i]| + 1)} deltaM[j][i] *
-        phi[l][j].  With d_A = 0 and no twist on either side it is zero."""
+        phi[l][j], where |phi[j][i]| = |phi| + t_j - s_i and |deltaM[j][i]| + 1
+        = 2 + s_j - s_i.  With d_A = 0 and no twist on either side it is
+        zero."""
         a = self.source.algebra
         n = self.degree
         twist_n = self.target.twist_columns
         if not a.diff and not any(twist_n) and not any(self.source.twist_columns):
             return ModuleMap.zero(self.source, self.target, n + 1)
+        ts, ss = self.target.shifts, self.source.shifts
         columns = []
-        for col, twist_col in zip(self.columns, self.source.twist_columns):
+        for i, (col, twist_col) in enumerate(zip(self.columns,
+                                                 self.source.twist_columns)):
             acc: Dict[int, List] = {}
             for l, v in col:
                 for t, c in v:
                     for k, ck in a.diff.get(t, ()):
                         _coords(acc, l, a.dim)[k] += c * ck
             for j, u in col:
-                if (_degree(a, u) or 0) % 2:
+                if (n + ts[j] - ss[i]) % 2:
                     u = _neg(u)
                 for l, w in twist_n[j]:
                     a.add_product(_coords(acc, l, a.dim), u, w)
             for j, u in twist_col:
-                if (n * ((_degree(a, u) or 0) + 1) + 1) % 2:
+                if (n * (ss[j] - ss[i]) + 1) % 2:
                     u = _neg(u)
                 for l, w in self.columns[j]:
                     a.add_product(_coords(acc, l, a.dim), u, w)
@@ -450,11 +442,8 @@ class ModuleMap:
 
     def restrict(self) -> ChainMap:
         """Induced chain map between the explicit realizations."""
-        src = self.source.to_explicit()
-        tgt = self.target.to_explicit()
-        return ChainMap(src.carrier, tgt.carrier, self.degree,
-                        _restrict_images(src, tgt, self.degree,
-                                         _images(self.columns)))
+        return semifree_map_to_explicit(self.source, self.target.to_explicit(),
+                                        self.degree, _images(self.columns))
 
     def __eq__(self, other):
         return (isinstance(other, ModuleMap) and self.degree == other.degree
@@ -467,7 +456,7 @@ class ModuleMap:
 
 class PerfectModule:
     """Semi-free carrier plus an optional exact chain-level idempotent,
-    checked unless check=False (a builder's, made from checked ones)."""
+    checked unless check=False (passed by `built_module` alone)."""
 
     def __init__(self, module: SemiFreeModule, idempotent: Optional[ModuleMap] = None,
                  check: bool = True):
@@ -530,16 +519,25 @@ def projective_module(a: DgAlgebra, idem: AlgebraElement,
     return PerfectModule(m, e)
 
 
+def built_module(algebra: DgAlgebra, shifts: Sequence[int],
+                 twist_columns: Sequence[Column], labels: Sequence[str],
+                 idempotent_columns: Optional[Sequence[Column]] = None
+                 ) -> PerfectModule:
+    """The output of a builder, made out of checked pieces: the one
+    constructor that trusts its twist and idempotent columns unchecked."""
+    mod = SemiFreeModule.from_columns(algebra, shifts, twist_columns, labels)
+    idem = None
+    if idempotent_columns is not None:
+        idem = ModuleMap.from_columns(mod, mod, 0, idempotent_columns)
+    return PerfectModule(mod, idem, check=False)
+
+
 def shift_module(p: PerfectModule, n: int) -> PerfectModule:
     """p[n]: shifts raised by n, twist scaled by (-1)^n."""
     m = p.module
     tw = m.twist_columns if n % 2 == 0 else _scale_columns(m.twist_columns, -1)
-    shifted = SemiFreeModule.from_columns(m.algebra, [s + n for s in m.shifts],
-                                          tw, m.labels)
-    e = None
-    if p.idempotent is not None:
-        e = ModuleMap.from_columns(shifted, shifted, 0, p.idempotent.columns)
-    return PerfectModule(shifted, e, check=False)
+    return built_module(m.algebra, [s + n for s in m.shifts], tw, m.labels,
+                        None if p.idempotent is None else p.idempotent.columns)
 
 
 def cone_module(p: ModuleMap) -> PerfectModule:
@@ -557,7 +555,7 @@ def cone_module(p: ModuleMap) -> PerfectModule:
     tw = [col + _offset(pcol, nl) for col, pcol in
           zip(_scale_columns(L.twist_columns, -1), p.columns)]
     tw += [_offset(col, nl) for col in M.twist_columns]
-    return PerfectModule(SemiFreeModule.from_columns(L.algebra, shifts, tw, labels))
+    return built_module(L.algebra, shifts, tw, labels)
 
 
 def direct_sum_modules(p1: PerfectModule, p2: PerfectModule) -> PerfectModule:
@@ -567,12 +565,12 @@ def direct_sum_modules(p1: PerfectModule, p2: PerfectModule) -> PerfectModule:
         raise AlgebraMismatch("direct sum across different algebras")
     shifts = list(m1.shifts) + list(m2.shifts)
     labels = [f"{l}.1" for l in m1.labels] + [f"{l}.2" for l in m2.labels]
-    psum = PerfectModule(SemiFreeModule.from_columns(a, shifts, _block_diagonal(
-        m1.twist_columns, m2.twist_columns), labels))
-    if p1.idempotent is None and p2.idempotent is None:
-        return psum
-    idem = direct_sum_maps(psum, p1.identity_map(), p2.identity_map())
-    return PerfectModule(psum.module, idem, check=False)
+    idem = None
+    if p1.idempotent is not None or p2.idempotent is not None:
+        idem = _block_diagonal(p1.identity_map().columns,
+                               p2.identity_map().columns)
+    return built_module(a, shifts, _block_diagonal(
+        m1.twist_columns, m2.twist_columns), labels, idem)
 
 
 def direct_sum_maps(psum: PerfectModule, f1: ModuleMap,
@@ -649,12 +647,9 @@ def restrict_to_factor(p: PerfectModule, f1: DgAlgebra, f2: DgAlgebra,
             out.append(_column(acc))
         return out
 
-    mod = SemiFreeModule.from_columns(small, shifts, expand(m.twist_columns),
-                                      labels)
-    idem = None
-    if p.idempotent is not None:
-        idem = ModuleMap.from_columns(mod, mod, 0, expand(p.idempotent.columns))
-    return PerfectModule(mod, idem, check=False), index
+    idem = None if p.idempotent is None else expand(p.idempotent.columns)
+    return built_module(small, shifts, expand(m.twist_columns), labels,
+                        idem), index
 
 
 def right_multiplication_map(restricted: PerfectModule,
@@ -719,12 +714,11 @@ def outer_tensor_modules(p1: PerfectModule,
         prod, outer_tensor_columns(index, m1.twist_columns,
                                    ModuleMap.identity(m2).columns, s.dim),
         outer_tensor_columns(index, signs, m2.twist_columns, s.dim))
-    mod = SemiFreeModule.from_columns(prod, shifts, tw, labels)
     idem = None
     if p1.idempotent is not None or p2.idempotent is not None:
-        idem = ModuleMap.from_columns(mod, mod, 0, outer_tensor_columns(
-            index, p1.identity_map().columns, p2.identity_map().columns, s.dim))
-    return PerfectModule(mod, idem, check=False), prod, index
+        idem = outer_tensor_columns(index, p1.identity_map().columns,
+                                    p2.identity_map().columns, s.dim)
+    return built_module(prod, shifts, tw, labels, idem), prod, index
 
 
 # ---------------------------------------------------------------------------
@@ -750,16 +744,15 @@ class TensorOverAlgebra(SplitComplex):
         self.left = left
         self.m = m
         d_left = left.d_columns
-        twist_cols = _with_degrees(m.algebra, m.twist_columns)
+        shifts = m.shifts
 
         def image(key):
             i, u = key
             terms = [((i, u2), c) for u2, c in d_left[u].items()]
             odd = left.pos[u][0] % 2
-            for j, vec, de in twist_cols[i]:
-                if j > i:
-                    terms += [((j, u2), c) for u2, c in
-                              self._right_act(_neg(vec) if odd else vec, de, u)]
+            for j, vec in m.twist_columns[i]:
+                terms += [((j, u2), c) for u2, c in self._right_act(
+                    _neg(vec) if odd else vec, 1 + shifts[j] - shifts[i], u)]
             return terms
         self.d_columns = keyed_columns(self.basis, self.pos, 1, image)
         if left.projector is not None or e is not None:
@@ -784,7 +777,7 @@ class TensorOverAlgebra(SplitComplex):
         deg = deg_g + deg_f
         g_cols = (key_columns(g.block, deg_g, self.left.basis, target.left.basis)
                   if g is not None else None)
-        f_cols = _with_degrees(f.source.algebra, f.columns) if f is not None else None
+        shifts = self.m.shifts
 
         def image(key):
             i, u = key
@@ -794,7 +787,8 @@ class TensorOverAlgebra(SplitComplex):
                 if f is None:
                     terms.append(((i, u2), sgn * cu))
                 else:
-                    for j, vec, de in f_cols[i]:
+                    for j, vec in f.columns[i]:
+                        de = deg_f + shifts[j] - shifts[i]
                         terms += [((j, u3), sgn * cu * ce)
                                   for u3, ce in target._right_act(vec, de, u2)]
             return terms
@@ -830,15 +824,17 @@ class HomOverAlgebra(SplitComplex):
         d_target = target.d_columns
         # phi = (i, u) sends g_i to u; the twist row entries delta[i][i2]
         # feed g_{i2} for i2 < i.
-        twist_rows = _with_degrees(m.algebra, rows_of(m.twist_columns, m.rank))
+        twist_rows = rows_of(m.twist_columns, m.rank)
+        shifts = m.shifts
 
         def image(key):
             i, u = key
             n_deg = self.pos[key][0]
             terms = [((i, u2), c) for u2, c in d_target[u].items()]
-            for i2, vec, de in twist_rows[i]:
-                # the sign -(-1)^{n + n |delta|} folded into the entry
-                if (n_deg * (1 + de)) % 2 == 0:
+            for i2, vec in twist_rows[i]:
+                # the sign -(-1)^{n + n |delta|} folded into the entry,
+                # |delta[i][i2]| = 1 + s_i - s_i2
+                if (n_deg * (2 + shifts[i] - shifts[i2])) % 2 == 0:
                     vec = _neg(vec)
                 terms += [((i2, u2), c) for u2, c in target.act(vec, u)]
             return terms
@@ -851,17 +847,18 @@ class HomOverAlgebra(SplitComplex):
 
     def precompose(self, e: ModuleMap) -> ChainMap:
         """phi -> phi . e for a degree-0 map e of the source; Koszul sign
-        (-1)^{n |entry|} with n the Hom degree."""
+        (-1)^{n |e[j][i]|} with n the Hom degree and |e[j][i]| = s_j - s_i."""
         act = self.target.act
-        e_rows = _with_degrees(self.m.algebra, rows_of(e.columns, self.m.rank))
+        e_rows = rows_of(e.columns, self.m.rank)
+        shifts = self.m.shifts
 
         def image(key):
             j, u = key
             p = self.pos[key][0]
             terms = []
-            for i, vec, de in e_rows[j]:
-                terms += [((i, u2), c)
-                          for u2, c in act(_neg(vec) if (p * de) % 2 else vec, u)]
+            for i, vec in e_rows[j]:
+                odd = (p * (shifts[j] - shifts[i])) % 2
+                terms += [((i, u2), c) for u2, c in act(_neg(vec) if odd else vec, u)]
             return terms
         return ChainMap(self.carrier, self.carrier, 0,
                         keyed_blocks(self.basis, self.basis, self.pos, 0, image))
@@ -876,12 +873,15 @@ class HomOverAlgebra(SplitComplex):
 
 
 def semifree_map_to_explicit(m: SemiFreeModule, target: ExplicitModule,
-                             values) -> ChainMap:
-    """Degree-0 module map from a semi-free module to an explicit one, given
-    by the images of the generators (sparse (key, coeff) lists)."""
+                             degree: int, values) -> ChainMap:
+    """The degree-n map from the realization of a semi-free module to an
+    explicit one sending g_i to values[i], a sparse (key, coeff) list (see
+    _restriction); an image term off degree raises DegreeViolation.  The
+    one restriction entry point."""
     ex = m.to_explicit()
-    return ChainMap(ex.carrier, target.carrier, 0,
-                    _restrict_images(ex, target, 0, values))
+    return ChainMap(ex.carrier, target.carrier, degree,
+                    keyed_blocks(ex.basis, target.basis, target.pos, degree,
+                                 _restriction(target, degree, values)))
 
 
 def hom_over_algebra(m: PerfectModule, n: PerfectModule) -> HomOverAlgebra:

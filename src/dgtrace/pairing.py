@@ -31,9 +31,10 @@ from .errors import (AlgebraMismatch, DimensionMismatch,
                      NotSeparableB, WrongDegree)
 from .hochschild import (HH0Space, HochschildClass, diagonal, euler_class,
                          generalized_supertrace, hh0_space, hh_class)
-from .linalg import ONE, ZERO, _canon
-from .modules import (ModuleMap, PerfectModule, outer_tensor_modules,
-                      restrict_to_factor, right_multiplication_map)
+from .linalg import ONE, ZERO
+from .modules import (ModuleMap, PerfectModule, outer_tensor_columns,
+                      outer_tensor_modules, restrict_to_factor,
+                      right_multiplication_map)
 from .resolutions import DiagonalResolution
 
 
@@ -359,31 +360,21 @@ def compose_kernels_separable(k1: PerfectModule, k2: PerfectModule,
     r1, index1 = restrict_to_factor(k1, a, bop, "first")
     r2, index2 = restrict_to_factor(k2, b, cop, "second")
     # the final PerfectModule checks the composed idempotent
-    outer, ac, index = outer_tensor_modules(r1, r2)
-    nb = b.dim
-    # (w1, w2) -> {(w1 p_t, q_t w2): coefficient}, summed over the terms of E
-    moves: Dict[Tuple[int, int], Dict[Tuple[int, int], Fraction]] = {}
-    rows = b.rows
+    outer, _, index = outer_tensor_modules(r1, r2)
+    m = outer.module
+    # insert = sum_t E_t R_{p_t} (x) L_{q_t}, where R_{p_t} sends (i, w1) to
+    # (i, w1 p_t) on K1's B-index and L_{q_t} sends (j, w2) to (j, q_t w2)
+    # on K2's
+    insert = ModuleMap.zero(m, m)
     for flat, ce in sparse(resolution_b.separability_idempotent().coords):
-        t1, t2 = divmod(flat, nb)
-        for w1 in range(nb):
-            for w1p, c1 in rows[w1].get(t1, ()):
-                for w2, vec in rows[t2].items():
-                    for w2p, c2 in vec:
-                        out = moves.setdefault((w1, w2), {})
-                        out[(w1p, w2p)] = out.get((w1p, w2p), 0) + ce * c1 * c2
-    unit = sparse(ac.unit)
-    columns = [()] * len(index)
-    for (i, w1), g1 in index1.items():
-        for (j, w2), g2 in index2.items():
-            columns[index[(g1, g2)]] = tuple(sorted(
-                (index[(index1[(i, w1p)], index2[(j, w2p)])],
-                 tuple((t, _canon(coeff * c)) for t, c in unit))
-                for (w1p, w2p), coeff in moves.get((w1, w2), {}).items() if coeff))
-    insert = ModuleMap.from_columns(outer.module, outer.module, 0, columns)
+        t1, t2 = divmod(flat, b.dim)
+        right = right_multiplication_map(r1, index1, a, bop, t1)
+        left = right_multiplication_map(r2, index2, cop, b, t2)
+        insert = insert + ModuleMap.from_columns(m, m, 0, outer_tensor_columns(
+            index, right.columns, left.columns, cop.dim)).scale(ce)
     if outer.idempotent is not None:
         insert = insert.compose(outer.idempotent)
-    return PerfectModule(outer.module, insert)
+    return PerfectModule(m, insert)
 
 
 def verify_kernel_composition(k1: PerfectModule, k2: PerfectModule,

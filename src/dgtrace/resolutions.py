@@ -70,7 +70,7 @@ class DiagonalResolution:
     def augmentation_chain_map(self) -> ChainMap:
         """The augmentation as a chain map P -> A at the ground level."""
         return semifree_map_to_explicit(self.module.module,
-                                        diagonal_explicit(self.algebra),
+                                        diagonal_explicit(self.algebra), 0,
                                         [[((0, t), c) for t, c in sparse(x.coords)]
                                          for x in self.augmentation])
 

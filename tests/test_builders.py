@@ -2,7 +2,8 @@
 
 The builders (direct sums, shifts, cones, factor restrictions, outer
 tensors, duals, transports, the shipped resolutions) assemble their results
-with `from_columns` and `PerfectModule(..., check=False)`, unchecked.  These
+with `from_columns`, so their twists go unchecked; all but the resolutions
+do it through `built_module`, which trusts the idempotent too.  These
 seeded sweeps over the catalog run on their outputs the checks that a
 caller's data gets at the boundary: `SemiFreeModule.validate`,
 `ModuleMap.validate` and the idempotent checks of `PerfectModule`.  Two

@@ -10,8 +10,10 @@ action layout of an explicit module (generators over one shared base table)
 is known to `modules.py` alone: `ExplicitModule.act` is the one reader of
 its table.  And `complexes.is_quasi_iso` is the one caller of `cone`, so a
 quasi-isomorphism is tested through a cone in one place.  Every error type
-of the package is defined in `errors.py`.  And only the constructors that
-take data from callers have a `check` option: builders take none."""
+of the package is defined in `errors.py`.  And only `PerfectModule` and
+`Complex` take a `check` option, and `built_module`, the one builder
+constructor, is the only caller in the package that turns the
+`PerfectModule` check off."""
 
 import ast
 import importlib
@@ -110,10 +112,9 @@ def test_every_error_is_defined_in_errors():
     assert not strays, strays
 
 
-# the grid constructors and the complex check what callers hand in; a
-# builder makes its output from checked pieces and takes no check option
-CHECKED_BOUNDARY = {"SemiFreeModule.__init__", "ModuleMap.__init__",
-                    "PerfectModule.__init__", "Complex.__init__"}
+# the grid constructors always check what callers hand in; a builder makes
+# its output from checked pieces and takes no check option
+CHECKED_BOUNDARY = {"PerfectModule.__init__", "Complex.__init__"}
 
 
 def _takes_check(path: Path):
@@ -136,3 +137,14 @@ def _takes_check(path: Path):
 def test_only_the_boundary_constructors_take_check():
     found = {name for path in SRC.glob("*.py") for name in _takes_check(path)}
     assert found == CHECKED_BOUNDARY, sorted(found ^ CHECKED_BOUNDARY)
+
+
+def _skips_perfect_check(node) -> bool:
+    return _called_name(node) == "PerfectModule" and any(
+        kw.arg == "check" and isinstance(kw.value, ast.Constant)
+        and kw.value.value is False for kw in node.keywords)
+
+
+def test_only_the_builder_constructor_skips_the_perfect_check():
+    leaks = _only_in(_skips_perfect_check, ("modules.py", "built_module"))
+    assert not leaks, leaks
