@@ -185,7 +185,7 @@ COMMANDS = {
 }
 
 
-def _int_in(low: int, high: float, span: str):
+def _int_in(low: int, high: int, span: str):
     """argparse type: an integer n with low <= n < high."""
     def parse(text):
         try:
@@ -206,9 +206,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=_int_in(0, 2 ** 64, "in [0, 2^64)"),
                         metavar="U64",
                         help="seed for randomized suites, < 2^64 (default 42)")
-    common.add_argument("--random", type=_int_in(1, float("inf"), ">= 1"),
+    common.add_argument("--random", type=_int_in(1, 10 ** 6 + 1, "in [1, 10^6]"),
                         metavar="COUNT",
-                        help="instances per randomized batch (default 50)")
+                        help="instances per randomized batch, <= 10^6 (default 50)")
     common.add_argument("--output", choices=("json", "text"))
 
     parser = argparse.ArgumentParser(

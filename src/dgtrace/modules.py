@@ -32,6 +32,14 @@ every entry is homogeneous of the degree its shifts fix, and every Koszul
 sign reads an entry's degree from the shifts, not from its coordinates:
 |phi[j][i]| = deg(phi) + t_j - s_i, and |delta[j][i]| = 1 + s_j - s_i.
 
+`PerfectModule.compress(f)` = e . f . e is a projection: the map it makes
+carries `compressed_by = e`, and a map marked with that same idempotent
+object comes back unchanged, without a product.  This is exact because
+e e f e e = e f e once e . e = e, which `PerfectModule` checks on outside
+data and the builders guarantee for their own.  `ModuleMap._init` clears
+the mark, so every other map (sums, scales, products, `from_columns`
+rebuilds, boundary input) is compressed in full.
+
 Everything that is really done over k (Hom, tensor, cohomology) is
 reduced on demand to explicit complexes of rational matrices ("restriction
 to the ground field"); derived tensor and Hom are computed on the given
@@ -334,6 +342,8 @@ class ModuleMap:
         self.degree = int(degree)
         self.columns = tuple(map(tuple, columns))
         self._entries = None
+        # the idempotent whose `PerfectModule.compress` made this map
+        self.compressed_by: Optional[ModuleMap] = None
 
     def validate(self) -> "ModuleMap":
         """Every entry [j][i] homogeneous of degree deg + t_j - s_i."""
@@ -491,9 +501,14 @@ class PerfectModule:
         return ModuleMap.identity(self.module)
 
     def compress(self, f: ModuleMap) -> ModuleMap:
-        if self.idempotent is None:
+        """e . f . e, a projection: a map this idempotent object compressed
+        comes back as it is, since e e f e e = e f e when e . e = e."""
+        e = self.idempotent
+        if e is None or f.compressed_by is e:
             return f
-        return self.idempotent.compose(f).compose(self.idempotent)
+        g = e.compose(f).compose(e)
+        g.compressed_by = e
+        return g
 
     def __eq__(self, other):
         return (isinstance(other, PerfectModule) and self.module == other.module
@@ -571,16 +586,6 @@ def direct_sum_modules(p1: PerfectModule, p2: PerfectModule) -> PerfectModule:
                                p2.identity_map().columns)
     return built_module(a, shifts, _block_diagonal(
         m1.twist_columns, m2.twist_columns), labels, idem)
-
-
-def direct_sum_maps(psum: PerfectModule, f1: ModuleMap,
-                    f2: ModuleMap) -> ModuleMap:
-    """f1 (+) f2 as an endomorphism of a direct sum built by
-    direct_sum_modules (degree-0 endomorphisms of the summands only)."""
-    if f1.degree or f2.degree:
-        raise WrongDegree("direct sum of maps of degree 0 only")
-    return ModuleMap.from_columns(psum.module, psum.module, 0,
-                                  _block_diagonal(f1.columns, f2.columns))
 
 
 def _block_diagonal(x: Sequence[Column], y: Sequence[Column]) -> List[Column]:

@@ -10,8 +10,8 @@ from dgtrace.errors import (AlgebraMismatch, DimensionMismatch,
                             NotDegreeZeroConcentrated)
 from dgtrace.hochschild import (euler_class, hh0_space, hh_class,
                                 hh_via_dualizing)
-from dgtrace.modules import (ModuleMap, PerfectModule, cone_module,
-                             direct_sum_maps, direct_sum_modules, free_module,
+from dgtrace.modules import (ModuleMap, cone_module,
+                             direct_sum_modules, free_module,
                              projective_module, shift_module)
 from dgtrace.prng import SplitMix64, stream_for
 from dgtrace.sampling import (random_closed_pair, random_coeff,
@@ -122,6 +122,55 @@ def test_hh_class_idempotent_compatibility(a2):
         hh_class(P2, ident)  # raw identity is not compressed
 
 
+def test_a_mark_of_another_idempotent_is_compressed_in_full(a2):
+    # P1 and P2 have equal carriers; e1 = P1.compress(id) carries P1's
+    # idempotent, so P2's guard must still compute e2 e1 e2 = 0 != e1
+    P1 = projective_module(a2, a2.by_label("e1"))
+    P2 = projective_module(a2, a2.by_label("e2"))
+    assert P1.module == P2.module
+    f = P1.compress(ModuleMap.identity(P1.module))
+    assert f.compressed_by is P1.idempotent
+    with pytest.raises(IdempotentIncompatible):
+        hh_class(P2, f)
+
+
+def test_hh_class_of_a_draw_takes_no_product(a2, monkeypatch):
+    """A sampler draw is e f e marked by its module's idempotent, so the
+    e f e = f guard of hh_class composes nothing; the same columns rebuilt
+    without the mark cost the two products of e f e and give the same
+    class."""
+    sp = hh0_space(a2)
+    ent = catalog_entry("A2")
+    rng = SplitMix64(83)
+    m, sampler = random_module_with_endos(a2, rng, ent.idempotents, max_gens=3)
+    while m.idempotent is None:
+        m, sampler = random_module_with_endos(a2, rng, ent.idempotents, max_gens=3)
+    f = sampler.draw(rng)
+    calls = []
+    compose = ModuleMap.compose
+
+    def counted(self, other):
+        calls.append(other)
+        return compose(self, other)
+    monkeypatch.setattr(ModuleMap, "compose", counted)
+    drawn = hh_class(m, f, sp)
+    assert len(calls) == 0
+    rebuilt = ModuleMap.from_columns(f.source, f.target, 0, f.columns)
+    assert rebuilt.compressed_by is None
+    assert hh_class(m, rebuilt, sp) == drawn
+    assert len(calls) == 2
+
+
+def block_diagonal(msum, f1, f2):
+    """f1 (+) f2 on the direct sum msum = direct_sum_modules(...) of their
+    modules, through the checked grid constructor."""
+    zero = msum.algebra.zero()
+    n1, n2 = f1.source.rank, f2.source.rank
+    rows = ([list(row) + [zero] * n2 for row in f1.entries]
+            + [[zero] * n1 + list(row) for row in f2.entries])
+    return ModuleMap(msum.module, msum.module, 0, rows)
+
+
 def test_additivity(a2):
     rng = SplitMix64(67)
     sp = hh0_space(a2)
@@ -131,7 +180,7 @@ def test_additivity(a2):
     f1 = s1.draw(rng)
     f2 = s2.draw(rng)
     msum = direct_sum_modules(m1, m2_)
-    fsum = direct_sum_maps(msum, f1, f2)
+    fsum = block_diagonal(msum, f1, f2)
     total = hh_class(msum, fsum, sp)
     assert total.coords == tuple(
         x + y for x, y in zip(hh_class(m1, f1, sp).coords,
@@ -146,8 +195,7 @@ def test_stability_under_contractible_summand(a2):
     f = sampler.draw(rng)
     pad = cone_module(ModuleMap.identity(free_module(a2, [0]).module))
     msum = direct_sum_modules(m, pad)
-    fsum = direct_sum_maps(msum, f, PerfectModule(
-        pad.module).identity_map())
+    fsum = block_diagonal(msum, f, ModuleMap.identity(pad.module))
     assert hh_class(msum, fsum, sp).coords == hh_class(m, f, sp).coords
 
 

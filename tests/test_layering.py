@@ -13,7 +13,9 @@ quasi-isomorphism is tested through a cone in one place.  Every error type
 of the package is defined in `errors.py`.  And only `PerfectModule` and
 `Complex` take a `check` option, and `built_module`, the one builder
 constructor, is the only caller in the package that turns the
-`PerfectModule` check off."""
+`PerfectModule` check off.  The mark `compressed_by` that lets
+`PerfectModule.compress` return its own output unchanged is set in
+`ModuleMap._init` (cleared) and in `compress` alone."""
 
 import ast
 import importlib
@@ -78,12 +80,13 @@ def _calls_cone(node) -> bool:
     return _called_name(node) == "cone"
 
 
-def _only_in(wanted, allowed):
-    """The finds of wanted in src/ outside the one (file, function) allowed;
-    fails when there is no find at all."""
+def _only_in(wanted, *allowed):
+    """The finds of wanted in src/ outside the (file, function) pairs
+    allowed; fails when there is no find at all."""
     found = [hit for path in sorted(SRC.glob("*.py")) for hit in _owned(path, wanted)]
     assert found
-    return [f"{name}:{line}: {fn}" for name, fn, line in found if (name, fn) != allowed]
+    return [f"{name}:{line}: {fn}" for name, fn, line in found
+            if (name, fn) not in allowed]
 
 
 def test_only_act_reads_an_action_table():
@@ -147,4 +150,15 @@ def _skips_perfect_check(node) -> bool:
 
 def test_only_the_builder_constructor_skips_the_perfect_check():
     leaks = _only_in(_skips_perfect_check, ("modules.py", "built_module"))
+    assert not leaks, leaks
+
+
+def _marks_compressed(node) -> bool:
+    return (isinstance(node, ast.Attribute) and node.attr == "compressed_by"
+            and isinstance(node.ctx, ast.Store))
+
+
+def test_only_init_and_compress_set_the_compressed_mark():
+    leaks = _only_in(_marks_compressed, ("modules.py", "_init"),
+                     ("modules.py", "compress"))
     assert not leaks, leaks

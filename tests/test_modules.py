@@ -13,7 +13,7 @@ from dgtrace.errors import (AlgebraMismatch, DegreeViolation,
 from dgtrace.linalg import rank_kernel_image
 from dgtrace.modules import (ExplicitModule, HomOverAlgebra, ModuleMap,
                              PerfectModule, SemiFreeModule, TensorOverAlgebra,
-                             cone_module, direct_sum_maps, direct_sum_modules,
+                             cone_module, direct_sum_modules,
                              free_module,
                              hom_over_algebra, outer_tensor_modules,
                              projective_module, restrict_to_factor,
@@ -324,16 +324,6 @@ def test_idempotent_must_be_exact(a2):
     from dgtrace.errors import IdempotentIncompatible
     with pytest.raises(IdempotentIncompatible):
         PerfectModule(f.module, bad)
-
-
-def test_direct_sum_maps_refuses_a_map_of_nonzero_degree(a2):
-    # g1 -> e1 g0 is a valid degree-1 map; the block-diagonal sum is taken
-    # in degree 0 only
-    p = free_module(a2, [0, 1])
-    up = ModuleMap(p.module, p.module, 1, [[a2.zero(), a2.by_label("e1")],
-                                           [a2.zero(), a2.zero()]])
-    with pytest.raises(WrongDegree):
-        direct_sum_maps(direct_sum_modules(p, p), up, p.identity_map())
 
 
 def test_off_degree_map_raises_in_every_realization(a2):

@@ -137,6 +137,10 @@ def test_draw_matches_map_level_combination(cat, name):
                 g = reference_draw(p, ref_rng)
                 assert f == g
                 assert rng.state == ref_rng.state
+                e = p.idempotent
+                if e is not None:
+                    # the compress mark is sound: e f e = f on the nose
+                    assert e.compose(f).compose(e) == f
                 # a draw is already e f e, so compressing its restriction
                 # changes nothing (the Euler suite relies on it)
                 chain = f.restrict()
@@ -1101,7 +1105,8 @@ def test_stored_columns_are_in_normal_form(cat, name):
         if p.idempotent is not None:
             efe = p.compress(f)
             assert_normal_form(efe.columns, m.rank)
-            assert p.compress(efe) == efe
+            e = p.idempotent
+            assert e.compose(efe).compose(e) == efe
             seen_idempotent = True
         # the dense views are grids of elements with Fraction coordinates
         for grid in (f.entries, m.twist):

@@ -298,6 +298,8 @@ def _exit_and_stderr(args, capsys):
     (["verify-rr", "--random", "0", "--algebra", "k"], "argument --random"),
     (["--seed", "-1", "hh0", "A2"], "argument --seed"),
     (["--seed", str(2 ** 64), "hh0", "A2"], "argument --seed"),
+    (["--random", str(10 ** 23), "verify-rr"], "argument --random"),
+    (["--random", "1000001", "verify-rr"], "argument --random"),
 ])
 def test_cli_malformed_argument_exits_with_input_error(args, where, capsys):
     code, err = _exit_and_stderr(args, capsys)
