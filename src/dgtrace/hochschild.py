@@ -11,11 +11,16 @@ via Hom over the enveloping algebra out of the inverse dualizing module is
 computed independently and compared by dimensions; the class itself is
 compared too, as eps . (f (x) 1) . eta read in HH_0
 (`duality.EvaluationData.composite_class`).
+
+An HH_0 space presents the quotient, and a class projects its
+representative, on first read: the pairings and the trace formula read
+most classes only through their representatives.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Tuple
 
 from .algebras import AlgebraElement, DgAlgebra, sparse
@@ -29,14 +34,21 @@ from .modules import HomOverAlgebra, ModuleMap, PerfectModule
 
 
 class HH0Space:
-    """A/[A,A] with a chosen projection and coset representatives."""
+    """A/[A,A] with a chosen projection and coset representatives, presented
+    on the first read of `projection`, `section`, `dim` or `commutator_dim`:
+    a class read only through its representative never pays for it."""
 
     def __init__(self, algebra: DgAlgebra):
         if not algebra.is_degree_zero():
             raise NotDegreeZeroConcentrated("HH_0 computed for degree-0 algebras")
         self.algebra = algebra
-        n = algebra.dim
-        rows = algebra.rows
+        self._basis_classes: Optional[Tuple["HochschildClass", ...]] = None
+
+    @cached_property
+    def _presentation(self):
+        """(dim [A,A], projection, section), built once."""
+        n = self.algebra.dim
+        rows = self.algebra.rows
         commutators = []
         # [e_j, e_i] = -[e_i, e_j] and [e_i, e_i] = 0 add nothing to the span
         for i in range(n):
@@ -49,10 +61,20 @@ class HH0Space:
                 if any(vec):
                     commutators.append(tuple(vec))
         basis = echelon_basis(commutators, n)
-        self.commutator_dim = len(basis)
-        self.projection, self.section = quotient_presentation(
+        return (len(basis),) + quotient_presentation(
             n, SubspacePresentation(n, tuple(basis)))
-        self._basis_classes: Optional[Tuple["HochschildClass", ...]] = None
+
+    @property
+    def commutator_dim(self) -> int:
+        return self._presentation[0]
+
+    @property
+    def projection(self):
+        return self._presentation[1]
+
+    @property
+    def section(self):
+        return self._presentation[2]
 
     @property
     def dim(self) -> int:
@@ -81,12 +103,15 @@ class HH0Space:
 
 class HochschildClass:
     """Element of HH_0(A): a chosen representative and its coordinates,
-    projected once here."""
+    projected on first read."""
 
     def __init__(self, space: HH0Space, representative: AlgebraElement):
         self.space = space
         self.representative = representative
-        self.coords = space.project(representative)
+
+    @cached_property
+    def coords(self) -> Tuple[Fraction, ...]:
+        return self.space.project(self.representative)
 
     @property
     def algebra(self) -> DgAlgebra:

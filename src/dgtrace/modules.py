@@ -502,9 +502,10 @@ class PerfectModule:
 
     def compress(self, f: ModuleMap) -> ModuleMap:
         """e . f . e, a projection: a map this idempotent object compressed
-        comes back as it is, since e e f e e = e f e when e . e = e."""
+        comes back as it is, since e e f e e = e f e when e . e = e, and so
+        does e itself, since e e e = e."""
         e = self.idempotent
-        if e is None or f.compressed_by is e:
+        if e is None or f is e or f.compressed_by is e:
             return f
         g = e.compose(f).compose(e)
         g.compressed_by = e

@@ -57,13 +57,18 @@ class KernelTransfer:
     """Transfer HH_0(B) -> HH_0(A) along a perfect A (x) B^op kernel.
 
     The kernel is restricted to A once; a class [x] is then sent to the
-    Hochschild class of right multiplication by x, read as the supertrace
-    of rmul . e, since tr(e rmul e) = tr(rmul e e) modulo commutators.
-    That supertrace is linear in x, so it is the sum of x_t T[t] over the
-    support of x, T[t] the supertrace for the basis element b_t, memoised
-    in `traces` on first use.  Right multiplication by a degree-0 element
-    is a closed module map of the restriction (the middle algebra carries
-    no differential), so no chain checks are repeated.
+    Hochschild class of right multiplication R_x by x, read as the
+    supertrace of R_x . e, since tr(e R_x e) = tr(R_x e e) modulo
+    commutators, with e the restricted idempotent (the identity when there
+    is none).  That supertrace is linear in x, so it is the sum of x_t T[t],
+    T[t] the supertrace of R_t . e for the basis element b_t of B^op.
+    `traces` holds T[t] for every t, built in `__init__` by one pass over
+    the entries of e: R_t[(g, u)][(g, q)] = [b_u](b_t b_q) on generators
+    (g, q) of the restriction, so entry e[(g, q)][(g, u)] adds
+    (-1)^{s_g} [b_u](b_t b_q) e[(g, q)][(g, u)] to T[t].  Right
+    multiplication by a degree-0 element is a closed module map of the
+    restriction (the middle algebra carries no differential), so no chain
+    checks are repeated.
     """
 
     def __init__(self, kernel: PerfectModule, a: DgAlgebra, b: DgAlgebra):
@@ -76,18 +81,33 @@ class KernelTransfer:
         self.restricted, self.index = restrict_to_factor(
             kernel, a, self.bop, "first")
         self.space_a = hh0_space(a)
-        self.traces: Dict[int, SparseVec] = {}
+        # by_pair[(q, u)] lists the terms c b_u of the products b_t b_q in B^op
+        by_pair: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
+        for t, products in enumerate(self.bop.rows):
+            for q, vec in products.items():
+                for u, c in vec:
+                    by_pair.setdefault((q, u), []).append((t, c))
+        gens = sorted(self.index, key=self.index.get)
+        shifts = self.restricted.shifts
+        table = [[0] * a.dim for _ in range(self.bop.dim)]
+        for i, col in enumerate(self.restricted.identity_map().columns):
+            g, u = gens[i]
+            odd = shifts[i] % 2
+            for j, vec in col:
+                h, q = gens[j]
+                if h != g:
+                    continue
+                for t, c in by_pair.get((q, u), ()):
+                    row = table[t]
+                    for k, x in vec:
+                        row[k] += -c * x if odd else c * x
+        self.traces: List[SparseVec] = [sparse(row) for row in table]
 
     def apply(self, lam: HochschildClass) -> HochschildClass:
         if not lam.algebra.same_structure(self.b):
             raise AlgebraMismatch("class does not live over the middle algebra")
         total = [0] * self.a.dim
         for t, x in sparse(lam.representative.coords):
-            if t not in self.traces:
-                rmul = right_multiplication_map(self.restricted, self.index,
-                                                self.a, self.bop, t)
-                self.traces[t] = sparse(generalized_supertrace(
-                    self.restricted, rmul, self.restricted.idempotent).coords)
             for k, c in self.traces[t]:
                 total[k] += x * c
         return self.space_a.class_of(self.a.element(total))
@@ -211,7 +231,9 @@ def pairing_three_ways(a: DgAlgebra, resolution: DiagonalResolution,
     ea = tensor_algebras(opposite(a), a)
     if "k" not in cache:
         # the classes live on the instances that cup checks them against,
-        # ^eA (x) k^op and k (x) (^eA)^op, so each check is an identity test
+        # ^eA (x) k^op and k (x) (^eA)^op, so each check is an identity test;
+        # the transfer and cup read them through their representatives only,
+        # so those spaces, of dimension (dim A)^2, are never presented
         kalg = cache["k"] = unit_algebra()
         cache["right"] = tensor_algebras(ea, opposite(kalg))
         cache["diag"] = euler_class(

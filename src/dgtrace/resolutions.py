@@ -23,31 +23,35 @@ from .modules import (ModuleMap, PerfectModule, SemiFreeModule, outer_tensor_mod
                       restrict_to_ground, semifree_map_to_explicit)
 
 Builder = Callable[[], Tuple[PerfectModule, Tuple[AlgebraElement, ...]]]
+SepBuilder = Callable[[], AlgebraElement]
 
 
 class DiagonalResolution:
     """Perfect A^e-module quasi-isomorphic to the diagonal bimodule.
 
     `augmentation[i]` is the image in A of the i-th generator.  The module
-    may be built lazily (large enveloping algebras are only materialized
-    when an operation genuinely needs the chain-level data).
+    and the separability idempotent are built by zero-argument builders on
+    first read and memoised: the idempotent of an enveloping resolution
+    lives in (^eA)^e, of dimension (dim A)^4, which only kernel composition
+    reads.
     """
 
     def __init__(self, algebra: DgAlgebra, builder: Builder,
-                 separability_idempotent: Optional[AlgebraElement] = None,
+                 separability_idempotent: Optional[SepBuilder] = None,
                  name: str = ""):
         if not algebra.is_degree_zero():
             raise NotDegreeZeroConcentrated("resolutions are degree-0 data")
         self.algebra = algebra
         self.name = name
-        self._sep_idem = separability_idempotent
+        self._sep_builder = separability_idempotent
+        self._sep_idem: Optional[AlgebraElement] = None
         self._builder = builder
         self._built: Optional[Tuple[PerfectModule, Tuple[AlgebraElement, ...]]] = None
 
     @property
     def separable(self) -> bool:
-        """Whether a separability idempotent is shipped."""
-        return self._sep_idem is not None
+        """Whether a separability idempotent is shipped (without building it)."""
+        return self._sep_builder is not None
 
     def _build(self):
         if self._built is None:
@@ -63,8 +67,10 @@ class DiagonalResolution:
         return self._build()[1]
 
     def separability_idempotent(self) -> AlgebraElement:
-        if self._sep_idem is None:
+        if self._sep_builder is None:
             raise AugmentationNotQuasiIso("no separability idempotent available")
+        if self._sep_idem is None:
+            self._sep_idem = self._sep_builder()
         return self._sep_idem
 
     def augmentation_chain_map(self) -> ChainMap:
@@ -103,7 +109,8 @@ def separable_resolution(a: DgAlgebra, sep_idem: AlgebraElement,
         idem = ModuleMap(mod, mod, 0, [[e_env]])
         return PerfectModule(mod, idem), (a.one(),)
 
-    return DiagonalResolution(a, build, separability_idempotent=e_env, name=name)
+    return DiagonalResolution(a, build, separability_idempotent=lambda: e_env,
+                              name=name)
 
 
 def quiver_resolution(a: DgAlgebra, vertex_idems: Sequence[int],
@@ -160,10 +167,11 @@ def opposite_resolution(r: DiagonalResolution) -> DiagonalResolution:
         aug = tuple(aop.element(x.coords) for x in r.augmentation)
         return transport_module(r.module, iso), aug
 
-    sep = None
-    if r.separable:
-        sep = iso.target.element(iso.apply(r.separability_idempotent().coords))
-    return DiagonalResolution(aop, build, separability_idempotent=sep,
+    def sep():
+        return iso.target.element(iso.apply(r.separability_idempotent().coords))
+
+    return DiagonalResolution(aop, build,
+                              separability_idempotent=sep if r.separable else None,
                               name=f"op({r.name})")
 
 
@@ -196,16 +204,17 @@ def tensor_resolution(r1: DiagonalResolution, r2: DiagonalResolution,
                     for (i, j) in index)
         return transported, aug
 
-    sep = None
-    if r1.separable and r2.separable:
+    def sep():
         pt = pure_tensor(r1.separability_idempotent().coords,
                          r2.separability_idempotent().coords)
         out = [ZERO] * len(pt)
         for src, dst in enumerate(env_perm()):
             out[dst] = pt[src]
-        sep = tensor_algebras(ab, opposite(ab)).element(out)
-    return DiagonalResolution(ab, build, separability_idempotent=sep,
-                              name=name or f"{r1.name}(x){r2.name}")
+        return tensor_algebras(ab, opposite(ab)).element(out)
+
+    return DiagonalResolution(
+        ab, build, separability_idempotent=sep if r1.separable and r2.separable else None,
+        name=name or f"{r1.name}(x){r2.name}")
 
 
 def enveloping_resolution(r: DiagonalResolution) -> DiagonalResolution:

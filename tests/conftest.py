@@ -1,3 +1,5 @@
+import importlib
+
 import pytest
 
 from dgtrace.catalog import catalog, catalog_entry
@@ -5,6 +7,14 @@ from dgtrace.catalog import catalog, catalog_entry
 
 @pytest.fixture(scope="session")
 def cat():
+    return catalog()
+
+
+@pytest.fixture
+def fresh_catalog(monkeypatch):
+    """A catalog built anew for one test: its algebras have empty memos, so
+    the test sees every table, product and HH_0 presentation built cold."""
+    monkeypatch.setattr(importlib.import_module("dgtrace.catalog"), "_CATALOG", None)
     return catalog()
 
 

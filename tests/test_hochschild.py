@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from dgtrace import hochschild
 from dgtrace.algebras import DgAlgebra, opposite
 from dgtrace.catalog import catalog_entry
 from dgtrace.complexes import chain_supertrace, euler_trace
@@ -13,6 +14,7 @@ from dgtrace.hochschild import (euler_class, hh0_space, hh_class,
 from dgtrace.modules import (ModuleMap, cone_module,
                              direct_sum_modules, free_module,
                              projective_module, shift_module)
+from dgtrace.pairing import pairing_three_ways, verify_rr
 from dgtrace.prng import SplitMix64, stream_for
 from dgtrace.sampling import (random_closed_pair, random_coeff,
                               random_module_with_endos)
@@ -159,6 +161,26 @@ def test_hh_class_of_a_draw_takes_no_product(a2, monkeypatch):
     assert rebuilt.compressed_by is None
     assert hh_class(m, rebuilt, sp) == drawn
     assert len(calls) == 2
+
+
+def test_euler_class_of_a_projective_takes_no_product(a2, monkeypatch):
+    """euler_class hands hh_class the idempotent e itself, which compress
+    returns unchanged (e e e = e), so the guard composes nothing."""
+    p = projective_module(a2, a2.by_label("e1"))
+    calls = []
+    compose = ModuleMap.compose
+
+    def counted(self, other):
+        calls.append(other)
+        return compose(self, other)
+    monkeypatch.setattr(ModuleMap, "compose", counted)
+    got = euler_class(p)
+    assert len(calls) == 0
+    monkeypatch.undo()
+    want = hh0_space(a2).class_of(a2.by_label("e1"))
+    assert got == want
+    assert got == hh_class(p, ModuleMap.from_columns(p.module, p.module, 0,
+                                                     p.idempotent.columns))
 
 
 def block_diagonal(msum, f1, f2):
@@ -330,3 +352,63 @@ def test_class_coordinates_are_linear(cat, name):
         assert x.scale(c).coords == tuple(c * p for p in x.coords)
     assert [lam.coords for lam in sp.basis_classes()] == [
         tuple(F(int(r == t)) for r in range(sp.dim)) for t in range(sp.dim)]
+
+
+# -- the HH_0 presentation is built on first read ----------------------------
+
+@pytest.mark.parametrize("name", ("k", "kxk", "M2", "A2", "A3", "Kronecker",
+                                  "A2xA2"))
+def test_class_coordinates_read_on_first_use_are_the_projection(cat, name):
+    """Coordinates projected on first read equal `project` of the
+    representative, for classes made by class_of, +, scale and
+    basis_classes."""
+    a = cat[name].algebra
+    sp = hh0_space(a)
+    rng = stream_for(113, len(name))
+    x, y = (sp.class_of(a.element([random_coeff(rng) for _ in range(a.dim)]))
+            for _ in range(2))
+    made = [x, y, x + y, x - y, x.scale(random_coeff(rng))]
+    assert not any("coords" in vars(c) for c in made)
+    for c in made + list(sp.basis_classes()):
+        assert c.coords == sp.project(c.representative)
+
+
+def counted_presentations(monkeypatch):
+    """The ambient dimension of every HH_0 space presented from now on."""
+    dims = []
+    present = hochschild.quotient_presentation
+
+    def counted(n, sub):
+        dims.append(n)
+        return present(n, sub)
+    monkeypatch.setattr(hochschild, "quotient_presentation", counted)
+    return dims
+
+
+def test_cold_three_pairings_present_no_enveloping_space(fresh_catalog, monkeypatch):
+    """The classes over ^eA (x) k^op and k (x) (^eA)^op are read only through
+    their representatives, so a cold pairing_three_ways on M2 presents no
+    space of ambient dimension 16 = dim ^eA; the values still agree."""
+    ent = fresh_catalog["M2"]
+    a = ent.algebra
+    lam = hh0_space(opposite(a)).class_of(opposite(a).by_label("E11"))
+    mu = hh0_space(a).class_of(a.by_label("E11"))
+    dims = counted_presentations(monkeypatch)
+    s1, s2, s3 = pairing_three_ways(a, ent.resolution, lam, mu,
+                                    ent.enveloping_resolution(), {})
+    assert s1 == s2 == s3 == F(1)
+    assert 16 not in dims
+    assert dims
+
+
+def test_verify_rr_presents_no_space(fresh_catalog, monkeypatch):
+    """verify_rr pairs representatives and never reads class coordinates."""
+    ent = fresh_catalog["A2"]
+    a = ent.algebra
+    rng = SplitMix64(29)
+    m, sm = random_module_with_endos(a, rng, ent.idempotents, max_gens=2)
+    n, sn = random_module_with_endos(opposite(a), rng, ent.idempotents, max_gens=2)
+    dims = counted_presentations(monkeypatch)
+    report = verify_rr(m, sm.draw(rng), n, sn.draw(rng))
+    assert report.equal
+    assert dims == []
