@@ -15,7 +15,9 @@ of the package is defined in `errors.py`.  And only `PerfectModule` and
 constructor, is the only caller in the package that turns the
 `PerfectModule` check off.  The mark `compressed_by` that lets
 `PerfectModule.compress` return its own output unchanged is set in
-`ModuleMap._init` (cleared) and in `compress` alone."""
+`ModuleMap._init` (cleared) and in `compress` alone.  In `suites.py` only
+`_tally`, which counts every battery's verdicts, and `rr_tally` hold an
+augmented assignment, so no battery keeps a counter by hand."""
 
 import ast
 import importlib
@@ -80,10 +82,10 @@ def _calls_cone(node) -> bool:
     return _called_name(node) == "cone"
 
 
-def _only_in(wanted, *allowed):
-    """The finds of wanted in src/ outside the (file, function) pairs
-    allowed; fails when there is no find at all."""
-    found = [hit for path in sorted(SRC.glob("*.py")) for hit in _owned(path, wanted)]
+def _only_in(wanted, *allowed, files="*.py"):
+    """The finds of wanted in the src/ files matching `files` outside the
+    (file, function) pairs allowed; fails when there is no find at all."""
+    found = [hit for path in sorted(SRC.glob(files)) for hit in _owned(path, wanted)]
     assert found
     return [f"{name}:{line}: {fn}" for name, fn, line in found
             if (name, fn) not in allowed]
@@ -161,4 +163,14 @@ def _marks_compressed(node) -> bool:
 def test_only_init_and_compress_set_the_compressed_mark():
     leaks = _only_in(_marks_compressed, ("modules.py", "_init"),
                      ("modules.py", "compress"))
+    assert not leaks, leaks
+
+
+def _counts(node) -> bool:
+    return isinstance(node, ast.AugAssign)
+
+
+def test_only_the_tallies_count_in_suites():
+    leaks = _only_in(_counts, ("suites.py", "_tally"), ("suites.py", "rr_tally"),
+                     files="suites.py")
     assert not leaks, leaks
