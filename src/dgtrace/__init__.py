@@ -22,8 +22,8 @@ from .modules import (ModuleMap, PerfectModule, SemiFreeModule, cone_module,
 from .pairing import (PairingReport, cup, kunneth, pair_scalar,
                       verify_kernel_composition, verify_rr)
 from .resolutions import (DiagonalResolution, opposite_resolution,
-                          quiver_resolution, separable_resolution,
-                          tensor_resolution)
+                          path_algebra, quiver_resolution,
+                          separable_resolution, tensor_resolution)
 from .workspace import Workspace, parse_workspace, serialize_workspace
 
 __version__ = "0.1.0"

@@ -122,7 +122,7 @@ def _add_columns(a: DgAlgebra, x: Sequence[Column],
     for cx, cy in zip(x, y):
         acc: Dict[int, List] = {}
         for j, vec in cx + cy:
-            coords = acc.setdefault(j, [0] * a.dim)
+            coords = _coords(acc, j, a.dim)
             for t, c in vec:
                 coords[t] += c
         out.append(_column(acc))
@@ -646,10 +646,10 @@ def restrict_to_factor(p: PerfectModule, f1: DgAlgebra, f2: DgAlgebra,
                     if side == "first":
                         # (1 (x) b_q)(a_pa (x) b_qb) = a_pa (x) (b_q *f2 b_qb)
                         for u, cu in row_q.get(qb, ()):
-                            acc.setdefault(index[(j, u)], [0] * n1)[pa] += c * cu
+                            _coords(acc, index[(j, u)], n1)[pa] += c * cu
                     else:
                         for u, cu in row_q.get(pa, ()):
-                            acc.setdefault(index[(j, u)], [0] * n2)[qb] += c * cu
+                            _coords(acc, index[(j, u)], n2)[qb] += c * cu
             out.append(_column(acc))
         return out
 

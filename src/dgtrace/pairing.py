@@ -56,51 +56,50 @@ def kunneth(x: HochschildClass, y: HochschildClass) -> HochschildClass:
 class KernelTransfer:
     """Transfer HH_0(B) -> HH_0(A) along a perfect A (x) B^op kernel.
 
-    The kernel is restricted to A once; a class [x] is then sent to the
-    Hochschild class of right multiplication R_x by x, read as the
-    supertrace of R_x . e, since tr(e R_x e) = tr(R_x e e) modulo
-    commutators, with e the restricted idempotent (the identity when there
-    is none).  That supertrace is linear in x, so it is the sum of x_t T[t],
-    T[t] the supertrace of R_t . e for the basis element b_t of B^op.
-    `traces` holds T[t] for every t, built in `__init__` by one pass over
-    the entries of e: R_t[(g, u)][(g, q)] = [b_u](b_t b_q) on generators
-    (g, q) of the restriction, so entry e[(g, q)][(g, u)] adds
-    (-1)^{s_g} [b_u](b_t b_q) e[(g, q)][(g, u)] to T[t].  Right
-    multiplication by a degree-0 element is a closed module map of the
-    restriction (the middle algebra carries no differential), so no chain
-    checks are repeated.
+    A class [x] is sent to the Hochschild class of right multiplication
+    R_x by x on the kernel restricted to A, read as the supertrace of
+    R_x . e, since tr(e R_x e) = tr(R_x e e) modulo commutators, with e the
+    restricted idempotent (the identity when there is none).  That
+    supertrace is linear in x, so it is the sum of x_t T[t], T[t] the
+    supertrace of R_t . e for the basis element b_t of B^op.  `traces`
+    holds T[t] for every t, read off the kernel's own diagonal without
+    restricting it: each term c e_k (x) b_p of e[g][g] adds
+    (-1)^{s_g} c [b_q](b_u b_p) [b_u](b_t b_q) to T[t][k] (products in
+    B^op), the entry e[(g, q)][(g, u)] of the restriction to generators
+    (1 (x) b_q) g times R_t[(g, u)][(g, q)].  Right multiplication by a
+    degree-0 element is closed (the middle algebra carries no
+    differential), so no chain checks are repeated.
     """
 
     def __init__(self, kernel: PerfectModule, a: DgAlgebra, b: DgAlgebra):
-        if not (a.is_degree_zero() and b.is_degree_zero()):
+        if not (a.is_degree_zero() and b.is_degree_zero()
+                and kernel.algebra.is_degree_zero()):
             raise NotDegreeZeroConcentrated(
                 "transfer maps live over degree-0 algebras")
+        if a.dim * b.dim != kernel.algebra.dim:
+            raise AlgebraMismatch("factor dimensions do not multiply up")
         self.a = a
         self.b = b
         self.bop = opposite(b)
-        self.restricted, self.index = restrict_to_factor(
-            kernel, a, self.bop, "first")
         self.space_a = hh0_space(a)
+        rows = self.bop.rows
+        nb = self.bop.dim
         # by_pair[(q, u)] lists the terms c b_u of the products b_t b_q in B^op
         by_pair: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
-        for t, products in enumerate(self.bop.rows):
+        for t, products in enumerate(rows):
             for q, vec in products.items():
                 for u, c in vec:
                     by_pair.setdefault((q, u), []).append((t, c))
-        gens = sorted(self.index, key=self.index.get)
-        shifts = self.restricted.shifts
-        table = [[0] * a.dim for _ in range(self.bop.dim)]
-        for i, col in enumerate(self.restricted.identity_map().columns):
-            g, u = gens[i]
-            odd = shifts[i] % 2
-            for j, vec in col:
-                h, q = gens[j]
-                if h != g:
-                    continue
-                for t, c in by_pair.get((q, u), ()):
-                    row = table[t]
-                    for k, x in vec:
-                        row[k] += -c * x if odd else c * x
+        table = [[0] * a.dim for _ in range(nb)]
+        for s, vec in zip(kernel.shifts, diagonal(kernel.identity_map())):
+            for flat, c in vec:
+                k, p = divmod(flat, nb)
+                if s % 2:
+                    c = -c
+                for u, products in enumerate(rows):
+                    for q, cq in products.get(p, ()):
+                        for t, ct in by_pair.get((q, u), ()):
+                            table[t][k] += c * cq * ct
         self.traces: List[SparseVec] = [sparse(row) for row in table]
 
     def apply(self, lam: HochschildClass) -> HochschildClass:

@@ -6,6 +6,9 @@ A^e = A (x) A^op together with an augmentation onto the diagonal bimodule A
 shipped, not searched for: length 0 with a separability idempotent for
 separable algebras, the two-term arrow resolution for path algebras of
 acyclic quivers, and tensor/opposite combinators for everything else.
+This is the one module that knows what a quiver is: vertex labels and
+arrows (label, source, target), read by `path_algebra` and
+`quiver_resolution`.
 """
 
 from __future__ import annotations
@@ -14,13 +17,15 @@ from typing import Callable, Optional, Sequence, Tuple
 
 from .algebras import (AlgebraElement, AlgebraIso, DgAlgebra, SparseVec,
                        opposite, pure_tensor, sparse, swap_iso,
-                       tensor_algebras)
+                       tensor_algebras, validate_algebra)
 from .complexes import ChainMap, is_quasi_iso
 from .duality import diagonal_explicit, transport_module
-from .errors import AugmentationNotQuasiIso, NotDegreeZeroConcentrated
+from .errors import (AugmentationNotQuasiIso, NotDegreeZeroConcentrated,
+                     ValidationError)
 from .linalg import ZERO
-from .modules import (ModuleMap, PerfectModule, SemiFreeModule, outer_tensor_modules,
-                      restrict_to_ground, semifree_map_to_explicit)
+from .modules import (ModuleMap, PerfectModule, SemiFreeModule, built_module,
+                      outer_tensor_modules, restrict_to_ground,
+                      semifree_map_to_explicit)
 
 Builder = Callable[[], Tuple[PerfectModule, Tuple[AlgebraElement, ...]]]
 SepBuilder = Callable[[], AlgebraElement]
@@ -113,44 +118,74 @@ def separable_resolution(a: DgAlgebra, sep_idem: AlgebraElement,
                               name=name)
 
 
-def quiver_resolution(a: DgAlgebra, vertex_idems: Sequence[int],
-                      arrows: Sequence[Tuple[int, int, int]],
-                      name: str = "") -> DiagonalResolution:
-    """Two-term arrow resolution of the path algebra of an acyclic quiver.
+def path_algebra(vertices: Sequence[str],
+                 arrows: Sequence[Tuple[str, int, int]]) -> DgAlgebra:
+    """The path algebra of a finite acyclic quiver, validated.
 
-    vertex_idems: basis indices of the primitive idempotents e_v.
-    arrows: (basis index of the arrow x, source vertex position, target
-    vertex position) with the convention e_src x = x = x e_tgt, i.e. the
-    arrow spans e_src A e_tgt.
-
-    Generators: one per arrow in degree -1 (shift 1) mapping to
-    (x (x) e_tgt) G_src - (e_src (x) x) G_tgt, then one per vertex in degree
-    0 with idempotent e_v (x) e_v and augmentation e_v.
+    Each arrow is (label, source, target), the endpoints positions in
+    `vertices`, and spans e_source A e_target: e_source x = x = x e_target,
+    so the path ab runs along a, then along b.  The basis is the vertex
+    idempotents, then the paths by length, each length in the order of its
+    arrow sequences; a path is labelled by its arrows' labels in order, and
+    arrow t is basis element len(vertices) + t.  All in degree 0, with unit
+    the sum of the vertices.  An endpoint out of range, or a cycle (a path
+    of len(vertices) arrows), raises `ValidationError`.
     """
+    nv = len(vertices)
+    for label, src, tgt in arrows:
+        if src not in range(nv) or tgt not in range(nv):
+            raise ValidationError(f"arrow {label} has an endpoint outside "
+                                  f"the {nv} vertices")
+    # a path is (source, target, arrow positions); a vertex has none
+    paths = [(v, v, ()) for v in range(nv)]
+    layer = [(src, tgt, (t,)) for t, (_, src, tgt) in enumerate(arrows)]
+    while layer:
+        if len(layer[0][2]) == nv:
+            raise ValidationError("the quiver has a cycle")
+        paths += layer
+        layer = [(src, tgt, seq + (t,)) for src, end, seq in layer
+                 for t, (_, start, tgt) in enumerate(arrows) if start == end]
+    index = {(src, seq): k for k, (src, _, seq) in enumerate(paths)}
+    mult = {(i, j): ((index[(src, p + q)], 1),)
+            for i, (src, end, p) in enumerate(paths)
+            for j, (start, _, q) in enumerate(paths) if end == start}
+    labels = list(vertices) + ["".join(arrows[t][0] for t in seq)
+                               for _, _, seq in paths[nv:]]
+    return validate_algebra(labels, [0] * len(paths), mult,
+                            [1] * nv + [0] * (len(paths) - nv))
+
+
+def quiver_resolution(vertices: Sequence[str],
+                      arrows: Sequence[Tuple[str, int, int]],
+                      name: str = "") -> DiagonalResolution:
+    """Two-term arrow resolution of `path_algebra(vertices, arrows)`.
+
+    Generators: one per arrow x from src to tgt in degree -1 (shift 1),
+    with idempotent e_src (x) e_tgt and
+    D(H_x) = (x (x) e_tgt) G_tgt - (e_src (x) x) G_src, the bimodule map
+    e_src (x) e_tgt -> x (x) e_tgt - e_src (x) x; then one per vertex v in
+    degree 0 with idempotent e_v (x) e_v and augmentation e_v.  The twist
+    and the idempotent are derived here, so the module is built unchecked
+    and `DiagonalResolution.validate` checks it.
+    """
+    a = path_algebra(vertices, arrows)
     env = tensor_algebras(a, opposite(a))
-    n = a.dim
+    n, na, nv = a.dim, len(arrows), len(vertices)
 
     def pair(x: int, y: int, c=1) -> SparseVec:
         """c e_x (x) e_y in A^e."""
         return ((x * n + y, c),)
 
     def build():
-        na, nv = len(arrows), len(vertex_idems)
         shifts = [1] * na + [0] * nv
-        labels = [f"arr{t}" for t in range(na)] + [f"vtx{t}" for t in range(nv)]
-        # d(H_x) = (x (x) e_tgt) G_tgt - (e_src (x) x) G_src, the bimodule
-        # map e_src (x) e_tgt -> x (x) e_tgt - e_src (x) x.
-        tw = [tuple(sorted([(na + tgt, pair(x, vertex_idems[tgt])),
-                            (na + src, pair(vertex_idems[src], x, -1))]))
-              for (x, src, tgt) in arrows] + [()] * nv
-        mod = SemiFreeModule.from_columns(env, shifts, tw, labels)
-        idem = ModuleMap.from_columns(mod, mod, 0, [
-            ((t, pair(vertex_idems[src], vertex_idems[tgt])),)
-            for t, (x, src, tgt) in enumerate(arrows)] + [
-            ((na + t, pair(v, v)),) for t, v in enumerate(vertex_idems)])
-        aug = tuple([a.zero()] * na
-                    + [a.basis_element(v) for v in vertex_idems])
-        return PerfectModule(mod, idem), aug
+        labels = [f"arr{t}" for t in range(na)] + [f"vtx{v}" for v in range(nv)]
+        tw = [tuple(sorted([(na + tgt, pair(nv + t, tgt)),
+                            (na + src, pair(src, nv + t, -1))]))
+              for t, (_, src, tgt) in enumerate(arrows)] + [()] * nv
+        idem = [((t, pair(src, tgt)),) for t, (_, src, tgt) in enumerate(arrows)]
+        idem += [((na + v, pair(v, v)),) for v in range(nv)]
+        aug = tuple([a.zero()] * na + [a.basis_element(v) for v in range(nv)])
+        return built_module(env, shifts, tw, labels, idem), aug
 
     return DiagonalResolution(a, build, name=name)
 

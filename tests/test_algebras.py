@@ -130,8 +130,8 @@ def test_tensor_unit_law(a2, kfield):
 
 
 def test_tensor_dims(a2):
-    from dgtrace.catalog import split_pair
-    t = tensor_algebras(a2, split_pair())
+    from dgtrace.resolutions import path_algebra
+    t = tensor_algebras(a2, path_algebra(["e1", "e2"], []))
     assert t.dim == 6
     t.validate()
 

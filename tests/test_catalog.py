@@ -1,6 +1,8 @@
 import json
 import time
 
+import pytest
+
 from dgtrace.cli import main
 from dgtrace.hochschild import hh0_space
 
@@ -38,6 +40,13 @@ def test_m2_resolution_length_zero(cat):
 def test_a3_entry(cat, a3):
     assert a3.dim == 6
     assert hh0_space(a3).dim == 3
+
+
+@pytest.mark.parametrize("name", ("k", "kxk", "M2", "A2", "A3", "Kronecker"))
+def test_catalog_resolution_validates(cat, name):
+    # A2xA2 has its own test below; the quiver resolutions are built
+    # unchecked, so this is their check
+    assert cat[name].resolution.validate() is cat[name].resolution
 
 
 def test_a2xa2_resolution_validates(cat):

@@ -4,8 +4,7 @@ import pytest
 
 from dgtrace import complexes, duality
 from dgtrace.algebras import AlgebraIso, opposite, tensor_algebras
-from dgtrace.catalog import (ground_field, kronecker_algebra, matrix_2x2,
-                             path_algebra_a2, path_algebra_a3, split_pair)
+from dgtrace.catalog import QUIVERS, matrix_2x2
 from dgtrace.cli import main
 from dgtrace.complexes import (ChainMap, cohomology_dims, column_blocks,
                                is_quasi_iso, keyed_blocks, linear_dual)
@@ -21,7 +20,7 @@ from dgtrace.modules import (HomOverAlgebra, PerfectModule, TensorOverAlgebra,
                              free_module, hom_over_algebra, projective_module,
                              restrict_to_ground)
 from dgtrace.prng import SplitMix64
-from dgtrace.resolutions import tensor_resolution
+from dgtrace.resolutions import path_algebra, tensor_resolution
 from dgtrace.sampling import EndoSampler, random_perfect, random_semifree
 
 F = Fraction
@@ -171,7 +170,7 @@ def test_omega_inverse_rejects_bad_augmentation(a2):
     from dgtrace.errors import AugmentationNotQuasiIso
     from dgtrace.resolutions import DiagonalResolution, quiver_resolution
     # break the augmentation: send every vertex generator to zero
-    module = quiver_resolution(a2, [0, 1], [(2, 0, 1)]).module
+    module = quiver_resolution(["e1", "e2"], [("a", 0, 1)]).module
     zeros = tuple(a2.zero() for _ in range(module.rank))
     bad = DiagonalResolution(a2, lambda: (module, zeros), name="broken")
     import pytest
@@ -233,10 +232,11 @@ def _right_action_as_left(a):
 
 def _fresh_algebras():
     """Catalog algebras built anew, so no table is memoised on them yet."""
-    a2 = path_algebra_a2()
-    return {"k": ground_field(), "kxk": split_pair(), "M2": matrix_2x2(),
-            "A2": a2, "A3": path_algebra_a3(), "Kronecker": kronecker_algebra(),
-            "A2xA2": tensor_algebras(a2, a2)}
+    fresh = {name: path_algebra(vertices, arrows)
+             for name, vertices, arrows, _ in QUIVERS}
+    fresh.update(k=path_algebra(["1"], []), kxk=path_algebra(["e1", "e2"], []),
+                 M2=matrix_2x2(), A2xA2=tensor_algebras(fresh["A2"], fresh["A2"]))
+    return fresh
 
 
 def test_dual_tables_refuse_a_right_action_as_a_left_one(monkeypatch):
@@ -258,7 +258,7 @@ def test_dual_tables_are_checked_once_per_algebra(monkeypatch):
         checked.append(module.algebra)
         check(module)
     monkeypatch.setattr(duality, "_check_module_axiom", counting)
-    a = path_algebra_a2()
+    a = path_algebra(["e1", "e2"], [("a", 0, 1)])
     m = free_module(a, [0, 1])
     for _ in range(3):
         duality.dual_right_module_data(m.module)

@@ -17,7 +17,11 @@ constructor, is the only caller in the package that turns the
 `PerfectModule.compress` return its own output unchanged is set in
 `ModuleMap._init` (cleared) and in `compress` alone.  In `suites.py` only
 `_tally`, which counts every battery's verdicts, and `rr_tally` hold an
-augmented assignment, so no battery keeps a counter by hand."""
+augmented assignment, so no battery keeps a counter by hand.
+`KernelTransfer` reads its kernel's diagonal and calls neither the factor
+restriction nor the trace-table contraction behind `cup` and
+`pair_scalar`, so the transfer stays independent of the other two
+pairing constructions."""
 
 import ast
 import importlib
@@ -174,3 +178,18 @@ def test_only_the_tallies_count_in_suites():
     leaks = _only_in(_counts, ("suites.py", "_tally"), ("suites.py", "rr_tally"),
                      files="suites.py")
     assert not leaks, leaks
+
+
+# what the transfer table must not call: the factor restriction, and the
+# trace-table contraction that the cup and the scalar pairing share
+TRANSFER_AVOIDS = {"restrict_to_factor", "_pair_trace_table", "_contract",
+                   "cup", "pair_scalar"}
+
+
+def test_kernel_transfer_calls_no_other_pairing_construction():
+    tree = ast.parse((SRC / "pairing.py").read_text(encoding="utf-8"))
+    transfer = next(node for node in tree.body if isinstance(node, ast.ClassDef)
+                    and node.name == "KernelTransfer")
+    called = {_called_name(node) for node in ast.walk(transfer)}
+    assert "diagonal" in called
+    assert not called & TRANSFER_AVOIDS, sorted(called & TRANSFER_AVOIDS)

@@ -6,21 +6,23 @@ from types import SimpleNamespace
 import pytest
 
 from dgtrace.algebras import (DgAlgebra, opposite, pure_tensor, sparse,
-                              tensor_algebras)
-from dgtrace.catalog import catalog_entry, path_algebra_a2
+                              tensor_algebras, validate_algebra)
+from dgtrace.catalog import catalog_entry
 from dgtrace.errors import (IdempotentIncompatible, NoDiagonalResolutionForB,
                             NotSeparableB)
 from dgtrace.hochschild import (euler_class, generalized_supertrace, hh0_space,
                                 hh_class)
 from dgtrace.modules import (ModuleMap, PerfectModule, SemiFreeModule,
                              cone_module, direct_sum_modules, free_module,
-                             projective_module, right_multiplication_map)
+                             projective_module, restrict_to_factor,
+                             right_multiplication_map)
 from dgtrace.pairing import (KernelTransfer, compose_kernels_separable, cup,
                              diagonal_class, kunneth, pair_scalar,
                              pairing_three_ways, unit_algebra,
                              rr_left_side, verify_kernel_composition,
                              verify_rr, _pair_trace_table)
 from dgtrace.prng import SplitMix64, stream_for
+from dgtrace.resolutions import path_algebra
 from dgtrace.sampling import (EndoSampler, random_coeff, random_module_with_endos,
                               random_perfect)
 from dgtrace.suites import adapt_suite, cartan_tables, pairing_coherence_suite
@@ -355,7 +357,8 @@ def test_phi_table_matches_summed_right_multiplication(cat, name):
     with_idempotent = 0
     for kernel, left in kernels:
         transfer = KernelTransfer(kernel, left, b)
-        restricted, e = transfer.restricted, transfer.restricted.idempotent
+        restricted, index = restrict_to_factor(kernel, left, transfer.bop, "first")
+        e = restricted.idempotent
         with_idempotent += e is not None
         assert len(transfer.traces) == transfer.bop.dim
         for _ in range(4):
@@ -363,13 +366,41 @@ def test_phi_table_matches_summed_right_multiplication(cat, name):
             direct = ModuleMap.zero(restricted.module, restricted.module, 0)
             for t, c in enumerate(x.coords):
                 direct = direct + right_multiplication_map(
-                    restricted, transfer.index, left, transfer.bop, t).scale(c)
+                    restricted, index, left, transfer.bop, t).scale(c)
             want = hh0_space(left).class_of(
                 generalized_supertrace(restricted, direct, e))
             got = transfer.apply(hh0_space(b).class_of(x))
             assert got.representative.coords == want.representative.coords
             assert got.coords == want.coords
     assert with_idempotent >= 1
+
+
+def test_transfer_over_a_basis_whose_products_are_not_basis_elements(cat):
+    """A2 on the basis e1, 1 = e1 + e2, a, where e1 1 = 1 e1 = e1: there
+    tr(y -> e1 y e1) = 1, while two basis elements u have u e1 = e1 u, so
+    a table that matched b_u b_p against b_t b_u, in place of b_t b_u b_p
+    against b_u, would read 2.  On the catalog's bases the two agree.  The
+    transfer of each basis class against the supertrace of the right
+    multiplication on the restricted kernel."""
+    mult = {(0, 0): ((0, 1),), (0, 1): ((0, 1),), (1, 0): ((0, 1),),
+            (1, 1): ((1, 1),), (0, 2): ((2, 1),), (1, 2): ((2, 1),),
+            (2, 1): ((2, 1),)}
+    b = validate_algebra(["e1", "1", "a"], [0, 0, 0], mult, [0, 1, 0])
+    a = cat["kxk"].algebra
+    bop = opposite(b)
+    ab = tensor_algebras(a, bop)
+    rng = stream_for(97, 0)
+    kernels = [random_perfect(ab, rng, [0, 3], max_gens=2, shift_range=(-1, 1))
+               for _ in range(3)] + [projective_module(ab, ab.basis_element(0))]
+    for kernel in kernels:
+        transfer = KernelTransfer(kernel, a, b)
+        restricted, index = restrict_to_factor(kernel, a, bop, "first")
+        for t in range(b.dim):
+            rmul = right_multiplication_map(restricted, index, a, bop, t)
+            want = hh0_space(a).class_of(generalized_supertrace(
+                restricted, rmul, restricted.idempotent))
+            got = transfer.apply(hh0_space(b).class_of(b.basis_element(t)))
+            assert got.coords == want.coords
 
 
 # -- three pairings and the main theorem --------------------------------------
@@ -699,7 +730,7 @@ def test_trace_table_and_pairing_match_dense_products(cat):
 
 def test_derived_tables_live_and_die_with_the_algebra():
     # on a fresh copy of A2: the catalog's algebras live for the process
-    a = path_algebra_a2()
+    a = path_algebra(["e1", "e2"], [("a", 0, 1)])
     env = tensor_algebras(opposite(a), a)
     assert hh0_space(env) is hh0_space(env)
     assert _pair_trace_table(env) is _pair_trace_table(env)

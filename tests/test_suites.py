@@ -206,9 +206,9 @@ def test_pairing_coherence_sees_a_broken_unit_law(monkeypatch):
 
 
 def test_pairing_coherence_sees_a_pairing_moved_by_a_commutator(monkeypatch):
-    # calls 0-4 pair the basis classes of k and kxk, which have no nonzero
-    # commutator; call 5 is M2's unshifted pairing, call 6 its first shift
-    _corrupt_nth(monkeypatch, "pair_scalar", 6, _bump)
+    # k and kxk have no nonzero commutator, so they pair nothing; call 0 is
+    # M2's unshifted pairing, call 1 its first shifted one
+    _corrupt_nth(monkeypatch, "pair_scalar", 1, _bump)
     _coherence_failure(suites.pairing_coherence_suite(SEED), "well_defined")
 
 
