@@ -4,12 +4,13 @@ HH_0 of an ordinary algebra is the commutator quotient A/[A,A]; the
 Hochschild class of a closed degree-0 endomorphism f of a perfect module is
 the generalized supertrace
 
-    hh(M, f) = [ sum_i (-1)^{s_i} (e f e)[i][i] ]  in  A/[A,A],
+    hh(M, f) = [ sum_i (-1)^{s_i} f[i][i] ]  in  A/[A,A],
 
-with e the module's idempotent (identity when absent).  The dual description
-via Hom over the enveloping algebra out of the inverse dualizing module is
-computed independently and compared by dimensions; the class itself is
-compared too, as eps . (f (x) 1) . eta read in HH_0
+read off f alone: an endomorphism of the summand cut out by the module's
+idempotent e satisfies e f e = f, and any other map is refused.  The dual
+description via Hom over the enveloping algebra out of the inverse
+dualizing module is computed independently and compared by dimensions; the
+class itself is compared too, as eps . (f (x) 1) . eta read in HH_0
 (`duality.EvaluationData.composite_class`).
 
 An HH_0 space presents the quotient, and a class projects its
@@ -23,7 +24,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Tuple
 
-from .algebras import AlgebraElement, DgAlgebra, sparse
+from .algebras import AlgebraElement, DgAlgebra
 from . import duality
 from .complexes import GradedSpace
 from .errors import (AlgebraMismatch, DimensionMismatch, IdempotentIncompatible,
@@ -147,33 +148,18 @@ def hh0_space(a: DgAlgebra) -> HH0Space:
     return a._hh0
 
 
-def diagonal(f: ModuleMap, e: Optional[ModuleMap] = None) -> list:
-    """Per generator i, the nonzero coordinates of the entry f[i][i], or of
-    (f . e)[i][i] = sum_j e[j][i] * f[i][j] for degree-0 f and e: the terms
-    `ModuleMap.compose` sums for that entry, in its order, without the rest
-    of f . e."""
-    if e is None:
-        return [next((vec for j, vec in col if j == i), ())
-                for i, col in enumerate(f.columns)]
-    a = f.source.algebra
-    entry = {(i, j): v for j, col in enumerate(f.columns) for i, v in col}
-    out = []
-    for i, col in enumerate(e.columns):
-        acc = [0] * a.dim
-        for j, u in col:
-            v = entry.get((i, j))
-            if v:
-                a.add_product(acc, u, v)
-        out.append(sparse(acc))
-    return out
+def diagonal(f: ModuleMap) -> list:
+    """Per generator i, the nonzero coordinates of the entry f[i][i]."""
+    return [next((vec for j, vec in col if j == i), ())
+            for i, col in enumerate(f.columns)]
 
 
-def generalized_supertrace(m: PerfectModule, f: ModuleMap,
-                           e: Optional[ModuleMap] = None) -> AlgebraElement:
-    """sum_i (-1)^{s_i} f[i][i] in A (no projection), or the same sum over
-    (f . e)[i][i] when an idempotent e is given."""
+def generalized_supertrace(m: PerfectModule, f: ModuleMap) -> AlgebraElement:
+    """sum_i (-1)^{s_i} f[i][i] in A (no projection): the one module-level
+    supertrace, for `hh_class` and the trace formula's left side; the
+    kernel transfer reads the same `diagonal` term by term."""
     total = [0] * m.algebra.dim
-    for s, vec in zip(m.shifts, diagonal(f, e)):
+    for s, vec in zip(m.shifts, diagonal(f)):
         for t, c in vec:
             total[t] += -c if s % 2 else c
     return m.algebra.element(total)
@@ -192,9 +178,8 @@ def hh_class(m: PerfectModule, f: ModuleMap,
         raise DimensionMismatch("map is not an endomorphism of the module")
     if not f.is_closed():
         raise NotClosed("Hochschild class of a closed map only")
-    if m.idempotent is not None:
-        if m.compress(f) != f:
-            raise IdempotentIncompatible("endomorphism does not factor through e")
+    if m.idempotent is not None and m.compress(f) != f:
+        raise IdempotentIncompatible("endomorphism does not factor through e")
     if space is None:
         space = hh0_space(a)
     return space.class_of(generalized_supertrace(m, f))

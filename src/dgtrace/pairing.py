@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .algebras import (DgAlgebra, SparseVec, opposite, pure_tensor, sparse,
                        tensor_algebras)
-from .errors import (AlgebraMismatch, DimensionMismatch,
+from .errors import (AlgebraMismatch, DimensionMismatch, IdempotentIncompatible,
                      NoDiagonalResolutionForB, NotDegreeZeroConcentrated,
                      NotSeparableB, WrongDegree)
 from .hochschild import (HH0Space, HochschildClass, diagonal, euler_class,
@@ -289,32 +289,37 @@ def rr_left_side(n: PerfectModule, m: PerfectModule,
                  g: Optional[ModuleMap], f: Optional[ModuleMap]) -> Fraction:
     """hh_k(N (x)_A M, g (x) f), read off keyed diagonals.
 
-    N (x)_A M is realized on the keys (i, u), i a generator of M and u =
-    (k, b) the key e_b g_k of N over A^op, in degree |b| - s_k - s_i.  For
-    degree-0 maps (g (x) f)(e_N (x) e_M) = G (x) F with G = g . e_N and
-    F = f . e_M, so the class is sum (-1)^{deg u - s_i} [u] (G(u) . F[i][i]).
-    The action on e_b g_k keeps the generator k, so only F[i][i] and
-    G[k][k] are read.  The coefficient is linear in F[i][i], so M is summed
-    out first, X = sum_i (-1)^{s_i} F[i][i], its right action is tabled
-    once, and each key u = (k, b) of N adds (-1)^{|b| - s_k} [u] (G(u) . X).
-    The products are read off A^op's `rows`, and the left side stays
-    independent of the trace table the right side reads: no realization,
-    tensor complex, projector or matrix is built."""
+    g and f are endomorphisms of the summands, as `hh_class` takes them:
+    each factors through its module's idempotent (e f e = f), and a missing
+    one is the summand's identity, the idempotent itself.  N (x)_A M is
+    realized on the keys (i, u), i a generator of M and u = (k, b) the key
+    e_b g_k of N over A^op, in degree |b| - s_k - s_i, and the class is
+    sum (-1)^{deg u - s_i} [u] (g(u) . f[i][i]).  The action on e_b g_k
+    keeps the generator k, so only f[i][i] and g[k][k] are read.  The
+    coefficient is linear in f[i][i], so M is summed out first,
+    X = sum_i (-1)^{s_i} f[i][i], its right action is tabled once, and each
+    key u = (k, b) of N adds (-1)^{|b| - s_k} [u] (g(u) . X).  The products
+    are read off A^op's `rows`, and the left side stays independent of the
+    trace table the right side reads: no realization, tensor complex,
+    projector or matrix is built."""
     if not opposite(n.algebra).same_structure(m.algebra):
         raise AlgebraMismatch("left factor must live over the opposite algebra")
-    traced = []  # (phi, e) for phi . e; a missing map or idempotent is the identity
+    maps = []
     for p, phi in ((n, g), (m, f)):
         if phi is None:
-            traced.append((p.identity_map(), None))
+            maps.append(p.identity_map())
             continue
         if phi.degree != 0:
             raise WrongDegree("the trace formula takes degree-0 maps")
         if not phi.source == p.module == phi.target:
             raise DimensionMismatch("map is not an endomorphism of the module")
-        traced.append((phi.validate(), p.idempotent))
-    g_diagonal = diagonal(*traced[0])
-    # X = sum_i (-1)^{s_i} F[i][i] over A, in stored form
-    x = sparse(generalized_supertrace(m, *traced[1]).coords)
+        phi.validate()
+        if p.idempotent is not None and p.compress(phi) != phi:
+            raise IdempotentIncompatible("endomorphism does not factor through e")
+        maps.append(phi)
+    g_diagonal = diagonal(maps[0])
+    # X = sum_i (-1)^{s_i} f[i][i] over A, in stored form
+    x = sparse(generalized_supertrace(m, maps[1]).coords)
     aop = n.algebra
     rows = aop.rows
     # times_x[b][b2] = [e_b](e_t .op e_b2) summed over the terms x_t e_t of X
@@ -326,7 +331,7 @@ def rr_left_side(n: PerfectModule, m: PerfectModule,
     total = 0
     for k, shift in enumerate(n.shifts):
         for b, degree in enumerate(aop.degrees):
-            # [u] (G(u) . X) for u = e_b g_k, G(u) = e_b G[k][k] g_k over A^op
+            # [u] (g(u) . X) for u = e_b g_k, g(u) = e_b g[k][k] g_k over A^op
             row_b, x_b = rows[b], times_x[b]
             coeff = 0
             for t, c in g_diagonal[k]:

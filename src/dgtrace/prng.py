@@ -20,7 +20,13 @@ _MIX2 = 0x94D049BB133111EB
 
 
 class SplitMix64:
-    """Stream of pseudo-random 64-bit words from a single seed."""
+    """Stream of pseudo-random 64-bit words from a single seed.  The first
+    outputs for seed 0 are those of the splitmix64 reference:
+
+    >>> rng = SplitMix64(0)
+    >>> hex(rng.next_u64()), hex(rng.next_u64())
+    ('0xe220a8397b1dcdaf', '0x6e789e6aa1b965f4')
+    """
 
     __slots__ = ("state",)
 

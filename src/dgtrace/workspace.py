@@ -45,17 +45,22 @@ _KIND_NAMES = {dict: "an object", list: "a list", str: "a string",
                int: "an integer"}
 
 
+def _is_int(value) -> bool:
+    """A JSON integer: booleans are not integers."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _expect(value, kind, what: str, where: str):
     """value when it is a JSON value of the given kind, else a located
-    WorkspaceError (JSON booleans are not integers)."""
-    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+    WorkspaceError."""
+    if not (_is_int(value) if kind is int else isinstance(value, kind)):
         raise WorkspaceError(f"{what} must be {_KIND_NAMES[kind]}", where)
     return value
 
 
 def parse_rational(text, where: str) -> Fraction:
     try:
-        if isinstance(text, int):
+        if _is_int(text):
             return Fraction(text)
         if isinstance(text, str):
             return Fraction(text)
@@ -105,7 +110,7 @@ def _parse_algebra(name: str, data: dict) -> DgAlgebra:
     for t, b in enumerate(basis):
         if not isinstance(b, dict) or "label" not in b:
             raise WorkspaceError(f"basis[{t}] needs a label", where)
-        labels.append(str(b["label"]))
+        labels.append(_expect(b["label"], str, f"basis[{t}].label", where))
         degrees.append(_expect(b.get("degree", 0), int, f"basis[{t}].degree",
                                where))
     n = len(labels)
@@ -115,7 +120,7 @@ def _parse_algebra(name: str, data: dict) -> DgAlgebra:
             raise WorkspaceError(f"mult[{t}] must be [i, j, k, value]", where)
         i, j, k, val = trip
         for idx in (i, j, k):
-            if not isinstance(idx, int) or not 0 <= idx < n:
+            if not _is_int(idx) or not 0 <= idx < n:
                 raise WorkspaceError(
                     f"mult[{t}] index {idx} out of range 0..{n - 1}", where)
         c = parse_rational(val, f"{where}.mult[{t}]")
@@ -134,8 +139,7 @@ def _parse_algebra(name: str, data: dict) -> DgAlgebra:
         if not (isinstance(trip, list) and len(trip) == 3):
             raise WorkspaceError(f"differential[{t}] must be [i, j, value]", where)
         i, j, val = trip
-        if not (isinstance(i, int) and 0 <= i < n and isinstance(j, int)
-                and 0 <= j < n):
+        if not (_is_int(i) and 0 <= i < n and _is_int(j) and 0 <= j < n):
             raise WorkspaceError(f"differential[{t}] index out of range", where)
         diff.setdefault(i, [])
         diff[i] = list(diff[i]) + [(j, parse_rational(val, where))]
@@ -153,8 +157,8 @@ def _parse_entry_matrix(data, rank_rows: int, rank_cols: int, alg: DgAlgebra,
         if not (isinstance(trip, list) and len(trip) == 3):
             raise WorkspaceError(f"entry[{t}] must be [row, col, coords]", where)
         j, i, coords = trip
-        if not (isinstance(j, int) and 0 <= j < rank_rows
-                and isinstance(i, int) and 0 <= i < rank_cols):
+        if not (_is_int(j) and 0 <= j < rank_rows
+                and _is_int(i) and 0 <= i < rank_cols):
             raise WorkspaceError(f"entry[{t}] position out of range", where)
         if not isinstance(coords, list) or len(coords) != alg.dim:
             raise WorkspaceError(
@@ -176,7 +180,8 @@ def _parse_module(name: str, data: dict, ws: Workspace) -> PerfectModule:
         raise WorkspaceError("module needs a nonempty generator list", where)
     for t, g in enumerate(gens):
         _expect(g, dict, f"generators[{t}]", where)
-    labels = [str(g.get("label", f"g{t}")) for t, g in enumerate(gens)]
+    labels = [_expect(g.get("label", f"g{t}"), str, f"generators[{t}].label",
+                      where) for t, g in enumerate(gens)]
     shifts = [_expect(g.get("shift", 0), int, f"generators[{t}].shift", where)
               for t, g in enumerate(gens)]
     rank = len(gens)
@@ -229,8 +234,8 @@ def parse_workspace(text: str) -> Workspace:
     if not isinstance(data, dict):
         raise WorkspaceError("workspace must be a JSON object")
     fmt = data.get("format", FORMAT_VERSION)
-    if fmt != FORMAT_VERSION:
-        raise WorkspaceError(f"unsupported format {fmt!r}")
+    if not _is_int(fmt) or fmt != FORMAT_VERSION:
+        raise WorkspaceError(f"unsupported format {fmt!r}", "format")
     ws = Workspace()
     ws.raw = data
     for t, name in enumerate(_expect(data.get("use_catalog", []), list,

@@ -367,8 +367,10 @@ def test_phi_table_matches_summed_right_multiplication(cat, name):
             for t, c in enumerate(x.coords):
                 direct = direct + right_multiplication_map(
                     restricted, index, left, transfer.bop, t).scale(c)
+            if e is not None:
+                direct = direct.compose(e)
             want = hh0_space(left).class_of(
-                generalized_supertrace(restricted, direct, e))
+                generalized_supertrace(restricted, direct))
             got = transfer.apply(hh0_space(b).class_of(x))
             assert got.representative.coords == want.representative.coords
             assert got.coords == want.coords
@@ -397,8 +399,9 @@ def test_transfer_over_a_basis_whose_products_are_not_basis_elements(cat):
         restricted, index = restrict_to_factor(kernel, a, bop, "first")
         for t in range(b.dim):
             rmul = right_multiplication_map(restricted, index, a, bop, t)
-            want = hh0_space(a).class_of(generalized_supertrace(
-                restricted, rmul, restricted.idempotent))
+            if restricted.idempotent is not None:
+                rmul = rmul.compose(restricted.idempotent)
+            want = hh0_space(a).class_of(generalized_supertrace(restricted, rmul))
             got = transfer.apply(hh0_space(b).class_of(b.basis_element(t)))
             assert got.coords == want.coords
 
@@ -517,6 +520,25 @@ def test_rr_scaled_cone(a2):
     scaled = verify_rr(cn, three, n, n.identity_map())
     assert base.equal and scaled.equal
     assert scaled.lhs == 3 * base.lhs
+
+
+def test_rr_left_side_refuses_a_map_off_the_summand(a2):
+    """The raw identity of the carrier of P_{e2} = A e2 does not factor
+    through e2, so the left side refuses it on either factor, as
+    `hh_class` does; a missing map is the summand's identity, e2 itself."""
+    aop = opposite(a2)
+    m = projective_module(a2, a2.by_label("e2"))
+    n = projective_module(aop, aop.by_label("e2"))
+    raw_m, raw_n = ModuleMap.identity(m.module), ModuleMap.identity(n.module)
+    for g, f in ((None, raw_m), (raw_n, None), (raw_n, raw_m)):
+        with pytest.raises(IdempotentIncompatible):
+            rr_left_side(n, m, g, f)
+    with pytest.raises(IdempotentIncompatible):
+        verify_rr(m, raw_m, n, n.identity_map())
+    with pytest.raises(IdempotentIncompatible):
+        verify_rr(m, m.identity_map(), n, raw_n)
+    assert rr_left_side(n, m, None, None) == 1
+    assert rr_left_side(n, m, n.identity_map(), m.identity_map().scale(3)) == 3
 
 
 def random_degree_zero_element(a, rng):

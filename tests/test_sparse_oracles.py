@@ -374,10 +374,10 @@ def test_compressed_supertrace_matches_dense_compression(cat):
 
 
 def test_diagonal_of_composite_matches_dense_composite(cat):
-    """diagonal(f, g) is the diagonal of the dense f . g entry by entry for
-    any degree-0 g (the sampled idempotents are often diagonal, which would
-    hide a transposed read), and the supertrace over it with g = e is that
-    of f . e."""
+    """The diagonal of the sparse f . g is that of the dense f . g entry by
+    entry for any degree-0 g (the sampled idempotents are often diagonal,
+    which would hide a transposed read), and so is the supertrace of
+    f . e."""
     with_e = 0
     for name in ("kxk", "M2", "A2", "A3", "Kronecker", "A2xA2"):
         ent = cat[name]
@@ -386,9 +386,9 @@ def test_diagonal_of_composite_matches_dense_composite(cat):
             p = random_perfect(ent.algebra, rng, ent.idempotents, max_gens=3)
             f = random_map(p.module, p.module, 0, rng)
             g = random_map(p.module, p.module, 0, rng)
-            assert diagonal(f, g) == diagonal(dense_compose(f, g))
+            assert diagonal(f.compose(g)) == diagonal(dense_compose(f, g))
             if p.idempotent is not None:
-                assert (generalized_supertrace(p, f, p.idempotent)
+                assert (generalized_supertrace(p, f.compose(p.idempotent))
                         == generalized_supertrace(p, dense_compose(f, p.idempotent)))
                 with_e += 1
     assert with_e > 0

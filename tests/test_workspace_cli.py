@@ -223,6 +223,52 @@ def test_cli_malformed_node_exits_with_input_error(bad, where, tmp_path, capsys)
     assert err.startswith(f"input error: {where}")
 
 
+ONE_DIM = {
+    "format": 1,
+    "algebras": {"K": {"basis": [{"label": "1", "degree": 0}],
+                       "mult": [[0, 0, 0, "1"]], "unit": ["1"]}},
+    "modules": {"M": {"algebra": "K", "generators": [{"label": "g", "shift": 0}]}},
+    "maps": {"f": {"source": "M", "target": "M", "degree": 0,
+                   "entries": [[0, 0, ["1"]]]}},
+}
+
+
+@pytest.mark.parametrize("path, value, message", [
+    (("format",), True, "format: unsupported format True"),
+    (("algebras", "K", "unit", 0), True,
+     "algebras.K.unit: not an exact rational: True"),
+    (("algebras", "K", "mult", 0, 0), False,
+     "algebras.K: mult[0] index False out of range 0..0"),
+    (("algebras", "K", "mult", 0, 3), True,
+     "algebras.K.mult[0]: not an exact rational: True"),
+    (("algebras", "K", "differential"), [[False, 0, "0"]],
+     "algebras.K: differential[0] index out of range"),
+    (("algebras", "K", "basis", 0, "label"), 7,
+     "algebras.K: basis[0].label must be a string"),
+    (("modules", "M", "generators", 0, "label"), 7,
+     "modules.M: generators[0].label must be a string"),
+    (("maps", "f", "entries", 0, 1), False,
+     "maps.f.entries: entry[0] position out of range"),
+    (("maps", "f", "entries", 0, 2, 0), True,
+     "maps.f.entries: not an exact rational: True"),
+])
+def test_cli_refuses_json_booleans_and_numeric_labels(path, value, message,
+                                                      tmp_path, capsys):
+    """JSON true and false are not the integers 1 and 0, and a label is a
+    string: each is refused where it stands, with exit 2."""
+    doc = json.loads(json.dumps(ONE_DIM))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    file = tmp_path / "ws.json"
+    file.write_text(json.dumps(doc))
+    assert main(["--workspace", str(file), "validate"]) == 2
+    assert capsys.readouterr().err == f"input error: {message}\n"
+    file.write_text(json.dumps(ONE_DIM))
+    assert main(["--workspace", str(file), "validate"]) == 0
+
+
 def test_cli_twist_not_squaring_to_zero_exits_with_input_error(tmp_path, capsys):
     """Over A2 with shifts [2, 1, 0], delta_10 = e1 and delta_21 = a give
     D^2(g_0) = a g_2."""
