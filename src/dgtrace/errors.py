@@ -70,7 +70,7 @@ class NoDiagonalResolutionForB(DgError):
 
 
 class NotSeparableB(DgError):
-    """Kernel composition requested over a non-separable middle algebra."""
+    """A separability idempotent asked of a resolution that ships none."""
 
 
 class AlgebraMismatch(DgError):

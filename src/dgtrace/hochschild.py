@@ -6,12 +6,12 @@ the generalized supertrace
 
     hh(M, f) = [ sum_i (-1)^{s_i} f[i][i] ]  in  A/[A,A],
 
-read off f alone: an endomorphism of the summand cut out by the module's
-idempotent e satisfies e f e = f, and any other map is refused.  The dual
-description via Hom over the enveloping algebra out of the inverse
-dualizing module is computed independently and compared by dimensions; the
-class itself is compared too, as eps . (f (x) 1) . eta read in HH_0
-(`duality.EvaluationData.composite_class`).
+read off f alone: `PerfectModule.endomorphism` admits f as a map of the
+summand cut out by the idempotent e (degree 0, entry degrees, e f e = f),
+and `hh_class` adds only closedness.  The dual description via Hom over
+A^e out of the inverse dualizing module is computed independently and
+compared by dimensions; the class itself is compared too, as
+eps . (f (x) 1) . eta read in HH_0 (`duality.EvaluationData.composite_class`).
 
 An HH_0 space presents the quotient, and a class projects its
 representative, on first read: the pairings and the trace formula read
@@ -27,8 +27,7 @@ from typing import Optional, Tuple
 from .algebras import AlgebraElement, DgAlgebra
 from . import duality
 from .complexes import GradedSpace
-from .errors import (AlgebraMismatch, DimensionMismatch, IdempotentIncompatible,
-                     NotClosed, NotDegreeZeroConcentrated, WrongDegree)
+from .errors import AlgebraMismatch, NotClosed, NotDegreeZeroConcentrated
 from .linalg import (ONE, ZERO, SubspacePresentation, _canon, echelon_basis,
                      quotient_presentation)
 from .modules import HomOverAlgebra, ModuleMap, PerfectModule
@@ -167,22 +166,14 @@ def generalized_supertrace(m: PerfectModule, f: ModuleMap) -> AlgebraElement:
 
 def hh_class(m: PerfectModule, f: ModuleMap,
              space: Optional[HH0Space] = None) -> HochschildClass:
-    """Hochschild class of a closed degree-0 endomorphism compatible with
-    the module's idempotent (e f e = f exactly when e is present)."""
-    a = m.algebra
-    if not a.is_degree_zero():
+    """Hochschild class of a closed endomorphism f of the summand, which
+    `m.endomorphism` admits (degree 0, entry degrees, e f e = f)."""
+    if not m.algebra.is_degree_zero():
         raise NotDegreeZeroConcentrated("Hochschild classes need a degree-0 algebra")
-    if f.degree != 0:
-        raise WrongDegree("Hochschild class of a degree-0 map only")
-    if not f.source == m.module == f.target:
-        raise DimensionMismatch("map is not an endomorphism of the module")
-    if not f.is_closed():
+    if not m.endomorphism(f).is_closed():
         raise NotClosed("Hochschild class of a closed map only")
-    if m.idempotent is not None and m.compress(f) != f:
-        raise IdempotentIncompatible("endomorphism does not factor through e")
-    if space is None:
-        space = hh0_space(a)
-    return space.class_of(generalized_supertrace(m, f))
+    return (hh0_space(m.algebra) if space is None else space).class_of(
+        generalized_supertrace(m, f))
 
 
 def euler_class(m: PerfectModule, space: Optional[HH0Space] = None) -> HochschildClass:

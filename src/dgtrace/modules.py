@@ -35,9 +35,9 @@ sign reads an entry's degree from the shifts, not from its coordinates:
 `PerfectModule.compress(f)` = e . f . e is a projection: the map it makes
 carries `compressed_by = e`, and a map marked with that same idempotent
 object comes back unchanged, without a product.  This is exact because
-e e f e e = e f e once e . e = e, which `PerfectModule` checks on outside
-data and the builders guarantee for their own.  `ModuleMap._init` clears
-the mark, so every other map (sums, scales, products, `from_columns`
+e e f e e = e f e once e . e = e, which `PerfectModule.validate` checks on
+outside data and the builders guarantee for their own.  `ModuleMap._init`
+clears the mark, so every other map (sums, scales, products, `from_columns`
 rebuilds, boundary input) is compressed in full.
 
 Everything that is really done over k (Hom, tensor, cohomology) is
@@ -140,6 +140,20 @@ def _offset(col: Column, k: int) -> Column:
     return tuple((k + j, vec) for j, vec in col)
 
 
+def _compose_column(a: DgAlgebra, acc: Dict, col: Column, shifts, offset: int,
+                    psi: Sequence[Column], psi_degree: int, flip: int) -> Dict:
+    """Add sum_j (-1)^{flip + |psi| |phi[j][i]|} phi[j][i] * psi[l][j] to the
+    rows l of acc, for col = column i of phi, |phi[j][i]| = offset + shifts[j]:
+    the one composite kernel, for `compose` and `differential`."""
+    odd = psi_degree % 2
+    for j, u in col:
+        if flip ^ (odd and (offset + shifts[j]) % 2):
+            u = _neg(u)
+        for l, v in psi[j]:
+            a.add_product(_coords(acc, l, a.dim), u, v)
+    return acc
+
+
 def rows_of(columns: Sequence[Column], nrows: int) -> List[List]:
     """Per row j, its nonzero entries as (i, vec), i ascending."""
     rows: List[List] = [[] for _ in range(nrows)]
@@ -147,12 +161,6 @@ def rows_of(columns: Sequence[Column], nrows: int) -> List[List]:
         for j, vec in col:
             rows[j].append((i, vec))
     return rows
-
-
-def _degree(a: DgAlgebra, vec: SparseVec) -> Optional[int]:
-    """The degree of a nonzero vector, None when it is mixed."""
-    d = a.degrees[vec[0][0]]
-    return d if all(a.degrees[t] == d for t, _ in vec) else None
 
 
 def _neg(vec: SparseVec) -> SparseVec:
@@ -218,13 +226,14 @@ class SemiFreeModule:
 
     def validate(self) -> "SemiFreeModule":
         """Strict triangularity, entry degrees and D^2 = 0 of the twist."""
+        degrees = self.algebra.degrees
         for i, col in enumerate(self.twist_columns):
             for j, vec in col:
                 if j <= i:
                     raise TriangularityViolation(
                         f"twist entry at ({j},{i}) breaks the generator filtration")
                 want = 1 + self.shifts[j] - self.shifts[i]
-                if _degree(self.algebra, vec) != want:
+                if any(degrees[t] != want for t, _ in vec):
                     raise DegreeViolation(
                         f"twist entry ({j},{i}) must be homogeneous of degree {want}")
         if not any(self.twist_columns):
@@ -347,11 +356,11 @@ class ModuleMap:
 
     def validate(self) -> "ModuleMap":
         """Every entry [j][i] homogeneous of degree deg + t_j - s_i."""
-        a = self.source.algebra
+        degrees = self.source.algebra.degrees
         for i, col in enumerate(self.columns):
             for j, vec in col:
                 want = self.degree + self.target.shifts[j] - self.source.shifts[i]
-                if _degree(a, vec) != want:
+                if any(degrees[t] != want for t, _ in vec):
                     raise DegreeViolation(
                         f"map entry ({j},{i}) must have degree {want}")
         return self
@@ -398,28 +407,19 @@ class ModuleMap:
         sum_j (-1)^{|self| |other[j][i]|} other[j][i] * self[l][j]."""
         if other.target is not self.source and other.target != self.source:
             raise DimensionMismatch("module map composition mismatch")
-        a = self.source.algebra
-        odd = self.degree % 2
         ts, ss = other.target.shifts, other.source.shifts
-        columns = []
-        for i, col in enumerate(other.columns):
-            acc: Dict[int, List] = {}
-            for j, u in col:
-                if odd and (other.degree + ts[j] - ss[i]) % 2:
-                    u = _neg(u)
-                for l, v in self.columns[j]:
-                    a.add_product(_coords(acc, l, a.dim), u, v)
-            columns.append(_column(acc))
+        a = self.source.algebra
+        columns = [_column(_compose_column(a, {}, col, ts, other.degree - ss[i],
+                                           self.columns, self.degree, 0))
+                   for i, col in enumerate(other.columns)]
         return ModuleMap.from_columns(other.source, self.target,
                                       self.degree + other.degree, columns)
 
     def differential(self) -> "ModuleMap":
-        """d(phi) = D_N . phi - (-1)^{|phi|} phi . D_M at the matrix level:
-        entry (l, i) is d(phi[l][i]) + sum_j (-1)^{|phi[j][i]|} phi[j][i] *
-        deltaN[l][j] - sum_j (-1)^{|phi| (|deltaM[j][i]| + 1)} deltaM[j][i] *
-        phi[l][j], where |phi[j][i]| = |phi| + t_j - s_i and |deltaM[j][i]| + 1
-        = 2 + s_j - s_i.  With d_A = 0 and no twist on either side it is
-        zero."""
+        """d(phi) = D_N . phi - (-1)^{|phi|} phi . D_M at the matrix level: d_A
+        on each entry, then both composites with the twists through
+        `_compose_column`, the second's -(-1)^{|phi|} as its flip.  With
+        d_A = 0 and no twist on either side it is zero."""
         a = self.source.algebra
         n = self.degree
         twist_n = self.target.twist_columns
@@ -434,17 +434,9 @@ class ModuleMap:
                 for t, c in v:
                     for k, ck in a.diff.get(t, ()):
                         _coords(acc, l, a.dim)[k] += c * ck
-            for j, u in col:
-                if (n + ts[j] - ss[i]) % 2:
-                    u = _neg(u)
-                for l, w in twist_n[j]:
-                    a.add_product(_coords(acc, l, a.dim), u, w)
-            for j, u in twist_col:
-                if (n * (ss[j] - ss[i]) + 1) % 2:
-                    u = _neg(u)
-                for l, w in self.columns[j]:
-                    a.add_product(_coords(acc, l, a.dim), u, w)
-            columns.append(_column(acc))
+            _compose_column(a, acc, col, ts, n - ss[i], twist_n, 1, 0)
+            columns.append(_column(_compose_column(
+                a, acc, twist_col, ss, 1 - ss[i], self.columns, n, (n + 1) % 2)))
         return ModuleMap.from_columns(self.source, self.target, n + 1, columns)
 
     def is_closed(self) -> bool:
@@ -465,22 +457,42 @@ class ModuleMap:
 
 
 class PerfectModule:
-    """Semi-free carrier plus an optional exact chain-level idempotent,
-    checked unless check=False (passed by `built_module` alone)."""
+    """The summand of a semi-free module cut out by an optional exact
+    chain-level idempotent e, and the owner of its contract: `validate`
+    checks e, and `endomorphism` admits the maps of the summand."""
 
-    def __init__(self, module: SemiFreeModule, idempotent: Optional[ModuleMap] = None,
-                 check: bool = True):
+    def __init__(self, module: SemiFreeModule, idempotent: Optional[ModuleMap] = None):
         self.module = module
         self.idempotent = idempotent
-        if idempotent is not None and check:
-            if not idempotent.source == module == idempotent.target:
+        self.validate()
+
+    def validate(self) -> "PerfectModule":
+        """e, when present, is a closed degree-0 endomorphism with e . e = e."""
+        e = self.idempotent
+        if e is not None:
+            if not e.source == self.module == e.target:
                 raise DimensionMismatch("idempotent must be an endomorphism")
-            if idempotent.degree != 0:
+            if e.degree != 0:
                 raise WrongDegree("idempotent must have degree 0")
-            if not idempotent.is_closed():
+            if not e.is_closed():
                 raise NotClosed("idempotent must be closed")
-            if idempotent.compose(idempotent) != idempotent:
+            if e.compose(e) != e:
                 raise IdempotentIncompatible("idempotent is not exact (e.e != e)")
+        return self
+
+    def endomorphism(self, f: ModuleMap) -> ModuleMap:
+        """f, when it is an endomorphism of the summand: degree 0, on the
+        module, entry degrees valid, and e f e = f through `compress` (no
+        product on a map it compressed).  Closedness is the caller's."""
+        if f.degree != 0:
+            raise WrongDegree("an endomorphism of the summand has degree 0")
+        if not f.source == self.module == f.target:
+            raise DimensionMismatch("map is not an endomorphism of the module")
+        f.validate()
+        g = self.compress(f)
+        if g is not f and g != f:
+            raise IdempotentIncompatible("endomorphism does not factor through e")
+        return f
 
     @property
     def algebra(self) -> DgAlgebra:
@@ -496,9 +508,8 @@ class PerfectModule:
 
     def identity_map(self) -> ModuleMap:
         """Chain representative of the identity of the summand."""
-        if self.idempotent is not None:
-            return self.idempotent
-        return ModuleMap.identity(self.module)
+        e = self.idempotent
+        return ModuleMap.identity(self.module) if e is None else e
 
     def compress(self, f: ModuleMap) -> ModuleMap:
         """e . f . e, a projection: a map this idempotent object compressed
@@ -513,8 +524,7 @@ class PerfectModule:
 
     def __eq__(self, other):
         return (isinstance(other, PerfectModule) and self.module == other.module
-                and ((self.idempotent is None) == (other.idempotent is None))
-                and (self.idempotent is None or self.idempotent == other.idempotent))
+                and self.idempotent == other.idempotent)
 
     def __repr__(self):
         tag = "+e" if self.idempotent is not None else ""
@@ -531,8 +541,7 @@ def projective_module(a: DgAlgebra, idem: AlgebraElement,
     """Image of right multiplication by an idempotent on a rank-1 free module
     (e.g. the summand A.e of A)."""
     m = SemiFreeModule(a, [shift])
-    e = ModuleMap(m, m, 0, [[idem]])
-    return PerfectModule(m, e)
+    return PerfectModule(m, ModuleMap(m, m, 0, [[idem]]))
 
 
 def built_module(algebra: DgAlgebra, shifts: Sequence[int],
@@ -540,12 +549,12 @@ def built_module(algebra: DgAlgebra, shifts: Sequence[int],
                  idempotent_columns: Optional[Sequence[Column]] = None
                  ) -> PerfectModule:
     """The output of a builder, made out of checked pieces: the one
-    constructor that trusts its twist and idempotent columns unchecked."""
-    mod = SemiFreeModule.from_columns(algebra, shifts, twist_columns, labels)
-    idem = None
-    if idempotent_columns is not None:
-        idem = ModuleMap.from_columns(mod, mod, 0, idempotent_columns)
-    return PerfectModule(mod, idem, check=False)
+    `PerfectModule` made without `validate`, trusting its columns."""
+    p = PerfectModule.__new__(PerfectModule)
+    p.module = m = SemiFreeModule.from_columns(algebra, shifts, twist_columns, labels)
+    p.idempotent = (None if idempotent_columns is None
+                    else ModuleMap.from_columns(m, m, 0, idempotent_columns))
+    return p
 
 
 def shift_module(p: PerfectModule, n: int) -> PerfectModule:

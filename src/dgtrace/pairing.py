@@ -26,9 +26,8 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .algebras import (DgAlgebra, SparseVec, opposite, pure_tensor, sparse,
                        tensor_algebras)
-from .errors import (AlgebraMismatch, DimensionMismatch, IdempotentIncompatible,
-                     NoDiagonalResolutionForB, NotDegreeZeroConcentrated,
-                     NotSeparableB, WrongDegree)
+from .errors import (AlgebraMismatch, NoDiagonalResolutionForB,
+                     NotDegreeZeroConcentrated, NotSeparableB)
 from .hochschild import (HH0Space, HochschildClass, diagonal, euler_class,
                          generalized_supertrace, hh0_space, hh_class)
 from .linalg import ONE, ZERO
@@ -289,11 +288,11 @@ def rr_left_side(n: PerfectModule, m: PerfectModule,
                  g: Optional[ModuleMap], f: Optional[ModuleMap]) -> Fraction:
     """hh_k(N (x)_A M, g (x) f), read off keyed diagonals.
 
-    g and f are endomorphisms of the summands, as `hh_class` takes them:
-    each factors through its module's idempotent (e f e = f), and a missing
-    one is the summand's identity, the idempotent itself.  N (x)_A M is
-    realized on the keys (i, u), i a generator of M and u = (k, b) the key
-    e_b g_k of N over A^op, in degree |b| - s_k - s_i, and the class is
+    g and f are endomorphisms of the summands, admitted by the guard
+    `hh_class` uses, `PerfectModule.endomorphism`; a missing one is the
+    summand's identity, its idempotent.  N (x)_A M is realized on the keys
+    (i, u), i a generator of M and u = (k, b) the key e_b g_k of N over
+    A^op, in degree |b| - s_k - s_i, and the class is
     sum (-1)^{deg u - s_i} [u] (g(u) . f[i][i]).  The action on e_b g_k
     keeps the generator k, so only f[i][i] and g[k][k] are read.  The
     coefficient is linear in f[i][i], so M is summed out first,
@@ -304,22 +303,11 @@ def rr_left_side(n: PerfectModule, m: PerfectModule,
     projector or matrix is built."""
     if not opposite(n.algebra).same_structure(m.algebra):
         raise AlgebraMismatch("left factor must live over the opposite algebra")
-    maps = []
-    for p, phi in ((n, g), (m, f)):
-        if phi is None:
-            maps.append(p.identity_map())
-            continue
-        if phi.degree != 0:
-            raise WrongDegree("the trace formula takes degree-0 maps")
-        if not phi.source == p.module == phi.target:
-            raise DimensionMismatch("map is not an endomorphism of the module")
-        phi.validate()
-        if p.idempotent is not None and p.compress(phi) != phi:
-            raise IdempotentIncompatible("endomorphism does not factor through e")
-        maps.append(phi)
-    g_diagonal = diagonal(maps[0])
+    g, f = [p.identity_map() if phi is None else p.endomorphism(phi)
+            for p, phi in ((n, g), (m, f))]
+    g_diagonal = diagonal(g)
     # X = sum_i (-1)^{s_i} f[i][i] over A, in stored form
-    x = sparse(generalized_supertrace(m, maps[1]).coords)
+    x = sparse(generalized_supertrace(m, f).coords)
     aop = n.algebra
     rows = aop.rows
     # times_x[b][b2] = [e_b](e_t .op e_b2) summed over the terms x_t e_t of X

@@ -21,7 +21,7 @@ from .algebras import (AlgebraElement, AlgebraIso, DgAlgebra, SparseVec,
 from .complexes import ChainMap, is_quasi_iso
 from .duality import diagonal_explicit, transport_module
 from .errors import (AugmentationNotQuasiIso, NotDegreeZeroConcentrated,
-                     ValidationError)
+                     NotSeparableB, ValidationError)
 from .linalg import ZERO
 from .modules import (ModuleMap, PerfectModule, SemiFreeModule, built_module,
                       outer_tensor_modules, restrict_to_ground,
@@ -73,7 +73,7 @@ class DiagonalResolution:
 
     def separability_idempotent(self) -> AlgebraElement:
         if self._sep_builder is None:
-            raise AugmentationNotQuasiIso("no separability idempotent available")
+            raise NotSeparableB("no separability idempotent available")
         if self._sep_idem is None:
             self._sep_idem = self._sep_builder()
         return self._sep_idem

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import count as naturals, islice
-from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Sequence
 
 from .algebras import DgAlgebra, opposite, tensor_algebras
 from .catalog import CatalogEntry, catalog, catalog_entry
@@ -281,14 +281,13 @@ def pairing_coherence_suite(seed: int) -> Dict:
             "ok": _tally(flags)["ok"]}
 
 
-def adapt_suite(seed: int, names: Tuple[str, ...] = ("k", "kxk", "M2", "A2"),
-                per_algebra: int = 3) -> Dict:
-    """hh_k(A (x)_{eA} M, id (x) f) = hh_{A^e}(A) cup hh_{eA}(M, f) for
-    random perfect modules over the enveloping algebra."""
+def adapt_suite(seed: int) -> Dict:
+    """hh_k(A (x)_{eA} M, id (x) f) = hh_{A^e}(A) cup hh_{eA}(M, f) for three
+    random perfect modules M over ^eA, for A each of k, kxk, M2 and A2."""
     kalg = unit_algebra()
 
     def verdicts():
-        for name in names:
+        for name in ("k", "kxk", "M2", "A2"):
             ent = catalog_entry(name)
             a = ent.algebra
             ea = tensor_algebras(opposite(a), a)
@@ -296,7 +295,7 @@ def adapt_suite(seed: int, names: Tuple[str, ...] = ("k", "kxk", "M2", "A2"),
             env_res = ent.enveloping_resolution()
             dclass = diagonal_class(ent.resolution)
             diag_as_right = ent.resolution.module  # over A^e = opposite(eA)
-            for i in range(per_algebra):
+            for i in range(3):
                 rng = stream_for(seed, 17000 + 100 * _algebra_tag(name) + i)
                 m, sampler = random_module_with_endos(ea, rng, (), max_gens=2,
                                                       shift_range=(-1, 1))

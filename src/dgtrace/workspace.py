@@ -58,6 +58,15 @@ def _expect(value, kind, what: str, where: str):
     return value
 
 
+def _distinct(labels, what: str, where: str):
+    """Refuse, located, a label that repeats: it would name its first use."""
+    first: Dict[str, int] = {}
+    for t, label in enumerate(labels):
+        if first.setdefault(label, t) != t:
+            raise WorkspaceError(f"{what}[{t}].label {label!r} repeats "
+                                 f"{what}[{first[label]}].label", where)
+
+
 def parse_rational(text, where: str) -> Fraction:
     try:
         if _is_int(text):
@@ -113,6 +122,7 @@ def _parse_algebra(name: str, data: dict) -> DgAlgebra:
         labels.append(_expect(b["label"], str, f"basis[{t}].label", where))
         degrees.append(_expect(b.get("degree", 0), int, f"basis[{t}].degree",
                                where))
+    _distinct(labels, "basis", where)
     n = len(labels)
     mult: Dict = {}
     for t, trip in enumerate(_expect(data.get("mult", []), list, "mult", where)):
@@ -124,9 +134,7 @@ def _parse_algebra(name: str, data: dict) -> DgAlgebra:
                 raise WorkspaceError(
                     f"mult[{t}] index {idx} out of range 0..{n - 1}", where)
         c = parse_rational(val, f"{where}.mult[{t}]")
-        key = (i, j)
-        mult.setdefault(key, [])
-        mult[key] = list(mult[key]) + [(k, c)]
+        mult.setdefault((i, j), []).append((k, c))
     mult = {k: tuple(v) for k, v in mult.items()}
     unit_raw = data.get("unit")
     if not isinstance(unit_raw, list) or len(unit_raw) != n:
@@ -141,8 +149,7 @@ def _parse_algebra(name: str, data: dict) -> DgAlgebra:
         i, j, val = trip
         if not (_is_int(i) and 0 <= i < n and _is_int(j) and 0 <= j < n):
             raise WorkspaceError(f"differential[{t}] index out of range", where)
-        diff.setdefault(i, [])
-        diff[i] = list(diff[i]) + [(j, parse_rational(val, where))]
+        diff.setdefault(i, []).append((j, parse_rational(val, where)))
     diff = {k: tuple(v) for k, v in diff.items()}
     try:
         return validate_algebra(labels, degrees, mult, unit, diff)
@@ -182,6 +189,7 @@ def _parse_module(name: str, data: dict, ws: Workspace) -> PerfectModule:
         _expect(g, dict, f"generators[{t}]", where)
     labels = [_expect(g.get("label", f"g{t}"), str, f"generators[{t}].label",
                       where) for t, g in enumerate(gens)]
+    _distinct(labels, "generators", where)
     shifts = [_expect(g.get("shift", 0), int, f"generators[{t}].shift", where)
               for t, g in enumerate(gens)]
     rank = len(gens)

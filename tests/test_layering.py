@@ -10,14 +10,15 @@ action layout of an explicit module (generators over one shared base table)
 is known to `modules.py` alone: `ExplicitModule.act` is the one reader of
 its table.  And `complexes.is_quasi_iso` is the one caller of `cone`, so a
 quasi-isomorphism is tested through a cone in one place.  Every error type
-of the package is defined in `errors.py`.  And only `PerfectModule` and
-`Complex` take a `check` option, and `built_module`, the one builder
-constructor, is the only caller in the package that turns the
-`PerfectModule` check off.  The mark `compressed_by` that lets
-`PerfectModule.compress` return its own output unchanged is set in
-`ModuleMap._init` (cleared) and in `compress` alone.  In `suites.py` only
-`_tally`, which counts every battery's verdicts, and `rr_tally` hold an
-augmented assignment, so no battery keeps a counter by hand.
+of the package is defined in `errors.py`.  And only `Complex` takes a
+`check` option: `PerfectModule` always validates its idempotent, and
+`built_module`, the one builder constructor, is the only code in the
+package that makes a `PerfectModule` without `validate`.  The mark
+`compressed_by` that lets `PerfectModule.compress` return its own output
+unchanged is set in `ModuleMap._init` (cleared) and in `compress` alone.
+In `suites.py` only `_tally`, which counts every battery's verdicts, and
+`rr_tally` hold an augmented assignment, so no battery keeps a counter by
+hand.
 `KernelTransfer` reads its kernel's diagonal and calls neither the factor
 restriction nor the trace-table contraction behind `cup` and
 `pair_scalar`, so the transfer stays independent of the other two
@@ -25,11 +26,13 @@ pairing constructions."""
 
 import ast
 import importlib
+import inspect
 import pkgutil
 from pathlib import Path
 
 import dgtrace
 from dgtrace.errors import DgError
+from dgtrace.modules import PerfectModule
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "dgtrace"
 
@@ -121,9 +124,9 @@ def test_every_error_is_defined_in_errors():
     assert not strays, strays
 
 
-# the grid constructors always check what callers hand in; a builder makes
+# the public constructors always check what callers hand in; a builder makes
 # its output from checked pieces and takes no check option
-CHECKED_BOUNDARY = {"PerfectModule.__init__", "Complex.__init__"}
+CHECKED_BOUNDARY = {"Complex.__init__"}
 
 
 def _takes_check(path: Path):
@@ -144,14 +147,16 @@ def _takes_check(path: Path):
 
 
 def test_only_the_boundary_constructors_take_check():
+    assert "check" not in inspect.signature(PerfectModule.__init__).parameters
     found = {name for path in SRC.glob("*.py") for name in _takes_check(path)}
     assert found == CHECKED_BOUNDARY, sorted(found ^ CHECKED_BOUNDARY)
 
 
 def _skips_perfect_check(node) -> bool:
-    return _called_name(node) == "PerfectModule" and any(
-        kw.arg == "check" and isinstance(kw.value, ast.Constant)
-        and kw.value.value is False for kw in node.keywords)
+    """A call PerfectModule.__new__(...), which makes a PerfectModule
+    without running its constructor's `validate`."""
+    return (_called_name(node) == "__new__"
+            and getattr(node.func.value, "id", None) == "PerfectModule")
 
 
 def test_only_the_builder_constructor_skips_the_perfect_check():

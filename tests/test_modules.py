@@ -329,8 +329,10 @@ def test_idempotent_must_be_exact(a2):
 def test_off_degree_map_raises_in_every_realization(a2):
     # g0 -> 1.g1 has degree 0 but its entry should have degree 1: the
     # restriction, the tensor realization and the Hom realization all
-    # reject it instead of writing the term into a block of another degree
+    # reject it instead of writing the term into a block of another degree,
+    # and so do both readers of the summand's endomorphisms
     from dgtrace.algebras import sparse
+    from dgtrace.hochschild import hh_class
     from dgtrace.pairing import rr_left_side
     m = free_module(a2, [0, 1])
     f = ModuleMap.from_columns(m.module, m.module, 0,
@@ -342,6 +344,8 @@ def test_off_degree_map_raises_in_every_realization(a2):
         tensor_over_algebra(n, m).map_tensor(None, f)
     with pytest.raises(DegreeViolation):
         rr_left_side(n, m, None, f)
+    with pytest.raises(DegreeViolation):
+        hh_class(m, f)
     with pytest.raises(DegreeViolation):
         hom_over_algebra(m, m).precompose(f)
     # also when the degree the term should land in is empty: g0 sits in

@@ -13,8 +13,8 @@ from dgtrace.errors import (IdempotentIncompatible, NoDiagonalResolutionForB,
 from dgtrace.hochschild import (euler_class, generalized_supertrace, hh0_space,
                                 hh_class)
 from dgtrace.modules import (ModuleMap, PerfectModule, SemiFreeModule,
-                             cone_module, direct_sum_modules, free_module,
-                             projective_module, restrict_to_factor,
+                             built_module, cone_module, direct_sum_modules,
+                             free_module, projective_module, restrict_to_factor,
                              right_multiplication_map)
 from dgtrace.pairing import (KernelTransfer, compose_kernels_separable, cup,
                              diagonal_class, kunneth, pair_scalar,
@@ -601,7 +601,7 @@ def test_rr_randomized_small_batch(cat):
 
 
 def test_adapt_identity():
-    out = adapt_suite(31, names=("k", "kxk", "A2"), per_algebra=2)
+    out = adapt_suite(31)
     assert out["ok"]
 
 
@@ -794,7 +794,8 @@ def test_kernel_composition_checks_the_composed_idempotent(cat):
         ent = cat[name]
         b = ent.algebra
         good = ent.resolution.module
-        bad = PerfectModule(good.module, good.idempotent.scale(2), check=False)
+        bad = built_module(good.algebra, good.shifts, good.module.twist_columns,
+                           good.module.labels, good.idempotent.scale(2).columns)
         for k1, k2 in ((bad, good), (good, bad)):
             with pytest.raises(IdempotentIncompatible):
                 compose_kernels_separable(k1, k2, b, b, b, ent.resolution)

@@ -13,6 +13,7 @@ import pytest
 
 from dgtrace import algebras
 from dgtrace.algebras import opposite, tensor_algebras
+from dgtrace.errors import NotSeparableB
 from dgtrace.resolutions import opposite_resolution
 
 CATALOG = ("k", "kxk", "M2", "A2", "A3", "Kronecker", "A2xA2")
@@ -62,6 +63,15 @@ def test_opposite_resolution_matches_flat_swap(cat, name):
         assert sep.algebra.same_structure(q.module.algebra)
     if name != "A2xA2":  # its enveloping algebra has dimension 81
         rop.validate()
+
+
+def test_a_resolution_without_separability_idempotent_refuses_to_give_one(cat):
+    """A2 is not separable: its resolution ships no separability idempotent,
+    and asking for one raises NotSeparableB, as kernel composition does."""
+    res = cat["A2"].resolution
+    assert not res.separable
+    with pytest.raises(NotSeparableB, match="no separability idempotent"):
+        res.separability_idempotent()
 
 
 @pytest.mark.parametrize("name", ("k", "kxk", "M2"))

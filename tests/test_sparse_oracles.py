@@ -467,8 +467,8 @@ def test_keyed_left_side_matches_tensor_supertrace_over_dg_algebras():
         a = make()
         rng = SplitMix64(53 + a.dim)
         for _ in range(12):
-            n = PerfectModule(homogeneous_module(opposite(a), rng), check=False)
-            m = PerfectModule(homogeneous_module(a, rng), check=False)
+            n = PerfectModule(homogeneous_module(opposite(a), rng))
+            m = PerfectModule(homogeneous_module(a, rng))
             g, f = homogeneous_map(n.module, rng), homogeneous_map(m.module, rng)
             lhs = rr_left_side(n, m, g, f)
             assert lhs == tensor_oracle(n, m, g, f)
@@ -534,7 +534,7 @@ def dg_modules(count=4):
 
 
 def test_semifree_and_dual_right_tables_match_dense_products(cat):
-    for a, m in list(catalog_modules(cat)) + [(a, PerfectModule(m, check=False))
+    for a, m in list(catalog_modules(cat)) + [(a, PerfectModule(m))
                                                 for a, m in dg_modules()]:
         ex = m.module.to_explicit()
         # e_t . (i, b) = (i, e_t e_b)

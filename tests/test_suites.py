@@ -102,7 +102,7 @@ def test_conjugation_suite_counts_a_failure(monkeypatch):
 
 def test_adapt_suite_counts_a_failure(monkeypatch):
     _corrupt_nth(monkeypatch, "rr_left_side", 1, _bump)
-    _assert_one_failure(suites.adapt_suite(SEED, names=("k", "M2"), per_algebra=2))
+    _assert_one_failure(suites.adapt_suite(SEED))
 
 
 def test_kernel_composition_suite_counts_a_failure(monkeypatch):

@@ -269,6 +269,27 @@ def test_cli_refuses_json_booleans_and_numeric_labels(path, value, message,
     assert main(["--workspace", str(file), "validate"]) == 0
 
 
+def test_cli_refuses_repeated_basis_and_generator_labels(tmp_path, capsys):
+    """A repeated label would name only the first element it labels (`pair
+    K2 [x] [x]` read basis element 0), so a repeated basis label and a
+    repeated generator label are each refused where they stand, with exit
+    2."""
+    dup_basis = {"format": 1, "algebras": {"K2": {
+        "basis": [{"label": "x"}, {"label": "x"}],
+        "mult": [[0, 0, 0, "1"], [1, 1, 1, "1"]], "unit": ["1", "1"]}}}
+    dup_generators = json.loads(json.dumps(ONE_DIM))
+    dup_generators["modules"]["M"]["generators"].append({"label": "g"})
+    file = tmp_path / "ws.json"
+    for doc, command, message in (
+            (dup_basis, ["pair", "K2", "[x]", "[x]"],
+             "algebras.K2: basis[1].label 'x' repeats basis[0].label"),
+            (dup_generators, ["validate"],
+             "modules.M: generators[1].label 'g' repeats generators[0].label")):
+        file.write_text(json.dumps(doc))
+        assert main(["--workspace", str(file)] + command) == 2
+        assert capsys.readouterr().err == f"input error: {message}\n"
+
+
 def test_cli_twist_not_squaring_to_zero_exits_with_input_error(tmp_path, capsys):
     """Over A2 with shifts [2, 1, 0], delta_10 = e1 and delta_21 = a give
     D^2(g_0) = a g_2."""
