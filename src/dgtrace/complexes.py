@@ -99,12 +99,22 @@ class Complex:
 
     __slots__ = ("space", "diff")
 
-    def __init__(self, space: GradedSpace, diff: Mapping[int, RationalMatrix],
-                 check: bool = True):
+    def __init__(self, space: GradedSpace, diff: Mapping[int, RationalMatrix]):
+        self._init(space, diff)
+        self.check_d_squared()
+
+    @classmethod
+    def built(cls, space: GradedSpace,
+              diff: Mapping[int, RationalMatrix]) -> "Complex":
+        """The output of a builder whose differential squares to zero by
+        construction: block shapes are checked, d^2 = 0 is not."""
+        c = cls.__new__(cls)
+        c._init(space, diff)
+        return c
+
+    def _init(self, space, diff):
         self.space = space
         self.diff = _checked_blocks(space, space, 1, diff, "d^")
-        if check:
-            self.check_d_squared()
 
     @classmethod
     def concentrated(cls, degree: int, dim: int) -> "Complex":
@@ -272,9 +282,9 @@ def keyed_dual(basis: Mapping[int, Sequence],
 
 def keyed_complex(basis: Mapping[int, Sequence], pos: Mapping,
                   d_columns: Mapping[object, Mapping]) -> Complex:
-    """The matrix complex of a keyed differential (unchecked)."""
+    """The matrix complex of a keyed differential (d^2 = 0 unchecked)."""
     space = GradedSpace({p: len(ks) for p, ks in basis.items()})
-    return Complex(space, column_blocks(d_columns, basis, basis, pos, 1), check=False)
+    return Complex.built(space, column_blocks(d_columns, basis, basis, pos, 1))
 
 
 def key_columns(block, degree: int, source: Mapping[int, Sequence],
@@ -319,7 +329,7 @@ def shift(c: Complex, n: int) -> Complex:
     space = c.space.shift(n)
     sgn = -1 if n % 2 else 1
     diff = {p - n: c.d(p).scale(sgn) for p in c.space.degrees() if c.dim(p + 1)}
-    return Complex(space, diff, check=False)
+    return Complex.built(space, diff)
 
 
 def _direct_sum_space(a: GradedSpace, b: GradedSpace) -> GradedSpace:
@@ -340,9 +350,9 @@ def cone(p: ChainMap) -> Complex:
     L1 = shift(L, 1)
     space = _direct_sum_space(L1.space, M.space)
     # p.block(deg + 1): L^{deg+1} = L1^{deg} -> M^{deg+1}
-    return Complex(space, {deg: lower_block(L1.d(deg), p.block(deg + 1), M.d(deg))
-                           for deg in space.degrees() if space.dim(deg + 1)},
-                   check=False)
+    return Complex.built(space, {
+        deg: lower_block(L1.d(deg), p.block(deg + 1), M.d(deg))
+        for deg in space.degrees() if space.dim(deg + 1)})
 
 
 class Cohomology:

@@ -154,9 +154,13 @@ def diagonal(f: ModuleMap) -> list:
 
 
 def generalized_supertrace(m: PerfectModule, f: ModuleMap) -> AlgebraElement:
-    """sum_i (-1)^{s_i} f[i][i] in A (no projection): the one module-level
-    supertrace, for `hh_class` and the trace formula's left side; the
-    kernel transfer reads the same `diagonal` term by term."""
+    """X_{M,f} = sum_i (-1)^{s_i} f[i][i] in A (no projection): the one
+    module-level supertrace and `hh_class`'s representative; the kernel
+    transfer reads the same `diagonal` term by term.  It is all the trace
+    formula's left side reads of (M, f): on the keys (i, u = e_b g_k) of
+    N (x)_A M, hh_k(N (x)_A M, g (x) f) = sum (-1)^{|b| - s_k - s_i}
+    [u] (g(u) . f[i][i]), linear in f[i][i], so M sums out to
+    `pairing.rr_left_side(n, g, X)`."""
     total = [0] * m.algebra.dim
     for s, vec in zip(m.shifts, diagonal(f)):
         for t, c in vec:

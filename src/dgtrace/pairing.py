@@ -24,12 +24,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .algebras import (DgAlgebra, SparseVec, opposite, pure_tensor, sparse,
-                       tensor_algebras)
+from .algebras import (AlgebraElement, DgAlgebra, SparseVec, opposite,
+                       pure_tensor, sparse, tensor_algebras)
 from .errors import (AlgebraMismatch, NoDiagonalResolutionForB,
                      NotDegreeZeroConcentrated, NotSeparableB)
 from .hochschild import (HH0Space, HochschildClass, diagonal, euler_class,
-                         generalized_supertrace, hh0_space, hh_class)
+                         hh0_space, hh_class)
 from .linalg import ONE, ZERO
 from .modules import (ModuleMap, PerfectModule, outer_tensor_columns,
                       outer_tensor_modules, restrict_to_factor,
@@ -284,42 +284,33 @@ def _rational_text(x):
     return f"{x.numerator}/{x.denominator}"
 
 
-def rr_left_side(n: PerfectModule, m: PerfectModule,
-                 g: Optional[ModuleMap], f: Optional[ModuleMap]) -> Fraction:
-    """hh_k(N (x)_A M, g (x) f), read off keyed diagonals.
+def rr_left_side(n: PerfectModule, g: Optional[ModuleMap],
+                 x: AlgebraElement) -> Fraction:
+    """l_{N,g}(x), the functional on A whose value at the trace element
+    X_{M,f} (`generalized_supertrace`) is hh_k(N (x)_A M, g (x) f).
 
-    g and f are endomorphisms of the summands, admitted by the guard
-    `hh_class` uses, `PerfectModule.endomorphism`; a missing one is the
-    summand's identity, its idempotent.  N (x)_A M is realized on the keys
-    (i, u), i a generator of M and u = (k, b) the key e_b g_k of N over
-    A^op, in degree |b| - s_k - s_i, and the class is
-    sum (-1)^{deg u - s_i} [u] (g(u) . f[i][i]).  The action on e_b g_k
-    keeps the generator k, so only f[i][i] and g[k][k] are read.  The
-    coefficient is linear in f[i][i], so M is summed out first,
-    X = sum_i (-1)^{s_i} f[i][i], its right action is tabled once, and each
-    key u = (k, b) of N adds (-1)^{|b| - s_k} [u] (g(u) . X).  The products
-    are read off A^op's `rows`, and the left side stays independent of the
-    trace table the right side reads: no realization, tensor complex,
-    projector or matrix is built."""
-    if not opposite(n.algebra).same_structure(m.algebra):
-        raise AlgebraMismatch("left factor must live over the opposite algebra")
-    g, f = [p.identity_map() if phi is None else p.endomorphism(phi)
-            for p, phi in ((n, g), (m, f))]
-    g_diagonal = diagonal(g)
-    # X = sum_i (-1)^{s_i} f[i][i] over A, in stored form
-    x = sparse(generalized_supertrace(m, f).coords)
+    g is admitted by `PerfectModule.endomorphism`; a missing one is the
+    summand's identity.  The right action of x is tabled once, and each
+    key u = e_b g_k of N over A^op adds (-1)^{|b| - s_k} [u] (g(u) . x),
+    g(u) = e_b g[k][k] g_k, reading only g's diagonal and A^op's `rows`:
+    the left side is independent of the trace table the right side reads,
+    and builds no realization, tensor complex, projector or matrix."""
     aop = n.algebra
+    if not opposite(aop).same_structure(x.algebra):
+        raise AlgebraMismatch("left factor must live over the opposite algebra")
+    g = n.identity_map() if g is None else n.endomorphism(g)
+    g_diagonal = diagonal(g)
     rows = aop.rows
-    # times_x[b][b2] = [e_b](e_t .op e_b2) summed over the terms x_t e_t of X
+    # times_x[b][b2] = [e_b](e_t .op e_b2) summed over the terms x_t e_t of x
     times_x: List[Dict] = [{} for _ in rows]
-    for t, ct in x:
+    for t, ct in sparse(x.coords):
         for b2, vec in rows[t].items():
             for b, c in vec:
                 times_x[b][b2] = times_x[b].get(b2, 0) + ct * c
     total = 0
     for k, shift in enumerate(n.shifts):
         for b, degree in enumerate(aop.degrees):
-            # [u] (g(u) . X) for u = e_b g_k, g(u) = e_b g[k][k] g_k over A^op
+            # [u] (g(u) . x) for u = e_b g_k, g(u) = e_b g[k][k] g_k over A^op
             row_b, x_b = rows[b], times_x[b]
             coeff = 0
             for t, c in g_diagonal[k]:
@@ -336,12 +327,13 @@ def verify_rr(m: PerfectModule, f: ModuleMap, n: PerfectModule, g: ModuleMap,
               space_op: Optional[HH0Space] = None,
               space: Optional[HH0Space] = None) -> PairingReport:
     """Main comparison: the k-valued class of g (x) f on N (x)_A M against
-    <hh(N, g), hh(M, f)>, both exact rationals."""
-    lhs = rr_left_side(n, m, g, f)
-    lam = hh_class(n, g, space_op)
+    <hh(N, g), hh(M, f)>, both exact rationals.  The left side is l_{N,g}
+    at the representative of hh(M, f), so f is admitted and its trace
+    element formed once, by `hh_class`."""
     mu = hh_class(m, f, space)
-    rhs = pair_scalar(lam, mu)
-    return PairingReport(lhs, rhs, instance, seed)
+    lam = hh_class(n, g, space_op)
+    return PairingReport(rr_left_side(n, g, mu.representative),
+                         pair_scalar(lam, mu), instance, seed)
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 from collections import defaultdict
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Sequence, Tuple, Union
 
 from .algebras import DgAlgebra, SparseVec
-from .errors import NotClosed, NotDegreeZeroConcentrated
+from .errors import NotDegreeZeroConcentrated
 from .linalg import _canon, sparse_kernel
 from .modules import (ModuleMap, PerfectModule, SemiFreeModule, rows_of,
                       cone_module, direct_sum_modules, free_module,
@@ -153,12 +153,13 @@ def closed_map_basis(src: SemiFreeModule, tgt: SemiFreeModule,
 
 def random_closed_map(src: SemiFreeModule, tgt: SemiFreeModule,
                       vectors: Sequence[KeyedVector],
-                      rng: SplitMix64) -> Optional[ModuleMap]:
+                      rng: SplitMix64) -> ModuleMap:
     """A random closed degree-0 map from a kernel of closed_map_kernel:
     sum_k c_k v_k with one random coefficient per vector, in order; a random
-    basis vector when every c_k is 0; None for an empty kernel."""
+    basis vector when every c_k is 0; the zero map, drawing nothing, for an
+    empty kernel."""
     if not vectors:
-        return None
+        return ModuleMap.zero(src, tgt)
     total: Dict[Key, Fraction] = {}
     for vec in vectors:
         c = _coeff(rng)
@@ -178,11 +179,8 @@ class EndoSampler:
         self.vectors = closed_map_kernel(p.module, p.module, 0)
 
     def draw(self, rng: SplitMix64) -> ModuleMap:
-        f = random_closed_map(self.module.module, self.module.module,
-                              self.vectors, rng)
-        if f is None:
-            raise NotClosed("module admits no closed endomorphisms")
-        return self.module.compress(f)
+        return self.module.compress(random_closed_map(
+            self.module.module, self.module.module, self.vectors, rng))
 
 
 def random_module_with_endos(a: DgAlgebra, rng: SplitMix64, idempotents=(),
@@ -202,8 +200,4 @@ def random_closed_pair(a: DgAlgebra, rng: SplitMix64, max_gens: int = 3,
                           closed_map_kernel(m.module, n.module, 0), rng)
     h = random_closed_map(n.module, m.module,
                           closed_map_kernel(n.module, m.module, 0), rng)
-    if g is None:
-        g = ModuleMap.zero(m.module, n.module)
-    if h is None:
-        h = ModuleMap.zero(n.module, m.module)
     return m, n, g, h

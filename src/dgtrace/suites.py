@@ -300,8 +300,8 @@ def adapt_suite(seed: int) -> Dict:
                 m, sampler = random_module_with_endos(ea, rng, (), max_gens=2,
                                                       shift_range=(-1, 1))
                 f = sampler.draw(rng)
-                lhs = rr_left_side(diag_as_right, m, None, f)
                 lam = hh_class(m, f)
+                lhs = rr_left_side(diag_as_right, None, lam.representative)
                 lam_bk = hh0_space(bk).class_of(
                     bk.element(lam.representative.coords))
                 rhs_class = cup(dclass, lam_bk, kalg, ea, kalg, env_res)

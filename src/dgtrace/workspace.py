@@ -35,7 +35,7 @@ from typing import Dict
 
 from .algebras import DgAlgebra, validate_algebra
 from .catalog import catalog, catalog_entry
-from .errors import WorkspaceError
+from .errors import DgError, WorkspaceError
 from .modules import ModuleMap, PerfectModule, SemiFreeModule
 from .resolutions import DiagonalResolution
 
@@ -153,7 +153,7 @@ def _parse_algebra(name: str, data: dict) -> DgAlgebra:
     diff = {k: tuple(v) for k, v in diff.items()}
     try:
         return validate_algebra(labels, degrees, mult, unit, diff)
-    except Exception as exc:  # surface validator failures with location
+    except DgError as exc:  # surface validator failures with location
         raise WorkspaceError(f"algebra invalid: {exc}", where)
 
 
@@ -197,7 +197,7 @@ def _parse_module(name: str, data: dict, ws: Workspace) -> PerfectModule:
                                 f"{where}.twist")
     try:
         mod = SemiFreeModule(alg, shifts, twist, labels)
-    except Exception as exc:
+    except DgError as exc:
         raise WorkspaceError(f"module invalid: {exc}", where)
     idem = None
     if data.get("idempotent") is not None:
@@ -206,7 +206,7 @@ def _parse_module(name: str, data: dict, ws: Workspace) -> PerfectModule:
         try:
             idem = ModuleMap(mod, mod, 0, entries)
             return PerfectModule(mod, idem)
-        except Exception as exc:
+        except DgError as exc:
             raise WorkspaceError(f"idempotent invalid: {exc}", where)
     return PerfectModule(mod)
 
@@ -228,7 +228,7 @@ def _parse_map(name: str, data: dict, ws: Workspace) -> ModuleMap:
                                   source.algebra, f"{where}.entries")
     try:
         return ModuleMap(source, target, degree, entries)
-    except Exception as exc:
+    except DgError as exc:
         raise WorkspaceError(f"map invalid: {exc}", where)
 
 

@@ -10,6 +10,8 @@ import json
 import sys
 import time
 
+import pytest
+
 from dgtrace.catalog import catalog
 from dgtrace.suites import (adapt_suite, cartan_tables, conjugation_suite,
                             duality_suite, euler_formula_suite, full_suite,
@@ -151,3 +153,22 @@ def test_criterion_9_determinism():
               and serre[0] == 0 and _sha256(serre[1]) == VERIFY_SERRE_SHA256)
     _line("criterion 9: determinism at seed 42", ok)
     assert ok
+
+
+# sha256 of the CLI batches whose reports each change to the verifier must
+# leave byte-identical: the suite at two seeds and the 200-draw rr batch
+CLI_BATCH_SHA256 = {
+    "--random 50 --seed 42 verify-suite":
+        "f78775aca9811abac39747542c363f45f243aaaaf48aa1b2801afaa99a85ab25",
+    "--random 200 --seed 42 verify-rr":
+        "21cb64fad41f1e6a009f42960ebef4241d549cecde26aa356cd4cd424d1cb6bd",
+    "--random 5 --seed 7 verify-suite":
+        "53233007a02cc6cff871aa7c205866985d48d31506cffd6ea2e88237a606c6b2",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(CLI_BATCH_SHA256))
+def test_cli_batch_digests(capsys, argv):
+    from dgtrace.cli import main as cli_main
+    assert cli_main(argv.split()) == 0
+    assert _sha256(capsys.readouterr().out) == CLI_BATCH_SHA256[argv]

@@ -10,10 +10,12 @@ action layout of an explicit module (generators over one shared base table)
 is known to `modules.py` alone: `ExplicitModule.act` is the one reader of
 its table.  And `complexes.is_quasi_iso` is the one caller of `cone`, so a
 quasi-isomorphism is tested through a cone in one place.  Every error type
-of the package is defined in `errors.py`.  And only `Complex` takes a
-`check` option: `PerfectModule` always validates its idempotent, and
+of the package is defined in `errors.py`.  No function takes a `check`
+option: `PerfectModule` always validates its idempotent, and
 `built_module`, the one builder constructor, is the only code in the
-package that makes a `PerfectModule` without `validate`.  The mark
+package that makes a `PerfectModule` without `validate`; `Complex` always
+checks d^2 = 0, and only the builders `keyed_complex`, `shift` and `cone`
+make one through `Complex.built`, which does not.  The mark
 `compressed_by` that lets `PerfectModule.compress` return its own output
 unchanged is set in `ModuleMap._init` (cleared) and in `compress` alone.
 In `suites.py` only `_tally`, which counts every battery's verdicts, and
@@ -22,7 +24,9 @@ hand.
 `KernelTransfer` reads its kernel's diagonal and calls neither the factor
 restriction nor the trace-table contraction behind `cup` and
 `pair_scalar`, so the transfer stays independent of the other two
-pairing constructions."""
+pairing constructions.  The trace formula's left side, `rr_left_side`,
+forms no trace element, class or pairing: the element x it is handed is its
+only input shared with the right side."""
 
 import ast
 import importlib
@@ -31,6 +35,7 @@ import pkgutil
 from pathlib import Path
 
 import dgtrace
+from dgtrace.complexes import Complex
 from dgtrace.errors import DgError
 from dgtrace.modules import PerfectModule
 
@@ -124,11 +129,6 @@ def test_every_error_is_defined_in_errors():
     assert not strays, strays
 
 
-# the public constructors always check what callers hand in; a builder makes
-# its output from checked pieces and takes no check option
-CHECKED_BOUNDARY = {"Complex.__init__"}
-
-
 def _takes_check(path: Path):
     """The qualified names of the functions of a file that take a `check`
     parameter."""
@@ -147,9 +147,24 @@ def _takes_check(path: Path):
 
 
 def test_only_the_boundary_constructors_take_check():
-    assert "check" not in inspect.signature(PerfectModule.__init__).parameters
-    found = {name for path in SRC.glob("*.py") for name in _takes_check(path)}
-    assert found == CHECKED_BOUNDARY, sorted(found ^ CHECKED_BOUNDARY)
+    """The public constructors always check what callers hand in; a builder
+    makes its output from checked pieces, so no function takes `check`."""
+    for cls in (PerfectModule, Complex):
+        assert "check" not in inspect.signature(cls.__init__).parameters
+    found = sorted(name for path in SRC.glob("*.py") for name in _takes_check(path))
+    assert not found, found
+
+
+def _builds_unchecked_complex(node) -> bool:
+    """A call Complex.built(...), which skips the d^2 = 0 check."""
+    return (_called_name(node) == "built"
+            and getattr(node.func.value, "id", None) == "Complex")
+
+
+def test_only_the_complex_builders_skip_the_square_check():
+    leaks = _only_in(_builds_unchecked_complex, ("complexes.py", "keyed_complex"),
+                     ("complexes.py", "shift"), ("complexes.py", "cone"))
+    assert not leaks, leaks
 
 
 def _skips_perfect_check(node) -> bool:
@@ -198,3 +213,18 @@ def test_kernel_transfer_calls_no_other_pairing_construction():
     called = {_called_name(node) for node in ast.walk(transfer)}
     assert "diagonal" in called
     assert not called & TRANSFER_AVOIDS, sorted(called & TRANSFER_AVOIDS)
+
+
+# what the trace formula's left side must not call: the trace element x it
+# is handed is its only input shared with the right side
+LEFT_SIDE_AVOIDS = {"generalized_supertrace", "hh_class", "pair_scalar",
+                    "_contract", "_pair_trace_table", "KernelTransfer"}
+
+
+def test_left_side_forms_no_trace_element_or_pairing():
+    tree = ast.parse((SRC / "pairing.py").read_text(encoding="utf-8"))
+    left = next(node for node in tree.body if isinstance(node, ast.FunctionDef)
+                and node.name == "rr_left_side")
+    called = {_called_name(node) for node in ast.walk(left)}
+    assert "diagonal" in called
+    assert not called & LEFT_SIDE_AVOIDS, sorted(called & LEFT_SIDE_AVOIDS)

@@ -330,20 +330,24 @@ def test_off_degree_map_raises_in_every_realization(a2):
     # g0 -> 1.g1 has degree 0 but its entry should have degree 1: the
     # restriction, the tensor realization and the Hom realization all
     # reject it instead of writing the term into a block of another degree,
-    # and so do both readers of the summand's endomorphisms
+    # and so do both readers of the summand's endomorphisms: hh_class, and
+    # the left side, which admits only g, for the same map on N
     from dgtrace.algebras import sparse
     from dgtrace.hochschild import hh_class
     from dgtrace.pairing import rr_left_side
     m = free_module(a2, [0, 1])
     f = ModuleMap.from_columns(m.module, m.module, 0,
                                [((1, sparse(a2.unit)),), ()])
-    n = free_module(opposite(a2), [0])
+    aop = opposite(a2)
+    n = free_module(aop, [0, 1])
+    g = ModuleMap.from_columns(n.module, n.module, 0,
+                               [((1, sparse(aop.unit)),), ()])
     with pytest.raises(DegreeViolation):
         f.restrict()
     with pytest.raises(DegreeViolation):
         tensor_over_algebra(n, m).map_tensor(None, f)
     with pytest.raises(DegreeViolation):
-        rr_left_side(n, m, None, f)
+        rr_left_side(n, g, a2.one())
     with pytest.raises(DegreeViolation):
         hh_class(m, f)
     with pytest.raises(DegreeViolation):

@@ -8,8 +8,8 @@ import pytest
 from dgtrace.algebras import (DgAlgebra, opposite, pure_tensor, sparse,
                               tensor_algebras, validate_algebra)
 from dgtrace.catalog import catalog_entry
-from dgtrace.errors import (IdempotentIncompatible, NoDiagonalResolutionForB,
-                            NotSeparableB)
+from dgtrace.errors import (AlgebraMismatch, IdempotentIncompatible,
+                            NoDiagonalResolutionForB, NotSeparableB)
 from dgtrace.hochschild import (euler_class, generalized_supertrace, hh0_space,
                                 hh_class)
 from dgtrace.modules import (ModuleMap, PerfectModule, SemiFreeModule,
@@ -423,6 +423,13 @@ def test_three_pairings_small(cat):
                 assert s1 == s2 == s3, name
 
 
+def trace_element(m, f=None):
+    """X_{M,f}, the element of A at which the left side is evaluated; a
+    missing f is the summand's identity."""
+    return generalized_supertrace(
+        m, m.identity_map() if f is None else m.endomorphism(f))
+
+
 def _assert_fractions(values):
     values = list(values)
     assert values and all(type(x) is F for x in values), values
@@ -440,9 +447,10 @@ def test_public_scalars_are_fractions(cat):
         n, ns = random_module_with_endos(aop, rng, ent.idempotents, max_gens=3)
         f, g = ms.draw(rng), ns.draw(rng)
         zero_n = ModuleMap.zero(n.module, n.module)
-        values += [rr_left_side(n, m, g, f), rr_left_side(n, m, None, None)]
+        values += [rr_left_side(n, g, trace_element(m, f)),
+                   rr_left_side(n, None, trace_element(m))]
         if n.idempotent is None:
-            values.append(rr_left_side(n, m, zero_n, f))
+            values.append(rr_left_side(n, zero_n, trace_element(m, f)))
         rep = verify_rr(m, f, n, g)
         values += [rep.lhs, rep.rhs]
         lam, mu = hh_class(n, g), hh_class(m, f)
@@ -524,21 +532,36 @@ def test_rr_scaled_cone(a2):
 
 def test_rr_left_side_refuses_a_map_off_the_summand(a2):
     """The raw identity of the carrier of P_{e2} = A e2 does not factor
-    through e2, so the left side refuses it on either factor, as
-    `hh_class` does; a missing map is the summand's identity, e2 itself."""
+    through e2: the left side refuses it as g, and `hh_class` refuses it as
+    f before a trace element is formed, so `verify_rr` refuses it on either
+    factor; a missing map is the summand's identity, e2 itself."""
     aop = opposite(a2)
     m = projective_module(a2, a2.by_label("e2"))
     n = projective_module(aop, aop.by_label("e2"))
     raw_m, raw_n = ModuleMap.identity(m.module), ModuleMap.identity(n.module)
-    for g, f in ((None, raw_m), (raw_n, None), (raw_n, raw_m)):
-        with pytest.raises(IdempotentIncompatible):
-            rr_left_side(n, m, g, f)
+    with pytest.raises(IdempotentIncompatible):
+        rr_left_side(n, raw_n, trace_element(m))
+    with pytest.raises(IdempotentIncompatible):
+        hh_class(m, raw_m)
     with pytest.raises(IdempotentIncompatible):
         verify_rr(m, raw_m, n, n.identity_map())
     with pytest.raises(IdempotentIncompatible):
         verify_rr(m, m.identity_map(), n, raw_n)
-    assert rr_left_side(n, m, None, None) == 1
-    assert rr_left_side(n, m, n.identity_map(), m.identity_map().scale(3)) == 3
+    assert rr_left_side(n, None, trace_element(m)) == 1
+    assert rr_left_side(n, n.identity_map(),
+                        trace_element(m, m.identity_map().scale(3))) == 3
+
+
+def test_rr_left_side_refuses_an_element_over_the_wrong_algebra(a2):
+    """l_{N,g} for N over A^op is a functional on A: the trace element of
+    P_{e2}, moved to A^op with the same coordinates, is refused."""
+    aop = opposite(a2)
+    m = projective_module(a2, a2.by_label("e2"))
+    n = projective_module(aop, aop.by_label("e2"))
+    x = trace_element(m)
+    assert rr_left_side(n, None, x) == 1
+    with pytest.raises(AlgebraMismatch):
+        rr_left_side(n, None, aop.element(x.coords))
 
 
 def random_degree_zero_element(a, rng):

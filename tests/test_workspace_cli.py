@@ -64,6 +64,20 @@ def test_full_description_round_trip():
     assert again.maps["triple"] == ws.maps["triple"]
 
 
+@pytest.mark.parametrize("name", ["validate_algebra", "SemiFreeModule",
+                                  "ModuleMap", "PerfectModule"])
+def test_a_fault_in_a_validator_is_not_an_input_error(monkeypatch, name):
+    """Only the package's own errors become located input errors: a fault
+    in a constructor the parser calls propagates as it is."""
+    import dgtrace.workspace
+
+    def fault(*args, **kwargs):
+        raise RuntimeError("fault in the validator")
+    monkeypatch.setattr(dgtrace.workspace, name, fault)
+    with pytest.raises(RuntimeError, match="fault in the validator"):
+        parse_workspace(json.dumps(A2_FULL))
+
+
 def test_malformed_mult_triple_reports_location():
     bad = {"format": 1,
            "algebras": {"X": {"basis": [{"label": "1", "degree": 0}],
