@@ -61,8 +61,9 @@ class DgAlgebra:
     derived from `mult` are memoised on the instance on first use, never in
     the constructor: `rows`, the trace table (`pairing._pair_trace_table`),
     HH_0 (`hochschild.hh0_space`), the tables of A^* as a one-sided module
-    (`duality._dual_tables`), the opposite algebra (`opposite`) and the
-    tensor products with this algebra as first factor (`tensor_algebras`).
+    (`duality._dual_tables`), the opposite algebra (`opposite`), the
+    tensor products with this algebra as first factor (`tensor_algebras`)
+    and the projective summands A.e[s] (`modules.projective_module`).
     """
 
     def __init__(self, labels: Sequence[str], degrees: Sequence[int],
@@ -83,6 +84,7 @@ class DgAlgebra:
         self._dual_tables = None
         self._opposite = None
         self._products = None
+        self._projectives: Dict[Tuple, object] = {}
 
     @property
     def dim(self) -> int:

@@ -171,10 +171,13 @@ def generalized_supertrace(m: PerfectModule, f: ModuleMap) -> AlgebraElement:
 def hh_class(m: PerfectModule, f: ModuleMap,
              space: Optional[HH0Space] = None) -> HochschildClass:
     """Hochschild class of a closed endomorphism f of the summand, which
-    `m.endomorphism` admits (degree 0, entry degrees, e f e = f)."""
+    `m.endomorphism` admits (degree 0, entry degrees, e f e = f).  A draw
+    of m's sampler (`f.drawn_from is m`) is closed by construction, so
+    only other maps are checked for closedness."""
     if not m.algebra.is_degree_zero():
         raise NotDegreeZeroConcentrated("Hochschild classes need a degree-0 algebra")
-    if not m.endomorphism(f).is_closed():
+    m.endomorphism(f)
+    if f.drawn_from is not m and not f.is_closed():
         raise NotClosed("Hochschild class of a closed map only")
     return (hh0_space(m.algebra) if space is None else space).class_of(
         generalized_supertrace(m, f))

@@ -32,13 +32,17 @@ every entry is homogeneous of the degree its shifts fix, and every Koszul
 sign reads an entry's degree from the shifts, not from its coordinates:
 |phi[j][i]| = deg(phi) + t_j - s_i, and |delta[j][i]| = 1 + s_j - s_i.
 
-`PerfectModule.compress(f)` = e . f . e is a projection: the map it makes
-carries `compressed_by = e`, and a map marked with that same idempotent
-object comes back unchanged, without a product.  This is exact because
-e e f e e = e f e once e . e = e, which `PerfectModule.validate` checks on
-outside data and the builders guarantee for their own.  `ModuleMap._init`
-clears the mark, so every other map (sums, scales, products, `from_columns`
-rebuilds, boundary input) is compressed in full.
+`PerfectModule.endomorphism(f)` admits a map of the summand: degree 0,
+on the module, valid entry degrees and e f e = f through
+`PerfectModule.compress`.  A map has one mark, `drawn_from`: the
+`PerfectModule` whose `sampling.EndoSampler` drew it.  The draw is a sum
+of vectors of the exact kernel of d, compressed to e f e, so it is a
+closed degree-0 endomorphism of that summand by construction, and that
+summand's `endomorphism` (and `hochschild.hh_class`'s closedness check)
+takes it without a check.  `ModuleMap._init` clears the mark and the draw
+alone sets it, so every other map (sums, scales, products, `from_columns`
+rebuilds, boundary input, a draw handed to another summand) is checked in
+full.
 
 Everything that is really done over k (Hom, tensor, cohomology) is
 reduced on demand to explicit complexes of rational matrices ("restriction
@@ -351,8 +355,8 @@ class ModuleMap:
         self.degree = int(degree)
         self.columns = tuple(map(tuple, columns))
         self._entries = None
-        # the idempotent whose `PerfectModule.compress` made this map
-        self.compressed_by: Optional[ModuleMap] = None
+        # the summand whose `EndoSampler` drew this map, which vouches for it
+        self.drawn_from: Optional[PerfectModule] = None
 
     def validate(self) -> "ModuleMap":
         """Every entry [j][i] homogeneous of degree deg + t_j - s_i."""
@@ -482,8 +486,11 @@ class PerfectModule:
 
     def endomorphism(self, f: ModuleMap) -> ModuleMap:
         """f, when it is an endomorphism of the summand: degree 0, on the
-        module, entry degrees valid, and e f e = f through `compress` (no
-        product on a map it compressed).  Closedness is the caller's."""
+        module, entry degrees valid, and e f e = f through `compress`.  A
+        draw of this summand's sampler (`f.drawn_from is self`) is one by
+        construction and comes back at once.  Closedness is the caller's."""
+        if f.drawn_from is self:
+            return f
         if f.degree != 0:
             raise WrongDegree("an endomorphism of the summand has degree 0")
         if not f.source == self.module == f.target:
@@ -512,15 +519,12 @@ class PerfectModule:
         return ModuleMap.identity(self.module) if e is None else e
 
     def compress(self, f: ModuleMap) -> ModuleMap:
-        """e . f . e, a projection: a map this idempotent object compressed
-        comes back as it is, since e e f e e = e f e when e . e = e, and so
-        does e itself, since e e e = e."""
+        """e . f . e; e itself comes back as it is, since e e e = e, so
+        `euler_class` composes nothing on a summand."""
         e = self.idempotent
-        if e is None or f is e or f.compressed_by is e:
+        if e is None or f is e:
             return f
-        g = e.compose(f).compose(e)
-        g.compressed_by = e
-        return g
+        return e.compose(f).compose(e)
 
     def __eq__(self, other):
         return (isinstance(other, PerfectModule) and self.module == other.module
@@ -539,9 +543,15 @@ def free_module(a: DgAlgebra, shifts: Sequence[int]) -> PerfectModule:
 def projective_module(a: DgAlgebra, idem: AlgebraElement,
                       shift: int = 0) -> PerfectModule:
     """Image of right multiplication by an idempotent on a rank-1 free module
-    (e.g. the summand A.e of A)."""
-    m = SemiFreeModule(a, [shift])
-    return PerfectModule(m, ModuleMap(m, m, 0, [[idem]]))
+    (e.g. the summand A.e of A), memoised on the algebra per (coordinates
+    of the idempotent, shift).  An input that is not an idempotent raises
+    and is not stored."""
+    key = (idem.coords, int(shift))
+    p = a._projectives.get(key)
+    if p is None:
+        m = SemiFreeModule(a, [shift])
+        p = a._projectives[key] = PerfectModule(m, ModuleMap(m, m, 0, [[idem]]))
+    return p
 
 
 def built_module(algebra: DgAlgebra, shifts: Sequence[int],

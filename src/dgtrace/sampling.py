@@ -179,8 +179,15 @@ class EndoSampler:
         self.vectors = closed_map_kernel(p.module, p.module, 0)
 
     def draw(self, rng: SplitMix64) -> ModuleMap:
-        return self.module.compress(random_closed_map(
+        """e f e for a random f of the kernel, marked `drawn_from` the
+        module: closed (a sum of kernel vectors, compressed by a closed e),
+        of degree 0 with valid entry degrees, and e f e = f, so the module's
+        guard and `hh_class` take it without a check.  The one place that
+        sets the mark."""
+        f = self.module.compress(random_closed_map(
             self.module.module, self.module.module, self.vectors, rng))
+        f.drawn_from = self.module
+        return f
 
 
 def random_module_with_endos(a: DgAlgebra, rng: SplitMix64, idempotents=(),

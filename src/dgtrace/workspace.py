@@ -199,13 +199,11 @@ def _parse_module(name: str, data: dict, ws: Workspace) -> PerfectModule:
         mod = SemiFreeModule(alg, shifts, twist, labels)
     except DgError as exc:
         raise WorkspaceError(f"module invalid: {exc}", where)
-    idem = None
     if data.get("idempotent") is not None:
         entries = _parse_entry_matrix(data["idempotent"], rank, rank, alg,
                                       f"{where}.idempotent")
         try:
-            idem = ModuleMap(mod, mod, 0, entries)
-            return PerfectModule(mod, idem)
+            return PerfectModule(mod, ModuleMap(mod, mod, 0, entries))
         except DgError as exc:
             raise WorkspaceError(f"idempotent invalid: {exc}", where)
     return PerfectModule(mod)

@@ -16,7 +16,7 @@ from dgtrace.modules import (ModuleMap, cone_module,
                              projective_module, shift_module)
 from dgtrace.pairing import pairing_three_ways, verify_rr
 from dgtrace.prng import SplitMix64, stream_for
-from dgtrace.sampling import (random_closed_pair, random_coeff,
+from dgtrace.sampling import (EndoSampler, random_closed_pair, random_coeff,
                               random_module_with_endos)
 
 F = Fraction
@@ -125,22 +125,24 @@ def test_hh_class_idempotent_compatibility(a2):
 
 
 def test_a_mark_of_another_idempotent_is_compressed_in_full(a2):
-    # P1 and P2 have equal carriers; e1 = P1.compress(id) carries P1's
-    # idempotent, so P2's guard must still compute e2 e1 e2 = 0 != e1
+    # P1 and P2 have equal carriers; a nonzero draw f = e1 f e1 of P1's
+    # sampler is marked drawn from P1, so P2's guard must still compute
+    # e2 f e2 = 0 != f
     P1 = projective_module(a2, a2.by_label("e1"))
     P2 = projective_module(a2, a2.by_label("e2"))
     assert P1.module == P2.module
-    f = P1.compress(ModuleMap.identity(P1.module))
-    assert f.compressed_by is P1.idempotent
+    f = EndoSampler(P1).draw(SplitMix64(3))
+    assert not f.is_zero()
+    assert f.drawn_from is P1
     with pytest.raises(IdempotentIncompatible):
         hh_class(P2, f)
 
 
 def test_hh_class_of_a_draw_takes_no_product(a2, monkeypatch):
-    """A sampler draw is e f e marked by its module's idempotent, so the
-    e f e = f guard of hh_class composes nothing; the same columns rebuilt
-    without the mark cost the two products of e f e and give the same
-    class."""
+    """A sampler draw is e f e marked drawn from its module, so the guard
+    of hh_class composes nothing and its closedness is not checked; the
+    same columns rebuilt without the mark cost the two products of e f e
+    and one closedness check, and give the same class."""
     sp = hh0_space(a2)
     ent = catalog_entry("A2")
     rng = SplitMix64(83)
@@ -148,19 +150,26 @@ def test_hh_class_of_a_draw_takes_no_product(a2, monkeypatch):
     while m.idempotent is None:
         m, sampler = random_module_with_endos(a2, rng, ent.idempotents, max_gens=3)
     f = sampler.draw(rng)
-    calls = []
-    compose = ModuleMap.compose
+    calls, closed = [], []
+    compose, is_closed = ModuleMap.compose, ModuleMap.is_closed
 
     def counted(self, other):
         calls.append(other)
         return compose(self, other)
+
+    def counted_closed(self):
+        closed.append(self)
+        return is_closed(self)
     monkeypatch.setattr(ModuleMap, "compose", counted)
+    monkeypatch.setattr(ModuleMap, "is_closed", counted_closed)
     drawn = hh_class(m, f, sp)
     assert len(calls) == 0
+    assert len(closed) == 0
     rebuilt = ModuleMap.from_columns(f.source, f.target, 0, f.columns)
-    assert rebuilt.compressed_by is None
+    assert rebuilt.drawn_from is None
     assert hh_class(m, rebuilt, sp) == drawn
     assert len(calls) == 2
+    assert closed == [rebuilt]
 
 
 def test_euler_class_of_a_projective_takes_no_product(a2, monkeypatch):

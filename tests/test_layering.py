@@ -16,8 +16,9 @@ option: `PerfectModule` always validates its idempotent, and
 package that makes a `PerfectModule` without `validate`; `Complex` always
 checks d^2 = 0, and only the builders `keyed_complex`, `shift` and `cone`
 make one through `Complex.built`, which does not.  The mark
-`compressed_by` that lets `PerfectModule.compress` return its own output
-unchanged is set in `ModuleMap._init` (cleared) and in `compress` alone.
+`drawn_from`, which lets `PerfectModule.endomorphism` and `hh_class` take a
+sampler draw without a check, is set in `ModuleMap._init` (cleared) and in
+`EndoSampler.draw` alone.
 In `suites.py` only `_tally`, which counts every battery's verdicts, and
 `rr_tally` hold an augmented assignment, so no battery keeps a counter by
 hand.
@@ -179,15 +180,18 @@ def test_only_the_builder_constructor_skips_the_perfect_check():
     assert not leaks, leaks
 
 
-def _marks_compressed(node) -> bool:
-    return (isinstance(node, ast.Attribute) and node.attr == "compressed_by"
+def _marks_drawn(node) -> bool:
+    return (isinstance(node, ast.Attribute) and node.attr == "drawn_from"
             and isinstance(node.ctx, ast.Store))
 
 
-def test_only_init_and_compress_set_the_compressed_mark():
-    leaks = _only_in(_marks_compressed, ("modules.py", "_init"),
-                     ("modules.py", "compress"))
+def test_only_init_and_draw_set_the_drawn_mark():
+    leaks = _only_in(_marks_drawn, ("modules.py", "_init"),
+                     ("sampling.py", "draw"))
     assert not leaks, leaks
+    # the mark it replaces is gone
+    assert not [hit for path in sorted(SRC.glob("*.py")) for hit in _owned(
+        path, lambda node: getattr(node, "attr", None) == "compressed_by")]
 
 
 def _counts(node) -> bool:

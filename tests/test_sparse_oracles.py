@@ -139,7 +139,7 @@ def test_draw_matches_map_level_combination(cat, name):
                 assert rng.state == ref_rng.state
                 e = p.idempotent
                 if e is not None:
-                    # the compress mark is sound: e f e = f on the nose
+                    # the drawn_from mark is sound: e f e = f on the nose
                     assert e.compose(f).compose(e) == f
                 # a draw is already e f e, so compressing its restriction
                 # changes nothing (the Euler suite relies on it)
