@@ -69,10 +69,6 @@ class NoDiagonalResolutionForB(DgError):
     """The middle algebra of a contraction carries no diagonal resolution."""
 
 
-class NotSeparableB(DgError):
-    """A separability idempotent asked of a resolution that ships none."""
-
-
 class AlgebraMismatch(DgError):
     """Operands are defined over different algebras."""
 

@@ -82,12 +82,15 @@ Entry = AlgebraElement
 Column = Tuple[Tuple[int, SparseVec], ...]
 
 
-def _grid_columns(rows: Sequence[Sequence[Entry]], nrows: int, ncols: int,
-                  shape: str) -> Tuple[Column, ...]:
+def _grid_columns(a: DgAlgebra, rows: Sequence[Sequence[Entry]], nrows: int,
+                  ncols: int, shape: str) -> Tuple[Column, ...]:
     """The columns of an nrows x ncols matrix over A given as a grid of
-    elements: the one conversion in from the API boundary."""
+    elements of A: the one conversion in from the API boundary.  An entry
+    over another algebra raises, even when its dimension fits."""
     if len(rows) != nrows or any(len(r) != ncols for r in rows):
         raise DimensionMismatch(shape)
+    if not all(b.same_structure(a) for b in {x.algebra for row in rows for x in row}):
+        raise AlgebraMismatch("matrix entry over a different algebra")
     return tuple(tuple((j, vec) for j, row in enumerate(rows)
                        if (vec := sparse(row[i].coords)))
                  for i in range(ncols))
@@ -195,7 +198,7 @@ class SemiFreeModule:
                  labels: Optional[Sequence[str]] = None):
         n = len(shifts)
         columns = ((),) * n if twist is None else _grid_columns(
-            twist, n, n, "twist must be a square generator matrix")
+            algebra, twist, n, n, "twist must be a square generator matrix")
         self._init(algebra, shifts, columns, labels)
         self.validate()
 
@@ -336,7 +339,7 @@ class ModuleMap:
     def __init__(self, source: SemiFreeModule, target: SemiFreeModule,
                  degree: int, entries: Sequence[Sequence[Entry]]):
         self._init(source, target, degree, _grid_columns(
-            entries, target.rank, source.rank,
+            source.algebra, entries, target.rank, source.rank,
             "map matrix must be target-rank x source-rank"))
         self.validate()
 
@@ -544,8 +547,10 @@ def projective_module(a: DgAlgebra, idem: AlgebraElement,
                       shift: int = 0) -> PerfectModule:
     """Image of right multiplication by an idempotent on a rank-1 free module
     (e.g. the summand A.e of A), memoised on the algebra per (coordinates
-    of the idempotent, shift).  An input that is not an idempotent raises
-    and is not stored."""
+    of the idempotent, shift).  An input that is not an idempotent of `a`
+    raises and is not stored."""
+    if not idem.algebra.same_structure(a):
+        raise AlgebraMismatch("idempotent of another algebra")
     key = (idem.coords, int(shift))
     p = a._projectives.get(key)
     if p is None:

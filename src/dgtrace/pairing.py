@@ -16,6 +16,9 @@ Specializing A = C = k, B = A gives the scalar pairing
 <lambda, mu> = tr(x -> b x a) with representatives b, a: `pair_scalar` is
 the same contraction.  The trace-formula verifier checks it against the
 supertrace of g (x) f on the balanced tensor of the modules themselves.
+
+Kernel composition, the module side of hh(K1 (x)_B K2) = hh(K1) cup_B
+hh(K2), goes through the diagonal resolution of every B (`compose_kernels`).
 """
 
 from __future__ import annotations
@@ -27,13 +30,13 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from .algebras import (AlgebraElement, DgAlgebra, SparseVec, opposite,
                        pure_tensor, sparse, tensor_algebras)
 from .errors import (AlgebraMismatch, NoDiagonalResolutionForB,
-                     NotDegreeZeroConcentrated, NotSeparableB)
+                     NotDegreeZeroConcentrated)
 from .hochschild import (HH0Space, HochschildClass, diagonal, euler_class,
                          hh0_space, hh_class)
 from .linalg import ONE, ZERO
-from .modules import (ModuleMap, PerfectModule, outer_tensor_columns,
-                      outer_tensor_modules, restrict_to_factor,
-                      right_multiplication_map)
+from .modules import (ModuleMap, PerfectModule, SemiFreeModule,
+                      outer_tensor_columns, outer_tensor_modules,
+                      restrict_to_factor, right_multiplication_map)
 from .resolutions import DiagonalResolution
 
 
@@ -337,50 +340,80 @@ def verify_rr(m: PerfectModule, f: ModuleMap, n: PerfectModule, g: ModuleMap,
 
 
 # ---------------------------------------------------------------------------
-# Kernel composition over a separable middle algebra
+# Kernel composition through the middle algebra's diagonal resolution
 # ---------------------------------------------------------------------------
 
-def compose_kernels_separable(k1: PerfectModule, k2: PerfectModule,
-                              a: DgAlgebra, b: DgAlgebra, c: DgAlgebra,
-                              resolution_b: DiagonalResolution) -> PerfectModule:
-    """K1 (x)_B K2 as a perfect module over A (x) C^op, for separable B.
+def compose_kernels(k1: PerfectModule, k2: PerfectModule,
+                    a: DgAlgebra, b: DgAlgebra, c: DgAlgebra,
+                    resolution_b: DiagonalResolution) -> PerfectModule:
+    """K1 (x)_B K2 over A (x) C^op, as K1 (x)_B P (x)_B K2 for the
+    diagonal resolution P of B.
 
     K1 restricted to A (generators (i, w1) = (1 (x) b_{w1}) g_i) and K2
-    restricted to C^op (generators (j, w2) = (b_{w2} (x) 1) h_j) give the
-    tensor over k as their outer tensor, on generators (i, w1, j, w2).  The
-    balanced tensor over B is split off it by the idempotent inserting the
-    separability element E = sum_t E_t p_t (x) q_t in the middle,
-    (i, w1, j, w2) -> sum_t E_t (i, w1 p_t, j, q_t w2), after the outer
-    idempotent when there is one.
+    restricted to C^op (generators (j, w2) = (b_{w2} (x) 1) h_j) give their
+    outer tensor O over k.  Each generator p_g of P, in shift r_g, gives a
+    copy of O read as o (x) p_g: generators (g, o), g-major, in shift
+    r_g + s_o, each copy with O's twist.  A term c e_s (x) e_t of P's twist
+    entry [h][g] adds (-1)^{s_o} c (R_s (x) L_t) from copy g to copy h, R_s
+    sending (i, w1) to (i, w1 b_s) and L_t sending (j, w2) to (j, b_t w2).
+    P's idempotent acts the same way, unsigned, after O's idempotent, and
+    the PerfectModule constructor checks the composite.  For separable B
+    (one generator in shift 0, idempotent E) this is O cut by E.
     """
     if resolution_b is None:
         raise NoDiagonalResolutionForB("kernel composition needs a resolution")
-    if not resolution_b.separable:
-        raise NotSeparableB("kernel composition implemented for separable B")
-    bop = opposite(b)
-    cop = opposite(c)
+    bop, cop = opposite(b), opposite(c)
     if not k1.algebra.same_structure(tensor_algebras(a, bop)):
         raise AlgebraMismatch("first kernel is not over A (x) B^op")
     if not k2.algebra.same_structure(tensor_algebras(b, cop)):
         raise AlgebraMismatch("second kernel is not over B (x) C^op")
     r1, index1 = restrict_to_factor(k1, a, bop, "first")
     r2, index2 = restrict_to_factor(k2, b, cop, "second")
-    # the final PerfectModule checks the composed idempotent
-    outer, _, index = outer_tensor_modules(r1, r2)
-    m = outer.module
-    # insert = sum_t E_t R_{p_t} (x) L_{q_t}, where R_{p_t} sends (i, w1) to
-    # (i, w1 p_t) on K1's B-index and L_{q_t} sends (j, w2) to (j, q_t w2)
-    # on K2's
-    insert = ModuleMap.zero(m, m)
-    for flat, ce in sparse(resolution_b.separability_idempotent().coords):
-        t1, t2 = divmod(flat, b.dim)
-        right = right_multiplication_map(r1, index1, a, bop, t1)
-        left = right_multiplication_map(r2, index2, cop, b, t2)
-        insert = insert + ModuleMap.from_columns(m, m, 0, outer_tensor_columns(
-            index, right.columns, left.columns, cop.dim)).scale(ce)
+    outer, ac, index = outer_tensor_modules(r1, r2)
+    o, p = outer.module, resolution_b.module
+    n = o.rank
+    actions: Dict[int, ModuleMap] = {}
+
+    def action(flat: int) -> ModuleMap:
+        """R_s (x) L_t on O for the basis element e_s (x) e_t of B^e."""
+        if flat not in actions:
+            s, t = divmod(flat, b.dim)
+            right = right_multiplication_map(r1, index1, a, bop, s)
+            left = right_multiplication_map(r2, index2, cop, b, t)
+            actions[flat] = ModuleMap.from_columns(o, o, 0, outer_tensor_columns(
+                index, right.columns, left.columns, cop.dim))
+        return actions[flat]
+
+    def on_copies(columns, signed: bool) -> list:
+        """The columns over (g, o) of a matrix over B^e on P's generators,
+        with the sign (-1)^{s_o} on column o when `signed`."""
+        out = []
+        for col in columns:
+            blocks = [(h, sum((action(flat).scale(cf) for flat, cf in vec),
+                              ModuleMap.zero(o, o)).columns) for h, vec in col]
+            out += [tuple((h * n + j, tuple((k, -x) for k, x in v)
+                           if signed and s % 2 else v)
+                          for h, block in blocks for j, v in block[i])
+                    for i, s in enumerate(o.shifts)]
+        return out
+
+    def copies(columns) -> list:
+        """The block-diagonal columns over (g, o) of a matrix on O."""
+        return [tuple((g * n + j, v) for j, v in col)
+                for g in range(p.rank) for col in columns]
+
+    twist = [own + moved for own, moved in zip(
+        copies(o.twist_columns), on_copies(p.module.twist_columns, True))]
+    q = SemiFreeModule.from_columns(
+        ac, [r + s for r in p.shifts for s in o.shifts], twist,
+        [f"{ol}(x){pl}" for pl in p.module.labels for ol in o.labels])
+    e = None
+    if p.idempotent is not None:
+        e = ModuleMap.from_columns(q, q, 0, on_copies(p.idempotent.columns, False))
     if outer.idempotent is not None:
-        insert = insert.compose(outer.idempotent)
-    return PerfectModule(m, insert)
+        e_o = ModuleMap.from_columns(q, q, 0, copies(outer.idempotent.columns))
+        e = e_o if e is None else e.compose(e_o)
+    return PerfectModule(q, e)
 
 
 def verify_kernel_composition(k1: PerfectModule, k2: PerfectModule,
@@ -390,7 +423,7 @@ def verify_kernel_composition(k1: PerfectModule, k2: PerfectModule,
                               seed: Optional[int] = None) -> PairingReport:
     """hh(K1 (x)_B K2) against hh(K1) cup_B hh(K2): exact class equality in
     HH_0(A (x) C^op), reported as the two coordinate tuples."""
-    composed = compose_kernels_separable(k1, k2, a, b, c, resolution_b)
+    composed = compose_kernels(k1, k2, a, b, c, resolution_b)
     lhs_class = euler_class(composed)
     rhs_class = cup(euler_class(k1), euler_class(k2), a, b, c, resolution_b)
     return PairingReport(lhs_class.coords, rhs_class.coords, instance, seed)

@@ -3,8 +3,8 @@
 A diagonal resolution of a degree-0 algebra A is a perfect module P over
 A^e = A (x) A^op together with an augmentation onto the diagonal bimodule A
 (one element of A per generator) whose cone is acyclic.  Resolutions are
-shipped, not searched for: length 0 with a separability idempotent for
-separable algebras, the two-term arrow resolution for path algebras of
+shipped, not searched for: length 0, cut out by a separability idempotent,
+for separable algebras, the two-term arrow resolution for path algebras of
 acyclic quivers, and tensor/opposite combinators for everything else.
 This is the one module that knows what a quiver is: vertex labels and
 arrows (label, source, target), read by `path_algebra` and
@@ -21,42 +21,29 @@ from .algebras import (AlgebraElement, AlgebraIso, DgAlgebra, SparseVec,
 from .complexes import ChainMap, is_quasi_iso
 from .duality import diagonal_explicit, transport_module
 from .errors import (AugmentationNotQuasiIso, NotDegreeZeroConcentrated,
-                     NotSeparableB, ValidationError)
-from .linalg import ZERO
+                     ValidationError)
 from .modules import (ModuleMap, PerfectModule, SemiFreeModule, built_module,
                       outer_tensor_modules, restrict_to_ground,
                       semifree_map_to_explicit)
 
 Builder = Callable[[], Tuple[PerfectModule, Tuple[AlgebraElement, ...]]]
-SepBuilder = Callable[[], AlgebraElement]
 
 
 class DiagonalResolution:
     """Perfect A^e-module quasi-isomorphic to the diagonal bimodule.
 
     `augmentation[i]` is the image in A of the i-th generator.  The module
-    and the separability idempotent are built by zero-argument builders on
-    first read and memoised: the idempotent of an enveloping resolution
-    lives in (^eA)^e, of dimension (dim A)^4, which only kernel composition
-    reads.
+    and the augmentation are built by a zero-argument builder on first read
+    and memoised.
     """
 
-    def __init__(self, algebra: DgAlgebra, builder: Builder,
-                 separability_idempotent: Optional[SepBuilder] = None,
-                 name: str = ""):
+    def __init__(self, algebra: DgAlgebra, builder: Builder, name: str = ""):
         if not algebra.is_degree_zero():
             raise NotDegreeZeroConcentrated("resolutions are degree-0 data")
         self.algebra = algebra
         self.name = name
-        self._sep_builder = separability_idempotent
-        self._sep_idem: Optional[AlgebraElement] = None
         self._builder = builder
         self._built: Optional[Tuple[PerfectModule, Tuple[AlgebraElement, ...]]] = None
-
-    @property
-    def separable(self) -> bool:
-        """Whether a separability idempotent is shipped (without building it)."""
-        return self._sep_builder is not None
 
     def _build(self):
         if self._built is None:
@@ -70,13 +57,6 @@ class DiagonalResolution:
     @property
     def augmentation(self) -> Tuple[AlgebraElement, ...]:
         return self._build()[1]
-
-    def separability_idempotent(self) -> AlgebraElement:
-        if self._sep_builder is None:
-            raise NotSeparableB("no separability idempotent available")
-        if self._sep_idem is None:
-            self._sep_idem = self._sep_builder()
-        return self._sep_idem
 
     def augmentation_chain_map(self) -> ChainMap:
         """The augmentation as a chain map P -> A at the ground level."""
@@ -105,7 +85,8 @@ def separable_resolution(a: DgAlgebra, sep_idem: AlgebraElement,
                          name: str = "") -> DiagonalResolution:
     """Length-0 resolution of a separable algebra: the image of right
     multiplication by the separability idempotent E on the free rank-1
-    A^e-module; the augmentation is the multiplication map."""
+    A^e-module, E its idempotent; the augmentation is the multiplication
+    map."""
     env = tensor_algebras(a, opposite(a))
     e_env = env.element(sep_idem.coords)
 
@@ -114,8 +95,7 @@ def separable_resolution(a: DgAlgebra, sep_idem: AlgebraElement,
         idem = ModuleMap(mod, mod, 0, [[e_env]])
         return PerfectModule(mod, idem), (a.one(),)
 
-    return DiagonalResolution(a, build, separability_idempotent=lambda: e_env,
-                              name=name)
+    return DiagonalResolution(a, build, name=name)
 
 
 def path_algebra(vertices: Sequence[str],
@@ -202,12 +182,7 @@ def opposite_resolution(r: DiagonalResolution) -> DiagonalResolution:
         aug = tuple(aop.element(x.coords) for x in r.augmentation)
         return transport_module(r.module, iso), aug
 
-    def sep():
-        return iso.target.element(iso.apply(r.separability_idempotent().coords))
-
-    return DiagonalResolution(aop, build,
-                              separability_idempotent=sep if r.separable else None,
-                              name=f"op({r.name})")
+    return DiagonalResolution(aop, build, name=f"op({r.name})")
 
 
 def tensor_resolution(r1: DiagonalResolution, r2: DiagonalResolution,
@@ -219,37 +194,22 @@ def tensor_resolution(r1: DiagonalResolution, r2: DiagonalResolution,
     a, b = r1.algebra, r2.algebra
     ab = tensor_algebras(a, b)
 
-    def env_perm():
-        # flat index in A^e (x) B^e: ((i, j), (k, l)) with i,j over A and
-        # k,l over B; target index in (A(x)B)^e: ((i, k), (j, l)).  Built
-        # on use: the lazy build() would otherwise hold it for the life of
-        # the resolution
-        na, nb = a.dim, b.dim
-        return [(i * nb + k) * (na * nb) + (j * nb + l)
-                for i in range(na) for j in range(na)
-                for k in range(nb) for l in range(nb)]
-
     def build():
         big, prod_env, index = outer_tensor_modules(r1.module, r2.module)
         env_ab = tensor_algebras(ab, opposite(ab))
-        transported = transport_module(
-            big, AlgebraIso(prod_env, env_ab, env_perm()))
+        # flat index in A^e (x) B^e: ((i, j), (k, l)) with i,j over A and
+        # k,l over B; target index in (A(x)B)^e: ((i, k), (j, l))
+        na, nb = a.dim, b.dim
+        perm = [(i * nb + k) * (na * nb) + (j * nb + l)
+                for i in range(na) for j in range(na)
+                for k in range(nb) for l in range(nb)]
+        transported = transport_module(big, AlgebraIso(prod_env, env_ab, perm))
         aug = tuple(ab.element(pure_tensor(r1.augmentation[i].coords,
                                            r2.augmentation[j].coords))
                     for (i, j) in index)
         return transported, aug
 
-    def sep():
-        pt = pure_tensor(r1.separability_idempotent().coords,
-                         r2.separability_idempotent().coords)
-        out = [ZERO] * len(pt)
-        for src, dst in enumerate(env_perm()):
-            out[dst] = pt[src]
-        return tensor_algebras(ab, opposite(ab)).element(out)
-
-    return DiagonalResolution(
-        ab, build, separability_idempotent=sep if r1.separable and r2.separable else None,
-        name=name or f"{r1.name}(x){r2.name}")
+    return DiagonalResolution(ab, build, name=name or f"{r1.name}(x){r2.name}")
 
 
 def enveloping_resolution(r: DiagonalResolution) -> DiagonalResolution:

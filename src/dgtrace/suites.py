@@ -310,7 +310,8 @@ def adapt_suite(seed: int) -> Dict:
 
 
 def kernel_composition_suite(count: int, seed: int) -> Dict:
-    """Class equality for composed kernels over separable middle algebras."""
+    """Class equality for composed kernels over the separable B in M2, kxk,
+    k with A = C = k; `compose_kernels` itself takes every catalog B."""
     kalg = unit_algebra()
     combos = [(kalg, catalog_entry(bname), kalg) for bname in ("M2", "kxk", "k")]
 

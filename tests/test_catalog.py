@@ -17,11 +17,11 @@ def test_a2_entry(cat):
 
 def test_m2_resolution_length_zero(cat):
     res = cat["M2"].resolution
-    assert res.separable
     assert res.module.module.rank == 1
     assert res.module.module.shifts == (0,)
-    # separability element multiplies to the unit
-    e = res.separability_idempotent()
+    # the module's idempotent is the separability element, which
+    # multiplies to the unit
+    e = res.module.idempotent.entries[0][0]
     m2 = cat["M2"].algebra
     n = m2.dim
     total = [0] * n

@@ -5,6 +5,7 @@ import pytest
 
 from dgtrace import complexes
 from dgtrace.algebras import opposite, tensor_algebras
+from dgtrace.catalog import catalog_entry, matrix_2x2
 from dgtrace.complexes import is_acyclic, keyed_complex
 from dgtrace.duality import diagonal_explicit, omega_inverse
 from dgtrace.errors import (AlgebraMismatch, DegreeViolation,
@@ -306,6 +307,37 @@ def test_realizations_refuse_modules_over_other_algebras(cat):
     left = free_module(opposite(a2), [0]).module.to_explicit()
     assert TensorOverAlgebra(left, m.module).carrier.space.dims == {0: 3}
     assert HomOverAlgebra(m.module, m.module.to_explicit()).carrier.space.dims == {0: 3}
+
+
+def test_grid_entries_over_another_algebra_are_refused(cat):
+    """M2 and Kronecker both have dimension 4, and Kronecker's e1 and e2
+    have the coordinates of E11 and E12.  Read by coordinates alone, a map
+    over M2 with entry e2 was E12, and a twist entry e1 was E11."""
+    m2, kron = cat["M2"].algebra, cat["Kronecker"].algebra
+    m = SemiFreeModule(m2, [0])
+    with pytest.raises(AlgebraMismatch):
+        ModuleMap(m, m, 0, [[kron.by_label("e2")]])
+    assert ModuleMap(m, m, 0, [[m2.by_label("E12")]]).columns == (((0, ((1, 1),)),),)
+    zero = m2.zero()
+    with pytest.raises(AlgebraMismatch):
+        SemiFreeModule(m2, [1, 0], [[zero, zero], [kron.by_label("e1"), zero]])
+    twisted = SemiFreeModule(m2, [1, 0], [[zero, zero], [m2.by_label("E11"), zero]])
+    assert twisted.twist_columns == (((1, ((0, 1),)),), ())
+
+
+def test_a_projective_over_another_algebra_is_refused():
+    """projective_module(M2, Kronecker's e1) built M2.E11, and stored it.
+    It raises, on a cold memo and on one that holds M2.E11."""
+    m2 = matrix_2x2()
+    e1 = catalog_entry("Kronecker").algebra.by_label("e1")
+    assert e1.coords == m2.by_label("E11").coords
+    with pytest.raises(AlgebraMismatch):
+        projective_module(m2, e1)
+    assert m2._projectives == {}
+    p = projective_module(m2, m2.by_label("E11"))
+    with pytest.raises(AlgebraMismatch):
+        projective_module(m2, e1)
+    assert list(m2._projectives.values()) == [p]
 
 
 def test_module_map_compose_matches_restriction(a2):

@@ -9,14 +9,14 @@ from dgtrace.algebras import (DgAlgebra, opposite, pure_tensor, sparse,
                               tensor_algebras, validate_algebra)
 from dgtrace.catalog import catalog_entry
 from dgtrace.errors import (AlgebraMismatch, IdempotentIncompatible,
-                            NoDiagonalResolutionForB, NotSeparableB)
+                            NoDiagonalResolutionForB)
 from dgtrace.hochschild import (euler_class, generalized_supertrace, hh0_space,
                                 hh_class)
 from dgtrace.modules import (ModuleMap, PerfectModule, SemiFreeModule,
                              built_module, cone_module, direct_sum_modules,
                              free_module, projective_module, restrict_to_factor,
                              right_multiplication_map)
-from dgtrace.pairing import (KernelTransfer, compose_kernels_separable, cup,
+from dgtrace.pairing import (KernelTransfer, compose_kernels, cup,
                              diagonal_class, kunneth, pair_scalar,
                              pairing_three_ways, unit_algebra,
                              rr_left_side, verify_kernel_composition,
@@ -640,16 +640,42 @@ def test_cartan_tables_oracle():
 
 # -- kernel composition -------------------------------------------------------
 
-def test_kernel_composition_needs_separable(cat):
-    kalg = unit_algebra()
-    ent = cat["A2"]
-    b = ent.algebra
-    ab = tensor_algebras(kalg, opposite(b))
-    bc = tensor_algebras(b, opposite(kalg))
-    k1 = free_module(ab, [0])
-    k2 = free_module(bc, [0])
-    with pytest.raises(NotSeparableB):
-        verify_kernel_composition(k1, k2, kalg, b, kalg, ent.resolution)
+def test_kernel_composition_over_non_separable_middle_algebras(cat):
+    """The composite through the quiver resolutions of A2, A3 and Kronecker
+    against cup, with A and C in {k, A2}.  The kernels may carry a
+    projective summand cut out by e_x (x) e_q (flat index x nb + q), for
+    catalog idempotents e_x of A and e_q of B^op, and likewise over
+    B (x) C^op; the composite's twist squares to zero, and its idempotent
+    is checked by the PerfectModule constructor."""
+    instances = carried = nonzero = 0
+    for bname in ("A2", "A3", "Kronecker"):
+        ent_b = cat[bname]
+        b = ent_b.algebra
+        for aname, cname in (("k", "k"), ("k", "A2"), ("A2", "k")):
+            ent_a, ent_c = cat[aname], cat[cname]
+            a, c = ent_a.algebra, ent_c.algebra
+            ab = tensor_algebras(a, opposite(b))
+            bc = tensor_algebras(b, opposite(c))
+            idem_ab = [x * b.dim + q for x in ent_a.idempotents
+                       for q in ent_b.idempotents]
+            idem_bc = [q * c.dim + y for q in ent_b.idempotents
+                       for y in ent_c.idempotents]
+            for seed in range(3):
+                rng = stream_for(71, 100 * seed + b.dim)
+                k1 = random_perfect(ab, rng, idem_ab, max_gens=2,
+                                    shift_range=(-1, 1))
+                k2 = random_perfect(bc, rng, idem_bc, max_gens=2,
+                                    shift_range=(-1, 1))
+                composite = compose_kernels(k1, k2, a, b, c, ent_b.resolution)
+                composite.module.validate()
+                lhs = euler_class(composite).coords
+                rhs = cup(euler_class(k1), euler_class(k2), a, b, c,
+                          ent_b.resolution).coords
+                assert lhs == rhs, (bname, aname, cname, seed)
+                instances += 1
+                carried += (k1.idempotent is not None) + (k2.idempotent is not None)
+                nonzero += any(lhs)
+    assert instances == 27 and nonzero >= 12 and 20 <= carried < 54
 
 
 def test_kernel_composition_ground(cat):
@@ -813,7 +839,7 @@ def test_kernel_composition_checks_the_composed_idempotent(cat):
     # the outer tensor of the restricted kernels is left unchecked, so a
     # kernel carrying 2e in place of its idempotent e must be caught by the
     # check on the composed idempotent
-    for name in ("M2", "kxk", "k"):
+    for name in ("M2", "kxk", "k", "A2"):
         ent = cat[name]
         b = ent.algebra
         good = ent.resolution.module
@@ -821,7 +847,7 @@ def test_kernel_composition_checks_the_composed_idempotent(cat):
                            good.module.labels, good.idempotent.scale(2).columns)
         for k1, k2 in ((bad, good), (good, bad)):
             with pytest.raises(IdempotentIncompatible):
-                compose_kernels_separable(k1, k2, b, b, b, ent.resolution)
+                compose_kernels(k1, k2, b, b, b, ent.resolution)
 
 
 def test_pairing_coherence_sees_the_class_coefficients(monkeypatch):

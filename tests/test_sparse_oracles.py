@@ -74,7 +74,8 @@ def outer_tensor_entries(prod, index, x, y):
     if not index:
         return ()
     ns = y[0][0].algebra.dim
-    x, y = (_grid_columns(z, len(z), len(z), "square matrices only") for z in (x, y))
+    x, y = (_grid_columns(z[0][0].algebra, z, len(z), len(z), "square matrices only")
+            for z in (x, y))
     return _dense(prod, outer_tensor_columns(index, x, y, ns), len(index))
 
 
@@ -282,7 +283,7 @@ def unchecked_module(a, shifts, twist):
     its columns without the grid constructor's check."""
     n = len(shifts)
     return SemiFreeModule.from_columns(a, shifts, _grid_columns(
-        twist, n, n, "twist must be a square generator matrix"))
+        a, twist, n, n, "twist must be a square generator matrix"))
 
 
 def random_module(a, rng):
