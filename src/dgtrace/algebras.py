@@ -64,6 +64,13 @@ class DgAlgebra:
     (`duality._dual_tables`), the opposite algebra (`opposite`), the
     tensor products with this algebra as first factor (`tensor_algebras`)
     and the projective summands A.e[s] (`modules.projective_module`).
+
+    The public constructor normalises what it is given (`_merged` sums
+    repeated indices, drops zeros, sorts and stores each coefficient in
+    stored form) and checks that products and the differential are
+    degree-additive.  `built` is the one trusted path, for `opposite` and
+    `_tensor`: their tables are already sorted, zero-free and in stored
+    form, with a canonical unit, so it takes them as they are.
     """
 
     def __init__(self, labels: Sequence[str], degrees: Sequence[int],
@@ -72,12 +79,28 @@ class DgAlgebra:
         n = len(labels)
         if len(degrees) != n or len(unit) != n:
             raise DimensionMismatch("basis data lengths disagree")
-        self.labels = tuple(labels)
-        self.degrees = tuple(int(d) for d in degrees)
-        self.mult = {k: vec for k, v in mult.items() if (vec := _merged(v))}
-        self.unit = tuple(_canon(c) for c in unit)
-        self.diff = {i: vec for i, v in (diff or {}).items() if (vec := _merged(v))}
+        self._init(tuple(labels), tuple(int(d) for d in degrees),
+                   {k: vec for k, v in mult.items() if (vec := _merged(v))},
+                   tuple(_canon(c) for c in unit),
+                   {i: vec for i, v in (diff or {}).items() if (vec := _merged(v))})
         self._check_degrees()
+
+    @classmethod
+    def built(cls, labels: Tuple[str, ...], degrees: Tuple[int, ...],
+              mult: Dict[Tuple[int, int], SparseVec], unit: Tuple,
+              diff: Dict[int, SparseVec]) -> "DgAlgebra":
+        """The output of a builder whose tables are normalised by
+        construction: nothing is merged, sorted or checked."""
+        a = cls.__new__(cls)
+        a._init(labels, degrees, mult, unit, diff)
+        return a
+
+    def _init(self, labels, degrees, mult, unit, diff):
+        self.labels = labels
+        self.degrees = degrees
+        self.mult = mult
+        self.unit = unit
+        self.diff = diff
         self._rows = None
         self._trace_table = None
         self._hh0 = None
@@ -245,7 +268,14 @@ class DgAlgebra:
 
 class AlgebraElement:
     """Element of a DgAlgebra as a coordinate vector over the basis, of
-    Fractions whatever the input."""
+    Fractions whatever the input.
+
+    The constructor checks the length and converts every coordinate;
+    `built` is the one trusted path, for the linear arithmetic (`scale`,
+    `+`, `-`; unary `-` is `scale(-1)`), whose output is a full-length
+    tuple of Fractions by construction.  That arithmetic touches nonzero
+    coordinates only: a zero coordinate is passed through with no Fraction
+    operation."""
 
     __slots__ = ("algebra", "coords")
 
@@ -255,26 +285,39 @@ class AlgebraElement:
         self.algebra = algebra
         self.coords = tuple(c if type(c) is Fraction else Fraction(c) for c in coords)
 
+    @classmethod
+    def built(cls, algebra: DgAlgebra, coords: Coords) -> "AlgebraElement":
+        """An element whose coordinates are a full-length tuple of Fractions
+        by construction, taken unchecked."""
+        x = cls.__new__(cls)
+        x.algebra = algebra
+        x.coords = coords
+        return x
+
     def _same_algebra(self, other: "AlgebraElement") -> None:
         if not other.algebra.same_structure(self.algebra):
             raise AlgebraMismatch("elements of different algebras")
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._same_algebra(other)
-        return AlgebraElement(self.algebra,
-                              tuple(a + b for a, b in zip(self.coords, other.coords)))
+        return AlgebraElement.built(self.algebra, tuple(
+            (a + b if a else b) if b else a for a, b in zip(self.coords, other.coords)))
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._same_algebra(other)
-        return AlgebraElement(self.algebra,
-                              tuple(a - b for a, b in zip(self.coords, other.coords)))
+        return AlgebraElement.built(self.algebra, tuple(
+            (a - b if a else -b) if b else a for a, b in zip(self.coords, other.coords)))
 
     def __neg__(self) -> "AlgebraElement":
         return self.scale(-1)
 
     def scale(self, c) -> "AlgebraElement":
-        c = Fraction(c)
-        return AlgebraElement(self.algebra, tuple(c * x for x in self.coords))
+        if type(c) is not Fraction:
+            c = Fraction(c)
+        if not c:
+            return AlgebraElement.built(self.algebra, (ZERO,) * len(self.coords))
+        return AlgebraElement.built(self.algebra,
+                                    tuple(c * x if x else x for x in self.coords))
 
     def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._same_algebra(other)
@@ -322,7 +365,7 @@ def opposite(a: DgAlgebra) -> DgAlgebra:
         for (i, j), vec in a.mult.items():
             sgn = -1 if (a.degrees[i] * a.degrees[j]) % 2 else 1
             mult[(j, i)] = tuple((k, sgn * c) for k, c in vec)
-        a._opposite = DgAlgebra(a.labels, a.degrees, mult, a.unit, dict(a.diff))
+        a._opposite = DgAlgebra.built(a.labels, a.degrees, mult, a.unit, dict(a.diff))
         a._opposite._opposite = a
     return a._opposite
 
@@ -342,32 +385,29 @@ def tensor_algebras(a: DgAlgebra, b: DgAlgebra) -> DgAlgebra:
 
 
 def _tensor(a: DgAlgebra, b: DgAlgebra) -> DgAlgebra:
+    """The tables of a (x) b in normal form by construction: a product's
+    flat indices k*dim(b)+l come in index order, a product of nonzero
+    rationals is nonzero, and the two parts of each differential are
+    sorted together."""
     nb = b.dim
-    labels = [f"{la}(x){lb}" for la in a.labels for lb in b.labels]
-    degrees = [da + db for da in a.degrees for db in b.degrees]
+    labels = tuple(f"{la}(x){lb}" for la in a.labels for lb in b.labels)
+    degrees = tuple(da + db for da in a.degrees for db in b.degrees)
     mult: Dict[Tuple[int, int], SparseVec] = {}
     for (i, ip), veca in a.mult.items():
         for (j, jp), vecb in b.mult.items():
             sgn = -1 if (b.degrees[j] * a.degrees[ip]) % 2 else 1
-            entries = []
-            for k, ca in veca:
-                for l, cb in vecb:
-                    entries.append((k * nb + l, sgn * ca * cb))
-            key = (i * nb + j, ip * nb + jp)
-            mult[key] = mult.get(key, ()) + tuple(entries)
-    unit = pure_tensor(a.unit, b.unit)
+            mult[(i * nb + j, ip * nb + jp)] = tuple(
+                (k * nb + l, _canon(sgn * ca * cb)) for k, ca in veca for l, cb in vecb)
+    unit = tuple(map(_canon, pure_tensor(a.unit, b.unit)))
     diff: Dict[int, SparseVec] = {}
     for i in range(a.dim):
         for j in range(nb):
-            entries = []
-            for k, c in a.diff.get(i, ()):
-                entries.append((k * nb + j, c))
+            entries = [(k * nb + j, c) for k, c in a.diff.get(i, ())]
             sgn = -1 if a.degrees[i] % 2 else 1
-            for l, c in b.diff.get(j, ()):
-                entries.append((i * nb + l, sgn * c))
+            entries += [(i * nb + l, sgn * c) for l, c in b.diff.get(j, ())]
             if entries:
-                diff[i * nb + j] = tuple(entries)
-    return DgAlgebra(labels, degrees, mult, unit, diff)
+                diff[i * nb + j] = tuple(sorted(entries))
+    return DgAlgebra.built(labels, degrees, mult, unit, diff)
 
 
 def pure_tensor(x: Sequence[Fraction], y: Sequence[Fraction]) -> Coords:

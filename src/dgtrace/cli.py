@@ -5,7 +5,9 @@
 
 Commands: validate, cohomology, hh0, class, pair, verify-rr, verify-serre,
 verify-suite.  Exit status 0 when all checks pass, 1 on a check failure,
-2 on an input error.  Reports are deterministic: the same seed and inputs
+2 on an input error.  An error raised inside a computation is an input error
+when it comes from a `--workspace` file, and a check failure over the
+built-in catalog.  Reports are deterministic: the same seed and inputs
 produce byte-identical output.
 """
 
@@ -271,9 +273,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         sys.stderr.write(f"input error: {exc}\n")
         return EXIT_INPUT
     except DgError as exc:
-        # component errors are embedded in the report with nonzero exit
+        # component errors are embedded in the report with nonzero exit; over
+        # the built-in catalog no input is at fault, so the error is a failed
+        # check of the verifier itself
         _emit({"command": args.command, "error": str(exc), "ok": False}, output)
-        return EXIT_INPUT
+        return EXIT_INPUT if workspace else EXIT_FAIL
     _emit(report, output)
     return EXIT_PASS if report.get("ok", False) else EXIT_FAIL
 

@@ -8,6 +8,7 @@ from dgtrace.algebras import (AlgebraIso, DgAlgebra, enveloping, env_op_iso,
                               validate_algebra)
 from dgtrace.errors import (AlgebraMismatch, AssociativityViolation,
                             UnitViolation)
+from dgtrace.prng import stream_for
 from dgtrace.workspace import parse_workspace
 
 F = Fraction
@@ -244,3 +245,89 @@ def test_opposite_is_memoised(cat):
         assert (op.labels, op.degrees, op.mult, op.unit, op.diff) == (
             fresh.labels, fresh.degrees, fresh.mult, fresh.unit, fresh.diff)
     assert opposite(odd).mult[(2, 1)] == ((3, -ONE),)
+
+
+# -- the trusted builder and the linear arithmetic ---------------------------
+
+def _square_zero_dg_algebra():
+    """1, x, y with |x| = -1, d(x) = y (test_dg_algebra_with_differential)."""
+    mult = {(0, 0): ((0, ONE),), (0, 1): ((1, ONE),), (1, 0): ((1, ONE),),
+            (0, 2): ((2, ONE),), (2, 0): ((2, ONE),)}
+    return validate_algebra(["1", "x", "y"], [0, -1, 0], mult,
+                            [ONE, F(0), F(0)], {1: ((2, ONE),)})
+
+
+def _derived_algebras(cat):
+    """(name, algebra) for every catalog algebra A, its opposite, ^eA, and
+    the products ^eA (x) k^op and k (x) (^eA)^op of the pairing's cup; then a
+    dg algebra G with a differential, its opposite, G (x) G, whose
+    differential has terms from both factors and whose odd factors
+    anticommute, its opposite and G (x) G^op."""
+    k = cat["k"].algebra
+    for name, ent in cat.items():
+        a = ent.algebra
+        ea = tensor_algebras(opposite(a), a)
+        yield from ((name, a), (f"{name}^op", opposite(a)), (f"^e{name}", ea),
+                    (f"^e{name}(x)k^op", tensor_algebras(ea, opposite(k))),
+                    (f"k(x)(^e{name})^op", tensor_algebras(k, opposite(ea))))
+    g = _square_zero_dg_algebra()
+    gg = tensor_algebras(g, g)
+    yield from (("G", g), ("G^op", opposite(g)), ("G(x)G", gg),
+                ("(G(x)G)^op", opposite(gg)), ("G(x)G^op", tensor_algebras(g, opposite(g))))
+
+
+def _stored(c) -> bool:
+    return type(c) is int or (type(c) is Fraction and c.denominator != 1)
+
+
+def test_built_algebras_are_in_the_public_constructors_normal_form(cat):
+    """`opposite` and `_tensor` build through `DgAlgebra.built`, which
+    normalises nothing: their tables equal the public constructor's
+    normalisation of the same data, every coefficient and unit coordinate
+    is in stored form, and each small one is a dg algebra."""
+    for name, b in _derived_algebras(cat):
+        again = DgAlgebra(b.labels, b.degrees, b.mult, b.unit, b.diff)
+        assert again.mult == b.mult and again.diff == b.diff, name
+        assert again.unit == b.unit and again.degrees == b.degrees, name
+        coeffs = [c for vec in (*b.mult.values(), *b.diff.values()) for _, c in vec]
+        assert all(map(_stored, coeffs + list(b.unit))), name
+        if b.dim <= 9:
+            b.validate()
+
+
+def _random_coords(rng, n):
+    """Half the coordinates zero, the rest small rationals of either sign."""
+    return tuple(F(rng.below(9) - 4, 1 + rng.below(3)) if rng.below(2) else F(0)
+                 for _ in range(n))
+
+
+def test_linear_arithmetic_matches_a_dense_reference(cat):
+    """scale (by 0 too), +, - and unary - read nonzero coordinates only and
+    return through `AlgebraElement.built`: they equal the coordinatewise
+    arithmetic, cancelling sums included, and every output coordinate is a
+    Fraction."""
+    rng = stream_for(37, 0)
+    for ent in cat.values():
+        a = ent.algebra
+        for _ in range(12):
+            u, v = _random_coords(rng, a.dim), _random_coords(rng, a.dim)
+            x, y = a.element(u), a.element(v)
+            partly = a.element(tuple(-c if rng.below(2) else c for c in u))
+            c = F(rng.below(9) - 4, 1 + rng.below(3))
+            cases = [
+                (x.scale(c), [c * p for p in u]),
+                (x.scale(0), [F(0)] * a.dim),
+                (x.scale(F(0)), [F(0)] * a.dim),
+                (x.scale(-2), [-2 * p for p in u]),
+                (x + y, [p + q for p, q in zip(u, v)]),
+                (x - y, [p - q for p, q in zip(u, v)]),
+                (-x, [-p for p in u]),
+                (x + -x, [F(0)] * a.dim),
+                (x - x, [F(0)] * a.dim),
+                (x + partly, [p + q for p, q in zip(u, partly.coords)]),
+            ]
+            for got, want in cases:
+                assert got.coords == tuple(want)
+                assert got.algebra is a
+                assert all(type(p) is Fraction for p in got.coords)
+            assert (x + -x).is_zero() and (x - x) == a.zero()

@@ -15,7 +15,12 @@ option: `PerfectModule` always validates its idempotent, and
 `built_module`, the one builder constructor, is the only code in the
 package that makes a `PerfectModule` without `validate`; `Complex` always
 checks d^2 = 0, and only the builders `keyed_complex`, `shift` and `cone`
-make one through `Complex.built`, which does not.  The mark
+make one through `Complex.built`, which does not.  Likewise the algebra
+layer: only `opposite` and `_tensor` make a `DgAlgebra` through
+`DgAlgebra.built`, which neither normalises nor checks their tables, and
+only the linear arithmetic (`scale`, `+`, `-`) makes an
+`AlgebraElement` through `AlgebraElement.built`, which does not convert
+its coordinates.  The mark
 `drawn_from`, which lets `PerfectModule.endomorphism` and `hh_class` take a
 sampler draw without a check, is set in `ModuleMap._init` (cleared) and in
 `EndoSampler.draw` alone.
@@ -156,27 +161,43 @@ def test_only_the_boundary_constructors_take_check():
     assert not found, found
 
 
-def _builds_unchecked_complex(node) -> bool:
-    """A call Complex.built(...), which skips the d^2 = 0 check."""
-    return (_called_name(node) == "built"
-            and getattr(node.func.value, "id", None) == "Complex")
+def _calls_on(cls_name: str, method: str):
+    """The test for a call cls_name.method(...)."""
+    def wanted(node) -> bool:
+        return (_called_name(node) == method
+                and getattr(getattr(node.func, "value", None), "id", None) == cls_name)
+    return wanted
 
 
 def test_only_the_complex_builders_skip_the_square_check():
-    leaks = _only_in(_builds_unchecked_complex, ("complexes.py", "keyed_complex"),
+    # Complex.built(...) skips the d^2 = 0 check
+    leaks = _only_in(_calls_on("Complex", "built"), ("complexes.py", "keyed_complex"),
                      ("complexes.py", "shift"), ("complexes.py", "cone"))
     assert not leaks, leaks
 
 
-def _skips_perfect_check(node) -> bool:
-    """A call PerfectModule.__new__(...), which makes a PerfectModule
-    without running its constructor's `validate`."""
-    return (_called_name(node) == "__new__"
-            and getattr(node.func.value, "id", None) == "PerfectModule")
+def test_only_opposite_and_tensor_build_an_unchecked_algebra():
+    # DgAlgebra.built(...) takes its tables unmerged and unchecked
+    leaks = _only_in(_calls_on("DgAlgebra", "built"), ("algebras.py", "opposite"),
+                     ("algebras.py", "_tensor"))
+    assert not leaks, leaks
+
+
+def test_only_the_linear_arithmetic_builds_an_unchecked_element():
+    # AlgebraElement.built(...) takes its coordinates unconverted
+    leaks = _only_in(_calls_on("AlgebraElement", "built"), ("algebras.py", "scale"),
+                     ("algebras.py", "__add__"), ("algebras.py", "__sub__"))
+    assert not leaks, leaks
+    # and neither class is made around its two constructors
+    assert not [hit for cls_name in ("DgAlgebra", "AlgebraElement")
+                for path in sorted(SRC.glob("*.py"))
+                for hit in _owned(path, _calls_on(cls_name, "__new__"))]
 
 
 def test_only_the_builder_constructor_skips_the_perfect_check():
-    leaks = _only_in(_skips_perfect_check, ("modules.py", "built_module"))
+    # PerfectModule.__new__(...) makes a PerfectModule without running its
+    # constructor's `validate`
+    leaks = _only_in(_calls_on("PerfectModule", "__new__"), ("modules.py", "built_module"))
     assert not leaks, leaks
 
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from dgtrace import suites
 from dgtrace.cli import main
-from dgtrace.errors import WorkspaceError
+from dgtrace.errors import NotClosed, WorkspaceError
 from dgtrace.pairing import verify_rr
 from dgtrace.workspace import parse_workspace, serialize_workspace
 
@@ -199,6 +199,20 @@ def test_cli_component_error_embedded(tmp_path, capsys):
     assert code == 2
     data = json.loads(out)
     assert data["ok"] is False and "error" in data
+
+
+def test_cli_verifier_fault_is_a_failed_check(monkeypatch, capsys):
+    """Over the built-in catalog no input is at fault: a DgError raised
+    inside a battery is a failed check (exit 1), reported with the same
+    keys as an error from a workspace."""
+    def faulty(count, seed):
+        raise NotClosed("euler trace needs a closed map")
+    monkeypatch.setattr(suites, "euler_formula_suite", faulty)
+    code = main(["--random", "1", "verify-suite"])
+    assert code == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "command": "verify-suite", "error": "euler trace needs a closed map",
+        "ok": False}
 
 
 def test_cli_reports_deterministic(capsys):
