@@ -314,8 +314,6 @@ class AlgebraElement:
     def scale(self, c) -> "AlgebraElement":
         if type(c) is not Fraction:
             c = Fraction(c)
-        if not c:
-            return AlgebraElement.built(self.algebra, (ZERO,) * len(self.coords))
         return AlgebraElement.built(self.algebra,
                                     tuple(c * x if x else x for x in self.coords))
 

@@ -215,6 +215,23 @@ def test_cli_verifier_fault_is_a_failed_check(monkeypatch, capsys):
         "ok": False}
 
 
+def test_cli_verifier_fault_with_a_workspace_is_a_failed_check(
+        tmp_path, monkeypatch, capsys):
+    """The verify commands run over the built-in catalog whatever workspace
+    is given, so a `--workspace` flag does not turn a fault inside their
+    batteries into an input error."""
+    def faulty(count, seed):
+        raise NotClosed("euler trace needs a closed map")
+    monkeypatch.setattr(suites, "euler_formula_suite", faulty)
+    path = tmp_path / "ws.json"
+    path.write_text(json.dumps(A2_FULL))
+    code = main(["--workspace", str(path), "--random", "1", "verify-suite"])
+    assert code == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "command": "verify-suite", "error": "euler trace needs a closed map",
+        "ok": False}
+
+
 def test_cli_reports_deterministic(capsys):
     code1, out1 = run_cli(["--random", "5", "--seed", "42",
                            "verify-rr", "--algebra", "Kronecker"], capsys)
