@@ -2,8 +2,8 @@
 algebras: Hochschild classes, Serre duality, and trace pairings verified as
 equalities of rational numbers."""
 
-from .algebras import (AlgebraElement, DgAlgebra, enveloping, opposite,
-                       tensor_algebras, validate_algebra)
+from .algebras import (AlgebraElement, DgAlgebra, opposite, tensor_algebras,
+                       validate_algebra)
 from .catalog import catalog, catalog_entry, catalog_names
 from .complexes import (ChainMap, Complex, GradedSpace, SplitComplex,
                         chain_supertrace, cohomology_dims, cone,
@@ -22,8 +22,8 @@ from .modules import (ModuleMap, PerfectModule, SemiFreeModule, cone_module,
 from .pairing import (PairingReport, cup, kunneth, pair_scalar,
                       verify_kernel_composition, verify_rr)
 from .resolutions import (DiagonalResolution, opposite_resolution,
-                          path_algebra, quiver_resolution,
-                          separable_resolution, tensor_resolution)
-from .workspace import Workspace, parse_workspace, serialize_workspace
+                          path_algebra, quiver_resolution, tensor_resolution,
+                          vertex_arrow_resolution)
+from .workspace import Workspace, parse_workspace
 
 __version__ = "0.1.0"

@@ -421,12 +421,6 @@ def pure_tensor(x: Sequence[Fraction], y: Sequence[Fraction]) -> Coords:
     return tuple(out)
 
 
-def enveloping(a: DgAlgebra) -> Tuple[DgAlgebra, DgAlgebra]:
-    """(A^e, eA) = (A (x) A^op, A^op (x) A)."""
-    aop = opposite(a)
-    return tensor_algebras(a, aop), tensor_algebras(aop, a)
-
-
 class AlgebraIso:
     """Isomorphism of algebras sending basis element i of the source to
     scalar[i] times basis element perm[i] of the target.

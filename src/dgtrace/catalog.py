@@ -6,23 +6,24 @@ split quadratic etale algebra k x k, the 2x2 matrix algebra, the path
 algebras of the linear quivers with two and three vertices, the Kronecker
 quiver, and the tensor square of the two-vertex path algebra.
 
-Each path algebra is stated once, as a quiver: a list of vertex labels and
-a list of arrows (label, source, target) in `QUIVERS`, which
-`resolutions.quiver_resolution` turns into the algebra and its two-term
-resolution.  k and k x k are the path algebras of quivers without arrows,
-resolved by the separability idempotent sum_v e_v (x) e_v.
+Every resolution but the tensor square's is built from vertices and
+arrows by `resolutions.vertex_arrow_resolution`.  Each path algebra is
+stated once, as a quiver: a list of vertex labels and a list of arrows
+(label, source, target) in `QUIVERS`, which `resolutions.quiver_resolution`
+turns into the algebra and its two-term resolution; k and k x k are the
+quivers without arrows.  The 2x2 matrix algebra has one vertex, E11, and
+no arrows.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
 
-from .algebras import DgAlgebra, opposite, tensor_algebras, validate_algebra
+from .algebras import DgAlgebra, validate_algebra
 from .linalg import ONE, ZERO
 from .resolutions import (DiagonalResolution, enveloping_resolution,
-                          path_algebra, quiver_resolution,
-                          separable_resolution, tensor_resolution)
+                          quiver_resolution, tensor_resolution,
+                          vertex_arrow_resolution)
 
 
 class CatalogEntry:
@@ -67,33 +68,10 @@ def matrix_2x2() -> DgAlgebra:
     return validate_algebra(labels, [0, 0, 0, 0], mult, unit)
 
 
-def _m2_separability(m2: DgAlgebra):
-    """E = (1/2) sum_{ij} E_ij (x) E_ji in M2 (x) M2^op."""
-    env = tensor_algebras(m2, opposite(m2))
-    half = Fraction(1, 2)
-    coords = [ZERO] * env.dim
-
-    def idx(i, j):
-        return (i - 1) * 2 + (j - 1)
-
-    for i in (1, 2):
-        for j in (1, 2):
-            coords[idx(i, j) * 4 + idx(j, i)] = half
-    return env.element(coords)
-
-
-def _vertex_separability(a: DgAlgebra):
-    """E = sum_v e_v (x) e_v for the path algebra of a quiver without
-    arrows, whose basis is its vertices."""
-    env = tensor_algebras(a, opposite(a))
-    coords = [ZERO] * env.dim
-    for v in range(a.dim):
-        coords[v * a.dim + v] = ONE
-    return env.element(coords)
-
-
 # (name, vertices, arrows (label, source, target), description)
 QUIVERS = (
+    ("k", ["1"], [], "the ground field"),
+    ("kxk", ["e1", "e2"], [], "product of two copies of the ground field"),
     ("A2", ["e1", "e2"], [("a", 0, 1)], "path algebra of the two-vertex quiver"),
     ("A3", ["e1", "e2", "e3"], [("a", 0, 1), ("b", 1, 2)],
      "path algebra of the three-vertex quiver"),
@@ -111,21 +89,16 @@ def catalog() -> Dict[str, CatalogEntry]:
         return _CATALOG
     entries: Dict[str, CatalogEntry] = {}
 
-    for name, vertices, description in (
-            ("k", ["1"], "the ground field"),
-            ("kxk", ["e1", "e2"], "product of two copies of the ground field")):
-        a = path_algebra(vertices, [])
-        r = separable_resolution(a, _vertex_separability(a), name=name)
-        entries[name] = CatalogEntry(name, a, r, range(a.dim), description)
-
-    m2 = matrix_2x2()
-    rm2 = separable_resolution(m2, _m2_separability(m2), name="M2")
-    entries["M2"] = CatalogEntry("M2", m2, rm2, [0, 3], "2x2 matrix algebra")
-
     for name, vertices, arrows, description in QUIVERS:
         r = quiver_resolution(vertices, arrows, name=name)
         entries[name] = CatalogEntry(name, r.algebra, r, range(len(vertices)),
                                      description)
+        if name == "kxk":
+            # one vertex, the full idempotent E11: M2 = M2 E11 (x) E11 M2
+            m2 = matrix_2x2()
+            rm2 = vertex_arrow_resolution(m2, [0], [], name="M2")
+            entries["M2"] = CatalogEntry("M2", m2, rm2, [0, 3],
+                                         "2x2 matrix algebra")
 
     ra2 = entries["A2"].resolution
     ra2a2 = tensor_resolution(ra2, ra2, name="A2xA2")

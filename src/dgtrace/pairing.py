@@ -10,7 +10,7 @@ supertrace is the contraction.  Summed out, that is
 
 over tensor terms u = a (x) p, v = q (x) c, read off the memoised trace
 table tau_B[p][q] = tr_B(y -> p y q) by one contraction, `_contract`.  Every
-middle algebra, separable or not, goes through it.
+middle algebra, with or without arrows, goes through it.
 
 Specializing A = C = k, B = A gives the scalar pairing
 <lambda, mu> = tr(x -> b x a) with representatives b, a: `pair_scalar` is
@@ -357,8 +357,9 @@ def compose_kernels(k1: PerfectModule, k2: PerfectModule,
     entry [h][g] adds (-1)^{s_o} c (R_s (x) L_t) from copy g to copy h, R_s
     sending (i, w1) to (i, w1 b_s) and L_t sending (j, w2) to (j, b_t w2).
     P's idempotent acts the same way, unsigned, after O's idempotent, and
-    the PerfectModule constructor checks the composite.  For separable B
-    (one generator in shift 0, idempotent E) this is O cut by E.
+    the PerfectModule constructor checks the composite.  For B without
+    arrows (one generator e_v (x) e_v in shift 0 per vertex, no twist)
+    this is the sum over v of O cut by R_{e_v} L_{e_v}.
     """
     if resolution_b is None:
         raise NoDiagonalResolutionForB("kernel composition needs a resolution")

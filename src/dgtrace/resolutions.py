@@ -3,11 +3,11 @@
 A diagonal resolution of a degree-0 algebra A is a perfect module P over
 A^e = A (x) A^op together with an augmentation onto the diagonal bimodule A
 (one element of A per generator) whose cone is acyclic.  Resolutions are
-shipped, not searched for: length 0, cut out by a separability idempotent,
-for separable algebras, the two-term arrow resolution for path algebras of
-acyclic quivers, and tensor/opposite combinators for everything else.
-This is the one module that knows what a quiver is: vertex labels and
-arrows (label, source, target), read by `path_algebra` and
+shipped, not searched for: one builder takes an algebra's vertex
+idempotents and arrows and gives the two-term resolution (length 0 when
+there are no arrows), and tensor/opposite combinators give everything
+else.  This is the one module that knows what a quiver is: vertex labels
+and arrows (label, source, target), read by `path_algebra` and
 `quiver_resolution`.
 """
 
@@ -22,15 +22,16 @@ from .complexes import ChainMap, is_quasi_iso
 from .duality import diagonal_explicit, transport_module
 from .errors import (AugmentationNotQuasiIso, NotDegreeZeroConcentrated,
                      ValidationError)
-from .modules import (ModuleMap, PerfectModule, SemiFreeModule, built_module,
-                      outer_tensor_modules, restrict_to_ground,
-                      semifree_map_to_explicit)
+from .modules import (PerfectModule, built_module, outer_tensor_modules,
+                      restrict_to_ground, semifree_map_to_explicit)
 
 Builder = Callable[[], Tuple[PerfectModule, Tuple[AlgebraElement, ...]]]
 
 
 class DiagonalResolution:
-    """Perfect A^e-module quasi-isomorphic to the diagonal bimodule.
+    """Perfect A^e-module quasi-isomorphic to the diagonal bimodule, built
+    from vertices and arrows by `vertex_arrow_resolution` or by the
+    combinators below.
 
     `augmentation[i]` is the image in A of the i-th generator.  The module
     and the augmentation are built by a zero-argument builder on first read
@@ -81,23 +82,6 @@ class DiagonalResolution:
         return self
 
 
-def separable_resolution(a: DgAlgebra, sep_idem: AlgebraElement,
-                         name: str = "") -> DiagonalResolution:
-    """Length-0 resolution of a separable algebra: the image of right
-    multiplication by the separability idempotent E on the free rank-1
-    A^e-module, E its idempotent; the augmentation is the multiplication
-    map."""
-    env = tensor_algebras(a, opposite(a))
-    e_env = env.element(sep_idem.coords)
-
-    def build():
-        mod = SemiFreeModule(env, [0], labels=["diag"])
-        idem = ModuleMap(mod, mod, 0, [[e_env]])
-        return PerfectModule(mod, idem), (a.one(),)
-
-    return DiagonalResolution(a, build, name=name)
-
-
 def path_algebra(vertices: Sequence[str],
                  arrows: Sequence[Tuple[str, int, int]]) -> DgAlgebra:
     """The path algebra of a finite acyclic quiver, validated.
@@ -135,20 +119,25 @@ def path_algebra(vertices: Sequence[str],
                             [1] * nv + [0] * (len(paths) - nv))
 
 
-def quiver_resolution(vertices: Sequence[str],
-                      arrows: Sequence[Tuple[str, int, int]],
-                      name: str = "") -> DiagonalResolution:
-    """Two-term arrow resolution of `path_algebra(vertices, arrows)`.
+def vertex_arrow_resolution(a: DgAlgebra, vertices: Sequence[int],
+                            arrows: Sequence[Tuple[int, int, int]],
+                            name: str = "") -> DiagonalResolution:
+    """Two-term resolution of A from vertex idempotents and arrows.
 
-    Generators: one per arrow x from src to tgt in degree -1 (shift 1),
-    with idempotent e_src (x) e_tgt and
+    `vertices` are the basis indices of orthogonal idempotents e_v, and each
+    arrow is (basis index of x, source, target), the endpoints positions in
+    `vertices`, with e_src x = x = x e_tgt.  Generators: one per arrow x in
+    degree -1 (shift 1), with idempotent e_src (x) e_tgt and
     D(H_x) = (x (x) e_tgt) G_tgt - (e_src (x) x) G_src, the bimodule map
     e_src (x) e_tgt -> x (x) e_tgt - e_src (x) x; then one per vertex v in
-    degree 0 with idempotent e_v (x) e_v and augmentation e_v.  The twist
-    and the idempotent are derived here, so the module is built unchecked
-    and `DiagonalResolution.validate` checks it.
+    degree 0 with idempotent e_v (x) e_v and augmentation e_v.  A path
+    algebra takes its vertices and arrows (Butler and King, "Minimal
+    resolutions of algebras", 1999); without arrows the resolution has
+    length 0, and needs the multiplication sum_v A e_v (x) e_v A -> A to
+    be bijective, as for the full idempotent E11 of the 2x2 matrices.  The
+    twist and the idempotent are derived here, so the module is built
+    unchecked and `DiagonalResolution.validate` checks it.
     """
-    a = path_algebra(vertices, arrows)
     env = tensor_algebras(a, opposite(a))
     n, na, nv = a.dim, len(arrows), len(vertices)
 
@@ -159,15 +148,27 @@ def quiver_resolution(vertices: Sequence[str],
     def build():
         shifts = [1] * na + [0] * nv
         labels = [f"arr{t}" for t in range(na)] + [f"vtx{v}" for v in range(nv)]
-        tw = [tuple(sorted([(na + tgt, pair(nv + t, tgt)),
-                            (na + src, pair(src, nv + t, -1))]))
-              for t, (_, src, tgt) in enumerate(arrows)] + [()] * nv
-        idem = [((t, pair(src, tgt)),) for t, (_, src, tgt) in enumerate(arrows)]
-        idem += [((na + v, pair(v, v)),) for v in range(nv)]
-        aug = tuple([a.zero()] * na + [a.basis_element(v) for v in range(nv)])
+        tw = [tuple(sorted([(na + tgt, pair(x, vertices[tgt])),
+                            (na + src, pair(vertices[src], x, -1))]))
+              for x, src, tgt in arrows] + [()] * nv
+        idem = [((t, pair(vertices[src], vertices[tgt])),)
+                for t, (_, src, tgt) in enumerate(arrows)]
+        idem += [((na + v, pair(e, e)),) for v, e in enumerate(vertices)]
+        aug = tuple([a.zero()] * na + [a.basis_element(e) for e in vertices])
         return built_module(env, shifts, tw, labels, idem), aug
 
     return DiagonalResolution(a, build, name=name)
+
+
+def quiver_resolution(vertices: Sequence[str],
+                      arrows: Sequence[Tuple[str, int, int]],
+                      name: str = "") -> DiagonalResolution:
+    """`vertex_arrow_resolution` of `path_algebra(vertices, arrows)`, whose
+    vertex v is basis element v and arrow t basis element len(vertices) + t."""
+    a = path_algebra(vertices, arrows)
+    nv = len(vertices)
+    basis_arrows = [(nv + t, src, tgt) for t, (_, src, tgt) in enumerate(arrows)]
+    return vertex_arrow_resolution(a, range(nv), basis_arrows, name=name)
 
 
 def opposite_resolution(r: DiagonalResolution) -> DiagonalResolution:

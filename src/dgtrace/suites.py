@@ -310,8 +310,9 @@ def adapt_suite(seed: int) -> Dict:
 
 
 def kernel_composition_suite(count: int, seed: int) -> Dict:
-    """Class equality for composed kernels over the separable B in M2, kxk,
-    k with A = C = k; `compose_kernels` itself takes every catalog B."""
+    """Class equality for composed kernels over the arrow-free B in M2,
+    kxk, k with A = C = k, whose resolutions have one shift-0 generator per
+    vertex and no twist; `compose_kernels` itself takes every catalog B."""
     kalg = unit_algebra()
     combos = [(kalg, catalog_entry(bname), kalg) for bname in ("M2", "kxk", "k")]
 

@@ -90,7 +90,6 @@ class Workspace:
         self.modules: Dict[str, PerfectModule] = {}
         self.maps: Dict[str, ModuleMap] = {}
         self.resolutions: Dict[str, DiagonalResolution] = {}
-        self.raw: dict = {"format": FORMAT_VERSION}
 
     def algebra(self, name: str) -> DgAlgebra:
         if name not in self.algebras:
@@ -243,7 +242,6 @@ def parse_workspace(text: str) -> Workspace:
     if not _is_int(fmt) or fmt != FORMAT_VERSION:
         raise WorkspaceError(f"unsupported format {fmt!r}", "format")
     ws = Workspace()
-    ws.raw = data
     for t, name in enumerate(_expect(data.get("use_catalog", []), list,
                                      "use_catalog", "use_catalog")):
         _expect(name, str, f"use_catalog[{t}]", "use_catalog")
@@ -281,8 +279,3 @@ def default_workspace() -> Workspace:
         ws.algebras[name] = ent.algebra
         ws.resolutions[name] = ent.resolution
     return ws
-
-
-def serialize_workspace(ws: Workspace) -> str:
-    """Serialize the raw description (round-trips with parse_workspace)."""
-    return json.dumps(ws.raw, sort_keys=True, indent=2) + "\n"

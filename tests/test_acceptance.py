@@ -156,7 +156,8 @@ def test_criterion_9_determinism():
 
 
 # sha256 of the CLI batches whose reports each change to the verifier must
-# leave byte-identical: the suite at two seeds and the 200-draw rr batch
+# leave byte-identical: the suite at two seeds, the 200-draw rr batch and
+# the validation of every catalog algebra and resolution
 CLI_BATCH_SHA256 = {
     "--random 50 --seed 42 verify-suite":
         "f78775aca9811abac39747542c363f45f243aaaaf48aa1b2801afaa99a85ab25",
@@ -164,6 +165,8 @@ CLI_BATCH_SHA256 = {
         "21cb64fad41f1e6a009f42960ebef4241d549cecde26aa356cd4cd424d1cb6bd",
     "--random 5 --seed 7 verify-suite":
         "53233007a02cc6cff871aa7c205866985d48d31506cffd6ea2e88237a606c6b2",
+    "validate":
+        "116c85155169d517d56205f3df11710115df6aa75e54624b721bb491705d8198",
 }
 
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from dgtrace.algebras import (AlgebraIso, DgAlgebra, enveloping, env_op_iso,
+from dgtrace.algebras import (AlgebraIso, DgAlgebra, env_op_iso,
                               opposite, swap_iso, tensor_algebras,
                               validate_algebra)
 from dgtrace.errors import (AlgebraMismatch, AssociativityViolation,
@@ -76,7 +76,8 @@ def test_rows_reindex_mult(cat):
     square and enveloping algebras."""
     for ent in cat.values():
         a = ent.algebra
-        for b in (a, opposite(a), tensor_algebras(a, a), *enveloping(a)):
+        for b in (a, opposite(a), tensor_algebras(a, a),
+                  tensor_algebras(a, opposite(a)), tensor_algebras(opposite(a), a)):
             assert len(b.rows) == b.dim
             assert {(i, j): vec for i, row in enumerate(b.rows)
                     for j, vec in row.items()} == b.mult
@@ -142,17 +143,18 @@ def test_tensor_m2_a2_valid(m2, a2):
 
 
 def test_enveloping_dims(a2, kfield):
-    ae, ea = enveloping(a2)
+    ae, ea = tensor_algebras(a2, opposite(a2)), tensor_algebras(opposite(a2), a2)
     assert ae.dim == 9 and ea.dim == 9
     ae.validate()
     ea.validate()
-    k_ae, k_ea = enveloping(kfield)
+    k_ae = tensor_algebras(kfield, opposite(kfield))
+    k_ea = tensor_algebras(opposite(kfield), kfield)
     assert k_ae.same_structure(kfield)
     assert k_ea.same_structure(kfield)
 
 
 def test_swap_iso_between_envelopings(a2):
-    ae, ea = enveloping(a2)
+    ae, ea = tensor_algebras(a2, opposite(a2)), tensor_algebras(opposite(a2), a2)
     swap_iso(a2, opposite(a2), ae, ea).check()
 
 

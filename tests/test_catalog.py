@@ -4,7 +4,9 @@ import time
 import pytest
 
 from dgtrace.cli import main
+from dgtrace.errors import AugmentationNotQuasiIso
 from dgtrace.hochschild import hh0_space
+from dgtrace.resolutions import vertex_arrow_resolution
 
 
 def test_catalog_names(cat):
@@ -15,26 +17,31 @@ def test_a2_entry(cat):
     assert cat["A2"].algebra.dim == 3
 
 
-def test_m2_resolution_length_zero(cat):
-    res = cat["M2"].resolution
-    assert res.module.module.rank == 1
-    assert res.module.module.shifts == (0,)
-    # the module's idempotent is the separability element, which
-    # multiplies to the unit
-    e = res.module.idempotent.entries[0][0]
+def test_arrow_free_resolutions_length_zero(cat):
+    """k, kxk and M2 are resolved by their vertices alone: one shift-0
+    generator per vertex, whose idempotent e_v (x) e_v multiplies to its
+    augmentation e_v."""
+    for name, nv in (("k", 1), ("kxk", 2), ("M2", 1)):
+        a = cat[name].algebra
+        res = cat[name].resolution
+        assert res.module.module.rank == nv
+        assert res.module.module.shifts == (0,) * nv
+        for g in range(nv):
+            total = a.zero()
+            for flat, c in enumerate(res.module.idempotent.entries[g][g].coords):
+                i, j = divmod(flat, a.dim)
+                total = total + (a.basis_element(i) * a.basis_element(j)).scale(c)
+            assert total == res.augmentation[g], (name, g)
+
+
+def test_m2_with_both_diagonal_units_is_not_a_resolution(cat):
+    """E11 and E22 as vertices give M2 (+) M2, whose augmentation has a
+    kernel; either one alone resolves M2."""
     m2 = cat["M2"].algebra
-    n = m2.dim
-    total = [0] * n
-    from fractions import Fraction
-    total = [Fraction(0)] * n
-    for flat, c in enumerate(e.coords):
-        if c:
-            i, j = divmod(flat, n)
-            prod = m2.multiply(
-                tuple(Fraction(1) if t == i else Fraction(0) for t in range(n)),
-                tuple(Fraction(1) if t == j else Fraction(0) for t in range(n)))
-            total = [x + c * y for x, y in zip(total, prod)]
-    assert tuple(total) == m2.unit
+    with pytest.raises(AugmentationNotQuasiIso):
+        vertex_arrow_resolution(m2, [0, 3], []).validate()
+    for e in (0, 3):
+        vertex_arrow_resolution(m2, [e], []).validate()
 
 
 def test_a3_entry(cat, a3):

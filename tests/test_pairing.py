@@ -640,15 +640,15 @@ def test_cartan_tables_oracle():
 
 # -- kernel composition -------------------------------------------------------
 
-def test_kernel_composition_over_non_separable_middle_algebras(cat):
-    """The composite through the quiver resolutions of A2, A3 and Kronecker
-    against cup, with A and C in {k, A2}.  The kernels may carry a
-    projective summand cut out by e_x (x) e_q (flat index x nb + q), for
-    catalog idempotents e_x of A and e_q of B^op, and likewise over
-    B (x) C^op; the composite's twist squares to zero, and its idempotent
-    is checked by the PerfectModule constructor."""
+def test_kernel_composition_over_vertex_arrow_middle_algebras(cat):
+    """The composite through the vertex/arrow resolutions of A2, A3,
+    Kronecker, M2, kxk and k against cup, with A and C in {k, A2}.  The
+    kernels may carry a projective summand cut out by e_x (x) e_q (flat
+    index x nb + q), for catalog idempotents e_x of A and e_q of B^op, and
+    likewise over B (x) C^op; the composite's twist squares to zero, and
+    its idempotent is checked by the PerfectModule constructor."""
     instances = carried = nonzero = 0
-    for bname in ("A2", "A3", "Kronecker"):
+    for bname in ("A2", "A3", "Kronecker", "M2", "kxk", "k"):
         ent_b = cat[bname]
         b = ent_b.algebra
         for aname, cname in (("k", "k"), ("k", "A2"), ("A2", "k")):
@@ -675,7 +675,7 @@ def test_kernel_composition_over_non_separable_middle_algebras(cat):
                 instances += 1
                 carried += (k1.idempotent is not None) + (k2.idempotent is not None)
                 nonzero += any(lhs)
-    assert instances == 27 and nonzero >= 12 and 20 <= carried < 54
+    assert instances == 54 and nonzero >= 24 and 40 <= carried < 108
 
 
 def test_kernel_composition_ground(cat):

@@ -26,8 +26,8 @@ from fractions import Fraction
 
 import pytest
 
-from dgtrace.algebras import (AlgebraElement, DgAlgebra, enveloping, opposite,
-                              pure_tensor, sparse, swap_iso, tensor_algebras,
+from dgtrace.algebras import (AlgebraElement, DgAlgebra, opposite, pure_tensor,
+                              sparse, swap_iso, tensor_algebras,
                               validate_algebra)
 from dgtrace import duality
 from dgtrace.complexes import (ChainMap, SplitComplex, chain_supertrace,
@@ -996,7 +996,8 @@ def test_structure_constants_are_stored_scalars(cat, name):
     """mult, diff and unit of every catalog algebra, its opposite and its
     two enveloping algebras hold each coefficient in its one stored form."""
     a = cat[name].algebra
-    for alg in (a, opposite(a)) + enveloping(a):
+    for alg in (a, opposite(a), tensor_algebras(a, opposite(a)),
+                tensor_algebras(opposite(a), a)):
         for vec in list(alg.mult.values()) + list(alg.diff.values()):
             assert vec and all(is_stored_scalar(c) for _, c in vec)
         assert all(c == 0 and type(c) is int or is_stored_scalar(c) for c in alg.unit)

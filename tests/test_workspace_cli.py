@@ -10,7 +10,7 @@ from dgtrace import suites
 from dgtrace.cli import main
 from dgtrace.errors import NotClosed, WorkspaceError
 from dgtrace.pairing import verify_rr
-from dgtrace.workspace import parse_workspace, serialize_workspace
+from dgtrace.workspace import parse_workspace
 
 
 A2_FULL = {
@@ -48,9 +48,6 @@ def test_catalog_stub_round_trip():
     ws = parse_workspace(json.dumps({"format": 1, "use_catalog": ["A2"]}))
     assert "A2" in ws.algebras
     assert ws.algebras["A2"].dim == 3
-    text = serialize_workspace(ws)
-    ws2 = parse_workspace(text)
-    assert ws2.algebras["A2"].same_structure(ws.algebras["A2"])
 
 
 def test_full_description_round_trip():
@@ -58,10 +55,6 @@ def test_full_description_round_trip():
     ws = parse_workspace(text)
     assert ws.algebras["A2"].dim == 3
     assert ws.modules["P2"].idempotent is not None
-    again = parse_workspace(serialize_workspace(ws))
-    assert again.algebras["A2"].same_structure(ws.algebras["A2"])
-    assert again.modules["P2"] == ws.modules["P2"]
-    assert again.maps["triple"] == ws.maps["triple"]
 
 
 @pytest.mark.parametrize("name", ["validate_algebra", "SemiFreeModule",
