@@ -9,9 +9,8 @@ from .complexes import (ChainMap, Complex, GradedSpace, SplitComplex,
                         chain_supertrace, cohomology_dims, cone,
                         euler_trace, hom_complex, is_acyclic, is_quasi_iso,
                         linear_dual, shift, tensor)
-from .duality import (DualBimodule, EvaluationData, bimodule_linear_dual,
-                      dualhom_check, dualize, omega_inverse,
-                      omega_inverse_module, serre_tensor)
+from .duality import (DualBimodule, EvaluationData, dualhom_check, dualize,
+                      omega_inverse, omega_inverse_module, serre_tensor)
 from .hochschild import (HH0Space, HochschildClass, euler_class, hh0_space,
                          hh_class, hh_via_dualizing)
 from .linalg import (RationalMatrix, SubspacePresentation,

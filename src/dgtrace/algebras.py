@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import weakref
 from fractions import Fraction
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .complexes import (Complex, GradedSpace, cohomology_dims, keyed_blocks,
@@ -59,11 +60,12 @@ class DgAlgebra:
     int when integral, else a Fraction), so products of integers stay
     integers; the readers (`AlgebraElement.coords`) give Fractions.  Tables
     derived from `mult` are memoised on the instance on first use, never in
-    the constructor: `rows`, the trace table (`pairing._pair_trace_table`),
-    HH_0 (`hochschild.hh0_space`), the tables of A^* as a one-sided module
-    (`duality._dual_tables`), the opposite algebra (`opposite`), the
-    tensor products with this algebra as first factor (`tensor_algebras`)
-    and the projective summands A.e[s] (`modules.projective_module`).
+    the constructor: `rows` (a `cached_property`), the trace table
+    (`pairing._pair_trace_table`), HH_0 (`hochschild.hh0_space`), the table
+    of A^* as a left module over the opposite algebra
+    (`duality._dual_table`), the opposite algebra (`opposite`), the tensor
+    products with this algebra as first factor (`tensor_algebras`) and the
+    projective summands A.e[s] (`modules.projective_module`).
 
     The public constructor normalises what it is given (`_merged` sums
     repeated indices, drops zeros, sorts and stores each coefficient in
@@ -101,10 +103,9 @@ class DgAlgebra:
         self.mult = mult
         self.unit = unit
         self.diff = diff
-        self._rows = None
         self._trace_table = None
         self._hh0 = None
-        self._dual_tables = None
+        self._dual_table = None
         self._opposite = None
         self._products = None
         self._projectives: Dict[Tuple, object] = {}
@@ -113,17 +114,15 @@ class DgAlgebra:
     def dim(self) -> int:
         return len(self.labels)
 
-    @property
+    @cached_property
     def rows(self) -> List[Dict[int, SparseVec]]:
         """rows[i] = {j: mult[(i, j)]}, the products with left factor e_i:
         the layout every basis-product loop reads, so a lookup is one
         list index and one int-keyed dict probe."""
-        if self._rows is None:
-            rows: List[Dict[int, SparseVec]] = [{} for _ in range(self.dim)]
-            for (i, j), vec in self.mult.items():
-                rows[i][j] = vec
-            self._rows = rows
-        return self._rows
+        rows: List[Dict[int, SparseVec]] = [{} for _ in range(self.dim)]
+        for (i, j), vec in self.mult.items():
+            rows[i][j] = vec
+        return rows
 
     def _check_degrees(self):
         for (i, j), vec in self.mult.items():

@@ -12,12 +12,14 @@ stated once, as a quiver: a list of vertex labels and a list of arrows
 (label, source, target) in `QUIVERS`, which `resolutions.quiver_resolution`
 turns into the algebra and its two-term resolution; k and k x k are the
 quivers without arrows.  The 2x2 matrix algebra has one vertex, E11, and
-no arrows.
+no arrows.  The mapping `catalog()` returns is built once, at import, and
+is read-only; `build_catalog()` builds a new one with empty memos.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional, Sequence
 
 from .algebras import DgAlgebra, validate_algebra
 from .linalg import ONE, ZERO
@@ -79,14 +81,8 @@ QUIVERS = (
      "path algebra of the Kronecker quiver"),
 )
 
-_CATALOG: Optional[Dict[str, CatalogEntry]] = None
-
-
-def catalog() -> Dict[str, CatalogEntry]:
-    """All shipped instances, built once per process."""
-    global _CATALOG
-    if _CATALOG is not None:
-        return _CATALOG
+def build_catalog() -> Dict[str, CatalogEntry]:
+    """All shipped instances, built anew with empty memos."""
     entries: Dict[str, CatalogEntry] = {}
 
     for name, vertices, arrows, description in QUIVERS:
@@ -105,9 +101,15 @@ def catalog() -> Dict[str, CatalogEntry]:
     # orthogonal idempotents e_i (x) e_j at flat index i*3 + j
     entries["A2xA2"] = CatalogEntry("A2xA2", ra2a2.algebra, ra2a2, [0, 1, 3, 4],
                                     "tensor square of the two-vertex path algebra")
-
-    _CATALOG = entries
     return entries
+
+
+_CATALOG: Mapping[str, CatalogEntry] = MappingProxyType(build_catalog())
+
+
+def catalog() -> Mapping[str, CatalogEntry]:
+    """All shipped instances, built once at import, as a read-only mapping."""
+    return _CATALOG
 
 
 def catalog_entry(name: str) -> CatalogEntry:

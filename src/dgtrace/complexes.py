@@ -370,13 +370,14 @@ class Cohomology:
         self._project = {}
         self._section = {}
         dims = {}
-        for p in c.degrees():
-            _, ker, _ = rank_kernel_image(c.d(p))
+        # one elimination per differential: its kernel, and the next image
+        reduced = {p: rank_kernel_image(c.d(p)) for p in c.degrees()}
+        for p, (_, ker, _) in reduced.items():
             kmat = RationalMatrix.from_columns(list(ker.basis), nrows=c.dim(p))
             # image of d^{p-1} inside kernel coordinates
             img_cols = []
             if c.dim(p - 1):
-                _, _, img = rank_kernel_image(c.d(p - 1))
+                img = reduced[p - 1][2]
                 coords = solve_matrix(
                     kmat, RationalMatrix.from_columns(img.basis, nrows=c.dim(p)))
                 if coords is None:

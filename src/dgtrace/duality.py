@@ -152,13 +152,13 @@ class DualBimodule:
         A^op for the tensor machinery: e_i . phi_x = sum_y [e_x](e_i e_y)
         phi_y."""
         a = self.algebra
-        return _degree_zero_module(opposite(a), a.dim, _dual_tables(a)[1])
+        return _degree_zero_module(opposite(a), a.dim, _dual_table(a))
 
     def left_module_data(self) -> ExplicitModule:
         """A^* as a left A-module, (a . phi)(x) = phi(x a): e_i . phi_x =
         sum_y [e_x](e_y e_i) phi_y."""
         a = self.algebra
-        return _degree_zero_module(a, a.dim, _dual_tables(a)[0])
+        return _degree_zero_module(a, a.dim, _dual_table(opposite(a)))
 
     def validate(self):
         """Module axioms over A^e on all basis pairs."""
@@ -189,26 +189,16 @@ def _check_module_axiom(module: ExplicitModule) -> None:
                         f"s = {alg.labels[s]}, t = {alg.labels[t]}, x = {x}")
 
 
-def _left_dual_table(a: DgAlgebra) -> Dict[Tuple, List]:
-    """The table of A^* as a left A-module: (i, x) -> the (y, [e_x](e_y e_i))."""
-    return _transposed({(i, y): vec for (y, i), vec in a.mult.items()})
-
-
-def _dual_tables(a: DgAlgebra) -> Tuple[Dict, Dict]:
-    """The tables of A^* as a left A-module and as a left A^op-module (the
-    transpose of `mult`), memoised on the algebra; each is checked against
-    the module axiom once, when built."""
-    if a._dual_tables is None:
-        left, right = _left_dual_table(a), _transposed(a.mult)
-        _check_module_axiom(_degree_zero_module(a, a.dim, left))
-        _check_module_axiom(_degree_zero_module(opposite(a), a.dim, right))
-        a._dual_tables = (left, right)
-    return a._dual_tables
-
-
-def bimodule_linear_dual(a: DgAlgebra) -> DualBimodule:
-    """A^* as a validated A^e-module (degree-0 algebras only)."""
-    return DualBimodule(a).validate()
+def _dual_table(a: DgAlgebra) -> Dict[Tuple, List]:
+    """The table of A^* as a left A^op-module, the transpose of `mult`:
+    (i, x) -> the (y, [e_x](e_i e_y)).  Memoised on the algebra and checked
+    against the module axiom once, when built.  A^* as a left A-module is
+    the table of A^op, `_dual_table(opposite(a))`."""
+    if a._dual_table is None:
+        table = _transposed(a.mult)
+        _check_module_axiom(_degree_zero_module(opposite(a), a.dim, table))
+        a._dual_table = table
+    return a._dual_table
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +241,8 @@ def serre_module_data(a: DgAlgebra, m: PerfectModule,
     basis = {p: [(i, x) for i, (_, x) in keys] for p, keys in sc.basis.items()}
     d_columns = {(i, x): {(j, y): c for (j, (_, y)), c in col.items()}
                  for (i, (_, x)), col in sc.d_columns.items()}
-    return ExplicitModule(a, basis, d_columns, _dual_tables(a)[0], sc.projector)
+    return ExplicitModule(a, basis, d_columns, _dual_table(opposite(a)),
+                          sc.projector)
 
 
 def hom_into_serre(x: PerfectModule, serre_data: ExplicitModule) -> HomOverAlgebra:
@@ -297,7 +288,7 @@ def dual_right_module_data(m: SemiFreeModule) -> ExplicitModule:
     ex = m.to_explicit()
     basis, d_columns = keyed_dual(ex.basis, ex.d_columns)
     return ExplicitModule(opposite(m.algebra), basis, d_columns,
-                          _dual_tables(m.algebra)[1])
+                          _dual_table(m.algebra))
 
 
 # ---------------------------------------------------------------------------

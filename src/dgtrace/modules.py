@@ -64,6 +64,7 @@ it is built on; the matrix complex `carrier` is assembled on first read.
 from __future__ import annotations
 
 import copy
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebras import (AlgebraElement, DgAlgebra, SparseVec, opposite, sparse,
@@ -217,19 +218,16 @@ class SemiFreeModule:
         if len(self.labels) != n:
             raise DimensionMismatch("one label per generator")
         self.twist_columns = tuple(map(tuple, columns))
-        self._twist = None
         self._explicit: Optional[ExplicitModule] = None
 
     @property
     def rank(self) -> int:
         return len(self.shifts)
 
-    @property
+    @cached_property
     def twist(self):
         """The twist as a grid of elements (boundary view)."""
-        if self._twist is None:
-            self._twist = _dense(self.algebra, self.twist_columns, self.rank)
-        return self._twist
+        return _dense(self.algebra, self.twist_columns, self.rank)
 
     def validate(self) -> "SemiFreeModule":
         """Strict triangularity, entry degrees and D^2 = 0 of the twist."""
@@ -357,7 +355,6 @@ class ModuleMap:
         self.target = target
         self.degree = int(degree)
         self.columns = tuple(map(tuple, columns))
-        self._entries = None
         # the summand whose `EndoSampler` drew this map, which vouches for it
         self.drawn_from: Optional[PerfectModule] = None
 
@@ -382,13 +379,10 @@ class ModuleMap:
              degree: int = 0) -> "ModuleMap":
         return cls.from_columns(source, target, degree, ((),) * source.rank)
 
-    @property
+    @cached_property
     def entries(self):
         """The matrix as a grid of elements (boundary view)."""
-        if self._entries is None:
-            self._entries = _dense(self.source.algebra, self.columns,
-                                   self.target.rank)
-        return self._entries
+        return _dense(self.source.algebra, self.columns, self.target.rank)
 
     def is_zero(self) -> bool:
         return not any(self.columns)
@@ -666,14 +660,11 @@ def restrict_to_factor(p: PerfectModule, f1: DgAlgebra, f2: DgAlgebra,
             acc: Dict[int, List] = {}
             for j, vec in columns[i]:
                 for flat, c in vec:
+                    # side first: (1 (x) b_q)(a_pa (x) b_qb) = a_pa (x) (b_q *f2 b_qb)
                     pa, qb = divmod(flat, n2)
-                    if side == "first":
-                        # (1 (x) b_q)(a_pa (x) b_qb) = a_pa (x) (b_q *f2 b_qb)
-                        for u, cu in row_q.get(qb, ()):
-                            _coords(acc, index[(j, u)], n1)[pa] += c * cu
-                    else:
-                        for u, cu in row_q.get(pa, ()):
-                            _coords(acc, index[(j, u)], n2)[qb] += c * cu
+                    s, o = (pa, qb) if side == "first" else (qb, pa)
+                    for u, cu in row_q.get(o, ()):
+                        _coords(acc, index[(j, u)], small.dim)[s] += c * cu
             out.append(_column(acc))
         return out
 

@@ -34,7 +34,7 @@ from .errors import (AlgebraMismatch, NoDiagonalResolutionForB,
 from .hochschild import (HH0Space, HochschildClass, diagonal, euler_class,
                          hh0_space, hh_class)
 from .linalg import ONE, ZERO
-from .modules import (ModuleMap, PerfectModule, SemiFreeModule,
+from .modules import (ModuleMap, PerfectModule, SemiFreeModule, _neg, _offset,
                       outer_tensor_columns, outer_tensor_modules,
                       restrict_to_factor, right_multiplication_map)
 from .resolutions import DiagonalResolution
@@ -392,16 +392,14 @@ def compose_kernels(k1: PerfectModule, k2: PerfectModule,
         for col in columns:
             blocks = [(h, sum((action(flat).scale(cf) for flat, cf in vec),
                               ModuleMap.zero(o, o)).columns) for h, vec in col]
-            out += [tuple((h * n + j, tuple((k, -x) for k, x in v)
-                           if signed and s % 2 else v)
+            out += [tuple((h * n + j, _neg(v) if signed and s % 2 else v)
                           for h, block in blocks for j, v in block[i])
                     for i, s in enumerate(o.shifts)]
         return out
 
     def copies(columns) -> list:
         """The block-diagonal columns over (g, o) of a matrix on O."""
-        return [tuple((g * n + j, v) for j, v in col)
-                for g in range(p.rank) for col in columns]
+        return [_offset(col, g * n) for g in range(p.rank) for col in columns]
 
     twist = [own + moved for own, moved in zip(
         copies(o.twist_columns), on_copies(p.module.twist_columns, True))]

@@ -13,7 +13,8 @@ and arrows (label, source, target), read by `path_algebra` and
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Callable, Sequence, Tuple
 
 from .algebras import (AlgebraElement, AlgebraIso, DgAlgebra, SparseVec,
                        opposite, pure_tensor, sparse, swap_iso,
@@ -44,20 +45,18 @@ class DiagonalResolution:
         self.algebra = algebra
         self.name = name
         self._builder = builder
-        self._built: Optional[Tuple[PerfectModule, Tuple[AlgebraElement, ...]]] = None
 
-    def _build(self):
-        if self._built is None:
-            self._built = self._builder()
-        return self._built
+    @cached_property
+    def _built(self) -> Tuple[PerfectModule, Tuple[AlgebraElement, ...]]:
+        return self._builder()
 
     @property
     def module(self) -> PerfectModule:
-        return self._build()[0]
+        return self._built[0]
 
     @property
     def augmentation(self) -> Tuple[AlgebraElement, ...]:
-        return self._build()[1]
+        return self._built[1]
 
     def augmentation_chain_map(self) -> ChainMap:
         """The augmentation as a chain map P -> A at the ground level."""

@@ -1,8 +1,6 @@
-import importlib
-
 import pytest
 
-from dgtrace.catalog import catalog, catalog_entry
+from dgtrace.catalog import build_catalog, catalog, catalog_entry
 
 
 @pytest.fixture(scope="session")
@@ -11,11 +9,10 @@ def cat():
 
 
 @pytest.fixture
-def fresh_catalog(monkeypatch):
+def fresh_catalog():
     """A catalog built anew for one test: its algebras have empty memos, so
     the test sees every table, product and HH_0 presentation built cold."""
-    monkeypatch.setattr(importlib.import_module("dgtrace.catalog"), "_CATALOG", None)
-    return catalog()
+    return build_catalog()
 
 
 @pytest.fixture(scope="session")

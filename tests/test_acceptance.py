@@ -156,8 +156,9 @@ def test_criterion_9_determinism():
 
 
 # sha256 of the CLI batches whose reports each change to the verifier must
-# leave byte-identical: the suite at two seeds, the 200-draw rr batch and
-# the validation of every catalog algebra and resolution
+# leave byte-identical: the suite at two seeds, the 200-draw rr batch, the
+# validation of every catalog algebra and resolution, and two reports of the
+# text emitter
 CLI_BATCH_SHA256 = {
     "--random 50 --seed 42 verify-suite":
         "f78775aca9811abac39747542c363f45f243aaaaf48aa1b2801afaa99a85ab25",
@@ -167,6 +168,10 @@ CLI_BATCH_SHA256 = {
         "53233007a02cc6cff871aa7c205866985d48d31506cffd6ea2e88237a606c6b2",
     "validate":
         "116c85155169d517d56205f3df11710115df6aa75e54624b721bb491705d8198",
+    "--output text --seed 42 verify-serre":
+        "70edf45dd114500795b8ef3c44dbb20c6c35682de8363d48fe0cd2c3114207d5",
+    "--output text --random 5 --seed 7 verify-suite":
+        "768b67661b15587fa0f6cf8dd1727faf526cf1b2df4d7ac2551b0a12d2d2d8ee",
 }
 
 

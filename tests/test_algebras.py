@@ -87,11 +87,11 @@ def test_rows_built_on_first_product(a2):
     """A fresh algebra holds no row table; its first product builds it
     once, and later reads get the same table."""
     fresh = DgAlgebra(a2.labels, a2.degrees, a2.mult, a2.unit)
-    assert fresh._rows is None
+    assert "rows" not in vars(fresh)
     out = [0] * fresh.dim
     fresh.add_product(out, ((0, 1),), ((2, 1),))
     assert out == [0, 0, 1]  # e1 * a = a
-    rows = fresh._rows
+    rows = vars(fresh)["rows"]
     assert rows is not None and fresh.rows is rows
 
 

@@ -346,6 +346,29 @@ def test_summand_cohomology_is_rank_of_induced_idempotent(cat):
     assert checked >= 30
 
 
+def test_cohomology_eliminates_each_differential_once(cat, monkeypatch):
+    """Cohomology(c) calls rank_kernel_image once per degree of c: the image
+    of d^{p-1} comes from the elimination that gave the kernel of d^{p-1}.
+    Its dimensions are those of the rank count."""
+    from dgtrace import complexes
+    calls = []
+    eliminate = complexes.rank_kernel_image
+    monkeypatch.setattr(complexes, "rank_kernel_image",
+                        lambda m: calls.append(m) or eliminate(m))
+    rng = SplitMix64(39)
+    images = 0
+    for name in ("A2", "A3", "Kronecker", "M2"):
+        for _ in range(4):
+            c = restrict_to_ground(random_semifree(cat[name].algebra, rng,
+                                                   max_gens=3)).carrier
+            calls.clear()
+            coh = Cohomology(c)
+            assert len(calls) == len(c.degrees())
+            assert coh.dims == cohomology_dims(c)
+            images += sum(1 for p in c.degrees() if c.dim(p - 1))
+    assert images
+
+
 def _augmentation_variants(res):
     """The shipped augmentation, then each generator zeroed, negated,
     doubled, set to the unit and set to each basis element."""

@@ -9,10 +9,9 @@ from dgtrace.cli import main
 from dgtrace.complexes import (ChainMap, cohomology_dims, column_blocks,
                                is_quasi_iso, keyed_blocks, linear_dual)
 from dgtrace.duality import (DualBimodule, EvaluationData,
-                             bimodule_linear_dual, dual_right_module_data,
-                             dualhom_check, dualize, omega_contraction_dims,
-                             omega_inverse_module, serre_module_data,
-                             serre_tensor)
+                             dual_right_module_data, dualhom_check, dualize,
+                             omega_contraction_dims, omega_inverse_module,
+                             serre_module_data, serre_tensor)
 from dgtrace.errors import AlgebraMismatch, DimensionMismatch, NotClosed
 from dgtrace.hochschild import hh0_space, hh_class, hh_via_dualizing
 from dgtrace.linalg import span_dim
@@ -100,12 +99,12 @@ def test_serre_matches_dual_of_hom(cat):
 # -- bimodule dual ----------------------------------------------------------
 
 def test_dual_bimodule_of_ground(kfield):
-    dual = bimodule_linear_dual(kfield)
+    dual = DualBimodule(kfield).validate()
     assert dual.dim == 1
 
 
 def test_dual_bimodule_a2_components(a2):
-    dual = bimodule_linear_dual(a2)
+    dual = DualBimodule(a2).validate()
     assert dual.dim == 3
     # components e_i A^* e_j pair against e_j A e_i
     table = [[component_dim(dual, i, j) for j in (0, 1)] for i in (0, 1)]
@@ -117,7 +116,7 @@ def test_dual_bimodule_m2_selfdual(m2):
     """The trace form X -> tr(X .) is a bimodule isomorphism M2 -> M2^*:
     it is invertible and intertwines (a (x) b) . X = a X b with the dual
     action on functionals, on every basis pair."""
-    dual = bimodule_linear_dual(m2)
+    dual = DualBimodule(m2).validate()
     env = dual.env
     n = m2.dim
     from dgtrace.duality import diagonal_explicit
@@ -224,10 +223,22 @@ def test_serre_duality_dimension_identity(cat):
                 assert lhs == rhs, (name, lhs, rhs)
 
 
-def _right_action_as_left(a):
-    """`_left_dual_table` without its transpose: A^* read as a right
-    A-module where a left one is wanted."""
-    return {(i, y): vec for (y, i), vec in a.mult.items()}
+def _left_dual_table(a):
+    """The table of A^* as a left A-module built from `mult` directly:
+    (i, x) -> the (y, [e_x](e_y e_i)), the reference for the table of
+    A^op."""
+    return duality._transposed({(i, y): vec for (y, i), vec in a.mult.items()})
+
+
+def test_dual_table_of_the_opposite_is_the_left_dual_table(cat):
+    """A^* as a left A-module is the table of A^op, entries in the same
+    order, over every catalog algebra, its opposite and A (x) A^op."""
+    for ent in cat.values():
+        a = ent.algebra
+        for b in (a, opposite(a), tensor_algebras(a, opposite(a))):
+            want = _left_dual_table(b)
+            got = duality._dual_table(opposite(b))
+            assert list(got) == list(want) and got == want, ent.name
 
 
 def _fresh_algebras():
@@ -240,7 +251,9 @@ def _fresh_algebras():
 
 
 def test_dual_tables_refuse_a_right_action_as_a_left_one(monkeypatch):
-    monkeypatch.setattr(duality, "_left_dual_table", _right_action_as_left)
+    # without its transpose the table of A^op reads A^* as a right A-module
+    # where a left one is wanted
+    monkeypatch.setattr(duality, "_transposed", lambda table: table)
     fresh = _fresh_algebras()
     for name in ("M2", "A2", "A3", "Kronecker", "A2xA2"):
         with pytest.raises(AlgebraMismatch):
@@ -263,13 +276,14 @@ def test_dual_tables_are_checked_once_per_algebra(monkeypatch):
     for _ in range(3):
         duality.dual_right_module_data(m.module)
         serre_module_data(a, m)
-    assert checked == [a, opposite(a)]
+    assert checked == [opposite(a), a]
 
 
 def test_verify_serre_fails_on_a_right_action(cat, monkeypatch, capsys):
-    monkeypatch.setattr(duality, "_left_dual_table", _right_action_as_left)
+    monkeypatch.setattr(duality, "_transposed", lambda table: table)
     for ent in cat.values():  # drop the memoised tables for this test
-        monkeypatch.setattr(ent.algebra, "_dual_tables", None)
+        for a in (ent.algebra, opposite(ent.algebra)):
+            monkeypatch.setattr(a, "_dual_table", None)
     assert main(["--seed", "42", "verify-serre"]) != 0
     assert "(e_s e_t) . x" in capsys.readouterr().out
 

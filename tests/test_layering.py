@@ -32,7 +32,8 @@ restriction nor the trace-table contraction behind `cup` and
 `pair_scalar`, so the transfer stays independent of the other two
 pairing constructions.  The trace formula's left side, `rr_left_side`,
 forms no trace element, class or pairing: the element x it is handed is its
-only input shared with the right side."""
+only input shared with the right side.  No module of the package has a
+`global` statement, so no module-global state is rebound after import."""
 
 import ast
 import importlib
@@ -68,6 +69,13 @@ def _leaks(path: Path):
             yield f"{path.name}:{node.lineno}: reads .{node.attr}"
         if _called_name(node) == "RationalMatrix":
             yield f"{path.name}:{node.lineno}: calls RationalMatrix(...)"
+
+
+def test_no_module_has_a_global_statement():
+    found = [f"{path.name}:{node.lineno}" for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Global)]
+    assert not found, found
 
 
 def test_only_linalg_knows_the_matrix_layout():

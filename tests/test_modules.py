@@ -4,10 +4,10 @@ from fractions import Fraction
 import pytest
 
 from dgtrace import complexes
-from dgtrace.algebras import opposite, tensor_algebras
+from dgtrace.algebras import opposite, swap_iso, tensor_algebras
 from dgtrace.catalog import catalog_entry, matrix_2x2
 from dgtrace.complexes import is_acyclic, keyed_complex
-from dgtrace.duality import diagonal_explicit, omega_inverse
+from dgtrace.duality import diagonal_explicit, omega_inverse, transport_module
 from dgtrace.errors import (AlgebraMismatch, DegreeViolation,
                             DifferentialSquareViolation,
                             TriangularityViolation, WrongDegree)
@@ -236,6 +236,36 @@ def test_restrict_to_factor_unit_action(a2, kfield):
     assert restrict_to_ground(left).carrier.space.dims == {-1: 3, 0: 3}
     right, _ = restrict_to_factor(p, a2, kfield, "second")
     assert right.module.rank == 6
+
+
+def test_second_factor_restriction_is_the_first_after_the_swap(cat):
+    """Restriction to the second factor of f1 (x) f2 is restriction to the
+    first factor of f2 (x) f1 after the swap: the same index, shifts,
+    labels, twist and idempotent columns, on seeded kernels with and
+    without a projective summand e_i (x) e_j."""
+    with_idempotent = 0
+    for seed, (n1, n2) in enumerate((("A2", "A2"), ("M2", "k"), ("k", "A3"),
+                                     ("Kronecker", "kxk"), ("A2", "M2"))):
+        f1, f2 = cat[n1].algebra, opposite(cat[n2].algebra)
+        big = tensor_algebras(f1, f2)
+        iso = swap_iso(f1, f2, big, tensor_algebras(f2, f1))
+        idempotents = [i * f2.dim + j for i in cat[n1].idempotents
+                       for j in cat[n2].idempotents]
+        rng = SplitMix64(seed)
+        for _ in range(6):
+            p = random_perfect(big, rng, idempotents, max_gens=3,
+                               shift_range=(-1, 1))
+            second, index = restrict_to_factor(p, f1, f2, "second")
+            first, swapped_index = restrict_to_factor(
+                transport_module(p, iso), f2, f1, "first")
+            assert second.algebra is first.algebra is f2
+            assert index == swapped_index
+            assert second.module == first.module
+            assert (second.idempotent is None) == (first.idempotent is None)
+            if p.idempotent is not None:
+                with_idempotent += 1
+                assert second.idempotent.columns == first.idempotent.columns
+    assert with_idempotent
 
 
 def test_outer_tensor_modules(a2, kfield):

@@ -243,6 +243,21 @@ def test_entry_point_runs():
     assert json.loads(proc.stdout)["ok"] is True
 
 
+@pytest.mark.parametrize("output", ["json", "text"])
+def test_closed_stdout_is_an_output_error(output):
+    """stdout's reader is gone before the report is written: exit 1 with
+    one `output error:` line on stderr, and no traceback."""
+    with subprocess.Popen(
+            [sys.executable, "-m", "dgtrace.cli", "--output", output,
+             "--seed", "42", "verify-serre"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) as proc:
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=300) == 1
+    assert "Traceback" not in err
+    assert err.startswith("output error:") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("bad, where", [
     ({"format": 1, "algebras": {"X": 5}}, "algebras.X"),
     ({"format": 1, "algebras": {"X": {"basis": [{"label": "u", "degree": 0.5}],
