@@ -339,21 +339,21 @@ class EvaluationData:
 
         # eta is lifted on demand (plain semi-free modules only)
         self.resolution = resolution
-        self.omega_inv = None
-        self.hom = None
-        self._eta = None
 
-    @property
+    @cached_property
+    def omega_inv(self) -> PerfectModule:
+        return omega_inverse(self.resolution)
+
+    @cached_property
+    def hom(self) -> HomOverAlgebra:
+        return HomOverAlgebra(self.omega_inv.module, self.x.module.to_explicit())
+
+    @cached_property
     def eta_coords(self):
-        if self._eta is None:
-            if self.m.idempotent is not None:
-                raise DimensionMismatch(
-                    "coevaluation is lifted for plain semi-free modules")
-            self.omega_inv = omega_inverse(self.resolution)
-            self.hom = HomOverAlgebra(self.omega_inv.module,
-                                      self.x.module.to_explicit())
-            self._eta = self._lift_identity()
-        return self._eta
+        if self.m.idempotent is not None:
+            raise DimensionMismatch(
+                "coevaluation is lifted for plain semi-free modules")
+        return self._lift_identity()
 
     def _lift_identity(self):
         a = self.algebra

@@ -335,11 +335,8 @@ def quotient_presentation(ambient_dim: int, sub: SubspacePresentation):
     """
     if sub.ambient_dim != ambient_dim:
         raise DimensionMismatch("subspace lives in a different ambient space")
-    if sub.basis:
-        ker = _kernel(_echelon(_sparse(v, ambient_dim) for v in sub.basis), ambient_dim)
-        proj = RationalMatrix._of(len(ker), ambient_dim, map(dict, ker))
-    else:
-        proj = RationalMatrix.identity(ambient_dim)
+    ker = _kernel(_echelon(_sparse(v, ambient_dim) for v in sub.basis), ambient_dim)
+    proj = RationalMatrix._of(len(ker), ambient_dim, map(dict, ker))
     q = proj.rows
     section = solve_matrix(proj, RationalMatrix.identity(q))
     if section is None:  # cannot happen: proj has full row rank

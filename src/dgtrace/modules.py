@@ -566,14 +566,6 @@ def built_module(algebra: DgAlgebra, shifts: Sequence[int],
     return p
 
 
-def shift_module(p: PerfectModule, n: int) -> PerfectModule:
-    """p[n]: shifts raised by n, twist scaled by (-1)^n."""
-    m = p.module
-    tw = m.twist_columns if n % 2 == 0 else _scale_columns(m.twist_columns, -1)
-    return built_module(m.algebra, [s + n for s in m.shifts], tw, m.labels,
-                        None if p.idempotent is None else p.idempotent.columns)
-
-
 def cone_module(p: ModuleMap) -> PerfectModule:
     """Cone of a closed degree-0 map between plain semi-free modules:
     source generators shifted down one degree, then target generators,

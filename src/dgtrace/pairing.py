@@ -41,17 +41,6 @@ from .resolutions import DiagonalResolution
 
 
 # ---------------------------------------------------------------------------
-# Kunneth
-# ---------------------------------------------------------------------------
-
-def kunneth(x: HochschildClass, y: HochschildClass) -> HochschildClass:
-    """[u] (x) [v] -> [u (x) v] in HH_0(A (x) B)."""
-    product = tensor_algebras(x.algebra, y.algebra)
-    return hh0_space(product).class_of(product.element(
-        pure_tensor(x.representative.coords, y.representative.coords)))
-
-
-# ---------------------------------------------------------------------------
 # Phi: the transfer along a bimodule kernel
 # ---------------------------------------------------------------------------
 
@@ -214,7 +203,7 @@ def unit_algebra() -> DgAlgebra:
 def pairing_three_ways(a: DgAlgebra, resolution: DiagonalResolution,
                        lam: HochschildClass, mu: HochschildClass,
                        env_resolution: DiagonalResolution,
-                       cache: Optional[dict] = None):
+                       cache: dict):
     """The scalar pairing by its three constructions:
 
     1. the closed-form trace tr(x -> b x a);
@@ -223,10 +212,10 @@ def pairing_three_ways(a: DgAlgebra, resolution: DiagonalResolution,
        resolution's semi-free presentation of the diagonal;
     3. the diagonal class cupped against the Kunneth class over the
        enveloping algebra.
-    Returns the triple of rationals.
+    Returns the triple of rationals.  `cache` holds what depends on A
+    alone (the diagonal class and the transfer), filled on the first call
+    with an empty dict; pass the same dict for every pair over one A.
     """
-    if cache is None:
-        cache = {}
     s1 = pair_scalar(lam, mu)
 
     ea = tensor_algebras(opposite(a), a)

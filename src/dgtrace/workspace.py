@@ -148,7 +148,8 @@ def _parse_algebra(name: str, data: dict) -> DgAlgebra:
         i, j, val = trip
         if not (_is_int(i) and 0 <= i < n and _is_int(j) and 0 <= j < n):
             raise WorkspaceError(f"differential[{t}] index out of range", where)
-        diff.setdefault(i, []).append((j, parse_rational(val, where)))
+        diff.setdefault(i, []).append(
+            (j, parse_rational(val, f"{where}.differential[{t}]")))
     diff = {k: tuple(v) for k, v in diff.items()}
     try:
         return validate_algebra(labels, degrees, mult, unit, diff)

@@ -18,12 +18,12 @@ from dgtrace.algebras import env_op_iso, opposite, tensor_algebras
 from dgtrace.duality import dualize, transport_module
 from dgtrace.modules import (PerfectModule, cone_module, direct_sum_modules,
                              outer_tensor_modules, projective_module,
-                             restrict_to_factor, restrict_to_ground,
-                             shift_module)
+                             restrict_to_factor, restrict_to_ground)
 from dgtrace.prng import stream_for
 from dgtrace.sampling import (closed_map_kernel, random_closed_map,
                               random_map_between_frees, random_free,
                               random_perfect, random_semifree)
+from oracles import shift_module
 
 CATALOG = ("k", "kxk", "M2", "A2", "A3", "Kronecker", "A2xA2")
 

@@ -7,7 +7,7 @@ from dgtrace.algebras import AlgebraIso, opposite, tensor_algebras
 from dgtrace.catalog import QUIVERS, matrix_2x2
 from dgtrace.cli import main
 from dgtrace.complexes import (ChainMap, cohomology_dims, column_blocks,
-                               is_quasi_iso, keyed_blocks, linear_dual)
+                               is_quasi_iso, keyed_blocks)
 from dgtrace.duality import (DualBimodule, EvaluationData,
                              dual_right_module_data, dualhom_check, dualize,
                              omega_contraction_dims, omega_inverse_module,
@@ -21,6 +21,7 @@ from dgtrace.modules import (HomOverAlgebra, PerfectModule, TensorOverAlgebra,
 from dgtrace.prng import SplitMix64
 from dgtrace.resolutions import path_algebra, tensor_resolution
 from dgtrace.sampling import EndoSampler, random_perfect, random_semifree
+from oracles import linear_dual
 
 F = Fraction
 
@@ -551,6 +552,14 @@ def test_evaluation_image_of_projective(a2, cat):
     img = compressed.block(0)
     for j in range(img.cols):
         assert img.entries[0][j] == 0  # no component on e1
+
+
+def test_coevaluation_of_a_summand_is_refused_before_any_lift(a2, cat):
+    P2 = projective_module(a2, a2.by_label("e2"))
+    ev = EvaluationData(P2, cat["A2"].resolution)
+    with pytest.raises(DimensionMismatch):
+        ev.eta_coords
+    assert not {"omega_inv", "hom", "eta_coords"} & set(vars(ev))
 
 
 def test_coevaluation_closed_over_quiver(a2, cat):

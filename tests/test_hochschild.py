@@ -13,11 +13,12 @@ from dgtrace.hochschild import (euler_class, hh0_space, hh_class,
                                 hh_via_dualizing)
 from dgtrace.modules import (ModuleMap, cone_module,
                              direct_sum_modules, free_module,
-                             projective_module, shift_module)
+                             projective_module)
 from dgtrace.pairing import pairing_three_ways, verify_rr
 from dgtrace.prng import SplitMix64, stream_for
 from dgtrace.sampling import (EndoSampler, random_closed_pair, random_coeff,
                               random_module_with_endos)
+from oracles import shift_module
 
 F = Fraction
 

@@ -33,11 +33,16 @@ restriction nor the trace-table contraction behind `cup` and
 pairing constructions.  The trace formula's left side, `rr_left_side`,
 forms no trace element, class or pairing: the element x it is handed is its
 only input shared with the right side.  No module of the package has a
-`global` statement, so no module-global state is rebound after import."""
+`global` statement, so no module-global state is rebound after import.
+And the package holds only what its commands, benchmark, demos and tools
+run: every module-level function and class is loaded by name somewhere in
+them or is wrapped by the traced benchmark run; calculus that only tests
+use lives in `tests/oracles.py`."""
 
 import ast
 import importlib
 import inspect
+import json
 import pkgutil
 from pathlib import Path
 
@@ -46,7 +51,8 @@ from dgtrace.complexes import Complex
 from dgtrace.errors import DgError
 from dgtrace.modules import PerfectModule
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "dgtrace"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "dgtrace"
 
 # the dense grid of a RationalMatrix, and the boundary grid views of
 # SemiFreeModule / ModuleMap built from the sparse columns
@@ -261,3 +267,52 @@ def test_left_side_forms_no_trace_element_or_pairing():
     called = {_called_name(node) for node in ast.walk(left)}
     assert "diagonal" in called
     assert not called & LEFT_SIDE_AVOIDS, sorted(called & LEFT_SIDE_AVOIDS)
+
+
+# the directories whose code runs the package, besides src/ itself
+RUNNERS = ("perfbench", "demos", "tools")
+# defined ahead of its first caller, the definition of hh(M, f) that a
+# trace-formula verdict reading the modules will take
+UNCALLED_ON_PURPOSE = {("duality.py", "EvaluationData")}
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _loaded_names(path: Path, skip_own_bodies: bool):
+    """Every name a file loads, plainly or as an attribute, less (with
+    skip_own_bodies) a top-level definition's loads of its own name."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    owner = {node: top.name for top in tree.body
+             if skip_own_bodies and isinstance(top, DEFINITIONS)
+             for node in ast.walk(top)}
+    for node in ast.walk(tree):
+        if not isinstance(getattr(node, "ctx", None), ast.Load):
+            continue
+        name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+        if name is not None and owner.get(node) != name:
+            yield name
+
+
+def test_every_definition_has_a_caller_outside_the_tests():
+    """A module-level def or class of the package must be loaded outside
+    its own body, in src/ (not by `__init__`'s re-export) or in the code
+    under RUNNERS, or be wrapped by the traced run (perfbench/layers.json)."""
+    package = [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
+    runners = [p for d in RUNNERS for p in sorted((ROOT / d).glob("*.py"))]
+    assert package and runners
+    loaded = {name for path in package for name in _loaded_names(path, True)}
+    loaded |= {name for path in runners for name in _loaded_names(path, False)}
+    layers = json.loads((ROOT / "perfbench" / "layers.json").read_text(encoding="utf-8"))
+    wrapped = set()
+    for target in (t for layer in layers["layers"] for t in layer["wraps"]):
+        module, qualname = target.split(":")
+        wrapped.add((f"{module.rsplit('.', 1)[1]}.py", qualname.split(".")[0]))
+    found = [(path.name, node.name) for path in package
+             for node in ast.parse(path.read_text(encoding="utf-8")).body
+             if isinstance(node, DEFINITIONS)]
+    assert len(found) > 100
+    unused = sorted(f"{name}:{fn}" for name, fn in found
+                    if fn not in loaded and (name, fn) not in wrapped
+                    and (name, fn) not in UNCALLED_ON_PURPOSE)
+    assert not unused, unused
+    # the exception still names a definition, so it cannot outlive it
+    assert UNCALLED_ON_PURPOSE <= set(found)

@@ -18,11 +18,11 @@ from dgtrace.modules import (ExplicitModule, HomOverAlgebra, ModuleMap,
                              free_module,
                              hom_over_algebra, outer_tensor_modules,
                              projective_module, restrict_to_factor,
-                             restrict_to_ground, shift_module,
-                             tensor_over_algebra)
+                             restrict_to_ground, tensor_over_algebra)
 from dgtrace.prng import SplitMix64
 from dgtrace.sampling import (closed_map_basis, closed_map_kernel,
                               random_perfect, random_semifree)
+from oracles import shift_module
 
 F = Fraction
 

@@ -17,12 +17,13 @@ from dgtrace.modules import (ModuleMap, PerfectModule, SemiFreeModule,
                              free_module, projective_module, restrict_to_factor,
                              right_multiplication_map)
 from dgtrace.pairing import (KernelTransfer, compose_kernels, cup,
-                             diagonal_class, kunneth, pair_scalar,
+                             diagonal_class, pair_scalar,
                              pairing_three_ways, unit_algebra,
                              rr_left_side, verify_kernel_composition,
                              verify_rr, _pair_trace_table)
 from dgtrace.prng import SplitMix64, stream_for
 from dgtrace.resolutions import path_algebra
+from oracles import kunneth
 from dgtrace.sampling import (EndoSampler, random_coeff, random_module_with_endos,
                               random_perfect)
 from dgtrace.suites import adapt_suite, cartan_tables, pairing_coherence_suite

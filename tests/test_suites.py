@@ -19,7 +19,7 @@ from dgtrace import suites
 from dgtrace.catalog import catalog_entry, catalog_names
 from dgtrace.cli import main
 from dgtrace.complexes import GradedSpace
-from dgtrace.modules import shift_module
+from oracles import shift_module
 
 SEED = 42
 

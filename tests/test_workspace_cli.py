@@ -132,6 +132,48 @@ def test_cli_pair(capsys):
     assert json.loads(out)["value"] == "1"
 
 
+@pytest.mark.parametrize("args, line", [
+    (["pair", "A2", "1/2,0,3", "0,1,-1"], '"value": "1/2"'),
+    (["--output", "text", "pair", "A2", "[e1]", "1,1,1"], "value: 2"),
+])
+def test_cli_pair_with_coordinates(args, line, capsys):
+    code, out = run_cli(args, capsys)
+    assert code == 0
+    assert line in [text.strip() for text in out.splitlines()]
+
+
+# a dg algebra off degree 0: 1 (degree 0), x (degree -1), y (degree 0),
+# all products of x and y zero, d(x) = y; H(D) = k in degree 0
+DG_WORKSPACE = {
+    "format": 1,
+    "algebras": {"D": {
+        "basis": [{"label": "1", "degree": 0}, {"label": "x", "degree": -1},
+                  {"label": "y", "degree": 0}],
+        "mult": [[0, 0, 0, "1"], [0, 1, 1, "1"], [1, 0, 1, "1"],
+                 [0, 2, 2, "1"], [2, 0, 2, "1"]],
+        "unit": ["1", "0", "0"],
+        "differential": [[1, 2, "1"]]}},
+    "modules": {"F": {"algebra": "D", "generators": [{"label": "u", "shift": 0}]}},
+}
+
+
+def test_cli_workspace_dg_algebra(tmp_path, capsys):
+    path = tmp_path / "ws.json"
+    path.write_text(json.dumps(DG_WORKSPACE))
+    code, out = run_cli(["--workspace", str(path), "validate"], capsys)
+    assert code == 0
+    entry = json.loads(out)["results"]["D"]
+    assert entry["degree_zero"] is False
+    assert entry["cohomology"] == {"0": 1}
+    code, out = run_cli(["--workspace", str(path), "cohomology", "F"], capsys)
+    assert code == 0
+    data = json.loads(out)
+    assert data["carrier_dims"] == {"-1": 1, "0": 2}
+    assert data["cohomology_dims"] == {"0": 1}
+    # HH_0 is computed for degree-0 algebras only: a refused input
+    assert main(["--workspace", str(path), "hh0", "D"]) == 2
+
+
 def test_cli_validate(capsys):
     code, out = run_cli(["validate", "A2", "M2"], capsys)
     assert code == 0
@@ -304,6 +346,8 @@ ONE_DIM = {
      "maps.f.entries: entry[0] position out of range"),
     (("maps", "f", "entries", 0, 2, 0), True,
      "maps.f.entries: not an exact rational: True"),
+    (("algebras", "K", "differential"), [[0, 0, "oops"]],
+     "algebras.K.differential[0]: not an exact rational: 'oops'"),
 ])
 def test_cli_refuses_json_booleans_and_numeric_labels(path, value, message,
                                                       tmp_path, capsys):
