@@ -33,13 +33,12 @@ class CatalogEntry:
 
     def __init__(self, name: str, algebra: DgAlgebra,
                  resolution: DiagonalResolution,
-                 idempotents: Sequence[int], description: str = ""):
+                 idempotents: Sequence[int]):
         self.name = name
         self.algebra = algebra
         self.resolution = resolution
         # basis indices of a complete set of orthogonal idempotents
         self.idempotents = tuple(idempotents)
-        self.description = description
         self._env_resolution: Optional[DiagonalResolution] = None
 
     def enveloping_resolution(self) -> DiagonalResolution:
@@ -70,37 +69,32 @@ def matrix_2x2() -> DgAlgebra:
     return validate_algebra(labels, [0, 0, 0, 0], mult, unit)
 
 
-# (name, vertices, arrows (label, source, target), description)
+# (name, vertices, arrows (label, source, target))
 QUIVERS = (
-    ("k", ["1"], [], "the ground field"),
-    ("kxk", ["e1", "e2"], [], "product of two copies of the ground field"),
-    ("A2", ["e1", "e2"], [("a", 0, 1)], "path algebra of the two-vertex quiver"),
-    ("A3", ["e1", "e2", "e3"], [("a", 0, 1), ("b", 1, 2)],
-     "path algebra of the three-vertex quiver"),
-    ("Kronecker", ["e1", "e2"], [("a", 0, 1), ("b", 0, 1)],
-     "path algebra of the Kronecker quiver"),
+    ("k", ["1"], []),
+    ("kxk", ["e1", "e2"], []),
+    ("A2", ["e1", "e2"], [("a", 0, 1)]),
+    ("A3", ["e1", "e2", "e3"], [("a", 0, 1), ("b", 1, 2)]),
+    ("Kronecker", ["e1", "e2"], [("a", 0, 1), ("b", 0, 1)]),
 )
 
 def build_catalog() -> Dict[str, CatalogEntry]:
     """All shipped instances, built anew with empty memos."""
     entries: Dict[str, CatalogEntry] = {}
 
-    for name, vertices, arrows, description in QUIVERS:
-        r = quiver_resolution(vertices, arrows, name=name)
-        entries[name] = CatalogEntry(name, r.algebra, r, range(len(vertices)),
-                                     description)
+    for name, vertices, arrows in QUIVERS:
+        r = quiver_resolution(vertices, arrows)
+        entries[name] = CatalogEntry(name, r.algebra, r, range(len(vertices)))
         if name == "kxk":
             # one vertex, the full idempotent E11: M2 = M2 E11 (x) E11 M2
             m2 = matrix_2x2()
-            rm2 = vertex_arrow_resolution(m2, [0], [], name="M2")
-            entries["M2"] = CatalogEntry("M2", m2, rm2, [0, 3],
-                                         "2x2 matrix algebra")
+            rm2 = vertex_arrow_resolution(m2, [0], [])
+            entries["M2"] = CatalogEntry("M2", m2, rm2, [0, 3])
 
     ra2 = entries["A2"].resolution
-    ra2a2 = tensor_resolution(ra2, ra2, name="A2xA2")
+    ra2a2 = tensor_resolution(ra2, ra2)
     # orthogonal idempotents e_i (x) e_j at flat index i*3 + j
-    entries["A2xA2"] = CatalogEntry("A2xA2", ra2a2.algebra, ra2a2, [0, 1, 3, 4],
-                                    "tensor square of the two-vertex path algebra")
+    entries["A2xA2"] = CatalogEntry("A2xA2", ra2a2.algebra, ra2a2, [0, 1, 3, 4])
     return entries
 
 

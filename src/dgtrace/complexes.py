@@ -360,7 +360,6 @@ class Cohomology:
     """
 
     def __init__(self, c: Complex):
-        self.complex = c
         self._kernel = {}
         self._project = {}
         self._section = {}

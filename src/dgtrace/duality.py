@@ -37,10 +37,6 @@ def half_sign(s: int) -> int:
     return -1 if (s * (s + 1) // 2) % 2 else 1
 
 
-def _strip_or_add_vee(label: str) -> str:
-    return label[:-1] if label.endswith("^") else label + "^"
-
-
 def dualize(p: PerfectModule) -> PerfectModule:
     """D_A(M) = Hom_A(M, A) as a perfect module over A^op.
 
@@ -53,7 +49,6 @@ def dualize(p: PerfectModule) -> PerfectModule:
     # dual generator order is reversed: entry [i][l] lands at [n-1-l][n-1-i],
     # so walking the original columns l backwards fills dual columns top down
     shifts = [-m.shifts[n - 1 - t] for t in range(n)]
-    labels = [_strip_or_add_vee(m.labels[n - 1 - t]) for t in range(n)]
 
     def transposed(columns, signs):
         out = [[] for _ in range(n)]
@@ -67,7 +62,7 @@ def dualize(p: PerfectModule) -> PerfectModule:
     if p.idempotent is not None:
         idem = transposed(p.idempotent.columns, [1] * n)
     return built_module(aop, shifts, transposed(
-        m.twist_columns, [1 if s % 2 else -1 for s in m.shifts]), labels, idem)
+        m.twist_columns, [1 if s % 2 else -1 for s in m.shifts]), idem)
 
 
 def transport_module(p: PerfectModule, iso: AlgebraIso) -> PerfectModule:
@@ -82,7 +77,7 @@ def transport_module(p: PerfectModule, iso: AlgebraIso) -> PerfectModule:
                                        for t, c in vec)))
                       for j, vec in col) for col in columns]
 
-    return built_module(iso.target, m.shifts, push(m.twist_columns), m.labels,
+    return built_module(iso.target, m.shifts, push(m.twist_columns),
                         None if p.idempotent is None else push(p.idempotent.columns))
 
 

@@ -15,20 +15,16 @@ class ValidationError(DgError):
 
 class AssociativityViolation(ValidationError):
     def __init__(self, i, j, k):
-        self.triple = (i, j, k)
         super().__init__(f"associativity fails on basis triple {(i, j, k)}")
 
 
 class UnitViolation(ValidationError):
     def __init__(self, index, side):
-        self.index = index
-        self.side = side
         super().__init__(f"unit fails on basis element {index} ({side} side)")
 
 
 class LeibnizViolation(ValidationError):
     def __init__(self, i, j):
-        self.pair = (i, j)
         super().__init__(f"Leibniz rule fails on basis pair {(i, j)}")
 
 
@@ -77,7 +73,6 @@ class WorkspaceError(DgError):
     """Malformed or inconsistent workspace input."""
 
     def __init__(self, message, location=None):
-        self.location = location
         if location:
             message = f"{location}: {message}"
         super().__init__(message)

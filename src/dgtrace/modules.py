@@ -195,28 +195,23 @@ class SemiFreeModule:
     stored by columns (`twist_columns`)."""
 
     def __init__(self, algebra: DgAlgebra, shifts: Sequence[int],
-                 twist: Optional[Sequence[Sequence[Entry]]] = None,
-                 labels: Optional[Sequence[str]] = None):
+                 twist: Optional[Sequence[Sequence[Entry]]] = None):
         n = len(shifts)
         columns = ((),) * n if twist is None else _grid_columns(
             algebra, twist, n, n, "twist must be a square generator matrix")
-        self._init(algebra, shifts, columns, labels)
+        self._init(algebra, shifts, columns)
         self.validate()
 
     @classmethod
     def from_columns(cls, algebra: DgAlgebra, shifts: Sequence[int],
-                     columns: Sequence[Column], labels=None) -> "SemiFreeModule":
+                     columns: Sequence[Column]) -> "SemiFreeModule":
         m = cls.__new__(cls)
-        m._init(algebra, shifts, columns, labels)
+        m._init(algebra, shifts, columns)
         return m
 
-    def _init(self, algebra, shifts, columns, labels):
+    def _init(self, algebra, shifts, columns):
         self.algebra = algebra
         self.shifts = tuple(int(s) for s in shifts)
-        n = len(self.shifts)
-        self.labels = tuple(labels) if labels else tuple(f"g{i}" for i in range(n))
-        if len(self.labels) != n:
-            raise DimensionMismatch("one label per generator")
         self.twist_columns = tuple(map(tuple, columns))
         self._explicit: Optional[ExplicitModule] = None
 
@@ -260,7 +255,6 @@ class SemiFreeModule:
         return (isinstance(other, SemiFreeModule)
                 and self.algebra.same_structure(other.algebra)
                 and self.shifts == other.shifts
-                and self.labels == other.labels
                 and self.twist_columns == other.twist_columns)
 
     def __repr__(self):
@@ -554,13 +548,13 @@ def projective_module(a: DgAlgebra, idem: AlgebraElement,
 
 
 def built_module(algebra: DgAlgebra, shifts: Sequence[int],
-                 twist_columns: Sequence[Column], labels: Sequence[str],
+                 twist_columns: Sequence[Column],
                  idempotent_columns: Optional[Sequence[Column]] = None
                  ) -> PerfectModule:
     """The output of a builder, made out of checked pieces: the one
     `PerfectModule` made without `validate`, trusting its columns."""
     p = PerfectModule.__new__(PerfectModule)
-    p.module = m = SemiFreeModule.from_columns(algebra, shifts, twist_columns, labels)
+    p.module = m = SemiFreeModule.from_columns(algebra, shifts, twist_columns)
     p.idempotent = (None if idempotent_columns is None
                     else ModuleMap.from_columns(m, m, 0, idempotent_columns))
     return p
@@ -576,12 +570,11 @@ def cone_module(p: ModuleMap) -> PerfectModule:
         raise NotClosed("cone needs a closed map")
     L, M = p.source, p.target
     shifts = [s + 1 for s in L.shifts] + list(M.shifts)
-    labels = [f"{l}'" for l in L.labels] + list(M.labels)
     nl = L.rank
     tw = [col + _offset(pcol, nl) for col, pcol in
           zip(_scale_columns(L.twist_columns, -1), p.columns)]
     tw += [_offset(col, nl) for col in M.twist_columns]
-    return built_module(L.algebra, shifts, tw, labels)
+    return built_module(L.algebra, shifts, tw)
 
 
 def direct_sum_modules(p1: PerfectModule, p2: PerfectModule) -> PerfectModule:
@@ -590,13 +583,12 @@ def direct_sum_modules(p1: PerfectModule, p2: PerfectModule) -> PerfectModule:
     if not a.same_structure(m2.algebra):
         raise AlgebraMismatch("direct sum across different algebras")
     shifts = list(m1.shifts) + list(m2.shifts)
-    labels = [f"{l}.1" for l in m1.labels] + [f"{l}.2" for l in m2.labels]
     idem = None
     if p1.idempotent is not None or p2.idempotent is not None:
         idem = _block_diagonal(p1.identity_map().columns,
                                p2.identity_map().columns)
     return built_module(a, shifts, _block_diagonal(
-        m1.twist_columns, m2.twist_columns), labels, idem)
+        m1.twist_columns, m2.twist_columns), idem)
 
 
 def _block_diagonal(x: Sequence[Column], y: Sequence[Column]) -> List[Column]:
@@ -640,7 +632,6 @@ def restrict_to_factor(p: PerfectModule, f1: DgAlgebra, f2: DgAlgebra,
     gens = [(i, q) for i in range(m.rank) for q in range(other.dim)]
     index = {g: t for t, g in enumerate(gens)}
     shifts = [m.shifts[i] for (i, q) in gens]
-    labels = [f"{m.labels[i]}|{q}" for (i, q) in gens]
 
     def expand(columns: Sequence[Column]) -> List[Column]:
         """Column (i, q) holds (1 (x) beta_q) * entry (side first) or
@@ -661,8 +652,7 @@ def restrict_to_factor(p: PerfectModule, f1: DgAlgebra, f2: DgAlgebra,
         return out
 
     idem = None if p.idempotent is None else expand(p.idempotent.columns)
-    return built_module(small, shifts, expand(m.twist_columns), labels,
-                        idem), index
+    return built_module(small, shifts, expand(m.twist_columns), idem), index
 
 
 def right_multiplication_map(restricted: PerfectModule,
@@ -720,7 +710,6 @@ def outer_tensor_modules(p1: PerfectModule,
     gens = [(i, j) for i in range(m1.rank) for j in range(m2.rank)]
     index = {g: t for t, g in enumerate(gens)}
     shifts = [m1.shifts[i] + m2.shifts[j] for (i, j) in gens]
-    labels = [f"{m1.labels[i]}(x){m2.labels[j]}" for (i, j) in gens]
     unit = sparse(r.unit)
     signs = [((i, _neg(unit) if s1 % 2 else unit),) for i, s1 in enumerate(m1.shifts)]
     tw = _add_columns(
@@ -731,7 +720,7 @@ def outer_tensor_modules(p1: PerfectModule,
     if p1.idempotent is not None or p2.idempotent is not None:
         idem = outer_tensor_columns(index, p1.identity_map().columns,
                                     p2.identity_map().columns, s.dim)
-    return built_module(prod, shifts, tw, labels, idem), prod, index
+    return built_module(prod, shifts, tw, idem), prod, index
 
 
 # ---------------------------------------------------------------------------

@@ -393,8 +393,7 @@ def compose_kernels(k1: PerfectModule, k2: PerfectModule,
     twist = [own + moved for own, moved in zip(
         copies(o.twist_columns), on_copies(p.module.twist_columns, True))]
     q = SemiFreeModule.from_columns(
-        ac, [r + s for r in p.shifts for s in o.shifts], twist,
-        [f"{ol}(x){pl}" for pl in p.module.labels for ol in o.labels])
+        ac, [r + s for r in p.shifts for s in o.shifts], twist)
     e = None
     if p.idempotent is not None:
         e = ModuleMap.from_columns(q, q, 0, on_copies(p.idempotent.columns, False))

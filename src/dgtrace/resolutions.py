@@ -39,11 +39,10 @@ class DiagonalResolution:
     and memoised.
     """
 
-    def __init__(self, algebra: DgAlgebra, builder: Builder, name: str = ""):
+    def __init__(self, algebra: DgAlgebra, builder: Builder):
         if not algebra.is_degree_zero():
             raise NotDegreeZeroConcentrated("resolutions are degree-0 data")
         self.algebra = algebra
-        self.name = name
         self._builder = builder
 
     @cached_property
@@ -119,8 +118,8 @@ def path_algebra(vertices: Sequence[str],
 
 
 def vertex_arrow_resolution(a: DgAlgebra, vertices: Sequence[int],
-                            arrows: Sequence[Tuple[int, int, int]],
-                            name: str = "") -> DiagonalResolution:
+                            arrows: Sequence[Tuple[int, int, int]]
+                            ) -> DiagonalResolution:
     """Two-term resolution of A from vertex idempotents and arrows.
 
     `vertices` are the basis indices of orthogonal idempotents e_v, and each
@@ -146,7 +145,6 @@ def vertex_arrow_resolution(a: DgAlgebra, vertices: Sequence[int],
 
     def build():
         shifts = [1] * na + [0] * nv
-        labels = [f"arr{t}" for t in range(na)] + [f"vtx{v}" for v in range(nv)]
         tw = [tuple(sorted([(na + tgt, pair(x, vertices[tgt])),
                             (na + src, pair(vertices[src], x, -1))]))
               for x, src, tgt in arrows] + [()] * nv
@@ -154,20 +152,20 @@ def vertex_arrow_resolution(a: DgAlgebra, vertices: Sequence[int],
                 for t, (_, src, tgt) in enumerate(arrows)]
         idem += [((na + v, pair(e, e)),) for v, e in enumerate(vertices)]
         aug = tuple([a.zero()] * na + [a.basis_element(e) for e in vertices])
-        return built_module(env, shifts, tw, labels, idem), aug
+        return built_module(env, shifts, tw, idem), aug
 
-    return DiagonalResolution(a, build, name=name)
+    return DiagonalResolution(a, build)
 
 
 def quiver_resolution(vertices: Sequence[str],
-                      arrows: Sequence[Tuple[str, int, int]],
-                      name: str = "") -> DiagonalResolution:
+                      arrows: Sequence[Tuple[str, int, int]]
+                      ) -> DiagonalResolution:
     """`vertex_arrow_resolution` of `path_algebra(vertices, arrows)`, whose
     vertex v is basis element v and arrow t basis element len(vertices) + t."""
     a = path_algebra(vertices, arrows)
     nv = len(vertices)
     basis_arrows = [(nv + t, src, tgt) for t, (_, src, tgt) in enumerate(arrows)]
-    return vertex_arrow_resolution(a, range(nv), basis_arrows, name=name)
+    return vertex_arrow_resolution(a, range(nv), basis_arrows)
 
 
 def opposite_resolution(r: DiagonalResolution) -> DiagonalResolution:
@@ -182,11 +180,11 @@ def opposite_resolution(r: DiagonalResolution) -> DiagonalResolution:
         aug = tuple(aop.element(x.coords) for x in r.augmentation)
         return transport_module(r.module, iso), aug
 
-    return DiagonalResolution(aop, build, name=f"op({r.name})")
+    return DiagonalResolution(aop, build)
 
 
-def tensor_resolution(r1: DiagonalResolution, r2: DiagonalResolution,
-                      name: str = "") -> DiagonalResolution:
+def tensor_resolution(r1: DiagonalResolution,
+                      r2: DiagonalResolution) -> DiagonalResolution:
     """Resolution of A (x) B from resolutions of A and B: the outer tensor
     of the modules, transported along
     (A (x) B)^e  =  A^e (x) B^e,
@@ -209,9 +207,9 @@ def tensor_resolution(r1: DiagonalResolution, r2: DiagonalResolution,
                     for (i, j) in index)
         return transported, aug
 
-    return DiagonalResolution(ab, build, name=name or f"{r1.name}(x){r2.name}")
+    return DiagonalResolution(ab, build)
 
 
 def enveloping_resolution(r: DiagonalResolution) -> DiagonalResolution:
     """Resolution of ^eA = A^op (x) A from a resolution of A."""
-    return tensor_resolution(opposite_resolution(r), r, name=f"env({r.name})")
+    return tensor_resolution(opposite_resolution(r), r)

@@ -4,7 +4,9 @@ The format is JSON with `"format": 1`.  Rationals are exact "p/q" strings
 (or plain integers); structure constants are sparse [i, j, k, value]
 quadruples; module twists, idempotents and map entries are sparse
 [row, col, coords] triples with coords a full coordinate vector over the
-algebra basis.  Example:
+algebra basis.  Only a missing key or JSON null marks a field absent.  A
+generator's `label` is checked (a string, distinct in its module) and names
+nothing.  Example:
 
     {
       "format": 1,
@@ -160,7 +162,8 @@ def _parse_algebra(name: str, data: dict) -> DgAlgebra:
 def _parse_entry_matrix(data, rank_rows: int, rank_cols: int, alg: DgAlgebra,
                         where: str):
     rows = [[alg.zero() for _ in range(rank_cols)] for _ in range(rank_rows)]
-    for t, trip in enumerate(_expect(data or [], list, "entries", where)):
+    for t, trip in enumerate(_expect([] if data is None else data, list,
+                                      "entries", where)):
         if not (isinstance(trip, list) and len(trip) == 3):
             raise WorkspaceError(f"entry[{t}] must be [row, col, coords]", where)
         j, i, coords = trip
@@ -196,7 +199,7 @@ def _parse_module(name: str, data: dict, ws: Workspace) -> PerfectModule:
     twist = _parse_entry_matrix(data.get("twist"), rank, rank, alg,
                                 f"{where}.twist")
     try:
-        mod = SemiFreeModule(alg, shifts, twist, labels)
+        mod = SemiFreeModule(alg, shifts, twist)
     except DgError as exc:
         raise WorkspaceError(f"module invalid: {exc}", where)
     if data.get("idempotent") is not None:
@@ -253,7 +256,8 @@ def parse_workspace(text: str) -> Workspace:
                                  "use_catalog")
         ws.algebras[name] = ent.algebra
         ws.resolutions[name] = ent.resolution
-    sections = {key: _expect(data.get(key) or {}, dict, key, key)
+    sections = {key: _expect({} if data.get(key) is None else data[key],
+                             dict, key, key)
                 for key in ("algebras", "modules", "maps", "resolutions")}
     for name, adata in sections["algebras"].items():
         ws.algebras[name] = _parse_algebra(name, adata)

@@ -88,7 +88,7 @@ def shift_module(p: PerfectModule, n: int) -> PerfectModule:
     """p[n]: shifts raised by n, twist scaled by (-1)^n."""
     m = p.module
     tw = m.twist_columns if n % 2 == 0 else _scale_columns(m.twist_columns, -1)
-    return built_module(m.algebra, [s + n for s in m.shifts], tw, m.labels,
+    return built_module(m.algebra, [s + n for s in m.shifts], tw,
                         None if p.idempotent is None else p.idempotent.columns)
 
 

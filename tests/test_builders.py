@@ -9,21 +9,31 @@ caller's data gets at the boundary: `SemiFreeModule.validate`,
 `ModuleMap.validate` and the idempotent checks of `PerfectModule`.  Two
 exact oracles pin the signs that D^2 = 0 cannot see: the realization of a
 shift is the shifted complex, and the realization of a cone is the cone of
-the restricted map."""
+the restricted map.  End to end, the pinned CLI batches give the same bytes
+with every trusted path replaced by its checked one."""
+
+import hashlib
+import importlib
+import sys
+from types import MappingProxyType
 
 import pytest
 
-from dgtrace import complexes
-from dgtrace.algebras import env_op_iso, opposite, tensor_algebras
+from dgtrace import complexes, modules
+from dgtrace.algebras import (AlgebraElement, DgAlgebra, env_op_iso, opposite,
+                              tensor_algebras)
+from dgtrace.cli import main
 from dgtrace.duality import dualize, transport_module
-from dgtrace.modules import (PerfectModule, cone_module, direct_sum_modules,
+from dgtrace.modules import (ModuleMap, PerfectModule, SemiFreeModule,
+                             cone_module, direct_sum_modules,
                              outer_tensor_modules, projective_module,
                              restrict_to_factor, restrict_to_ground)
 from dgtrace.prng import stream_for
-from dgtrace.sampling import (closed_map_kernel, random_closed_map,
+from dgtrace.sampling import (EndoSampler, closed_map_kernel, random_closed_map,
                               random_map_between_frees, random_free,
                               random_perfect, random_semifree)
 from oracles import shift_module
+from test_acceptance import CLI_BATCH_SHA256
 
 CATALOG = ("k", "kxk", "M2", "A2", "A3", "Kronecker", "A2xA2")
 
@@ -169,3 +179,57 @@ def test_catalog_resolution_modules_are_modules(cat, name):
     ent = cat[name]
     for r in (ent.resolution, ent.enveloping_resolution()):
         assert_module(r.module)
+
+
+def test_trusted_paths_equal_checked_paths_end_to_end(monkeypatch, capsys):
+    """The pinned CLI batches give the same bytes with every trusted path
+    taken away: `DgAlgebra.built`, `AlgebraElement.built` and
+    `Complex.built` become their checked constructors, `built_module`
+    validates what it builds, and a sampler draw loses its `drawn_from`
+    mark, so every builder output meets the checks of caller data.  The
+    catalog is rebuilt cold under the patches, so its algebras and
+    resolutions are built through them too.  A new trusted path must be
+    taken away here as well."""
+    ran = dict.fromkeys(("algebra", "element", "complex", "module"), 0)
+
+    def checked(kind, make):
+        def run(*args):
+            ran[kind] += 1
+            return make(*args)
+        return run
+
+    monkeypatch.setattr(DgAlgebra, "built", classmethod(
+        lambda cls, *args: checked("algebra", cls)(*args)))
+    monkeypatch.setattr(AlgebraElement, "built", classmethod(
+        lambda cls, *args: checked("element", cls)(*args)))
+    monkeypatch.setattr(complexes.Complex, "built", classmethod(
+        lambda cls, *args: checked("complex", cls)(*args)))
+
+    def validated_module(algebra, shifts, twist_columns, idempotent_columns=None):
+        m = SemiFreeModule.from_columns(algebra, shifts, twist_columns).validate()
+        e = (None if idempotent_columns is None
+             else ModuleMap.from_columns(m, m, 0, idempotent_columns).validate())
+        return PerfectModule(m, e)
+
+    binders = [mod for mod in list(sys.modules.values())
+               if getattr(mod, "built_module", None) is modules.built_module]
+    assert {"dgtrace.modules", "dgtrace.duality",
+            "dgtrace.resolutions"} <= {mod.__name__ for mod in binders}
+    for mod in binders:
+        monkeypatch.setattr(mod, "built_module",
+                            checked("module", validated_module))
+    draw = EndoSampler.draw
+
+    def unmarked_draw(self, rng):
+        f = draw(self, rng)
+        f.drawn_from = None
+        return f
+    monkeypatch.setattr(EndoSampler, "draw", unmarked_draw)
+    catalog_module = importlib.import_module("dgtrace.catalog")
+    monkeypatch.setattr(catalog_module, "_CATALOG",
+                        MappingProxyType(catalog_module.build_catalog()))
+    for argv, digest in sorted(CLI_BATCH_SHA256.items()):
+        assert main(argv.split()) == 0, argv
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+    assert all(ran.values()), ran

@@ -54,9 +54,9 @@ def tensor_maps(f: ChainMap, g: ChainMap) -> ChainMap:
 def induced_map(coh: Cohomology, f: ChainMap) -> dict:
     """H^p(f) for a closed map f out of coh's complex (degree n allowed):
     H^p(src) -> H^{p+n}(tgt)."""
-    tgt = Cohomology(f.target) if f.target is not coh.complex else coh
+    tgt = Cohomology(f.target) if f.target is not f.source else coh
     out = {}
-    for p in coh.complex.degrees():
+    for p in f.source.degrees():
         if coh.dim(p):
             img = f.block(p) @ coh.representatives(p)
             out[p] = tgt.project_cycles(p + f.degree, img)

@@ -172,7 +172,7 @@ def test_omega_inverse_rejects_bad_augmentation(a2):
     # break the augmentation: send every vertex generator to zero
     module = quiver_resolution(["e1", "e2"], [("a", 0, 1)]).module
     zeros = tuple(a2.zero() for _ in range(module.rank))
-    bad = DiagonalResolution(a2, lambda: (module, zeros), name="broken")
+    bad = DiagonalResolution(a2, lambda: (module, zeros))
     import pytest
     with pytest.raises(AugmentationNotQuasiIso):
         omega_inverse(bad)
@@ -245,7 +245,7 @@ def test_dual_table_of_the_opposite_is_the_left_dual_table(cat):
 def _fresh_algebras():
     """Catalog algebras built anew, so no table is memoised on them yet."""
     fresh = {name: path_algebra(vertices, arrows)
-             for name, vertices, arrows, _ in QUIVERS}
+             for name, vertices, arrows in QUIVERS}
     fresh.update(k=path_algebra(["1"], []), kxk=path_algebra(["e1", "e2"], []),
                  M2=matrix_2x2(), A2xA2=tensor_algebras(fresh["A2"], fresh["A2"]))
     return fresh

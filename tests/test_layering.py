@@ -37,7 +37,8 @@ only input shared with the right side.  No module of the package has a
 And the package holds only what its commands, benchmark, demos and tools
 run: every module-level function and class is loaded by name somewhere in
 them or is wrapped by the traced benchmark run; calculus that only tests
-use lives in `tests/oracles.py`."""
+use lives in `tests/oracles.py`.  Nor does it store what they do not read:
+every attribute the package stores is read by name somewhere in them."""
 
 import ast
 import importlib
@@ -316,3 +317,28 @@ def test_every_definition_has_a_caller_outside_the_tests():
     assert not unused, unused
     # the exception still names a definition, so it cannot outlive it
     assert UNCALLED_ON_PURPOSE <= set(found)
+
+
+def _attributes(path: Path, ctx):
+    """(attribute name, line) of every attribute a file uses in ctx."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    return [(node.attr, node.lineno) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ctx)]
+
+
+def test_every_stored_attribute_is_read_outside_the_tests():
+    """An attribute that the package stores (`obj.name = ...`) must be read
+    as an attribute somewhere in src/ or in the code under RUNNERS; data
+    that nothing reads is not kept.  The match is by name alone, so an
+    unread attribute hides behind a read of the same name on another type:
+    a module's generator `labels` hid behind `DgAlgebra.labels`, and a
+    resolution's `name` behind `CatalogEntry.name`."""
+    code = sorted(SRC.glob("*.py")) + [p for d in RUNNERS
+                                       for p in sorted((ROOT / d).glob("*.py"))]
+    read = {name for path in code for name, _ in _attributes(path, ast.Load)}
+    stored = [(path.name, line, name) for path in sorted(SRC.glob("*.py"))
+              for name, line in _attributes(path, ast.Store)]
+    assert len(stored) > 50
+    unread = sorted(f"{file}:{line}: .{name}" for file, line, name in stored
+                    if name not in read)
+    assert not unread, unread

@@ -845,7 +845,7 @@ def test_kernel_composition_checks_the_composed_idempotent(cat):
         b = ent.algebra
         good = ent.resolution.module
         bad = built_module(good.algebra, good.shifts, good.module.twist_columns,
-                           good.module.labels, good.idempotent.scale(2).columns)
+                           good.idempotent.scale(2).columns)
         for k1, k2 in ((bad, good), (good, bad)):
             with pytest.raises(IdempotentIncompatible):
                 compose_kernels(k1, k2, b, b, b, ent.resolution)

@@ -72,7 +72,7 @@ def test_basis_is_vertices_then_paths_by_length():
 @pytest.mark.parametrize("name", sorted(BEYOND_CATALOG))
 def test_quiver_beyond_the_catalog(name):
     vertices, arrows = BEYOND_CATALOG[name]
-    r = quiver_resolution(vertices, arrows, name=name).validate()
+    r = quiver_resolution(vertices, arrows).validate()
     a = r.algebra
     n = len(vertices)
     assert a.dim == sum(map(sum, paths_between(vertices, arrows)))

@@ -40,7 +40,6 @@ def test_opposite_resolution_matches_flat_swap(cat, name):
     assert rop.algebra.same_structure(opposite(a))
     assert q.module.algebra.same_structure(tensor_algebras(opposite(a), a))
     assert q.module.shifts == p.module.shifts
-    assert q.module.labels == p.module.labels
     assert q.module.twist_columns == flipped_columns(p.module.twist_columns, perm)
     if p.idempotent is None:
         assert q.idempotent is None

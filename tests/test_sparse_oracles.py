@@ -1104,7 +1104,7 @@ def test_stored_columns_are_in_normal_form(cat, name):
                                     for row in f.entries])
         assert g.columns == zeros.columns == f.columns and g == f
         twin = SemiFreeModule(a, m.shifts, [[with_explicit_zeros(e) for e in row]
-                                            for row in m.twist], m.labels)
+                                            for row in m.twist])
         assert twin.twist_columns == m.twist_columns and twin == m
         zero = f + f.scale(-1)
         assert zero.is_zero() and zero == ModuleMap.zero(m, m)

@@ -348,11 +348,25 @@ ONE_DIM = {
      "maps.f.entries: not an exact rational: True"),
     (("algebras", "K", "differential"), [[0, 0, "oops"]],
      "algebras.K.differential[0]: not an exact rational: 'oops'"),
+    # a falsy value is not an absent field: only a missing key or null is
+    (("modules", "M", "twist"), False, "modules.M.twist: entries must be a list"),
+    (("modules", "M", "twist"), 0, "modules.M.twist: entries must be a list"),
+    (("modules", "M", "idempotent"), 0,
+     "modules.M.idempotent: entries must be a list"),
+    (("modules", "M", "idempotent"), "",
+     "modules.M.idempotent: entries must be a list"),
+    (("maps", "f", "entries"), "", "maps.f.entries: entries must be a list"),
+    (("maps", "f", "entries"), {}, "maps.f.entries: entries must be a list"),
+    (("algebras",), False, "algebras: algebras must be an object"),
+    (("modules",), "", "modules: modules must be an object"),
+    (("maps",), 0, "maps: maps must be an object"),
+    (("resolutions",), [], "resolutions: resolutions must be an object"),
 ])
 def test_cli_refuses_json_booleans_and_numeric_labels(path, value, message,
                                                       tmp_path, capsys):
-    """JSON true and false are not the integers 1 and 0, and a label is a
-    string: each is refused where it stands, with exit 2."""
+    """JSON true and false are not the integers 1 and 0, a label is a
+    string, and false, 0, "" or a container of the wrong kind is not an
+    absent field: each is refused where it stands, with exit 2."""
     doc = json.loads(json.dumps(ONE_DIM))
     node = doc
     for key in path[:-1]:
@@ -364,6 +378,21 @@ def test_cli_refuses_json_booleans_and_numeric_labels(path, value, message,
     assert capsys.readouterr().err == f"input error: {message}\n"
     file.write_text(json.dumps(ONE_DIM))
     assert main(["--workspace", str(file), "validate"]) == 0
+
+
+def test_cli_reads_null_as_an_absent_field(tmp_path, capsys):
+    """JSON null, like a missing key, marks an optional field or a section
+    absent: a null twist, idempotent or map entries, and null sections."""
+    doc = json.loads(json.dumps(ONE_DIM))
+    doc["modules"]["M"].update(twist=None, idempotent=None)
+    doc["maps"]["f"]["entries"] = None
+    doc["resolutions"] = None
+    empty = dict.fromkeys(("algebras", "modules", "maps", "resolutions"))
+    for ws in (doc, dict(empty, format=1)):
+        file = tmp_path / "ws.json"
+        file.write_text(json.dumps(ws))
+        assert main(["--workspace", str(file), "validate"]) == 0
+        assert capsys.readouterr().err == ""
 
 
 def test_cli_refuses_repeated_basis_and_generator_labels(tmp_path, capsys):
