@@ -474,9 +474,9 @@ class AlgebraIso:
         return self
 
 
-def swap_iso(a: DgAlgebra, b: DgAlgebra, ab: DgAlgebra, ba: DgAlgebra) -> AlgebraIso:
+def swap_iso(a: DgAlgebra, b: DgAlgebra, ba: DgAlgebra) -> AlgebraIso:
     """a (x) b -> b (x) a, x (x) y -> (-1)^{|x||y|} y (x) x: the one swap of
-    tensor factors."""
+    tensor factors, onto ba, an algebra on the basis of b (x) a."""
     nb, na = b.dim, a.dim
     perm = [0] * (na * nb)
     scal = [1] * (na * nb)
@@ -485,7 +485,7 @@ def swap_iso(a: DgAlgebra, b: DgAlgebra, ab: DgAlgebra, ba: DgAlgebra) -> Algebr
             perm[i * nb + j] = j * na + i
             if (a.degrees[i] * b.degrees[j]) % 2:
                 scal[i * nb + j] = -1
-    return AlgebraIso(ab, ba, perm, scal)
+    return AlgebraIso(tensor_algebras(a, b), ba, perm, scal)
 
 
 def env_op_iso(a: DgAlgebra) -> AlgebraIso:
@@ -496,5 +496,4 @@ def env_op_iso(a: DgAlgebra) -> AlgebraIso:
     Degree-0 algebras only (there every scalar of the swap is +1).
     """
     aop = opposite(a)
-    ae = tensor_algebras(a, aop)
-    return swap_iso(a, aop, ae, opposite(ae))
+    return swap_iso(a, aop, opposite(tensor_algebras(a, aop)))

@@ -31,11 +31,10 @@ from .resolutions import (DiagonalResolution, enveloping_resolution,
 class CatalogEntry:
     """Named algebra with its resolution and projective-generator data."""
 
-    def __init__(self, name: str, algebra: DgAlgebra,
-                 resolution: DiagonalResolution,
+    def __init__(self, name: str, resolution: DiagonalResolution,
                  idempotents: Sequence[int]):
         self.name = name
-        self.algebra = algebra
+        self.algebra = resolution.algebra
         self.resolution = resolution
         # basis indices of a complete set of orthogonal idempotents
         self.idempotents = tuple(idempotents)
@@ -84,17 +83,16 @@ def build_catalog() -> Dict[str, CatalogEntry]:
 
     for name, vertices, arrows in QUIVERS:
         r = quiver_resolution(vertices, arrows)
-        entries[name] = CatalogEntry(name, r.algebra, r, range(len(vertices)))
+        entries[name] = CatalogEntry(name, r, range(len(vertices)))
         if name == "kxk":
             # one vertex, the full idempotent E11: M2 = M2 E11 (x) E11 M2
-            m2 = matrix_2x2()
-            rm2 = vertex_arrow_resolution(m2, [0], [])
-            entries["M2"] = CatalogEntry("M2", m2, rm2, [0, 3])
+            rm2 = vertex_arrow_resolution(matrix_2x2(), [0], [])
+            entries["M2"] = CatalogEntry("M2", rm2, [0, 3])
 
     ra2 = entries["A2"].resolution
     ra2a2 = tensor_resolution(ra2, ra2)
     # orthogonal idempotents e_i (x) e_j at flat index i*3 + j
-    entries["A2xA2"] = CatalogEntry("A2xA2", ra2a2.algebra, ra2a2, [0, 1, 3, 4])
+    entries["A2xA2"] = CatalogEntry("A2xA2", ra2a2, [0, 1, 3, 4])
     return entries
 
 

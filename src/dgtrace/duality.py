@@ -213,14 +213,13 @@ def omega_inverse(resolution) -> PerfectModule:
     return omega_inverse_module(resolution.algebra, resolution.module)
 
 
-def serre_tensor(a: DgAlgebra, m: PerfectModule,
+def serre_tensor(m: PerfectModule,
                  dual: Optional[DualBimodule] = None) -> TensorOverAlgebra:
     """S(M) = A^* (x)_A M as an explicit complex (right A-structure of A^*
-    contracted against the semi-free presentation of M)."""
-    if not a.is_degree_zero():
-        raise NotDegreeZeroConcentrated("Serre functor computed in degree 0 only")
+    contracted against the semi-free presentation of M), A = M's algebra,
+    of degree 0 as `DualBimodule` requires."""
     if dual is None:
-        dual = DualBimodule(a)
+        dual = DualBimodule(m.algebra)
     return TensorOverAlgebra(dual.right_module_data(), m.module, m.idempotent)
 
 
@@ -230,7 +229,7 @@ def serre_module_data(a: DgAlgebra, m: PerfectModule,
     the target of Hom into the Serre image."""
     if dual is None:
         dual = DualBimodule(a)
-    sc = serre_tensor(a, m, dual)
+    sc = serre_tensor(m, dual)
     # the tensor's keys (i, (0, x)) read as (generator i of m, dual-basis
     # index x); A acts on the A^* factor
     basis = {p: [(i, x) for i, (_, x) in keys] for p, keys in sc.basis.items()}
@@ -258,7 +257,7 @@ def omega_contraction_dims(a: DgAlgebra, omega_inv: PerfectModule,
         side, dual_data = "first", dual.right_module_data()
     else:
         side, dual_data = "second", dual.left_module_data()
-    restricted, _ = restrict_to_factor(omega_inv, a, opposite(a), side)
+    restricted = restrict_to_factor(omega_inv, a, opposite(a), side)
     return TensorOverAlgebra(dual_data, restricted.module,
                              restricted.idempotent).cohomology_dims()
 
@@ -310,18 +309,16 @@ class EvaluationData:
         self.algebra = a
         self.m = m
         self.dual = dm = dualize(m)
-        x_mod, _, index = outer_tensor_modules(m, dm)
-        self.x = x_mod
-        self.index = index
+        self.x = x_mod = outer_tensor_modules(m, dm)
         n = m.rank
 
         # epsilon
         diag = diagonal_explicit(a)
         self.diag = diag
         values = []
-        for (i, jslot) in index:
-            j = n - 1 - jslot
-            if i == j:
+        for flat in range(n * n):
+            i, jslot = divmod(flat, n)  # generator i of M, jslot of D_A M
+            if i == n - 1 - jslot:
                 s = m.module.shifts[i]
                 sgn = half_sign(s) * (-1 if s % 2 else 1)
                 values.append([((0, t), sgn * c)
@@ -371,7 +368,7 @@ class EvaluationData:
         # identity tensor in degree 0 of t_aug
         t_vec = [ZERO] * t_aug.carrier.dim(0)
         for k in range(n):
-            gen = self.index[(k, n - 1 - k)]
+            gen = k * n + n - 1 - k
             sgn = half_sign(m.module.shifts[k])
             for bidx, cu in enumerate(a.unit):
                 if cu:
@@ -426,7 +423,7 @@ class EvaluationData:
             # f (x) id on the outer tensor M (x) D_A M
             x = self.x.module
             fx = ModuleMap.from_columns(x, x, 0, outer_tensor_columns(
-                self.index, f.columns, ModuleMap.identity(self.dual.module).columns,
+                f.columns, ModuleMap.identity(self.dual.module).columns,
                 self.algebra.dim))
             carry = self.hom.postcompose_into(self.hom, fx.restrict())
             step = carry.block(0).apply(step)

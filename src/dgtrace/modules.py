@@ -613,13 +613,13 @@ def restrict_to_ground(p: PerfectModule) -> ExplicitModule:
 # ---------------------------------------------------------------------------
 
 def restrict_to_factor(p: PerfectModule, f1: DgAlgebra, f2: DgAlgebra,
-                       side: str) -> Tuple[PerfectModule, Dict]:
+                       side: str) -> PerfectModule:
     """View a module over f1 (x) f2 as a semi-free module over one factor.
 
     side="first": generators (i, q) = (1 (x) beta_q) g_i over f1;
     side="second": generators (i, p) = (alpha_p (x) 1) g_i over f2.
-    Product algebras concentrated in degree 0 only.  Returns the restricted
-    module and the new-generator index map {(i, q): new index}.
+    Generator (i, q) is number i n + q, n the dimension of the other
+    factor.  Product algebras concentrated in degree 0 only.
     """
     big = p.module.algebra
     if not big.is_degree_zero():
@@ -629,34 +629,32 @@ def restrict_to_factor(p: PerfectModule, f1: DgAlgebra, f2: DgAlgebra,
         raise AlgebraMismatch("factor dimensions do not multiply up")
     m = p.module
     small, other = (f1, f2) if side == "first" else (f2, f1)
-    gens = [(i, q) for i in range(m.rank) for q in range(other.dim)]
-    index = {g: t for t, g in enumerate(gens)}
-    shifts = [m.shifts[i] for (i, q) in gens]
+    n = other.dim
 
     def expand(columns: Sequence[Column]) -> List[Column]:
         """Column (i, q) holds (1 (x) beta_q) * entry (side first) or
         (alpha_q (x) 1) * entry (side second) of each entry [j][i],
         expanded over the small algebra into the rows (j, u)."""
         out = []
-        for (i, q) in gens:
-            row_q = other.rows[q]
-            acc: Dict[int, List] = {}
-            for j, vec in columns[i]:
-                for flat, c in vec:
-                    # side first: (1 (x) b_q)(a_pa (x) b_qb) = a_pa (x) (b_q *f2 b_qb)
-                    pa, qb = divmod(flat, n2)
-                    s, o = (pa, qb) if side == "first" else (qb, pa)
-                    for u, cu in row_q.get(o, ()):
-                        _coords(acc, index[(j, u)], small.dim)[s] += c * cu
-            out.append(_column(acc))
+        for col in columns:
+            for row_q in other.rows:
+                acc: Dict[int, List] = {}
+                for j, vec in col:
+                    for flat, c in vec:
+                        # side first: (1 (x) b_q)(a_pa (x) b_qb) = a_pa (x) (b_q *f2 b_qb)
+                        pa, qb = divmod(flat, n2)
+                        s, o = (pa, qb) if side == "first" else (qb, pa)
+                        for u, cu in row_q.get(o, ()):
+                            _coords(acc, j * n + u, small.dim)[s] += c * cu
+                out.append(_column(acc))
         return out
 
     idem = None if p.idempotent is None else expand(p.idempotent.columns)
-    return built_module(small, shifts, expand(m.twist_columns), idem), index
+    return built_module(small, [s for s in m.shifts for _ in range(n)],
+                        expand(m.twist_columns), idem)
 
 
-def right_multiplication_map(restricted: PerfectModule,
-                             index: Dict, f1: DgAlgebra, f2: DgAlgebra,
+def right_multiplication_map(restricted: PerfectModule, f2: DgAlgebra,
                              t: int) -> ModuleMap:
     """Right multiplication by the basis element b_t of f2 on a module over
     f1 (x) f2^\\op, restricted to f1 (side="first" restriction).
@@ -665,12 +663,12 @@ def right_multiplication_map(restricted: PerfectModule,
     the product taken in f2 (already the opposite of the second tensor
     slot), i.e. genuine right multiplication by b_t.
     """
-    unit = sparse(f1.unit)
-    columns: List[Column] = [()] * restricted.module.rank
+    unit = sparse(restricted.algebra.unit)
+    n = f2.dim
     row_t = f2.rows[t]
-    for (i, q), col in index.items():
-        columns[col] = tuple((index[(i, u)], tuple((k, _canon(cu * x)) for k, x in unit))
-                             for u, cu in row_t.get(q, ()))
+    columns = [tuple((i * n + u, tuple((k, _canon(cu * x)) for k, x in unit))
+                     for u, cu in row_t.get(q, ()))
+               for i in range(restricted.rank // n) for q in range(n)]
     return ModuleMap.from_columns(restricted.module, restricted.module, 0,
                                   columns)
 
@@ -679,25 +677,22 @@ def right_multiplication_map(restricted: PerfectModule,
 # Outer tensor of modules over different algebras
 # ---------------------------------------------------------------------------
 
-def outer_tensor_columns(index: Dict, x: Sequence[Column], y: Sequence[Column],
+def outer_tensor_columns(x: Sequence[Column], y: Sequence[Column],
                          ns: int) -> List[Column]:
     """The columns of x (x) y over tensor_algebras(R, S), dim S = ns, on the
-    generators index[(i, j)]: entry (index[(i2, j2)], index[(i, j)]) is
+    generators (i, j) numbered i len(y) + j: entry (i2, j2), (i, j) is
     x[i2][i] (x) y[j2][j], the coordinate u_p v_q at flat index p*ns + q."""
-    out: List[Column] = [()] * len(index)
-    for (i, j), col in index.items():
-        out[col] = tuple(sorted(
-            (index[(i2, j2)], tuple((p * ns + q, _canon(cu * cv))
-                                    for p, cu in u for q, cv in v))
-            for i2, u in x[i] for j2, v in y[j]))
-    return out
+    ny = len(y)
+    return [tuple((i2 * ny + j2, tuple((p * ns + q, _canon(cu * cv))
+                                       for p, cu in u for q, cv in v))
+                  for i2, u in xi for j2, v in yj)
+            for xi in x for yj in y]
 
 
-def outer_tensor_modules(p1: PerfectModule,
-                         p2: PerfectModule) -> Tuple[PerfectModule, DgAlgebra, Dict]:
+def outer_tensor_modules(p1: PerfectModule, p2: PerfectModule) -> PerfectModule:
     """m1 (x)_k m2 as a module over tensor_algebras(R, S).
 
-    Generators (i, j) ordered i-major, shifts add, twist
+    Generators (i, j) numbered i rank(m2) + j, shifts add, twist
     delta1 (x) 1 + diag((-1)^{s_i}) (x) delta2, idempotent e1 (x) e2.
     Degree-0 algebras only (the sign bookkeeping for graded coefficients is
     not carried here).
@@ -707,20 +702,18 @@ def outer_tensor_modules(p1: PerfectModule,
         raise NotDegreeZeroConcentrated("outer tensor needs degree-0 algebras")
     prod = tensor_algebras(r, s)
     m1, m2 = p1.module, p2.module
-    gens = [(i, j) for i in range(m1.rank) for j in range(m2.rank)]
-    index = {g: t for t, g in enumerate(gens)}
-    shifts = [m1.shifts[i] + m2.shifts[j] for (i, j) in gens]
+    shifts = [s1 + s2 for s1 in m1.shifts for s2 in m2.shifts]
     unit = sparse(r.unit)
     signs = [((i, _neg(unit) if s1 % 2 else unit),) for i, s1 in enumerate(m1.shifts)]
     tw = _add_columns(
-        prod, outer_tensor_columns(index, m1.twist_columns,
+        prod, outer_tensor_columns(m1.twist_columns,
                                    ModuleMap.identity(m2).columns, s.dim),
-        outer_tensor_columns(index, signs, m2.twist_columns, s.dim))
+        outer_tensor_columns(signs, m2.twist_columns, s.dim))
     idem = None
     if p1.idempotent is not None or p2.idempotent is not None:
-        idem = outer_tensor_columns(index, p1.identity_map().columns,
+        idem = outer_tensor_columns(p1.identity_map().columns,
                                     p2.identity_map().columns, s.dim)
-    return built_module(prod, shifts, tw, idem), prod, index
+    return built_module(prod, shifts, tw, idem)
 
 
 # ---------------------------------------------------------------------------

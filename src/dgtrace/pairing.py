@@ -167,20 +167,19 @@ def pair_scalar(lam: HochschildClass, mu: HochschildClass) -> Fraction:
                               mu.representative.coords, a, 1)[0])
 
 
-def cup(x: HochschildClass, y: HochschildClass, a: DgAlgebra, b: DgAlgebra,
-        c: DgAlgebra, resolution_b: Optional[DiagonalResolution]) -> HochschildClass:
+def cup(x: HochschildClass, y: HochschildClass, a: DgAlgebra, c: DgAlgebra,
+        resolution_b: Optional[DiagonalResolution]) -> HochschildClass:
     """[x] cup_B [y]: HH_0(A (x) B^op) x HH_0(B (x) C^op) -> HH_0(A (x) C^op).
 
-    Requires a diagonal resolution of the middle algebra, the smoothness
-    hypothesis of the pairing; the value itself is the trace-table
-    contraction `_contract` of the representatives, for every B.
+    B is the algebra of its diagonal resolution, the smoothness hypothesis
+    of the pairing; the value itself is the trace-table contraction
+    `_contract` of the representatives, for every B.
     """
     if resolution_b is None:
         raise NoDiagonalResolutionForB(
             "cup needs a diagonal resolution of the middle algebra")
-    if not resolution_b.algebra.same_structure(b):
-        raise NoDiagonalResolutionForB("resolution is for a different algebra")
-    if not (a.is_degree_zero() and b.is_degree_zero() and c.is_degree_zero()):
+    b = resolution_b.algebra  # degree 0, as every resolution's algebra is
+    if not (a.is_degree_zero() and c.is_degree_zero()):
         raise NotDegreeZeroConcentrated("cup contracted over degree-0 algebras")
     if not x.algebra.same_structure(tensor_algebras(a, opposite(b))):
         raise AlgebraMismatch("first class is not over A (x) B^op")
@@ -237,7 +236,7 @@ def pairing_three_ways(a: DgAlgebra, resolution: DiagonalResolution,
     phi = cache["transfer"].apply(kclass)
     s2 = phi.coords[0] if phi.coords else ZERO
 
-    cup_val = cup(cache["diag"], kclass, kalg, ea, kalg, env_resolution)
+    cup_val = cup(cache["diag"], kclass, kalg, kalg, env_resolution)
     s3 = cup_val.coords[0] if cup_val.coords else ZERO
     return s1, s2, s3
 
@@ -332,11 +331,10 @@ def verify_rr(m: PerfectModule, f: ModuleMap, n: PerfectModule, g: ModuleMap,
 # Kernel composition through the middle algebra's diagonal resolution
 # ---------------------------------------------------------------------------
 
-def compose_kernels(k1: PerfectModule, k2: PerfectModule,
-                    a: DgAlgebra, b: DgAlgebra, c: DgAlgebra,
-                    resolution_b: DiagonalResolution) -> PerfectModule:
+def compose_kernels(k1: PerfectModule, k2: PerfectModule, a: DgAlgebra,
+                    c: DgAlgebra, resolution_b: DiagonalResolution) -> PerfectModule:
     """K1 (x)_B K2 over A (x) C^op, as K1 (x)_B P (x)_B K2 for the
-    diagonal resolution P of B.
+    diagonal resolution P of B, B the resolution's algebra.
 
     K1 restricted to A (generators (i, w1) = (1 (x) b_{w1}) g_i) and K2
     restricted to C^op (generators (j, w2) = (b_{w2} (x) 1) h_j) give their
@@ -352,14 +350,15 @@ def compose_kernels(k1: PerfectModule, k2: PerfectModule,
     """
     if resolution_b is None:
         raise NoDiagonalResolutionForB("kernel composition needs a resolution")
+    b = resolution_b.algebra
     bop, cop = opposite(b), opposite(c)
     if not k1.algebra.same_structure(tensor_algebras(a, bop)):
         raise AlgebraMismatch("first kernel is not over A (x) B^op")
     if not k2.algebra.same_structure(tensor_algebras(b, cop)):
         raise AlgebraMismatch("second kernel is not over B (x) C^op")
-    r1, index1 = restrict_to_factor(k1, a, bop, "first")
-    r2, index2 = restrict_to_factor(k2, b, cop, "second")
-    outer, ac, index = outer_tensor_modules(r1, r2)
+    r1 = restrict_to_factor(k1, a, bop, "first")
+    r2 = restrict_to_factor(k2, b, cop, "second")
+    outer = outer_tensor_modules(r1, r2)
     o, p = outer.module, resolution_b.module
     n = o.rank
     actions: Dict[int, ModuleMap] = {}
@@ -368,10 +367,10 @@ def compose_kernels(k1: PerfectModule, k2: PerfectModule,
         """R_s (x) L_t on O for the basis element e_s (x) e_t of B^e."""
         if flat not in actions:
             s, t = divmod(flat, b.dim)
-            right = right_multiplication_map(r1, index1, a, bop, s)
-            left = right_multiplication_map(r2, index2, cop, b, t)
+            right = right_multiplication_map(r1, bop, s)
+            left = right_multiplication_map(r2, b, t)
             actions[flat] = ModuleMap.from_columns(o, o, 0, outer_tensor_columns(
-                index, right.columns, left.columns, cop.dim))
+                right.columns, left.columns, cop.dim))
         return actions[flat]
 
     def on_copies(columns, signed: bool) -> list:
@@ -393,7 +392,7 @@ def compose_kernels(k1: PerfectModule, k2: PerfectModule,
     twist = [own + moved for own, moved in zip(
         copies(o.twist_columns), on_copies(p.module.twist_columns, True))]
     q = SemiFreeModule.from_columns(
-        ac, [r + s for r in p.shifts for s in o.shifts], twist)
+        o.algebra, [r + s for r in p.shifts for s in o.shifts], twist)
     e = None
     if p.idempotent is not None:
         e = ModuleMap.from_columns(q, q, 0, on_copies(p.idempotent.columns, False))
@@ -404,13 +403,13 @@ def compose_kernels(k1: PerfectModule, k2: PerfectModule,
 
 
 def verify_kernel_composition(k1: PerfectModule, k2: PerfectModule,
-                              a: DgAlgebra, b: DgAlgebra, c: DgAlgebra,
+                              a: DgAlgebra, c: DgAlgebra,
                               resolution_b: DiagonalResolution,
                               instance: str = "",
                               seed: Optional[int] = None) -> PairingReport:
     """hh(K1 (x)_B K2) against hh(K1) cup_B hh(K2): exact class equality in
     HH_0(A (x) C^op), reported as the two coordinate tuples."""
-    composed = compose_kernels(k1, k2, a, b, c, resolution_b)
+    composed = compose_kernels(k1, k2, a, c, resolution_b)
     lhs_class = euler_class(composed)
-    rhs_class = cup(euler_class(k1), euler_class(k2), a, b, c, resolution_b)
+    rhs_class = cup(euler_class(k1), euler_class(k2), a, c, resolution_b)
     return PairingReport(lhs_class.coords, rhs_class.coords, instance, seed)

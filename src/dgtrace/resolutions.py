@@ -174,7 +174,7 @@ def opposite_resolution(r: DiagonalResolution) -> DiagonalResolution:
     data, so every sign is +1)."""
     a = r.algebra
     aop = opposite(a)
-    iso = swap_iso(a, aop, tensor_algebras(a, aop), tensor_algebras(aop, a))
+    iso = swap_iso(a, aop, tensor_algebras(aop, a))
 
     def build():
         aug = tuple(aop.element(x.coords) for x in r.augmentation)
@@ -193,7 +193,7 @@ def tensor_resolution(r1: DiagonalResolution,
     ab = tensor_algebras(a, b)
 
     def build():
-        big, prod_env, index = outer_tensor_modules(r1.module, r2.module)
+        big = outer_tensor_modules(r1.module, r2.module)
         env_ab = tensor_algebras(ab, opposite(ab))
         # flat index in A^e (x) B^e: ((i, j), (k, l)) with i,j over A and
         # k,l over B; target index in (A(x)B)^e: ((i, k), (j, l))
@@ -201,10 +201,9 @@ def tensor_resolution(r1: DiagonalResolution,
         perm = [(i * nb + k) * (na * nb) + (j * nb + l)
                 for i in range(na) for j in range(na)
                 for k in range(nb) for l in range(nb)]
-        transported = transport_module(big, AlgebraIso(prod_env, env_ab, perm))
-        aug = tuple(ab.element(pure_tensor(r1.augmentation[i].coords,
-                                           r2.augmentation[j].coords))
-                    for (i, j) in index)
+        transported = transport_module(big, AlgebraIso(big.algebra, env_ab, perm))
+        aug = tuple(ab.element(pure_tensor(x.coords, y.coords))
+                    for x in r1.augmentation for y in r2.augmentation)
         return transported, aug
 
     return DiagonalResolution(ab, build)

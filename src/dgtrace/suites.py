@@ -235,7 +235,7 @@ def pairing_coherence_suite(seed: int) -> Dict:
         # unit law: hh(A) cup_A lam = lam over A (x) k^op
         sp_ak = hh0_space(tensor_algebras(a, opposite(kalg)))
         dclass = diagonal_class(ent.resolution)
-        unit_ok = _tally(cup(dclass, lam, a, a, kalg, ent.resolution) == lam
+        unit_ok = _tally(cup(dclass, lam, a, kalg, ent.resolution) == lam
                          for lam in sp_ak.basis_classes())["ok"]
         # well-definedness: commutator shifts do not move the pairing
         basis = [a.basis_element(i) for i in range(a.dim)]
@@ -273,7 +273,7 @@ def pairing_coherence_suite(seed: int) -> Dict:
                 hh_k_class = euler_class(kern)
                 for lam_b in sp_b.basis_classes() + (_seeded_class(sp_b, coeffs),):
                     lam = sp_bk.class_of(bk.element(lam_b.representative.coords))
-                    rhs = cup(hh_k_class, lam, a2, b, kalg, ent.resolution)
+                    rhs = cup(hh_k_class, lam, a2, kalg, ent.resolution)
                     yield tr.apply(lam_b).coords == rhs.coords
     action_ok = _tally(transfer_vs_cup())["ok"]
     flags = [r["ok"] for r in results.values()] + [action_ok]
@@ -304,7 +304,7 @@ def adapt_suite(seed: int) -> Dict:
                 lhs = rr_left_side(diag_as_right, None, lam.representative)
                 lam_bk = hh0_space(bk).class_of(
                     bk.element(lam.representative.coords))
-                rhs_class = cup(dclass, lam_bk, kalg, ea, kalg, env_res)
+                rhs_class = cup(dclass, lam_bk, kalg, kalg, env_res)
                 yield lhs == (rhs_class.coords[0] if rhs_class.coords else ZERO)
     return _tally(verdicts())
 
@@ -326,7 +326,7 @@ def kernel_composition_suite(count: int, seed: int) -> Dict:
                             shift_range=(-1, 1))
         k2 = random_perfect(bc, rng, idempotents=(), max_gens=2,
                             shift_range=(-1, 1))
-        return verify_kernel_composition(k1, k2, a_alg, b, c_alg,
+        return verify_kernel_composition(k1, k2, a_alg, c_alg,
                                          ent_b.resolution,
                                          instance=f"{ent_b.name}#{i}",
                                          seed=seed).equal

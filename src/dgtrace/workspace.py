@@ -1,12 +1,15 @@
 """Workspace files: named algebras, modules, maps and resolution references.
 
-The format is JSON with `"format": 1`.  Rationals are exact "p/q" strings
-(or plain integers); structure constants are sparse [i, j, k, value]
-quadruples; module twists, idempotents and map entries are sparse
-[row, col, coords] triples with coords a full coordinate vector over the
-algebra basis.  Only a missing key or JSON null marks a field absent.  A
-generator's `label` is checked (a string, distinct in its module) and names
-nothing.  Example:
+The format is JSON with `"format": 1`.  Rationals are exact strings
+matching [+-]?[0-9]+(/[0-9]+)? in full, or plain integers: no exponent,
+decimal point, underscore or space.  Structure constants are sparse
+[i, j, k, value] quadruples; module twists, idempotents and map entries are
+sparse [row, col, coords] triples with coords a full coordinate vector over
+the algebra basis, and triples at one position add up.  Only a missing key
+or JSON null marks a field absent.  A generator's `label` is checked (a
+string, distinct in its module) and names nothing.  A name bound to both an
+algebra and a resolution (by `use_catalog`, or in the `algebras` and
+`resolutions` sections) must bind a resolution of that algebra.  Example:
 
     {
       "format": 1,
@@ -32,16 +35,18 @@ nothing.  Example:
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
-from typing import Dict
+from typing import Dict, List
 
 from .algebras import DgAlgebra, validate_algebra
 from .catalog import catalog, catalog_entry
 from .errors import DgError, WorkspaceError
-from .modules import ModuleMap, PerfectModule, SemiFreeModule
+from .modules import Column, ModuleMap, PerfectModule, SemiFreeModule, _column
 from .resolutions import DiagonalResolution
 
 FORMAT_VERSION = 1
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 _KIND_NAMES = {dict: "an object", list: "a list", str: "a string",
                int: "an integer"}
@@ -73,7 +78,7 @@ def parse_rational(text, where: str) -> Fraction:
     try:
         if _is_int(text):
             return Fraction(text)
-        if isinstance(text, str):
+        if isinstance(text, str) and _RATIONAL.fullmatch(text):
             return Fraction(text)
     except (ValueError, ZeroDivisionError):
         pass
@@ -160,8 +165,10 @@ def _parse_algebra(name: str, data: dict) -> DgAlgebra:
 
 
 def _parse_entry_matrix(data, rank_rows: int, rank_cols: int, alg: DgAlgebra,
-                        where: str):
-    rows = [[alg.zero() for _ in range(rank_cols)] for _ in range(rank_rows)]
+                        where: str) -> List[Column]:
+    """The sparse columns of a matrix over alg: each entry is built over
+    alg at a position in range, and entries at one position add up."""
+    acc: List[Dict[int, List]] = [{} for _ in range(rank_cols)]
     for t, trip in enumerate(_expect([] if data is None else data, list,
                                       "entries", where)):
         if not (isinstance(trip, list) and len(trip) == 3):
@@ -173,9 +180,10 @@ def _parse_entry_matrix(data, rank_rows: int, rank_cols: int, alg: DgAlgebra,
         if not isinstance(coords, list) or len(coords) != alg.dim:
             raise WorkspaceError(
                 f"entry[{t}] needs {alg.dim} coordinates", where)
-        vec = [parse_rational(c, where) for c in coords]
-        rows[j][i] = rows[j][i] + alg.element(vec)
-    return rows
+        entry = acc[i].setdefault(j, [0] * alg.dim)
+        for k, c in enumerate(coords):
+            entry[k] += parse_rational(c, where)
+    return [_column(col) for col in acc]
 
 
 def _parse_module(name: str, data: dict, ws: Workspace) -> PerfectModule:
@@ -199,14 +207,15 @@ def _parse_module(name: str, data: dict, ws: Workspace) -> PerfectModule:
     twist = _parse_entry_matrix(data.get("twist"), rank, rank, alg,
                                 f"{where}.twist")
     try:
-        mod = SemiFreeModule(alg, shifts, twist)
+        mod = SemiFreeModule.from_columns(alg, shifts, twist).validate()
     except DgError as exc:
         raise WorkspaceError(f"module invalid: {exc}", where)
     if data.get("idempotent") is not None:
         entries = _parse_entry_matrix(data["idempotent"], rank, rank, alg,
                                       f"{where}.idempotent")
         try:
-            return PerfectModule(mod, ModuleMap(mod, mod, 0, entries))
+            return PerfectModule(
+                mod, ModuleMap.from_columns(mod, mod, 0, entries).validate())
         except DgError as exc:
             raise WorkspaceError(f"idempotent invalid: {exc}", where)
     return PerfectModule(mod)
@@ -228,7 +237,7 @@ def _parse_map(name: str, data: dict, ws: Workspace) -> ModuleMap:
     entries = _parse_entry_matrix(data.get("entries"), target.rank, source.rank,
                                   source.algebra, f"{where}.entries")
     try:
-        return ModuleMap(source, target, degree, entries)
+        return ModuleMap.from_columns(source, target, degree, entries).validate()
     except DgError as exc:
         raise WorkspaceError(f"map invalid: {exc}", where)
 
@@ -238,7 +247,7 @@ def parse_workspace(text: str) -> Workspace:
     with its location."""
     try:
         data = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError included
         raise WorkspaceError(f"syntax error: {exc}")
     if not isinstance(data, dict):
         raise WorkspaceError("workspace must be a JSON object")
@@ -274,6 +283,12 @@ def parse_workspace(text: str) -> Workspace:
                 f"resolution {name!r} references unknown catalog entry {ref!r}",
                 "resolutions")
         ws.resolutions[name] = ent.resolution
+    for name, alg in ws.algebras.items():
+        r = ws.resolutions.get(name)
+        if r is not None and not r.algebra.same_structure(alg):
+            raise WorkspaceError(
+                f"resolution {name!r} does not resolve algebra {name!r}",
+                "resolutions")
     return ws
 
 

@@ -154,8 +154,7 @@ def test_enveloping_dims(a2, kfield):
 
 
 def test_swap_iso_between_envelopings(a2):
-    ae, ea = tensor_algebras(a2, opposite(a2)), tensor_algebras(opposite(a2), a2)
-    swap_iso(a2, opposite(a2), ae, ea).check()
+    swap_iso(a2, opposite(a2), tensor_algebras(opposite(a2), a2)).check()
 
 
 def test_env_op_iso(a2, m2):

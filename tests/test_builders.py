@@ -142,8 +142,8 @@ def test_outer_tensors_with_twists_on_both_factors_are_modules(cat, name):
     assert ps and qs
     for p in ps[:2]:
         for q in qs[:2]:
-            t, prod, _ = outer_tensor_modules(p, q)
-            assert prod is tensor_algebras(a.algebra, a2.algebra)
+            t = outer_tensor_modules(p, q)
+            assert t.algebra is tensor_algebras(a.algebra, a2.algebra)
             assert twisted(t)
             assert_module(t)
 
@@ -164,7 +164,7 @@ def test_restrictions_and_transports_of_bimodules_are_modules(cat, name):
     iso = env_op_iso(a)
     for p in ps:
         for side in ("first", "second"):
-            r, _ = restrict_to_factor(p, a, aop, side)
+            r = restrict_to_factor(p, a, aop, side)
             assert r.algebra is (a if side == "first" else aop)
             assert_module(r)
         t = transport_module(p, iso)

@@ -91,7 +91,7 @@ def test_serre_matches_dual_of_hom(cat):
         a = cat[name].algebra
         for _ in range(3):
             m = random_semifree(a, rng, max_gens=3, shift_range=(-1, 1))
-            lhs = serre_tensor(a, m).cohomology_dims()
+            lhs = serre_tensor(m).cohomology_dims()
             hom = hom_over_algebra(m, free_module(a, [0]))
             rhs = cohomology_dims(linear_dual(hom.carrier))
             assert lhs == rhs, name
@@ -197,15 +197,15 @@ def test_omega_contraction_equals_algebra(cat):
 
 def test_serre_identity_on_ground(kfield, cat):
     m = free_module(kfield, [0, 1])
-    s = serre_tensor(kfield, m)
+    s = serre_tensor(m)
     assert s.cohomology_dims() == restrict_to_ground(m).cohomology_dims()
 
 
 def test_serre_of_projectives(a2):
     P1 = projective_module(a2, a2.by_label("e1"))
     P2 = projective_module(a2, a2.by_label("e2"))
-    assert serre_tensor(a2, P1).cohomology_dims().dims == {0: 2}
-    assert serre_tensor(a2, P2).cohomology_dims().dims == {0: 1}
+    assert serre_tensor(P1).cohomology_dims().dims == {0: 2}
+    assert serre_tensor(P2).cohomology_dims().dims == {0: 1}
 
 
 def test_serre_duality_dimension_identity(cat):

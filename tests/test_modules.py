@@ -231,35 +231,33 @@ def test_shift_module_flips_sign(a2):
 def test_restrict_to_factor_unit_action(a2, kfield):
     prod = tensor_algebras(a2, kfield)
     p = free_module(prod, [0, 1])
-    left, index = restrict_to_factor(p, a2, kfield, "first")
+    left = restrict_to_factor(p, a2, kfield, "first")
     assert left.module.rank == 2
     assert restrict_to_ground(left).carrier.space.dims == {-1: 3, 0: 3}
-    right, _ = restrict_to_factor(p, a2, kfield, "second")
+    right = restrict_to_factor(p, a2, kfield, "second")
     assert right.module.rank == 6
 
 
 def test_second_factor_restriction_is_the_first_after_the_swap(cat):
     """Restriction to the second factor of f1 (x) f2 is restriction to the
-    first factor of f2 (x) f1 after the swap: the same index, shifts,
-    labels, twist and idempotent columns, on seeded kernels with and
-    without a projective summand e_i (x) e_j."""
+    first factor of f2 (x) f1 after the swap: the same shifts, twist and
+    idempotent columns, on seeded kernels with and without a projective
+    summand e_i (x) e_j."""
     with_idempotent = 0
     for seed, (n1, n2) in enumerate((("A2", "A2"), ("M2", "k"), ("k", "A3"),
                                      ("Kronecker", "kxk"), ("A2", "M2"))):
         f1, f2 = cat[n1].algebra, opposite(cat[n2].algebra)
         big = tensor_algebras(f1, f2)
-        iso = swap_iso(f1, f2, big, tensor_algebras(f2, f1))
+        iso = swap_iso(f1, f2, tensor_algebras(f2, f1))
         idempotents = [i * f2.dim + j for i in cat[n1].idempotents
                        for j in cat[n2].idempotents]
         rng = SplitMix64(seed)
         for _ in range(6):
             p = random_perfect(big, rng, idempotents, max_gens=3,
                                shift_range=(-1, 1))
-            second, index = restrict_to_factor(p, f1, f2, "second")
-            first, swapped_index = restrict_to_factor(
-                transport_module(p, iso), f2, f1, "first")
+            second = restrict_to_factor(p, f1, f2, "second")
+            first = restrict_to_factor(transport_module(p, iso), f2, f1, "first")
             assert second.algebra is first.algebra is f2
-            assert index == swapped_index
             assert second.module == first.module
             assert (second.idempotent is None) == (first.idempotent is None)
             if p.idempotent is not None:
@@ -271,9 +269,9 @@ def test_second_factor_restriction_is_the_first_after_the_swap(cat):
 def test_outer_tensor_modules(a2, kfield):
     p1 = free_module(a2, [0])
     p2 = free_module(kfield, [1])
-    big, prod, index = outer_tensor_modules(p1, p2)
+    big = outer_tensor_modules(p1, p2)
     assert big.module.shifts == (1,)
-    assert prod.same_structure(tensor_algebras(a2, kfield))
+    assert big.algebra.same_structure(tensor_algebras(a2, kfield))
     restrict_to_ground(big).carrier.check_d_squared()
 
 

@@ -135,7 +135,24 @@ def test_cup_needs_resolution(a2, kfield):
     sp2 = hh0_space(tensor_algebras(a2, opposite(kfield)))
     mu = sp2.basis_classes()[0]
     with pytest.raises(NoDiagonalResolutionForB):
-        cup(lam, mu, kfield, a2, kfield, None)
+        cup(lam, mu, kfield, kfield, None)
+
+
+def test_a_resolution_of_another_middle_algebra_is_refused(cat):
+    """B is the resolution's algebra, so kernels and classes over M2 beside
+    the resolution of kxk or of A3 are over the wrong algebra."""
+    kalg = unit_algebra()
+    m2 = cat["M2"].algebra
+    k1 = free_module(tensor_algebras(kalg, opposite(m2)), [0])
+    k2 = free_module(tensor_algebras(m2, opposite(kalg)), [0])
+    for name in ("kxk", "A3"):
+        resolution = cat[name].resolution
+        with pytest.raises(AlgebraMismatch):
+            compose_kernels(k1, k2, kalg, kalg, resolution)
+        with pytest.raises(AlgebraMismatch):
+            verify_kernel_composition(k1, k2, kalg, kalg, resolution)
+        with pytest.raises(AlgebraMismatch):
+            cup(euler_class(k1), euler_class(k2), kalg, kalg, resolution)
 
 
 def test_cup_over_ground_is_kunneth(a2, kfield):
@@ -147,7 +164,7 @@ def test_cup_over_ground_is_kunneth(a2, kfield):
     sp_kc = hh0_space(kc)
     lam = sp_ak.class_of(ak.element([F(1)] + [F(0)] * (ak.dim - 1)))
     mu = sp_kc.class_of(kc.element([F(0), F(1), F(0)]))
-    out = cup(lam, mu, a2, kfield, a2, ent.resolution)
+    out = cup(lam, mu, a2, a2, ent.resolution)
     prod = out.space.algebra
     expected_rep = [F(0)] * prod.dim
     expected_rep[0 * 3 + 1] = F(1)  # e1 (x) e2
@@ -186,7 +203,7 @@ def test_cup_matches_dense_trace_oracle(cat):
                     want = [w + t * x for w, x in zip(want, term)]
             out = cup(hh0_space(ab).class_of(ab.element(u)),
                       hh0_space(bc).class_of(bc.element(v)),
-                      a, b, c, ent.resolution)
+                      a, c, ent.resolution)
             assert out.coords == sp_ac.class_of(ac.element(want)).coords, name
 
 
@@ -198,7 +215,7 @@ def test_unit_law_all_catalog(cat):
         sp_ak = hh0_space(ak)
         dclass = diagonal_class(ent.resolution)
         for lam in sp_ak.basis_classes():
-            out = cup(dclass, lam, a, a, kalg, ent.resolution)
+            out = cup(dclass, lam, a, kalg, ent.resolution)
             assert out == lam, name
 
 
@@ -213,7 +230,7 @@ def test_right_unit_law(cat):
         sp_kb = hh0_space(kb)
         dclass = diagonal_class(ent.resolution)
         for lam in sp_kb.basis_classes():
-            out = cup(lam, dclass, kalg, b, b, ent.resolution)
+            out = cup(lam, dclass, kalg, b, ent.resolution)
             assert out.coords == lam.coords, name
 
 
@@ -230,10 +247,10 @@ def test_associativity_style_law(cat):
     for lam in sp_ka.basis_classes():
         for mu in sp_ab.basis_classes():
             for nu in sp_ak.basis_classes():
-                left = cup(cup(lam, mu, kalg, a, a, ent.resolution),
-                           nu, kalg, a, kalg, ent.resolution)
-                right = cup(lam, cup(mu, nu, a, a, kalg, ent.resolution),
-                            kalg, a, kalg, ent.resolution)
+                left = cup(cup(lam, mu, kalg, a, ent.resolution),
+                           nu, kalg, kalg, ent.resolution)
+                right = cup(lam, cup(mu, nu, a, kalg, ent.resolution),
+                            kalg, kalg, ent.resolution)
                 assert left.coords == right.coords
 
 
@@ -289,7 +306,7 @@ def test_phi_matches_cup_on_random_kernels(cat):
             for lam_b in sp_b.basis_classes():
                 lam = sp_bk.class_of(bk.element(lam_b.representative.coords))
                 lhs = transfer.apply(lam_b)
-                rhs = cup(hhk, lam, a, b, kalg, ent.resolution)
+                rhs = cup(hhk, lam, a, kalg, ent.resolution)
                 assert lhs.coords == rhs.coords, name
 
 
@@ -312,7 +329,7 @@ def test_phi_of_rank_one_projective_kernel(a2, cat):
         assert out.coords == tuple(F(d) * c for c in e1_class)
         # verified against the contraction route
         lam_bk = hh0_space(bk).class_of(bk.element(lam.representative.coords))
-        via_cup = cup(hhk, lam_bk, a2, a2, kalg, cat["A2"].resolution)
+        via_cup = cup(hhk, lam_bk, a2, kalg, cat["A2"].resolution)
         assert via_cup.coords == out.coords
 
 
@@ -358,7 +375,7 @@ def test_phi_table_matches_summed_right_multiplication(cat, name):
     with_idempotent = 0
     for kernel, left in kernels:
         transfer = KernelTransfer(kernel, left, b)
-        restricted, index = restrict_to_factor(kernel, left, transfer.bop, "first")
+        restricted = restrict_to_factor(kernel, left, transfer.bop, "first")
         e = restricted.idempotent
         with_idempotent += e is not None
         assert len(transfer.traces) == transfer.bop.dim
@@ -367,7 +384,7 @@ def test_phi_table_matches_summed_right_multiplication(cat, name):
             direct = ModuleMap.zero(restricted.module, restricted.module, 0)
             for t, c in enumerate(x.coords):
                 direct = direct + right_multiplication_map(
-                    restricted, index, left, transfer.bop, t).scale(c)
+                    restricted, transfer.bop, t).scale(c)
             if e is not None:
                 direct = direct.compose(e)
             want = hh0_space(left).class_of(
@@ -397,9 +414,9 @@ def test_transfer_over_a_basis_whose_products_are_not_basis_elements(cat):
                for _ in range(3)] + [projective_module(ab, ab.basis_element(0))]
     for kernel in kernels:
         transfer = KernelTransfer(kernel, a, b)
-        restricted, index = restrict_to_factor(kernel, a, bop, "first")
+        restricted = restrict_to_factor(kernel, a, bop, "first")
         for t in range(b.dim):
-            rmul = right_multiplication_map(restricted, index, a, bop, t)
+            rmul = right_multiplication_map(restricted, bop, t)
             if restricted.idempotent is not None:
                 rmul = rmul.compose(restricted.idempotent)
             want = hh0_space(a).class_of(generalized_supertrace(restricted, rmul))
@@ -667,10 +684,10 @@ def test_kernel_composition_over_vertex_arrow_middle_algebras(cat):
                                     shift_range=(-1, 1))
                 k2 = random_perfect(bc, rng, idem_bc, max_gens=2,
                                     shift_range=(-1, 1))
-                composite = compose_kernels(k1, k2, a, b, c, ent_b.resolution)
+                composite = compose_kernels(k1, k2, a, c, ent_b.resolution)
                 composite.module.validate()
                 lhs = euler_class(composite).coords
-                rhs = cup(euler_class(k1), euler_class(k2), a, b, c,
+                rhs = cup(euler_class(k1), euler_class(k2), a, c,
                           ent_b.resolution).coords
                 assert lhs == rhs, (bname, aname, cname, seed)
                 instances += 1
@@ -686,7 +703,7 @@ def test_kernel_composition_ground(cat):
     ab = tensor_algebras(kalg, opposite(b))
     bc = tensor_algebras(b, opposite(kalg))
     rep = verify_kernel_composition(free_module(ab, [0]), free_module(bc, [0]),
-                                    kalg, b, kalg, ent.resolution)
+                                    kalg, kalg, ent.resolution)
     assert rep.equal
 
 
@@ -695,7 +712,7 @@ def test_kernel_composition_diagonal(cat):
     m2 = ent.algebra
     rep = verify_kernel_composition(ent.resolution.module,
                                     ent.resolution.module,
-                                    m2, m2, m2, ent.resolution)
+                                    m2, m2, ent.resolution)
     assert rep.equal
 
 
@@ -708,7 +725,7 @@ def test_kernel_composition_column_spaces(cat):
     bc = tensor_algebras(m2, opposite(kalg))
     k1 = projective_module(ab, ab.by_label("1(x)E11"))
     k2 = projective_module(bc, bc.by_label("E11(x)1"))
-    rep = verify_kernel_composition(k1, k2, kalg, m2, kalg, ent.resolution)
+    rep = verify_kernel_composition(k1, k2, kalg, kalg, ent.resolution)
     assert rep.equal
 
 
@@ -735,7 +752,7 @@ def test_kernel_composition_with_idempotents(cat):
                                 shift_range=(-1, 1))
             k2 = random_perfect(bc, rng, ent.idempotents, max_gens=2,
                                 shift_range=(-1, 1))
-            rep = verify_kernel_composition(k1, k2, kalg, b, kalg,
+            rep = verify_kernel_composition(k1, k2, kalg, kalg,
                                             ent.resolution)
             assert rep.equal
             carried += (k1.idempotent is not None) + (k2.idempotent is not None)
@@ -757,7 +774,7 @@ def test_kernel_composition_compares_coordinates(cat, monkeypatch):
     monkeypatch.setattr(pairing, "cup",
                         lambda *args, **kw: SimpleNamespace(coords=(F(0), F(1))))
     rep = verify_kernel_composition(free_module(ab, [0]), free_module(bc, [0]),
-                                    kalg, b, kalg, ent.resolution)
+                                    kalg, kalg, ent.resolution)
     assert not rep.equal
     assert rep.lhs == (F(1000003), F(0)) and rep.rhs == (F(0), F(1))
     assert rep.to_dict()["lhs"] == ["1000003/1", "0/1"]
@@ -828,12 +845,12 @@ def test_cup_on_warm_factors_builds_no_algebra(cat, monkeypatch):
     kalg = unit_algebra()
     lam = hh0_space(tensor_algebras(a, opposite(a))).basis_classes()[0]
     mu = hh0_space(tensor_algebras(a, opposite(kalg))).basis_classes()[0]
-    expected = cup(lam, mu, a, a, kalg, ent.resolution)
+    expected = cup(lam, mu, a, kalg, ent.resolution)
 
     def refuse(self, *args, **kwargs):
         raise AssertionError("cup built an algebra")
     monkeypatch.setattr(DgAlgebra, "__init__", refuse)
-    assert cup(lam, mu, a, a, kalg, ent.resolution) == expected
+    assert cup(lam, mu, a, kalg, ent.resolution) == expected
 
 
 def test_kernel_composition_checks_the_composed_idempotent(cat):
@@ -848,7 +865,7 @@ def test_kernel_composition_checks_the_composed_idempotent(cat):
                            good.idempotent.scale(2).columns)
         for k1, k2 in ((bad, good), (good, bad)):
             with pytest.raises(IdempotentIncompatible):
-                compose_kernels(k1, k2, b, b, b, ent.resolution)
+                compose_kernels(k1, k2, b, b, ent.resolution)
 
 
 def test_pairing_coherence_sees_the_class_coefficients(monkeypatch):

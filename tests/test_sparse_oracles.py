@@ -67,16 +67,15 @@ def random_element_of_degree(a, degree, rng):
     return a.element(coords)
 
 
-def outer_tensor_entries(prod, index, x, y):
-    """The matrix x (x) y over prod = tensor_algebras(R, S) of square
-    matrices x over R and y over S, on the generators index[(i, j)]: entry
-    (index[(i2, j2)], index[(i, j)]) is x[i2][i] (x) y[j2][j]; grids in and out."""
-    if not index:
-        return ()
+def outer_tensor_entries(prod, x, y):
+    """The matrix x (x) y over prod = tensor_algebras(R, S) of nonempty
+    square matrices x over R and y over S, on the generators (i, j) numbered
+    i len(y) + j: entry (i2, j2), (i, j) is x[i2][i] (x) y[j2][j]; grids in
+    and out."""
     ns = y[0][0].algebra.dim
     x, y = (_grid_columns(z[0][0].algebra, z, len(z), len(z), "square matrices only")
             for z in (x, y))
-    return _dense(prod, outer_tensor_columns(index, x, y, ns), len(index))
+    return _dense(prod, outer_tensor_columns(x, y, ns), len(x) * len(y))
 
 
 def dense_compose(psi, phi):
@@ -675,7 +674,7 @@ def test_swap_iso_is_multiplicative_over_dg_algebras():
     algebras = (exterior_algebra(), square_zero_dg_algebra())
     for a in algebras:
         for b in algebras:
-            swap_iso(a, b, tensor_algebras(a, b), tensor_algebras(b, a)).check()
+            swap_iso(a, b, tensor_algebras(b, a)).check()
 
 
 def valid_module(a, rng):
@@ -829,10 +828,8 @@ def test_pure_tensor_and_outer_entries_match_products(cat, rname, sname):
     for _ in range(4):
         n1, n2 = 1 + rng.below(3), 1 + rng.below(3)
         x, y = random_square(r, n1, rng), random_square(s, n2, rng)
-        # generators listed j-major, so the index is not the flat i*n2+j
-        gens = [(i, j) for j in range(n2) for i in range(n1)]
-        index = {g: t for t, g in enumerate(gens)}
-        got = outer_tensor_entries(prod, index, x, y)
+        index = {(i, j): i * n2 + j for i in range(n1) for j in range(n2)}
+        got = outer_tensor_entries(prod, x, y)
         for (i2, j2), row in index.items():
             for (i, j), col in index.items():
                 want = tensor_by_products(prod, r, s, x[i2][i].coords,
@@ -852,8 +849,11 @@ def test_outer_tensor_twist_and_idempotent_match_products(cat):
                                 shift_range=(-1, 1))
             p2 = random_perfect(s, rng, cat[sname].idempotents, max_gens=3,
                                 shift_range=(-1, 1))
-            big, prod, index = outer_tensor_modules(p1, p2)
+            big = outer_tensor_modules(p1, p2)
+            prod = tensor_algebras(r, s)
             m1, m2 = p1.module, p2.module
+            index = {(i, j): i * m2.rank + j for i in range(m1.rank)
+                     for j in range(m2.rank)}
             e1, e2 = p1.identity_map(), p2.identity_map()
             for (i2, j2), row in index.items():
                 for (i, j), col in index.items():
@@ -931,7 +931,7 @@ def test_restrict_to_factor_matches_products(cat, side):
     with_twist = with_idempotent = 0
     for p, f1, f2 in factor_kernels(cat):
         assert p.algebra.same_structure(tensor_algebras(f1, f2))
-        restricted, index = restrict_to_factor(p, f1, f2, side)
+        restricted = restrict_to_factor(p, f1, f2, side)
         assert coordinate_lists(restricted.module.twist) == restricted_reference(
             p.module.twist, f1, f2, side)
         with_twist += any(p.module.twist_columns)
@@ -949,9 +949,11 @@ def test_right_multiplication_map_matches_products(cat):
     checked = 0
     for p, f1, f2 in factor_kernels(cat):
         prod = tensor_algebras(f1, f2)
-        restricted, index = restrict_to_factor(p, f1, f2, "first")
+        restricted = restrict_to_factor(p, f1, f2, "first")
+        index = {(i, q): i * f2.dim + q for i in range(p.rank)
+                 for q in range(f2.dim)}
         for t in range(f2.dim):
-            rmul = right_multiplication_map(restricted, index, f1, f2, t)
+            rmul = right_multiplication_map(restricted, f2, t)
             right = labelled_tensor(prod, f1, f2, f1.unit, unit_vector(f2, t))
             want = [[[F(0)] * f1.dim for _ in index] for _ in index]
             for (i, q), col in index.items():

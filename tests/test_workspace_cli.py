@@ -1,7 +1,9 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 import weakref
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,7 +12,7 @@ from dgtrace import suites
 from dgtrace.cli import main
 from dgtrace.errors import NotClosed, WorkspaceError
 from dgtrace.pairing import verify_rr
-from dgtrace.workspace import parse_workspace
+from dgtrace.workspace import parse_rational, parse_workspace
 
 
 A2_FULL = {
@@ -61,12 +63,17 @@ def test_full_description_round_trip():
                                   "ModuleMap", "PerfectModule"])
 def test_a_fault_in_a_validator_is_not_an_input_error(monkeypatch, name):
     """Only the package's own errors become located input errors: a fault
-    in a constructor the parser calls propagates as it is."""
+    in a constructor the parser calls propagates as it is.  Modules and
+    maps are built by columns, so their fault goes into the `validate`
+    that the parser runs on them."""
     import dgtrace.workspace
 
     def fault(*args, **kwargs):
         raise RuntimeError("fault in the validator")
-    monkeypatch.setattr(dgtrace.workspace, name, fault)
+    owner = dgtrace.workspace
+    if name in ("SemiFreeModule", "ModuleMap"):
+        owner, name = getattr(owner, name), "validate"
+    monkeypatch.setattr(owner, name, fault)
     with pytest.raises(RuntimeError, match="fault in the validator"):
         parse_workspace(json.dumps(A2_FULL))
 
@@ -393,6 +400,84 @@ def test_cli_reads_null_as_an_absent_field(tmp_path, capsys):
         file.write_text(json.dumps(ws))
         assert main(["--workspace", str(file), "validate"]) == 0
         assert capsys.readouterr().err == ""
+
+
+def test_a_module_parses_in_memory_linear_in_its_rank():
+    """Matrices are read into sparse columns, not a rank x rank grid, so a
+    twist-free module of 400 generators parses under 2 MB."""
+    doc = {"format": 1, "use_catalog": ["A2"],
+           "modules": {"M": {"algebra": "A2", "generators": [{"shift": 0}] * 400,
+                             "twist": []}}}
+    text = json.dumps(doc)
+    tracemalloc.start()
+    try:
+        ws = parse_workspace(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ws.modules["M"].rank == 400
+    assert peak < 2_000_000
+
+
+def test_entries_at_one_position_add_up():
+    doc = json.loads(json.dumps(ONE_DIM))
+    doc["maps"]["f"]["entries"] = [[0, 0, ["1/2"]], [0, 0, ["1/3"]],
+                                   [0, 0, ["-5/6"]]]
+    assert parse_workspace(json.dumps(doc)).maps["f"].columns == ((),)
+    doc["maps"]["f"]["entries"] = [[0, 0, ["1/2"]], [0, 0, ["1/2"]]]
+    assert parse_workspace(json.dumps(doc)).maps["f"].columns == (((0, ((0, 1),)),),)
+
+
+def test_cli_over_long_json_integer_is_an_input_error(tmp_path, capsys):
+    """json.loads raises a plain ValueError on an integer literal past the
+    interpreter's digit limit; it is a syntax error, exit 2.  Without that
+    limit the same file is an unsupported format, also exit 2."""
+    file = tmp_path / "ws.json"
+    file.write_text('{"format": ' + "1" * 5000 + "}")
+    code, err = _exit_and_stderr(["--workspace", str(file), "validate"], capsys)
+    assert code == 2
+    assert err.startswith("input error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("text", ["1e5", "0.5", "1_0", " 2"])
+def test_only_the_documented_rational_grammar_is_read(text, tmp_path, capsys):
+    """A rational is a string matching [+-]?[0-9]+(/[0-9]+)? or a JSON
+    integer.  Fraction also reads exponents, decimals, underscores and
+    spaces, and "1e10000000" takes seconds to build, so each is refused
+    in a workspace entry and in `pair`."""
+    doc = json.loads(json.dumps(ONE_DIM))
+    doc["maps"]["f"]["entries"][0][2][0] = text
+    file = tmp_path / "ws.json"
+    file.write_text(json.dumps(doc))
+    assert _exit_and_stderr(["--workspace", str(file), "validate"], capsys) == (
+        2, f"input error: maps.f.entries: not an exact rational: {text!r}\n")
+    assert _exit_and_stderr(["pair", "A2", f"{text},0,0", "[e1]"], capsys) == (
+        2, f"input error: pair.left: not an exact rational: {text!r}\n")
+
+
+def test_signed_and_fraction_strings_are_rationals():
+    assert [parse_rational(t, "x") for t in ("+3/4", "-0", "007", "-2/6")] == [
+        Fraction(3, 4), 0, 7, Fraction(-1, 3)]
+
+
+def test_cli_refuses_a_name_whose_algebra_and_resolution_differ(tmp_path, capsys):
+    """`use_catalog` binds A2 to its algebra and resolution; rebinding
+    either to something else leaves the name on a resolution of another
+    algebra, which `validate` would report as valid."""
+    k = {"basis": [{"label": "1"}], "mult": [[0, 0, 0, "1"]], "unit": ["1"]}
+    full = json.loads(json.dumps(A2_FULL))
+    file = tmp_path / "ws.json"
+    for bad in ({"algebras": {"A2": k}}, {"resolutions": {"A2": "A3"}}):
+        file.write_text(json.dumps(dict(bad, format=1, use_catalog=["A2"])))
+        assert _exit_and_stderr(["--workspace", str(file), "validate"], capsys) == (
+            2, "input error: resolutions: resolution 'A2' does not resolve "
+               "algebra 'A2'\n")
+    for good in ({"format": 1, "use_catalog": ["A2"]}, A2_FULL,
+                 dict(full, use_catalog=["A2"])):
+        file.write_text(json.dumps(good))
+        assert _exit_and_stderr(["--workspace", str(file), "validate"],
+                                capsys) == (0, "")
 
 
 def test_cli_refuses_repeated_basis_and_generator_labels(tmp_path, capsys):
