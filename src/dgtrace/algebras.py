@@ -210,40 +210,50 @@ class DgAlgebra:
         return cohomology_dims(self.carrier())
 
     def validate(self) -> "DgAlgebra":
-        """Exhaustive invariant check; raises on the first offending tuple."""
+        """Exhaustive invariant check over basis tuples through `add_product`
+        and `rows`: the two-sided unit on each e_i, associativity on each
+        (i, j, k), the Leibniz rule on each (i, j), then d^2 = 0; raises on
+        the first offending tuple in that order.  A triple where both
+        products are zero by the table's support is not formed."""
         n = self.dim
-        one = self.unit
+        rows, diff = self.rows, self.diff
+        unit = sparse(self.unit)
         for i in range(n):
-            e = tuple(ONE if k == i else ZERO for k in range(n))
-            if self.multiply(one, e) != e:
-                raise UnitViolation(i, "left")
-            if self.multiply(e, one) != e:
-                raise UnitViolation(i, "right")
-        basis = [tuple(ONE if k == i else ZERO for k in range(n)) for i in range(n)]
-        prod: Dict[Tuple[int, int], Coords] = {}
-        for i in range(n):
-            for j in range(n):
-                prod[(i, j)] = self.multiply(basis[i], basis[j])
+            e = ((i, 1),)
+            for side, u, v in (("left", unit, e), ("right", e, unit)):
+                out = [0] * n
+                self.add_product(out, u, v)
+                if sparse(out) != e:
+                    raise UnitViolation(i, side)
         for i in range(n):
             for j in range(n):
-                pij = prod[(i, j)]
-                for k in range(n):
-                    left = self.multiply(pij, basis[k])
-                    right_inner = prod[(j, k)]
-                    right = self.multiply(basis[i], right_inner)
+                pij, row_j = rows[i].get(j, ()), rows[j]
+                # (e_i e_j) e_k and e_i (e_j e_k) vanish off these k
+                for k in sorted({k for m, _ in pij for k in rows[m]} | set(row_j)):
+                    left, right = [0] * n, [0] * n
+                    self.add_product(left, pij, ((k, 1),))
+                    self.add_product(right, ((i, 1),), row_j.get(k, ()))
                     if left != right:
                         raise AssociativityViolation(i, j, k)
+        if not diff:
+            return self  # d = 0: Leibniz and d^2 = 0 hold
+
+        def d(vec: SparseVec) -> List:
+            out = [0] * n
+            for m, c in vec:
+                for l, cl in diff.get(m, ()):
+                    out[l] += c * cl
+            return out
         for i in range(n):
+            sign = -1 if self.degrees[i] % 2 else 1
             for j in range(n):
-                dab = self.differential(prod[(i, j)])
-                da_b = self.multiply(self.differential(basis[i]), basis[j])
-                sgn = ONE if self.degrees[i] % 2 == 0 else -ONE
-                a_db = self.multiply(basis[i], self.differential(basis[j]))
-                expected = tuple(x + sgn * y for x, y in zip(da_b, a_db))
-                if dab != expected:
+                expected = [0] * n
+                self.add_product(expected, diff.get(i, ()), ((j, 1),))
+                self.add_product(expected, ((i, sign),), diff.get(j, ()))
+                if d(rows[i].get(j, ())) != expected:
                     raise LeibnizViolation(i, j)
         for i in range(n):
-            if any(c for c in self.differential(self.differential(basis[i]))):
+            if any(d(sparse(d(((i, 1),))))):
                 raise DifferentialSquareViolation(f"on {self.labels[i]}")
         return self
 
@@ -269,12 +279,10 @@ class AlgebraElement:
     """Element of a DgAlgebra as a coordinate vector over the basis, of
     Fractions whatever the input.
 
-    The constructor checks the length and converts every coordinate;
-    `built` is the one trusted path, for the linear arithmetic (`scale`,
-    `+`, `-`; unary `-` is `scale(-1)`), whose output is a full-length
-    tuple of Fractions by construction.  That arithmetic touches nonzero
-    coordinates only: a zero coordinate is passed through with no Fraction
-    operation."""
+    The constructor checks the length and converts every coordinate that
+    is not a Fraction.  The linear arithmetic (`scale`, `+`, `-`; unary `-`
+    is `scale(-1)`) touches nonzero coordinates only: a zero coordinate is
+    passed through with no Fraction operation."""
 
     __slots__ = ("algebra", "coords")
 
@@ -284,27 +292,18 @@ class AlgebraElement:
         self.algebra = algebra
         self.coords = tuple(c if type(c) is Fraction else Fraction(c) for c in coords)
 
-    @classmethod
-    def built(cls, algebra: DgAlgebra, coords: Coords) -> "AlgebraElement":
-        """An element whose coordinates are a full-length tuple of Fractions
-        by construction, taken unchecked."""
-        x = cls.__new__(cls)
-        x.algebra = algebra
-        x.coords = coords
-        return x
-
     def _same_algebra(self, other: "AlgebraElement") -> None:
         if not other.algebra.same_structure(self.algebra):
             raise AlgebraMismatch("elements of different algebras")
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._same_algebra(other)
-        return AlgebraElement.built(self.algebra, tuple(
+        return AlgebraElement(self.algebra, tuple(
             (a + b if a else b) if b else a for a, b in zip(self.coords, other.coords)))
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._same_algebra(other)
-        return AlgebraElement.built(self.algebra, tuple(
+        return AlgebraElement(self.algebra, tuple(
             (a - b if a else -b) if b else a for a, b in zip(self.coords, other.coords)))
 
     def __neg__(self) -> "AlgebraElement":
@@ -313,8 +312,7 @@ class AlgebraElement:
     def scale(self, c) -> "AlgebraElement":
         if type(c) is not Fraction:
             c = Fraction(c)
-        return AlgebraElement.built(self.algebra,
-                                    tuple(c * x if x else x for x in self.coords))
+        return AlgebraElement(self.algebra, tuple(c * x if x else x for x in self.coords))
 
     def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._same_algebra(other)

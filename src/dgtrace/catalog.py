@@ -19,7 +19,7 @@ is read-only; `build_catalog()` builds a new one with empty memos.
 from __future__ import annotations
 
 from types import MappingProxyType
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Sequence
 
 from .algebras import DgAlgebra, validate_algebra
 from .linalg import ONE, ZERO
@@ -38,13 +38,10 @@ class CatalogEntry:
         self.resolution = resolution
         # basis indices of a complete set of orthogonal idempotents
         self.idempotents = tuple(idempotents)
-        self._env_resolution: Optional[DiagonalResolution] = None
 
     def enveloping_resolution(self) -> DiagonalResolution:
-        """Resolution of A^op (x) A, built once on demand."""
-        if self._env_resolution is None:
-            self._env_resolution = enveloping_resolution(self.resolution)
-        return self._env_resolution
+        """Resolution of A^op (x) A, built anew at each call."""
+        return enveloping_resolution(self.resolution)
 
     def __repr__(self):
         return f"CatalogEntry({self.name}, dim={self.algebra.dim})"

@@ -27,6 +27,7 @@ out.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import (DegreeViolation, DifferentialSquareViolation, DimensionMismatch,
@@ -100,21 +101,9 @@ class Complex:
     __slots__ = ("space", "diff")
 
     def __init__(self, space: GradedSpace, diff: Mapping[int, RationalMatrix]):
-        self._init(space, diff)
-        self.check_d_squared()
-
-    @classmethod
-    def built(cls, space: GradedSpace,
-              diff: Mapping[int, RationalMatrix]) -> "Complex":
-        """The output of a builder whose differential squares to zero by
-        construction: block shapes are checked, d^2 = 0 is not."""
-        c = cls.__new__(cls)
-        c._init(space, diff)
-        return c
-
-    def _init(self, space, diff):
         self.space = space
         self.diff = _checked_blocks(space, space, 1, diff, "d^")
+        self.check_d_squared()
 
     @classmethod
     def concentrated(cls, degree: int, dim: int) -> "Complex":
@@ -282,9 +271,9 @@ def keyed_dual(basis: Mapping[int, Sequence],
 
 def keyed_complex(basis: Mapping[int, Sequence], pos: Mapping,
                   d_columns: Mapping[object, Mapping]) -> Complex:
-    """The matrix complex of a keyed differential (d^2 = 0 unchecked)."""
+    """The matrix complex of a keyed differential; d^2 = 0 is checked."""
     space = GradedSpace({p: len(ks) for p, ks in basis.items()})
-    return Complex.built(space, column_blocks(d_columns, basis, basis, pos, 1))
+    return Complex(space, column_blocks(d_columns, basis, basis, pos, 1))
 
 
 def key_columns(block, degree: int, source: Mapping[int, Sequence],
@@ -324,7 +313,7 @@ def shift(c: Complex, n: int) -> Complex:
     space = c.space.shift(n)
     sgn = -1 if n % 2 else 1
     diff = {p - n: c.d(p).scale(sgn) for p in c.space.degrees() if c.dim(p + 1)}
-    return Complex.built(space, diff)
+    return Complex(space, diff)
 
 
 def _direct_sum_space(a: GradedSpace, b: GradedSpace) -> GradedSpace:
@@ -345,7 +334,7 @@ def cone(p: ChainMap) -> Complex:
     L1 = shift(L, 1)
     space = _direct_sum_space(L1.space, M.space)
     # p.block(deg + 1): L^{deg+1} = L1^{deg} -> M^{deg+1}
-    return Complex.built(space, {
+    return Complex(space, {
         deg: lower_block(L1.d(deg), p.block(deg + 1), M.d(deg))
         for deg in space.degrees() if space.dim(deg + 1)})
 
@@ -495,7 +484,7 @@ class SplitComplex:
     = {key2: coeff} (set by the subclass), which is all that a realization
     built on top of this one reads.  The matrix complex `carrier` is
     assembled from them once, on first read, for ranks and chain maps; a
-    shallow copy shares it, whichever of the two reads it first.
+    shallow copy made after that read shares it.
     """
 
     def __init__(self, basis: Mapping[int, Sequence], projector: Optional[ChainMap]):
@@ -503,13 +492,10 @@ class SplitComplex:
         self.pos = positions(self.basis)
         self.projector = projector
         self.d_columns: Optional[Dict[object, Dict]] = None
-        self._carrier: List[Complex] = []  # one cell, shared by copies
 
-    @property
+    @cached_property
     def carrier(self) -> Complex:
-        if not self._carrier:
-            self._carrier.append(keyed_complex(self.basis, self.pos, self.d_columns))
-        return self._carrier[0]
+        return keyed_complex(self.basis, self.pos, self.d_columns)
 
     def compress(self, f: ChainMap) -> ChainMap:
         """e . f . e on the carrier (f itself when there is no idempotent)."""

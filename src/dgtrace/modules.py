@@ -599,12 +599,15 @@ def _block_diagonal(x: Sequence[Column], y: Sequence[Column]) -> List[Column]:
 def restrict_to_ground(p: PerfectModule) -> ExplicitModule:
     """The realization of p's semi-free module, carrying the restricted
     idempotent as its projector: the memoised realization itself when
-    there is none, else a copy sharing its keys, table and complex."""
+    there is none, else a copy sharing its keys, table and complex.  The
+    idempotent is restricted first, which assembles the complex, so the
+    copy shares it."""
     ex = p.module.to_explicit()
     if p.idempotent is None:
         return ex
+    projector = p.idempotent.restrict()
     summand = copy.copy(ex)
-    summand.projector = p.idempotent.restrict()
+    summand.projector = projector
     return summand
 
 
@@ -619,14 +622,15 @@ def restrict_to_factor(p: PerfectModule, f1: DgAlgebra, f2: DgAlgebra,
     side="first": generators (i, q) = (1 (x) beta_q) g_i over f1;
     side="second": generators (i, p) = (alpha_p (x) 1) g_i over f2.
     Generator (i, q) is number i n + q, n the dimension of the other
-    factor.  Product algebras concentrated in degree 0 only.
+    factor.  Product algebras concentrated in degree 0 only; p over an
+    algebra that is not tensor_algebras(f1, f2) in structure raises.
     """
     big = p.module.algebra
     if not big.is_degree_zero():
         raise NotDegreeZeroConcentrated("factor restriction needs degree-0 algebras")
-    n1, n2 = f1.dim, f2.dim
-    if n1 * n2 != big.dim:
-        raise AlgebraMismatch("factor dimensions do not multiply up")
+    if not big.same_structure(tensor_algebras(f1, f2)):
+        raise AlgebraMismatch("module is not over the tensor of the factors")
+    n2 = f2.dim
     m = p.module
     small, other = (f1, f2) if side == "first" else (f2, f1)
     n = other.dim

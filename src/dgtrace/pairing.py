@@ -59,7 +59,9 @@ class KernelTransfer:
     B^op), the entry e[(g, q)][(g, u)] of the restriction to generators
     (1 (x) b_q) g times R_t[(g, u)][(g, q)].  Right multiplication by a
     degree-0 element is closed (the middle algebra carries no
-    differential), so no chain checks are repeated.
+    differential), so no chain checks are repeated.  A kernel over an
+    algebra that is not A (x) B^op in structure raises, even when the
+    dimensions fit.
     """
 
     def __init__(self, kernel: PerfectModule, a: DgAlgebra, b: DgAlgebra):
@@ -67,11 +69,11 @@ class KernelTransfer:
                 and kernel.algebra.is_degree_zero()):
             raise NotDegreeZeroConcentrated(
                 "transfer maps live over degree-0 algebras")
-        if a.dim * b.dim != kernel.algebra.dim:
-            raise AlgebraMismatch("factor dimensions do not multiply up")
+        self.bop = opposite(b)
+        if not kernel.algebra.same_structure(tensor_algebras(a, self.bop)):
+            raise AlgebraMismatch("kernel is not over A (x) B^op")
         self.a = a
         self.b = b
-        self.bop = opposite(b)
         self.space_a = hh0_space(a)
         rows = self.bop.rows
         nb = self.bop.dim
@@ -361,17 +363,14 @@ def compose_kernels(k1: PerfectModule, k2: PerfectModule, a: DgAlgebra,
     outer = outer_tensor_modules(r1, r2)
     o, p = outer.module, resolution_b.module
     n = o.rank
-    actions: Dict[int, ModuleMap] = {}
 
     def action(flat: int) -> ModuleMap:
         """R_s (x) L_t on O for the basis element e_s (x) e_t of B^e."""
-        if flat not in actions:
-            s, t = divmod(flat, b.dim)
-            right = right_multiplication_map(r1, bop, s)
-            left = right_multiplication_map(r2, b, t)
-            actions[flat] = ModuleMap.from_columns(o, o, 0, outer_tensor_columns(
-                right.columns, left.columns, cop.dim))
-        return actions[flat]
+        s, t = divmod(flat, b.dim)
+        right = right_multiplication_map(r1, bop, s)
+        left = right_multiplication_map(r2, b, t)
+        return ModuleMap.from_columns(o, o, 0, outer_tensor_columns(
+            right.columns, left.columns, cop.dim))
 
     def on_copies(columns, signed: bool) -> list:
         """The columns over (g, o) of a matrix over B^e on P's generators,

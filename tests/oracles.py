@@ -1,6 +1,7 @@
 """Calculus that the tests use as independent references and that no command
 of the package runs: the k-level tensor, Hom and linear dual of matrix
-complexes, the module shift M[n], and the Kunneth map on HH_0.
+complexes, the module shift M[n], the Kunneth map on HH_0, and the dense
+scan of a dg algebra's axioms.
 
 Each is built from the package's own keyed assemblers, so a test that
 compares it with a realization (`tensor_over_algebra`, `hom_over_algebra`,
@@ -9,9 +10,11 @@ against the conventions of `dgtrace.complexes` applied directly."""
 
 from typing import Dict, List, Mapping, Sequence
 
-from dgtrace.algebras import pure_tensor, tensor_algebras
+from dgtrace.algebras import DgAlgebra, pure_tensor, tensor_algebras
 from dgtrace.complexes import (Complex, key_columns, keyed_columns,
                                keyed_complex, keyed_dual, positions)
+from dgtrace.errors import (AssociativityViolation, DifferentialSquareViolation,
+                            LeibnizViolation, UnitViolation)
 from dgtrace.hochschild import HochschildClass, hh0_space
 from dgtrace.modules import PerfectModule, _scale_columns, built_module
 
@@ -97,3 +100,34 @@ def kunneth(x: HochschildClass, y: HochschildClass) -> HochschildClass:
     product = tensor_algebras(x.algebra, y.algebra)
     return hh0_space(product).class_of(product.element(
         pure_tensor(x.representative.coords, y.representative.coords)))
+
+
+def dense_validate(a: DgAlgebra) -> DgAlgebra:
+    """The reference for `DgAlgebra.validate`: the same checks in the same
+    order, each product a dense `multiply` of coordinate vectors."""
+    n = a.dim
+    basis = [tuple(1 if k == i else 0 for k in range(n)) for i in range(n)]
+    for i, e in enumerate(basis):
+        if a.multiply(a.unit, e) != e:
+            raise UnitViolation(i, "left")
+        if a.multiply(e, a.unit) != e:
+            raise UnitViolation(i, "right")
+    prod = {(i, j): a.multiply(basis[i], basis[j]) for i in range(n) for j in range(n)}
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if (a.multiply(prod[(i, j)], basis[k])
+                        != a.multiply(basis[i], prod[(j, k)])):
+                    raise AssociativityViolation(i, j, k)
+    for i in range(n):
+        sign = -1 if a.degrees[i] % 2 else 1
+        for j in range(n):
+            da_b = a.multiply(a.differential(basis[i]), basis[j])
+            a_db = a.multiply(basis[i], a.differential(basis[j]))
+            if a.differential(prod[(i, j)]) != tuple(
+                    x + sign * y for x, y in zip(da_b, a_db)):
+                raise LeibnizViolation(i, j)
+    for i in range(n):
+        if any(a.differential(a.differential(basis[i]))):
+            raise DifferentialSquareViolation(f"on {a.labels[i]}")
+    return a

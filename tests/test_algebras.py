@@ -7,9 +7,12 @@ from dgtrace.algebras import (AlgebraIso, DgAlgebra, env_op_iso,
                               opposite, swap_iso, tensor_algebras,
                               validate_algebra)
 from dgtrace.errors import (AlgebraMismatch, AssociativityViolation,
-                            UnitViolation)
+                            DifferentialSquareViolation, LeibnizViolation,
+                            UnitViolation, ValidationError)
 from dgtrace.prng import stream_for
 from dgtrace.workspace import parse_workspace
+from oracles import dense_validate
+from test_sparse_oracles import exterior_algebra_xy, square_zero_dg_algebra
 
 F = Fraction
 ONE = F(1)
@@ -304,9 +307,9 @@ def _random_coords(rng, n):
 
 def test_linear_arithmetic_matches_a_dense_reference(cat):
     """scale (by 0 too), +, - and unary - read nonzero coordinates only and
-    return through `AlgebraElement.built`: they equal the coordinatewise
-    arithmetic, cancelling sums included, and every output coordinate is a
-    Fraction."""
+    return through the `AlgebraElement` constructor: they equal the
+    coordinatewise arithmetic, cancelling sums included, and every output
+    coordinate is a Fraction."""
     rng = stream_for(37, 0)
     for ent in cat.values():
         a = ent.algebra
@@ -332,3 +335,68 @@ def test_linear_arithmetic_matches_a_dense_reference(cat):
                 assert got.algebra is a
                 assert all(type(p) is Fraction for p in got.coords)
             assert (x + -x).is_zero() and (x - x) == a.zero()
+
+
+def _square_zero_chain():
+    """1, x, y, z in degrees 0, -2, -1, 0 with every product of two
+    non-units zero and d(x) = y, d(y) = z: Leibniz holds, d^2 does not."""
+    mult = {(0, k): ((k, ONE),) for k in range(4)}
+    mult.update({(k, 0): ((k, ONE),) for k in range(1, 4)})
+    return DgAlgebra(["1", "x", "y", "z"], [0, -2, -1, 0], mult,
+                     [ONE, F(0), F(0), F(0)], {1: ((2, ONE),), 2: ((3, ONE),)})
+
+
+def _perturbed(a, rng):
+    """a's tables with one seeded change that keeps every degree: a product
+    redrawn in its degree, unit coordinates of degree 0 redrawn, or a term
+    added to a differential."""
+    mult, unit, diff = dict(a.mult), list(a.unit), dict(a.diff)
+    of_degree = {}
+    for k, d in enumerate(a.degrees):
+        of_degree.setdefault(d, []).append(k)
+    i, j = rng.below(a.dim), rng.below(a.dim)
+    kind = rng.below(3)
+    if kind == 0:
+        mult[(i, j)] = tuple((k, rng.int_in(-1, 2)) for k in
+                             of_degree.get(a.degrees[i] + a.degrees[j], ())
+                             if rng.below(2))
+    elif kind == 1:
+        unit = [rng.int_in(-1, 1) if d == 0 and rng.below(2) else c
+                for c, d in zip(unit, a.degrees)]
+    else:
+        targets = of_degree.get(a.degrees[i] + 1, ())
+        if targets:
+            diff[i] = diff.get(i, ()) + ((targets[rng.below(len(targets))], ONE),)
+    return DgAlgebra(a.labels, a.degrees, mult, unit, diff)
+
+
+def _verdict(check, a):
+    try:
+        check(a)
+    except ValidationError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def test_validate_matches_the_dense_scan(cat, monkeypatch):
+    """`validate` reads `add_product` and `rows` and skips the triples whose
+    products vanish by the table's support.  On seeded perturbations of the
+    catalog algebras and of dg algebras with odd elements and a
+    differential, it raises the same error on the same first tuple as the
+    dense scan of `oracles.dense_validate`, or passes with it, and it never
+    calls `multiply`."""
+    def refuse(*args):
+        raise AssertionError("validate called multiply")
+    bases = ([ent.algebra for ent in cat.values()]
+             + [exterior_algebra_xy(), square_zero_dg_algebra(), _square_zero_chain()])
+    kinds = set()
+    for index, base in enumerate(bases):
+        rng = stream_for(71, index)
+        for a in [base] + [_perturbed(base, rng) for _ in range(30)]:
+            want = _verdict(dense_validate, a)
+            with monkeypatch.context() as patched:
+                patched.setattr(DgAlgebra, "multiply", refuse)
+                assert _verdict(DgAlgebra.validate, a) == want, a.labels
+            kinds.add(want and want[0])
+    assert kinds == {None, UnitViolation, AssociativityViolation,
+                     LeibnizViolation, DifferentialSquareViolation}

@@ -20,8 +20,7 @@ from types import MappingProxyType
 import pytest
 
 from dgtrace import complexes, modules
-from dgtrace.algebras import (AlgebraElement, DgAlgebra, env_op_iso, opposite,
-                              tensor_algebras)
+from dgtrace.algebras import DgAlgebra, env_op_iso, opposite, tensor_algebras
 from dgtrace.cli import main
 from dgtrace.duality import dualize, transport_module
 from dgtrace.modules import (ModuleMap, PerfectModule, SemiFreeModule,
@@ -182,15 +181,14 @@ def test_catalog_resolution_modules_are_modules(cat, name):
 
 
 def test_trusted_paths_equal_checked_paths_end_to_end(monkeypatch, capsys):
-    """The pinned CLI batches give the same bytes with every trusted path
-    taken away: `DgAlgebra.built`, `AlgebraElement.built` and
-    `Complex.built` become their checked constructors, `built_module`
-    validates what it builds, and a sampler draw loses its `drawn_from`
-    mark, so every builder output meets the checks of caller data.  The
-    catalog is rebuilt cold under the patches, so its algebras and
-    resolutions are built through them too.  A new trusted path must be
-    taken away here as well."""
-    ran = dict.fromkeys(("algebra", "element", "complex", "module"), 0)
+    """The pinned CLI batches give the same bytes with each of the three
+    trusted paths taken away: `DgAlgebra.built` becomes the checked
+    constructor, `built_module` validates what it builds, and a sampler
+    draw loses its `drawn_from` mark, so every builder output meets the
+    checks of caller data.  The catalog is rebuilt cold under the patches,
+    so its algebras and resolutions are built through them too.  A new
+    trusted path must be taken away here as well."""
+    ran = dict.fromkeys(("algebra", "module"), 0)
 
     def checked(kind, make):
         def run(*args):
@@ -200,10 +198,6 @@ def test_trusted_paths_equal_checked_paths_end_to_end(monkeypatch, capsys):
 
     monkeypatch.setattr(DgAlgebra, "built", classmethod(
         lambda cls, *args: checked("algebra", cls)(*args)))
-    monkeypatch.setattr(AlgebraElement, "built", classmethod(
-        lambda cls, *args: checked("element", cls)(*args)))
-    monkeypatch.setattr(complexes.Complex, "built", classmethod(
-        lambda cls, *args: checked("complex", cls)(*args)))
 
     def validated_module(algebra, shifts, twist_columns, idempotent_columns=None):
         m = SemiFreeModule.from_columns(algebra, shifts, twist_columns).validate()

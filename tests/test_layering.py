@@ -13,14 +13,11 @@ quasi-isomorphism is tested through a cone in one place.  Every error type
 of the package is defined in `errors.py`.  No function takes a `check`
 option: `PerfectModule` always validates its idempotent, and
 `built_module`, the one builder constructor, is the only code in the
-package that makes a `PerfectModule` without `validate`; `Complex` always
-checks d^2 = 0, and only the builders `keyed_complex`, `shift` and `cone`
-make one through `Complex.built`, which does not.  Likewise the algebra
-layer: only `opposite` and `_tensor` make a `DgAlgebra` through
-`DgAlgebra.built`, which neither normalises nor checks their tables, and
-only the linear arithmetic (`scale`, `+`, `-`) makes an
-`AlgebraElement` through `AlgebraElement.built`, which does not convert
-its coordinates.  The mark
+package that makes a `PerfectModule` without `validate`.  Only `opposite`
+and `_tensor` make a `DgAlgebra` through `DgAlgebra.built`, which neither
+normalises nor checks their tables.  `Complex` and `AlgebraElement` have
+one constructor each, which every builder and the linear arithmetic go
+through, so every complex is checked for d^2 = 0.  The mark
 `drawn_from`, which lets `PerfectModule.endomorphism` and `hh_class` take a
 sampler draw without a check, is set in `ModuleMap._init` (cleared) and in
 `EndoSampler.draw` alone.
@@ -48,6 +45,7 @@ import pkgutil
 from pathlib import Path
 
 import dgtrace
+from dgtrace.algebras import AlgebraElement
 from dgtrace.complexes import Complex
 from dgtrace.errors import DgError
 from dgtrace.modules import PerfectModule
@@ -184,13 +182,6 @@ def _calls_on(cls_name: str, method: str):
     return wanted
 
 
-def test_only_the_complex_builders_skip_the_square_check():
-    # Complex.built(...) skips the d^2 = 0 check
-    leaks = _only_in(_calls_on("Complex", "built"), ("complexes.py", "keyed_complex"),
-                     ("complexes.py", "shift"), ("complexes.py", "cone"))
-    assert not leaks, leaks
-
-
 def test_only_opposite_and_tensor_build_an_unchecked_algebra():
     # DgAlgebra.built(...) takes its tables unmerged and unchecked
     leaks = _only_in(_calls_on("DgAlgebra", "built"), ("algebras.py", "opposite"),
@@ -198,13 +189,10 @@ def test_only_opposite_and_tensor_build_an_unchecked_algebra():
     assert not leaks, leaks
 
 
-def test_only_the_linear_arithmetic_builds_an_unchecked_element():
-    # AlgebraElement.built(...) takes its coordinates unconverted
-    leaks = _only_in(_calls_on("AlgebraElement", "built"), ("algebras.py", "scale"),
-                     ("algebras.py", "__add__"), ("algebras.py", "__sub__"))
-    assert not leaks, leaks
-    # and neither class is made around its two constructors
-    assert not [hit for cls_name in ("DgAlgebra", "AlgebraElement")
+def test_complexes_and_elements_have_one_constructor():
+    assert not hasattr(Complex, "built") and not hasattr(AlgebraElement, "built")
+    # and no algebra, element or complex is made around its constructors
+    assert not [hit for cls_name in ("DgAlgebra", "AlgebraElement", "Complex")
                 for path in sorted(SRC.glob("*.py"))
                 for hit in _owned(path, _calls_on(cls_name, "__new__"))]
 

@@ -1,4 +1,3 @@
-import copy
 from fractions import Fraction
 
 import pytest
@@ -422,9 +421,8 @@ def test_off_degree_map_raises_in_every_realization(a2):
 
 
 def test_carrier_is_assembled_once_and_shared_by_copies(cat, monkeypatch):
-    """A realization assembles its matrix complex on first read, once; a
-    shallow copy reads the same complex whichever of the two reads it
-    first, and so does the summand copy that restrict_to_ground makes."""
+    """A realization assembles its matrix complex on first read, once, and
+    the summand copy that restrict_to_ground makes reads the same complex."""
     built = []
 
     def counting(basis, pos, d_columns):
@@ -437,14 +435,12 @@ def test_carrier_is_assembled_once_and_shared_by_copies(cat, monkeypatch):
     def fresh(p):  # the same module with an empty realization memo
         return SemiFreeModule.from_columns(ent.algebra, p.shifts, p.module.twist_columns)
     summands = 0
-    for copy_first in (True, False, True, False):
+    for _ in range(4):
         p = random_perfect(ent.algebra, rng, ent.idempotents, max_gens=3)
         m = fresh(p)
         for split in (m.to_explicit(), HomOverAlgebra(m, m.to_explicit())):
-            twin = copy.copy(split)
             built.clear()
-            first, second = (twin, split) if copy_first else (split, twin)
-            assert first.carrier is second.carrier
+            assert split.carrier is split.carrier
             assert built == [split.d_columns]
         if p.idempotent is not None:
             m = fresh(p)
@@ -455,3 +451,19 @@ def test_carrier_is_assembled_once_and_shared_by_copies(cat, monkeypatch):
             assert built == [summand.d_columns]
             summands += 1
     assert summands
+
+
+def test_a_realization_checks_its_differential_on_first_read(kfield):
+    """`from_columns` takes a twist unchecked, but the realization's matrix
+    complex is built through the checked `Complex` constructor: a twist
+    g0 -> g1 -> g2 whose square is g0 -> g2 raises when the carrier is
+    first read, and on every read after."""
+    unit = ((0, 1),)
+    m = SemiFreeModule.from_columns(kfield, [0, -1, -2],
+                                    [((1, unit),), ((2, unit),), ()])
+    ex = m.to_explicit()
+    for _ in range(2):
+        with pytest.raises(DifferentialSquareViolation):
+            ex.carrier
+    with pytest.raises(DifferentialSquareViolation):
+        m.validate()

@@ -287,6 +287,21 @@ def test_phi_of_free_kernel_traces_the_middle(a2, kfield):
         assert out.coords == (tr,)
 
 
+def test_a_kernel_over_other_factors_is_refused(cat):
+    """A free kernel over kxk (x) M2^op has the dimension of M2 (x) kxk^op,
+    8 = 4 * 2, but not its structure: the transfer along it from kxk to
+    M2 and its restriction to M2 as a first factor both raise, while the
+    right factors take it."""
+    kxk, m2 = cat["kxk"].algebra, cat["M2"].algebra
+    kernel = free_module(tensor_algebras(kxk, opposite(m2)), [0])
+    with pytest.raises(AlgebraMismatch):
+        KernelTransfer(kernel, m2, kxk)
+    with pytest.raises(AlgebraMismatch):
+        restrict_to_factor(kernel, m2, opposite(kxk), "first")
+    KernelTransfer(kernel, kxk, m2)
+    assert restrict_to_factor(kernel, kxk, opposite(m2), "first").rank == 4
+
+
 def test_phi_matches_cup_on_random_kernels(cat):
     kalg = unit_algebra()
     rng = SplitMix64(89)
