@@ -34,15 +34,17 @@ sign reads an entry's degree from the shifts, not from its coordinates:
 
 `PerfectModule.endomorphism(f)` admits a map of the summand: degree 0,
 on the module, valid entry degrees and e f e = f through
-`PerfectModule.compress`.  A map has one mark, `drawn_from`: the
-`PerfectModule` whose `sampling.EndoSampler` drew it.  The draw is a sum
-of vectors of the exact kernel of d, compressed to e f e, so it is a
-closed degree-0 endomorphism of that summand by construction, and that
-summand's `endomorphism` (and `hochschild.hh_class`'s closedness check)
-takes it without a check.  `ModuleMap._init` clears the mark and the draw
-alone sets it, so every other map (sums, scales, products, `from_columns`
-rebuilds, boundary input, a draw handed to another summand) is checked in
-full.
+`PerfectModule.compress`, which copies f where e fixes a generator (a
+unit column whose row is otherwise clear) and composes through
+`_compose_column` only on the generators e moves.  A map has one mark,
+`drawn_from`: the `PerfectModule` whose `sampling.EndoSampler` drew it.
+The draw is a sum of vectors of the exact kernel of d, compressed to
+e f e, so it is a closed degree-0 endomorphism of that summand by
+construction, and that summand's `endomorphism` (and
+`hochschild.hh_class`'s closedness check) takes it without a check.
+`ModuleMap._init` clears the mark and the draw alone sets it, so every
+other map (sums, scales, products, `from_columns` rebuilds, boundary
+input, a draw handed to another summand) is checked in full.
 
 Everything that is really done over k (Hom, tensor, cohomology) is
 reduced on demand to explicit complexes of rational matrices ("restriction
@@ -152,7 +154,8 @@ def _compose_column(a: DgAlgebra, acc: Dict, col: Column, shifts, offset: int,
                     psi: Sequence[Column], psi_degree: int, flip: int) -> Dict:
     """Add sum_j (-1)^{flip + |psi| |phi[j][i]|} phi[j][i] * psi[l][j] to the
     rows l of acc, for col = column i of phi, |phi[j][i]| = offset + shifts[j]:
-    the one composite kernel, for `compose` and `differential`."""
+    the one composite kernel, for `compose`, `differential` and
+    `PerfectModule.compress`."""
     odd = psi_degree % 2
     for j, u in col:
         if flip ^ (odd and (offset + shifts[j]) % 2):
@@ -511,11 +514,42 @@ class PerfectModule:
 
     def compress(self, f: ModuleMap) -> ModuleMap:
         """e . f . e; e itself comes back as it is, since e e e = e, so
-        `euler_class` composes nothing on a summand."""
+        `euler_class` composes nothing on a summand.
+
+        e fixes g_i when its column i is the unit at row i and no other
+        column of e has an entry in row i; then column i of f . e is
+        column i of f, and row i of e . h is row i of h, so e f e is f on
+        the fixed x fixed block and those entries are copied.  The rest go
+        through `_compose_column`, with e's columns on the moved rows as
+        psi (a moved column has no entry in a fixed row, by the row rule).
+        The split is read off e on each call."""
         e = self.idempotent
         if e is None or f is e:
             return f
-        return e.compose(f).compose(e)
+        m = e.source
+        if (f.target is not m and f.target != m
+                or f.source is not m and f.source != m):
+            raise DimensionMismatch("module map composition mismatch")
+        a = m.algebra
+        unit = sparse(a.unit)
+        moved = [col != ((i, unit),) for i, col in enumerate(e.columns)]
+        for i, col in enumerate(e.columns):
+            for j, _ in col:
+                if j != i:
+                    moved[j] = True
+        psi = [col if move else () for col, move in zip(e.columns, moved)]
+        shifts, n = m.shifts, f.degree
+        columns = []
+        for i, col in enumerate(f.columns):
+            if moved[i]:  # column i of f . e
+                col = _column(_compose_column(a, {}, e.columns[i], shifts,
+                                              -shifts[i], f.columns, n, 0))
+            entries = {j: u for j, u in col if not moved[j]}
+            acc = _compose_column(a, {}, col, shifts, n - shifts[i], psi, 0, 0)
+            entries.update((l, vec) for l, coords in acc.items()
+                           if (vec := sparse(coords)))
+            columns.append(tuple(sorted(entries.items())))
+        return ModuleMap.from_columns(m, e.target, n, columns)
 
     def __eq__(self, other):
         return (isinstance(other, PerfectModule) and self.module == other.module

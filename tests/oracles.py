@@ -1,7 +1,7 @@
 """Calculus that the tests use as independent references and that no command
 of the package runs: the k-level tensor, Hom and linear dual of matrix
-complexes, the module shift M[n], the Kunneth map on HH_0, and the dense
-scan of a dg algebra's axioms.
+complexes, the module shift M[n], the Kunneth map on HH_0, the dense
+scan of a dg algebra's axioms, and e f e by two full products.
 
 Each is built from the package's own keyed assemblers, so a test that
 compares it with a realization (`tensor_over_algebra`, `hom_over_algebra`,
@@ -16,7 +16,8 @@ from dgtrace.complexes import (Complex, key_columns, keyed_columns,
 from dgtrace.errors import (AssociativityViolation, DifferentialSquareViolation,
                             LeibnizViolation, UnitViolation)
 from dgtrace.hochschild import HochschildClass, hh0_space
-from dgtrace.modules import PerfectModule, _scale_columns, built_module
+from dgtrace.modules import (ModuleMap, PerfectModule, _scale_columns,
+                             built_module)
 
 
 def graded_keys(c: Complex) -> Dict[int, List]:
@@ -93,6 +94,13 @@ def shift_module(p: PerfectModule, n: int) -> PerfectModule:
     tw = m.twist_columns if n % 2 == 0 else _scale_columns(m.twist_columns, -1)
     return built_module(m.algebra, [s + n for s in m.shifts], tw,
                         None if p.idempotent is None else p.idempotent.columns)
+
+
+def compressed(p: PerfectModule, f: ModuleMap) -> ModuleMap:
+    """e . f . e through two `ModuleMap.compose` products, the reference for
+    `PerfectModule.compress`; f itself when p has no idempotent."""
+    e = p.idempotent
+    return f if e is None else e.compose(f).compose(e)
 
 
 def kunneth(x: HochschildClass, y: HochschildClass) -> HochschildClass:

@@ -22,6 +22,7 @@ where the Koszul signs show; the twist check D^2 = 0 over A against d^2 = 0
 on the explicit realization.
 """
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -45,12 +46,13 @@ from dgtrace.modules import (HomOverAlgebra, ModuleMap, PerfectModule,
                              outer_tensor_modules, projective_module,
                              restrict_to_factor, restrict_to_ground,
                              right_multiplication_map, tensor_over_algebra)
-from dgtrace.pairing import rr_left_side
+from dgtrace.pairing import compose_kernels, rr_left_side
 from dgtrace.prng import SplitMix64, stream_for
 from dgtrace.sampling import (EndoSampler, _random_coordinates, closed_map_basis,
                               closed_map_kernel, random_closed_pair, random_coeff,
                               random_module_with_endos, random_perfect,
                               random_semifree)
+from oracles import compressed
 
 CATALOG = ("k", "kxk", "M2", "A2", "A3", "Kronecker", "A2xA2")
 
@@ -1127,3 +1129,133 @@ def test_stored_columns_are_in_normal_form(cat, name):
                        for row in grid for e in row)
         assert ModuleMap(m, m, 0, f.entries) == f
     assert seen_idempotent
+
+
+# -- compression by an idempotent -------------------------------------------
+
+def generator_kinds(e):
+    """Per generator of e's module, read from the grid of e: "fixed" when
+    its column is the unit on the diagonal and its row holds nothing else,
+    "unit column" when only the column is, else "moved"."""
+    a, grid, n = e.source.algebra, e.entries, e.source.rank
+    kinds = []
+    for i in range(n):
+        unit_column = all(grid[j][i].coords == tuple(a.unit) if j == i
+                          else grid[j][i].is_zero() for j in range(n))
+        clear_row = all(grid[i][k].is_zero() for k in range(n) if k != i)
+        kinds.append("moved" if not unit_column
+                     else "fixed" if clear_row else "unit column")
+    return kinds
+
+
+def conjugated(p, rng):
+    """u e u^-1 for u = 1 + n, n a random closed map from the last generator
+    (a projective summand) into the others, so n n = 0 and u^-1 = 1 - n;
+    None when no such n is nonzero."""
+    m, last = p.module, p.rank - 1
+    into_base = [b for b in closed_map_basis(m, m, 0)
+                 if all(not col for col in b.columns[:last])
+                 and all(j < last for j, _ in b.columns[last])]
+    n = ModuleMap.zero(m, m)
+    for b in into_base:
+        n = n + b.scale(random_coeff(rng))
+    if n.is_zero():
+        return None
+    one = ModuleMap.identity(m)
+    return PerfectModule(m, (one + n).compose(p.idempotent).compose(one - n))
+
+
+def compression_cases(cat):
+    """(source, summand) pairs for the compression oracle."""
+    for name in CATALOG:
+        ent = cat[name]
+        a = ent.algebra
+        for v in ent.idempotents:
+            rng = stream_for(89, 10 * v + len(name))
+            base = random_semifree(a, rng, max_gens=3, shift_range=(-1, 1))
+            summand = projective_module(a, a.basis_element(v),
+                                        shift=rng.int_in(-1, 1))
+            p = direct_sum_modules(base, summand)
+            yield "catalog", p
+            yield "catalog", direct_sum_modules(summand, base)
+            yield "all fixed", PerfectModule(base.module,
+                                             ModuleMap.identity(base.module))
+            for _ in range(3):
+                q = conjugated(p, rng)
+                if q is not None:
+                    yield "conjugated", q
+        if len(ent.idempotents) > 1:
+            first, second = (projective_module(a, a.basis_element(v))
+                             for v in ent.idempotents[:2])
+            yield "none fixed", direct_sum_modules(first, second)
+    for p, f1, f2 in factor_kernels(cat):
+        if p.idempotent is not None:
+            for side in ("first", "second"):
+                yield "restrict_to_factor", restrict_to_factor(p, f1, f2, side)
+    for rname, sname in OUTER_PAIRS:
+        r, s = cat[rname].algebra, cat[sname].algebra
+        rng = stream_for(91, len(rname + sname))
+        for _ in range(2):
+            p1, p2 = (random_perfect(x, rng, cat[name].idempotents, max_gens=2,
+                                     shift_range=(-1, 1))
+                      for x, name in ((r, rname), (s, sname)))
+            big = outer_tensor_modules(p1, p2)
+            if big.idempotent is not None:
+                yield "outer_tensor_modules", big
+    k = cat["k"].algebra
+    ent_b = cat["kxk"]
+    b = ent_b.algebra
+    rng = stream_for(93, b.dim)
+    for _ in range(3):
+        k1, k2 = (random_perfect(x, rng, ent_b.idempotents, max_gens=2,
+                                 shift_range=(-1, 1))
+                  for x in (tensor_algebras(k, opposite(b)),
+                            tensor_algebras(b, opposite(k))))
+        composite = compose_kernels(k1, k2, k, k, ent_b.resolution)
+        if composite.idempotent is not None:
+            yield "compose_kernels", composite
+    a = exterior_algebra()
+    one, x = a.by_label("1"), a.by_label("x")
+    zero = a.zero()
+    m = SemiFreeModule(a, [0, 1, 0])
+    for grid in ([[one, x, zero], [zero, zero, zero], [zero, zero, one]],
+                 [[zero, x, zero], [zero, one, zero], [zero, zero, one]]):
+        yield "exterior", PerfectModule(m, ModuleMap(m, m, 0, grid))
+
+
+def test_compress_matches_two_products(cat):
+    """PerfectModule.compress, which copies f where e fixes a generator,
+    against e . f . e by two full products, column for column, for maps
+    of degree -1, 0 and 1 on summands cut by catalog idempotents on either
+    side of a base, by the idempotents of restrict_to_factor,
+    outer_tensor_modules and compose_kernels, by conjugates u e u^-1 that
+    leave a unit column whose row is not clear, by idempotents that fix no
+    generator and every generator, and over the exterior algebra, where
+    odd maps meet the odd entry x of e and the Koszul signs show."""
+    sources, kinds = Counter(), Counter()
+    odd_signs = 0
+    rng = SplitMix64(97)
+    for source, p in compression_cases(cat):
+        e, m = p.idempotent, p.module
+        split = generator_kinds(e)
+        # the Koszul signs change e f e on about one odd exterior draw in six
+        for degree in (-1, 0, 1) * (10 if source == "exterior" else 1):
+            f = random_map(m, m, degree, rng)
+            got, want = p.compress(f), compressed(p, f)
+            assert (got.source, got.target, got.degree) == \
+                (want.source, want.target, want.degree)
+            assert len(got.columns) == len(want.columns) == m.rank
+            for i, (g, w) in enumerate(zip(got.columns, want.columns)):
+                assert g == w, (source, degree, i)
+            # the same columns read as an even map: no Koszul sign at all
+            even = ModuleMap.from_columns(m, m, 0, f.columns)
+            odd_signs += degree % 2 and want != compressed(p, even)
+        sources[source] += 1
+        kinds.update(split)
+        if source == "none fixed":
+            assert "fixed" not in split
+        if source == "all fixed":
+            assert set(split) == {"fixed"}
+    assert min(sources.values()) >= 2 and len(sources) == 8, sources
+    assert kinds["fixed"] > 0 and kinds["moved"] > 0 and kinds["unit column"] > 0
+    assert odd_signs > 0
