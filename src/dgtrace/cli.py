@@ -159,10 +159,11 @@ def cmd_pair(ws: Workspace, args, seed, count) -> dict:
 
 
 def cmd_verify_rr(ws: Workspace, args, seed: int, count: int) -> dict:
-    if args.algebra and args.algebra not in catalog_names():
+    # an empty name is a name, and not in the catalog
+    if args.algebra is not None and args.algebra not in catalog_names():
         raise WorkspaceError(f"no catalog algebra named {args.algebra!r}",
                              "--algebra")
-    names = [args.algebra] if args.algebra else catalog_names()
+    names = catalog_names() if args.algebra is None else [args.algebra]
     per = {}
     ok = True
     for name in names:

@@ -13,6 +13,8 @@ denominator > 1 otherwise (`_canon`), so integer arithmetic takes Python's
 fast path by itself.  Every public reader (`entries`, `column`, `columns`,
 `apply`, `trace` and the bases built from them) gives `Fraction`s, and
 every true division divides a `Fraction`.  No floating point anywhere.
+`solved_kernel` takes rows built elsewhere and gives their kernel in solved
+form, its values stored, for callers that evaluate it themselves.
 
 >>> m = RationalMatrix.from_rows([[1, 2], [2, 4]])
 >>> rank_kernel_image(m)[0]
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import DimensionMismatch
 
@@ -263,20 +265,38 @@ def rref(m: RationalMatrix):
     return RationalMatrix._of(m.rows, m.cols, rows), [p for p, _ in red]
 
 
-def _kernel(red: list, ncols: int) -> list:
-    """Per free column f, the kernel vector read off the reduced rows as
-    (column, value) pairs in column order: -row[f] at each pivot row that
-    holds f (pivots lie left of f), then 1 at f."""
-    pivots = {p for p, _ in red}
-    return [tuple((p, -row[f]) for p, row in red if f in row) + ((f, 1),)
-            for f in range(ncols) if f not in pivots]
+class SolvedKernel(NamedTuple):
+    """The kernel of a linear system in solved form: `free`, its free
+    columns in ascending order, and `pivots`, per pivot column p in
+    ascending order the pair (p, {free column f: s}) with
+    x_p = sum_f s x_f.  Every free column of a pivot's row lies right of
+    the pivot, and its values are in stored form."""
+
+    free: tuple
+    pivots: tuple
+
+    def basis(self) -> list:
+        """Per free column f, the kernel vector e_f + sum_p s_{p,f} e_p as
+        (column, value) pairs in column order: s_{p,f} at each pivot p
+        whose row holds f (pivots lie left of f), then 1 at f."""
+        return [tuple((p, row[f]) for p, row in self.pivots if f in row) + ((f, 1),)
+                for f in self.free]
 
 
-def sparse_kernel(rows: Iterable[Mapping], ncols: int) -> list:
-    """The kernel basis of rank_kernel_image, as (column, value) pairs, of
-    the matrix with ncols columns and these rows, each a {column: rational}
-    mapping; zero values are dropped and the rest put in stored form."""
-    return _kernel(_echelon({j: _canon(x) for j, x in row.items() if x}
+def _solved(red: list, ncols: int) -> SolvedKernel:
+    """The kernel of the reduced rows of `_echelon` in solved form: pivot
+    row p reads x_p + sum_f row[f] x_f = 0."""
+    pivots = tuple((p, {f: -x for f, x in row.items() if f != p}) for p, row in red)
+    taken = {p for p, _ in red}
+    return SolvedKernel(tuple(f for f in range(ncols) if f not in taken), pivots)
+
+
+def solved_kernel(rows: Iterable[Mapping], ncols: int) -> SolvedKernel:
+    """The kernel, in solved form, of the matrix with ncols columns and
+    these rows, each a {column: rational} mapping; zero values are dropped
+    and the rest put in stored form.  Its `basis` is the kernel basis of
+    rank_kernel_image."""
+    return _solved(_echelon({j: _canon(x) for j, x in row.items() if x}
                             for row in rows), ncols)
 
 
@@ -289,7 +309,7 @@ def rank_kernel_image(m: RationalMatrix):
     """
     red = _echelon(map(dict, m._rows))
     pivots = [p for p, _ in red]
-    kernel_basis = tuple(_dense(dict(v), m.cols) for v in _kernel(red, m.cols))
+    kernel_basis = tuple(_dense(dict(v), m.cols) for v in _solved(red, m.cols).basis())
     image_basis = [m.column(p) for p in pivots]
     return (len(pivots),
             SubspacePresentation(m.cols, kernel_basis),
@@ -335,7 +355,8 @@ def quotient_presentation(ambient_dim: int, sub: SubspacePresentation):
     """
     if sub.ambient_dim != ambient_dim:
         raise DimensionMismatch("subspace lives in a different ambient space")
-    ker = _kernel(_echelon(_sparse(v, ambient_dim) for v in sub.basis), ambient_dim)
+    ker = _solved(_echelon(_sparse(v, ambient_dim) for v in sub.basis),
+                  ambient_dim).basis()
     proj = RationalMatrix._of(len(ker), ambient_dim, map(dict, ker))
     q = proj.rows
     section = solve_matrix(proj, RationalMatrix.identity(q))

@@ -4,18 +4,20 @@ Random perfect modules are built the way semi-free modules are defined:
 cones of maps between shifted frees (any degree-compatible matrix between
 frees is closed), optionally direct-summed with an idempotent-compressed
 free.  Random closed endomorphisms are drawn from the exact kernel of the
-entry-level closedness system, so every sample is closed on the nose.
+entry-level closedness system, kept in solved form: a draw picks one
+coefficient per free coordinate and evaluates each pivot coordinate from
+them, so every sample is closed on the nose and no kernel vector is formed.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from fractions import Fraction
-from typing import Dict, Iterable, List, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
 from .algebras import DgAlgebra, SparseVec
 from .errors import NotDegreeZeroConcentrated
-from .linalg import _canon, sparse_kernel
+from .linalg import SolvedKernel, _canon, solved_kernel
 from .modules import (ModuleMap, PerfectModule, SemiFreeModule, rows_of,
                       cone_module, direct_sum_modules, free_module,
                       projective_module)
@@ -88,25 +90,25 @@ def random_perfect(a: DgAlgebra, rng: SplitMix64, idempotents=(),
 Key = Tuple[int, int, int]
 # values in stored form (`linalg._canon`): an int when integral, else a Fraction
 Scalar = Union[int, Fraction]
-KeyedVector = Tuple[Tuple[Key, Scalar], ...]
 
 
-def closed_map_kernel(src: SemiFreeModule, tgt: SemiFreeModule,
-                      degree: int = 0) -> List[KeyedVector]:
-    """A basis of the closed degree-`degree` maps src -> tgt, solved at the
-    entry level over a degree-0 algebra: each basis vector as its nonzero
-    ((j, i, w), x) coordinates in key order, x the coordinate of e_w in
-    entry (j, i).  Between twist-free modules every map is closed, and the
-    basis is the unit vectors in key order."""
+def closed_map_system(src: SemiFreeModule, tgt: SemiFreeModule,
+                      degree: int = 0) -> Tuple[List[Key], SolvedKernel]:
+    """The closed degree-`degree` maps src -> tgt, solved at the entry level
+    over a degree-0 algebra: the keys (j, i, w) in sorted order, column c
+    of the system being the coordinate of e_w in entry (j, i) of
+    keys[c], and the kernel of the closedness equations in solved form.
+    Between twist-free modules every map is closed, and every key is
+    free."""
     a = src.algebra
     if not a.is_degree_zero():
         raise NotDegreeZeroConcentrated("closed maps are solved over degree-0 algebras")
     keys = [(j, i, w) for j in range(tgt.rank) for i in range(src.rank)
             if degree + tgt.shifts[j] == src.shifts[i] for w in range(a.dim)]
     if not any(src.twist_columns) and not any(tgt.twist_columns):
-        # no equation: every coordinate is free.  The rows below would give
-        # the same unit vectors; this skips their loop over the keys.
-        return [((key, 1),) for key in keys]
+        # no equation: every key is free.  The rows below would be empty;
+        # this skips their loop over the keys
+        return keys, SolvedKernel(tuple(range(len(keys))), ())
     # equations: the coordinates (l, i, x) of d(phi)[l][i] = 0, each a row
     # {column: coeff} over the unknown coordinates e_w of entries (j, i)
     sgn = -1 if degree % 2 else 1
@@ -127,18 +129,17 @@ def closed_map_kernel(src: SemiFreeModule, tgt: SemiFreeModule,
                 for x, cx in products[t].get(w, ()):
                     row = rows[(j, i2, x)]
                     row[col] = row.get(col, 0) - sgn * ct * cx
-    return [tuple((keys[c], x) for c, x in v)
-            for v in sparse_kernel(rows.values(), len(keys))]
+    return keys, solved_kernel(rows.values(), len(keys))
 
 
-def _map_from_vector(src: SemiFreeModule, tgt: SemiFreeModule, degree: int,
-                     vec: Iterable[Tuple[Key, Fraction]]) -> ModuleMap:
-    """The module map whose entry coordinates are the ((j, i, w), x) pairs
-    of vec."""
+def _map_of(src: SemiFreeModule, tgt: SemiFreeModule, degree: int,
+            keys: Sequence[Key], x: Sequence[Scalar]) -> ModuleMap:
+    """The module map whose coordinate at keys[c] is x[c], the keys walked
+    in order into columns."""
     cells: List[Dict[int, List]] = [{} for _ in range(src.rank)]
-    for (j, i, w), x in sorted(vec):
-        if x:
-            cells[i].setdefault(j, []).append((w, _canon(x)))
+    for (j, i, w), v in zip(keys, x):
+        if v:
+            cells[i].setdefault(j, []).append((w, v))
     columns = [tuple((j, tuple(ws)) for j, ws in cell.items()) for cell in cells]
     return ModuleMap.from_columns(src, tgt, degree, columns)
 
@@ -146,29 +147,43 @@ def _map_from_vector(src: SemiFreeModule, tgt: SemiFreeModule, degree: int,
 def closed_map_basis(src: SemiFreeModule, tgt: SemiFreeModule,
                      degree: int = 0) -> List[ModuleMap]:
     """Basis of the closed degree-`degree` maps src -> tgt, solved at the
-    entry level (degree-0 algebras)."""
-    return [_map_from_vector(src, tgt, degree, v)
-            for v in closed_map_kernel(src, tgt, degree)]
+    entry level (degree-0 algebras): the map of each kernel basis vector,
+    one per free column."""
+    keys, kernel = closed_map_system(src, tgt, degree)
+    maps = []
+    for vec in kernel.basis():
+        x = [0] * len(keys)
+        for c, v in vec:
+            x[c] = v
+        maps.append(_map_of(src, tgt, degree, keys, x))
+    return maps
 
 
 def random_closed_map(src: SemiFreeModule, tgt: SemiFreeModule,
-                      vectors: Sequence[KeyedVector],
+                      keys: Sequence[Key], kernel: SolvedKernel,
                       rng: SplitMix64) -> ModuleMap:
-    """A random closed degree-0 map from a kernel of closed_map_kernel:
-    sum_k c_k v_k with one random coefficient per vector, in order; a random
-    basis vector when every c_k is 0; the zero map, drawing nothing, for an
-    empty kernel."""
-    if not vectors:
+    """A random closed degree-0 map from a closed_map_system: sum_f c_f v_f
+    over its kernel basis, one random coefficient per free column in
+    ascending order; a random basis vector when every c_f is 0; the zero
+    map, drawing nothing, for an empty kernel.  The coefficients sit at
+    the free columns and each pivot is evaluated from them, so no basis
+    vector is formed."""
+    free = kernel.free
+    if not free:
         return ModuleMap.zero(src, tgt)
-    total: Dict[Key, Fraction] = {}
-    for vec in vectors:
-        c = _coeff(rng)
-        if c:
-            for key, x in vec:
-                total[key] = total.get(key, 0) + c * x
-    if total:
-        return _map_from_vector(src, tgt, 0, total.items())
-    return _map_from_vector(src, tgt, 0, vectors[rng.below(len(vectors))])
+    x: List[Scalar] = [0] * len(keys)
+    for f in free:
+        x[f] = _coeff(rng)
+    if not any(x):
+        x[free[rng.below(len(free))]] = 1
+    for p, row in kernel.pivots:
+        v = 0
+        for f, s in row.items():
+            c = x[f]
+            if c:
+                v += c * s
+        x[p] = _canon(v)
+    return _map_of(src, tgt, 0, keys, x)
 
 
 class EndoSampler:
@@ -176,7 +191,7 @@ class EndoSampler:
 
     def __init__(self, p: PerfectModule):
         self.module = p
-        self.vectors = closed_map_kernel(p.module, p.module, 0)
+        self.keys, self.kernel = closed_map_system(p.module, p.module, 0)
 
     def draw(self, rng: SplitMix64) -> ModuleMap:
         """e f e for a random f of the kernel, marked `drawn_from` the
@@ -185,7 +200,7 @@ class EndoSampler:
         guard and `hh_class` take it without a check.  The one place that
         sets the mark."""
         f = self.module.compress(random_closed_map(
-            self.module.module, self.module.module, self.vectors, rng))
+            self.module.module, self.module.module, self.keys, self.kernel, rng))
         f.drawn_from = self.module
         return f
 
@@ -204,7 +219,7 @@ def random_closed_pair(a: DgAlgebra, rng: SplitMix64, max_gens: int = 3,
     m = random_semifree(a, rng, max_gens=max_gens, shift_range=shift_range)
     n = random_semifree(a, rng, max_gens=max_gens, shift_range=shift_range)
     g = random_closed_map(m.module, n.module,
-                          closed_map_kernel(m.module, n.module, 0), rng)
+                          *closed_map_system(m.module, n.module, 0), rng)
     h = random_closed_map(n.module, m.module,
-                          closed_map_kernel(n.module, m.module, 0), rng)
+                          *closed_map_system(n.module, m.module, 0), rng)
     return m, n, g, h

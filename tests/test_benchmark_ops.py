@@ -1,4 +1,5 @@
-"""The first ops of every benchmark workload, in-process at seed 42.
+"""The first ops of every benchmark workload, in-process at seed 42, and
+every main_theorem op at the held-out seed.
 
 The benchmark (`perfbench/`) calls dgtrace through its public functions
 (`suites.rr_pair_reports(..., sp, spo)`, `pairing.pairing_three_ways(...,
@@ -22,6 +23,7 @@ import workloads  # noqa: E402
 from dgtrace.modules import ExplicitModule  # noqa: E402
 
 SEED = 42
+HELD_OUT_SEED = 1004
 OPS = range(7)  # on main_theorem, one op per catalog algebra
 
 
@@ -35,6 +37,21 @@ def test_first_ops_match_references(name):
         ok, canonical = work.run(i)
         assert ok, (name, i, work.specs[i], canonical)
         assert worker.op_digest(canonical) == want[i], (name, i, work.specs[i])
+
+
+def test_every_main_theorem_op_matches_the_held_out_references():
+    """Each of the 1260 sampled module pairs and draws at seed 1004, op by
+    op and as the run digest the benchmark compares."""
+    work = workloads.Workload("main_theorem", HELD_OUT_SEED)
+    want = worker.load_reference("main_theorem", HELD_OUT_SEED)
+    assert len(work) == want["ops"] == len(want["op_digests"])
+    got = []
+    for i in range(len(work)):
+        ok, canonical = work.run(i)
+        assert ok, (i, work.specs[i], canonical)
+        got.append(worker.op_digest(canonical))
+        assert got[i] == want["op_digests"][i], (i, work.specs[i])
+    assert worker.run_digest(got) == want["digest"]
 
 
 def test_main_theorem_builds_no_realization(monkeypatch):

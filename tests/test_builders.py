@@ -28,7 +28,7 @@ from dgtrace.modules import (ModuleMap, PerfectModule, SemiFreeModule,
                              outer_tensor_modules, projective_module,
                              restrict_to_factor, restrict_to_ground)
 from dgtrace.prng import stream_for
-from dgtrace.sampling import (EndoSampler, closed_map_kernel, random_closed_map,
+from dgtrace.sampling import (EndoSampler, closed_map_system, random_closed_map,
                               random_map_between_frees, random_free,
                               random_perfect, random_semifree)
 from oracles import shift_module
@@ -113,7 +113,7 @@ def test_cones_of_cones_are_modules(cat, name):
         src = twisted_cone(a, rng) if kinds else random_free(a, rng)
         tgt = random_semifree(a, rng, max_gens=3, shift_range=(-1, 1))
         f = random_closed_map(src.module, tgt.module,
-                              closed_map_kernel(src.module, tgt.module), rng)
+                              *closed_map_system(src.module, tgt.module), rng)
         if f is None or f.is_zero():
             continue
         c = cone_module(f)

@@ -2,10 +2,12 @@
 k-level maps through the keyed assembler (`complexes.column_blocks`, by way
 of `keyed_blocks` or a realization's `carrier`) and reads them through
 `RationalMatrix.sparse_columns`, and the one other entry
-point, `sparse_kernel(rows, ncols)`, takes plain {column: rational} rows
-and puts them in stored form itself, so a change of storage stays inside
-`linalg.py`.  This keeps the layout behind `linalg` the way
-test_traced_names keeps the traced names resolvable.  In the same way the
+point, `solved_kernel(rows, ncols)`, takes plain {column: rational} rows,
+puts them in stored form itself and returns the kernel in solved form (the
+free columns, and each pivot as a combination of them), so a change of
+storage stays inside `linalg.py`, and `_echelon`, the one elimination
+routine, is called there alone.  This keeps the layout behind `linalg` the
+way test_traced_names keeps the traced names resolvable.  In the same way the
 action layout of an explicit module (generators over one shared base table)
 is known to `modules.py` alone: `ExplicitModule.act` is the one reader of
 its table.  And `complexes.is_quasi_iso` is the one caller of `cone`, so a
@@ -88,6 +90,14 @@ def test_only_linalg_knows_the_matrix_layout():
     assert modules
     leaks = [leak for path in modules for leak in _leaks(path)]
     assert not leaks, leaks
+
+
+def test_only_linalg_calls_the_elimination_routine():
+    found = [hit for path in sorted(SRC.glob("*.py")) for hit in _owned(
+        path, lambda node: _called_name(node) == "_echelon")]
+    assert found
+    outside = [f"{name}:{line}: {fn}" for name, fn, line in found if name != "linalg.py"]
+    assert not outside, outside
 
 
 def _owned(path: Path, wanted):

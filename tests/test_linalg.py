@@ -11,7 +11,7 @@ from dgtrace.errors import DimensionMismatch
 from dgtrace.linalg import (RationalMatrix, SubspacePresentation,
                             echelon_basis, quotient_presentation,
                             rank_kernel_image, rank_of, rref, solve,
-                            solve_matrix, span_dim, sparse_kernel)
+                            solve_matrix, solved_kernel, span_dim)
 from dgtrace.modules import (ExplicitModule, ModuleMap, cone_module,
                              free_module, hom_over_algebra,
                              tensor_over_algebra)
@@ -55,10 +55,12 @@ def test_post_conditions_random_shapes():
         assert all(x == 0 for x in m.apply(v))
 
 
-def test_sparse_kernel_matches_the_dense_kernel_basis():
-    """Each sparse kernel vector is the nonzero part of the dense one, and
-    both are the free-column vectors of the RREF: 1 at the free column f,
-    -R[r][f] at the pivot column of each row r."""
+def test_solved_kernel_matches_the_dense_kernel_basis():
+    """The solved form is read off the RREF: the free columns are the
+    non-pivot ones, and pivot row r gives x_p = sum_f -R[r][f] x_f.  Each
+    vector of its basis readout is the nonzero part of the dense kernel
+    vector, and both are the free-column vectors of the RREF: 1 at the free
+    column f, -R[r][f] at the pivot column of each row r."""
     rng = SplitMix64(29)
     shapes = [RationalMatrix.zeros(0, 3)]
     for _ in range(40):
@@ -76,8 +78,13 @@ def test_sparse_kernel_matches_the_dense_kernel_basis():
                 for r, p in enumerate(pivots):
                     v[p] = -red.entries[r][f]
                 reference.append(tuple((c, x) for c, x in enumerate(v) if x))
+        kernel = solved_kernel(map(dict, map(enumerate, m.entries)), m.cols)
+        assert kernel.free == tuple(f for f in range(m.cols) if f not in pivots)
+        assert kernel.pivots == tuple(
+            (p, {f: -red.entries[r][f] for f in kernel.free if red.entries[r][f]})
+            for r, p in enumerate(pivots))
         dense = rank_kernel_image(m)[1].basis
-        assert sparse_kernel(map(dict, map(enumerate, m.entries)), m.cols) == reference == [
+        assert kernel.basis() == reference == [
             tuple((c, x) for c, x in enumerate(v) if x) for v in dense]
         vectors += len(reference)
     assert vectors > 40

@@ -19,7 +19,7 @@ from dgtrace.modules import (ExplicitModule, HomOverAlgebra, ModuleMap,
                              projective_module, restrict_to_factor,
                              restrict_to_ground, tensor_over_algebra)
 from dgtrace.prng import SplitMix64
-from dgtrace.sampling import (closed_map_basis, closed_map_kernel,
+from dgtrace.sampling import (closed_map_basis, closed_map_system,
                               random_perfect, random_semifree)
 from oracles import shift_module
 
@@ -279,8 +279,8 @@ def test_closed_map_basis_matches_hom_h0_counts(cat):
     carrier pairs, in degrees -1, 0 and 1: the kernel has as many vectors as
     the Hom complex has cycles in that degree, each vector's map is closed,
     by ModuleMap.differential and at the k level through the realization,
-    and between twist-free modules the vectors are the unit vectors in key
-    order."""
+    and between twist-free modules every key is free and the vectors are
+    the unit vectors in key order."""
     seen = {"both twisted": 0, "twist-free": 0, "idempotent": 0}
     for index, ent in enumerate(cat.values()):
         a = ent.algebra
@@ -300,18 +300,21 @@ def test_closed_map_basis_matches_hom_h0_counts(cat):
                                        or tgt.idempotent is not None)
                 h = HomOverAlgebra(s, t.to_explicit())
                 for degree in (-1, 0, 1):
-                    vectors = closed_map_kernel(s, t, degree)
+                    keys, kernel = closed_map_system(s, t, degree)
+                    basis = kernel.basis()
                     cycles = rank_kernel_image(h.carrier.d(degree))[1]
-                    assert len(vectors) == cycles.dim
+                    assert len(basis) == len(kernel.free) == cycles.dim
                     for f in closed_map_basis(s, t, degree):
                         assert f.degree == degree and f.is_closed()
                         assert f.restrict().is_closed()
                     if not any(twisted):
-                        keys = [(j, i, w) for j in range(t.rank)
+                        want = [(j, i, w) for j in range(t.rank)
                                 for i in range(s.rank)
                                 if degree + t.shifts[j] == s.shifts[i]
                                 for w in range(a.dim)]
-                        assert vectors == [((key, 1),) for key in keys]
+                        assert keys == want and not kernel.pivots
+                        assert [tuple((keys[c], x) for c, x in vec)
+                                for vec in basis] == [((key, 1),) for key in want]
     assert min(seen.values()) >= 5, seen
 
 

@@ -39,7 +39,7 @@ from dgtrace.duality import (DualBimodule, _opposite_diagonal_explicit,
 from dgtrace.errors import (DifferentialSquareViolation,
                             NotDegreeZeroConcentrated, WrongDegree)
 from dgtrace.hochschild import diagonal, generalized_supertrace, hh0_space
-from dgtrace.linalg import RationalMatrix, sparse_kernel
+from dgtrace.linalg import RationalMatrix, solved_kernel
 from dgtrace.modules import (HomOverAlgebra, ModuleMap, PerfectModule,
                              SemiFreeModule, TensorOverAlgebra, _dense, _grid_columns,
                              direct_sum_modules, outer_tensor_columns,
@@ -49,7 +49,7 @@ from dgtrace.modules import (HomOverAlgebra, ModuleMap, PerfectModule,
 from dgtrace.pairing import compose_kernels, rr_left_side
 from dgtrace.prng import SplitMix64, stream_for
 from dgtrace.sampling import (EndoSampler, _random_coordinates, closed_map_basis,
-                              closed_map_kernel, random_closed_pair, random_coeff,
+                              closed_map_system, random_closed_pair, random_coeff,
                               random_module_with_endos, random_perfect,
                               random_semifree)
 from oracles import compressed
@@ -97,9 +97,10 @@ def dense_compose(psi, phi):
     return ModuleMap(phi.source, psi.target, psi.degree + phi.degree, rows)
 
 
-def map_level_combination(maps, rng):
+def map_level_combination(maps, rng, fallbacks):
     """The reference draw: one random_coeff per basis map, in order, summed
-    as ModuleMaps; a random basis map when every coefficient is 0."""
+    as ModuleMaps; a random basis map when every coefficient is 0, which
+    is counted in fallbacks["taken"]."""
     if not maps:
         return None
     total = None
@@ -110,11 +111,13 @@ def map_level_combination(maps, rng):
             total = scaled if total is None else total + scaled
     if total is None:
         total = maps[rng.below(len(maps))]
+        fallbacks["taken"] += 1
     return total
 
 
-def reference_draw(p, rng):
-    f = map_level_combination(closed_map_basis(p.module, p.module, 0), rng)
+def reference_draw(p, rng, fallbacks):
+    f = map_level_combination(closed_map_basis(p.module, p.module, 0), rng,
+                              fallbacks)
     if p.idempotent is not None:
         f = dense_compose(p.idempotent, dense_compose(f, p.idempotent))
     return f
@@ -125,18 +128,19 @@ def reference_draw(p, rng):
 def test_draw_matches_map_level_combination(cat, name):
     ent = cat[name]
     drawn = 0
+    fallbacks = Counter()
     for side in (ent.algebra, opposite(ent.algebra)):
         for index in range(4):
             rng = stream_for(11, 100 * index + len(name))
             p = random_perfect(side, rng, ent.idempotents,
                                max_gens=3 if side.dim > 6 else 4)
             sampler = EndoSampler(p)
-            if not sampler.vectors:
+            if not sampler.kernel.free:
                 continue
             for _ in range(3):
                 ref_rng = SplitMix64(rng.state)
                 f = sampler.draw(rng)
-                g = reference_draw(p, ref_rng)
+                g = reference_draw(p, ref_rng, fallbacks)
                 assert f == g
                 assert rng.state == ref_rng.state
                 e = p.idempotent
@@ -149,9 +153,14 @@ def test_draw_matches_map_level_combination(cat, name):
                 assert restrict_to_ground(p).compress(chain) == chain
                 drawn += 1
     assert drawn > 0
+    # the all-zero fallback needs all n coefficients 0, with probability
+    # 4^-n: k's kernels are small enough for these draws to reach it
+    if name == "k":
+        assert fallbacks["taken"] > 0
 
 
 def test_random_closed_pair_matches_map_level_combination(cat):
+    fallbacks = Counter()
     for name in ("k", "kxk", "M2", "A2", "A3", "Kronecker"):
         a = cat[name].algebra
         for index in range(5):
@@ -161,13 +170,14 @@ def test_random_closed_pair_matches_map_level_combination(cat):
             m2 = random_semifree(a, ref_rng, max_gens=3, shift_range=(-1, 1))
             n2 = random_semifree(a, ref_rng, max_gens=3, shift_range=(-1, 1))
             g2 = map_level_combination(
-                closed_map_basis(m2.module, n2.module, 0), ref_rng)
+                closed_map_basis(m2.module, n2.module, 0), ref_rng, fallbacks)
             h2 = map_level_combination(
-                closed_map_basis(n2.module, m2.module, 0), ref_rng)
+                closed_map_basis(n2.module, m2.module, 0), ref_rng, fallbacks)
             assert (m, n) == (m2, n2)
             assert g == (g2 if g2 is not None else ModuleMap.zero(m.module, n.module))
             assert h == (h2 if h2 is not None else ModuleMap.zero(n.module, m.module))
             assert rng.state == ref_rng.state
+    assert fallbacks["taken"] > 0
 
 
 def dense_differential(phi):
@@ -245,7 +255,7 @@ def test_closed_map_kernel_rejects_graded_algebras(degree):
     this module, 2 of the 4 in degree -1), so it refuses the algebra."""
     m = SemiFreeModule(square_zero_dg_algebra(), [0, 1])
     with pytest.raises(NotDegreeZeroConcentrated):
-        closed_map_kernel(m, m, degree)
+        closed_map_system(m, m, degree)
     with pytest.raises(NotDegreeZeroConcentrated):
         closed_map_basis(m, m, degree)
 
@@ -339,7 +349,7 @@ def test_split_supertrace_matches_compressed_supertrace(cat):
             n, ns = random_module_with_endos(opposite(a), rng, ent.idempotents,
                                              max_gens=3)
             sc = tensor_over_algebra(n, m)
-            if sc.projector is None or not ms.vectors or not ns.vectors:
+            if sc.projector is None or not ms.kernel.free or not ns.kernel.free:
                 continue
             induced = sc.map_tensor(ns.draw(rng).restrict(), ms.draw(rng))
             for f in (induced, random_endo(sc.carrier, rng)):
@@ -1076,19 +1086,22 @@ def test_stored_ints_compute_what_all_fractions_compute(make):
             assert_normal_form(want.columns, want.target.rank)
 
 
-def test_sparse_kernel_on_stored_ints_matches_all_fractions():
+def test_solved_kernel_on_stored_ints_matches_all_fractions():
     """Integer pivots 2 and -1 are divided as Fractions: the kernel of the
     integer rows (zeros included) equals the kernel of the all-Fraction
-    ones, in stored form, with no float."""
+    ones, in stored form, with no float, in its solved form and in its
+    basis readout."""
     rows = [[2, 4, -1, 3, 0, 1], [0, -1, 1, 2, 1, 0], [4, 7, -1, 8, 1, 2],
             [0, 0, 0, -1, F(1, 2), 3]]
-    got = sparse_kernel([dict(enumerate(r)) for r in rows], 6)
-    want = sparse_kernel([{j: F(x) for j, x in enumerate(r) if x}
+    got = solved_kernel([dict(enumerate(r)) for r in rows], 6)
+    want = solved_kernel([{j: F(x) for j, x in enumerate(r) if x}
                           for r in rows], 6)
-    assert got == want and len(got) == 3
-    assert all(is_stored_scalar(x) for vec in got for _, x in vec)
-    assert any(type(x) is F for vec in got for _, x in vec)
-    assert not any(type(x) is float for vec in want for _, x in vec)
+    assert got == want and len(got.basis()) == len(got.free) == 3
+    solved = [x for _, row in got.pivots for x in row.values()]
+    assert all(is_stored_scalar(x) for x in solved)
+    assert all(is_stored_scalar(x) for vec in got.basis() for _, x in vec)
+    assert any(type(x) is F for vec in got.basis() for _, x in vec)
+    assert not any(type(x) is float for vec in want.basis() for _, x in vec)
 
 
 @pytest.mark.parametrize("name", ["kxk", "M2", "A2", "Kronecker"])

@@ -217,6 +217,16 @@ def test_cli_verify_rr_small(capsys):
     assert data["per_algebra"]["A2"]["passed"] == 6
 
 
+@pytest.mark.parametrize("name", ["", "nope"])
+def test_cli_verify_rr_refuses_a_name_outside_the_catalog(name, capsys):
+    """Only a missing --algebra means every algebra: an empty name ran all
+    seven and exited 0."""
+    assert main(["--random", "1", "verify-rr", "--algebra", name]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"input error: --algebra: no catalog algebra named {name!r}\n"
+
+
 def test_cli_unknown_input_exit_code(capsys, tmp_path):
     path = tmp_path / "nope.json"
     code = main(["--workspace", str(path), "hh0", "A2"])

@@ -24,7 +24,10 @@ value, `median_change_ratio` (change median over parent median, minus 1),
 and `bound`, with `within_bound` false when the change's median is worse
 than the parent's by more than the bound.  `--claim` adds whether the named
 metric is better in at least 9 of 10 pairs and by more in the median than
-the parent's interquartile range.  `runs` lists every run made.
+the parent's interquartile range; a claim whose workload has no metrics
+(a run failed or was not correct) does not hold, and says why.  A claim
+that names no workload run or no end-to-end metric is refused before the
+first run.  `runs` lists every run made.
 """
 
 from __future__ import annotations
@@ -167,6 +170,21 @@ def summarise(runs: dict, pairs: int, end_to_end) -> dict:
     return out
 
 
+def judge_claim(workloads: dict, workload: str, metric: str, pairs: int) -> dict:
+    """Whether the change's gain on one metric holds: better in at least 9
+    of 10 pairs, and by more in the median than the parent's IQR.  With no
+    metrics (a run failed or was not correct) it does not hold."""
+    out = {"workload": workload, "metric": metric}
+    metrics = workloads[workload].get("metrics")
+    if metrics is None:
+        return {**out, "holds": False,
+                "reason": "no metrics: a run of the workload failed or was not correct"}
+    m = metrics[metric]
+    return {**out, "median_change_ratio": m["median_change_ratio"], "wins": m["wins"],
+            "holds": m["wins"] >= 0.9 * pairs and m["median_gap"] > m["parent_iqr"]
+            and (m["median_change_ratio"] < 0) == (m["better"] == "lower")}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", help="the parent revision")
@@ -180,8 +198,6 @@ def main(argv=None) -> int:
     if args.pairs < 2:
         parser.error("--pairs must be at least 2")
     claim = args.claim.split(":") if args.claim else None
-    if claim is not None and (len(claim) != 2 or (args.workload and claim[0] not in args.workload)):
-        parser.error("--claim takes WORKLOAD:METRIC, the workload one of those run")
     root = git("rev-parse", "--show-toplevel", cwd=os.getcwd())
 
     with tempfile.TemporaryDirectory(prefix="ab-") as tmp:
@@ -191,6 +207,11 @@ def main(argv=None) -> int:
         with open(os.path.join(trees["change"], "BENCHMARK.json")) as fh:
             spec = json.load(fh)
         workloads = args.workload or [w["name"] for w in spec["workloads"]]
+        if claim is not None and (len(claim) != 2 or claim[0] not in workloads or claim[1]
+                                  not in {m["name"] for m in spec["end_to_end"]}):
+            # before the first run, so a misspelt claim costs no A/B
+            parser.error("--claim takes WORKLOAD:METRIC, the workload one of those run "
+                         "and the metric an end-to-end metric of BENCHMARK.json")
         log = []
         runs = {w: {s: {"timed": []} for s in trees} for w in workloads}
 
@@ -226,14 +247,7 @@ def main(argv=None) -> int:
         "runs": log,
     }
     if claim is not None:
-        workload, metric = claim
-        m = report["workloads"][workload]["metrics"][metric]
-        report["claim"] = {
-            "workload": workload, "metric": metric,
-            "median_change_ratio": m["median_change_ratio"], "wins": m["wins"],
-            "holds": m["wins"] >= 0.9 * args.pairs and m["median_gap"] > m["parent_iqr"]
-            and (m["median_change_ratio"] < 0) == (m["better"] == "lower"),
-        }
+        report["claim"] = judge_claim(report["workloads"], *claim, args.pairs)
     with open(args.out, "w") as fh:
         json.dump(report, fh, indent=1)
         fh.write("\n")
