@@ -22,6 +22,5 @@ from .pairing import (PairingReport, cup, pair_scalar,
 from .resolutions import (DiagonalResolution, opposite_resolution,
                           path_algebra, quiver_resolution, tensor_resolution,
                           vertex_arrow_resolution)
-from .workspace import Workspace, parse_workspace
 
 __version__ = "0.1.0"

@@ -379,13 +379,24 @@ def tensor_algebras(a: DgAlgebra, b: DgAlgebra) -> DgAlgebra:
     return ab
 
 
+def _is_ground_field(a: DgAlgebra) -> bool:
+    """a is k: one basis element 1 of degree 0, 1 * 1 = 1 and d = 0."""
+    return (a.mult == {(0, 0): ((0, 1),)} and a.degrees == (0,)
+            and a.unit == (1,) and not a.diff)
+
+
 def _tensor(a: DgAlgebra, b: DgAlgebra) -> DgAlgebra:
     """The tables of a (x) b in normal form by construction: a product's
     flat indices k*dim(b)+l come in index order, a product of nonzero
     rationals is nonzero, and the two parts of each differential are
-    sorted together."""
+    sorted together.  A ground-field factor k only relabels the other one:
+    flat index i*1 + 0 = 0*n + i = i, every sign +1, so its tables are
+    taken as they are."""
     nb = b.dim
     labels = tuple(f"{la}(x){lb}" for la in a.labels for lb in b.labels)
+    for x, g in ((a, b), (b, a)):
+        if _is_ground_field(g):
+            return DgAlgebra.built(labels, x.degrees, x.mult, x.unit, x.diff)
     degrees = tuple(da + db for da in a.degrees for db in b.degrees)
     mult: Dict[Tuple[int, int], SparseVec] = {}
     for (i, ip), veca in a.mult.items():

@@ -25,7 +25,6 @@ form, its values stored, for callers that evaluate it themselves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
@@ -187,21 +186,30 @@ class RationalMatrix:
         return f"RationalMatrix({self.rows}x{self.cols})"
 
 
-@dataclass(frozen=True)
 class SubspacePresentation:
-    """Subspace of Q^ambient_dim given by a linearly independent basis."""
+    """Subspace of Q^ambient_dim given by a linearly independent basis.
+    Immutable by convention, like `RationalMatrix`."""
 
-    ambient_dim: int
-    basis: tuple
+    __slots__ = ("ambient_dim", "basis")
 
-    def __post_init__(self):
-        for v in self.basis:
-            if len(v) != self.ambient_dim:
+    def __init__(self, ambient_dim: int, basis: tuple):
+        for v in basis:
+            if len(v) != ambient_dim:
                 raise DimensionMismatch("basis vector of wrong length")
+        self.ambient_dim = ambient_dim
+        self.basis = basis
 
     @property
     def dim(self) -> int:
         return len(self.basis)
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, SubspacePresentation)
+                and self.ambient_dim == other.ambient_dim
+                and self.basis == other.basis)
+
+    def __hash__(self):
+        return hash((self.ambient_dim, self.basis))
 
 
 def _echelon(rows: Iterable[dict]) -> list:
@@ -224,7 +232,9 @@ def _echelon(rows: Iterable[dict]) -> list:
         p = min(row)
         piv = row[p]
         if piv != 1:
-            row = {j: _canon(Fraction(x, piv)) for j, x in row.items()}
+            exact = type(piv) is int
+            row = {j: x // piv if exact and type(x) is int and not x % piv
+                   else _canon(Fraction(x, piv)) for j, x in row.items()}
         for er in echelon.values():
             f = er.get(p)
             if f:

@@ -23,7 +23,6 @@ hh(K2), goes through the diagonal resolution of every B (`compose_kernels`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -247,15 +246,24 @@ def pairing_three_ways(a: DgAlgebra, resolution: DiagonalResolution,
 # The trace-formula verifier
 # ---------------------------------------------------------------------------
 
-@dataclass
 class PairingReport:
     """Exact comparison of the two sides of a class identity: rationals,
     or coordinate tuples of classes."""
 
-    lhs: Union[Fraction, Tuple[Fraction, ...]]
-    rhs: Union[Fraction, Tuple[Fraction, ...]]
-    instance: str
-    seed: Optional[int] = None
+    __slots__ = ("lhs", "rhs", "instance", "seed", "__weakref__")
+
+    def __init__(self, lhs: Union[Fraction, Tuple[Fraction, ...]],
+                 rhs: Union[Fraction, Tuple[Fraction, ...]], instance: str,
+                 seed: Optional[int] = None):
+        self.lhs = lhs
+        self.rhs = rhs
+        self.instance = instance
+        self.seed = seed
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, PairingReport)
+                and (self.lhs, self.rhs, self.instance, self.seed)
+                == (other.lhs, other.rhs, other.instance, other.seed))
 
     @property
     def equal(self) -> bool:

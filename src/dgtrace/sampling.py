@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple, Union
 
 from .algebras import DgAlgebra, SparseVec
-from .errors import NotDegreeZeroConcentrated
+from .errors import DgError, NotDegreeZeroConcentrated
 from .linalg import SolvedKernel, _canon, solved_kernel
 from .modules import (ModuleMap, PerfectModule, SemiFreeModule, rows_of,
                       cone_module, direct_sum_modules, free_module,
@@ -62,7 +62,11 @@ def random_map_between_frees(src: PerfectModule, tgt: PerfectModule,
 
 def random_semifree(a: DgAlgebra, rng: SplitMix64, max_gens: int = 4,
                     shift_range: Tuple[int, int] = (-2, 2)) -> PerfectModule:
-    """A free module or the cone of a random map between frees."""
+    """A free module or the cone of a random map between frees; a cone
+    needs room for a generator on each side, so max_gens < 2 is refused
+    before anything is drawn."""
+    if max_gens < 2:
+        raise DgError(f"random_semifree needs max_gens >= 2, got {max_gens}")
     style = rng.below(3)
     if style == 0:
         return random_free(a, rng, max_rank=min(2, max_gens), shift_range=shift_range)

@@ -164,3 +164,18 @@ def test_a_claim_on_correct_runs_is_judged(tmp_path, monkeypatch):
     assert ab.main(argv) == 0
     claim = json.loads(out.read_text())["claim"]
     assert claim["holds"] is False and claim["wins"] == 0
+
+
+@pytest.mark.parametrize("env, recorded", [("1", True), ("", False), (None, False)])
+def test_the_machine_block_records_the_bytecode_regime(env, recorded, tmp_path,
+                                                       monkeypatch):
+    """Whether the runs write no bytecode, as PYTHONDONTWRITEBYTECODE passes
+    it to every benchmark process: an empty value leaves it off."""
+    if env is None:
+        monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    else:
+        monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", env)
+    stub_trees(monkeypatch, failing)
+    out = tmp_path / "BENCH.json"
+    ab.main(["HEAD", "--out", str(out), "--pairs", "2", "--workload", "main_theorem"])
+    assert json.loads(out.read_text())["machine"]["dont_write_bytecode"] is recorded

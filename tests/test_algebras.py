@@ -261,19 +261,34 @@ def _square_zero_dg_algebra():
                             [ONE, F(0), F(0)], {1: ((2, ONE),)})
 
 
+def _ground_field_products(cat):
+    """(name, left factor, right factor) of the 84 products x (x) g and
+    g (x) x, x a catalog algebra, its opposite or its enveloping algebra
+    and g the ground field k or k^op."""
+    k = cat["k"].algebra
+    for name, ent in cat.items():
+        a = ent.algebra
+        for xname, x in ((name, a), (f"{name}^op", opposite(a)),
+                         (f"^e{name}", tensor_algebras(opposite(a), a))):
+            for gname, g in (("k", k), ("k^op", opposite(k))):
+                yield f"{xname}(x){gname}", x, g
+                yield f"{gname}(x){xname}", g, x
+
+
 def _derived_algebras(cat):
-    """(name, algebra) for every catalog algebra A, its opposite, ^eA, and
-    the products ^eA (x) k^op and k (x) (^eA)^op of the pairing's cup; then a
-    dg algebra G with a differential, its opposite, G (x) G, whose
-    differential has terms from both factors and whose odd factors
-    anticommute, its opposite and G (x) G^op."""
+    """(name, algebra) for every catalog algebra A, its opposite, ^eA, the
+    product k (x) (^eA)^op of the pairing's cup and every product of
+    `_ground_field_products`; then a dg algebra G with a differential, its
+    opposite, G (x) G, whose differential has terms from both factors and
+    whose odd factors anticommute, its opposite and G (x) G^op."""
     k = cat["k"].algebra
     for name, ent in cat.items():
         a = ent.algebra
         ea = tensor_algebras(opposite(a), a)
         yield from ((name, a), (f"{name}^op", opposite(a)), (f"^e{name}", ea),
-                    (f"^e{name}(x)k^op", tensor_algebras(ea, opposite(k))),
                     (f"k(x)(^e{name})^op", tensor_algebras(k, opposite(ea))))
+    for name, x, y in _ground_field_products(cat):
+        yield name, tensor_algebras(x, y)
     g = _square_zero_dg_algebra()
     gg = tensor_algebras(g, g)
     yield from (("G", g), ("G^op", opposite(g)), ("G(x)G", gg),
@@ -297,6 +312,48 @@ def test_built_algebras_are_in_the_public_constructors_normal_form(cat):
         assert all(map(_stored, coeffs + list(b.unit))), name
         if b.dim <= 9:
             b.validate()
+
+
+def _general_tensor_tables(a, b):
+    """(labels, degrees, mult, unit, diff) of a (x) b by the general
+    formula: (e_i (x) e_j)(e_i' (x) e_j') = (-1)^{|j||i'|} e_i e_i' (x)
+    e_j e_j' and d(e_i (x) e_j) = d e_i (x) e_j + (-1)^{|i|} e_i (x) d e_j,
+    at flat index i*dim(b)+j."""
+    nb = b.dim
+    mult = {}
+    for (i, ip), veca in a.mult.items():
+        for (j, jp), vecb in b.mult.items():
+            sgn = -1 if (b.degrees[j] * a.degrees[ip]) % 2 else 1
+            mult[(i * nb + j, ip * nb + jp)] = tuple(
+                (k * nb + l, sgn * ca * cb) for k, ca in veca for l, cb in vecb)
+    diff = {}
+    for i in range(a.dim):
+        for j in range(nb):
+            terms = [(k * nb + j, c) for k, c in a.diff.get(i, ())]
+            sgn = -1 if a.degrees[i] % 2 else 1
+            terms += [(i * nb + l, sgn * c) for l, c in b.diff.get(j, ())]
+            if terms:
+                diff[i * nb + j] = tuple(sorted(terms))
+    return (tuple(f"{la}(x){lb}" for la in a.labels for lb in b.labels),
+            tuple(da + db for da in a.degrees for db in b.degrees), mult,
+            tuple(x * y for x in a.unit for y in b.unit), diff)
+
+
+def test_ground_field_products_equal_the_general_formula(cat):
+    """A factor k only relabels the other one: on all 84 such products, and
+    on the dg algebra G with its odd degrees and differential, both ways
+    round, the tables of `tensor_algebras` equal the general formula, as
+    they do on products without a ground-field factor."""
+    pairs = list(_ground_field_products(cat))
+    assert len(pairs) == 84
+    g, k = _square_zero_dg_algebra(), cat["k"].algebra
+    a2 = cat["A2"].algebra
+    pairs += [("G(x)k", g, k), ("k(x)G", k, g), ("G(x)G", g, g),
+              ("A2(x)A2^op", a2, opposite(a2)), ("G(x)A2", g, a2)]
+    for name, x, y in pairs:
+        t = tensor_algebras(x, y)
+        assert (t.labels, t.degrees, t.mult, t.unit, t.diff) == \
+            _general_tensor_tables(x, y), name
 
 
 def _random_coords(rng, n):

@@ -17,6 +17,7 @@ from dgtrace.modules import (ExplicitModule, ModuleMap, cone_module,
                              tensor_over_algebra)
 from dgtrace.prng import SplitMix64
 from dgtrace.sampling import random_closed_pair, random_perfect
+from test_sparse_oracles import is_stored_scalar
 
 F = Fraction
 
@@ -286,6 +287,44 @@ def test_echelon_basis_rank_span_match_sympy(seed):
         assert rank_of(m) == s.rank() == len(s_pivots)
         assert span_dim(list(m.entries), m.cols) == s.rank()
         assert span_dim(m.columns(), m.rows) == s.rank()
+
+
+def _scaled_row(rng, cols):
+    """+-2 or +-3 times an integer row whose first nonzero is 1: its int
+    pivot divides every entry."""
+    p = rng.below(cols)
+    row = [0] * p + [1] + [rng.int_in(-3, 3) for _ in range(cols - p - 1)]
+    scale = rng.int_in(2, 3) * (1 - 2 * rng.below(2))
+    return [scale * x for x in row]
+
+
+def pivot_cases(rng):
+    """Per shape: rows of `_scaled_row`, so the first pivot row and some
+    later ones are divided exactly; plain integer rows, whose pivots may
+    not divide them; rationals."""
+    for rows, cols in SHAPES:
+        yield RationalMatrix(rows, cols, [_scaled_row(rng, cols) for _ in range(rows)]
+                             if cols else [[] for _ in range(rows)])
+        yield RationalMatrix(rows, cols, [[rng.int_in(-6, 6) for _ in range(cols)]
+                                          for _ in range(rows)])
+        yield random_matrix(rng, rows, cols)
+
+
+@pytest.mark.parametrize("seed", [7, 8, 9])
+def test_integral_and_fractional_pivots_give_sympys_rref_in_stored_form(seed):
+    """A new pivot row is divided exactly where an int pivot divides an int
+    entry and as a Fraction elsewhere: the RREF equals sympy's, and every
+    value of the solved kernel is in stored form."""
+    rng = SplitMix64(seed)
+    for m in pivot_cases(rng):
+        red, pivots = rref(m)
+        if m.rows and m.cols:
+            s_red, s_pivots = sym(m).rref()
+            assert red == RationalMatrix(m.rows, m.cols, frac_rows(s_red))
+            assert pivots == list(s_pivots)
+        kernel = solved_kernel([dict(enumerate(r)) for r in m.entries], m.cols)
+        assert all(map(is_stored_scalar,
+                       (x for _, row in kernel.pivots for x in row.values())))
 
 
 def _all_fractions(values):

@@ -12,7 +12,7 @@ import pytest
 
 from dgtrace.algebras import opposite
 from dgtrace.catalog import catalog, catalog_entry
-from dgtrace.errors import IdempotentIncompatible, NotClosed
+from dgtrace.errors import DgError, IdempotentIncompatible, NotClosed
 from dgtrace.hochschild import hh0_space, hh_class
 from dgtrace.modules import (ModuleMap, PerfectModule, cone_module,
                              direct_sum_modules, free_module, projective_module)
@@ -122,3 +122,17 @@ def test_projective_memo_is_bounded_and_shared(fresh_catalog):
     p = projective_module(a2, a2.by_label("e1"), 1)
     assert projective_module(a2, a2.by_label("e1"), 1) is p
     assert projective_module(a2, a2.by_label("e1"), 0) is not p
+
+
+@pytest.mark.parametrize("max_gens", [1, 0])
+def test_random_semifree_refuses_fewer_than_two_generators(max_gens):
+    """A cone takes a generator on each side, so max_gens < 2 is refused
+    with a DgError before the generator is read (it raised ValueError from
+    `below(0)` on most seeds); max_gens = 2 draws on every seed tried."""
+    a = catalog_entry("A2").algebra
+    rng = SplitMix64(7)
+    with pytest.raises(DgError, match="max_gens >= 2"):
+        random_semifree(a, rng, max_gens=max_gens)
+    assert rng.state == SplitMix64(7).state
+    for seed in range(30):
+        assert random_semifree(a, SplitMix64(seed), max_gens=2).module.rank <= 2

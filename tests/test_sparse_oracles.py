@@ -1087,10 +1087,10 @@ def test_stored_ints_compute_what_all_fractions_compute(make):
 
 
 def test_solved_kernel_on_stored_ints_matches_all_fractions():
-    """Integer pivots 2 and -1 are divided as Fractions: the kernel of the
-    integer rows (zeros included) equals the kernel of the all-Fraction
-    ones, in stored form, with no float, in its solved form and in its
-    basis readout."""
+    """Integer pivots 2 and -1 divide an entry exactly where they can and
+    as Fractions elsewhere: the kernel of the integer rows (zeros
+    included) equals the kernel of the all-Fraction ones, in stored form,
+    with no float, in its solved form and in its basis readout."""
     rows = [[2, 4, -1, 3, 0, 1], [0, -1, 1, 2, 1, 0], [4, 7, -1, 8, 1, 2],
             [0, 0, 0, -1, F(1, 2), 3]]
     got = solved_kernel([dict(enumerate(r)) for r in rows], 6)

@@ -9,7 +9,6 @@ exits 1.  A battery whose verdict could not fail would pass every other
 tier-1 test, since on correct code every verdict holds.
 """
 
-import dataclasses
 import json
 from types import SimpleNamespace
 
@@ -19,6 +18,7 @@ from dgtrace import suites
 from dgtrace.catalog import catalog_entry, catalog_names
 from dgtrace.cli import main
 from dgtrace.complexes import GradedSpace
+from dgtrace.pairing import PairingReport
 from oracles import shift_module
 
 SEED = 42
@@ -76,6 +76,11 @@ def _shift_class(cls):
     return cls + cls.space.basis_classes()[0]
 
 
+def _bumped_report(rep):
+    """The report with its right side bumped, everything else kept."""
+    return PairingReport(rep.lhs, _bump(rep.rhs), rep.instance, rep.seed)
+
+
 def _assert_one_failure(summary):
     assert summary["checked"] > 1
     assert summary["passed"] == summary["checked"] - 1
@@ -83,8 +88,7 @@ def _assert_one_failure(summary):
 
 
 def test_rr_tally_records_a_failing_report(monkeypatch):
-    _corrupt_nth(monkeypatch, "verify_rr", 2,
-                 lambda rep: dataclasses.replace(rep, rhs=_bump(rep.rhs)))
+    _corrupt_nth(monkeypatch, "verify_rr", 2, _bumped_report)
     tally = suites.rr_tally(catalog_entry("A2"), 8, SEED)
     assert (tally["checked"], tally["passed"]) == (8, 7)
     assert [f["instance"] for f in tally["failures"]] == ["A2#2"]
@@ -106,8 +110,7 @@ def test_adapt_suite_counts_a_failure(monkeypatch):
 
 
 def test_kernel_composition_suite_counts_a_failure(monkeypatch):
-    _corrupt_nth(monkeypatch, "verify_kernel_composition", 2,
-                 lambda rep: dataclasses.replace(rep, rhs=_bump(rep.rhs)))
+    _corrupt_nth(monkeypatch, "verify_kernel_composition", 2, _bumped_report)
     _assert_one_failure(suites.kernel_composition_suite(4, SEED))
 
 
@@ -262,8 +265,7 @@ def _cli(args, capsys):
 
 
 def test_cli_verify_rr_exits_1_on_one_failing_report(monkeypatch, capsys):
-    _corrupt_nth(monkeypatch, "verify_rr", 2,
-                 lambda rep: dataclasses.replace(rep, rhs=_bump(rep.rhs)))
+    _corrupt_nth(monkeypatch, "verify_rr", 2, _bumped_report)
     code, out = _cli(["--random", "8", "verify-rr", "--algebra", "A2"], capsys)
     per = out["per_algebra"]["A2"]
     assert code == 1 and out["ok"] is False
